@@ -879,9 +879,10 @@ fn main() {
     };
     let (reference_digest, ref_tickets) = reference_label_digest(&fx, budget, &net_cfg, &items);
     tickets_issued += ref_tickets;
-    // Hand the children the exact item set through the wire codec itself:
-    // the file is an encoded `Vec<ItemTruth>`, so a child that can read it
-    // has also exercised the decoder on a large nested payload.
+    // Hand the children the exact item set through the value-tree
+    // interchange codec (`encode_value`): the file is an encoded
+    // `Vec<ItemTruth>`, bit-exact on floats, so every child labels the
+    // very items the reference digest was computed on.
     let items_path = if smoke {
         "target/net_items.smoke.bin"
     } else {

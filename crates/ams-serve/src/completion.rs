@@ -58,8 +58,9 @@ use std::time::Duration;
 /// Which loss path took a shed request — the reason delivered to the
 /// client in its [`Completion::Shed`] event.
 ///
-/// Wire-stable: serializes by variant name, so the TCP front-end
-/// ([`crate::net`]) can carry it verbatim in `Completion` frames.
+/// Wire-stable: the frame codec ([`crate::wire`]) carries it as one
+/// byte, the variant's position in declaration order — append new
+/// variants at the end. Serde serializes it by variant name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ShedReason {
     /// Refused at admission, before occupying a queue slot: the shard's
@@ -124,9 +125,9 @@ pub struct LabelResult {
 
 /// The single terminal event of one ticket.
 ///
-/// Wire-stable: the TCP front-end's `Completion` frames embed this type
-/// directly (tagged by variant name), with the ticket id remapped to the
-/// client-chosen request id.
+/// Wire-stable: the TCP front-end's `Completion` frames carry this type
+/// (one frame tag per variant, see [`crate::wire`]), with the ticket id
+/// remapped to the client-chosen request id.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Completion {
     /// The request was labeled; here is its result.

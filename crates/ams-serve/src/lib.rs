@@ -34,7 +34,9 @@
 //!   per-class ledgers), and graceful drain on shutdown.
 //! * [`net`] — the TCP front-end: a blocking `std::net` listener
 //!   speaking the ticket protocol over compact length-prefixed binary
-//!   frames. One persistent connection multiplexes many tickets
+//!   frames ([`wire`] owns the frame types and their byte layout: a
+//!   hand-written typed codec, one tag byte and fixed field order per
+//!   frame). One persistent connection multiplexes many tickets
 //!   (client-chosen request ids echoed in completions), the
 //!   per-connection completion window is the flow control (a full window
 //!   stops socket reads, so TCP backpressure mirrors the in-process
@@ -80,6 +82,7 @@ pub mod queue;
 pub mod router;
 pub mod server;
 pub mod telemetry;
+pub mod wire;
 
 pub use adapt::{AdaptConfig, AdaptReport};
 pub use cache::{CacheConfig, CacheReport};

@@ -6,14 +6,17 @@
 //! transport so the scheduler can serve clients in other processes (and,
 //! eventually, other machines) without changing what it computes:
 //!
-//! * **Framing** — compact length-prefixed frames: a 4-byte little-endian
-//!   payload length (capped at [`MAX_FRAME`]) followed by a binary
-//!   encoding of the vendored serde [`Value`] tree (tag byte + LEB128
-//!   varints; floats travel as raw IEEE-754 bits, so labels received
-//!   over TCP are **byte-identical** to the in-process client's). The
-//!   decoder is total: truncation, oversized claims, unknown tags, bad
-//!   UTF-8, and pathological nesting all return [`WireError`] — never a
-//!   panic.
+//! * **Framing** — length-prefixed frames in the hand-written typed
+//!   binary layout of [`crate::wire`] (its module docs hold the
+//!   byte-layout table: tags, field order, the `Hello` version byte).
+//!   This module moves whole frames and never looks inside one: a frame
+//!   is encoded from borrowed data into the connection's one reused
+//!   buffer and written with a single `write_all`; a received payload
+//!   lands in the connection's one reused read buffer and is decoded
+//!   straight into the frame type. Floats travel as raw IEEE-754 bits,
+//!   so labels received over TCP are **byte-identical** to the
+//!   in-process client's, and the decoder is total: any malformed
+//!   payload returns [`WireError`] — never a panic.
 //! * **Multiplexing** — one persistent connection carries many tickets.
 //!   The client picks a request id per submission and the server echoes
 //!   it in the terminal [`ServerFrame::Completion`] (the embedded
@@ -45,8 +48,8 @@
 
 use crate::completion::Completion;
 use crate::server::{AmsServer, Client, ServeReport, SubmitOptions};
+use crate::wire;
 use ams_data::ItemTruth;
-use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -55,334 +58,16 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Hard cap on one frame's payload, bytes. A length prefix above this is
-/// a protocol error — the connection closes before allocating anything.
-pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
+pub use crate::wire::{
+    decode_value, encode_value, ClientFrame, ServerFrame, WireError, WireRequest, MAX_FRAME,
+};
 
 /// Cap on the per-connection completion window a `Hello` may request.
 pub const MAX_WINDOW: u64 = 65_536;
 
-/// Maximum nesting depth the value decoder accepts — a crafted payload
-/// of nested arrays must error out, not overflow the stack.
-const MAX_DEPTH: u32 = 64;
-
 /// How often blocked socket reads and completion waits re-check their
 /// stop conditions.
 const POLL: Duration = Duration::from_millis(50);
-
-// ---------------------------------------------------------------------------
-// Wire errors
-// ---------------------------------------------------------------------------
-
-/// Why a wire operation failed. Every failure path through the codec and
-/// the connection handlers lands here — malformed input never panics.
-#[derive(Debug)]
-pub enum WireError {
-    /// Socket-level I/O failure.
-    Io(std::io::Error),
-    /// The peer closed the connection (EOF, possibly mid-frame).
-    Closed,
-    /// A frame length prefix of zero or above [`MAX_FRAME`].
-    FrameTooLarge(u32),
-    /// The frame payload did not decode (truncated value, unknown tag,
-    /// bad UTF-8, over-deep nesting, trailing bytes, or a well-formed
-    /// value of the wrong shape).
-    Malformed(String),
-    /// A well-formed frame that violates the protocol (first frame not
-    /// `Hello`, duplicate request id, frame after `Goodbye`).
-    Protocol(String),
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Io(e) => write!(f, "io error: {e}"),
-            WireError::Closed => write!(f, "connection closed"),
-            WireError::FrameTooLarge(n) => write!(f, "frame length {n} outside 1..={MAX_FRAME}"),
-            WireError::Malformed(m) => write!(f, "malformed frame: {m}"),
-            WireError::Protocol(m) => write!(f, "protocol violation: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-impl From<std::io::Error> for WireError {
-    fn from(e: std::io::Error) -> Self {
-        if e.kind() == ErrorKind::UnexpectedEof {
-            WireError::Closed
-        } else {
-            WireError::Io(e)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Binary value codec
-// ---------------------------------------------------------------------------
-
-const TAG_NULL: u8 = 0x00;
-const TAG_FALSE: u8 = 0x01;
-const TAG_TRUE: u8 = 0x02;
-const TAG_U64: u8 = 0x03;
-const TAG_I64: u8 = 0x04;
-const TAG_F64: u8 = 0x05;
-const TAG_STR: u8 = 0x06;
-const TAG_ARRAY: u8 = 0x07;
-const TAG_OBJECT: u8 = 0x08;
-
-fn put_varint(out: &mut Vec<u8>, mut n: u64) {
-    loop {
-        let byte = (n & 0x7f) as u8;
-        n >>= 7;
-        if n == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Encode one value tree into the compact binary form. Total: every
-/// value encodes, and `decode_value` of the result returns an equal tree
-/// (floats bit-exactly — they travel as raw IEEE-754 bits, unlike the
-/// JSON text path).
-pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
-        Value::U64(n) => {
-            out.push(TAG_U64);
-            put_varint(out, *n);
-        }
-        Value::I64(n) => {
-            // ZigZag so small negatives stay small.
-            out.push(TAG_I64);
-            put_varint(out, ((n << 1) ^ (n >> 63)) as u64);
-        }
-        Value::F64(f) => {
-            out.push(TAG_F64);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            put_varint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Array(items) => {
-            out.push(TAG_ARRAY);
-            put_varint(out, items.len() as u64);
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Object(fields) => {
-            out.push(TAG_OBJECT);
-            put_varint(out, fields.len() as u64);
-            for (k, val) in fields {
-                put_varint(out, k.len() as u64);
-                out.extend_from_slice(k.as_bytes());
-                encode_value(val, out);
-            }
-        }
-    }
-}
-
-// ams-lint: begin(no-panic) wire decode path — parses hostile bytes; a
-// malformed frame must produce WireError::Malformed, never a panic
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn byte(&mut self) -> Result<u8, WireError> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| WireError::Malformed("truncated value".into()))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let s = self
-            .buf
-            .get(self.pos..self.pos.saturating_add(n))
-            .ok_or_else(|| WireError::Malformed("truncated value".into()))?;
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn varint(&mut self) -> Result<u64, WireError> {
-        let mut n: u64 = 0;
-        for shift in (0..64).step_by(7) {
-            let b = self.byte()?;
-            let low = u64::from(b & 0x7f);
-            if shift == 63 && low > 1 {
-                return Err(WireError::Malformed("varint overflows u64".into()));
-            }
-            n |= low << shift;
-            if b & 0x80 == 0 {
-                return Ok(n);
-            }
-        }
-        Err(WireError::Malformed("varint longer than 10 bytes".into()))
-    }
-
-    /// A claimed element count, sanity-bounded by the bytes actually
-    /// present (every element costs at least `min_bytes`), so a hostile
-    /// length claim cannot drive a huge allocation.
-    fn count(&mut self, min_bytes: usize) -> Result<usize, WireError> {
-        let n = self.varint()?;
-        let ceiling = (self.remaining() / min_bytes.max(1)) as u64;
-        if n > ceiling {
-            return Err(WireError::Malformed(format!(
-                "count {n} exceeds remaining payload"
-            )));
-        }
-        Ok(n as usize)
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.count(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Malformed("invalid utf-8 in string".into()))
-    }
-
-    fn value(&mut self, depth: u32) -> Result<Value, WireError> {
-        if depth > MAX_DEPTH {
-            return Err(WireError::Malformed("value nested too deeply".into()));
-        }
-        match self.byte()? {
-            TAG_NULL => Ok(Value::Null),
-            TAG_FALSE => Ok(Value::Bool(false)),
-            TAG_TRUE => Ok(Value::Bool(true)),
-            TAG_U64 => Ok(Value::U64(self.varint()?)),
-            TAG_I64 => {
-                let z = self.varint()?;
-                Ok(Value::I64(((z >> 1) as i64) ^ -((z & 1) as i64)))
-            }
-            TAG_F64 => {
-                let bytes: [u8; 8] = self
-                    .take(8)?
-                    .try_into()
-                    .map_err(|_| WireError::Malformed("truncated f64".into()))?;
-                Ok(Value::F64(f64::from_bits(u64::from_le_bytes(bytes))))
-            }
-            TAG_STR => Ok(Value::Str(self.string()?)),
-            TAG_ARRAY => {
-                let n = self.count(1)?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(self.value(depth + 1)?);
-                }
-                Ok(Value::Array(items))
-            }
-            TAG_OBJECT => {
-                let n = self.count(2)?;
-                let mut fields = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let key = self.string()?;
-                    let val = self.value(depth + 1)?;
-                    fields.push((key, val));
-                }
-                Ok(Value::Object(fields))
-            }
-            tag => Err(WireError::Malformed(format!(
-                "unknown value tag {tag:#04x}"
-            ))),
-        }
-    }
-}
-
-/// Decode one value tree from the compact binary form. Strict: trailing
-/// bytes after the root value are an error, and no input panics.
-pub fn decode_value(buf: &[u8]) -> Result<Value, WireError> {
-    let mut cur = Cursor { buf, pos: 0 };
-    let v = cur.value(0)?;
-    if cur.remaining() != 0 {
-        return Err(WireError::Malformed(format!(
-            "{} trailing bytes after value",
-            cur.remaining()
-        )));
-    }
-    Ok(v)
-}
-
-// ams-lint: end(no-panic)
-
-// ---------------------------------------------------------------------------
-// Frames
-// ---------------------------------------------------------------------------
-
-/// One submission travelling client → server: the scene content plus the
-/// ticket's own economics. `id` is chosen by the client and echoed in
-/// the terminal [`ServerFrame`]; it must be unique among the
-/// connection's in-flight requests.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WireRequest {
-    /// Client-chosen request id, echoed in the completion.
-    pub id: u64,
-    /// The scene to label (full content — the server fingerprints it for
-    /// the cache and affinity routing exactly like a local submission).
-    pub item: ItemTruth,
-    /// SLO class (aggregation bucket; clamped server-side).
-    pub class: usize,
-    /// Optional per-ticket deadline override, µs.
-    pub deadline_us: Option<u64>,
-    /// Optional per-ticket value override.
-    pub value: Option<f64>,
-}
-
-/// Frames travelling client → server.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum ClientFrame {
-    /// Mandatory first frame: size the connection's completion window
-    /// (clamped to `1..=`[`MAX_WINDOW`]). The window is the flow
-    /// control — the server stops reading the socket while it is full.
-    Hello {
-        /// Requested window: maximum in-flight (unanswered) requests.
-        window: u64,
-    },
-    /// Submit one item for labeling.
-    Request(WireRequest),
-    /// Cancel an in-flight request by its client-chosen id. Exactly like
-    /// [`Ticket::cancel`](crate::Ticket::cancel): wins only while the
-    /// request is unclaimed, and the terminal completion reports what
-    /// actually happened.
-    Cancel {
-        /// The client-chosen id of the request to cancel.
-        id: u64,
-    },
-    /// Graceful close: the server stops reading, lets every outstanding
-    /// ticket resolve, delivers the remaining completions, and closes.
-    Goodbye,
-}
-
-/// Frames travelling server → client.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum ServerFrame {
-    /// The terminal event of one request. The embedded completion's
-    /// ticket field carries the **client-chosen request id**, not the
-    /// server-internal ticket id.
-    Completion(Completion),
-    /// The submission was refused synchronously (shard queue full under
-    /// the reject policy, or the server is shutting down): no ticket was
-    /// issued and no completion will follow. The in-process analogue is
-    /// `SubmitOutcome::Rejected`.
-    Rejected {
-        /// The client-chosen id of the refused request.
-        id: u64,
-    },
-}
 
 /// What [`NetClient::recv`] yields: a terminal completion (with the
 /// ticket field already carrying the client-chosen request id) or a
@@ -431,17 +116,32 @@ fn with_wire_id(mut ev: Completion, id: u64) -> Completion {
 // Frame I/O
 // ---------------------------------------------------------------------------
 
-/// Serialize and write one frame: length prefix + binary value.
-fn write_frame<T: Serialize>(stream: &mut TcpStream, frame: &T) -> Result<(), WireError> {
-    let mut payload = Vec::with_capacity(128);
-    encode_value(&frame.to_value(), &mut payload);
-    debug_assert!(payload.len() as u64 <= u64::from(MAX_FRAME));
-    let mut buf = Vec::with_capacity(payload.len() + 4);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&payload);
-    stream.write_all(&buf)?;
-    stream.flush()?;
-    Ok(())
+/// The write half of a connection and its reused encode buffer. A frame
+/// is built whole in the buffer (never more than one frame lives there)
+/// and leaves in a single `write_all`, so frames from the threads sharing
+/// a connection's writer lock never interleave.
+struct FrameWriter {
+    stream: TcpStream,
+    buf: Vec<u8>,
+}
+
+impl FrameWriter {
+    fn new(stream: TcpStream) -> Self {
+        Self {
+            stream,
+            buf: Vec::new(),
+        }
+    }
+
+    /// Frame what `encode` appends and write it. An over-[`MAX_FRAME`]
+    /// frame fails with [`WireError::FrameTooLarge`] before any byte is
+    /// written; every other error may leave a partial frame on the
+    /// stream, so the connection is unusable after it.
+    fn send(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), WireError> {
+        wire::frame_into(&mut self.buf, encode)?;
+        self.stream.write_all(&self.buf)?;
+        Ok(())
+    }
 }
 
 // ams-lint: begin(no-panic) frame read path — feeds raw socket bytes to
@@ -473,23 +173,33 @@ fn read_exact_interruptible(
     Ok(())
 }
 
-/// Read one frame and decode its payload to a value tree.
-fn read_frame_value(stream: &mut TcpStream, stop: &AtomicBool) -> Result<Value, WireError> {
-    let mut len = [0u8; 4];
-    read_exact_interruptible(stream, &mut len, stop)?;
-    let n = u32::from_le_bytes(len);
-    if n == 0 || n > MAX_FRAME {
-        return Err(WireError::FrameTooLarge(n));
-    }
-    let mut payload = vec![0u8; n as usize];
-    read_exact_interruptible(stream, &mut payload, stop)?;
-    decode_value(&payload)
+/// The read half of a connection and its reused payload buffer, which
+/// holds one frame at a time and grows only to the largest frame seen
+/// (at most [`MAX_FRAME`]).
+struct FrameReader {
+    stream: TcpStream,
+    payload: Vec<u8>,
 }
 
-/// Read one typed frame.
-fn read_frame<T: Deserialize>(stream: &mut TcpStream, stop: &AtomicBool) -> Result<T, WireError> {
-    let v = read_frame_value(stream, stop)?;
-    T::from_value(&v).map_err(|e| WireError::Malformed(e.to_string()))
+impl FrameReader {
+    fn new(stream: TcpStream) -> Self {
+        Self {
+            stream,
+            payload: Vec::new(),
+        }
+    }
+
+    /// Read one frame and return its payload. The length prefix is
+    /// checked before the buffer is sized for it.
+    fn next(&mut self, stop: &AtomicBool) -> Result<&[u8], WireError> {
+        let mut prefix = [0u8; 4];
+        read_exact_interruptible(&mut self.stream, &mut prefix, stop)?;
+        let len = wire::payload_len(prefix)?;
+        self.payload.clear();
+        self.payload.resize(len, 0);
+        read_exact_interruptible(&mut self.stream, &mut self.payload, stop)?;
+        Ok(&self.payload)
+    }
 }
 
 // ams-lint: end(no-panic)
@@ -679,6 +389,16 @@ impl NetServer {
     }
 }
 
+/// Write one frame to a connection's client. A dead socket is fine: the
+/// events still drain so the window frees and the ledgers balance; only
+/// the delivery is lost.
+fn send_server_frame(out: &Mutex<FrameWriter>, frame: &ServerFrame) {
+    let _ = out
+        .lock()
+        .expect("conn writer")
+        .send(|buf| wire::encode_server_frame(frame, buf));
+}
+
 /// One connection: read `Hello`, open a window-sized in-process client,
 /// then pump frames until goodbye/disconnect. The reader thread is the
 /// current thread; completions are written back by a spawned writer.
@@ -688,13 +408,17 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
     // interrupt idle connections; `read_exact_interruptible` preserves
     // partial reads across them.
     let _ = stream.set_read_timeout(Some(POLL));
-    let mut reader = stream;
-    let Ok(writer_stream) = reader.try_clone() else {
+    let Ok(write_half) = stream.try_clone() else {
         return;
     };
+    let mut reader = FrameReader::new(stream);
+    let mut next_frame = move || -> Result<ClientFrame, WireError> {
+        wire::decode_client_frame(reader.next(&stop)?)
+    };
 
-    // The handshake sizes the window; anything else is a protocol error.
-    let window = match read_frame::<ClientFrame>(&mut reader, &stop) {
+    // The handshake sizes the window; anything else — a foreign protocol
+    // version included — closes the connection before a ticket exists.
+    let window = match next_frame() {
         Ok(ClientFrame::Hello { window }) => window.clamp(1, MAX_WINDOW) as usize,
         _ => return,
     };
@@ -706,33 +430,25 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
     // Both threads write frames: the writer sends completions, the
     // reader sends synchronous rejections. Frames are serialized under
     // this lock so they never interleave.
-    let out = Arc::new(Mutex::new(writer_stream.try_clone().ok()));
+    let out = Arc::new(Mutex::new(FrameWriter::new(write_half)));
 
     let writer = {
         let client = client.clone();
         let maps = Arc::clone(&maps);
         let reader_done = Arc::clone(&reader_done);
         let out = Arc::clone(&out);
-        std::thread::spawn(move || {
-            loop {
-                match client.recv_timeout(POLL) {
-                    Some(ev) => {
-                        let ticket_id = ev.ticket();
-                        if let Some(req_id) = maps.wait_req_of(ticket_id, &reader_done) {
-                            let frame = ServerFrame::Completion(with_wire_id(ev, req_id));
-                            // A dead socket is fine: the events still
-                            // drain so the window frees and the ledgers
-                            // balance; only the delivery is lost.
-                            if let Some(stream) = out.lock().expect("conn writer").as_mut() {
-                                let _ = write_frame(stream, &frame);
-                            }
-                        }
-                        maps.remove(ticket_id);
+        std::thread::spawn(move || loop {
+            match client.recv_timeout(POLL) {
+                Some(ev) => {
+                    let ticket_id = ev.ticket();
+                    if let Some(req_id) = maps.wait_req_of(ticket_id, &reader_done) {
+                        send_server_frame(&out, &ServerFrame::Completion(with_wire_id(ev, req_id)));
                     }
-                    None => {
-                        if reader_done.load(Ordering::Acquire) && client.outstanding() == 0 {
-                            return;
-                        }
+                    maps.remove(ticket_id);
+                }
+                None => {
+                    if reader_done.load(Ordering::Acquire) && client.outstanding() == 0 {
+                        return;
                     }
                 }
             }
@@ -742,7 +458,7 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
     // Reader loop. Any exit except `Goodbye` is an abrupt disconnect:
     // cancel every outstanding ticket of this connection.
     let mut graceful = false;
-    while let Ok(frame) = read_frame::<ClientFrame>(&mut reader, &stop) {
+    while let Ok(frame) = next_frame() {
         match frame {
             ClientFrame::Hello { .. } => break, // duplicate handshake
             ClientFrame::Goodbye => {
@@ -774,10 +490,7 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
                         }
                     }
                     None => {
-                        let frame = ServerFrame::Rejected { id: req.id };
-                        if let Some(stream) = out.lock().expect("conn writer").as_mut() {
-                            let _ = write_frame(stream, &frame);
-                        }
+                        send_server_frame(&out, &ServerFrame::Rejected { id: req.id });
                     }
                 }
             }
@@ -788,7 +501,11 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
     }
     reader_done.store(true, Ordering::Release);
     let _ = writer.join();
-    let _ = writer_stream.shutdown(std::net::Shutdown::Both);
+    let _ = out
+        .lock()
+        .expect("conn writer")
+        .stream
+        .shutdown(std::net::Shutdown::Both);
 }
 
 // ---------------------------------------------------------------------------
@@ -806,12 +523,12 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
 /// synchronous `SubmitOutcome::Rejected`), and every call can fail with
 /// a [`WireError`].
 pub struct NetClient {
-    write: Mutex<TcpStream>,
-    read: Mutex<TcpStream>,
+    write: Mutex<FrameWriter>,
+    read: Mutex<FrameReader>,
     window: usize,
     state: Mutex<NcState>,
     not_full: Condvar,
-    /// Never set client-side; [`read_frame`] wants a stop flag.
+    /// Never set client-side; [`FrameReader::next`] wants a stop flag.
     no_stop: AtomicBool,
 }
 
@@ -820,6 +537,9 @@ struct NcState {
     outstanding: usize,
     next_id: u64,
     goodbye: bool,
+    /// A fatal read or write error ended the connection: nothing in
+    /// flight will ever be answered and nothing more can be sent.
+    closed: bool,
 }
 
 impl NetClient {
@@ -837,22 +557,41 @@ impl NetClient {
         let stream = TcpStream::connect(addr).map_err(WireError::Io)?;
         let _ = stream.set_nodelay(true);
         let read = stream.try_clone().map_err(WireError::Io)?;
-        let mut write = stream;
         let window = (window as u64).clamp(1, MAX_WINDOW) as usize;
-        write_frame(
-            &mut write,
-            &ClientFrame::Hello {
-                window: window as u64,
-            },
-        )?;
-        Ok(Self {
-            write: Mutex::new(write),
-            read: Mutex::new(read),
+        let client = Self {
+            write: Mutex::new(FrameWriter::new(stream)),
+            read: Mutex::new(FrameReader::new(read)),
             window,
             state: Mutex::new(NcState::default()),
             not_full: Condvar::new(),
             no_stop: AtomicBool::new(false),
-        })
+        };
+        client.send(&ClientFrame::Hello {
+            window: window as u64,
+        })?;
+        Ok(client)
+    }
+
+    /// Record a fatal connection error and wake every submitter parked
+    /// on the window: the slots they wait for will never free.
+    fn close(&self) {
+        self.state.lock().expect("net client").closed = true;
+        self.not_full.notify_all();
+    }
+
+    /// Write one frame built by `encode`. A frame refused for its size
+    /// wrote nothing and the connection lives on; any other failure
+    /// closes it.
+    fn send_with(&self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), WireError> {
+        let res = self.write.lock().expect("net client write").send(encode);
+        if matches!(&res, Err(e) if !matches!(e, WireError::FrameTooLarge(_))) {
+            self.close();
+        }
+        res
+    }
+
+    fn send(&self, frame: &ClientFrame) -> Result<(), WireError> {
+        self.send_with(|buf| wire::encode_client_frame(frame, buf))
     }
 
     /// Submit one item (class 0, class-default economics), returning its
@@ -867,14 +606,23 @@ impl NetClient {
     }
 
     /// [`NetClient::submit`] with full per-ticket economics, mirroring
-    /// [`Client::submit_with`].
+    /// [`Client::submit_with`]. Fails with [`WireError::Closed`] — also
+    /// when already blocked on a full window — once the connection is
+    /// dead, and with [`WireError::FrameTooLarge`] (connection intact)
+    /// for an item that would not fit one frame.
     pub fn submit_with(&self, item: Arc<ItemTruth>, opts: SubmitOptions) -> Result<u64, WireError> {
         let id = {
             let mut st = self.state.lock().expect("net client");
             if st.goodbye {
                 return Err(WireError::Protocol("submit after goodbye".into()));
             }
-            while st.outstanding >= self.window {
+            loop {
+                if st.closed {
+                    return Err(WireError::Closed);
+                }
+                if st.outstanding < self.window {
+                    break;
+                }
                 st = self.not_full.wait(st).expect("net client");
             }
             st.outstanding += 1;
@@ -882,19 +630,9 @@ impl NetClient {
             st.next_id += 1;
             id
         };
-        let frame = ClientFrame::Request(WireRequest {
-            id,
-            item: (*item).clone(),
-            class: opts.class,
-            deadline_us: opts.deadline_us,
-            value: opts.value,
-        });
-        let res = write_frame(&mut self.write.lock().expect("net client write"), &frame);
-        if let Err(e) = res {
+        if let Err(e) = self.send_with(|buf| wire::encode_request(buf, id, &item, &opts)) {
             // The request never left: release its window slot.
-            let mut st = self.state.lock().expect("net client");
-            st.outstanding -= 1;
-            drop(st);
+            self.state.lock().expect("net client").outstanding -= 1;
             self.not_full.notify_one();
             return Err(e);
         }
@@ -905,26 +643,36 @@ impl NetClient {
     /// [`Ticket::cancel`](crate::Ticket::cancel), the race is resolved
     /// server-side; the terminal event reports what actually happened.
     pub fn cancel(&self, id: u64) -> Result<(), WireError> {
-        write_frame(
-            &mut self.write.lock().expect("net client write"),
-            &ClientFrame::Cancel { id },
-        )
+        self.send(&ClientFrame::Cancel { id })
     }
 
     /// Blocking receive of the next terminal event, in server delivery
     /// order. Returns `Ok(None)` when nothing is outstanding — so a
-    /// drain loop terminates, mirroring [`Client::recv`].
+    /// drain loop terminates, mirroring [`Client::recv`]. Any error is
+    /// fatal to the connection: it and every later call with requests
+    /// still outstanding return an error, and blocked submitters wake
+    /// with [`WireError::Closed`].
     pub fn recv(&self) -> Result<Option<NetEvent>, WireError> {
-        if self.state.lock().expect("net client").outstanding == 0 {
-            return Ok(None);
+        {
+            let st = self.state.lock().expect("net client");
+            if st.outstanding == 0 {
+                return Ok(None);
+            }
+            if st.closed {
+                return Err(WireError::Closed);
+            }
         }
-        let frame = read_frame::<ServerFrame>(
-            &mut self.read.lock().expect("net client read"),
-            &self.no_stop,
-        )?;
+        let frame = {
+            let mut read = self.read.lock().expect("net client read");
+            read.next(&self.no_stop).and_then(wire::decode_server_frame)
+        };
         let ev = match frame {
-            ServerFrame::Completion(c) => NetEvent::Completion(c),
-            ServerFrame::Rejected { id } => NetEvent::Rejected { id },
+            Ok(ServerFrame::Completion(c)) => NetEvent::Completion(c),
+            Ok(ServerFrame::Rejected { id }) => NetEvent::Rejected { id },
+            Err(e) => {
+                self.close();
+                return Err(e);
+            }
         };
         let mut st = self.state.lock().expect("net client");
         st.outstanding = st.outstanding.saturating_sub(1);
@@ -963,56 +711,6 @@ impl NetClient {
         }
         st.goodbye = true;
         drop(st);
-        write_frame(
-            &mut self.write.lock().expect("net client write"),
-            &ClientFrame::Goodbye,
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn round_trip(v: Value) {
-        let mut buf = Vec::new();
-        encode_value(&v, &mut buf);
-        let back = decode_value(&buf).expect("round trip decodes");
-        // Debug compare instead of PartialEq so NaN round trips count.
-        assert_eq!(format!("{back:?}"), format!("{v:?}"));
-        // Float bit-exactness is the whole point of the binary codec.
-        if let (Value::F64(a), Value::F64(b)) = (&v, &back) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn codec_round_trips_scalars_and_containers() {
-        round_trip(Value::Null);
-        round_trip(Value::Bool(true));
-        round_trip(Value::U64(u64::MAX));
-        round_trip(Value::I64(-1));
-        round_trip(Value::I64(i64::MIN));
-        round_trip(Value::F64(0.1 + 0.2));
-        round_trip(Value::F64(f64::NAN)); // bit-compare via to_bits path
-        round_trip(Value::Str("héllo".into()));
-        round_trip(Value::Array(vec![Value::U64(1), Value::Str("x".into())]));
-        round_trip(Value::Object(vec![
-            ("a".into(), Value::Null),
-            ("b".into(), Value::Array(vec![Value::F64(1.5)])),
-        ]));
-    }
-
-    #[test]
-    fn decoder_rejects_garbage_without_panicking() {
-        assert!(decode_value(&[]).is_err());
-        assert!(decode_value(&[0xff]).is_err());
-        assert!(decode_value(&[TAG_STR, 0x05, b'a']).is_err()); // truncated string
-        assert!(decode_value(&[TAG_ARRAY, 0xff, 0xff, 0xff, 0x7f]).is_err()); // huge count
-        assert!(decode_value(&[TAG_NULL, TAG_NULL]).is_err()); // trailing bytes
-        let deep: Vec<u8> = std::iter::repeat_n([TAG_ARRAY, 1], 1000)
-            .flatten()
-            .collect();
-        assert!(decode_value(&deep).is_err()); // nesting bomb
+        self.send(&ClientFrame::Goodbye)
     }
 }

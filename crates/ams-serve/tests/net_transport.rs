@@ -1,21 +1,25 @@
 //! The TCP front-end, end to end over loopback: labels through the
 //! socket byte-identical to the in-process client, per-ticket
 //! deadline/value travelling the wire, cancellation by request id,
-//! graceful goodbye vs abrupt disconnect (cancel-all), and ledger/event
-//! conservation across all of it.
+//! graceful goodbye vs abrupt disconnect (cancel-all), a dead connection
+//! failing its blocked submitters, the encode-side frame cap, and
+//! ledger/event conservation across all of it.
 
 use ams_core::framework::{AdaptiveModelScheduler, Budget};
 use ams_core::predictor::OraclePredictor;
 use ams_data::{Dataset, DatasetProfile, TruthTable};
 use ams_models::ModelZoo;
-use ams_serve::net::{NetClient, NetEvent, NetServer};
+use ams_serve::net::{NetClient, NetEvent, NetServer, WireError, MAX_FRAME};
 use ams_serve::{
     AmsServer, BackpressurePolicy, Completion, ObsConfig, ServeConfig, ShedReason, SloClass,
     SloConfig, SubmitOptions,
 };
 use serde_json::to_string;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::net::TcpListener;
+use std::sync::{mpsc, Arc, OnceLock};
+use std::thread;
+use std::time::{Duration, Instant};
 
 fn scheduler() -> AdaptiveModelScheduler {
     let zoo = ModelZoo::standard();
@@ -378,6 +382,99 @@ fn wire_cancellation_resolves_exactly_once() {
     drop(remote);
     let report = net.shutdown();
     assert_eq!(report.cancelled, cancelled as u64);
+    assert!(report.is_conserved());
+    assert!(report.events_reconcile());
+}
+
+/// Satellite regression: a dead connection must not strand a submitter
+/// parked on a full window. The peer here is a bare listener that never
+/// answers and then hangs up with the window (2) full and a third
+/// submission waiting for a slot. The blocked `submit` — whether it was
+/// already parked when the read failed or arrives just after; both
+/// orders are legal and both hung before the fix — must return
+/// `Closed`, as must every later call.
+#[test]
+fn dead_connection_wakes_a_submitter_blocked_on_a_full_window() {
+    let table = truth();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let (hang_up, hung_up) = mpsc::channel::<()>();
+    let peer = thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        hung_up.recv().expect("test signals the hang-up");
+        drop(stream);
+    });
+
+    let client = Arc::new(NetClient::connect_with_window(addr, 2).expect("connect"));
+    for item in table.items().iter().take(2) {
+        client
+            .submit(Arc::new(item.clone()))
+            .expect("window has room");
+    }
+    assert_eq!(client.outstanding(), 2, "window full");
+    let blocked = {
+        let client = Arc::clone(&client);
+        let item = Arc::new(table.item(2).clone());
+        thread::spawn(move || client.submit(item))
+    };
+
+    hang_up.send(()).expect("peer is waiting");
+    peer.join().expect("peer thread");
+    // The receiver is the one that observes the dead socket.
+    assert!(client.recv().is_err(), "nothing was ever answered");
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !blocked.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "submitter still parked on a dead connection"
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    let res = blocked.join().expect("submitter thread");
+    assert!(matches!(res, Err(WireError::Closed)), "{res:?}");
+    assert!(matches!(
+        client.submit(Arc::new(table.item(3).clone())),
+        Err(WireError::Closed)
+    ));
+    assert!(matches!(client.recv(), Err(WireError::Closed)));
+}
+
+/// Satellite regression: the encode-side frame cap holds in release
+/// builds. An item too large for one frame is refused before a byte is
+/// written — `FrameTooLarge`, its window slot released — and the
+/// connection keeps serving.
+#[test]
+fn oversized_request_is_refused_before_the_wire_and_frees_its_slot() {
+    let table = truth();
+    let net = NetServer::bind(
+        AmsServer::start(scheduler(), Budget::Deadline { ms: 900 }, lossless_config()),
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let remote = NetClient::connect_with_window(net.local_addr(), 1).expect("connect");
+
+    let mut huge = table.item(0).clone();
+    huge.model_value = vec![0.0; MAX_FRAME as usize / 8 + 1];
+    let res = remote.submit(Arc::new(huge));
+    assert!(matches!(res, Err(WireError::FrameTooLarge(_))), "{res:?}");
+    assert_eq!(remote.outstanding(), 0, "the refused request holds no slot");
+
+    // Window 1: this submit would block forever on a leaked slot, and
+    // fail on a connection the oversized frame had poisoned.
+    remote
+        .submit(Arc::new(table.item(1).clone()))
+        .expect("connection still usable");
+    let events = remote.drain().expect("drain");
+    assert_eq!(events.len(), 1);
+    assert!(events[0]
+        .completion()
+        .and_then(Completion::labeled)
+        .is_some());
+    remote.goodbye().expect("goodbye");
+    drop(remote);
+    let report = net.shutdown();
+    assert_eq!(report.offered, 1, "the oversized request never arrived");
     assert!(report.is_conserved());
     assert!(report.events_reconcile());
 }

@@ -1,23 +1,72 @@
-//! Wire-stable types and a hostile decoder: serde round-trip properties
-//! for the frame vocabulary (`WireRequest` / `Completion` / `LabelResult`
-//! / `ShedReason`) through the binary codec, plus malformed-frame fuzz
-//! against a live listener — truncated length prefixes, oversized frame
-//! claims, and garbage payloads must error the connection cleanly: no
+//! Wire-stable types and a hostile decoder: round-trip properties for
+//! the frame vocabulary through the typed frame codec (bit-exact, every
+//! variant) and through the serde value-tree codec the bench probes still
+//! read, a differential property tying the two encodings together, a
+//! mutation fuzz over real encoded frames with an allocation ceiling,
+//! plus malformed-frame fuzz against a live listener — truncated length
+//! prefixes, oversized frame claims, garbage payloads, foreign protocol
+//! versions and unknown tags must error the connection cleanly: no
 //! panic, no leaked ticket, and the server keeps serving.
 
 use ams_core::framework::{AdaptiveModelScheduler, Budget};
 use ams_core::predictor::OraclePredictor;
-use ams_data::{Dataset, DatasetProfile, TruthTable};
-use ams_models::{LabelId, ModelId, ModelZoo};
-use ams_serve::net::{decode_value, encode_value, ClientFrame, NetClient, NetServer, WireRequest};
+use ams_data::{Dataset, DatasetProfile, ItemTruth, TruthTable};
+use ams_models::{Detection, LabelId, ModelId, ModelOutput, ModelZoo};
+use ams_serve::net::{NetClient, NetServer};
+use ams_serve::wire::{
+    decode_client_frame, decode_server_frame, decode_value, encode_client_frame,
+    encode_server_frame, encode_value, frame_into, ClientFrame, ServerFrame, WireError,
+    WireRequest, PROTOCOL_VERSION,
+};
 use ams_serve::{
     AmsServer, BackpressurePolicy, Completion, LabelResult, ObsConfig, ServeConfig, ShedReason,
 };
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::io::Write;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
+
+thread_local! {
+    /// Bytes the current thread has requested from the allocator.
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator plus a per-thread tally of bytes requested, so
+/// the mutation fuzz can bound what one decode call allocates.
+struct CountingAlloc;
+
+// SAFETY: every operation is forwarded unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only addition is a
+// destructor-free thread-local counter that never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: the caller's `GlobalAlloc::alloc` obligations pass through.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATED.try_with(|n| n.set(n.get() + layout.size()));
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: the caller's `GlobalAlloc::dealloc` obligations pass through.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Run `f` and report how many bytes it asked the allocator for (growth
+/// reallocations count in full, so this over-estimates the peak).
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATED.with(Cell::get);
+    let out = f();
+    (out, ALLOCATED.with(Cell::get) - before)
+}
 
 fn scheduler() -> AdaptiveModelScheduler {
     let zoo = ModelZoo::standard();
@@ -109,6 +158,202 @@ fn arb_completion() -> impl Strategy<Value = Completion> {
         })
 }
 
+/// Floats the typed codec must carry bit-exactly: NaNs with payloads,
+/// `-0.0`, subnormals, and arbitrary bit patterns.
+fn wild_f32() -> impl Strategy<Value = f32> {
+    (0usize..6, any::<u32>()).prop_map(|(kind, bits)| match kind {
+        0 => f32::from_bits(0x7fc0_0000 | bits), // NaN, arbitrary sign and payload
+        1 => -0.0,
+        2 => f32::from_bits(bits & 0x807f_ffff), // subnormal (or zero)
+        _ => f32::from_bits(bits),
+    })
+}
+
+fn wild_f64() -> impl Strategy<Value = f64> {
+    (0usize..6, any::<u64>()).prop_map(|(kind, bits)| match kind {
+        0 => f64::from_bits(0x7ff8_0000_0000_0000 | bits),
+        1 => -0.0,
+        2 => f64::from_bits(bits & 0x800f_ffff_ffff_ffff),
+        _ => f64::from_bits(bits),
+    })
+}
+
+/// Ids and counts: `u64::MAX` one time in four, anything otherwise.
+fn wild_u64() -> impl Strategy<Value = u64> {
+    (0usize..4, any::<u64>()).prop_map(|(kind, n)| if kind == 0 { u64::MAX } else { n })
+}
+
+fn wild_scored() -> impl Strategy<Value = Vec<(LabelId, f32)>> {
+    prop::collection::vec((any::<u16>(), wild_f32()), 0..5)
+        .prop_map(|v| v.into_iter().map(|(l, c)| (LabelId(l), c)).collect())
+}
+
+fn wild_item() -> impl Strategy<Value = ItemTruth> {
+    (
+        wild_u64(),
+        prop::collection::vec((any::<u8>(), wild_scored()), 0..6),
+        wild_scored(),
+        wild_f64(),
+        prop::collection::vec(wild_f64(), 0..6),
+    )
+        .prop_map(
+            |(scene_id, outputs, valuable, total_value, model_value)| ItemTruth {
+                scene_id,
+                outputs: outputs
+                    .into_iter()
+                    .map(|(model, dets)| ModelOutput {
+                        model: ModelId(model),
+                        detections: dets
+                            .into_iter()
+                            .map(|(label, confidence)| Detection { label, confidence })
+                            .collect(),
+                    })
+                    .collect(),
+                valuable,
+                total_value,
+                model_value,
+            },
+        )
+}
+
+fn wild_label_result() -> impl Strategy<Value = LabelResult> {
+    (
+        wild_u64(),
+        any::<usize>(),
+        wild_scored(),
+        prop::collection::vec(any::<u8>(), 0..6),
+        (wild_f64(), wild_f64(), wild_f64()),
+        (wild_u64(), wild_u64(), any::<bool>()),
+    )
+        .prop_map(|(ticket, class, labels, executed, values, timing)| {
+            let (label_value, banked_value, recall) = values;
+            let (queue_wait_us, execute_us, deadline_met) = timing;
+            LabelResult {
+                ticket,
+                class,
+                labels,
+                executed: executed.into_iter().map(ModelId).collect(),
+                label_value,
+                banked_value,
+                recall,
+                queue_wait_us,
+                execute_us,
+                deadline_met,
+            }
+        })
+}
+
+/// Every `ClientFrame` variant, both states of both `Option`s.
+fn wild_client_frame() -> impl Strategy<Value = ClientFrame> {
+    (
+        0usize..4,
+        wild_u64(),
+        wild_item(),
+        any::<usize>(),
+        (any::<bool>(), wild_u64()).prop_map(|(some, v)| some.then_some(v)),
+        (any::<bool>(), wild_f64()).prop_map(|(some, v)| some.then_some(v)),
+    )
+        .prop_map(
+            |(variant, id, item, class, deadline_us, value)| match variant {
+                0 => ClientFrame::Hello { window: id },
+                1 => ClientFrame::Request(WireRequest {
+                    id,
+                    item,
+                    class,
+                    deadline_us,
+                    value,
+                }),
+                2 => ClientFrame::Cancel { id },
+                _ => ClientFrame::Goodbye,
+            },
+        )
+}
+
+/// Every `ServerFrame` variant (all three completions and `Rejected`).
+fn wild_server_frame() -> impl Strategy<Value = ServerFrame> {
+    (
+        0usize..4,
+        wild_label_result(),
+        wild_u64(),
+        any::<usize>(),
+        arb_shed_reason(),
+    )
+        .prop_map(|(variant, result, ticket, class, reason)| match variant {
+            0 => ServerFrame::Completion(Completion::Labeled(result)),
+            1 => ServerFrame::Completion(Completion::Shed {
+                ticket,
+                class,
+                reason,
+            }),
+            2 => ServerFrame::Completion(Completion::Cancelled { ticket, class }),
+            _ => ServerFrame::Rejected { id: ticket },
+        })
+}
+
+fn client_bytes(frame: &ClientFrame) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_client_frame(frame, &mut buf);
+    buf
+}
+
+fn server_bytes(frame: &ServerFrame) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_server_frame(frame, &mut buf);
+    buf
+}
+
+/// The value-tree path (`to_value` → `encode_value` → `decode_value` →
+/// `from_value`) without the assertions of [`round_trip`].
+fn via_value_tree<T: Serialize + Deserialize>(v: &T) -> T {
+    let mut buf = Vec::new();
+    encode_value(&v.to_value(), &mut buf);
+    T::from_value(&decode_value(&buf).expect("value codec round trip")).expect("typed rebuild")
+}
+
+/// What a mutated frame may do: decode to *some* frame, or fail as
+/// `Malformed` — and either way ask the allocator for no more than a
+/// fixed multiple of the bytes present (the widest element, a
+/// `ModelOutput`, is 32 bytes in memory for 2 on the wire; the constant
+/// covers the error message).
+fn decode_is_contained<T>(
+    bytes: &[u8],
+    decode: impl FnOnce(&[u8]) -> Result<T, WireError>,
+) -> Result<bool, TestCaseError> {
+    let (res, allocated) = allocated_by(|| decode(bytes));
+    prop_assert!(
+        allocated <= 32 * bytes.len() + 1024,
+        "decoding {} bytes allocated {allocated}",
+        bytes.len()
+    );
+    match res {
+        Ok(_) => Ok(true),
+        Err(WireError::Malformed(_)) => Ok(false),
+        Err(other) => Err(TestCaseError::fail(format!(
+            "decoder returned {other:?}, not Malformed"
+        ))),
+    }
+}
+
+/// Truncate, bit-flip, or splice `frame` (with a slice of `donor`).
+/// Returns the mutant and whether it must fail to decode.
+fn mutate(frame: &[u8], donor: &[u8], kind: usize, a: usize, b: usize) -> (Vec<u8>, bool) {
+    let at = a % frame.len();
+    match kind {
+        // A typed frame has no optional tail: every strict prefix is short.
+        0 => (frame[..at].to_vec(), true),
+        1 => {
+            let mut m = frame.to_vec();
+            m[at] ^= 1 << (b % 8);
+            (m, false)
+        }
+        _ => {
+            let mut m = frame[..at].to_vec();
+            m.extend_from_slice(&donor[b % donor.len()..]);
+            (m, false)
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -160,7 +405,96 @@ proptest! {
     #[test]
     fn decoder_never_panics_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = decode_value(&bytes);
+        decode_is_contained(&bytes, decode_client_frame)?;
+        decode_is_contained(&bytes, decode_server_frame)?;
     }
+
+    /// Typed codec, client direction: every variant round-trips, and
+    /// re-encoding the decoded frame reproduces the bytes — floats are
+    /// written as raw bits, so equal bytes means bit-equal floats (NaN
+    /// payloads, `-0.0`, subnormals).
+    #[test]
+    fn client_frames_round_trip_bit_exactly(frame in wild_client_frame()) {
+        let bytes = client_bytes(&frame);
+        let back = decode_client_frame(&bytes).expect("own encoding decodes");
+        prop_assert_eq!(format!("{back:?}"), format!("{frame:?}"));
+        prop_assert_eq!(client_bytes(&back), bytes);
+    }
+
+    /// Typed codec, server direction: same property.
+    #[test]
+    fn server_frames_round_trip_bit_exactly(frame in wild_server_frame()) {
+        let bytes = server_bytes(&frame);
+        let back = decode_server_frame(&bytes).expect("own encoding decodes");
+        prop_assert_eq!(format!("{back:?}"), format!("{frame:?}"));
+        prop_assert_eq!(server_bytes(&back), bytes);
+    }
+
+    /// Differential: the typed round trip and the value-tree round trip
+    /// of one frame agree, so the two encodings of a type cannot drift
+    /// while the bench probes still time the value-tree one.
+    #[test]
+    fn typed_and_value_tree_round_trips_agree(
+        client in wild_client_frame(),
+        server in wild_server_frame(),
+    ) {
+        let typed = decode_client_frame(&client_bytes(&client)).expect("typed decodes");
+        prop_assert_eq!(format!("{typed:?}"), format!("{:?}", via_value_tree(&client)));
+        let typed = decode_server_frame(&server_bytes(&server)).expect("typed decodes");
+        prop_assert_eq!(format!("{typed:?}"), format!("{:?}", via_value_tree(&server)));
+    }
+
+    /// Mutation fuzz over real frames: a truncated frame is always
+    /// `Malformed`; a bit-flipped or spliced one decodes or is
+    /// `Malformed`; none panics, none allocates past a fixed multiple of
+    /// the bytes present.
+    #[test]
+    fn mutated_frames_fail_as_malformed_within_an_allocation_ceiling(
+        idx in 0usize..24,
+        result in arb_label_result(),
+        kind in 0usize..3,
+        a in any::<usize>(),
+        b in any::<usize>(),
+    ) {
+        let request = client_bytes(&ClientFrame::Request(WireRequest {
+            id: a as u64,
+            item: truth().item(idx).clone(),
+            class: b % 4,
+            deadline_us: (a % 2 == 0).then_some(b as u64),
+            value: (b % 2 == 0).then_some(a as f64),
+        }));
+        let completion = server_bytes(&ServerFrame::Completion(Completion::Labeled(result)));
+
+        let (mutant, must_fail) = mutate(&request, &completion, kind, a, b);
+        let decoded = decode_is_contained(&mutant, decode_client_frame)?;
+        prop_assert!(!(must_fail && decoded), "truncated request decoded");
+
+        let (mutant, must_fail) = mutate(&completion, &request, kind, a, b);
+        let decoded = decode_is_contained(&mutant, decode_server_frame)?;
+        prop_assert!(!(must_fail && decoded), "truncated completion decoded");
+    }
+}
+
+/// A hostile count claim on a 16-byte frame stays a 16-byte problem: the
+/// claim is checked against the bytes present before anything is sized
+/// by it.
+#[test]
+fn hostile_count_claims_do_not_allocate() {
+    // Request: id 0, class 0, no flags, scene 0, then "2^62 outputs".
+    let mut request = vec![0x02, 0, 0, 0, 0];
+    request.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40]);
+    request.resize(16, 0);
+    // Labeled: ticket 0, class 0, then "2^62 labels".
+    let mut labeled = vec![0x11, 0, 0];
+    labeled.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40]);
+    labeled.resize(16, 0);
+
+    let (res, allocated) = allocated_by(|| decode_client_frame(&request));
+    assert!(matches!(res, Err(WireError::Malformed(_))), "{res:?}");
+    assert!(allocated < 256, "request count claim allocated {allocated}");
+    let (res, allocated) = allocated_by(|| decode_server_frame(&labeled));
+    assert!(matches!(res, Err(WireError::Malformed(_))), "{res:?}");
+    assert!(allocated < 256, "label count claim allocated {allocated}");
 }
 
 fn lossless_server() -> AmsServer {
@@ -179,8 +513,38 @@ fn lossless_server() -> AmsServer {
     )
 }
 
+/// One whole `Hello` frame, length prefix included.
+fn hello_frame(window: u64) -> Vec<u8> {
+    let mut frame = Vec::new();
+    frame_into(&mut frame, |buf| {
+        encode_client_frame(&ClientFrame::Hello { window }, buf)
+    })
+    .expect("a hello fits a frame");
+    frame
+}
+
+/// The server hung up on this connection: the next read sees EOF or a
+/// reset, not a timeout.
+fn assert_closed_by_peer(s: &mut TcpStream) {
+    s.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    let mut byte = [0u8; 1];
+    match s.read(&mut byte) {
+        Ok(0) => {}
+        Ok(_) => panic!("server answered a connection it should have closed"),
+        Err(e) => assert!(
+            !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "server left the connection open"
+        ),
+    }
+}
+
 /// Hostile framing: truncated length prefixes, oversized frame claims,
-/// garbage payloads, and a mid-protocol corruption after a real request.
+/// garbage payloads, a foreign-version and an unknown-tag `Hello`, and a
+/// mid-protocol corruption after a real request.
 /// Each bad connection must die cleanly — no panic, no leaked ticket —
 /// while a well-behaved client on another connection keeps being served,
 /// and the final report still reconciles bucket-for-bucket against the
@@ -209,7 +573,22 @@ fn malformed_frames_error_cleanly_without_leaking_tickets() {
         .expect("write");
     drop(s);
 
-    // 4. A valid handshake and a real submission, then an abrupt close
+    // 4. A `Hello` announcing a protocol version this build does not
+    //    speak, and a first frame whose tag names no frame at all: the
+    //    server closes at the handshake — before a window, let alone a
+    //    ticket, exists — instead of mis-parsing what follows.
+    let mut foreign = hello_frame(8);
+    assert_eq!(foreign[5], PROTOCOL_VERSION, "version byte follows the tag");
+    foreign[5] = PROTOCOL_VERSION + 1;
+    let mut unknown = hello_frame(8);
+    unknown[4] = 0x7f;
+    for bad_hello in [foreign, unknown] {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.write_all(&bad_hello).expect("write");
+        assert_closed_by_peer(&mut s);
+    }
+
+    // 5. A valid handshake and a real submission, then an abrupt close
     //    with the request possibly still in flight: the issued ticket
     //    must resolve (disconnect == cancel-all), not leak — whether the
     //    label beat the disconnect or not, it is accounted.
@@ -243,9 +622,9 @@ fn malformed_frames_error_cleanly_without_leaking_tickets() {
     assert!(report.events_reconcile(), "event stream matches the ledger");
 }
 
-/// A frame that decodes to a value tree but not to a `ClientFrame` (a
-/// well-formed string that names no variant) is a protocol error, not a
-/// panic; tickets submitted before it resolve via cancel-all.
+/// A frame that is well-formed but has no business arriving at a server
+/// (a `Rejected`, which only servers send) is an error, not a panic, and
+/// closes the connection.
 #[test]
 fn well_formed_but_wrong_shape_frame_closes_the_connection() {
     let net = NetServer::bind(lossless_server(), "127.0.0.1:0").expect("bind");
@@ -253,17 +632,15 @@ fn well_formed_but_wrong_shape_frame_closes_the_connection() {
 
     let mut s = TcpStream::connect(addr).expect("connect");
     // A valid Hello so the connection opens...
-    let hello = ClientFrame::Hello { window: 4 };
-    let mut payload = Vec::new();
-    encode_value(&hello.to_value(), &mut payload);
-    s.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
-    s.write_all(&payload).unwrap();
-    // ...then a frame that is a perfectly valid value tree of the wrong
-    // shape.
+    s.write_all(&hello_frame(4)).unwrap();
+    // ...then a perfectly valid frame of the wrong direction.
     let mut bogus = Vec::new();
-    encode_value(&serde::Value::Str("NotAFrame".into()), &mut bogus);
-    s.write_all(&(bogus.len() as u32).to_le_bytes()).unwrap();
+    frame_into(&mut bogus, |buf| {
+        encode_server_frame(&ServerFrame::Rejected { id: 7 }, buf)
+    })
+    .expect("fits a frame");
     s.write_all(&bogus).unwrap();
+    assert_closed_by_peer(&mut s);
     drop(s);
 
     let report = net.shutdown();
