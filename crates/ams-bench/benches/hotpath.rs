@@ -1,6 +1,6 @@
 //! Micro-bench: the two training/serving hot paths this workspace
 //! optimizes — one DQN gradient step (scalar reference vs batched kernels)
-//! and one stream-labeled item (serial engine vs 4-thread parallel engine).
+//! and one stream-labeled item through the serial engine.
 //! `cargo run --release -p ams-bench --bin bench_hotpath` produces the
 //! recorded `BENCH_hotpath.json` from the same fixtures.
 
@@ -67,30 +67,19 @@ fn bench_stream(c: &mut Criterion) {
     };
     let (agent, _) = train(truth.items(), zoo.len(), &tcfg);
     let budget = Budget::Deadline { ms: 1000 };
-    let make = |agent: TrainedAgent| {
-        AdaptiveModelScheduler::new(
-            ModelZoo::standard(),
-            Box::new(AgentPredictor::new(agent)),
-            0.5,
-            ds.world_seed,
-        )
-    };
+    let scheduler = AdaptiveModelScheduler::new(
+        ModelZoo::standard(),
+        Box::new(AgentPredictor::new(agent)),
+        0.5,
+        ds.world_seed,
+    );
 
-    let mut serial = StreamProcessor::new(make(agent.clone()), budget);
+    let mut serial = StreamProcessor::new(scheduler, budget);
     c.bench_function("stream_serial_60_items", |b| {
         b.iter(|| {
             serial.reset_stats();
             serial.process_all(truth.items());
             black_box(serial.stats().items)
-        })
-    });
-
-    let mut par = ParallelStreamProcessor::new(make(agent), budget, 4);
-    c.bench_function("stream_parallel_t4_60_items", |b| {
-        b.iter(|| {
-            par.reset_stats();
-            par.process_all(truth.items());
-            black_box(par.stats().items)
         })
     });
 }

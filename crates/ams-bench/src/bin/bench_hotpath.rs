@@ -1,5 +1,5 @@
-//! Hot-path benchmark: scalar vs batched `learn_step`, serial vs parallel
-//! stream processing. Writes the measured trajectory to
+//! Hot-path benchmark: scalar vs batched `learn_step`, and the serial
+//! stream engine's throughput. Writes the measured trajectory to
 //! `BENCH_hotpath.json` (methodology in `PERF.md`).
 //!
 //! `--smoke` runs a shortened pass (fewer timed iterations, smaller stream
@@ -48,27 +48,13 @@ struct Record {
     /// Max |Q_batched − Q_scalar| over a replay minibatch (must be < 1e-5).
     q_equivalence_max_abs_diff: f64,
     stream_items: usize,
-    /// Compute-only engine throughput (virtual execution elided). On a
-    /// single-core host the parallel engine cannot beat serial here — the
-    /// fixed-4-thread numbers record that own-goal honestly.
+    /// Compute-only serial-engine throughput (virtual execution elided).
     compute_serial_items_per_s: f64,
-    compute_parallel_items_per_s: f64,
-    compute_stream_speedup: f64,
-    /// Compute-only throughput of the auto-sized pool, which falls back to
-    /// serial when the workload is compute-bound on few cores.
-    compute_auto_threads: usize,
-    compute_auto_items_per_s: f64,
-    compute_stream_speedup_auto: f64,
     /// Deployment-shaped throughput: each item additionally waits
     /// `elapsed_ms x exec_emulation_scale` of wall-clock, emulating the
-    /// real model executions the virtual clock elides. Workers overlap
-    /// these waits — the latency-hiding the parallel engine exists for.
+    /// real model executions the virtual clock elides.
     exec_emulation_scale: f64,
     serial_items_per_s: f64,
-    parallel_threads: usize,
-    parallel_items_per_s: f64,
-    /// Deployment-shaped parallel/serial throughput at 4 threads.
-    stream_speedup: f64,
     trajectory: Vec<Measurement>,
 }
 
@@ -213,7 +199,7 @@ fn main() {
         "batched Q diverged from scalar: {max_diff}"
     );
 
-    // ---- stream engine: serial vs parallel ------------------------------
+    // ---- stream engine: the serial reference -----------------------------
     let emu_scale = 1.0e-3; // 1 wall-clock us per virtual execution ms
     let setup = if smoke {
         ams_bench::hotpath::StreamSetup::paper(96, 24)
@@ -222,14 +208,10 @@ fn main() {
     };
     let budget = Budget::Deadline { ms: 1000 };
     let items = setup.truth.items();
-
-    let threads = 4usize;
     let mut serial = StreamProcessor::new(setup.scheduler(), budget);
-    let mut par = ParallelStreamProcessor::new(setup.scheduler(), budget, threads);
-    let mut auto = ParallelStreamProcessor::auto(setup.scheduler(), budget);
 
     // Compute-only (virtual execution elided): core-bound. Enough rounds
-    // that each measurement spans tens of milliseconds — at ~5 µs/item the
+    // that the measurement spans tens of milliseconds — at ~5 µs/item the
     // old 3-round window was noise-dominated.
     let serial_rounds = if smoke { 8usize } else { 20 };
     serial.process_all(items.iter().take(24)); // warmup
@@ -239,34 +221,9 @@ fn main() {
         serial.process_all(items);
     }
     let compute_serial_ips = (items.len() * serial_rounds) as f64 / t0.elapsed().as_secs_f64();
-    par.process_all(&items[..24]); // warmup
-    par.reset_stats();
-    let t0 = Instant::now();
-    for _ in 0..serial_rounds {
-        par.process_all(items);
-    }
-    let compute_par_ips = (items.len() * serial_rounds) as f64 / t0.elapsed().as_secs_f64();
-    // Auto-sized pool on the same compute-bound workload: on a single-core
-    // host this resolves to the serial fallback instead of losing to
-    // spawn/merge overhead.
-    let compute_auto_threads = auto.threads();
-    auto.process_all(&items[..24]); // warmup
-    auto.reset_stats();
-    let t0 = Instant::now();
-    for _ in 0..serial_rounds {
-        auto.process_all(items);
-    }
-    let auto_elapsed = t0.elapsed();
-    let compute_auto_ips = (items.len() * serial_rounds) as f64 / auto_elapsed.as_secs_f64();
-    trajectory.push(Measurement {
-        name: format!("stream_auto_t{compute_auto_threads}_compute"),
-        iters: (items.len() * serial_rounds) as u64,
-        ns_per_iter: auto_elapsed.as_nanos() as f64 / (items.len() * serial_rounds) as f64,
-    });
 
     // Deployment-shaped: emulate waiting on the actual model executions.
     serial.exec_emulation_scale = emu_scale;
-    par.exec_emulation_scale = emu_scale;
     let t0 = Instant::now();
     serial.process_all(items);
     let serial_s = t0.elapsed().as_secs_f64();
@@ -276,20 +233,11 @@ fn main() {
         iters: items.len() as u64,
         ns_per_iter: serial_s * 1e9 / items.len() as f64,
     });
-    let t0 = Instant::now();
-    par.process_all(items);
-    let par_s = t0.elapsed().as_secs_f64();
-    let par_ips = items.len() as f64 / par_s;
-    trajectory.push(Measurement {
-        name: format!("stream_parallel_t{threads}_deployment"),
-        iters: items.len() as u64,
-        ns_per_iter: par_s * 1e9 / items.len() as f64,
-    });
 
     let record = Record {
         description: "AMS hot-path benchmark: DQN learn_step (paper architecture 1104->256->31, \
-                      batch 32) and stream-labeling throughput (240 items, 1s deadline, \
-                      DRL-agent predictor). See PERF.md for methodology."
+                      batch 32) and serial stream-labeling throughput (240 items, 1s \
+                      deadline, DRL-agent predictor). See PERF.md for methodology."
             .into(),
         cores_available: cores,
         smoke,
@@ -302,16 +250,8 @@ fn main() {
         q_equivalence_max_abs_diff: max_diff,
         stream_items: items.len(),
         compute_serial_items_per_s: compute_serial_ips,
-        compute_parallel_items_per_s: compute_par_ips,
-        compute_stream_speedup: compute_par_ips / compute_serial_ips,
-        compute_auto_threads,
-        compute_auto_items_per_s: compute_auto_ips,
-        compute_stream_speedup_auto: compute_auto_ips / compute_serial_ips,
         exec_emulation_scale: emu_scale,
         serial_items_per_s: serial_ips,
-        parallel_threads: threads,
-        parallel_items_per_s: par_ips,
-        stream_speedup: par_ips / serial_ips,
         trajectory,
     };
 
@@ -326,7 +266,7 @@ fn main() {
     std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("{json}");
     eprintln!(
-        "learn_step speedup: {:.2}x | stream speedup @{} threads on {} core(s): {:.2}x",
-        record.learn_speedup, threads, cores, record.stream_speedup
+        "learn_step speedup: {:.2}x | serial stream on {} core(s): {:.0} items/s compute-only",
+        record.learn_speedup, cores, record.compute_serial_items_per_s
     );
 }

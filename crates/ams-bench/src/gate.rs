@@ -466,15 +466,10 @@ pub fn gate_serve(baseline: &Value, candidate: &Value) -> GateOutcome {
 /// Gate a hot-path record against its baseline.
 pub fn gate_hotpath(baseline: &Value, candidate: &Value) -> GateOutcome {
     let mut out = GateOutcome::default();
-    for field in [
-        "learn_speedup",
-        "stream_speedup",
-        "compute_stream_speedup_auto",
-    ] {
-        match (num(baseline, field), num(candidate, field)) {
-            (Ok(b), Ok(c)) => check_ratio(&mut out, field, b, c, SPEEDUP_FLOOR),
-            (b, c) => out.failed.push(format!("{field}: {b:?} vs {c:?}")),
-        }
+    let field = "learn_speedup";
+    match (num(baseline, field), num(candidate, field)) {
+        (Ok(b), Ok(c)) => check_ratio(&mut out, field, b, c, SPEEDUP_FLOOR),
+        (b, c) => out.failed.push(format!("{field}: {b:?} vs {c:?}")),
     }
     match num(candidate, "q_equivalence_max_abs_diff") {
         Ok(d) if d < 1e-5 => out
@@ -812,8 +807,6 @@ mod tests {
         serde_json::parse_value(
             r#"{
                 "learn_speedup": 4.0,
-                "stream_speedup": 4.0,
-                "compute_stream_speedup_auto": 1.0,
                 "q_equivalence_max_abs_diff": 1e-7
             }"#,
         )

@@ -46,12 +46,33 @@ struct AgentScratch {
     cache: FwdCache,
 }
 
+/// The one agent forward pass behind [`AgentPredictor`] and
+/// [`SnapshotPredictor`]: check a scratch out of `pool`, encode `state`,
+/// run `agent`'s network, copy the per-model Q values into `out`, and
+/// return the scratch. The lock is held only for the pop/push, not for
+/// the network forward, so concurrent callers rarely contend.
+fn pooled_q_values(
+    pool: &Mutex<Vec<AgentScratch>>,
+    agent: &TrainedAgent,
+    state: &LabelSet,
+    out: &mut [f32],
+) {
+    let mut scratch = pool.lock().expect("scratch pool").pop().unwrap_or_default();
+    state.write_sparse(&mut scratch.sparse);
+    let q = agent
+        .net
+        .forward(Input::Sparse(&scratch.sparse), &mut scratch.cache);
+    out.copy_from_slice(&q[..agent.num_models]);
+    pool.lock().expect("scratch pool").push(scratch);
+}
+
 /// The deployable predictor: a trained DRL agent's Q values.
 ///
 /// Forward passes run against a small pool of reusable scratch buffers
 /// (sparse encoding + `FwdCache`), so prediction allocates nothing in
-/// steady state and concurrent callers (the parallel stream engine) each
-/// check out their own scratch instead of serializing on a shared one.
+/// steady state and concurrent callers (the serving workers of
+/// `ams-serve`, which share one scheduler) each check out their own
+/// scratch instead of serializing on a shared one.
 pub struct AgentPredictor {
     agent: TrainedAgent,
     scratch_pool: Mutex<Vec<AgentScratch>>,
@@ -78,24 +99,7 @@ impl ValuePredictor for AgentPredictor {
     }
 
     fn predict_into(&self, state: &LabelSet, _item: &ItemTruth, out: &mut [f32]) {
-        // Check out a scratch; the lock is held only for the pop/push, not
-        // for the network forward, so parallel workers rarely contend.
-        let mut scratch = self
-            .scratch_pool
-            .lock()
-            .expect("scratch pool")
-            .pop()
-            .unwrap_or_default();
-        state.write_sparse(&mut scratch.sparse);
-        let q = self
-            .agent
-            .net
-            .forward(Input::Sparse(&scratch.sparse), &mut scratch.cache);
-        out.copy_from_slice(&q[..self.agent.num_models]);
-        self.scratch_pool
-            .lock()
-            .expect("scratch pool")
-            .push(scratch);
+        pooled_q_values(&self.scratch_pool, &self.agent, state, out);
     }
 
     fn name(&self) -> &'static str {
@@ -152,22 +156,7 @@ impl ValuePredictor for SnapshotPredictor {
     }
 
     fn predict_into(&self, state: &LabelSet, _item: &ItemTruth, out: &mut [f32]) {
-        let mut scratch = self
-            .scratch_pool
-            .lock()
-            .expect("scratch pool")
-            .pop()
-            .unwrap_or_default();
-        state.write_sparse(&mut scratch.sparse);
-        let agent = &self.snapshot.agent;
-        let q = agent
-            .net
-            .forward(Input::Sparse(&scratch.sparse), &mut scratch.cache);
-        out.copy_from_slice(&q[..agent.num_models]);
-        self.scratch_pool
-            .lock()
-            .expect("scratch pool")
-            .push(scratch);
+        pooled_q_values(&self.scratch_pool, &self.snapshot.agent, state, out);
     }
 
     fn name(&self) -> &'static str {

@@ -159,8 +159,8 @@ impl StreamProcessor {
         outcome
     }
 
-    /// Process a batch of items, returning only the stats delta is not
-    /// needed — the running [`StreamProcessor::stats`] aggregates.
+    /// Process a batch of items in order; the running
+    /// [`StreamProcessor::stats`] aggregate the outcomes.
     pub fn process_all<'a>(&mut self, items: impl IntoIterator<Item = &'a ItemTruth>) {
         for item in items {
             self.process(item);
@@ -183,165 +183,6 @@ fn emulate_execution(outcome: &LabelingOutcome, scale: f64) {
     if scale > 0.0 && outcome.elapsed_ms > 0 {
         let wait = outcome.elapsed_ms as f64 * scale;
         std::thread::sleep(std::time::Duration::from_secs_f64(wait / 1000.0));
-    }
-}
-
-/// A multi-core stream processor: shards items across worker threads, each
-/// labeling against the shared (immutable) scheduler with its own local
-/// statistics, then merges the shards.
-///
-/// Per-item labeling is deterministic and every [`StreamStats`] field is an
-/// order-independent sum, so the merged statistics are identical to what
-/// the serial [`StreamProcessor`] produces over the same items — verified
-/// by the property tests. Predictors keep per-worker scratch (e.g.
-/// [`crate::AgentPredictor`]'s pool), so workers don't serialize on shared
-/// caches.
-pub struct ParallelStreamProcessor {
-    scheduler: AdaptiveModelScheduler,
-    budget: Budget,
-    stats: StreamStats,
-    /// Configured worker count; 0 means "auto" (see [`Self::auto`]).
-    threads: usize,
-    /// Items below this recall increment [`StreamStats::low_recall_items`].
-    pub alert_recall: f64,
-    /// Deployment emulation: wall-clock milliseconds slept per *virtual*
-    /// execution millisecond of each item (see
-    /// [`StreamProcessor::exec_emulation_scale`]). Workers overlap these
-    /// waits, which is precisely the latency-hiding a deployment's
-    /// parallel labeler exists for.
-    pub exec_emulation_scale: f64,
-}
-
-impl ParallelStreamProcessor {
-    /// Wrap a scheduler with a per-item budget, fanning work out over
-    /// `threads` workers (clamped to at least 1).
-    pub fn new(scheduler: AdaptiveModelScheduler, budget: Budget, threads: usize) -> Self {
-        let n = scheduler.zoo().len();
-        Self {
-            scheduler,
-            budget,
-            stats: StreamStats::with_models(n),
-            threads: threads.max(1),
-            alert_recall: 0.5,
-            exec_emulation_scale: 0.0,
-        }
-    }
-
-    /// Auto-sized worker pool: the thread count is chosen per
-    /// [`Self::process_all`] call from the host's core count and the
-    /// workload's shape.
-    ///
-    /// * **Compute-bound** (`exec_emulation_scale == 0`): labeling is pure
-    ///   CPU work, so more workers than cores only add scheduling overhead
-    ///   — the pool sizes itself to the available parallelism and *falls
-    ///   back to serial on a single-core host* (spawning threads there is
-    ///   the measured own-goal `BENCH_hotpath.json` records as
-    ///   `compute_stream_speedup` < 1).
-    /// * **Latency-bound** (`exec_emulation_scale > 0`): workers mostly
-    ///   wait on (emulated) model executions, so the pool oversubscribes
-    ///   the cores to overlap those waits.
-    pub fn auto(scheduler: AdaptiveModelScheduler, budget: Budget) -> Self {
-        let n = scheduler.zoo().len();
-        Self {
-            scheduler,
-            budget,
-            stats: StreamStats::with_models(n),
-            threads: 0,
-            alert_recall: 0.5,
-            exec_emulation_scale: 0.0,
-        }
-    }
-
-    /// Worker count the processor fans out to. For an [`Self::auto`] pool
-    /// this is the count the heuristic resolves to *right now* (it tracks
-    /// `exec_emulation_scale`).
-    pub fn threads(&self) -> usize {
-        self.effective_threads()
-    }
-
-    /// Resolve the configured thread count, applying the auto heuristic.
-    fn effective_threads(&self) -> usize {
-        if self.threads != 0 {
-            return self.threads;
-        }
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if self.exec_emulation_scale > 0.0 {
-            // Latency-bound: oversubscribe to overlap execution waits.
-            (cores * 4).clamp(4, 32)
-        } else {
-            // Compute-bound: one worker per core; serial on one core.
-            cores
-        }
-    }
-
-    /// The underlying scheduler.
-    pub fn scheduler(&self) -> &AdaptiveModelScheduler {
-        &self.scheduler
-    }
-
-    /// Process a batch of items across the worker pool. At an effective
-    /// thread count of 1 (e.g. an [`Self::auto`] pool on a single-core
-    /// host) the items are processed inline — a true serial fallback, no
-    /// thread is spawned.
-    pub fn process_all(&mut self, items: &[ItemTruth]) {
-        if items.is_empty() {
-            return;
-        }
-        let threads = self.effective_threads().min(items.len());
-        if threads == 1 {
-            for item in items {
-                let outcome = self.scheduler.label_item(item, self.budget);
-                emulate_execution(&outcome, self.exec_emulation_scale);
-                self.stats.absorb(&outcome, self.alert_recall);
-            }
-            return;
-        }
-        let chunk = items.len().div_ceil(threads);
-        let n = self.scheduler.zoo().len();
-        let scheduler = &self.scheduler;
-        let budget = self.budget;
-        let alert = self.alert_recall;
-        let emu = self.exec_emulation_scale;
-        let shards: Vec<StreamStats> = std::thread::scope(|s| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|part| {
-                    s.spawn(move || {
-                        let mut local = StreamStats::with_models(n);
-                        for item in part {
-                            let outcome = scheduler.label_item(item, budget);
-                            emulate_execution(&outcome, emu);
-                            local.absorb(&outcome, alert);
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stream worker"))
-                .collect()
-        });
-        for shard in &shards {
-            self.stats.merge(shard);
-        }
-    }
-
-    /// The running statistics.
-    pub fn stats(&self) -> &StreamStats {
-        &self.stats
-    }
-
-    /// The per-item budget every processed item is labeled under.
-    pub fn budget(&self) -> Budget {
-        self.budget
-    }
-
-    /// Reset statistics (keeps the scheduler, budget and worker count).
-    pub fn reset_stats(&mut self) {
-        self.stats = StreamStats::with_models(self.scheduler.zoo().len());
     }
 }
 
@@ -396,90 +237,6 @@ mod tests {
             proc.stats().low_recall_items > 0,
             "a 60ms budget must starve most items below 50% recall"
         );
-    }
-
-    /// The parallel engine must produce byte-identical statistics to the
-    /// serial one, at every thread count, including the degenerate ones.
-    #[test]
-    fn parallel_stats_match_serial_exactly() {
-        let budget = Budget::Deadline { ms: 900 };
-        let (mut serial, truth) = processor(budget);
-        serial.process_all(truth.items());
-        let want = serial.stats().clone();
-        for threads in [1usize, 2, 3, 4, 7, 64] {
-            let (proc_serial, _) = processor(budget);
-            let (scheduler, b) = (proc_serial.scheduler, proc_serial.budget);
-            let mut par = ParallelStreamProcessor::new(scheduler, b, threads);
-            par.process_all(truth.items());
-            let got = par.stats();
-            assert_eq!(got.items, want.items, "{threads} threads");
-            assert_eq!(got.total_exec_ms, want.total_exec_ms);
-            assert_eq!(got.total_executions, want.total_executions);
-            assert_eq!(got.per_model_runs, want.per_model_runs);
-            assert_eq!(got.low_recall_items, want.low_recall_items);
-            assert!(
-                (got.recall_sum - want.recall_sum).abs() < 1e-9,
-                "{threads} threads"
-            );
-            assert!((got.value_sum - want.value_sum).abs() < 1e-9);
-        }
-    }
-
-    /// Same equivalence through a trained-agent predictor, whose scratch
-    /// pool is the part exercised only under concurrency.
-    #[test]
-    fn parallel_agent_predictor_matches_serial() {
-        use crate::predictor::AgentPredictor;
-        use ams_rl::{train, Algo, TrainConfig};
-        let zoo = ModelZoo::standard();
-        let ds = Dataset::generate(DatasetProfile::Coco2017, 24, 123);
-        let truth = TruthTable::build(&zoo, &zoo.catalog(), &ds, 0.5);
-        let cfg = TrainConfig {
-            episodes: 12,
-            ..TrainConfig::fast_test(Algo::Dqn)
-        };
-        let (agent, _) = train(truth.items(), zoo.len(), &cfg);
-
-        let budget = Budget::Deadline { ms: 700 };
-        let make = |agent: ams_rl::TrainedAgent| {
-            AdaptiveModelScheduler::new(
-                ModelZoo::standard(),
-                Box::new(AgentPredictor::new(agent)),
-                0.5,
-                64,
-            )
-        };
-        let mut serial = StreamProcessor::new(make(agent.clone()), budget);
-        serial.process_all(truth.items());
-        let mut par = ParallelStreamProcessor::new(make(agent), budget, 4);
-        par.process_all(truth.items());
-        assert_eq!(par.stats().per_model_runs, serial.stats().per_model_runs);
-        assert_eq!(par.stats().total_exec_ms, serial.stats().total_exec_ms);
-        assert!((par.stats().recall_sum - serial.stats().recall_sum).abs() < 1e-9);
-    }
-
-    /// The auto-sized pool resolves to a live thread count for both
-    /// workload shapes and still produces exactly the serial statistics.
-    #[test]
-    fn auto_pool_matches_serial_and_resolves_threads() {
-        let budget = Budget::Deadline { ms: 900 };
-        let (mut serial, truth) = processor(budget);
-        serial.process_all(truth.items());
-
-        let (proc_serial, _) = processor(budget);
-        let mut auto = ParallelStreamProcessor::auto(proc_serial.scheduler, budget);
-        assert!(auto.threads() >= 1, "compute-bound count resolves");
-        auto.exec_emulation_scale = 1e-6;
-        assert!(
-            auto.threads() >= 4,
-            "latency-bound workloads oversubscribe the cores"
-        );
-        auto.exec_emulation_scale = 0.0;
-        auto.process_all(truth.items());
-        assert_eq!(auto.stats().items, serial.stats().items);
-        assert_eq!(auto.stats().total_exec_ms, serial.stats().total_exec_ms);
-        assert_eq!(auto.stats().per_model_runs, serial.stats().per_model_runs);
-        assert!((auto.stats().recall_sum - serial.stats().recall_sum).abs() < 1e-9);
     }
 
     #[test]

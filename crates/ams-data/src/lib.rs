@@ -16,7 +16,7 @@
 //! * [`dataset`] — five dataset profiles mirroring the content skews of
 //!   Stanford40 / PASCAL VOC 2012 / MSCOCO 2017 / MirFlickr25 / Places365,
 //!   with the paper's 1:4 train/test split.
-//! * [`infer`] — **simulated model execution**: a deterministic stochastic
+//! * [`mod@infer`] — **simulated model execution**: a deterministic stochastic
 //!   map `(scene, model spec) → ModelOutput` honouring each model's quality
 //!   profile (recall, confidence noise, false positives).
 //! * [`truth`] — the "execute everything once" ground-truth table the paper

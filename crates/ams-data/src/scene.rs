@@ -49,7 +49,7 @@ pub struct Place {
 /// The full latent content of one data item.
 ///
 /// A `Scene` is what a photograph *contains*; model outputs are noisy,
-/// partial views of it produced by [`crate::infer`].
+/// partial views of it produced by [`fn@crate::infer`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Scene {
     /// Unique id within its dataset stream (also the determinism key).

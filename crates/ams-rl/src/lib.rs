@@ -3,7 +3,7 @@
 //! Implements §IV of the paper: the labeling MDP and the deep-RL machinery
 //! that learns to predict model values from the labeling state.
 //!
-//! * [`env`] — the MDP: observation = binary labeling state (1104 bits),
+//! * [`mod@env`] — the MDP: observation = binary labeling state (1104 bits),
 //!   actions = 30 models + the END action, reward per Eq. (3)
 //!   (`ln(θ_m Σ conf + 1)` for new valuable labels, `−1` otherwise, `0`
 //!   for END).

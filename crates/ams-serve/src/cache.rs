@@ -65,7 +65,7 @@
 //! `cancelled` — the fan-out's losing CAS keeps it out of `coalesced`.
 
 use crate::completion::{CompletionSlot, LabelResult, ShedReason};
-use crate::obs::{Event, EventKind, ServerObs, NO_SHARD, NO_TICKET};
+use crate::obs::{Event, EventKind, ServerObs, NO_SHARD};
 use ams_models::{LabelId, ModelId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -140,9 +140,8 @@ impl CachedResult {
 /// One submission waiting on another request's in-flight result.
 #[derive(Debug)]
 pub(crate) struct Follower {
-    /// The follower's completion slot (`None` on the fire-and-forget
-    /// path, which still counts toward `coalesced`).
-    pub(crate) slot: Option<Arc<CompletionSlot>>,
+    /// The follower's completion slot.
+    pub(crate) slot: Arc<CompletionSlot>,
     /// SLO class the follower was submitted under.
     pub(crate) class: usize,
     /// The follower's own class-weighted predicted value.
@@ -239,30 +238,25 @@ impl PendingEntry {
                 .as_micros()
                 .min(u128::from(u64::MAX)) as u64;
             let met = f.deadline_us.is_none_or(|d| waited_us <= d);
-            let delivered = match &f.slot {
-                Some(slot) => slot.try_labeled(LabelResult {
-                    ticket: slot.id(),
-                    class: f.class,
-                    labels: result.labels.clone(),
-                    executed: result.executed.clone(),
-                    label_value: result.label_value,
-                    banked_value: f.value,
-                    recall: result.recall,
-                    queue_wait_us: waited_us,
-                    execute_us: 0,
-                    deadline_met: met,
-                }),
-                // Fire-and-forget followers have no slot to race a
-                // cancellation on; they always count.
-                None => true,
-            };
+            let delivered = f.slot.try_labeled(LabelResult {
+                ticket: f.slot.id(),
+                class: f.class,
+                labels: result.labels.clone(),
+                executed: result.executed.clone(),
+                label_value: result.label_value,
+                banked_value: f.value,
+                recall: result.recall,
+                queue_wait_us: waited_us,
+                execute_us: 0,
+                deadline_met: met,
+            });
             if delivered {
                 self.ledger.record_coalesced(f.class, f.value);
                 if let Some(obs) = &self.obs {
                     obs.emit(Event {
                         at_us: obs.now_us(),
                         req: f.req_id,
-                        ticket: f.slot.as_ref().map(|s| s.id()).unwrap_or(NO_TICKET),
+                        ticket: f.slot.id(),
                         shard: NO_SHARD,
                         class: f.class as u32,
                         kind: EventKind::Coalesced,
@@ -293,17 +287,13 @@ impl PendingEntry {
             }
         };
         for f in followers {
-            let owned = match &f.slot {
-                Some(slot) => slot.try_shed(reason),
-                None => true,
-            };
-            if owned {
+            if f.slot.try_shed(reason) {
                 self.ledger.record_follower_shed(f.class, f.value, reason);
                 if let Some(obs) = &self.obs {
                     obs.emit(Event {
                         at_us: obs.now_us(),
                         req: f.req_id,
-                        ticket: f.slot.as_ref().map(|s| s.id()).unwrap_or(NO_TICKET),
+                        ticket: f.slot.id(),
                         shard: NO_SHARD,
                         class: f.class as u32,
                         kind: EventKind::of_shed(reason),
@@ -653,9 +643,12 @@ mod tests {
         }
     }
 
+    /// A follower on a throwaway single-slot window (its events are
+    /// never read).
     fn follower() -> Follower {
+        let (slot, _ticket) = slotted(&Arc::new(CompletionQueue::new(1)), u64::MAX);
         Follower {
-            slot: None,
+            slot,
             class: 0,
             value: 1.0,
             deadline_us: None,
@@ -704,13 +697,7 @@ mod tests {
         let cq = Arc::new(CompletionQueue::new(4));
         let (slot, _ticket) = slotted(&cq, 99);
         assert!(matches!(
-            cache.lookup(
-                7,
-                Follower {
-                    slot: Some(slot),
-                    ..follower()
-                }
-            ),
+            cache.lookup(7, Follower { slot, ..follower() }),
             Lookup::Coalesced
         ));
         cache.resolve(&entry, result(2), 1.0);
@@ -734,13 +721,7 @@ mod tests {
         let cq = Arc::new(CompletionQueue::new(4));
         let (slot, _ticket) = slotted(&cq, 5);
         assert!(matches!(
-            cache.lookup(
-                11,
-                Follower {
-                    slot: Some(slot),
-                    ..follower()
-                }
-            ),
+            cache.lookup(11, Follower { slot, ..follower() }),
             Lookup::Coalesced
         ));
         entry.fail(ShedReason::Deadline);
@@ -767,13 +748,7 @@ mod tests {
         let cq = Arc::new(CompletionQueue::new(4));
         let (slot, ticket) = slotted(&cq, 8);
         assert!(matches!(
-            cache.lookup(
-                13,
-                Follower {
-                    slot: Some(slot),
-                    ..follower()
-                }
-            ),
+            cache.lookup(13, Follower { slot, ..follower() }),
             Lookup::Coalesced
         ));
         assert!(ticket.cancel());

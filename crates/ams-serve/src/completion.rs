@@ -1,10 +1,9 @@
 //! Per-request completion delivery: tickets, terminal events, and the
 //! bounded per-client completion queue.
 //!
-//! The serving front-end used to be fire-and-forget: `submit` returned a
-//! bare admission outcome and the labels themselves were only visible as
-//! merged statistics at `shutdown()`. This module is the request/response
-//! half of the redesigned client API:
+//! Serving is request/response: the merged statistics at `shutdown()` are
+//! an aggregate *of* per-request answers, not a substitute for them. This
+//! module is the per-request half of the client API:
 //!
 //! * every accepted submission issues a [`Ticket`] — a cancellable handle
 //!   tied to **exactly one** terminal [`Completion`] event;

@@ -40,7 +40,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Sentinel for events not tied to a completion ticket (fire-and-forget).
+/// Sentinel for events not tied to a completion ticket (trainer events,
+/// and ticketless `Request`s pushed into a bare `ShardQueue`).
 pub const NO_TICKET: u64 = u64::MAX;
 /// Sentinel for events emitted before (or without) a shard placement.
 pub const NO_SHARD: u32 = u32::MAX;
@@ -221,7 +222,7 @@ pub struct Event {
     /// Microseconds since server start.
     pub at_us: u64,
     /// Request correlation id (the server's `offered` sequence number;
-    /// unique per submission, including fire-and-forget ones).
+    /// unique per submission).
     pub req: u64,
     /// Completion-slot (ticket) id, or [`NO_TICKET`].
     pub ticket: u64,

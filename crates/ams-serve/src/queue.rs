@@ -59,7 +59,7 @@ impl BackpressurePolicy {
 
 /// Outcome of one submission, carrying the issued [`Ticket`](crate::Ticket)
 /// when submitted through a [`Client`](crate::Client) (`T = Ticket`), or
-/// nothing on the fire-and-forget server path (`T = ()`).
+/// nothing at the bare [`ShardQueue::push`] boundary (`T = ()`).
 ///
 /// Every variant except [`SubmitOutcome::Rejected`] issued a ticket whose
 /// terminal [`Completion`](crate::Completion) event will arrive on the
@@ -178,8 +178,8 @@ pub struct Request {
     pub deadline_us: Option<u64>,
     /// When the request entered the queue (queue-wait clock starts here).
     pub enqueued_at: Instant,
-    /// The submitting client's completion slot (`None` on the
-    /// fire-and-forget server path).
+    /// The submitting client's completion slot (always set by the server;
+    /// `None` only for a ticketless request pushed into a bare queue).
     completion: Option<Arc<CompletionSlot>>,
     /// The label-cache coalescing entry this request leads (`None` when
     /// the cache is off or the fingerprint was already in flight). Every

@@ -28,10 +28,9 @@
 //! models, value banked, queue-wait/execute breakdown), `Shed` (which
 //! loss path took it, delivered at eviction time), or `Cancelled`.
 //! Events arrive on the client's bounded completion queue
-//! ([`Client::recv`] / [`Client::try_recv`] / [`Client::drain`]). The
-//! original fire-and-forget [`AmsServer::submit`] survives as a thin
-//! wrapper over the same path with no ticket issued, so aggregate-only
-//! callers (and the serve==serial equivalence gates) are untouched.
+//! ([`Client::recv`] / [`Client::try_recv`] / [`Client::drain`]). A
+//! [`Client`] is the only submit surface: every request the server admits
+//! carries a ticket, so aggregate-only callers simply never drain theirs.
 //! Dropping an [`AmsServer`] without calling `shutdown` aborts it:
 //! queued-but-unserved requests resolve to `Shed(Drain)` and every worker
 //! is joined — no detached threads survive the drop.
@@ -178,7 +177,7 @@ impl SloClass {
 #[derive(Debug, Clone)]
 pub struct SloConfig {
     /// The request classes. Class 0 is the default for
-    /// [`AmsServer::submit`]; [`AmsServer::submit_class`] picks others.
+    /// [`Client::submit`]; [`Client::submit_class`] picks others.
     /// Normalized to at least one class at server start.
     pub classes: Vec<SloClass>,
     /// Shed at admission when the predicted queue wait exceeds the
@@ -524,8 +523,7 @@ pub struct ServeReport {
     /// slot: the shard's predicted wait already exceeded their deadline.
     pub shed_admission: u64,
     /// Tickets cancelled by their clients before a worker claimed them
-    /// (exactly one `Cancelled` completion event each; 0 on the
-    /// fire-and-forget path, which issues no tickets).
+    /// (exactly one `Cancelled` completion event each).
     pub cancelled: u64,
     /// Requests answered from the label cache before admission (exact
     /// content-hash hits; zero queue wait, zero virtual-GPU bill).
@@ -594,7 +592,7 @@ impl ServeReport {
     /// answered from the cache, or completed by a coalescing fan-out.
     /// This is also the exactly-once completion invariant seen from the
     /// ledger side — each bucket except `rejected` delivers exactly one
-    /// terminal event per request when a ticket was issued.
+    /// terminal event per request.
     pub fn is_conserved(&self) -> bool {
         self.offered
             == self.completed
@@ -931,8 +929,9 @@ impl WorkerLocal {
 /// let scheduler = AdaptiveModelScheduler::new(zoo, predictor, 0.5, 42);
 ///
 /// let server = AmsServer::start(scheduler, Budget::Deadline { ms: 1000 }, ServeConfig::default());
+/// let client = server.client();
 /// for item in truth.items() {
-///     server.submit(Arc::new(item.clone()));
+///     client.submit(Arc::new(item.clone()));
 /// }
 /// let report = server.shutdown();
 /// assert_eq!(report.completed, 8);
@@ -1200,39 +1199,6 @@ impl AmsServer {
     /// answer.
     pub fn shard_of(&self, item: &ItemTruth) -> usize {
         fib_shard(item.scene_id, self.shared().cfg.shards)
-    }
-
-    /// Submit one item for labeling under the shard's backpressure policy
-    /// (SLO class 0 when classes are configured). Under
-    /// [`BackpressurePolicy::Block`] this call waits for queue space.
-    ///
-    /// This is the fire-and-forget path: no ticket is issued and the
-    /// labels are only visible in the aggregate [`ServeReport`]. For
-    /// per-request results and cancellation, open a [`Client`] via
-    /// [`AmsServer::client`].
-    pub fn submit(&self, item: Arc<ItemTruth>) -> SubmitOutcome {
-        self.submit_class(item, 0)
-    }
-
-    /// [`AmsServer::submit`] with an explicit SLO class (clamped to the
-    /// configured classes; ignored when no SLO is configured).
-    ///
-    /// With admission control on, the call first prices the shard's
-    /// backlog: predicted wait = queue depth × the amortized per-request
-    /// batch time the shard's workers publish ÷ workers on the shard. A
-    /// request whose prediction already exceeds its class deadline is
-    /// refused here ([`SubmitOutcome::ShedAdmission`]) *before* it
-    /// occupies a queue slot — admitting it could only evict or delay
-    /// work that still has a chance, then be deadline-shed anyway.
-    pub fn submit_class(&self, item: Arc<ItemTruth>, class: usize) -> SubmitOutcome {
-        self.submit_with(item, SubmitOptions::class(class))
-    }
-
-    /// [`AmsServer::submit_class`] with full per-ticket economics: an
-    /// optional deadline and value that override the class defaults for
-    /// this submission only (see [`SubmitOptions`]).
-    pub fn submit_with(&self, item: Arc<ItemTruth>, opts: SubmitOptions) -> SubmitOutcome {
-        submit_inner(self.shared(), item, opts, None).map(|_| ())
     }
 
     /// Requests currently queued across all shards (racy snapshot).
@@ -1607,14 +1573,22 @@ impl Client {
     ///
     /// Blocks while the completion window is full — `capacity` tickets
     /// outstanding with their events unconsumed — and then under the
-    /// shard's own backpressure policy, exactly like
-    /// [`AmsServer::submit`].
+    /// shard's own backpressure policy ([`BackpressurePolicy::Block`]
+    /// waits for queue space).
     pub fn submit(&self, item: Arc<ItemTruth>) -> SubmitOutcome<Ticket> {
         self.submit_class(item, 0)
     }
 
     /// [`Client::submit`] with an explicit SLO class (clamped to the
     /// configured classes; ignored when no SLO is configured).
+    ///
+    /// With admission control on, the call first prices the shard's
+    /// backlog: predicted wait = queue depth × the amortized per-request
+    /// batch time the shard's workers publish ÷ workers on the shard. A
+    /// request whose prediction already exceeds its class deadline is
+    /// refused here ([`SubmitOutcome::ShedAdmission`]) *before* it
+    /// occupies a queue slot — admitting it could only evict or delay
+    /// work that still has a chance, then be deadline-shed anyway.
     pub fn submit_class(&self, item: Arc<ItemTruth>, class: usize) -> SubmitOutcome<Ticket> {
         self.submit_with(item, SubmitOptions::class(class))
     }
@@ -1630,8 +1604,7 @@ impl Client {
             // The server shut down; nothing can be queued anymore.
             return SubmitOutcome::Rejected;
         };
-        submit_inner(&shared, item, opts, Some(self))
-            .map(|ticket| ticket.expect("ticketed submissions always issue a ticket"))
+        submit_inner(&shared, item, opts, self)
     }
 
     /// Blocking receive: the next terminal event, in delivery order.
@@ -1674,12 +1647,11 @@ impl Client {
     }
 }
 
-/// Per-ticket economics for [`Client::submit_with`] /
-/// [`AmsServer::submit_with`]: the SLO class is the aggregation bucket
-/// (ledgers, reports, reservations), while the optional deadline and
-/// value override the class defaults for *this ticket only* — admission
-/// pricing, EDF dequeue, deadline shedding, and value-weighted eviction
-/// all read the per-ticket numbers.
+/// Per-ticket economics for [`Client::submit_with`]: the SLO class is
+/// the aggregation bucket (ledgers, reports, reservations), while the
+/// optional deadline and value override the class defaults for *this
+/// ticket only* — admission pricing, EDF dequeue, deadline shedding, and
+/// value-weighted eviction all read the per-ticket numbers.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SubmitOptions {
     /// SLO class (clamped to the configured classes; aggregation bucket
@@ -1722,16 +1694,15 @@ impl SubmitOptions {
     }
 }
 
-/// The one submit path behind both [`AmsServer::submit_with`]
-/// (fire-and-forget, `client: None`) and [`Client::submit_with`]
-/// (ticketed). Returns the issued ticket in the outcome (`None` inside
-/// the outcome on the fire-and-forget path).
+/// The one submit path, behind [`Client::submit_with`]: every admitted
+/// request carries a ticket on `client`'s completion queue, returned
+/// inside the outcome.
 fn submit_inner(
     shared: &Shared,
     item: Arc<ItemTruth>,
     opts: SubmitOptions,
-    client: Option<&Client>,
-) -> SubmitOutcome<Option<Ticket>> {
+    client: &Client,
+) -> SubmitOutcome<Ticket> {
     // Resolve the class and its deadline *before* routing: the router's
     // deadline-aware spill prices candidate shards against the budget.
     let (class, weight, class_deadline_us) = match &shared.cfg.slo {
@@ -1756,9 +1727,7 @@ fn submit_inner(
     // Claim the completion-window slot first: it may block while the
     // client's window is full, and the queue snapshots the router takes
     // should be fresh when the push actually happens.
-    if let Some(c) = client {
-        c.queue.issue();
-    }
+    client.queue.issue();
     // One fingerprint per request (the top-k affinity-value scan used to
     // run twice — once for admission pricing, once inside `route`): the
     // router derives placement from it, admission and shedding price with
@@ -1768,7 +1737,7 @@ fn submit_inner(
         .router
         .fingerprint(&shared.scheduler, &item, shared.cache.is_some());
     // The prior `offered` count doubles as the request's observability
-    // correlation id: unique per submission, ticketed or not.
+    // correlation id: unique per submission.
     let req_id = shared.offered.fetch_add(1, Ordering::Relaxed);
     // A per-ticket value replaces the predicted one; either way the
     // class stays the ledger bucket, so conservation sums are untouched.
@@ -1776,26 +1745,21 @@ fn submit_inner(
         Some(_) => weight * fp.value,
         None => 1.0,
     });
-    let ticket = client.map(|c| {
-        let id = shared.next_ticket.fetch_add(1, Ordering::Relaxed);
-        let mut slot = CompletionSlot::new(
-            id,
-            class,
-            value,
-            Arc::clone(&c.queue),
-            Arc::clone(&c.cancel_ledger),
-        );
-        if let Some(obs) = &shared.obs {
-            obs.ticket_issued();
-            slot = slot.with_obs(req_id, Arc::clone(obs));
-        }
-        Ticket::new(Arc::new(slot))
-    });
+    let ticket_id = shared.next_ticket.fetch_add(1, Ordering::Relaxed);
+    let mut slot = CompletionSlot::new(
+        ticket_id,
+        class,
+        value,
+        Arc::clone(&client.queue),
+        Arc::clone(&client.cancel_ledger),
+    );
     if let Some(obs) = &shared.obs {
+        obs.ticket_issued();
+        slot = slot.with_obs(req_id, Arc::clone(obs));
         obs.emit(Event {
             at_us: obs.now_us(),
             req: req_id,
-            ticket: ticket.as_ref().map_or(NO_TICKET, |t| t.slot().id()),
+            ticket: ticket_id,
             shard: NO_SHARD,
             class: class as u32,
             kind: EventKind::Admitted,
@@ -1803,6 +1767,7 @@ fn submit_inner(
             flag: false,
         });
     }
+    let ticket = Ticket::new(Arc::new(slot));
     // Pre-admission cache protocol: an exact duplicate of a *resolved*
     // fingerprint is answered right here — cached labels, zero queue
     // wait, zero virtual-GPU bill, no queue slot; a duplicate of a
@@ -1812,7 +1777,7 @@ fn submit_inner(
     let mut lead: Option<Arc<PendingEntry>> = None;
     if let Some(cache) = &shared.cache {
         let follower = Follower {
-            slot: ticket.as_ref().map(|t| Arc::clone(t.slot())),
+            slot: Arc::clone(ticket.slot()),
             class,
             value,
             deadline_us,
@@ -1826,7 +1791,7 @@ fn submit_inner(
                     obs.emit(Event {
                         at_us: obs.now_us(),
                         req: req_id,
-                        ticket: ticket.as_ref().map_or(NO_TICKET, |t| t.slot().id()),
+                        ticket: ticket_id,
                         shard: NO_SHARD,
                         class: class as u32,
                         kind: EventKind::CacheHit,
@@ -1834,21 +1799,18 @@ fn submit_inner(
                         flag: false,
                     });
                 }
-                if let Some(t) = &ticket {
-                    let slot = t.slot();
-                    slot.try_labeled(LabelResult {
-                        ticket: slot.id(),
-                        class,
-                        labels: result.labels,
-                        executed: result.executed,
-                        label_value: result.label_value,
-                        banked_value: value,
-                        recall: result.recall,
-                        queue_wait_us: 0,
-                        execute_us: 0,
-                        deadline_met: true,
-                    });
-                }
+                ticket.slot().try_labeled(LabelResult {
+                    ticket: ticket_id,
+                    class,
+                    labels: result.labels,
+                    executed: result.executed,
+                    label_value: result.label_value,
+                    banked_value: value,
+                    recall: result.recall,
+                    queue_wait_us: 0,
+                    execute_us: 0,
+                    deadline_met: true,
+                });
                 return SubmitOutcome::Cached(ticket);
             }
             Lookup::Coalesced => return SubmitOutcome::Coalesced(ticket),
@@ -1864,7 +1826,7 @@ fn submit_inner(
             obs.emit(Event {
                 at_us: obs.now_us(),
                 req: req_id,
-                ticket: ticket.as_ref().map_or(NO_TICKET, |t| t.slot().id()),
+                ticket: ticket_id,
                 shard: route.shard as u32,
                 class: class as u32,
                 kind: EventKind::Spilled,
@@ -1924,7 +1886,7 @@ fn submit_inner(
                     obs.emit(Event {
                         at_us: obs.now_us(),
                         req: req_id,
-                        ticket: ticket.as_ref().map_or(NO_TICKET, |t| t.slot().id()),
+                        ticket: ticket_id,
                         shard: route.shard as u32,
                         class: class as u32,
                         kind: EventKind::ShedAdmission,
@@ -1945,19 +1907,15 @@ fn submit_inner(
                 if let Some(entry) = &lead {
                     entry.fail(ShedReason::Admission);
                 }
-                if let Some(t) = &ticket {
-                    t.slot().try_shed(ShedReason::Admission);
-                }
+                ticket.slot().try_shed(ShedReason::Admission);
                 return SubmitOutcome::ShedAdmission(ticket);
             }
         }
     }
     let mut req = Request::new(item, route.signature)
         .with_slo(class, value, deadline_us)
-        .with_req_id(req_id);
-    if let Some(t) = &ticket {
-        req = req.with_completion(Arc::clone(t.slot()));
-    }
+        .with_req_id(req_id)
+        .with_completion(Arc::clone(ticket.slot()));
     if let Some(entry) = &lead {
         req = req.with_cache(Arc::clone(entry));
     }
@@ -1969,7 +1927,7 @@ fn submit_inner(
                 obs.emit(Event {
                     at_us: obs.now_us(),
                     req: req_id,
-                    ticket: ticket.as_ref().map_or(NO_TICKET, |t| t.slot().id()),
+                    ticket: ticket_id,
                     shard: route.shard as u32,
                     class: class as u32,
                     kind: EventKind::Enqueued,
@@ -1990,7 +1948,7 @@ fn submit_inner(
                 obs.emit(Event {
                     at_us: obs.now_us(),
                     req: req_id,
-                    ticket: ticket.as_ref().map_or(NO_TICKET, |t| t.slot().id()),
+                    ticket: ticket_id,
                     shard: route.shard as u32,
                     class: class as u32,
                     kind: EventKind::Rejected,
@@ -2012,9 +1970,7 @@ fn submit_inner(
             if let Some(entry) = &lead {
                 entry.fail(ShedReason::Overflow);
             }
-            if let Some(t) = &ticket {
-                t.slot().retract();
-            }
+            ticket.slot().retract();
             return SubmitOutcome::Rejected;
         }
         SubmitOutcome::ShedAdmission(()) => unreachable!("queues never shed at admission"),

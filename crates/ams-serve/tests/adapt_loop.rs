@@ -88,8 +88,9 @@ fn adapt_off_is_byte_identical_to_frozen_path_across_policies() {
         };
         assert!(cfg.adapt.is_none(), "off is the default");
         let server = AmsServer::start(frozen_scheduler(agent), BUDGET, cfg);
+        let client = server.client();
         for item in truth.items() {
-            server.submit(Arc::new(item.clone()));
+            client.submit(Arc::new(item.clone()));
         }
         let report = server.shutdown();
         let ctx = format!("adapt off, {policy:?}");
@@ -122,8 +123,9 @@ fn warmup_gated_adaptation_serves_boot_weights_unchanged() {
         ..ServeConfig::default()
     };
     let server = AmsServer::start(frozen_scheduler(agent), BUDGET, cfg);
+    let client = server.client();
     for item in truth.items() {
-        server.submit(Arc::new(item.clone()));
+        client.submit(Arc::new(item.clone()));
     }
     let report = server.shutdown();
     assert_eq!(report.completed, 40);
@@ -183,8 +185,9 @@ fn live_adaptation_swaps_and_every_ledger_reconciles() {
     };
     let server = AmsServer::start(frozen_scheduler(agent), BUDGET, cfg);
     let items: Vec<_> = truth.items().iter().cloned().map(Arc::new).collect();
+    let client = server.client();
     for item in items.iter().cycle().take(items.len() * 4) {
-        server.submit(Arc::clone(item));
+        client.submit(Arc::clone(item));
     }
     // The gauge is live while the server runs (0 until the first swap,
     // the published generation after).

@@ -156,8 +156,9 @@ fn ring_overflow_drop_counting_keeps_totals_honest() {
         },
     );
     let items: Vec<_> = truth().items().iter().cloned().map(Arc::new).collect();
+    let client = server.client();
     for item in items.iter().cycle().take(items.len() * 8) {
-        server.submit(Arc::clone(item));
+        client.submit(Arc::clone(item));
     }
     let report = server.shutdown();
     let obs = report.obs.as_ref().expect("obs report present");
@@ -194,8 +195,9 @@ fn shard_gauges_match_what_routing_priced() {
         },
     );
     let items: Vec<_> = truth().items().iter().cloned().map(Arc::new).collect();
+    let client = server.client();
     for item in items.iter().cycle().take(items.len() * 4) {
-        server.submit(Arc::clone(item));
+        client.submit(Arc::clone(item));
     }
     let snap = server.metrics_snapshot().expect("obs is on");
     for g in &snap.shards {
@@ -232,8 +234,9 @@ fn prometheus_exposition_is_well_formed() {
             ..ServeConfig::default()
         },
     );
+    let client = server.client();
     for item in truth().items().iter().take(16) {
-        server.submit(Arc::new(item.clone()));
+        client.submit(Arc::new(item.clone()));
     }
     let text = server.render_metrics();
     let mut families = 0usize;
@@ -311,8 +314,9 @@ fn flight_recorder_answers_why_for_interesting_requests() {
             ..ServeConfig::default()
         },
     );
+    let client = server.client();
     for item in truth().items().iter().take(8) {
-        server.submit(Arc::new(item.clone()));
+        client.submit(Arc::new(item.clone()));
     }
     let report = server.shutdown();
     let obs = report.obs.as_ref().expect("obs report present");

@@ -9,8 +9,8 @@ use ams_core::streaming::{StreamProcessor, StreamStats};
 use ams_data::{Dataset, DatasetProfile, ItemTruth, TruthTable};
 use ams_models::ModelZoo;
 use ams_serve::{
-    AdaptiveBatchConfig, AffinityConfig, AmsServer, BackpressurePolicy, Router, RoutingMode,
-    ServeConfig, ShardQueue, SloClass, SloConfig, SubmitOutcome,
+    AdaptiveBatchConfig, AffinityConfig, AmsServer, BackpressurePolicy, Client, Router,
+    RoutingMode, ServeConfig, ServeReport, ShardQueue, SloClass, SloConfig, SubmitOutcome,
 };
 use std::sync::Arc;
 
@@ -50,6 +50,35 @@ fn assert_stats_match(got: &StreamStats, want: &StreamStats, ctx: &str) {
     );
 }
 
+/// Per-ticket delivery checked against the aggregate ledger of a lossless
+/// run: exactly one `Labeled` event per item, and summing the delivered
+/// results reproduces the report's merged statistics.
+fn assert_delivery_matches_ledger(client: &Client, report: &ServeReport, items: usize, ctx: &str) {
+    let events = client.drain();
+    assert_eq!(events.len(), items, "{ctx}: exactly-once delivery");
+    assert_eq!(report.completed, items as u64, "{ctx}: completed");
+    let (mut executions, mut recall, mut value) = (0usize, 0.0f64, 0.0f64);
+    for event in &events {
+        let r = event
+            .labeled()
+            .unwrap_or_else(|| panic!("{ctx}: lossless run only labels, got {event:?}"));
+        executions += r.executed.len();
+        recall += r.recall;
+        value += r.label_value;
+    }
+    assert_eq!(executions, report.stats.total_executions, "{ctx}: execs");
+    assert!(
+        (recall - report.stats.recall_sum).abs() < 1e-9,
+        "{ctx}: delivered recall {recall} vs ledger {}",
+        report.stats.recall_sum
+    );
+    assert!(
+        (value - report.stats.value_sum).abs() < 1e-9,
+        "{ctx}: delivered value {value} vs ledger {}",
+        report.stats.value_sum
+    );
+}
+
 /// The acceptance-criterion test: serve-mode stats equal the serial
 /// engine's on the same item stream whenever backpressure never triggers,
 /// for several shard/worker/batch shapes.
@@ -71,7 +100,7 @@ fn serve_stats_match_serial_when_nothing_is_shed() {
             ..ServeConfig::default()
         };
         let server = AmsServer::start(scheduler(), budget, cfg);
-        let client = server.client();
+        let client = server.client_with_capacity(table.items().len());
         for item in table.items() {
             assert!(
                 client.submit(Arc::new(item.clone())).ticket().is_some(),
@@ -89,13 +118,7 @@ fn serve_stats_match_serial_when_nothing_is_shed() {
         assert_stats_match(&report.stats, &want, &ctx);
         assert_eq!(report.total.count, 40, "{ctx}: every request timed");
         assert!(report.batches > 0 && report.max_batch_observed <= max_batch);
-        // The client view agrees: one Labeled event per ticket, no losses.
-        let events = client.drain();
-        assert_eq!(events.len(), 40, "{ctx}: exactly-once delivery");
-        assert!(
-            events.iter().all(|e| e.labeled().is_some()),
-            "{ctx}: lossless run only labels"
-        );
+        assert_delivery_matches_ledger(&client, &report, 40, &ctx);
     }
 }
 
@@ -119,10 +142,10 @@ fn affinity_routing_preserves_serial_equivalence() {
             ..ServeConfig::default()
         };
         let server = AmsServer::start(scheduler(), budget, cfg);
+        let client = server.client_with_capacity(table.items().len());
         for item in table.items() {
-            assert_ne!(
-                server.submit(Arc::new(item.clone())),
-                SubmitOutcome::Rejected,
+            assert!(
+                client.submit(Arc::new(item.clone())).ticket().is_some(),
                 "lossless affinity config must accept everything"
             );
         }
@@ -137,6 +160,7 @@ fn affinity_routing_preserves_serial_equivalence() {
         assert!(report.affinity_hit_rate() > 0.0, "{ctx}");
         assert!(report.model_invocations > 0, "{ctx}");
         assert!(report.mean_coalesced() >= 1.0, "{ctx}");
+        assert_delivery_matches_ledger(&client, &report, 40, &ctx);
     }
 }
 
@@ -165,12 +189,13 @@ fn adaptive_controller_keeps_stats_exact_and_reports_trajectory() {
         ..ServeConfig::default()
     };
     let server = AmsServer::start(scheduler(), budget, cfg);
+    let client = server.client_with_capacity(table.items().len());
     for item in table.items() {
-        server.submit(Arc::new(item.clone()));
+        client.submit(Arc::new(item.clone()));
     }
     let report = server.shutdown();
-    assert_eq!(report.completed, 48);
     assert_stats_match(&report.stats, &want, "adaptive");
+    assert_delivery_matches_ledger(&client, &report, 48, "adaptive");
     let adaptive = report.adaptive.expect("controller ran");
     assert_eq!(adaptive.target_p99_ms, 10_000);
     assert_eq!(adaptive.shards.len(), 1);
@@ -211,11 +236,12 @@ fn adaptive_controller_decays_to_floor_under_impossible_target() {
         ..ServeConfig::default()
     };
     let server = AmsServer::start(scheduler(), budget, cfg);
+    let client = server.client_with_capacity(table.items().len());
     for item in table.items() {
-        server.submit(Arc::new(item.clone()));
+        client.submit(Arc::new(item.clone()));
     }
     let report = server.shutdown();
-    assert_eq!(report.completed, 48, "latency control never drops work");
+    assert_delivery_matches_ledger(&client, &report, 48, "latency control never drops work");
     let adaptive = report.adaptive.expect("controller ran");
     let shard = &adaptive.shards[0];
     assert_eq!(shard.final_max_batch, 2, "decayed to the configured floor");
@@ -246,11 +272,12 @@ fn batched_admission_compresses_virtual_exec_time() {
         ..ServeConfig::default()
     };
     let server = AmsServer::start(scheduler(), budget, cfg);
+    let client = server.client_with_capacity(table.items().len());
     for item in table.items() {
-        server.submit(Arc::new(item.clone()));
+        client.submit(Arc::new(item.clone()));
     }
     let report = server.shutdown();
-    assert_eq!(report.completed, 48);
+    assert_delivery_matches_ledger(&client, &report, 48, "batched admission");
     assert!(
         report.virtual_exec_ms <= report.stats.total_exec_ms,
         "batching can only compress: {} > {}",
@@ -277,9 +304,10 @@ fn reject_policy_accounts_for_every_request() {
         ..ServeConfig::default()
     };
     let server = AmsServer::start(scheduler(), budget, cfg);
+    let client = server.client_with_capacity(table.items().len());
     let mut rejected = 0u64;
     for item in table.items() {
-        if server.submit(Arc::new(item.clone())) == SubmitOutcome::Rejected {
+        if client.submit(Arc::new(item.clone())).is_rejected() {
             rejected += 1;
         }
     }
@@ -307,10 +335,10 @@ fn shed_oldest_policy_keeps_admitting() {
         ..ServeConfig::default()
     };
     let server = AmsServer::start(scheduler(), budget, cfg);
+    let client = server.client_with_capacity(table.items().len());
     for item in table.items() {
-        assert_ne!(
-            server.submit(Arc::new(item.clone())),
-            SubmitOutcome::Rejected,
+        assert!(
+            !client.submit(Arc::new(item.clone())).is_rejected(),
             "shed-oldest always admits while open"
         );
     }
@@ -343,8 +371,9 @@ fn partial_batch_shed_counted_once_and_excluded_from_recall() {
         ..ServeConfig::default()
     };
     let server = AmsServer::start(scheduler(), budget, cfg);
+    let client = server.client_with_capacity(table.items().len());
     for item in table.items() {
-        server.submit(Arc::new(item.clone()));
+        client.submit(Arc::new(item.clone()));
     }
     let report = server.shutdown();
     assert!(report.shed_deadline > 0, "the backlog must age past 40ms");
@@ -430,17 +459,18 @@ fn slo_shedding_conserves_every_request_across_policies() {
             ..ServeConfig::default()
         };
         let server = AmsServer::start(scheduler(), budget, cfg);
+        let client = server.client_with_capacity(table.items().len());
         let mut outcomes = [0u64; 5];
         let mut offered_by_class = [0u64; 2];
         {
             let mut submit = |item: &ItemTruth, class: usize| {
-                let idx = match server.submit_class(Arc::new(item.clone()), class) {
-                    SubmitOutcome::Enqueued(()) => 0,
-                    SubmitOutcome::EnqueuedShedOldest(()) => 1,
+                let idx = match client.submit_class(Arc::new(item.clone()), class) {
+                    SubmitOutcome::Enqueued(_) => 0,
+                    SubmitOutcome::EnqueuedShedOldest(_) => 1,
                     SubmitOutcome::Rejected => 2,
-                    SubmitOutcome::ShedAdmission(()) => 3,
-                    SubmitOutcome::ShedIncoming(()) => 4,
-                    SubmitOutcome::Cached(()) | SubmitOutcome::Coalesced(()) => {
+                    SubmitOutcome::ShedAdmission(_) => 3,
+                    SubmitOutcome::ShedIncoming(_) => 4,
+                    SubmitOutcome::Cached(_) | SubmitOutcome::Coalesced(_) => {
                         unreachable!("cache is off in this config")
                     }
                 };
@@ -554,16 +584,19 @@ fn blind_slo_mode_tracks_classes_without_perturbing_results() {
         ..ServeConfig::default()
     };
     let server = AmsServer::start(scheduler(), budget, cfg);
+    let client = server.client_with_capacity(table.items().len());
     for (i, item) in table.items().iter().enumerate() {
-        assert_eq!(
-            server.submit_class(Arc::new(item.clone()), i % 2),
-            SubmitOutcome::Enqueued(()),
+        assert!(
+            matches!(
+                client.submit_class(Arc::new(item.clone()), i % 2),
+                SubmitOutcome::Enqueued(_)
+            ),
             "lossless blind config admits everything"
         );
     }
     let report = server.shutdown();
     assert!(report.is_conserved());
-    assert_eq!(report.completed, 40);
+    assert_delivery_matches_ledger(&client, &report, 40, "blind slo");
     assert_eq!(report.shed_admission, 0, "admission control is off");
     assert_stats_match(&report.stats, &want, "blind slo");
     // The full SLO report survives serde for the bench records.
@@ -604,8 +637,9 @@ fn zero_timeout_sheds_every_request_at_dequeue() {
         ..ServeConfig::default()
     };
     let server = AmsServer::start(scheduler(), budget, cfg);
+    let client = server.client_with_capacity(table.items().len());
     for item in table.items() {
-        server.submit(Arc::new(item.clone()));
+        client.submit(Arc::new(item.clone()));
     }
     let report = server.shutdown();
     assert_eq!(report.shed_deadline, 20);
@@ -633,11 +667,12 @@ fn shutdown_drains_backlog_and_latency_split_is_recorded() {
         ..ServeConfig::default()
     };
     let server = AmsServer::start(scheduler(), budget, cfg);
+    let client = server.client_with_capacity(table.items().len());
     for item in table.items() {
-        server.submit(Arc::new(item.clone()));
+        client.submit(Arc::new(item.clone()));
     }
     let report = server.shutdown();
-    assert_eq!(report.completed, 32, "backlog drained, not dropped");
+    assert_delivery_matches_ledger(&client, &report, 32, "backlog drained, not dropped");
     assert_eq!(report.queue_wait.count, 32);
     assert_eq!(report.execute.count, 32);
     assert_eq!(report.total.count, 32);

@@ -80,7 +80,7 @@ pub mod prelude {
         schedule_deadline_memory, DeadlineMemoryResult,
     };
     pub use ams_core::scheduler::optimal_star;
-    pub use ams_core::streaming::{ParallelStreamProcessor, StreamProcessor, StreamStats};
+    pub use ams_core::streaming::{StreamProcessor, StreamStats};
     pub use ams_data::{
         infer, infer_all, Dataset, DatasetProfile, DogInstance, ItemTruth, Person, Place, Scene,
         SceneGenerator, TemplateKind, TruthTable,
@@ -90,9 +90,9 @@ pub mod prelude {
         QualityProfile, SkillTier, Task,
     };
     pub use ams_rl::{
-        evaluate_q_greedy, learn_step_batched, learn_step_scalar, q_greedy_rollout, train,
-        AgentSnapshot, Algo, BatchScratch, EvalSummary, LabelingEnv, OnlineConfig, OnlineTrainer,
-        RewardConfig, Rollout, ScalarScratch, Smoothing, TrainConfig, TrainStats, TrainedAgent,
+        evaluate_q_greedy, learn_step_batched, q_greedy_rollout, train, AgentSnapshot, Algo,
+        BatchScratch, EvalSummary, LabelingEnv, OnlineConfig, OnlineTrainer, RewardConfig, Rollout,
+        Smoothing, TrainConfig, TrainStats, TrainedAgent,
     };
     pub use ams_serve::{
         AdaptConfig, AdaptReport, AdaptiveBatchConfig, AdaptiveReport, AffinityConfig, AmsServer,

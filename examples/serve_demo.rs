@@ -228,8 +228,9 @@ fn main() {
             ..ServeConfig::default()
         },
     );
+    let client = server.client();
     for item in &items {
-        server.submit(Arc::clone(item));
+        client.submit(Arc::clone(item));
     }
     print_report("lossless album ingestion (block)", &server.shutdown());
 
@@ -249,8 +250,9 @@ fn main() {
             ..ServeConfig::default()
         },
     );
+    let client = server.client();
     for item in &items {
-        server.submit(Arc::clone(item));
+        client.submit(Arc::clone(item));
     }
     print_report(
         "overloaded surveillance feed (shed-oldest + 50ms deadline)",
@@ -278,8 +280,9 @@ fn main() {
             ..ServeConfig::default()
         },
     );
+    let client = server.client();
     for item in &items {
-        server.submit(Arc::clone(item));
+        client.submit(Arc::clone(item));
     }
     print_report(
         "affinity routing + adaptive batching (60ms p99 target)",
@@ -312,11 +315,12 @@ fn main() {
     );
     // Paced at roughly twice what the two workers sustain: a genuine
     // overload, not an instantaneous flood.
+    let client = server.client();
     for (i, item) in items.iter().enumerate() {
         if i % 8 == 0 {
             std::thread::sleep(std::time::Duration::from_millis(3));
         }
-        server.submit_class(Arc::clone(item), i % 2);
+        client.submit_class(Arc::clone(item), i % 2);
     }
     print_report(
         "slo-aware overload (40ms alerts + 400ms archive, value-weighted shedding)",
@@ -518,11 +522,12 @@ fn main() {
     );
     println!("--- live observability (snapshots mid-overload) ---");
     let tick = (items.len() / 4).max(1);
+    let client = server.client();
     for (i, item) in items.iter().enumerate() {
         if i % 8 == 0 {
             std::thread::sleep(std::time::Duration::from_millis(3));
         }
-        server.submit_class(Arc::clone(item), i % 2);
+        client.submit_class(Arc::clone(item), i % 2);
         if i > 0 && i % tick == 0 {
             let snap = server.metrics_snapshot().expect("obs is on");
             let depth: u64 = snap.shards.iter().map(|s| s.depth).sum();

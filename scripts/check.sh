@@ -1,16 +1,19 @@
 #!/usr/bin/env bash
-# One-command gate for every PR: formatting, lints (clippy + the ams-lint
-# workspace analyzer), the perf gate, and the tier-1 verify. Three modes:
+# One-command gate for every PR: formatting, lints (clippy + rustdoc
+# intra-doc links + the ams-lint workspace analyzer), the perf gate, and
+# the tier-1 verify. Three modes:
 #
-#   ./scripts/check.sh          # full: fmt + clippy + release build
-#                               #       + bench gate + tier-1 tests
-#   ./scripts/check.sh --quick  # fmt + clippy + a fast label-cache pass
-#                               #       (PROPTEST_CASES=16) + debug tests
-#                               #       (no release build, no bench gate)
-#   ./scripts/check.sh --smoke  # fmt + clippy + bench gate only (the
-#                               #       fast perf-regression lane; runs
-#                               #       scripts/bench_gate.sh, which also
-#                               #       asserts serve==serial equivalence)
+#   ./scripts/check.sh          # full: fmt + clippy + doc links + release
+#                               #       build + bench gate + tier-1 tests
+#   ./scripts/check.sh --quick  # fmt + clippy + doc links + a fast
+#                               #       label-cache pass (PROPTEST_CASES=16)
+#                               #       + debug tests (no release build,
+#                               #       no bench gate)
+#   ./scripts/check.sh --smoke  # fmt + clippy + doc links + bench gate
+#                               #       only (the fast perf-regression
+#                               #       lane; runs scripts/bench_gate.sh,
+#                               #       which also asserts serve==serial
+#                               #       equivalence)
 #
 # PROPTEST_CASES=16 ./scripts/check.sh gives a faster property-test pass
 # while iterating; leave it unset for the full default case counts.
@@ -35,6 +38,11 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Intra-doc links (all modes): a doc comment naming an item that was
+# renamed or deleted must fail here, not rot silently.
+echo "==> cargo doc (broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
 
 # Workspace-specific static analysis (all modes — it is fast): first prove
 # every rule can fire on its injected-violation fixtures, then require the

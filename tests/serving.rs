@@ -126,10 +126,10 @@ fn served_pipeline_with_affinity_and_adaptive_matches_serial() {
         ..ServeConfig::default()
     };
     let server = AmsServer::start(scheduler_for(agent, world_seed), budget, cfg);
+    let client = server.client();
     for item in truth.items() {
-        assert_ne!(
-            server.submit(Arc::new(item.clone())),
-            SubmitOutcome::Rejected,
+        assert!(
+            !client.submit(Arc::new(item.clone())).is_rejected(),
             "lossless affinity config must accept every request"
         );
     }
@@ -258,8 +258,9 @@ fn served_report_survives_json_round_trip() {
         budget,
         ServeConfig::default(),
     );
+    let client = server.client();
     for item in truth.items().iter().take(12) {
-        server.submit(Arc::new(item.clone()));
+        client.submit(Arc::new(item.clone()));
     }
     let report = server.shutdown();
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
