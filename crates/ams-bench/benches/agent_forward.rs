@@ -1,7 +1,9 @@
 //! Micro-bench: one Q-network forward pass (the per-decision cost of
-//! Table III), sparse vs dense input, linear vs dueling head.
+//! Table III) at the paper shape — the training forward on sparse vs
+//! dense input, linear vs dueling head, and the serve-time inference
+//! kernel (`QInfer`) that replaces it on the predict path.
 
-use ams::nn::{FwdCache, Input, QNet, QNetConfig};
+use ams::nn::{FwdCache, InferScratch, Input, QInfer, QNet, QNetConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_forward(c: &mut Criterion) {
@@ -27,6 +29,20 @@ fn bench_forward(c: &mut Criterion) {
             black_box(q[0])
         })
     });
+    let mut scratch = InferScratch::default();
+    let mut q = vec![0.0f32; 31];
+    for (name, net) in [
+        ("infer_sparse_linear", &linear),
+        ("infer_sparse_dueling", &dueling),
+    ] {
+        let view = QInfer::new(net);
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                view.q_into(net, black_box(&sparse), &mut scratch, &mut q);
+                black_box(q[0])
+            })
+        });
+    }
     c.bench_function("forward_dense_linear", |b| {
         b.iter(|| {
             let q = linear.forward(Input::Dense(black_box(&dense)), &mut cache);

@@ -1,5 +1,6 @@
-//! Hot-path benchmark: scalar vs batched `learn_step`, and the serial
-//! stream engine's throughput. Writes the measured trajectory to
+//! Hot-path benchmark: scalar vs batched `learn_step`, the serve-time Q
+//! inference kernel against the training forward it replaces, and the
+//! serial stream engine's throughput. Writes the measured trajectory to
 //! `BENCH_hotpath.json` (methodology in `PERF.md`).
 //!
 //! `--smoke` runs a shortened pass (fewer timed iterations, smaller stream
@@ -9,7 +10,7 @@
 //!
 //! Run with: `cargo run --release -p ams-bench --bin bench_hotpath [-- --smoke]`
 
-use ams::nn::{BatchFwdCache, BatchInput, FwdCache, Input, QNet, QNetConfig};
+use ams::nn::{BatchFwdCache, BatchInput, FwdCache, InferScratch, Input, QInfer, QNet, QNetConfig};
 use ams::prelude::*;
 use ams::rl::{BatchScratch, ScalarScratch};
 use ams_bench::hotpath::{learn_step_seed, LearnSetup, SeedAdam, SeedScratch};
@@ -47,6 +48,15 @@ struct Record {
     learn_speedup_vs_hoisted_scalar: f64,
     /// Max |Q_batched − Q_scalar| over a replay minibatch (must be < 1e-5).
     q_equivalence_max_abs_diff: f64,
+    /// One `QNet::forward` (the training forward) on the stream fixture's
+    /// trained agent, mean over replay states.
+    q_forward_ns: f64,
+    /// One `QInfer::q_into` (the serve-time kernel) on the same agent and
+    /// states.
+    q_infer_ns: f64,
+    /// Max |Q_infer − Q_forward| over those states; the kernel is
+    /// bit-identical, so this must be exactly 0.
+    q_infer_max_abs_diff: f64,
     stream_items: usize,
     /// Compute-only serial-engine throughput (virtual execution elided).
     compute_serial_items_per_s: f64,
@@ -199,13 +209,72 @@ fn main() {
         "batched Q diverged from scalar: {max_diff}"
     );
 
-    // ---- stream engine: the serial reference -----------------------------
     let emu_scale = 1.0e-3; // 1 wall-clock us per virtual execution ms
     let setup = if smoke {
         ams_bench::hotpath::StreamSetup::paper(96, 24)
     } else {
         ams_bench::hotpath::StreamSetup::paper(240, 120)
     };
+
+    // ---- serve-time Q kernel vs the training forward --------------------
+    // Same trained agent the stream section serves, over replay states
+    // (realistic density: a handful to tens of active labels).
+    let agent_net = &setup.agent.net;
+    let view = QInfer::new(agent_net);
+    let mut infer_scratch = InferScratch::default();
+    let mut q_infer = vec![0.0f32; agent_net.actions()];
+    let probe: Vec<&[u32]> = (0..256).map(|i| &*replay.get(i).state).collect();
+    let mut q_infer_max_diff = 0.0f64;
+    for st in &probe {
+        view.q_into(agent_net, st, &mut infer_scratch, &mut q_infer);
+        let qs = agent_net.forward(Input::Sparse(st), &mut cache);
+        for (&got, &want) in q_infer.iter().zip(qs) {
+            // Judged on bits, so a signed-zero or NaN mismatch (whose
+            // |difference| is 0 or NaN) still reports a positive value.
+            let diff = if got.to_bits() == want.to_bits() {
+                0.0
+            } else {
+                f64::from((got - want).abs()).max(f64::MIN_POSITIVE)
+            };
+            q_infer_max_diff = q_infer_max_diff.max(diff);
+        }
+    }
+    assert!(
+        q_infer_max_diff == 0.0,
+        "inference kernel diverged from QNet::forward: {q_infer_max_diff:e}"
+    );
+    let per_state = |(ns, iters): (f64, u64)| (ns / probe.len() as f64, iters);
+    let (q_forward_ns, q_forward_iters) = per_state(time_ns(
+        || {
+            for st in &probe {
+                std::hint::black_box(agent_net.forward(Input::Sparse(st), &mut cache));
+            }
+        },
+        warmup,
+        iters,
+    ));
+    let (q_infer_ns, q_infer_iters) = per_state(time_ns(
+        || {
+            for st in &probe {
+                view.q_into(agent_net, st, &mut infer_scratch, &mut q_infer);
+                std::hint::black_box(&q_infer);
+            }
+        },
+        warmup,
+        iters,
+    ));
+    trajectory.push(Measurement {
+        name: "q_forward_training_path".into(),
+        iters: q_forward_iters * probe.len() as u64,
+        ns_per_iter: q_forward_ns,
+    });
+    trajectory.push(Measurement {
+        name: "q_infer_kernel".into(),
+        iters: q_infer_iters * probe.len() as u64,
+        ns_per_iter: q_infer_ns,
+    });
+
+    // ---- stream engine: the serial reference -----------------------------
     let budget = Budget::Deadline { ms: 1000 };
     let items = setup.truth.items();
     let mut serial = StreamProcessor::new(setup.scheduler(), budget);
@@ -248,6 +317,9 @@ fn main() {
         learn_speedup: seed_ns / batched_ns,
         learn_speedup_vs_hoisted_scalar: scalar_ns / batched_ns,
         q_equivalence_max_abs_diff: max_diff,
+        q_forward_ns,
+        q_infer_ns,
+        q_infer_max_abs_diff: q_infer_max_diff,
         stream_items: items.len(),
         compute_serial_items_per_s: compute_serial_ips,
         exec_emulation_scale: emu_scale,
@@ -266,7 +338,12 @@ fn main() {
     std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("{json}");
     eprintln!(
-        "learn_step speedup: {:.2}x | serial stream on {} core(s): {:.0} items/s compute-only",
-        record.learn_speedup, cores, record.compute_serial_items_per_s
+        "learn_step speedup: {:.2}x | Q forward {:.0} ns -> kernel {:.0} ns | serial stream on {} \
+         core(s): {:.0} items/s compute-only",
+        record.learn_speedup,
+        record.q_forward_ns,
+        record.q_infer_ns,
+        cores,
+        record.compute_serial_items_per_s
     );
 }

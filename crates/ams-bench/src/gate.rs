@@ -480,6 +480,29 @@ pub fn gate_hotpath(baseline: &Value, candidate: &Value) -> GateOutcome {
             .push(format!("q_equivalence_max_abs_diff: {d:.2e} >= 1e-5")),
         Err(e) => out.failed.push(e),
     }
+    // The serve-time kernel replaces the training forward on the predict
+    // path, so it must reproduce it exactly (labels stay byte-identical)
+    // and be the cheaper of the two (or it has no reason to exist).
+    match num(candidate, "q_infer_max_abs_diff") {
+        Ok(0.0) => out.passed.push("q_infer_max_abs_diff: exactly 0".into()),
+        Ok(d) => out
+            .failed
+            .push(format!("q_infer_max_abs_diff: {d:.2e} != 0")),
+        Err(e) => out.failed.push(e),
+    }
+    match (num(candidate, "q_infer_ns"), num(candidate, "q_forward_ns")) {
+        (Ok(k), Ok(f)) => {
+            let line = format!("q_infer_ns {k:.0} < q_forward_ns {f:.0}");
+            if k < f {
+                out.passed.push(line);
+            } else {
+                out.failed.push(line);
+            }
+        }
+        (k, f) => out
+            .failed
+            .push(format!("q_infer_ns vs q_forward_ns: {k:?} vs {f:?}")),
+    }
     out
 }
 
@@ -723,6 +746,18 @@ pub fn self_test(serve_baseline: &Value, hotpath_baseline: &Value) -> Result<Vec
         hotpath_baseline,
         &|v| inject_at(v, "q_equivalence_max_abs_diff", Value::F64(0.5)),
     )?;
+    inject(
+        "inference kernel off by one ULP",
+        GateKind::Hotpath,
+        hotpath_baseline,
+        &|v| inject_at(v, "q_infer_max_abs_diff", Value::F64(1.2e-7)),
+    )?;
+    inject(
+        "inference kernel slower than the training forward",
+        GateKind::Hotpath,
+        hotpath_baseline,
+        &|v| scale_at(v, "q_infer_ns", 100.0),
+    )?;
 
     Ok(exercised)
 }
@@ -807,7 +842,10 @@ mod tests {
         serde_json::parse_value(
             r#"{
                 "learn_speedup": 4.0,
-                "q_equivalence_max_abs_diff": 1e-7
+                "q_equivalence_max_abs_diff": 1e-7,
+                "q_forward_ns": 220.0,
+                "q_infer_ns": 90.0,
+                "q_infer_max_abs_diff": 0.0
             }"#,
         )
         .expect("fixture parses")
@@ -869,7 +907,7 @@ mod tests {
     #[test]
     fn self_test_exercises_every_injection() {
         let injected = self_test(&serve_record(), &hotpath_record()).expect("self test passes");
-        assert_eq!(injected.len(), 18, "{injected:?}");
+        assert_eq!(injected.len(), 20, "{injected:?}");
     }
 
     #[test]

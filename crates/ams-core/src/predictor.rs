@@ -3,7 +3,7 @@
 
 use ams_data::ItemTruth;
 use ams_models::LabelSet;
-use ams_nn::{FwdCache, Input};
+use ams_nn::InferScratch;
 use ams_rl::{AgentSnapshot, TrainedAgent};
 use std::sync::{Arc, Mutex};
 
@@ -38,43 +38,43 @@ pub trait ValuePredictor: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// Per-call scratch of an [`AgentPredictor`]: the sparse state encoding
-/// and the network forward cache, both reused across predictions.
+/// Per-call scratch of the agent predictors: the sparse state encoding
+/// and the inference kernel's buffers, both reused across predictions.
 #[derive(Default)]
 struct AgentScratch {
     sparse: Vec<u32>,
-    cache: FwdCache,
+    infer: InferScratch,
 }
 
 /// The one agent forward pass behind [`AgentPredictor`] and
 /// [`SnapshotPredictor`]: check a scratch out of `pool`, encode `state`,
-/// run `agent`'s network, copy the per-model Q values into `out`, and
-/// return the scratch. The lock is held only for the pop/push, not for
-/// the network forward, so concurrent callers rarely contend.
+/// run the snapshot's inference kernel (bit-identical to the training
+/// path's `QNet::forward`, which is not called at serve time) straight
+/// into `out`, and return the scratch. The lock is held only for the
+/// pop/push, not for the network forward, so concurrent callers rarely
+/// contend.
 fn pooled_q_values(
     pool: &Mutex<Vec<AgentScratch>>,
-    agent: &TrainedAgent,
+    snapshot: &AgentSnapshot,
     state: &LabelSet,
     out: &mut [f32],
 ) {
     let mut scratch = pool.lock().expect("scratch pool").pop().unwrap_or_default();
     state.write_sparse(&mut scratch.sparse);
-    let q = agent
-        .net
-        .forward(Input::Sparse(&scratch.sparse), &mut scratch.cache);
-    out.copy_from_slice(&q[..agent.num_models]);
+    snapshot.model_q_into(&scratch.sparse, &mut scratch.infer, out);
     pool.lock().expect("scratch pool").push(scratch);
 }
 
 /// The deployable predictor: a trained DRL agent's Q values.
 ///
-/// Forward passes run against a small pool of reusable scratch buffers
-/// (sparse encoding + `FwdCache`), so prediction allocates nothing in
-/// steady state and concurrent callers (the serving workers of
+/// The agent is frozen into an [`AgentSnapshot`] at construction (its
+/// inference view is built once, there). Forward passes run against a
+/// small pool of reusable scratch buffers, so prediction allocates
+/// nothing in steady state and concurrent callers (the serving workers of
 /// `ams-serve`, which share one scheduler) each check out their own
 /// scratch instead of serializing on a shared one.
 pub struct AgentPredictor {
-    agent: TrainedAgent,
+    snapshot: AgentSnapshot,
     scratch_pool: Mutex<Vec<AgentScratch>>,
 }
 
@@ -82,24 +82,24 @@ impl AgentPredictor {
     /// Wrap a trained agent.
     pub fn new(agent: TrainedAgent) -> Self {
         Self {
-            agent,
+            snapshot: AgentSnapshot::initial(agent),
             scratch_pool: Mutex::new(Vec::new()),
         }
     }
 
     /// Access the wrapped agent.
     pub fn agent(&self) -> &TrainedAgent {
-        &self.agent
+        self.snapshot.agent()
     }
 }
 
 impl ValuePredictor for AgentPredictor {
     fn num_models(&self) -> usize {
-        self.agent.num_models
+        self.snapshot.agent().num_models
     }
 
     fn predict_into(&self, state: &LabelSet, _item: &ItemTruth, out: &mut [f32]) {
-        pooled_q_values(&self.scratch_pool, &self.agent, state, out);
+        pooled_q_values(&self.scratch_pool, &self.snapshot, state, out);
     }
 
     fn name(&self) -> &'static str {
@@ -118,7 +118,8 @@ impl ValuePredictor for AgentPredictor {
 /// guarantees a forward pass can never observe half-old, half-new weights.
 /// Workers pin one snapshot per batch (one generation check, then every
 /// predict in the batch sees the same coherent weights) and keep their
-/// scratch buffers across swaps.
+/// scratch buffers across swaps; the snapshot arrives with its inference
+/// view already built by the publisher, so repointing is a pointer store.
 pub struct SnapshotPredictor {
     snapshot: Arc<AgentSnapshot>,
     scratch_pool: Mutex<Vec<AgentScratch>>,
@@ -152,11 +153,11 @@ impl SnapshotPredictor {
 
 impl ValuePredictor for SnapshotPredictor {
     fn num_models(&self) -> usize {
-        self.snapshot.agent.num_models
+        self.snapshot.agent().num_models
     }
 
     fn predict_into(&self, state: &LabelSet, _item: &ItemTruth, out: &mut [f32]) {
-        pooled_q_values(&self.scratch_pool, &self.snapshot.agent, state, out);
+        pooled_q_values(&self.scratch_pool, &self.snapshot, state, out);
     }
 
     fn name(&self) -> &'static str {
@@ -321,11 +322,33 @@ mod tests {
         let mut snap = SnapshotPredictor::new(Arc::new(AgentSnapshot::initial(agent.clone())));
         assert_eq!(snap.generation(), 0);
         assert_eq!(snap.num_models(), 30);
+        // Both predictors must equal the training path's forward bit for
+        // bit: the inference kernel replaces it, it does not approximate it.
+        let same = |agent: &TrainedAgent, state: &LabelSet, got: &[Vec<f32>]| {
+            let mut sparse = Vec::new();
+            state.write_sparse(&mut sparse);
+            let mut cache = ams_nn::FwdCache::default();
+            let want = agent
+                .net
+                .forward(ams_nn::Input::Sparse(&sparse), &mut cache);
+            let bits = |q: &[f32]| q.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for q in got {
+                assert_eq!(bits(q), bits(&want[..agent.num_models]));
+            }
+        };
         let item = t.item(0);
         let mut state = LabelSet::new(item.universe());
-        assert_eq!(direct.predict(&state, item), snap.predict(&state, item));
+        same(
+            &agent,
+            &state,
+            &[direct.predict(&state, item), snap.predict(&state, item)],
+        );
         item.apply(&mut state, ModelId(4), 0.5);
-        assert_eq!(direct.predict(&state, item), snap.predict(&state, item));
+        same(
+            &agent,
+            &state,
+            &[direct.predict(&state, item), snap.predict(&state, item)],
+        );
         // Repointing at a newer generation changes what predicts.
         let cfg2 = TrainConfig {
             episodes: 8,
@@ -333,14 +356,20 @@ mod tests {
             ..TrainConfig::fast_test(Algo::Dqn)
         };
         let (agent2, _) = train(t.items(), 30, &cfg2);
-        snap.set_snapshot(Arc::new(AgentSnapshot {
-            agent: agent2.clone(),
-            generation: 3,
-        }));
+        snap.set_snapshot(Arc::new(AgentSnapshot::new(agent2.clone(), 3)));
         assert_eq!(snap.generation(), 3);
-        assert_eq!(
-            AgentPredictor::new(agent2).predict(&state, item),
-            snap.predict(&state, item)
+        assert_ne!(
+            direct.predict(&state, item),
+            snap.predict(&state, item),
+            "the swap took effect"
+        );
+        same(
+            &agent2,
+            &state,
+            &[
+                AgentPredictor::new(agent2.clone()).predict(&state, item),
+                snap.predict(&state, item),
+            ],
         );
     }
 

@@ -22,6 +22,7 @@
 #![warn(clippy::all)]
 
 pub mod dense;
+pub mod infer;
 pub mod init;
 pub mod loss;
 pub mod matrix;
@@ -29,6 +30,7 @@ pub mod optimizer;
 pub mod qnet;
 
 pub use dense::{BatchInput, Dense, DenseGrad, Input};
+pub use infer::{InferScratch, QInfer};
 pub use loss::Huber;
 pub use matrix::Mat;
 pub use optimizer::{Adam, Optimizer, Sgd};

@@ -24,7 +24,7 @@ pub enum Head {
 }
 
 /// Architecture description for [`QNet::new`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QNetConfig {
     /// Input dimension (1104 labels in the paper).
     pub input_dim: usize,
@@ -221,6 +221,16 @@ impl QNet {
     /// Number of actions (Q outputs).
     pub fn actions(&self) -> usize {
         self.config.actions
+    }
+
+    /// The ReLU trunk layers, input side first.
+    pub fn trunk(&self) -> &[Dense] {
+        &self.trunk
+    }
+
+    /// The output head.
+    pub fn head(&self) -> &Head {
+        &self.head
     }
 
     /// Total number of learnable parameters.

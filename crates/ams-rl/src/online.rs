@@ -26,32 +26,59 @@ use crate::replay::{ReplayBuffer, Transition};
 use crate::trainer::{learn_step_batched, BatchScratch, TrainConfig, TrainedAgent};
 use ams_data::ItemTruth;
 use ams_models::ModelId;
-use ams_nn::{Adam, Huber, QNet};
+use ams_nn::{Adam, Huber, InferScratch, QInfer, QNet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// An immutable, generation-stamped export of a trained agent.
+/// An immutable, generation-stamped export of a trained agent, together
+/// with the inference view ([`QInfer`]) of its network.
 ///
 /// Generations are assigned by the publisher (monotonically increasing;
 /// the pre-adaptation weights are generation 0). The snapshot is plain
 /// data: cloning the `Arc` that wraps it is the only synchronization a
-/// reader needs, and the weights inside never mutate.
+/// reader needs, and the weights inside never mutate — which is what lets
+/// the view be built once, by whoever constructs the snapshot (the
+/// trainer thread, for a hot-swap), and then only read by the predict
+/// path. The agent is private so the view can never describe other
+/// weights than the ones beside it.
 #[derive(Debug, Clone)]
 pub struct AgentSnapshot {
-    /// The exported agent (weights + metadata).
-    pub agent: TrainedAgent,
+    agent: TrainedAgent,
+    infer: QInfer,
     /// Publisher-assigned generation counter.
     pub generation: u64,
 }
 
 impl AgentSnapshot {
-    /// The initial (generation 0) snapshot of an agent.
-    pub fn initial(agent: TrainedAgent) -> Self {
+    /// Freeze `agent` as generation `generation`, building its view.
+    pub fn new(agent: TrainedAgent, generation: u64) -> Self {
+        let infer = QInfer::new(&agent.net);
         Self {
             agent,
-            generation: 0,
+            infer,
+            generation,
         }
+    }
+
+    /// The initial (generation 0) snapshot of an agent.
+    pub fn initial(agent: TrainedAgent) -> Self {
+        Self::new(agent, 0)
+    }
+
+    /// The exported agent (weights + metadata).
+    pub fn agent(&self) -> &TrainedAgent {
+        &self.agent
+    }
+
+    /// Q values over *models only* (END dropped) for a sparse labeling
+    /// state, through the inference kernel: bit-identical to
+    /// `agent().net.forward`, allocation-free given a reused `scratch`.
+    /// `out.len()` must be the agent's `num_models`.
+    pub fn model_q_into(&self, state_sparse: &[u32], scratch: &mut InferScratch, out: &mut [f32]) {
+        debug_assert_eq!(out.len(), self.agent.num_models);
+        self.infer
+            .q_into(&self.agent.net, state_sparse, scratch, out);
     }
 }
 
@@ -295,17 +322,19 @@ impl OnlineTrainer {
         self.replay.len()
     }
 
-    /// Export the current weights as a snapshot stamped `generation`.
+    /// Export the current weights as a snapshot stamped `generation`. The
+    /// snapshot's inference view is built here, on the caller's (the
+    /// trainer's) thread, so a reader that pins the snapshot pays nothing.
     pub fn export(&self, generation: u64) -> AgentSnapshot {
-        AgentSnapshot {
-            agent: TrainedAgent {
+        AgentSnapshot::new(
+            TrainedAgent {
                 net: self.net.clone(),
                 algo: self.cfg.algo,
                 num_models: self.num_models,
                 reward: self.cfg.reward.clone(),
             },
             generation,
-        }
+        )
     }
 }
 

@@ -453,10 +453,7 @@ mod tests {
         let cell = SnapshotCell::new(Arc::new(AgentSnapshot::initial(agent.clone())));
         assert_eq!(cell.generation(), 0);
         assert_eq!(cell.read().generation, 0);
-        cell.publish(Arc::new(AgentSnapshot {
-            agent,
-            generation: 5,
-        }));
+        cell.publish(Arc::new(AgentSnapshot::new(agent, 5)));
         assert_eq!(cell.generation(), 5);
         assert_eq!(cell.read().generation, 5);
     }
@@ -625,10 +622,7 @@ mod tests {
                 let agent = agent.clone();
                 std::thread::spawn(move || {
                     for generation in 1..=publishes {
-                        cell.publish(Arc::new(AgentSnapshot {
-                            agent: agent.clone(),
-                            generation,
-                        }));
+                        cell.publish(Arc::new(AgentSnapshot::new(agent.clone(), generation)));
                     }
                 })
             };

@@ -41,11 +41,13 @@
 //!
 //! The cache is sharded into lock stripes; each stripe owns a byte budget
 //! (`capacity_bytes / stripes`). When an insert overflows the budget the
-//! stripe evicts the resolved entry with the smallest
+//! stripe evicts the resolved entries with the smallest
 //! **value-per-byte × recency** score — the same value units the SLO
 //! ledger prices shedding in (the leader's class-weighted predicted
 //! value), so the cache keeps the bytes that bank the most value per unit
-//! of memory, decayed by how long ago they were last useful.
+//! of memory, decayed by how long ago they were last useful. One scoring
+//! scan evicts a batch (an eighth of the stripe), so a full stripe does
+//! not rescan on every insert.
 //!
 //! ## Accounting
 //!
@@ -84,7 +86,8 @@ pub struct CacheConfig {
     pub stripes: usize,
     /// Total byte budget across all stripes (approximate, counted from
     /// the cached labels + model lists). Min 1 KiB. Overflow evicts the
-    /// lowest value-per-byte × recency entry in the inserting stripe.
+    /// lowest value-per-byte × recency entries in the inserting stripe
+    /// (an eighth of its residents per overflow, at least one).
     pub capacity_bytes: usize,
 }
 
@@ -98,6 +101,11 @@ impl Default for CacheConfig {
         }
     }
 }
+
+/// One eviction scan removes `1 / EVICT_FRACTION` of a stripe's resolved
+/// entries (see `LabelCache::evict`): large enough to amortize the scan,
+/// small enough that the cache runs at ≥ 7/8 of its byte budget.
+const EVICT_FRACTION: usize = 8;
 
 /// End-of-run cache telemetry ([`ServeReport::cache`](crate::ServeReport)).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -491,28 +499,45 @@ impl LabelCache {
             stripe.bytes = stripe.bytes.saturating_sub(old.bytes);
         }
         stripe.bytes += bytes;
-        // Bounded memory: evict the lowest value-per-byte × recency
-        // resolved entry until the stripe fits. Pending entries are never
-        // evicted (they hold live followers); the just-inserted entry may
-        // evict itself if it alone exceeds the budget.
+        if stripe.bytes > self.stripe_budget {
+            self.evict(&mut stripe, now);
+        }
+    }
+
+    /// Bounded memory: bring an over-budget stripe back within it by
+    /// evicting its lowest value-per-byte × recency resolved entries.
+    /// Pending entries are never evicted (they hold live followers); the
+    /// just-inserted entry may evict itself if it alone exceeds the budget.
+    ///
+    /// Scoring is a scan of the whole stripe under its lock, so one scan
+    /// evicts a *batch* — an eighth of the resident entries, at least one —
+    /// rather than the single victim that would fit this insert: a full
+    /// stripe then scans once per ~resident/8 inserts instead of on every
+    /// one. The loop only repeats when a batch was not enough (an insert
+    /// larger than an eighth of the stripe).
+    fn evict(&self, stripe: &mut Stripe, now: u64) {
         while stripe.bytes > self.stripe_budget {
-            let victim = stripe
+            let mut scored: Vec<(f64, u64)> = stripe
                 .map
                 .iter()
                 .filter_map(|(k, slot)| match slot {
                     Slot::Resolved(s) => {
                         let age = now.saturating_sub(s.last_tick) as f64;
-                        let score = (s.value / s.bytes.max(1) as f64) / (1.0 + age);
-                        Some((*k, score))
+                        Some(((s.value / s.bytes.max(1) as f64) / (1.0 + age), *k))
                     }
                     Slot::Pending(_) => None,
                 })
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .map(|(k, _)| k);
-            let Some(victim) = victim else { break };
-            if let Some(Slot::Resolved(old)) = stripe.map.remove(&victim) {
-                stripe.bytes = stripe.bytes.saturating_sub(old.bytes);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                .collect();
+            if scored.is_empty() {
+                break;
+            }
+            let batch = (scored.len() / EVICT_FRACTION).max(1);
+            scored.select_nth_unstable_by(batch - 1, |a, b| a.0.total_cmp(&b.0));
+            for (_, victim) in scored.iter().take(batch) {
+                if let Some(Slot::Resolved(old)) = stripe.map.remove(victim) {
+                    stripe.bytes = stripe.bytes.saturating_sub(old.bytes);
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
     }
@@ -815,6 +840,55 @@ mod tests {
             "the value-0.1 entry was the victim"
         );
         assert!(matches!(cache.lookup(3, follower()), Lookup::Hit(_)));
+    }
+
+    #[test]
+    fn batched_eviction_stays_within_budget_and_spares_the_best() {
+        // One stripe holding ~64 entries, overflowed 4 000 times: every
+        // eviction scan removes a batch, never one of the entries whose
+        // value dwarfs the churn's, and never leaves the stripe over.
+        let one = result(90).approx_bytes();
+        let cache = LabelCache::new(CacheConfig {
+            stripes: 1,
+            capacity_bytes: one * 64,
+        });
+        let insert = |key: u64, value: f64| {
+            let entry = match cache.lookup(key, follower()) {
+                Lookup::Miss(e) => e,
+                _ => panic!("miss expected"),
+            };
+            cache.resolve(&entry, result(90), value);
+        };
+        let keepers = [1u64, 2, 3, 4];
+        for key in keepers {
+            insert(key, 1.0e9);
+        }
+        for key in 0..4000u64 {
+            insert(1000 + key, 1.0);
+            let report = cache.report();
+            assert!(
+                report.bytes <= report.capacity_bytes,
+                "over budget after insert {key}: {} > {}",
+                report.bytes,
+                report.capacity_bytes
+            );
+        }
+        let report = cache.report();
+        assert!(
+            report.entries >= 64 * 7 / 8,
+            "a batch is an eighth of the stripe, not more: {} resident",
+            report.entries
+        );
+        assert!(
+            report.evictions < 4000 && report.evictions + report.entries == 4004,
+            "every insert is resident or evicted: {report:?}"
+        );
+        for key in keepers {
+            assert!(
+                matches!(cache.lookup(key, follower()), Lookup::Hit(_)),
+                "top-score entry {key} was evicted"
+            );
+        }
     }
 
     #[test]

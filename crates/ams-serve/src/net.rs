@@ -11,11 +11,13 @@
 //!   byte-layout table: tags, field order, the `Hello` version byte).
 //!   This module moves whole frames and never looks inside one: a frame
 //!   is encoded from borrowed data into the connection's one reused
-//!   buffer and written with a single `write_all`; a received payload
-//!   lands in the connection's one reused read buffer and is decoded
-//!   straight into the frame type. Floats travel as raw IEEE-754 bits,
-//!   so labels received over TCP are **byte-identical** to the
-//!   in-process client's, and the decoder is total: any malformed
+//!   buffer and written with a single `write_all` (the server's writer
+//!   thread encodes every completion that is ready and writes them
+//!   together); socket bytes land in the connection's one reused read
+//!   buffer, which hands out as many whole frames as one `read` brought,
+//!   each decoded straight into the frame type. Floats travel as raw
+//!   IEEE-754 bits, so labels received over TCP are **byte-identical** to
+//!   the in-process client's, and the decoder is total: any malformed
 //!   payload returns [`WireError`] — never a panic.
 //! * **Multiplexing** — one persistent connection carries many tickets.
 //!   The client picks a request id per submission and the server echoes
@@ -116,14 +118,19 @@ fn with_wire_id(mut ev: Completion, id: u64) -> Completion {
 // Frame I/O
 // ---------------------------------------------------------------------------
 
-/// The write half of a connection and its reused encode buffer. A frame
-/// is built whole in the buffer (never more than one frame lives there)
-/// and leaves in a single `write_all`, so frames from the threads sharing
-/// a connection's writer lock never interleave.
+/// The write half of a connection and its reused encode buffer. Frames
+/// are built whole in the buffer — one, or as many as are ready — and
+/// leave in a single `write_all`, so frames from the threads sharing a
+/// connection's writer lock never interleave. The buffer is empty
+/// whenever the lock is free.
 struct FrameWriter {
     stream: TcpStream,
     buf: Vec<u8>,
 }
+
+/// A writer with this much encoded flushes before encoding more, so a
+/// large completion backlog cannot be doubled in memory as one buffer.
+const WRITE_COALESCE: usize = 256 * 1024;
 
 impl FrameWriter {
     fn new(stream: TcpStream) -> Self {
@@ -133,72 +140,108 @@ impl FrameWriter {
         }
     }
 
-    /// Frame what `encode` appends and write it. An over-[`MAX_FRAME`]
-    /// frame fails with [`WireError::FrameTooLarge`] before any byte is
-    /// written; every other error may leave a partial frame on the
-    /// stream, so the connection is unusable after it.
+    /// Frame what `encode` appends behind the frames already pushed;
+    /// nothing is written until [`FrameWriter::flush`]. An
+    /// over-[`MAX_FRAME`] frame fails with [`WireError::FrameTooLarge`]
+    /// and is dropped from the buffer.
+    fn push(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), WireError> {
+        wire::frame_append(&mut self.buf, encode)
+    }
+
+    /// Write every pushed frame with one `write_all`. An error may leave
+    /// a partial frame on the stream, so the connection is unusable after
+    /// it.
+    fn flush(&mut self) -> Result<(), WireError> {
+        let res = self.stream.write_all(&self.buf);
+        self.buf.clear();
+        Ok(res?)
+    }
+
+    /// Frame what `encode` appends and write it; a refused frame wrote
+    /// nothing.
     fn send(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), WireError> {
-        wire::frame_into(&mut self.buf, encode)?;
-        self.stream.write_all(&self.buf)?;
-        Ok(())
+        self.push(encode)?;
+        self.flush()
     }
 }
 
 // ams-lint: begin(no-panic) frame read path — feeds raw socket bytes to
 // the decoder; connection handlers must fail with WireError, not die
 
-/// `read_exact` that tolerates read timeouts (re-checking `stop`) so a
-/// server-side reader can notice shutdown while blocked, without ever
-/// losing partially read bytes.
-fn read_exact_interruptible(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-) -> Result<(), WireError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        // ams-lint: allow(no-panic) filled < buf.len() by the loop condition
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err(WireError::Closed),
-            Ok(n) => filled += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if stop.load(Ordering::Relaxed) {
-                    return Err(WireError::Closed);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(())
-}
+/// Initial size of a connection's read buffer: one `read` fills as much
+/// of it as the socket holds, so back-to-back frames cost one syscall
+/// between them, not two each.
+const READ_CHUNK: usize = 64 * 1024;
 
-/// The read half of a connection and its reused payload buffer, which
-/// holds one frame at a time and grows only to the largest frame seen
-/// (at most [`MAX_FRAME`]).
+/// The read half of a connection and its reused buffer. Socket bytes land
+/// in `buf[..end]`; `start..end` is received but not yet handed out. The
+/// buffer grows only to fit the largest frame seen (at most
+/// [`MAX_FRAME`] plus its prefix) and is never read into beyond its
+/// length, so a reader that stops calling [`FrameReader::next`] (the
+/// connection's window is full) leaves everything past this one buffer
+/// in the socket, where TCP backpressure can see it.
 struct FrameReader {
     stream: TcpStream,
-    payload: Vec<u8>,
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl FrameReader {
     fn new(stream: TcpStream) -> Self {
         Self {
             stream,
-            payload: Vec::new(),
+            buf: vec![0; READ_CHUNK],
+            start: 0,
+            end: 0,
         }
     }
 
-    /// Read one frame and return its payload. The length prefix is
-    /// checked before the buffer is sized for it.
+    /// The next frame's payload: straight from the buffer when a whole
+    /// frame is already there, after as many `read`s as it takes
+    /// otherwise. The length prefix is checked before the buffer is sized
+    /// for it. Read timeouts re-check `stop` (so a server-side reader
+    /// notices shutdown while blocked) and keep every partial byte.
     fn next(&mut self, stop: &AtomicBool) -> Result<&[u8], WireError> {
-        let mut prefix = [0u8; 4];
-        read_exact_interruptible(&mut self.stream, &mut prefix, stop)?;
-        let len = wire::payload_len(prefix)?;
-        self.payload.clear();
-        self.payload.resize(len, 0);
-        read_exact_interruptible(&mut self.stream, &mut self.payload, stop)?;
-        Ok(&self.payload)
+        loop {
+            // ams-lint: allow(no-panic) start <= end <= buf.len() is this struct's invariant
+            let pending = &self.buf[self.start..self.end];
+            let need = match pending.split_first_chunk::<{ wire::PREFIX }>() {
+                Some((prefix, rest)) => {
+                    let len = wire::payload_len(*prefix)?;
+                    if rest.len() >= len {
+                        let at = self.start + wire::PREFIX;
+                        self.start = at + len;
+                        // ams-lint: allow(no-panic) at + len <= end: `rest` was measured inside start..end
+                        return Ok(&self.buf[at..at + len]);
+                    }
+                    wire::PREFIX + len
+                }
+                None => wire::PREFIX,
+            };
+            // The frame in progress must fit behind `start`: slide the
+            // partial bytes to the front, then grow if even that is short.
+            if self.start + need > self.buf.len() {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+                if need > self.buf.len() {
+                    self.buf.resize(need, 0);
+                }
+            }
+            // ams-lint: allow(no-panic) end < start + need <= buf.len(), so the target is in range and non-empty
+            match self.stream.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Err(WireError::Closed),
+                Ok(n) => self.end += n,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    if stop.load(Ordering::Relaxed) {
+                        return Err(WireError::Closed);
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
     }
 }
 
@@ -245,29 +288,24 @@ impl ConnMaps {
         Ok(())
     }
 
-    /// Resolve a ticket id to its request id, waiting for the reader's
-    /// insert when the completion outran it. Returns `None` only if the
-    /// mapping never appears (reader died before inserting — the ticket
-    /// then resolved without a wire identity and the event is dropped;
-    /// the socket is gone in that case anyway).
-    fn wait_req_of(&self, ticket_id: u64, reader_done: &AtomicBool) -> Option<u64> {
+    /// Resolve a terminal ticket id to its request id and forget the
+    /// pair, waiting for the reader's insert when the completion outran
+    /// it. Returns `None` only if the mapping never appears (reader died
+    /// before inserting — the ticket then resolved without a wire
+    /// identity and the event is dropped; the socket is gone in that case
+    /// anyway).
+    fn take_req_of(&self, ticket_id: u64, reader_done: &AtomicBool) -> Option<u64> {
         let mut st = self.state.lock().expect("conn maps");
         loop {
-            if let Some(req) = st.req_of.get(&ticket_id) {
-                return Some(*req);
+            if let Some(req) = st.req_of.remove(&ticket_id) {
+                st.by_req.remove(&req);
+                return Some(req);
             }
             if reader_done.load(Ordering::Acquire) {
                 return None;
             }
             let (guard, _) = self.mapped.wait_timeout(st, POLL).expect("conn maps");
             st = guard;
-        }
-    }
-
-    fn remove(&self, ticket_id: u64) {
-        let mut st = self.state.lock().expect("conn maps");
-        if let Some(req) = st.req_of.remove(&ticket_id) {
-            st.by_req.remove(&req);
         }
     }
 
@@ -389,24 +427,14 @@ impl NetServer {
     }
 }
 
-/// Write one frame to a connection's client. A dead socket is fine: the
-/// events still drain so the window frees and the ledgers balance; only
-/// the delivery is lost.
-fn send_server_frame(out: &Mutex<FrameWriter>, frame: &ServerFrame) {
-    let _ = out
-        .lock()
-        .expect("conn writer")
-        .send(|buf| wire::encode_server_frame(frame, buf));
-}
-
 /// One connection: read `Hello`, open a window-sized in-process client,
 /// then pump frames until goodbye/disconnect. The reader thread is the
 /// current thread; completions are written back by a spawned writer.
 fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<AtomicBool>) {
     let _ = stream.set_nodelay(true);
     // Timeouts make every blocking read re-check `stop`, so shutdown can
-    // interrupt idle connections; `read_exact_interruptible` preserves
-    // partial reads across them.
+    // interrupt idle connections; `FrameReader` keeps partial reads across
+    // them.
     let _ = stream.set_read_timeout(Some(POLL));
     let Ok(write_half) = stream.try_clone() else {
         return;
@@ -439,12 +467,27 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
         let out = Arc::clone(&out);
         std::thread::spawn(move || loop {
             match client.recv_timeout(POLL) {
-                Some(ev) => {
-                    let ticket_id = ev.ticket();
-                    if let Some(req_id) = maps.wait_req_of(ticket_id, &reader_done) {
-                        send_server_frame(&out, &ServerFrame::Completion(with_wire_id(ev, req_id)));
+                Some(first) => {
+                    // Whatever else has completed by now leaves in the
+                    // same write; nothing waits for a batch to fill.
+                    let frames: Vec<ServerFrame> = std::iter::once(first)
+                        .chain(client.drain())
+                        .filter_map(|ev| {
+                            let req_id = maps.take_req_of(ev.ticket(), &reader_done)?;
+                            Some(ServerFrame::Completion(with_wire_id(ev, req_id)))
+                        })
+                        .collect();
+                    // A dead socket is fine: the events still drained, so
+                    // the window frees and the ledgers balance; only the
+                    // delivery is lost.
+                    let mut out = out.lock().expect("conn writer");
+                    for frame in &frames {
+                        let _ = out.push(|buf| wire::encode_server_frame(frame, buf));
+                        if out.buf.len() >= WRITE_COALESCE {
+                            let _ = out.flush();
+                        }
                     }
-                    maps.remove(ticket_id);
+                    let _ = out.flush();
                 }
                 None => {
                     if reader_done.load(Ordering::Acquire) && client.outstanding() == 0 {
@@ -490,7 +533,12 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
                         }
                     }
                     None => {
-                        send_server_frame(&out, &ServerFrame::Rejected { id: req.id });
+                        // A dead socket loses only the delivery.
+                        let frame = ServerFrame::Rejected { id: req.id };
+                        let _ = out
+                            .lock()
+                            .expect("conn writer")
+                            .send(|buf| wire::encode_server_frame(&frame, buf));
                     }
                 }
             }

@@ -60,7 +60,7 @@ pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 pub const PROTOCOL_VERSION: u8 = 1;
 
 /// Bytes of the length prefix in front of every payload.
-const PREFIX: usize = 4;
+pub(crate) const PREFIX: usize = 4;
 
 /// Maximum nesting depth the value decoder accepts — a crafted payload
 /// of nested arrays must error out, not overflow the stack.
@@ -206,20 +206,21 @@ const SHED_REASONS: [ShedReason; 4] = [
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Build one frame in `buf`, replacing its contents: the length prefix,
-/// then whatever `encode` appends, with the prefix patched in place — the
-/// caller hands the whole buffer to a single `write_all`. An empty or
+/// Append one frame to `buf`: the length prefix, then whatever `encode`
+/// appends, with the prefix patched in place — the caller hands the whole
+/// buffer (one frame or several) to a single `write_all`. An empty or
 /// over-[`MAX_FRAME`] payload returns [`WireError::FrameTooLarge`] and
-/// `buf` must not be sent.
-pub fn frame_into(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), WireError> {
-    buf.clear();
+/// leaves `buf` as it was.
+pub fn frame_append(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), WireError> {
+    let at = buf.len();
     buf.extend_from_slice(&[0; PREFIX]);
     encode(buf);
-    let len = u32::try_from(buf.len() - PREFIX).unwrap_or(u32::MAX);
+    let len = u32::try_from(buf.len() - at - PREFIX).unwrap_or(u32::MAX);
     if len == 0 || len > MAX_FRAME {
+        buf.truncate(at);
         return Err(WireError::FrameTooLarge(len));
     }
-    buf[..PREFIX].copy_from_slice(&len.to_le_bytes());
+    buf[at..at + PREFIX].copy_from_slice(&len.to_le_bytes());
     Ok(())
 }
 
@@ -771,15 +772,20 @@ mod tests {
     }
 
     #[test]
-    fn frame_into_patches_the_prefix_and_refuses_an_empty_payload() {
-        let mut buf = vec![0xaa; 9];
-        frame_into(&mut buf, |out| out.extend_from_slice(b"abc")).expect("three bytes fit");
+    fn frame_append_patches_the_prefix_and_refuses_an_empty_payload() {
+        let mut buf = Vec::new();
+        frame_append(&mut buf, |out| out.extend_from_slice(b"abc")).expect("three bytes fit");
         assert_eq!(buf, [3, 0, 0, 0, b'a', b'b', b'c']);
         assert_eq!(payload_len([3, 0, 0, 0]).expect("in range"), 3);
+        // Appending keeps what is there, and a refused frame leaves no
+        // half-written prefix behind it.
+        frame_append(&mut buf, |out| out.extend_from_slice(b"yz")).expect("two bytes fit");
+        assert_eq!(buf, [3, 0, 0, 0, b'a', b'b', b'c', 2, 0, 0, 0, b'y', b'z']);
         assert!(matches!(
-            frame_into(&mut buf, |_| {}),
+            frame_append(&mut buf, |_| {}),
             Err(WireError::FrameTooLarge(0))
         ));
+        assert_eq!(buf.len(), 13);
         assert!(matches!(
             payload_len((MAX_FRAME + 1).to_le_bytes()),
             Err(WireError::FrameTooLarge(_))

@@ -2,7 +2,8 @@
 //! socket byte-identical to the in-process client, per-ticket
 //! deadline/value travelling the wire, cancellation by request id,
 //! graceful goodbye vs abrupt disconnect (cancel-all), a dead connection
-//! failing its blocked submitters, the encode-side frame cap, and
+//! failing its blocked submitters, the encode-side frame cap, the
+//! buffered frame reader against coalesced and dribbled byte streams, and
 //! ledger/event conservation across all of it.
 
 use ams_core::framework::{AdaptiveModelScheduler, Budget};
@@ -10,13 +11,18 @@ use ams_core::predictor::OraclePredictor;
 use ams_data::{Dataset, DatasetProfile, TruthTable};
 use ams_models::ModelZoo;
 use ams_serve::net::{NetClient, NetEvent, NetServer, WireError, MAX_FRAME};
+use ams_serve::wire::{
+    decode_server_frame, encode_client_frame, encode_request, frame_append, ClientFrame,
+    ServerFrame,
+};
 use ams_serve::{
     AmsServer, BackpressurePolicy, Completion, ObsConfig, ServeConfig, ShedReason, SloClass,
     SloConfig, SubmitOptions,
 };
 use serde_json::to_string;
-use std::collections::HashMap;
-use std::net::TcpListener;
+use std::collections::{HashMap, HashSet};
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -475,6 +481,125 @@ fn oversized_request_is_refused_before_the_wire_and_frees_its_slot() {
     drop(remote);
     let report = net.shutdown();
     assert_eq!(report.offered, 1, "the oversized request never arrived");
+    assert!(report.is_conserved());
+    assert!(report.events_reconcile());
+}
+
+/// Append the frame of `frame` to `bytes`.
+fn push_frame(bytes: &mut Vec<u8>, frame: &ClientFrame) {
+    frame_append(bytes, |buf| encode_client_frame(frame, buf)).expect("fits a frame");
+}
+
+/// Append the request frame for item `idx` under request id `id`.
+fn push_request(bytes: &mut Vec<u8>, id: u64, idx: usize) {
+    frame_append(bytes, |buf| {
+        encode_request(buf, id, truth().item(idx), &SubmitOptions::default())
+    })
+    .expect("fits a frame");
+}
+
+/// The next server frame off a raw socket; `None` once the peer closed.
+fn read_server_frame(s: &mut TcpStream) -> Option<ServerFrame> {
+    let mut prefix = [0u8; 4];
+    if s.read_exact(&mut prefix).is_err() {
+        return None;
+    }
+    let mut payload = vec![0u8; u32::from_le_bytes(prefix) as usize];
+    s.read_exact(&mut payload).expect("whole payload");
+    Some(decode_server_frame(&payload).expect("server frames decode"))
+}
+
+/// The id of a `Labeled` completion frame.
+fn labeled_id(frame: &ServerFrame) -> u64 {
+    match frame {
+        ServerFrame::Completion(c) => c.labeled().expect("lossless run only labels").ticket,
+        other => panic!("expected a completion, got {other:?}"),
+    }
+}
+
+/// The connection reader takes as many whole frames as each `read`
+/// brought: a handshake, 64 requests and a goodbye sent in **one write**
+/// (~330 KB — several loopback segments, so frames also straddle reads)
+/// are each answered exactly once, then the server closes.
+#[test]
+fn frames_coalesced_into_one_write_are_each_answered_exactly_once() {
+    let net = NetServer::bind(
+        AmsServer::start(scheduler(), Budget::Deadline { ms: 900 }, lossless_config()),
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let mut bytes = Vec::new();
+    push_frame(&mut bytes, &ClientFrame::Hello { window: 64 });
+    for id in 0..64u64 {
+        push_request(&mut bytes, id, id as usize % truth().len());
+    }
+    push_frame(&mut bytes, &ClientFrame::Goodbye);
+
+    let mut s = TcpStream::connect(net.local_addr()).expect("connect");
+    s.write_all(&bytes).expect("one write");
+    let mut seen = HashSet::new();
+    while let Some(frame) = read_server_frame(&mut s) {
+        assert!(seen.insert(labeled_id(&frame)), "request answered twice");
+    }
+    assert_eq!(seen, (0..64).collect::<HashSet<u64>>());
+    drop(s);
+
+    let report = net.shutdown();
+    assert_eq!(report.offered, 64);
+    assert_eq!(report.completed + report.cache_hit + report.coalesced, 64);
+    assert!(report.is_conserved());
+    assert!(report.events_reconcile());
+}
+
+/// The opposite extreme: a handshake and one request dribbled **a byte
+/// per write** (no-delay, so the reader sees every split a frame can
+/// have, the length prefix included) still yield exactly one completion;
+/// a malformed length sent next kills that connection and no other.
+#[test]
+fn a_frame_dribbled_bytewise_is_answered_once_and_a_bad_length_kills_only_its_connection() {
+    let net = NetServer::bind(
+        AmsServer::start(scheduler(), Budget::Deadline { ms: 900 }, lossless_config()),
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let bystander = NetClient::connect_with_window(net.local_addr(), 4).expect("connect");
+    bystander
+        .submit(Arc::new(truth().item(1).clone()))
+        .expect("submit");
+
+    let mut bytes = Vec::new();
+    push_frame(&mut bytes, &ClientFrame::Hello { window: 4 });
+    push_request(&mut bytes, 77, 0);
+    let mut s = TcpStream::connect(net.local_addr()).expect("connect");
+    s.set_nodelay(true).expect("nodelay");
+    for byte in &bytes {
+        s.write_all(std::slice::from_ref(byte)).expect("one byte");
+    }
+    let frame = read_server_frame(&mut s).expect("the dribbled request is answered");
+    assert_eq!(labeled_id(&frame), 77);
+
+    // A length prefix above MAX_FRAME: refused before the buffer grows.
+    s.write_all(&(MAX_FRAME + 1).to_le_bytes()).expect("write");
+    assert!(
+        read_server_frame(&mut s).is_none(),
+        "nothing more is sent and the server hangs up"
+    );
+    drop(s);
+
+    // The other connection never noticed.
+    bystander
+        .submit(Arc::new(truth().item(2).clone()))
+        .expect("submit");
+    let events = bystander.drain().expect("drain");
+    assert_eq!(events.len(), 2);
+    assert!(events
+        .iter()
+        .all(|e| e.completion().and_then(Completion::labeled).is_some()));
+    bystander.goodbye().expect("goodbye");
+    drop(bystander);
+
+    let report = net.shutdown();
+    assert_eq!(report.offered, 3, "one dribbled + two bystander requests");
     assert!(report.is_conserved());
     assert!(report.events_reconcile());
 }

@@ -15,7 +15,7 @@ use ams_models::{Detection, LabelId, ModelId, ModelOutput, ModelZoo};
 use ams_serve::net::{NetClient, NetServer};
 use ams_serve::wire::{
     decode_client_frame, decode_server_frame, decode_value, encode_client_frame,
-    encode_server_frame, encode_value, frame_into, ClientFrame, ServerFrame, WireError,
+    encode_server_frame, encode_value, frame_append, ClientFrame, ServerFrame, WireError,
     WireRequest, PROTOCOL_VERSION,
 };
 use ams_serve::{
@@ -516,7 +516,7 @@ fn lossless_server() -> AmsServer {
 /// One whole `Hello` frame, length prefix included.
 fn hello_frame(window: u64) -> Vec<u8> {
     let mut frame = Vec::new();
-    frame_into(&mut frame, |buf| {
+    frame_append(&mut frame, |buf| {
         encode_client_frame(&ClientFrame::Hello { window }, buf)
     })
     .expect("a hello fits a frame");
@@ -635,7 +635,7 @@ fn well_formed_but_wrong_shape_frame_closes_the_connection() {
     s.write_all(&hello_frame(4)).unwrap();
     // ...then a perfectly valid frame of the wrong direction.
     let mut bogus = Vec::new();
-    frame_into(&mut bogus, |buf| {
+    frame_append(&mut bogus, |buf| {
         encode_server_frame(&ServerFrame::Rejected { id: 7 }, buf)
     })
     .expect("fits a frame");
