@@ -6,11 +6,12 @@
 //! bench_gate self-test <serve_baseline.json> <hotpath_baseline.json>
 //! ```
 //!
-//! `serve`/`hotpath` compare a fresh smoke record against the committed
-//! baseline and exit non-zero on any regression beyond tolerance.
-//! `self-test` proves the gate can fail: it injects synthetic regressions
-//! into the baselines and requires each one to be caught (the CI dry-run
-//! step).
+//! `serve`/`hotpath` evaluate the check table on a fresh smoke record
+//! against the committed baseline and exit non-zero on any failed row.
+//! `self-test` proves the gate can fail: it applies every row's own
+//! injected regression to a copy of the baseline, requires that row to
+//! catch it, and lists the rows — the listing *is* the documentation of
+//! what is gated.
 
 use ams_bench::gate::{run_gate, self_test, GateKind};
 use serde::Value;
@@ -49,13 +50,13 @@ fn main() -> ExitCode {
                 Ok(outcome.ok())
             }
             "self-test" => {
-                let injected = self_test(&load(a)?, &load(b)?)?;
+                let rows = self_test(&load(a)?, &load(b)?)?;
                 eprintln!(
-                    "[bench_gate] self-test: {} injected regressions all caught:",
-                    injected.len()
+                    "[bench_gate] self-test: {} rows, each caught its own injected regression:",
+                    rows.len()
                 );
-                for name in injected {
-                    eprintln!("  caught {name}");
+                for row in rows {
+                    eprintln!("  caught {row}");
                 }
                 Ok(true)
             }

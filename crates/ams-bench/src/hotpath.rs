@@ -3,12 +3,43 @@
 //! replay buffer filled from real random-policy episodes, so the measured
 //! minibatches have realistic sparse-state density (~tens of active labels).
 
+use crate::gate::{Break, Check, Rule};
 use ams::nn::{QNet, QNetConfig};
 use ams::prelude::*;
 use ams::rl::{ReplayBuffer, Transition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+
+/// The rows gating `BENCH_hotpath.json`. The serve-time kernel replaces
+/// the training forward on the predict path, so it must reproduce it
+/// exactly (labels stay byte-identical) and be the cheaper of the two (or
+/// it has no reason to exist).
+pub const CHECKS: &[Check] = &[
+    Check {
+        name: "learn-step speedup holds half the baseline's",
+        // Speedup ratios are scale-free; half the baseline ratio means
+        // the optimization substantially regressed.
+        rule: Rule::RatioFloor("learn_speedup", 0.5),
+        breaks: Break::Scale("learn_speedup", 0.3),
+    },
+    Check {
+        name: "batched Q values match the scalar path",
+        rule: Rule::Within("q_equivalence_max_abs_diff", 0.0, 1e-5),
+        breaks: Break::Set("q_equivalence_max_abs_diff", 0.5),
+    },
+    Check {
+        name: "inference kernel is bit-identical to the training forward",
+        rule: Rule::Within("q_infer_max_abs_diff", 0.0, 0.0),
+        // One ULP at Q-value scale.
+        breaks: Break::Set("q_infer_max_abs_diff", 1.2e-7),
+    },
+    Check {
+        name: "inference kernel is cheaper than the training forward",
+        rule: Rule::Less("q_infer_ns", "q_forward_ns"),
+        breaks: Break::Scale("q_infer_ns", 100.0),
+    },
+];
 
 /// Fill a replay buffer with `min_transitions`+ transitions from uniform
 /// random-policy episodes over `items`.

@@ -17,5 +17,6 @@ pub mod experiments;
 pub mod gate;
 pub mod harness;
 pub mod hotpath;
+pub mod serve;
 
 pub use harness::{ExperimentConfig, Harness};

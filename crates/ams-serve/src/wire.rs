@@ -39,9 +39,9 @@
 //!
 //! [`encode_value`] / [`decode_value`] are a separate, self-describing
 //! encoding of the vendored serde [`Value`] tree. Nothing on the
-//! connection path uses it; it is the generic interchange format for
-//! files (`bench_serve`'s item file) and shares only the varint and the
-//! bounded-count primitives with the frame codec.
+//! connection path uses it; `bench/`'s probes and `tests/wire_props.rs`
+//! keep it as the generic interchange format. It shares only the varint and
+//! the bounded-count primitives with the frame codec.
 
 use crate::completion::{Completion, LabelResult, ShedReason};
 use crate::server::SubmitOptions;

@@ -57,7 +57,9 @@ fn lossless_config() -> ServeConfig {
 /// Labels received over the socket are **byte-identical** to what the
 /// in-process client delivers for the same items under the same config:
 /// same labels, same model choices, bit-equal values — compared through
-/// their serialized form, which is exactly what crossed the wire.
+/// their serialized form, which is exactly what crossed the wire. Holds
+/// for one connection and for several driving the listener concurrently,
+/// each submitting a strided partition of the item set.
 #[test]
 fn socket_labels_are_byte_identical_to_in_process() {
     let budget = Budget::Deadline { ms: 900 };
@@ -79,47 +81,77 @@ fn socket_labels_are_byte_identical_to_in_process() {
     }
     let inproc_report = server.shutdown();
 
-    // Same items through the TCP front-end; request id = item index.
-    let net = NetServer::bind(
-        AmsServer::start(scheduler(), budget, lossless_config()),
-        "127.0.0.1:0",
-    )
-    .expect("bind");
-    let remote = NetClient::connect(net.local_addr()).expect("connect");
-    for item in table.items() {
-        remote.submit(Arc::new(item.clone())).expect("submit");
-    }
-    let events = remote.drain().expect("drain");
-    assert_eq!(events.len(), 40, "one completion per request");
-    for ev in &events {
-        let c = ev.completion().expect("no rejections under Block");
-        let r = c.labeled().expect("lossless run only labels");
-        let idx = r.ticket as usize; // echoed client-chosen id
+    for conns in [1usize, 2, 4] {
+        let net = NetServer::bind(
+            AmsServer::start(scheduler(), budget, lossless_config()),
+            "127.0.0.1:0",
+        )
+        .expect("bind");
+        let addr = net.local_addr();
+        // Connection `start` submits items start, start + conns, …; its
+        // k-th request carries id k, which the completion echoes.
+        let labels: Vec<(usize, String)> = thread::scope(|s| {
+            let clients: Vec<_> = (0..conns)
+                .map(|start| {
+                    s.spawn(move || {
+                        let remote = NetClient::connect_with_window(addr, 32).expect("connect");
+                        let mut events = Vec::new();
+                        for item in table.items().iter().skip(start).step_by(conns) {
+                            // The window is the flow control: a full one
+                            // owes the server a read before the next submit.
+                            while remote.outstanding() >= remote.capacity() {
+                                events.push(remote.recv().expect("recv").expect("outstanding"));
+                            }
+                            remote.submit(Arc::new(item.clone())).expect("submit");
+                        }
+                        events.extend(remote.drain().expect("drain"));
+                        remote.goodbye().expect("goodbye");
+                        assert!(
+                            remote.recv().expect("recv").is_none(),
+                            "drained mirror terminates"
+                        );
+                        events
+                            .iter()
+                            .map(|ev| {
+                                let c = ev.completion().expect("no rejections under Block");
+                                let r = c.labeled().expect("lossless run only labels");
+                                let idx = start + r.ticket as usize * conns;
+                                (idx, to_string(&r.labels).unwrap())
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            clients
+                .into_iter()
+                .flat_map(|c| c.join().expect("client thread"))
+                .collect()
+        });
         assert_eq!(
-            to_string(&r.labels).unwrap(),
-            inproc[&idx],
-            "item {idx}: labels byte-identical through the socket"
+            labels.len(),
+            40,
+            "{conns} conn(s): one completion per request"
         );
-    }
-    remote.goodbye().expect("goodbye");
-    assert!(
-        remote.recv().expect("recv").is_none(),
-        "drained mirror terminates"
-    );
-    drop(remote);
-    let net_report = net.shutdown();
+        for (idx, json) in &labels {
+            assert_eq!(
+                json, &inproc[idx],
+                "{conns} conn(s), item {idx}: labels byte-identical through the socket"
+            );
+        }
+        let net_report = net.shutdown();
 
-    // serve == serial holds *through the socket*: the aggregate stats
-    // match the in-process run field for field.
-    assert_eq!(net_report.completed, inproc_report.completed);
-    assert_eq!(net_report.stats.items, inproc_report.stats.items);
-    assert_eq!(
-        net_report.stats.total_executions,
-        inproc_report.stats.total_executions
-    );
-    assert!((net_report.stats.recall_sum - inproc_report.stats.recall_sum).abs() < 1e-12);
-    assert!(net_report.is_conserved());
-    assert!(net_report.events_reconcile());
+        // serve == serial holds *through the socket*: the aggregate stats
+        // match the in-process run field for field.
+        let (got, want) = (&net_report.stats, &inproc_report.stats);
+        assert_eq!(net_report.completed, inproc_report.completed);
+        assert_eq!(got.items, want.items);
+        assert_eq!(got.total_exec_ms, want.total_exec_ms);
+        assert_eq!(got.total_executions, want.total_executions);
+        assert_eq!(got.per_model_runs, want.per_model_runs);
+        assert!((got.recall_sum - want.recall_sum).abs() < 1e-12);
+        assert!(net_report.is_conserved());
+        assert!(net_report.events_reconcile());
+    }
 }
 
 /// Satellite regression: a client killed abruptly after its first

@@ -1,29 +1,18 @@
 #!/usr/bin/env bash
-# Perf regression gate: rerun the smoke benchmarks and compare them against
-# the committed smoke baselines under results-smoke/. Fails if throughput,
-# recall, the batching saving, the affinity-routing win, the SLO-aware
-# shedding win (lower value-weighted shed loss + no-worse deadline-met
-# rate + request conservation in both modes), the label-cache zipf
-# economics (monotone bill saving, cache-on beating cache-off at repeat
-# >= 0.6, the repeat-0 no-op, per-point conservation), the wire-protocol
-# guarantees (the net_sweep's forked loopback clients must get labels
-# byte-identical to the in-process reference digest, serial-identical
-# stats through the socket, exactly one terminal completion per wire
-# request, and per-point conservation + event reconciliation), the
-# online-adaptation drift guarantees (the drift_sweep's frozen run must
-# stay byte-identical to the serial engine, the adaptive run must have
-# hot-swapped generations and banked strictly more post-shift value,
-# with conservation + event reconciliation in both modes), or the
-# adaptive controller's target compliance regresses beyond tolerance
-# (tolerances live in crates/ams-bench/src/gate.rs, with rationale).
+# Perf regression gate: rerun the smoke benchmarks and evaluate the check
+# table (crates/ams-bench/src/gate.rs) on them against the committed smoke
+# baselines under results-smoke/.
 #
 #   ./scripts/bench_gate.sh               # self-test + rerun + compare
 #   ./scripts/bench_gate.sh --self-test   # only prove the gate can fail
 #
-# Called from scripts/check.sh (full and --smoke modes) and from the CI
-# full lane. Smoke records are written under target/ — the committed
-# BENCH_serve.json / BENCH_hotpath.json full-run records are never
-# clobbered by a gate run.
+# rows: cargo run --release -q -p ams-bench --bin bench_gate -- \
+#           self-test results-smoke/BENCH_serve.smoke.json \
+#           results-smoke/BENCH_hotpath.smoke.json
+#
+# Called from scripts/check.sh (full and --smoke modes). Smoke records are
+# written under target/ — the committed BENCH_serve.json /
+# BENCH_hotpath.json full-run records are never clobbered by a gate run.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -42,9 +31,9 @@ for arg in "$@"; do
     esac
 done
 
-# 1) Prove the gate can fail: inject synthetic regressions into copies of
-#    the baselines; every one must be caught or this exits non-zero.
-echo "==> bench_gate self-test (injected regressions must be caught)"
+# 1) Prove the gate can fail: every row's own injected regression must
+#    trip that row, or this exits non-zero.
+echo "==> bench_gate self-test (every row must catch its own injected regression)"
 cargo run --release -q -p ams-bench --bin bench_gate -- \
     self-test "$SERVE_BASE" "$HOTPATH_BASE"
 
@@ -52,9 +41,8 @@ if [[ $self_test_only -eq 1 ]]; then
     exit 0
 fi
 
-# 2) Re-measure. The serve smoke run also asserts serve==serial stats
-#    equivalence, the routing win, and adaptive target compliance
-#    in-process — it aborts on violation before the gate even compares.
+# 2) Re-measure. The serve smoke run asserts its invariants in-process and
+#    exits non-zero if its own record fails a row of the table.
 echo "==> bench_serve --smoke"
 cargo run --release -q -p ams-bench --bin bench_serve -- --smoke >/dev/null
 echo "==> bench_hotpath --smoke"

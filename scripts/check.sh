@@ -59,7 +59,7 @@ fi
 
 if [[ $mode == full || $mode == smoke ]]; then
     # Perf-regression gate: smoke sweeps compared against the committed
-    # baselines (plus the in-process serve==serial equivalence assert).
+    # baselines (plus the in-process serve==serial invariants).
     ./scripts/bench_gate.sh
 fi
 
