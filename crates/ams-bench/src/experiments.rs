@@ -1,4 +1,5 @@
-//! One function per paper experiment. See DESIGN.md §4 for the index.
+//! One function per paper experiment; `main.rs`'s `EXPERIMENTS` table is
+//! the index the `ams-bench` runner picks from by name.
 
 use crate::harness::{deadline_grid_s, memory_deadline_grid_s, recall_grid, Harness};
 use ams::core::metrics::{mean, Cdf, Figure, Series};

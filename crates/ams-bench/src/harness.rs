@@ -89,7 +89,7 @@ struct AgentKey {
 }
 
 /// The experiment harness: shared zoo/catalog, lazily built worlds, and a
-/// cache of trained agents so `run_all` never trains the same agent twice.
+/// cache of trained agents so a full run never trains the same agent twice.
 pub struct Harness {
     /// Global configuration.
     pub cfg: ExperimentConfig,

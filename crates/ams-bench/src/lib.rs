@@ -2,8 +2,8 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation (§II and
 //! §VI) on the simulation substrate. Each experiment is a library function
-//! so the per-figure binaries and the `run_all` binary share one
-//! implementation; results are printed as aligned tables (the same
+//! the `ams-bench` runner picks by name (`cargo run -p ams-bench --
+//! [--smoke] [name…]`); results are printed as aligned tables (the same
 //! rows/series the paper plots) and written as JSON under `results/`.
 //!
 //! Absolute numbers differ from the paper (its testbed was a Tesla P100

@@ -37,7 +37,6 @@ pub fn run(ctx: &Ctx, closed_loop_p99_us: u64) -> AdaptiveSweep {
         min_batch: 2,
         max_batch: 2 * ctx.base.max_batch,
         window: 8,
-        ..AdaptiveBatchConfig::default()
     };
     let cfg = ServeConfig {
         adaptive: Some(controller),

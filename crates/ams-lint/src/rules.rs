@@ -143,7 +143,7 @@ fn helper_names() -> impl Iterator<Item = &'static str> {
     HELPER_EVIDENCE.iter().map(|(n, _)| *n)
 }
 
-/// rule `ledger-event` — in `server.rs`/`cache.rs`/`queue.rs` of
+/// rule `ledger-event` — in `server/*.rs`, `cache.rs` and `queue.rs` of
 /// ams-serve, every `counter += 1` on a conservation counter (and every
 /// call to a ledger helper) must have the matching `obs::EventKind`
 /// evidence somewhere in the same function, keeping "events at the
@@ -153,10 +153,9 @@ fn helper_names() -> impl Iterator<Item = &'static str> {
 /// (`total.offered += shard.offered`) fold units that already emitted
 /// their event when first counted, so they carry no new obligation.
 fn ledger_event(f: &SourceFile, out: &mut Vec<Finding>) {
-    if !f.path.contains("ams-serve") {
-        return;
-    }
-    if !matches!(f.basename(), "server.rs" | "cache.rs" | "queue.rs") {
+    let in_scope = f.path.contains("ams-serve/src/server/")
+        || (f.path.contains("ams-serve") && matches!(f.basename(), "cache.rs" | "queue.rs"));
+    if !in_scope {
         return;
     }
     for (i, t) in f.tokens.iter().enumerate() {

@@ -40,7 +40,7 @@ const FIXTURES: &[Fixture] = &[
         ],
     },
     Fixture {
-        path: "crates/ams-serve/src/server.rs",
+        path: "crates/ams-serve/src/server/worker.rs",
         src: include_str!("../fixtures/ledger_server.rs"),
         expect: &[
             ("ledger-event", 10), // offered += 1 without Admitted

@@ -392,16 +392,9 @@ fn trainer_loop(
                 swaps += 1;
                 shared.cell.publish(Arc::new(trainer.export(generation)));
                 if let Some(o) = obs {
-                    o.emit(Event {
-                        at_us: o.now_us(),
-                        req: NO_REQ,
-                        ticket: NO_TICKET,
-                        shard: NO_SHARD,
-                        class: 0,
-                        kind: EventKind::WeightsSwapped,
-                        detail: generation,
-                        flag: false,
-                    });
+                    let swapped =
+                        Event::new(EventKind::WeightsSwapped, NO_REQ, NO_TICKET, NO_SHARD, 0);
+                    o.emit(swapped.detail(generation));
                 }
             }
         }

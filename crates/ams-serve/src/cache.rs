@@ -68,6 +68,7 @@
 
 use crate::completion::{CompletionSlot, LabelResult, ShedReason};
 use crate::obs::{Event, EventKind, ServerObs, NO_SHARD};
+use crate::telemetry::micros;
 use ams_models::{LabelId, ModelId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -80,10 +81,6 @@ use std::time::Instant;
 /// byte-for-byte what it was before this module existed).
 #[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
-    /// Lock stripes the key space is sharded over. Min 1. More stripes =
-    /// less contention between concurrent submitters; the byte budget is
-    /// split evenly across them.
-    pub stripes: usize,
     /// Total byte budget across all stripes (approximate, counted from
     /// the cached labels + model lists). Min 1 KiB. Overflow evicts the
     /// lowest value-per-byte × recency entries in the inserting stripe
@@ -92,15 +89,19 @@ pub struct CacheConfig {
 }
 
 impl Default for CacheConfig {
-    /// 8 stripes, 1 MiB — thousands of typical label sets, far more than
-    /// a smoke run needs and small enough that eviction is exercised.
+    /// 1 MiB — thousands of typical label sets, far more than a smoke run
+    /// needs and small enough that eviction is exercised.
     fn default() -> Self {
         Self {
-            stripes: 8,
             capacity_bytes: 1 << 20,
         }
     }
 }
+
+/// Lock stripes the key space is sharded over: more stripes = less
+/// contention between concurrent submitters; the byte budget is split
+/// evenly across them.
+const STRIPES: usize = 8;
 
 /// One eviction scan removes `1 / EVICT_FRACTION` of a stripe's resolved
 /// entries (see `LabelCache::evict`): large enough to amortize the scan,
@@ -160,6 +161,14 @@ pub(crate) struct Follower {
     pub(crate) submitted_at: Instant,
     /// Observability correlation id (`u64::MAX` outside a server).
     pub(crate) req_id: u64,
+}
+
+impl Follower {
+    /// A lifecycle event of `kind` about this follower (followers never
+    /// take a shard placement).
+    fn event(&self, kind: EventKind) -> Event {
+        Event::new(kind, self.req_id, self.slot.id(), NO_SHARD, self.class)
+    }
 }
 
 /// What [`PendingEntry::attach`] decided.
@@ -241,10 +250,7 @@ impl PendingEntry {
         };
         let now = Instant::now();
         for f in followers {
-            let waited_us = now
-                .saturating_duration_since(f.submitted_at)
-                .as_micros()
-                .min(u128::from(u64::MAX)) as u64;
+            let waited_us = micros(now.saturating_duration_since(f.submitted_at));
             let met = f.deadline_us.is_none_or(|d| waited_us <= d);
             let delivered = f.slot.try_labeled(LabelResult {
                 ticket: f.slot.id(),
@@ -261,16 +267,7 @@ impl PendingEntry {
             if delivered {
                 self.ledger.record_coalesced(f.class, f.value);
                 if let Some(obs) = &self.obs {
-                    obs.emit(Event {
-                        at_us: obs.now_us(),
-                        req: f.req_id,
-                        ticket: f.slot.id(),
-                        shard: NO_SHARD,
-                        class: f.class as u32,
-                        kind: EventKind::Coalesced,
-                        detail: waited_us,
-                        flag: !met,
-                    });
+                    obs.emit(f.event(EventKind::Coalesced).detail(waited_us).flag(!met));
                 }
             }
         }
@@ -298,16 +295,7 @@ impl PendingEntry {
             if f.slot.try_shed(reason) {
                 self.ledger.record_follower_shed(f.class, f.value, reason);
                 if let Some(obs) = &self.obs {
-                    obs.emit(Event {
-                        at_us: obs.now_us(),
-                        req: f.req_id,
-                        ticket: f.slot.id(),
-                        shard: NO_SHARD,
-                        class: f.class as u32,
-                        kind: EventKind::of_shed(reason),
-                        detail: 0,
-                        flag: false,
-                    });
+                    obs.emit(f.event(EventKind::of_shed(reason)));
                 }
             }
         }
@@ -392,16 +380,13 @@ pub(crate) struct LabelCache {
 }
 
 impl LabelCache {
-    /// A cache without observability (the in-module tests' constructor —
-    /// the server always threads its `obs` through `new_with_obs`).
-    #[cfg(test)]
-    pub(crate) fn new(cfg: CacheConfig) -> Arc<Self> {
-        Self::new_with_obs(cfg, None)
+    pub(crate) fn new_with_obs(cfg: CacheConfig, obs: Option<Arc<ServerObs>>) -> Arc<Self> {
+        Self::sized(STRIPES, cfg.capacity_bytes, obs)
     }
 
-    pub(crate) fn new_with_obs(cfg: CacheConfig, obs: Option<Arc<ServerObs>>) -> Arc<Self> {
-        let stripes = cfg.stripes.max(1);
-        let capacity_bytes = cfg.capacity_bytes.max(1024);
+    /// A cache of `capacity_bytes` (min 1 KiB) over `stripes` lock stripes.
+    fn sized(stripes: usize, capacity_bytes: usize, obs: Option<Arc<ServerObs>>) -> Arc<Self> {
+        let capacity_bytes = capacity_bytes.max(1024);
         Arc::new(Self {
             stripes: (0..stripes)
                 .map(|_| Mutex::new(Stripe::default()))
@@ -696,7 +681,7 @@ mod tests {
 
     #[test]
     fn miss_then_resolve_then_hit() {
-        let cache = LabelCache::new(CacheConfig::default());
+        let cache = LabelCache::new_with_obs(CacheConfig::default(), None);
         let entry = match cache.lookup(42, follower()) {
             Lookup::Miss(entry) => entry,
             _ => panic!("first sighting must be a miss"),
@@ -714,7 +699,7 @@ mod tests {
 
     #[test]
     fn second_lookup_coalesces_and_fan_out_delivers_labeled() {
-        let cache = LabelCache::new(CacheConfig::default());
+        let cache = LabelCache::new_with_obs(CacheConfig::default(), None);
         let entry = match cache.lookup(7, follower()) {
             Lookup::Miss(e) => e,
             _ => panic!("miss expected"),
@@ -738,7 +723,7 @@ mod tests {
 
     #[test]
     fn failed_leader_sheds_followers_and_the_next_lookup_leads_fresh() {
-        let cache = LabelCache::new(CacheConfig::default());
+        let cache = LabelCache::new_with_obs(CacheConfig::default(), None);
         let entry = match cache.lookup(11, follower()) {
             Lookup::Miss(e) => e,
             _ => panic!("miss expected"),
@@ -765,7 +750,7 @@ mod tests {
 
     #[test]
     fn cancelled_follower_is_skipped_by_the_fan_out() {
-        let cache = LabelCache::new(CacheConfig::default());
+        let cache = LabelCache::new_with_obs(CacheConfig::default(), None);
         let entry = match cache.lookup(13, follower()) {
             Lookup::Miss(e) => e,
             _ => panic!("miss expected"),
@@ -790,7 +775,7 @@ mod tests {
 
     #[test]
     fn abandon_without_waiters_but_execute_with() {
-        let cache = LabelCache::new(CacheConfig::default());
+        let cache = LabelCache::new_with_obs(CacheConfig::default(), None);
         let entry = match cache.lookup(21, follower()) {
             Lookup::Miss(e) => e,
             _ => panic!("miss expected"),
@@ -818,10 +803,7 @@ mod tests {
         // one stripe by configuring a single stripe. Payloads are sized
         // so two of them clear the 1 KiB config floor.
         let one = result(90).approx_bytes();
-        let cache = LabelCache::new(CacheConfig {
-            stripes: 1,
-            capacity_bytes: one * 2 + 1,
-        });
+        let cache = LabelCache::sized(1, one * 2 + 1, None);
         // Same bytes, different values: the low-value entry must go.
         for (key, value) in [(1u64, 5.0), (2, 0.1), (3, 4.0)] {
             let entry = match cache.lookup(key, follower()) {
@@ -848,10 +830,7 @@ mod tests {
         // eviction scan removes a batch, never one of the entries whose
         // value dwarfs the churn's, and never leaves the stripe over.
         let one = result(90).approx_bytes();
-        let cache = LabelCache::new(CacheConfig {
-            stripes: 1,
-            capacity_bytes: one * 64,
-        });
+        let cache = LabelCache::sized(1, one * 64, None);
         let insert = |key: u64, value: f64| {
             let entry = match cache.lookup(key, follower()) {
                 Lookup::Miss(e) => e,
@@ -894,10 +873,7 @@ mod tests {
     #[test]
     fn recency_decays_the_eviction_score() {
         let one = result(90).approx_bytes();
-        let cache = LabelCache::new(CacheConfig {
-            stripes: 1,
-            capacity_bytes: one * 2 + 1,
-        });
+        let cache = LabelCache::sized(1, one * 2 + 1, None);
         for key in [1u64, 2] {
             let entry = match cache.lookup(key, follower()) {
                 Lookup::Miss(e) => e,

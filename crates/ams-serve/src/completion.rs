@@ -256,10 +256,14 @@ impl CompletionSlot {
         }
     }
 
-    /// Attach the observability pipeline (and the request's correlation
-    /// id). Must happen before the slot is shared.
-    pub(crate) fn with_obs(mut self, req_id: u64, obs: Arc<ServerObs>) -> Self {
-        self.obs = Some((req_id, obs));
+    /// Attach the observability pipeline when it is on (and the request's
+    /// correlation id), counting the ticket as issued — every resolution
+    /// counts it resolved again. Must happen before the slot is shared.
+    pub(crate) fn with_obs(mut self, req_id: u64, obs: Option<Arc<ServerObs>>) -> Self {
+        self.obs = obs.map(|obs| {
+            obs.ticket_issued();
+            (req_id, obs)
+        });
         self
     }
 
@@ -399,16 +403,8 @@ impl CompletionSlot {
         // event stream can never under-count what the ledger shows.
         if let Some((req_id, obs)) = &self.obs {
             obs.ticket_resolved();
-            obs.emit(Event {
-                at_us: obs.now_us(),
-                req: *req_id,
-                ticket: self.id,
-                shard: NO_SHARD,
-                class: self.class as u32,
-                kind: EventKind::Cancelled,
-                detail: 0,
-                flag: false,
-            });
+            let ev = Event::new(EventKind::Cancelled, *req_id, self.id, NO_SHARD, self.class);
+            obs.emit(ev);
         }
         drop(ledger);
         self.queue.deliver(Completion::Cancelled {

@@ -31,7 +31,7 @@
 //! capacity cost is bounded at ≤2% in `bench_serve`.
 
 use crate::completion::ShedReason;
-use crate::telemetry::LatencyHistogram;
+use crate::telemetry::{ratio, LatencyHistogram};
 use serde::{Deserialize, Serialize};
 use std::cell::UnsafeCell;
 use std::collections::{HashMap, VecDeque};
@@ -61,18 +61,6 @@ pub struct ObsConfig {
     /// Aggregator wake period. Rings are also drained opportunistically
     /// whenever a snapshot is taken.
     pub drain_interval_ms: u64,
-    /// Width of one rolling metrics time slice.
-    pub slice_ms: u64,
-    /// Retained rolling slices (older slices fall off the window).
-    pub slices: usize,
-    /// Retained "interesting" flight-recorder traces (sheds, deadline
-    /// misses, cancellations).
-    pub recorder_capacity: usize,
-    /// In-flight traces tracked concurrently; beyond this the oldest
-    /// unfinished trace is evicted (bounds memory under event drops).
-    pub active_traces: usize,
-    /// Events retained per trace; further events are counted, not kept.
-    pub trace_events: usize,
 }
 
 impl Default for ObsConfig {
@@ -80,14 +68,22 @@ impl Default for ObsConfig {
         Self {
             ring_capacity: 8192,
             drain_interval_ms: 5,
-            slice_ms: 250,
-            slices: 16,
-            recorder_capacity: 32,
-            active_traces: 4096,
-            trace_events: 32,
         }
     }
 }
+
+/// Width of one rolling metrics time slice, µs.
+const SLICE_US: u64 = 250_000;
+/// Retained rolling slices (older slices fall off the window).
+const SLICES: usize = 16;
+/// Retained "interesting" flight-recorder traces (sheds, deadline misses,
+/// cancellations).
+const RECORDER_CAPACITY: usize = 32;
+/// In-flight traces tracked concurrently; beyond this the oldest
+/// unfinished trace is evicted (bounds memory under event drops).
+const ACTIVE_TRACES: usize = 4096;
+/// Events retained per trace; further events are counted, not kept.
+const TRACE_EVENTS: usize = 32;
 
 // ---------------------------------------------------------------------------
 // Events
@@ -237,6 +233,35 @@ pub struct Event {
     pub detail: u64,
     /// Kind-specific flag (`Labeled`: deadline missed).
     pub flag: bool,
+}
+
+impl Event {
+    /// An event with no payload, its clock still unset: `ServerObs::emit`
+    /// and `emit_worker` stamp `at_us` as they record it.
+    pub(crate) fn new(kind: EventKind, req: u64, ticket: u64, shard: u32, class: usize) -> Self {
+        Self {
+            at_us: 0,
+            req,
+            ticket,
+            shard,
+            class: class as u32,
+            kind,
+            detail: 0,
+            flag: false,
+        }
+    }
+
+    /// Set the kind-specific payload.
+    pub(crate) fn detail(mut self, detail: u64) -> Self {
+        self.detail = detail;
+        self
+    }
+
+    /// Set the kind-specific flag.
+    pub(crate) fn flag(mut self, flag: bool) -> Self {
+        self.flag = flag;
+        self
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -446,25 +471,22 @@ struct FlightRecorder {
     order: VecDeque<u64>,
     interesting: VecDeque<Trace>,
     capacity: usize,
-    active_capacity: usize,
-    trace_events: usize,
 }
 
 impl FlightRecorder {
-    fn new(cfg: &ObsConfig) -> Self {
+    /// A recorder retaining the last `capacity` interesting traces.
+    fn sized(capacity: usize) -> Self {
         Self {
             active: HashMap::new(),
             order: VecDeque::new(),
             interesting: VecDeque::new(),
-            capacity: cfg.recorder_capacity.max(1),
-            active_capacity: cfg.active_traces.max(1),
-            trace_events: cfg.trace_events.max(4),
+            capacity,
         }
     }
 
     fn observe(&mut self, ev: Event) {
         if let Some(tr) = self.active.get_mut(&ev.req) {
-            Self::append(tr, ev, self.trace_events);
+            Self::append(tr, ev);
             if ev.kind.is_terminal() {
                 let tr = self.active.remove(&ev.req).expect("trace present");
                 self.order.retain(|&r| r != ev.req);
@@ -476,7 +498,7 @@ impl FlightRecorder {
         // lands after `Cancelled` retired the trace): extend in place.
         if ev.kind == EventKind::GhostExecuted || ev.kind == EventKind::Executed {
             if let Some(tr) = self.interesting.iter_mut().rev().find(|t| t.req == ev.req) {
-                Self::append(tr, ev, self.trace_events);
+                Self::append(tr, ev);
                 return;
             }
         }
@@ -489,12 +511,12 @@ impl FlightRecorder {
             truncated: 0,
             events: Vec::with_capacity(8),
         };
-        Self::append(&mut tr, ev, self.trace_events);
+        Self::append(&mut tr, ev);
         if ev.kind.is_terminal() {
             self.settle(tr);
             return;
         }
-        if self.active.len() >= self.active_capacity {
+        if self.active.len() >= ACTIVE_TRACES {
             if let Some(oldest) = self.order.pop_front() {
                 self.active.remove(&oldest);
             }
@@ -503,7 +525,7 @@ impl FlightRecorder {
         self.active.insert(ev.req, tr);
     }
 
-    fn append(tr: &mut Trace, ev: Event, cap: usize) {
+    fn append(tr: &mut Trace, ev: Event) {
         if ev.ticket != NO_TICKET {
             tr.ticket = ev.ticket;
         }
@@ -513,7 +535,7 @@ impl FlightRecorder {
                 tr.deadline_missed = ev.flag;
             }
         }
-        if tr.events.len() < cap {
+        if tr.events.len() < TRACE_EVENTS {
             tr.events.push(ev);
         } else {
             tr.truncated += 1;
@@ -584,6 +606,8 @@ struct Registry {
     by_class: Vec<ClassObs>,
     latency: LatencyHistogram,
     slices: VecDeque<SliceBucket>,
+    slice_us: u64,
+    max_slices: usize,
     recorder: FlightRecorder,
     // per-shard cumulative (batches, fill) at the last slice sample, for
     // per-slice batch-fill deltas
@@ -591,13 +615,20 @@ struct Registry {
 }
 
 impl Registry {
-    fn new(cfg: &ObsConfig, shards: usize) -> Self {
+    fn new(shards: usize) -> Self {
+        Self::sized(shards, SLICE_US, SLICES)
+    }
+
+    /// A registry rolling `max_slices` slices of `slice_us` each.
+    fn sized(shards: usize, slice_us: u64, max_slices: usize) -> Self {
         Self {
             totals: [0; KIND_COUNT],
             by_class: Vec::new(),
             latency: LatencyHistogram::default(),
             slices: VecDeque::new(),
-            recorder: FlightRecorder::new(cfg),
+            slice_us,
+            max_slices,
+            recorder: FlightRecorder::sized(RECORDER_CAPACITY),
             fill_mark: vec![(0, 0); shards],
         }
     }
@@ -610,7 +641,7 @@ impl Registry {
         &mut self.by_class[idx]
     }
 
-    fn slice_mut(&mut self, index: u64, max_slices: usize) -> &mut SliceBucket {
+    fn slice_mut(&mut self, index: u64) -> &mut SliceBucket {
         let fresh = |index| SliceBucket {
             index,
             counts: [0; KIND_COUNT],
@@ -621,7 +652,7 @@ impl Registry {
             Some(last) if last.index == index => {}
             Some(last) if last.index < index => {
                 self.slices.push_back(fresh(index));
-                while self.slices.len() > max_slices.max(1) {
+                while self.slices.len() > self.max_slices {
                     self.slices.pop_front();
                 }
             }
@@ -640,7 +671,7 @@ impl Registry {
         self.slices.back_mut().expect("slice present")
     }
 
-    fn ingest(&mut self, ev: Event, slice_us: u64, max_slices: usize) {
+    fn ingest(&mut self, ev: Event) {
         self.totals[ev.kind.index()] += 1;
         let c = self.class_mut(ev.class);
         match ev.kind {
@@ -664,8 +695,8 @@ impl Registry {
         if ev.kind == EventKind::Labeled {
             self.latency.record_us(ev.detail);
         }
-        let idx = ev.at_us / slice_us.max(1);
-        self.slice_mut(idx, max_slices).counts[ev.kind.index()] += 1;
+        let idx = ev.at_us / self.slice_us;
+        self.slice_mut(idx).counts[ev.kind.index()] += 1;
         // Swap events carry no request id — feeding their sentinel `req`
         // to the recorder would open a trace that can never settle.
         if ev.kind != EventKind::WeightsSwapped {
@@ -725,7 +756,7 @@ impl ServerObs {
             .map(|_| EventRing::with_capacity(cfg.ring_capacity))
             .collect();
         Self {
-            registry: Mutex::new(Registry::new(&cfg, shards)),
+            registry: Mutex::new(Registry::new(shards)),
             cfg,
             start: Instant::now(),
             shards,
@@ -750,19 +781,23 @@ impl ServerObs {
     // ams-lint: begin(no-panic) emit paths — called from every submit and
     // every worker iteration; an event must never be able to kill a worker
 
-    /// Record an event from a submit-side thread (ring keyed by request
-    /// id so concurrent clients spread across shard rings).
+    /// Stamp and record an event from a submit-side thread (ring keyed by
+    /// request id so concurrent clients spread across shard rings).
     pub(crate) fn emit(&self, ev: Event) {
-        let ring = &self.rings[(ev.req as usize) % self.shards]; // ams-lint: allow(no-panic) index is % shards and rings.len() >= shards
-        if !ring.push(ev) {
-            self.dropped[ev.kind.index()].fetch_add(1, Ordering::Relaxed); // ams-lint: allow(no-panic) kind.index() < EventKind::ALL.len() == dropped.len()
-        }
+        self.record(&self.rings[(ev.req as usize) % self.shards], ev); // ams-lint: allow(no-panic) index is % shards and rings.len() >= shards
     }
 
-    /// Record an event from worker `worker` (its private ring: no
-    /// cross-worker contention on the hot path).
+    /// Stamp and record an event from worker `worker` (its private ring:
+    /// no cross-worker contention on the hot path).
     pub(crate) fn emit_worker(&self, worker: usize, ev: Event) {
         let ring = &self.rings[self.shards + worker % (self.shards * self.workers_per_shard)]; // ams-lint: allow(no-panic) rings.len() == shards + shards * workers_per_shard
+        self.record(ring, ev);
+    }
+
+    /// Stamp `ev` with the server clock and push it, counting a drop when
+    /// the ring is full.
+    fn record(&self, ring: &EventRing, mut ev: Event) {
+        ev.at_us = self.now_us();
         if !ring.push(ev) {
             self.dropped[ev.kind.index()].fetch_add(1, Ordering::Relaxed); // ams-lint: allow(no-panic) kind.index() < EventKind::ALL.len() == dropped.len()
         }
@@ -806,17 +841,15 @@ impl ServerObs {
     /// gauge samples. Called by the aggregator on its interval, by
     /// snapshot takers, and one final time at shutdown.
     pub(crate) fn drain(&self, shard_limits: &[u64]) {
-        let slice_us = self.cfg.slice_ms.max(1) * 1000;
-        let max_slices = self.cfg.slices;
         let mut reg = self.registry.lock().expect("obs registry poisoned");
         for ring in &self.rings {
             while let Some(ev) = ring.pop() {
-                reg.ingest(ev, slice_us, max_slices);
+                reg.ingest(ev);
             }
         }
         // Stamp AIMD-limit / batch-fill trajectory samples onto the slice
         // the clock is currently in.
-        let idx = self.now_us() / slice_us;
+        let idx = self.now_us() / reg.slice_us;
         let mut fills = Vec::with_capacity(self.shards);
         let mut marks = Vec::with_capacity(self.shards);
         for s in 0..self.shards {
@@ -824,14 +857,10 @@ impl ServerObs {
             let fill = self.batch_fill[s].load(Ordering::Relaxed);
             let (b0, f0) = reg.fill_mark[s];
             let db = batches.saturating_sub(b0);
-            fills.push(if db == 0 {
-                0.0
-            } else {
-                fill.saturating_sub(f0) as f64 / db as f64
-            });
+            fills.push(ratio(fill.saturating_sub(f0), db));
             marks.push((batches, fill));
         }
-        let slice = reg.slice_mut(idx, max_slices);
+        let slice = reg.slice_mut(idx);
         slice.batch_limit = shard_limits.to_vec();
         slice.batch_fill = fills;
         if slice.index == idx {
@@ -886,11 +915,7 @@ impl ServerObs {
                     executing: self.executing[i].load(Ordering::Relaxed),
                     busy_fraction: (busy as f64 / denom as f64).min(1.0),
                     batch_limit: s.batch_limit,
-                    mean_batch_fill: if batches == 0 {
-                        0.0
-                    } else {
-                        fill as f64 / batches as f64
-                    },
+                    mean_batch_fill: ratio(fill, batches),
                 }
             })
             .collect();
@@ -910,26 +935,17 @@ impl ServerObs {
                     shed: c.shed,
                     rejected: c.rejected,
                     cancelled: c.cancelled,
-                    deadline_met_rate: if c.labeled == 0 {
-                        0.0
-                    } else {
-                        c.deadline_met as f64 / c.labeled as f64
-                    },
-                    shed_rate: if settled == 0 {
-                        0.0
-                    } else {
-                        c.shed as f64 / settled as f64
-                    },
+                    deadline_met_rate: ratio(c.deadline_met, c.labeled),
+                    shed_rate: ratio(c.shed, settled),
                 }
             })
             .collect();
-        let slice_us = self.cfg.slice_ms.max(1) * 1000;
         let slices = reg
             .slices
             .iter()
             .map(|s| SliceSnapshot {
                 index: s.index,
-                start_us: s.index * slice_us,
+                start_us: s.index * reg.slice_us,
                 counts: s.counts.to_vec(),
                 batch_limit: s.batch_limit.clone(),
                 mean_batch_fill: s.batch_fill.clone(),
@@ -1113,170 +1129,30 @@ impl MetricsSnapshot {
     /// Prometheus text exposition of this snapshot.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
-        fn counter(out: &mut String, name: &str, help: &str, lines: &[(String, f64)]) {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            for (labels, v) in lines {
-                out.push_str(&format!("{name}{labels} {v}\n"));
-            }
+        fn bare<T>(_: &T) -> String {
+            String::new()
         }
-        counter(
+        families(
             &mut out,
-            "ams_events_total",
-            "Lifecycle events drained into the registry, by kind.",
-            &self
-                .events
-                .iter()
-                .map(|e| (format!("{{kind=\"{}\"}}", e.kind), e.count as f64))
-                .collect::<Vec<_>>(),
+            &self.events,
+            |e| format!("{{kind=\"{}\"}}", e.kind),
+            EVENT_ROWS,
         );
-        counter(
+        families(&mut out, std::slice::from_ref(self), bare, SERVER_ROWS);
+        families(
             &mut out,
-            "ams_events_dropped_total",
-            "Lifecycle events dropped on ring overflow, by kind.",
-            &self
-                .events
-                .iter()
-                .map(|e| (format!("{{kind=\"{}\"}}", e.kind), e.dropped as f64))
-                .collect::<Vec<_>>(),
+            &self.shards,
+            |s| format!("{{shard=\"{}\"}}", s.shard),
+            SHARD_ROWS,
         );
-        counter(
+        families(
             &mut out,
-            "ams_tickets_issued_total",
-            "Completion tickets issued.",
-            &[(String::new(), self.tickets_issued as f64)],
+            &self.classes,
+            |c| format!("{{class=\"{}\"}}", c.class),
+            CLASS_ROWS,
         );
-        fn gauge(out: &mut String, name: &str, help: &str, lines: &[(String, f64)]) {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-            for (labels, v) in lines {
-                out.push_str(&format!("{name}{labels} {v}\n"));
-            }
-        }
-        gauge(
-            &mut out,
-            "ams_in_flight",
-            "Admitted requests not yet settled.",
-            &[(String::new(), self.in_flight as f64)],
-        );
-        gauge(
-            &mut out,
-            "ams_outstanding_tickets",
-            "Tickets issued and not yet resolved.",
-            &[(String::new(), self.outstanding_tickets as f64)],
-        );
-        let shard_gauge = |f: &dyn Fn(&ShardGauges) -> f64| {
-            self.shards
-                .iter()
-                .map(|s| (format!("{{shard=\"{}\"}}", s.shard), f(s)))
-                .collect::<Vec<_>>()
-        };
-        gauge(
-            &mut out,
-            "ams_shard_queue_depth",
-            "Queued requests per shard.",
-            &shard_gauge(&|s| s.depth as f64),
-        );
-        gauge(
-            &mut out,
-            "ams_shard_service_hint_us",
-            "Published per-request drain hint per shard (microseconds).",
-            &shard_gauge(&|s| s.service_hint_us as f64),
-        );
-        gauge(
-            &mut out,
-            "ams_shard_estimated_wait_us",
-            "depth * service_hint: the wait Router::route prices (microseconds).",
-            &shard_gauge(&|s| s.estimated_wait_us as f64),
-        );
-        gauge(
-            &mut out,
-            "ams_shard_executing",
-            "Requests inside an executing batch per shard.",
-            &shard_gauge(&|s| s.executing as f64),
-        );
-        gauge(
-            &mut out,
-            "ams_shard_busy_fraction",
-            "Fraction of worker wall time spent executing.",
-            &shard_gauge(&|s| s.busy_fraction),
-        );
-        gauge(
-            &mut out,
-            "ams_shard_batch_limit",
-            "Current (AIMD) max_batch per shard.",
-            &shard_gauge(&|s| s.batch_limit as f64),
-        );
-        gauge(
-            &mut out,
-            "ams_shard_mean_batch_fill",
-            "Mean realized batch size per shard.",
-            &shard_gauge(&|s| s.mean_batch_fill),
-        );
-        let class_lines = |f: &dyn Fn(&ClassRates) -> f64| {
-            self.classes
-                .iter()
-                .map(|c| (format!("{{class=\"{}\"}}", c.class), f(c)))
-                .collect::<Vec<_>>()
-        };
-        if !self.classes.is_empty() {
-            counter(
-                &mut out,
-                "ams_class_admitted_total",
-                "Admitted requests per SLO class.",
-                &class_lines(&|c| c.admitted as f64),
-            );
-            counter(
-                &mut out,
-                "ams_class_labeled_total",
-                "Labeled requests per SLO class.",
-                &class_lines(&|c| c.labeled as f64),
-            );
-            counter(
-                &mut out,
-                "ams_class_shed_total",
-                "Shed requests per SLO class (all reasons).",
-                &class_lines(&|c| c.shed as f64),
-            );
-            gauge(
-                &mut out,
-                "ams_class_deadline_met_rate",
-                "Fraction of labeled requests that met their deadline.",
-                &class_lines(&|c| c.deadline_met_rate),
-            );
-            gauge(
-                &mut out,
-                "ams_class_shed_rate",
-                "Fraction of settled requests shed.",
-                &class_lines(&|c| c.shed_rate),
-            );
-        }
-        if let Some(g) = self.adapt_generation {
-            gauge(
-                &mut out,
-                "ams_adapt_generation",
-                "Weight generation currently serving predictions.",
-                &[(String::new(), g as f64)],
-            );
-        }
-        if let Some(c) = &self.cache {
-            gauge(
-                &mut out,
-                "ams_cache_entries",
-                "Resident label-cache entries.",
-                &[(String::new(), c.entries as f64)],
-            );
-            gauge(
-                &mut out,
-                "ams_cache_bytes",
-                "Resident label-cache bytes.",
-                &[(String::new(), c.bytes as f64)],
-            );
-            gauge(
-                &mut out,
-                "ams_cache_hit_rate",
-                "(cache_hit + coalesced) / admitted.",
-                &[(String::new(), c.hit_rate)],
-            );
-        }
+        families(&mut out, self.adapt_generation.as_slice(), bare, ADAPT_ROWS);
+        families(&mut out, self.cache.as_slice(), bare, CACHE_ROWS);
         out.push_str(
             "# HELP ams_latency_us Total request latency quantiles (microseconds).\n\
              # TYPE ams_latency_us summary\n",
@@ -1292,6 +1168,61 @@ impl MetricsSnapshot {
         out
     }
 }
+
+/// One metric family of the exposition: `(type, name, help, value)`.
+type Family<T> = (&'static str, &'static str, &'static str, fn(&T) -> f64);
+
+/// Write each family's `# HELP`/`# TYPE` header followed by one sample per
+/// item — nothing at all for an empty item set, so an absent optional
+/// section (classes, cache, adaptation) leaves no header behind.
+fn families<T>(out: &mut String, items: &[T], labels: impl Fn(&T) -> String, rows: &[Family<T>]) {
+    for (kind, name, help, value) in rows.iter().filter(|_| !items.is_empty()) {
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+        for item in items {
+            out.push_str(&format!("{name}{} {}\n", labels(item), value(item)));
+        }
+    }
+}
+
+#[rustfmt::skip]
+const EVENT_ROWS: &[Family<EventCount>] = &[
+    ("counter", "ams_events_total", "Lifecycle events drained into the registry, by kind.", |e| e.count as f64),
+    ("counter", "ams_events_dropped_total", "Lifecycle events dropped on ring overflow, by kind.", |e| e.dropped as f64),
+];
+#[rustfmt::skip]
+const SERVER_ROWS: &[Family<MetricsSnapshot>] = &[
+    ("counter", "ams_tickets_issued_total", "Completion tickets issued.", |s| s.tickets_issued as f64),
+    ("gauge", "ams_in_flight", "Admitted requests not yet settled.", |s| s.in_flight as f64),
+    ("gauge", "ams_outstanding_tickets", "Tickets issued and not yet resolved.", |s| s.outstanding_tickets as f64),
+];
+#[rustfmt::skip]
+const SHARD_ROWS: &[Family<ShardGauges>] = &[
+    ("gauge", "ams_shard_queue_depth", "Queued requests per shard.", |s| s.depth as f64),
+    ("gauge", "ams_shard_service_hint_us", "Published per-request drain hint per shard (microseconds).", |s| s.service_hint_us as f64),
+    ("gauge", "ams_shard_estimated_wait_us", "depth * service_hint: the wait Router::route prices (microseconds).", |s| s.estimated_wait_us as f64),
+    ("gauge", "ams_shard_executing", "Requests inside an executing batch per shard.", |s| s.executing as f64),
+    ("gauge", "ams_shard_busy_fraction", "Fraction of worker wall time spent executing.", |s| s.busy_fraction),
+    ("gauge", "ams_shard_batch_limit", "Current (AIMD) max_batch per shard.", |s| s.batch_limit as f64),
+    ("gauge", "ams_shard_mean_batch_fill", "Mean realized batch size per shard.", |s| s.mean_batch_fill),
+];
+#[rustfmt::skip]
+const CLASS_ROWS: &[Family<ClassRates>] = &[
+    ("counter", "ams_class_admitted_total", "Admitted requests per SLO class.", |c| c.admitted as f64),
+    ("counter", "ams_class_labeled_total", "Labeled requests per SLO class.", |c| c.labeled as f64),
+    ("counter", "ams_class_shed_total", "Shed requests per SLO class (all reasons).", |c| c.shed as f64),
+    ("gauge", "ams_class_deadline_met_rate", "Fraction of labeled requests that met their deadline.", |c| c.deadline_met_rate),
+    ("gauge", "ams_class_shed_rate", "Fraction of settled requests shed.", |c| c.shed_rate),
+];
+#[rustfmt::skip]
+const ADAPT_ROWS: &[Family<u64>] = &[
+    ("gauge", "ams_adapt_generation", "Weight generation currently serving predictions.", |g| *g as f64),
+];
+#[rustfmt::skip]
+const CACHE_ROWS: &[Family<CacheGauges>] = &[
+    ("gauge", "ams_cache_entries", "Resident label-cache entries.", |c| c.entries as f64),
+    ("gauge", "ams_cache_bytes", "Resident label-cache bytes.", |c| c.bytes as f64),
+    ("gauge", "ams_cache_hit_rate", "(cache_hit + coalesced) / admitted.", |c| c.hit_rate),
+];
 
 /// One recorded event inside a [`TraceReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1389,16 +1320,7 @@ mod tests {
     use std::sync::Arc;
 
     fn ev(kind: EventKind, req: u64) -> Event {
-        Event {
-            at_us: 0,
-            req,
-            ticket: NO_TICKET,
-            shard: NO_SHARD,
-            class: 0,
-            kind,
-            detail: 0,
-            flag: false,
-        }
+        Event::new(kind, req, NO_TICKET, NO_SHARD, 0)
     }
 
     #[test]
@@ -1468,9 +1390,7 @@ mod tests {
             1,
         );
         for i in 0..50 {
-            let mut e = ev(EventKind::Admitted, i);
-            e.at_us = obs.now_us();
-            obs.emit(e);
+            obs.emit(ev(EventKind::Admitted, i));
         }
         let snap = obs.snapshot(
             &[ShardSample {
@@ -1494,7 +1414,7 @@ mod tests {
 
     #[test]
     fn recorder_keeps_interesting_traces_and_answers_why() {
-        let mut rec = FlightRecorder::new(&ObsConfig::default());
+        let mut rec = FlightRecorder::sized(RECORDER_CAPACITY);
         // A clean labeled request is not retained.
         rec.observe(ev(EventKind::Admitted, 1));
         rec.observe(ev(EventKind::Labeled, 1));
@@ -1522,10 +1442,7 @@ mod tests {
 
     #[test]
     fn recorder_ring_is_bounded() {
-        let mut rec = FlightRecorder::new(&ObsConfig {
-            recorder_capacity: 4,
-            ..ObsConfig::default()
-        });
+        let mut rec = FlightRecorder::sized(4);
         for i in 0..20 {
             rec.observe(ev(EventKind::ShedOverflow, i));
         }
@@ -1536,16 +1453,11 @@ mod tests {
 
     #[test]
     fn slices_rotate_and_stay_bounded() {
-        let cfg = ObsConfig {
-            slice_ms: 1,
-            slices: 3,
-            ..ObsConfig::default()
-        };
-        let mut reg = Registry::new(&cfg, 1);
+        let mut reg = Registry::sized(1, 1000, 3);
         for i in 0..10u64 {
             let mut e = ev(EventKind::Admitted, i);
             e.at_us = i * 1000; // one event per 1ms slice
-            reg.ingest(e, 1000, 3);
+            reg.ingest(e);
         }
         assert_eq!(reg.slices.len(), 3);
         assert_eq!(reg.slices.back().expect("slice").index, 9);

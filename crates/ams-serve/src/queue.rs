@@ -24,6 +24,7 @@
 use crate::cache::PendingEntry;
 use crate::completion::{CompletionSlot, ShedReason};
 use crate::obs::{Event, EventKind, ServerObs, NO_TICKET};
+use crate::telemetry::micros;
 use ams_data::ItemTruth;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -235,6 +236,21 @@ impl Request {
         self.completion.as_ref()
     }
 
+    /// A lifecycle event of `kind` about this request on `shard`, carrying
+    /// its ticket id ([`NO_TICKET`] for a ticketless request).
+    pub(crate) fn event(&self, kind: EventKind, shard: u32) -> Event {
+        let ticket = self.completion.as_ref().map_or(NO_TICKET, |s| s.id());
+        Event::new(kind, self.req_id, ticket, shard, self.class)
+    }
+
+    /// Resolve the request's completion slot with `resolve` (a shed or a
+    /// claim) and report whether the caller now owns the request's
+    /// outcome — lost only when a cancellation resolved the slot first. A
+    /// ticketless request has no one to race, so the caller always owns it.
+    pub(crate) fn resolve_or_own(&self, resolve: impl FnOnce(&CompletionSlot) -> bool) -> bool {
+        self.completion.as_deref().is_none_or(resolve)
+    }
+
     /// Attach the coalescing entry this request leads: followers of the
     /// same fingerprint wait on it for the leader's result.
     pub(crate) fn with_cache(mut self, entry: Arc<PendingEntry>) -> Self {
@@ -268,13 +284,8 @@ impl Request {
     /// Remaining deadline budget at `now`, µs (`None` = unbounded;
     /// `Some(0)` = already expired).
     pub fn remaining_us(&self, now: Instant) -> Option<u64> {
-        self.deadline_us.map(|d| {
-            let age = now
-                .saturating_duration_since(self.enqueued_at)
-                .as_micros()
-                .min(u128::from(u64::MAX)) as u64;
-            d.saturating_sub(age)
-        })
+        self.deadline_us
+            .map(|d| d.saturating_sub(micros(now.saturating_duration_since(self.enqueued_at))))
     }
 
     /// Whether the deadline budget is exhausted at `now`.
@@ -443,10 +454,10 @@ impl ShardQueue {
         }
     }
 
-    /// Attach the observability pipeline (and this queue's shard index)
-    /// so overflow evictions emit lifecycle events.
-    pub(crate) fn with_obs(mut self, shard: u32, obs: Arc<ServerObs>) -> Self {
-        self.obs = Some((shard, obs));
+    /// Attach the observability pipeline when it is on (and this queue's
+    /// shard index) so overflow evictions emit lifecycle events.
+    pub(crate) fn with_obs(mut self, shard: u32, obs: Option<Arc<ServerObs>>) -> Self {
+        self.obs = obs.map(|obs| (shard, obs));
         self
     }
 
@@ -454,16 +465,7 @@ impl ShardQueue {
     /// the points where the queue's shed ledger counts it.
     fn emit_shed_overflow(&self, req: &Request) {
         if let Some((shard, obs)) = &self.obs {
-            obs.emit(Event {
-                at_us: obs.now_us(),
-                req: req.req_id,
-                ticket: req.completion().map(|s| s.id()).unwrap_or(NO_TICKET),
-                shard: *shard,
-                class: req.class as u32,
-                kind: EventKind::ShedOverflow,
-                detail: 0,
-                flag: false,
-            });
+            obs.emit(req.event(EventKind::ShedOverflow, *shard));
         }
     }
 
@@ -709,17 +711,14 @@ impl ShardQueue {
         // the already-cancelled victim too — eviction removes the entry's
         // only path to a worker, so its followers must not wait forever.
         shed.fail_cache(ShedReason::Overflow);
-        match shed.completion() {
-            Some(slot) if !slot.try_shed(ShedReason::Overflow) => {
-                // Cancelled between selection and shedding: its event was
-                // already delivered, so this was a free purge, not a shed.
-                Eviction::Retry
-            }
-            _ => {
-                st.record_shed(&shed);
-                self.emit_shed_overflow(&shed);
-                Eviction::Evicted
-            }
+        if shed.resolve_or_own(|slot| slot.try_shed(ShedReason::Overflow)) {
+            st.record_shed(&shed);
+            self.emit_shed_overflow(&shed);
+            Eviction::Evicted
+        } else {
+            // Cancelled between selection and shedding: its event was
+            // already delivered, so this was a free purge, not a shed.
+            Eviction::Retry
         }
     }
 

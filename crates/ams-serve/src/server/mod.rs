@@ -1,0 +1,532 @@
+//! The serving front-end: sharded bounded queues feeding per-shard worker
+//! pools over one shared [`AdaptiveModelScheduler`].
+//!
+//! Life of a request: `submit` routes the item to a shard — by scene-id
+//! hash, or by *model affinity* (see [`crate::router`]) so that requests
+//! predicted to run the same models coalesce on the same shard — and
+//! pushes it into that shard's queue under the configured backpressure
+//! policy. A shard worker pops up to the shard's current batch limit,
+//! sheds requests whose age has already exhausted their deadline, labels
+//! the rest through the scheduler, coalesces the batch's model
+//! executions into batched invocations on the virtual GPU pool (the
+//! `ams-sim` batching model — one memory acquisition and one setup charge
+//! per model, marginal cost per extra item), and records the queue-wait /
+//! execute latency split. With adaptive batching enabled, each shard's
+//! batch limit is retuned online: AIMD on the observed total-latency p99
+//! against [`AdaptiveBatchConfig::target_p99_ms`], with the growth step
+//! bounded by the calibrated [`BatchLatencyModel`](ams_sim::BatchLatencyModel) so the controller never
+//! *predictably* overshoots its own target. `shutdown` closes the queues,
+//! drains every worker gracefully, and merges the per-worker shards into
+//! one [`ServeReport`].
+//!
+//! ## The client API
+//!
+//! [`AmsServer::client`] opens a request/response [`Client`]: its
+//! `submit`/`submit_class` return `SubmitOutcome<Ticket>`, where the
+//! [`Ticket`](crate::Ticket) is a cancellable handle tied to exactly one
+//! terminal [`Completion`](crate::Completion) event — `Labeled` (the request's own labels, chosen
+//! models, value banked, queue-wait/execute breakdown), `Shed` (which
+//! loss path took it, delivered at eviction time), or `Cancelled`.
+//! Events arrive on the client's bounded completion queue
+//! ([`Client::recv`] / [`Client::try_recv`] / [`Client::drain`]). A
+//! [`Client`] is the only submit surface: every request the server admits
+//! carries a ticket, so aggregate-only callers simply never drain theirs.
+//! Dropping an [`AmsServer`] without calling `shutdown` aborts it:
+//! queued-but-unserved requests resolve to `Shed(Drain)` and every worker
+//! is joined — no detached threads survive the drop.
+//!
+//! ## Layout
+//!
+//! This module keeps [`AmsServer`] start, shutdown and abort over the
+//! shared state; the rest is one small module per concern: `config` (the
+//! knobs and their normalisation), `submit` ([`Client`] and the admission
+//! path), `worker` (the shard hot loop, phase by phase), `control` (the
+//! per-shard AIMD batch limit) and `report` (the report types and the
+//! end-of-run fold).
+
+mod config;
+mod control;
+mod report;
+mod submit;
+mod worker;
+
+pub use config::{AdaptiveBatchConfig, ServeConfig, SloClass, SloConfig};
+pub use report::{AdaptiveReport, ClassReport, ServeReport, ShardAdaptive, SloReport};
+pub use submit::{Client, SubmitOptions};
+
+use crate::adapt::{AdaptRuntime, AdaptShared, WorkerAdapt};
+use crate::cache::LabelCache;
+use crate::completion::{CancelLedger, CompletionQueue, ShedReason};
+use crate::obs::{
+    CacheGauges, Event, EventKind, MetricsSnapshot, ServerObs, ShardSample, TraceReport, NO_SHARD,
+};
+use crate::queue::ShardQueue;
+use crate::router::{fib_shard, Router};
+use crate::telemetry::ratio;
+use ams_core::framework::{AdaptiveModelScheduler, Budget};
+use ams_data::ItemTruth;
+use control::ShardControl;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::Duration;
+use submit::ClassAdmission;
+use worker::{worker_loop, WorkerLocal};
+
+/// Shared server state (queues + router + scheduler), behind one `Arc`.
+struct Shared {
+    queues: Vec<ShardQueue>,
+    router: Router,
+    controls: Vec<ShardControl>,
+    scheduler: AdaptiveModelScheduler,
+    budget: Budget,
+    cfg: ServeConfig,
+    offered: AtomicU64,
+    submitted: AtomicU64,
+    rejected: AtomicU64,
+    shed_admission: AtomicU64,
+    /// Monotone ticket ids, unique across every client of this server.
+    next_ticket: AtomicU64,
+    /// The cancellation ledger live tickets record into (shared with the
+    /// ticket slots by `Arc`, so a cancellation from any thread — even
+    /// after the server wound down — lands in one place).
+    cancel_ledger: Arc<CancelLedger>,
+    /// Per-shard, per-class submit-path ledgers (present when SLO classes
+    /// are configured; outer index = shard). Shard-local so producers
+    /// contend at the same granularity as the shard queues themselves —
+    /// one global ledger lock would serialize every submitter.
+    class_admission: Option<Vec<Mutex<Vec<ClassAdmission>>>>,
+    /// The content-addressed label cache (present when
+    /// [`ServeConfig::cache`] is configured).
+    cache: Option<Arc<LabelCache>>,
+    /// The live observability pipeline (present when [`ServeConfig::obs`]
+    /// is configured) — shared with the queues, the cache, and every
+    /// ticket slot so each layer can stamp its own lifecycle events.
+    obs: Option<Arc<ServerObs>>,
+    /// The adaptation state shared with the trainer thread (present when
+    /// [`ServeConfig::adapt`] is configured) — read here only for the
+    /// live `adapt_generation` gauge; workers carry their own taps.
+    adapt: Option<Arc<AdaptShared>>,
+}
+
+impl Shared {
+    /// Run `f` against the observability pipeline when it is on — the one
+    /// place the serving paths check.
+    fn observe(&self, f: impl FnOnce(&ServerObs)) {
+        if let Some(obs) = &self.obs {
+            f(obs);
+        }
+    }
+
+    /// Record one lifecycle event — on worker `worker`'s private ring, or
+    /// from a submit-side thread (`None`).
+    fn emit(&self, worker: Option<usize>, ev: Event) {
+        self.observe(|obs| match worker {
+            Some(w) => obs.emit_worker(w, ev),
+            None => obs.emit(ev),
+        });
+    }
+
+    /// Update `class`'s submit-path ledger on `shard` (a no-op without SLO
+    /// classes).
+    fn class_ledger(&self, shard: usize, class: usize, update: impl FnOnce(&mut ClassAdmission)) {
+        if let Some(ledgers) = &self.class_admission {
+            update(&mut ledgers[shard].lock().expect("class ledger")[class]);
+        }
+    }
+
+    /// Every shard's live AIMD batch limit — the trajectory sample the
+    /// aggregator stamps onto each metrics time slice.
+    fn batch_limits(&self) -> Vec<u64> {
+        self.controls
+            .iter()
+            .map(|c| c.limit.load(Ordering::Relaxed) as u64)
+            .collect()
+    }
+
+    /// One racy-but-consistent gauge sample per shard: the queue depth and
+    /// published drain hint — the very inputs
+    /// [`ShardQueue::estimated_wait_us`] prices admission and spill routing
+    /// with — plus the live batch limit.
+    fn shard_samples(&self) -> Vec<ShardSample> {
+        self.queues
+            .iter()
+            .zip(&self.controls)
+            .map(|(q, c)| ShardSample {
+                depth: q.live_len() as u64,
+                service_hint_us: q.service_hint_us(),
+                estimated_wait_us: q.estimated_wait_us(),
+                batch_limit: c.limit.load(Ordering::Relaxed) as u64,
+            })
+            .collect()
+    }
+
+    /// Cache occupancy gauges for a snapshot (`None` when the cache is off).
+    fn cache_gauges(&self) -> Option<CacheGauges> {
+        self.cache.as_ref().map(|c| {
+            let r = c.report();
+            let hits: u64 = c
+                .ledger()
+                .by_class()
+                .iter()
+                .map(|cc| cc.cache_hit + cc.coalesced)
+                .sum();
+            CacheGauges {
+                entries: r.entries,
+                bytes: r.bytes,
+                capacity_bytes: r.capacity_bytes,
+                hit_rate: ratio(hits, self.offered.load(Ordering::Relaxed)),
+            }
+        })
+    }
+}
+
+/// The sharded serving front-end.
+///
+/// ```
+/// use ams_core::framework::{AdaptiveModelScheduler, Budget};
+/// use ams_core::predictor::OraclePredictor;
+/// use ams_data::{Dataset, DatasetProfile, TruthTable};
+/// use ams_models::ModelZoo;
+/// use ams_serve::{AmsServer, ServeConfig};
+/// use std::sync::Arc;
+///
+/// let zoo = ModelZoo::standard();
+/// let ds = Dataset::generate(DatasetProfile::Coco2017, 8, 42);
+/// let truth = TruthTable::build(&zoo, &zoo.catalog(), &ds, 0.5);
+/// let predictor = Box::new(OraclePredictor::new(zoo.len(), 0.5));
+/// let scheduler = AdaptiveModelScheduler::new(zoo, predictor, 0.5, 42);
+///
+/// let server = AmsServer::start(scheduler, Budget::Deadline { ms: 1000 }, ServeConfig::default());
+/// let client = server.client();
+/// for item in truth.items() {
+///     client.submit(Arc::new(item.clone()));
+/// }
+/// let report = server.shutdown();
+/// assert_eq!(report.completed, 8);
+/// assert!(report.is_conserved());
+/// ```
+pub struct AmsServer {
+    /// `Some` until `shutdown` consumes the server; `None` afterwards so
+    /// the `Drop` impl knows a graceful drain already happened.
+    inner: Option<ServerInner>,
+}
+
+/// The live server: shared state plus the joinable worker handles.
+struct ServerInner {
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<WorkerLocal>>,
+    /// The observability aggregator thread (present when
+    /// [`ServeConfig::obs`] is configured); stopped at shutdown/abort.
+    aggregator: Option<Aggregator>,
+    /// The adaptation runtime (present when [`ServeConfig::adapt`] is
+    /// configured): holds the trainer thread, joined after the workers so
+    /// channel disconnect is its natural stop signal.
+    adapt: Option<AdaptRuntime>,
+}
+
+impl AmsServer {
+    /// Spin up the shard queues, the router, and the worker threads.
+    pub fn start(scheduler: AdaptiveModelScheduler, budget: Budget, cfg: ServeConfig) -> Self {
+        let cfg = cfg.normalized();
+        let (value_weighted, edf) = cfg.slo.as_ref().map_or((false, false), |s| {
+            (s.value_weighted_shedding, s.edf_dequeue)
+        });
+        // Per-class admission reservations: each class's configured
+        // fraction of every shard queue's slots, floored to whole slots
+        // (the queue clamps the sum to its capacity, earlier classes
+        // first). All-zero reservations are dropped entirely — the
+        // classless admission path stays untouched.
+        let reservations: Vec<usize> = cfg.slo.as_ref().map_or(Vec::new(), |s| {
+            let slots: Vec<usize> = s
+                .classes
+                .iter()
+                .map(|c| (c.reserve.clamp(0.0, 1.0) * cfg.queue_capacity as f64).floor() as usize)
+                .collect();
+            if slots.iter().all(|&r| r == 0) {
+                Vec::new()
+            } else {
+                slots
+            }
+        });
+        let obs = cfg
+            .obs
+            .clone()
+            .map(|o| Arc::new(ServerObs::new(o, cfg.shards, cfg.workers_per_shard)));
+        let queues: Vec<ShardQueue> = (0..cfg.shards)
+            .map(|shard| {
+                ShardQueue::with_slo(cfg.queue_capacity, cfg.policy, value_weighted, edf)
+                    .with_reservations(reservations.clone())
+                    .with_obs(shard as u32, obs.clone())
+            })
+            .collect();
+        let controls = (0..cfg.shards)
+            .map(|_| ShardControl::new(cfg.start_limit()))
+            .collect();
+        let class_admission = cfg.slo.as_ref().map(|s| {
+            (0..cfg.shards)
+                .map(|_| Mutex::new(vec![ClassAdmission::default(); s.classes.len()]))
+                .collect()
+        });
+        // Without SLO classes nothing consumes `Route::value`, so hash
+        // routing skips the per-submission value scan.
+        let mut router = Router::new(cfg.routing, cfg.shards);
+        if cfg.slo.is_none() {
+            router = router.without_hash_value_scan();
+        }
+        // Boot the adaptation runtime (cell at generation 0 + trainer
+        // thread) before the workers so every worker's tap can pin the
+        // boot snapshot on its first batch.
+        let adapt = cfg
+            .adapt
+            .as_ref()
+            .map(|a| AdaptRuntime::start(a, obs.clone()));
+        let shared = Arc::new(Shared {
+            router,
+            queues,
+            controls,
+            scheduler,
+            budget,
+            offered: AtomicU64::new(0),
+            submitted: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            shed_admission: AtomicU64::new(0),
+            next_ticket: AtomicU64::new(0),
+            cancel_ledger: Arc::new(CancelLedger::default()),
+            class_admission,
+            cache: cfg.cache.map(|c| LabelCache::new_with_obs(c, obs.clone())),
+            obs,
+            adapt: adapt.as_ref().map(|r| Arc::clone(&r.shared)),
+            cfg,
+        });
+        let workers = (0..shared.cfg.shards * shared.cfg.workers_per_shard)
+            .map(|w| {
+                let shared = Arc::clone(&shared);
+                let shard = w / shared.cfg.workers_per_shard;
+                // Each worker owns its tap (sender clone + snapshot pin);
+                // when the workers join, the tap clones drop and the
+                // trainer's channel disconnects.
+                let tap = adapt.as_ref().map(|r| WorkerAdapt::new(r.tap()));
+                std::thread::spawn(move || worker_loop(&shared, shard, w, tap))
+            })
+            .collect();
+        let aggregator = shared
+            .obs
+            .as_ref()
+            .map(|o| Aggregator::spawn(Arc::clone(o), Arc::clone(&shared)));
+        Self {
+            inner: Some(ServerInner {
+                shared,
+                workers,
+                aggregator,
+                adapt,
+            }),
+        }
+    }
+
+    fn shared(&self) -> &Arc<Shared> {
+        &self
+            .inner
+            .as_ref()
+            .expect("server alive until shutdown")
+            .shared
+    }
+
+    /// Open a request/response [`Client`] with the default completion
+    /// window (1024 outstanding tickets). Any number of clients may run
+    /// concurrently; each gets its own completion queue, and completion
+    /// events route to the client that issued the ticket.
+    pub fn client(&self) -> Client {
+        self.client_with_capacity(Client::DEFAULT_CAPACITY)
+    }
+
+    /// [`AmsServer::client`] with an explicit completion-window capacity:
+    /// at most `capacity` tickets may be outstanding (issued but their
+    /// completion events not yet consumed); `submit` blocks past that
+    /// until the client drains. Size it at least as large as the deepest
+    /// submit burst between drains (see `PERF.md`, "Completion-queue
+    /// sizing").
+    pub fn client_with_capacity(&self, capacity: usize) -> Client {
+        Client {
+            shared: Arc::downgrade(self.shared()),
+            queue: Arc::new(CompletionQueue::new(capacity)),
+            cancel_ledger: Arc::clone(&self.shared().cancel_ledger),
+        }
+    }
+
+    /// The shard an item routes to ([`fib_shard`] of the scene id — the
+    /// hash mode's home shard, shared with the router so the constants
+    /// cannot drift). Under affinity routing the live router may divert a
+    /// submission elsewhere; this accessor stays the stable hash-partition
+    /// answer.
+    pub fn shard_of(&self, item: &ItemTruth) -> usize {
+        fib_shard(item.scene_id, self.shared().cfg.shards)
+    }
+
+    /// Requests currently queued across all shards and still wanting
+    /// service (racy snapshot) — cancellation tombstones excluded, so the
+    /// number agrees with the per-shard `depth` gauges and with what
+    /// admission control prices.
+    pub fn pending(&self) -> usize {
+        self.shared().queues.iter().map(ShardQueue::live_len).sum()
+    }
+
+    /// A live metrics snapshot *while the server is running*: event
+    /// totals, in-flight and outstanding-ticket gauges, per-shard queue
+    /// depth / wait estimate / busy fraction / batch-limit trajectory,
+    /// per-class admission and deadline rates, cache occupancy, and the
+    /// rolling latency histogram — all without stopping a single worker
+    /// (the rings are drained opportunistically first so the numbers are
+    /// current). `None` when [`ServeConfig::obs`] is off.
+    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
+        let shared = self.shared();
+        shared.obs.as_ref().map(|o| {
+            o.snapshot(
+                &shared.shard_samples(),
+                shared.cache_gauges(),
+                shared.adapt.as_ref().map(|a| a.generation()),
+            )
+        })
+    }
+
+    /// Prometheus-style text exposition of [`AmsServer::metrics_snapshot`]
+    /// (`# HELP`/`# TYPE` families). A single comment line when
+    /// observability is off, so scrapers always get well-formed text.
+    pub fn render_metrics(&self) -> String {
+        self.metrics_snapshot().map_or_else(
+            || "# ams observability disabled\n".to_string(),
+            |s| s.render_prometheus(),
+        )
+    }
+
+    /// Flight-recorder dump for one settled "interesting" request
+    /// (deadline miss, any shed path, or a cancellation), by request or
+    /// ticket id: the complete causal event trace the recorder retained.
+    /// `None` when observability is off, the id never settled
+    /// interestingly, or the bounded recorder already evicted it.
+    pub fn why(&self, id: u64) -> Option<TraceReport> {
+        let shared = self.shared();
+        let obs = shared.obs.as_ref()?;
+        // Drain first so a request that settled moments ago is visible.
+        obs.drain(&shared.batch_limits());
+        obs.why(id)
+    }
+
+    /// Close admission, drain every queue through the workers, join them,
+    /// and merge the per-worker shards into the final report.
+    pub fn shutdown(mut self) -> ServeReport {
+        self.inner
+            .take()
+            .expect("server alive until shutdown")
+            .shutdown()
+    }
+}
+
+impl Drop for AmsServer {
+    /// Abort on drop (when [`AmsServer::shutdown`] was never called):
+    /// close every queue *discarding* its backlog — each queued request's
+    /// ticket resolves to `Shed(Drain)`, so clients still get their one
+    /// terminal event — and join every worker. A dropped server leaves no
+    /// detached threads behind; in-flight batches finish and deliver
+    /// normally. Use `shutdown` for the graceful drain-everything exit.
+    fn drop(&mut self) {
+        if let Some(inner) = self.inner.take() {
+            inner.abort();
+        }
+    }
+}
+
+/// The observability aggregator: a background thread that periodically
+/// drains the event rings into the metrics registry. Workers never block
+/// on observability — they only push into their rings (dropping, with a
+/// count, when full); all folding happens here.
+struct Aggregator {
+    obs: Arc<ServerObs>,
+    handle: JoinHandle<()>,
+}
+
+impl Aggregator {
+    fn spawn(obs: Arc<ServerObs>, shared: Arc<Shared>) -> Self {
+        let handle = {
+            let obs = Arc::clone(&obs);
+            std::thread::spawn(move || {
+                let interval = Duration::from_millis(obs.drain_interval_ms());
+                while !obs.stopped() {
+                    // Sleep in short steps so a long drain interval never
+                    // holds shutdown hostage — stop is re-checked every
+                    // few milliseconds.
+                    let mut slept = Duration::ZERO;
+                    while slept < interval && !obs.stopped() {
+                        let step = (interval - slept).min(Duration::from_millis(5));
+                        std::thread::sleep(step);
+                        slept += step;
+                    }
+                    if obs.stopped() {
+                        break;
+                    }
+                    obs.drain(&shared.batch_limits());
+                }
+            })
+        };
+        Self { obs, handle }
+    }
+
+    /// Ask the thread to stop and join it.
+    fn stop(self) -> std::thread::Result<()> {
+        self.obs.request_stop();
+        self.handle.join()
+    }
+}
+
+impl ServerInner {
+    /// The abort path (`Drop` without `shutdown`): discard queued work,
+    /// notify its tickets, join the workers, drop the report.
+    fn abort(self) {
+        for q in &self.shared.queues {
+            for victim in q.abort() {
+                // A discarded coalescing leader drains its followers too.
+                victim.fail_cache(ShedReason::Drain);
+                if victim.resolve_or_own(|slot| slot.try_shed(ShedReason::Drain)) {
+                    self.shared
+                        .emit(None, victim.event(EventKind::ShedDrain, NO_SHARD));
+                }
+            }
+        }
+        for handle in self.workers {
+            // Don't double-panic while unwinding: a worker that died
+            // already reported its panic.
+            let _ = handle.join();
+        }
+        if let Some(adapt) = self.adapt {
+            adapt.abort();
+        }
+        if let Some(aggregator) = self.aggregator {
+            let _ = aggregator.stop();
+        }
+    }
+
+    fn shutdown(self) -> ServeReport {
+        for q in &self.shared.queues {
+            q.close();
+        }
+        let num_models = self.shared.scheduler.zoo().len();
+        let num_classes = self.shared.cfg.slo.as_ref().map_or(0, |s| s.classes.len());
+        let mut merged = WorkerLocal::new(num_models, num_classes);
+        for handle in self.workers {
+            merged.merge(&handle.join().expect("serve worker panicked"));
+        }
+        // Finish the trainer after the workers joined (their tap senders
+        // are gone, so dropping the runtime's own sender disconnects the
+        // channel and the trainer drains out) but *before* the
+        // observability stop below: the trainer's tail swap events must
+        // still land in the rings for the final drain to reconcile.
+        let adapt_report = self.adapt.map(AdaptRuntime::finish);
+        // Stop the observability aggregator only after the workers joined:
+        // every worker-side event is in its ring by now, and the final
+        // drain (inside `report::fold`) folds the stragglers in.
+        if let Some(aggregator) = self.aggregator {
+            aggregator.stop().expect("obs aggregator panicked");
+        }
+        report::fold(&self.shared, merged, adapt_report)
+    }
+}

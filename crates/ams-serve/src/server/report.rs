@@ -1,0 +1,516 @@
+//! The end-of-run record: the report types, and the fold that builds a
+//! [`ServeReport`] from the ledgers each layer kept while serving.
+
+use super::submit::ClassAdmission;
+use super::worker::WorkerLocal;
+use super::Shared;
+use crate::adapt::AdaptReport;
+use crate::cache::{CacheReport, ClassCache};
+use crate::obs::{EventKind, ObsReport};
+use crate::queue::{ClassShed, ShardQueue};
+use crate::telemetry::{ratio, LatencySummary};
+use ams_core::streaming::StreamStats;
+use serde::{Deserialize, Serialize};
+use std::sync::atomic::Ordering;
+
+/// One shard's adaptive-batching record.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ShardAdaptive {
+    /// Shard index.
+    pub shard: usize,
+    /// Batch limit when the server drained.
+    pub final_max_batch: usize,
+    /// Adjustment windows evaluated.
+    pub adjustments: u64,
+    /// Total-latency p99 of the last evaluated window, µs (0 when the
+    /// shard never filled half a window — too little traffic to judge).
+    pub last_window_p99_us: u64,
+    /// Whether the last evaluated window met the target.
+    pub within_target: bool,
+    /// Batch limit after each adjustment, in order — the trajectory the
+    /// benchmark publishes.
+    pub trajectory: Vec<usize>,
+}
+
+/// The merged adaptive-batching record (present when the server ran with
+/// [`ServeConfig::adaptive`](super::ServeConfig::adaptive)).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct AdaptiveReport {
+    /// The configured total-latency p99 target, ms.
+    pub target_p99_ms: u64,
+    /// Per-shard controller trajectories.
+    pub shards: Vec<ShardAdaptive>,
+}
+
+impl AdaptiveReport {
+    /// Whether every shard's last evaluated window met the target.
+    pub fn all_within_target(&self) -> bool {
+        self.shards.iter().all(|s| s.within_target)
+    }
+}
+
+/// One SLO class's merged ledger: every loss path, the value accounting,
+/// and the class's own latency distribution.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ClassReport {
+    /// Class index.
+    pub class: usize,
+    /// Class name.
+    pub name: String,
+    /// The class's deadline, ms.
+    pub deadline_ms: u64,
+    /// The class's value weight.
+    pub weight: f64,
+    /// Requests of this class offered to `submit`.
+    pub offered: u64,
+    /// Requests labeled to completion.
+    pub completed: u64,
+    /// Completed requests whose total latency met the class deadline.
+    pub deadline_met: u64,
+    /// Requests refused at admission (full queue under Reject, or closed).
+    pub rejected: u64,
+    /// Requests shed by admission control (predicted wait > deadline).
+    pub shed_admission: u64,
+    /// Requests evicted from a queue on overflow (ShedOldest).
+    pub shed_oldest: u64,
+    /// Dequeued requests shed because their deadline budget was exhausted.
+    pub shed_deadline: u64,
+    /// Tickets of this class cancelled before a worker claimed them.
+    pub cancelled: u64,
+    /// Requests answered from the label cache before admission (exact
+    /// content-hash hits; zero queue wait, zero bill).
+    pub cache_hit: u64,
+    /// Requests coalesced onto an identical in-flight request and
+    /// completed by its fan-out (one execution, many completions).
+    pub coalesced: u64,
+    /// Summed predicted (weighted) value delivered from the cache —
+    /// hits plus fanned-out followers. The bill-free share of the
+    /// class's banked value.
+    pub value_cached: f64,
+    /// Summed predicted (weighted) value of the cancelled tickets —
+    /// tracked apart from `value_shed`: the *client* withdrew this value,
+    /// the service didn't lose it.
+    pub value_cancelled: f64,
+    /// Summed predicted (weighted) value of offered requests.
+    pub value_offered: f64,
+    /// Summed value of completed requests — the value the service banked.
+    pub value_completed: f64,
+    /// The subset of `value_completed` delivered *past* the class
+    /// deadline — capacity spent on labels the client had already given
+    /// up on. SLO-aware scheduling shrinks this by serving urgent work
+    /// first and shedding doomed work before it occupies a slot.
+    pub value_late: f64,
+    /// Summed value of every non-completed request (all four loss paths)
+    /// — the class's value-weighted shed loss.
+    pub value_shed: f64,
+    /// Total (queue wait + execute) latency of completed requests.
+    pub total: LatencySummary,
+}
+
+impl ClassReport {
+    /// Every offered request of the class is accounted for exactly once
+    /// (completions, all four loss paths, cancellations, and the two
+    /// cache buckets — a hit and a fanned-out follower each resolve
+    /// exactly one ticket too).
+    pub fn is_conserved(&self) -> bool {
+        self.offered
+            == self.completed
+                + self.rejected
+                + self.shed_admission
+                + self.shed_oldest
+                + self.shed_deadline
+                + self.cancelled
+                + self.cache_hit
+                + self.coalesced
+    }
+
+    /// Share of offered requests that completed within the class deadline
+    /// (0 when nothing was offered). Offered, not completed, is the
+    /// denominator: a shed request missed its deadline as far as the
+    /// client is concerned.
+    pub fn deadline_met_rate(&self) -> f64 {
+        ratio(self.deadline_met, self.offered)
+    }
+}
+
+/// The merged SLO record (present when the server ran with
+/// [`ServeConfig::slo`](super::ServeConfig::slo)).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct SloReport {
+    /// Whether admission control ran.
+    pub admission_control: bool,
+    /// Whether overflow eviction was value-weighted.
+    pub value_weighted_shedding: bool,
+    /// Whether dequeue was earliest-deadline-first.
+    pub edf_dequeue: bool,
+    /// Per-class ledgers, indexed by class.
+    pub classes: Vec<ClassReport>,
+}
+
+impl SloReport {
+    /// The value-weighted shed loss: every unit of offered value that was
+    /// *not delivered within its deadline* — shed value plus late-completed
+    /// value. A label produced past its deadline is as lost to the client
+    /// as a shed one (the deadline is what defines its worth), and counting
+    /// it keeps the metric honest: a blind server cannot launder doomed
+    /// requests into "banked value" by completing them late. This is the
+    /// quantity SLO-aware shedding exists to minimize.
+    pub fn value_shed_loss(&self) -> f64 {
+        self.classes
+            .iter()
+            .map(|c| c.value_shed + c.value_late)
+            .sum()
+    }
+
+    /// Summed banked value across classes.
+    pub fn value_completed(&self) -> f64 {
+        self.classes.iter().map(|c| c.value_completed).sum()
+    }
+
+    /// Summed value delivered past its deadline across classes.
+    pub fn value_late(&self) -> f64 {
+        self.classes.iter().map(|c| c.value_late).sum()
+    }
+
+    /// Share of all offered requests that completed within their class
+    /// deadline (0 when nothing was offered).
+    pub fn deadline_met_rate(&self) -> f64 {
+        let sum = |f: fn(&ClassReport) -> u64| self.classes.iter().map(f).sum();
+        ratio(sum(|c| c.deadline_met), sum(|c| c.offered))
+    }
+
+    /// Every class ledger balances exactly.
+    pub fn is_conserved(&self) -> bool {
+        self.classes.iter().all(ClassReport::is_conserved)
+    }
+}
+
+/// The merged end-of-run serving record.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ServeReport {
+    /// Shard count the server ran with.
+    pub shards: usize,
+    /// Total worker threads.
+    pub workers: usize,
+    /// Backpressure policy name.
+    pub policy: String,
+    /// Routing mode name (`"hash"` or `"affinity"`).
+    pub routing: String,
+    /// Requests routed to their affinity home shard (0 under hash routing).
+    pub affinity_hits: u64,
+    /// Requests diverted to the least-loaded shard by the load-balance
+    /// escape hatch (0 under hash routing).
+    pub affinity_spills: u64,
+    /// Requests offered to `submit` (accepted + rejected).
+    pub offered: u64,
+    /// Requests accepted into a queue.
+    pub submitted: u64,
+    /// Requests labeled to completion.
+    pub completed: u64,
+    /// Requests refused at admission (full queue under Reject, or closed).
+    pub rejected: u64,
+    /// Queued requests dropped by the ShedOldest policy.
+    pub shed_oldest: u64,
+    /// Dequeued requests dropped because their queue age reached the
+    /// request timeout (or their SLO class deadline).
+    pub shed_deadline: u64,
+    /// Requests shed by SLO admission control before occupying a queue
+    /// slot: the shard's predicted wait already exceeded their deadline.
+    pub shed_admission: u64,
+    /// Tickets cancelled by their clients before a worker claimed them
+    /// (exactly one `Cancelled` completion event each).
+    pub cancelled: u64,
+    /// Requests answered from the label cache before admission (exact
+    /// content-hash hits; zero queue wait, zero virtual-GPU bill).
+    pub cache_hit: u64,
+    /// Requests coalesced onto an identical in-flight request and
+    /// completed by its fan-out when the leader resolved.
+    pub coalesced: u64,
+    /// Batched invocation rounds the workers executed (rounds whose every
+    /// member was deadline-shed don't count — no work ran).
+    pub batches: u64,
+    /// Largest executed (post-shedding) batch observed.
+    pub max_batch_observed: usize,
+    /// Batched model invocations: one per `(model, batch)` group admitted
+    /// to the virtual GPU pool. `stats.total_executions /
+    /// model_invocations` is the mean coalescing depth — the quantity
+    /// affinity routing exists to raise.
+    pub model_invocations: u64,
+    /// Virtual GPU **bill**: the summed batched invocation times
+    /// (`Σ batch_time(model, count)`), i.e. GPU-time consumed, independent
+    /// of how invocations packed into the pool. Coalescing shrinks it by
+    /// deduplicating setup charges; compare with
+    /// [`StreamStats::total_exec_ms`], the unbatched serial bill.
+    pub virtual_work_ms: u64,
+    /// Sum of the batches' virtual execution *makespans*, ms — the virtual
+    /// wall-clock the GPU pool was busy. Batching and pool parallelism
+    /// compress this below the serial sum of the same items' execution
+    /// times ([`StreamStats::total_exec_ms`]).
+    pub virtual_exec_ms: u64,
+    /// Wall-clock time requests spent queued.
+    pub queue_wait: LatencySummary,
+    /// Wall-clock time requests spent in a worker (label + batched wait).
+    pub execute: LatencySummary,
+    /// Queue wait + execute, per request.
+    pub total: LatencySummary,
+    /// Merged labeling statistics over completed requests — field-for-field
+    /// what a serial [`ams_core::streaming::StreamProcessor`] produces over
+    /// the same items when nothing is shed.
+    pub stats: StreamStats,
+    /// Adaptive-batching trajectories (when the controller ran).
+    pub adaptive: Option<AdaptiveReport>,
+    /// Per-class SLO ledgers (when SLO classes were configured).
+    pub slo: Option<SloReport>,
+    /// Label-cache telemetry (when the cache ran).
+    pub cache: Option<CacheReport>,
+    /// Final observability fold (when
+    /// [`ServeConfig::obs`](super::ServeConfig::obs) ran): the closing
+    /// metrics snapshot plus the flight recorder's retained traces.
+    pub obs: Option<ObsReport>,
+    /// Online-adaptation record (when
+    /// [`ServeConfig::adapt`](super::ServeConfig::adapt) ran): final
+    /// generation, swap/step/transition counts, and the loss trajectory.
+    pub adapt: Option<AdaptReport>,
+}
+
+impl ServeReport {
+    /// Shed + rejected share of offered load (0 when nothing was offered).
+    pub fn shed_rate(&self) -> f64 {
+        let shed = self.rejected + self.shed_oldest + self.shed_deadline + self.shed_admission;
+        ratio(shed, self.offered)
+    }
+
+    /// Every offered request is accounted for exactly once: labeled, lost
+    /// on one of the four shed/reject paths, cancelled by its client,
+    /// answered from the cache, or completed by a coalescing fan-out.
+    /// This is also the exactly-once completion invariant seen from the
+    /// ledger side — each bucket except `rejected` delivers exactly one
+    /// terminal event per request.
+    pub fn is_conserved(&self) -> bool {
+        self.offered
+            == self.completed
+                + self.rejected
+                + self.shed_oldest
+                + self.shed_deadline
+                + self.shed_admission
+                + self.cancelled
+                + self.cache_hit
+                + self.coalesced
+    }
+
+    /// Share of offered requests answered without a fresh execution —
+    /// exact cache hits plus coalesced followers (0 when nothing was
+    /// offered). The cache's capacity-multiplier headline number.
+    pub fn cache_hit_rate(&self) -> f64 {
+        ratio(self.cache_hit + self.coalesced, self.offered)
+    }
+
+    /// Mean executed requests per batched round (0 when no batch ran).
+    pub fn mean_batch_size(&self) -> f64 {
+        ratio(self.completed, self.batches)
+    }
+
+    /// Mean model executions coalesced per batched invocation (0 when no
+    /// invocation ran): how many same-model items shared one setup charge
+    /// on the virtual GPU. Routing that groups similar requests raises
+    /// this; 1.0 means batching bought nothing.
+    pub fn mean_coalesced(&self) -> f64 {
+        ratio(self.stats.total_executions as u64, self.model_invocations)
+    }
+
+    /// Share of the serial virtual GPU bill that batched admission saved,
+    /// measured in GPU-time consumed (`1 - virtual_work_ms /
+    /// stats.total_exec_ms`; 0 when nothing executed). Pool packing does
+    /// not move this number — only coalescing does, so it is the metric
+    /// routing quality shows up in.
+    pub fn bill_saving_fraction(&self) -> f64 {
+        if self.stats.total_exec_ms == 0 {
+            return 0.0;
+        }
+        1.0 - self.virtual_work_ms as f64 / self.stats.total_exec_ms as f64
+    }
+
+    /// The lifecycle event stream agrees with the conservation ledger
+    /// bucket for bucket: each terminal kind's reconciled total (events
+    /// drained + events drop-counted at the rings) equals the matching
+    /// `ServeReport` counter, and `spilled` matches the router's spill
+    /// count. Vacuously true when observability was off. This is the
+    /// cross-check that makes the event stream trustworthy — drops are
+    /// counted, never silently lost.
+    pub fn events_reconcile(&self) -> bool {
+        let Some(obs) = &self.obs else { return true };
+        obs.total(EventKind::Admitted) == self.offered
+            && obs.total(EventKind::Labeled) == self.completed
+            && obs.total(EventKind::CacheHit) == self.cache_hit
+            && obs.total(EventKind::Coalesced) == self.coalesced
+            && obs.total(EventKind::ShedOverflow) == self.shed_oldest
+            && obs.total(EventKind::ShedDeadline) == self.shed_deadline
+            && obs.total(EventKind::ShedAdmission) == self.shed_admission
+            && obs.total(EventKind::Rejected) == self.rejected
+            && obs.total(EventKind::Cancelled) == self.cancelled
+            && obs.total(EventKind::Spilled) == self.affinity_spills
+            && obs.total(EventKind::WeightsSwapped) == self.adapt.as_ref().map_or(0, |a| a.swaps)
+    }
+
+    /// Share of routed requests that landed on their affinity home shard
+    /// (0 when the affinity router never ran — e.g. hash routing).
+    pub fn affinity_hit_rate(&self) -> f64 {
+        ratio(
+            self.affinity_hits,
+            self.affinity_hits + self.affinity_spills,
+        )
+    }
+}
+
+/// Fold every ledger into the final report. Runs after the workers joined
+/// (`merged` is their summed accumulators) and the trainer finished, so
+/// each worker-side resolution is final. Clients hold only weak
+/// references, so the shared state is read in place — a client submitting
+/// after this point sees closed queues (`Rejected`), and cancellations of
+/// still-live tickets keep landing in the shared cancel ledger.
+pub(super) fn fold(
+    shared: &Shared,
+    merged: WorkerLocal,
+    adapt_report: Option<AdaptReport>,
+) -> ServeReport {
+    let num_classes = merged.classes.len();
+    let shed_oldest: u64 = shared
+        .queues
+        .iter()
+        .map(ShardQueue::shed_oldest_count)
+        .sum();
+    // Per-class overflow-shed ledgers, merged across shards.
+    let mut shed_classes: Vec<ClassShed> = vec![ClassShed::default(); num_classes];
+    for q in &shared.queues {
+        for (into, from) in shed_classes.iter_mut().zip(q.shed_ledger()) {
+            into.count += from.count;
+            into.value += from.value;
+        }
+    }
+    let adaptive = shared.cfg.adaptive.map(|acfg| AdaptiveReport {
+        target_p99_ms: acfg.target_p99_ms,
+        shards: shared
+            .controls
+            .iter()
+            .enumerate()
+            .map(|(shard, ctl)| ctl.record(shard, &acfg))
+            .collect(),
+    });
+    let cancelled_classes = shared.cancel_ledger.by_class();
+    let cancelled = shared.cancel_ledger.total();
+    // The cache ledger: hits and coalesced followers get their own
+    // buckets; followers shed with a failed leader fold into the
+    // matching loss buckets (their loss path was real). Drain sheds
+    // only happen on abort, where no report exists.
+    let cache_classes: Vec<ClassCache> = shared
+        .cache
+        .as_ref()
+        .map_or_else(Vec::new, |c| c.ledger().by_class());
+    let cache_sum = |f: fn(&ClassCache) -> u64| cache_classes.iter().map(f).sum::<u64>();
+    // The final observability fold. `report` drains the rings one last
+    // time, and the order matters: every ledger above was read first,
+    // and every ledgered settlement pushed its event *before* its
+    // ledger mutation became visible — so the drain can only see a
+    // superset of the settlements the counters above counted, never
+    // miss one (`events_reconcile` depends on this).
+    let obs_report = shared.obs.as_ref().map(|o| {
+        o.report(
+            &shared.shard_samples(),
+            shared.cache_gauges(),
+            adapt_report.as_ref().map(|a| a.generation),
+        )
+    });
+    let slo = shared.cfg.slo.as_ref().map(|slo_cfg| {
+        // Fold the per-shard submit-path ledgers into one.
+        let mut admission = vec![ClassAdmission::default(); num_classes];
+        for shard_ledger in shared
+            .class_admission
+            .as_ref()
+            .expect("ledger exists when SLO is configured")
+        {
+            for (into, from) in admission
+                .iter_mut()
+                .zip(shard_ledger.lock().expect("class ledger").iter())
+            {
+                into.merge(from);
+            }
+        }
+        SloReport {
+            admission_control: slo_cfg.admission_control,
+            value_weighted_shedding: slo_cfg.value_weighted_shedding,
+            edf_dequeue: slo_cfg.edf_dequeue,
+            classes: slo_cfg
+                .classes
+                .iter()
+                .enumerate()
+                .map(|(i, c)| {
+                    let adm = &admission[i];
+                    let local = &merged.classes[i];
+                    let oldest = shed_classes[i];
+                    let cancel = cancelled_classes.get(i).copied().unwrap_or_default();
+                    let cached = cache_classes.get(i).copied().unwrap_or_default();
+                    ClassReport {
+                        class: i,
+                        name: c.name.clone(),
+                        deadline_ms: c.deadline_ms,
+                        weight: c.weight,
+                        offered: adm.offered + cached.offered,
+                        completed: local.completed,
+                        deadline_met: local.deadline_met,
+                        rejected: adm.rejected,
+                        shed_admission: adm.shed_admission + cached.shed_admission,
+                        shed_oldest: oldest.count + cached.shed_overflow,
+                        shed_deadline: local.shed_deadline + cached.shed_deadline,
+                        cancelled: cancel.count,
+                        cache_hit: cached.cache_hit,
+                        coalesced: cached.coalesced,
+                        value_cached: cached.value_cached,
+                        value_cancelled: cancel.value,
+                        value_offered: adm.value_offered + cached.value_offered,
+                        value_completed: local.value_completed,
+                        value_late: local.value_late,
+                        value_shed: adm.value_rejected
+                            + adm.value_shed_admission
+                            + oldest.value
+                            + local.value_shed_deadline
+                            + cached.value_shed,
+                        total: local.total.summary(),
+                    }
+                })
+                .collect(),
+        }
+    });
+    ServeReport {
+        shards: shared.cfg.shards,
+        workers: shared.cfg.shards * shared.cfg.workers_per_shard,
+        policy: shared.cfg.policy.name().to_string(),
+        routing: shared.router.mode().name().to_string(),
+        affinity_hits: shared.router.affinity_hits(),
+        affinity_spills: shared.router.affinity_spills(),
+        offered: shared.offered.load(Ordering::Relaxed),
+        submitted: shared.submitted.load(Ordering::Relaxed),
+        completed: merged.completed,
+        rejected: shared.rejected.load(Ordering::Relaxed),
+        shed_oldest: shed_oldest + cache_sum(|c| c.shed_overflow),
+        shed_deadline: merged.shed_deadline + cache_sum(|c| c.shed_deadline),
+        shed_admission: shared.shed_admission.load(Ordering::Relaxed)
+            + cache_sum(|c| c.shed_admission),
+        cancelled,
+        cache_hit: cache_sum(|c| c.cache_hit),
+        coalesced: cache_sum(|c| c.coalesced),
+        batches: merged.batches,
+        max_batch_observed: merged.max_batch_observed,
+        model_invocations: merged.model_invocations,
+        virtual_work_ms: merged.virtual_work_ms,
+        virtual_exec_ms: merged.virtual_exec_ms,
+        queue_wait: merged.queue_wait.summary(),
+        execute: merged.execute.summary(),
+        total: merged.total.summary(),
+        stats: merged.stats,
+        adaptive,
+        slo,
+        cache: shared.cache.as_ref().map(|c| c.report()),
+        obs: obs_report,
+        adapt: adapt_report,
+    }
+}

@@ -1,0 +1,491 @@
+//! The submit surface: [`Client`], its per-ticket [`SubmitOptions`], and
+//! the one admission path every request takes — resolve class and
+//! deadline, issue the ticket, probe the cache, route, price admission,
+//! push.
+
+use super::Shared;
+use crate::cache::{CachedResult, Follower, LabelCache, Lookup};
+use crate::completion::{
+    CancelLedger, Completion, CompletionQueue, CompletionSlot, LabelResult, ShedReason, Ticket,
+};
+use crate::obs::{Event, EventKind, NO_SHARD};
+use crate::queue::{Request, SubmitOutcome};
+use ams_data::ItemTruth;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Weak};
+use std::time::{Duration, Instant};
+
+/// A request/response handle onto an [`AmsServer`](super::AmsServer): submissions issue
+/// cancellable [`Ticket`]s, and every ticket's single terminal
+/// [`Completion`] event arrives on this client's own bounded completion
+/// queue.
+///
+/// ```
+/// use ams_core::framework::{AdaptiveModelScheduler, Budget};
+/// use ams_core::predictor::OraclePredictor;
+/// use ams_data::{Dataset, DatasetProfile, TruthTable};
+/// use ams_models::ModelZoo;
+/// use ams_serve::{AmsServer, Completion, ServeConfig};
+/// use std::sync::Arc;
+///
+/// let zoo = ModelZoo::standard();
+/// let ds = Dataset::generate(DatasetProfile::Coco2017, 4, 42);
+/// let truth = TruthTable::build(&zoo, &zoo.catalog(), &ds, 0.5);
+/// let predictor = Box::new(OraclePredictor::new(zoo.len(), 0.5));
+/// let scheduler = AdaptiveModelScheduler::new(zoo, predictor, 0.5, 42);
+///
+/// let server = AmsServer::start(scheduler, Budget::Deadline { ms: 1000 }, ServeConfig::default());
+/// let client = server.client();
+/// let tickets: Vec<_> = truth
+///     .items()
+///     .iter()
+///     .filter_map(|item| client.submit(Arc::new(item.clone())).ticket())
+///     .collect();
+/// for _ in &tickets {
+///     match client.recv().expect("one event per ticket") {
+///         Completion::Labeled(result) => assert!(!result.labels.is_empty() || result.recall == 1.0),
+///         other => panic!("lossless config never sheds: {other:?}"),
+///     }
+/// }
+/// server.shutdown();
+/// ```
+///
+/// The client holds only a weak reference to the server: submitting after
+/// `shutdown` (or drop) returns [`SubmitOutcome::Rejected`], and
+/// undelivered events remain receivable.
+#[derive(Debug, Clone)]
+pub struct Client {
+    pub(super) shared: Weak<Shared>,
+    pub(super) queue: Arc<CompletionQueue>,
+    pub(super) cancel_ledger: Arc<CancelLedger>,
+}
+
+impl Client {
+    /// Default completion-window capacity of
+    /// [`AmsServer::client`](super::AmsServer::client).
+    pub const DEFAULT_CAPACITY: usize = 1024;
+
+    /// Submit one item, returning its [`Ticket`] inside the admission
+    /// outcome (SLO class 0 when classes are configured).
+    ///
+    /// Blocks while the completion window is full — `capacity` tickets
+    /// outstanding with their events unconsumed — and then under the
+    /// shard's own backpressure policy
+    /// ([`Block`](crate::BackpressurePolicy::Block) waits for queue space).
+    pub fn submit(&self, item: Arc<ItemTruth>) -> SubmitOutcome<Ticket> {
+        self.submit_class(item, 0)
+    }
+
+    /// [`Client::submit`] with an explicit SLO class (clamped to the
+    /// configured classes; ignored when no SLO is configured).
+    ///
+    /// With admission control on, the call first prices the shard's
+    /// backlog: predicted wait = queue depth × the amortized per-request
+    /// batch time the shard's workers publish ÷ workers on the shard. A
+    /// request whose prediction already exceeds its class deadline is
+    /// refused here ([`SubmitOutcome::ShedAdmission`]) *before* it
+    /// occupies a queue slot — admitting it could only evict or delay
+    /// work that still has a chance, then be deadline-shed anyway.
+    pub fn submit_class(&self, item: Arc<ItemTruth>, class: usize) -> SubmitOutcome<Ticket> {
+        self.submit_with(item, SubmitOptions::class(class))
+    }
+
+    /// [`Client::submit_class`] with full per-ticket economics: an
+    /// optional deadline and value that override the class defaults for
+    /// this ticket only (see [`SubmitOptions`]). Admission pricing, EDF
+    /// dequeue, deadline shedding, and value-weighted eviction read the
+    /// per-ticket numbers; the class remains the ledger bucket, so every
+    /// conservation gate is unchanged.
+    pub fn submit_with(&self, item: Arc<ItemTruth>, opts: SubmitOptions) -> SubmitOutcome<Ticket> {
+        let Some(shared) = self.shared.upgrade() else {
+            // The server shut down; nothing can be queued anymore.
+            return SubmitOutcome::Rejected;
+        };
+        submit(&shared, self, item, opts)
+    }
+
+    /// Blocking receive: the next terminal event, in delivery order.
+    /// Returns `None` when no ticket is outstanding (every issued ticket's
+    /// event was already consumed) — so a drain loop terminates instead of
+    /// deadlocking.
+    pub fn recv(&self) -> Option<Completion> {
+        self.queue.recv()
+    }
+
+    /// Non-blocking receive: the next event if one is already queued.
+    pub fn try_recv(&self) -> Option<Completion> {
+        self.queue.try_recv()
+    }
+
+    /// Receive with a timeout: wait up to `timeout` for the next event,
+    /// returning `None` on timeout. Unlike [`Client::recv`] this keeps
+    /// waiting while nothing is outstanding — callers that outlive idle
+    /// gaps between submission bursts (the TCP front-end's per-connection
+    /// writer) distinguish "idle" from "done" themselves.
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<Completion> {
+        self.queue.recv_timeout(timeout)
+    }
+
+    /// Drain every currently queued event without blocking (outstanding
+    /// tickets whose events have not arrived yet stay outstanding).
+    pub fn drain(&self) -> Vec<Completion> {
+        self.queue.drain()
+    }
+
+    /// Tickets issued by this client whose terminal events have not been
+    /// consumed yet.
+    pub fn outstanding(&self) -> usize {
+        self.queue.outstanding()
+    }
+
+    /// The completion-window capacity.
+    pub fn capacity(&self) -> usize {
+        self.queue.capacity()
+    }
+}
+
+/// Per-ticket economics for [`Client::submit_with`]: the SLO class is
+/// the aggregation bucket (ledgers, reports, reservations), while the
+/// optional deadline and value override the class defaults for *this
+/// ticket only* — admission pricing, EDF dequeue, deadline shedding, and
+/// value-weighted eviction all read the per-ticket numbers.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SubmitOptions {
+    /// SLO class (clamped to the configured classes; aggregation bucket
+    /// only — ignored for scheduling when no SLO is configured).
+    pub class: usize,
+    /// Per-ticket deadline in microseconds. `None` falls back to the
+    /// class deadline (no deadline without SLO classes). Honored even
+    /// without SLO classes: the request expires and is deadline-shed once
+    /// the budget is exhausted.
+    pub deadline_us: Option<u64>,
+    /// Per-ticket value in SLO value units. `None` falls back to the
+    /// class weight × the predicted affinity value (or `1.0` without SLO
+    /// classes). Feeds admission pricing, overflow eviction, cache
+    /// eviction pricing, and the per-class value ledgers.
+    pub value: Option<f64>,
+}
+
+impl SubmitOptions {
+    /// Options for a plain submission into `class` (class defaults for
+    /// deadline and value).
+    pub fn class(class: usize) -> Self {
+        Self {
+            class,
+            ..Self::default()
+        }
+    }
+
+    /// Builder: set the per-ticket deadline in microseconds.
+    #[must_use]
+    pub fn deadline_us(mut self, deadline_us: u64) -> Self {
+        self.deadline_us = Some(deadline_us);
+        self
+    }
+
+    /// Builder: set the per-ticket value.
+    #[must_use]
+    pub fn value(mut self, value: f64) -> Self {
+        self.value = Some(value);
+        self
+    }
+}
+
+/// Per-class counters recorded on the submit path (offered, rejected,
+/// admission-shed) — one short-lived lock per submission.
+#[derive(Debug, Default, Clone)]
+pub(super) struct ClassAdmission {
+    pub(super) offered: u64,
+    pub(super) value_offered: f64,
+    pub(super) rejected: u64,
+    pub(super) value_rejected: f64,
+    pub(super) shed_admission: u64,
+    pub(super) value_shed_admission: f64,
+}
+
+impl ClassAdmission {
+    /// Add another shard's ledger for the same class into this one.
+    pub(super) fn merge(&mut self, from: &Self) {
+        self.offered += from.offered;
+        self.value_offered += from.value_offered;
+        self.rejected += from.rejected;
+        self.value_rejected += from.value_rejected;
+        self.shed_admission += from.shed_admission;
+        self.value_shed_admission += from.value_shed_admission;
+    }
+}
+
+/// What the submit path resolved about one submission before it meets the
+/// cache, the router and the queue.
+struct Submission {
+    /// Observability correlation id: the prior `offered` count, unique
+    /// per submission.
+    req_id: u64,
+    ticket_id: u64,
+    class: usize,
+    value: f64,
+    /// Where the router placed it ([`NO_SHARD`] until it has).
+    shard: u32,
+}
+
+impl Submission {
+    /// Emit a submit-side lifecycle event about this submission.
+    fn emit(&self, shared: &Shared, kind: EventKind, detail: u64) {
+        let ev = Event::new(kind, self.req_id, self.ticket_id, self.shard, self.class);
+        shared.emit(None, ev.detail(detail));
+    }
+
+    /// Update this submission's class ledger on the shard it routed to.
+    fn ledger(&self, shared: &Shared, update: impl FnOnce(&mut ClassAdmission)) {
+        shared.class_ledger(self.shard as usize, self.class, update);
+    }
+}
+
+/// The one submit path, behind [`Client::submit_with`]: every admitted
+/// request carries a ticket on `client`'s completion queue, returned
+/// inside the outcome.
+fn submit(
+    shared: &Shared,
+    client: &Client,
+    item: Arc<ItemTruth>,
+    opts: SubmitOptions,
+) -> SubmitOutcome<Ticket> {
+    // Resolve the class and its deadline *before* routing: the router's
+    // deadline-aware spill prices candidate shards against the budget.
+    // A per-ticket deadline replaces the class default; everything
+    // downstream (router spill pricing, admission control, EDF, the
+    // worker's staleness check) reads the resolved number.
+    let (class, weight, deadline_us) = match &shared.cfg.slo {
+        Some(slo) => {
+            let class = opts.class.min(slo.classes.len() - 1);
+            let c = &slo.classes[class];
+            let class_deadline_us = c.deadline_ms.saturating_mul(1000);
+            let deadline_us = opts.deadline_us.or(Some(class_deadline_us));
+            (class, Some(c.weight), deadline_us)
+        }
+        None => (0, None, opts.deadline_us),
+    };
+    // Claim the completion-window slot first: it may block while the
+    // client's window is full, and the queue snapshots the router takes
+    // should be fresh when the push actually happens.
+    client.queue.issue();
+    // One fingerprint per request: the router derives placement from it,
+    // admission and shedding price with its value, and the cache keys on
+    // its content hash — computed only when the cache is on, so the
+    // uncached path pays nothing extra.
+    let fp = shared
+        .router
+        .fingerprint(&shared.scheduler, &item, shared.cache.is_some());
+    let req_id = shared.offered.fetch_add(1, Ordering::Relaxed);
+    // A per-ticket value replaces the predicted one (unit value without
+    // SLO classes); either way the class stays the ledger bucket, so
+    // conservation sums are untouched.
+    let value = opts.value.unwrap_or(weight.map_or(1.0, |w| w * fp.value));
+    let mut sub = Submission {
+        req_id,
+        ticket_id: shared.next_ticket.fetch_add(1, Ordering::Relaxed),
+        class,
+        value,
+        shard: NO_SHARD,
+    };
+    let ticket = issue_ticket(shared, client, &sub);
+    sub.emit(shared, EventKind::Admitted, 0);
+    // Pre-admission cache protocol: an exact duplicate of a *resolved*
+    // fingerprint is answered right here; a duplicate of a *queued or
+    // in-flight* fingerprint coalesces onto that leader and completes at
+    // its fan-out. Only a first sighting (the leader) proceeds to routing
+    // and admission, carrying the pending entry.
+    let mut lead = None;
+    if let Some(cache) = &shared.cache {
+        let follower = Follower {
+            slot: Arc::clone(ticket.slot()),
+            class,
+            value,
+            deadline_us,
+            submitted_at: Instant::now(),
+            req_id,
+        };
+        match cache.lookup(fp.content, follower) {
+            Lookup::Hit(result) => return answer_from_cache(shared, cache, &sub, ticket, result),
+            Lookup::Coalesced => return SubmitOutcome::Coalesced(ticket),
+            Lookup::Miss(entry) => lead = Some(entry),
+        }
+    }
+    let route = shared.router.route(&fp, &item, &shared.queues, deadline_us);
+    sub.shard = route.shard as u32;
+    if !route.affine {
+        // Exactly the routes the router counted as `affinity_spills`
+        // (hash routes are always "affine"), so the spill events
+        // reconcile against the router's own counter.
+        sub.emit(shared, EventKind::Spilled, 0);
+    }
+    sub.ledger(shared, |l| {
+        l.offered += 1;
+        l.value_offered += value;
+    });
+    let mut req = Request::new(item, route.signature)
+        .with_slo(class, value, deadline_us)
+        .with_req_id(req_id)
+        .with_completion(Arc::clone(ticket.slot()));
+    if let Some(entry) = lead {
+        req = req.with_cache(entry);
+    }
+    if let Some(wait_us) = doomed_at_admission(shared, route.shard, deadline_us) {
+        return shed_at_admission(shared, &sub, wait_us, &req, ticket);
+    }
+    enqueue(shared, &sub, req, ticket)
+}
+
+/// The ticket for one submission: a completion slot on the client's queue,
+/// wired to the observability pipeline when it is on.
+fn issue_ticket(shared: &Shared, client: &Client, sub: &Submission) -> Ticket {
+    let slot = CompletionSlot::new(
+        sub.ticket_id,
+        sub.class,
+        sub.value,
+        Arc::clone(&client.queue),
+        Arc::clone(&client.cancel_ledger),
+    );
+    Ticket::new(Arc::new(slot.with_obs(sub.req_id, shared.obs.clone())))
+}
+
+/// Refuse a doomed request before it occupies a queue slot. The ticket
+/// resolves right here: the shed *is* its terminal event, delivered at
+/// decision time.
+fn shed_at_admission(
+    shared: &Shared,
+    sub: &Submission,
+    wait_us: u64,
+    req: &Request,
+    ticket: Ticket,
+) -> SubmitOutcome<Ticket> {
+    shared.shed_admission.fetch_add(1, Ordering::Relaxed);
+    // No cancel race to lose: the ticket has not been returned to the
+    // caller yet, so this shed always owns the slot — the event mirrors
+    // the unconditional counter above.
+    sub.emit(shared, EventKind::ShedAdmission, wait_us);
+    sub.ledger(shared, |l| {
+        l.shed_admission += 1;
+        l.value_shed_admission += sub.value;
+    });
+    // A shed leader takes its pending cache entry down with it — no
+    // worker will ever resolve it, so followers that coalesced between
+    // lookup and here shed too.
+    req.fail_cache(ShedReason::Admission);
+    ticket.slot().try_shed(ShedReason::Admission);
+    SubmitOutcome::ShedAdmission(ticket)
+}
+
+/// Push the request into its shard queue and account for what the queue's
+/// backpressure policy did with it.
+fn enqueue(
+    shared: &Shared,
+    sub: &Submission,
+    req: Request,
+    ticket: Ticket,
+) -> SubmitOutcome<Ticket> {
+    let lead = req.cache_entry().cloned();
+    let outcome = shared.queues[sub.shard as usize].push(req);
+    match outcome {
+        SubmitOutcome::Enqueued(()) | SubmitOutcome::EnqueuedShedOldest(()) => {
+            shared.submitted.fetch_add(1, Ordering::Relaxed);
+            sub.emit(shared, EventKind::Enqueued, 0);
+        }
+        // The submission itself was the overflow shed: it never entered a
+        // queue (so it is not `submitted`) and the queue recorded it in
+        // the overflow-shed ledger — and resolved its ticket with
+        // `Shed(Overflow)` — which keeps the conservation equation
+        // balanced.
+        SubmitOutcome::ShedIncoming(()) => {}
+        SubmitOutcome::Rejected => {
+            shared.rejected.fetch_add(1, Ordering::Relaxed);
+            sub.emit(shared, EventKind::Rejected, 0);
+            sub.ledger(shared, |l| {
+                l.rejected += 1;
+                l.value_rejected += sub.value;
+            });
+            // A rejection is synchronous: the caller sees it, no event is
+            // owed, so the provisional ticket is withdrawn and its window
+            // slot released. The leader's pending cache entry dies with
+            // it; followers shed as Overflow — the rejection means the
+            // shard queue was full or closed, and no more specific shed
+            // reason exists for "leader never enqueued".
+            if let Some(entry) = &lead {
+                entry.fail(ShedReason::Overflow);
+            }
+            ticket.slot().retract();
+            return SubmitOutcome::Rejected;
+        }
+        SubmitOutcome::ShedAdmission(()) => unreachable!("queues never shed at admission"),
+        SubmitOutcome::Cached(()) | SubmitOutcome::Coalesced(()) => {
+            unreachable!("queues never consult the cache")
+        }
+    }
+    outcome.map(|()| ticket)
+}
+
+/// An exact duplicate of a resolved fingerprint: cached labels, zero queue
+/// wait, zero virtual-GPU bill, no queue slot.
+fn answer_from_cache(
+    shared: &Shared,
+    cache: &LabelCache,
+    sub: &Submission,
+    ticket: Ticket,
+    result: CachedResult,
+) -> SubmitOutcome<Ticket> {
+    cache.ledger().record_hit(sub.class, sub.value);
+    sub.emit(shared, EventKind::CacheHit, 0);
+    ticket.slot().try_labeled(LabelResult {
+        ticket: sub.ticket_id,
+        class: sub.class,
+        labels: result.labels,
+        executed: result.executed,
+        label_value: result.label_value,
+        banked_value: sub.value,
+        recall: result.recall,
+        queue_wait_us: 0,
+        execute_us: 0,
+        deadline_met: true,
+    });
+    SubmitOutcome::Cached(ticket)
+}
+
+/// SLO admission control: the predicted queue wait on `shard`, µs, when a
+/// request with this deadline should be shed before it occupies a slot;
+/// `None` admits (always, without admission control, a deadline, or any
+/// service-time evidence from the shard yet).
+fn doomed_at_admission(shared: &Shared, shard: usize, deadline_us: Option<u64>) -> Option<u64> {
+    let (slo, deadline) = (shared.cfg.slo.as_ref()?, deadline_us?);
+    if !slo.admission_control {
+        return None;
+    }
+    let control = &shared.controls[shard];
+    let amortized = control.amortized_us.load(Ordering::Relaxed);
+    // One consistent snapshot of the queue (single lock acquisition):
+    // total depth for the fullness check, and the earlier-deadline
+    // backlog for EDF pricing — under EDF dequeue an urgent request
+    // overtakes lax work, so the raw depth would overcharge it (and shed
+    // requests EDF would have served in time).
+    let at = Instant::now() + Duration::from_micros(deadline);
+    let (qlen, ahead) = shared.queues[shard].queued_ahead(at);
+    let depth = if slo.edf_dequeue { ahead } else { qlen } as u64;
+    // Two shedding criteria, deliberately asymmetric:
+    //
+    // * the predicted *wait alone* exceeds the deadline — the request
+    //   provably cannot complete in time (it cannot even dequeue in
+    //   budget), so queueing it only wastes a slot;
+    // * the queue is *full* and wait + one batch execute span (the
+    //   measured EWMA) exceeds the deadline — here admitting means
+    //   evicting a queued request that still has a chance, in favor of
+    //   one predicted to finish late; refusing the doomed newcomer is the
+    //   strictly better trade.
+    //
+    // A merely-probably-late request on a non-full queue is admitted: EDF
+    // dequeue may still save it, and shedding at the margin would throw
+    // away value on a coin flip.
+    let wait_us = depth as f64 * amortized as f64 / shared.cfg.workers_per_shard as f64;
+    let full = qlen >= shared.queues[shard].capacity();
+    let span = control.exec_span_us.load(Ordering::Relaxed);
+    let doomed = wait_us >= deadline as f64 || (full && wait_us + span as f64 >= deadline as f64);
+    (amortized > 0 && doomed).then_some(wait_us as u64)
+}

@@ -1,0 +1,407 @@
+//! The shard worker: pop a batch, then four phases — shed stale / claim,
+//! label, batch-admit into the virtual GPU pool, deliver — until the shard
+//! queue closes and drains. Also the accumulators a worker hands back at
+//! join.
+
+use super::control::ShardControl;
+use super::Shared;
+use crate::adapt::WorkerAdapt;
+use crate::cache::CachedResult;
+use crate::completion::{LabelResult, ShedReason};
+use crate::obs::{Event, EventKind};
+use crate::queue::{Request, ShardQueue};
+use crate::telemetry::{micros, LatencyHistogram};
+use ams_core::framework::LabelingOutcome;
+use ams_core::streaming::StreamStats;
+use ams_models::ModelId;
+use ams_sim::{batched_makespan, Job};
+use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
+
+/// Items below this recall increment [`StreamStats::low_recall_items`] —
+/// the serial [`StreamProcessor`](ams_core::streaming::StreamProcessor)'s
+/// default, which serve==serial equivalence is checked against.
+const ALERT_RECALL: f64 = 0.5;
+
+/// Per-class worker-side accumulators (completions, deadline sheds,
+/// value accounting, the class latency histogram).
+#[derive(Default)]
+pub(super) struct ClassLocal {
+    pub(super) completed: u64,
+    pub(super) deadline_met: u64,
+    pub(super) value_completed: f64,
+    pub(super) value_late: f64,
+    pub(super) shed_deadline: u64,
+    pub(super) value_shed_deadline: f64,
+    pub(super) total: LatencyHistogram,
+}
+
+/// Per-worker accumulators, merged at shutdown.
+#[derive(Default)]
+pub(super) struct WorkerLocal {
+    pub(super) stats: StreamStats,
+    pub(super) queue_wait: LatencyHistogram,
+    pub(super) execute: LatencyHistogram,
+    pub(super) total: LatencyHistogram,
+    pub(super) completed: u64,
+    pub(super) shed_deadline: u64,
+    pub(super) batches: u64,
+    pub(super) max_batch_observed: usize,
+    pub(super) model_invocations: u64,
+    pub(super) virtual_work_ms: u64,
+    pub(super) virtual_exec_ms: u64,
+    /// Per-class ledgers (empty when no SLO classes are configured).
+    pub(super) classes: Vec<ClassLocal>,
+}
+
+impl WorkerLocal {
+    pub(super) fn new(num_models: usize, num_classes: usize) -> Self {
+        Self {
+            stats: StreamStats::with_models(num_models),
+            classes: (0..num_classes).map(|_| ClassLocal::default()).collect(),
+            ..Self::default()
+        }
+    }
+
+    /// Add a joined worker's accumulators into this one.
+    pub(super) fn merge(&mut self, from: &WorkerLocal) {
+        self.stats.merge(&from.stats);
+        self.queue_wait.merge(&from.queue_wait);
+        self.execute.merge(&from.execute);
+        self.total.merge(&from.total);
+        self.completed += from.completed;
+        self.shed_deadline += from.shed_deadline;
+        self.batches += from.batches;
+        self.max_batch_observed = self.max_batch_observed.max(from.max_batch_observed);
+        self.model_invocations += from.model_invocations;
+        self.virtual_work_ms += from.virtual_work_ms;
+        self.virtual_exec_ms += from.virtual_exec_ms;
+        for (into, from) in self.classes.iter_mut().zip(&from.classes) {
+            into.completed += from.completed;
+            into.deadline_met += from.deadline_met;
+            into.value_completed += from.value_completed;
+            into.value_late += from.value_late;
+            into.shed_deadline += from.shed_deadline;
+            into.value_shed_deadline += from.value_shed_deadline;
+            into.total.merge(&from.total);
+        }
+    }
+}
+
+/// A batch member that reached execution, and how long it queued.
+struct Survivor {
+    req: Request,
+    wait: Duration,
+    /// A leader whose own ticket already resolved (cancelled) but whose
+    /// pending cache entry still has live followers. The ghost is labeled
+    /// and billed like any survivor — the followers' completions need the
+    /// result — but it is not *completed*: its own terminal event (the
+    /// cancellation) was already delivered, and counting it again would
+    /// break ticket/event exactly-once.
+    ghost: bool,
+}
+
+/// One worker's view of the server plus its private state.
+struct Worker<'a> {
+    shared: &'a Shared,
+    shard: usize,
+    /// Server-wide worker index — the key of this worker's private
+    /// observability event ring.
+    index: usize,
+    queue: &'a ShardQueue,
+    control: &'a ShardControl,
+    /// With adaptation on, the worker's experience tap and its pinned
+    /// snapshot predictor; `None` labels through the scheduler's own
+    /// frozen predictor, byte-identical to a server without adaptation.
+    adapt: Option<WorkerAdapt>,
+    local: WorkerLocal,
+    runs_per_model: Vec<usize>,
+}
+
+// ams-lint: begin(no-panic) worker hot loop — a panicking worker strands
+// its shard queue and every in-flight ticket on it
+
+/// One worker: pop → shed stale / claim → label → batch-admit → deliver,
+/// until the shard queue closes and drains.
+pub(super) fn worker_loop(
+    shared: &Shared,
+    shard: usize,
+    index: usize,
+    adapt: Option<WorkerAdapt>,
+) -> WorkerLocal {
+    let n = shared.scheduler.zoo().len();
+    let num_classes = shared.cfg.slo.as_ref().map_or(0, |s| s.classes.len());
+    let mut w = Worker {
+        shared,
+        shard,
+        index,
+        // One bounds check each here instead of one per batch below: the
+        // worker is pinned to `shard` for its whole life.
+        queue: &shared.queues[shard], // ams-lint: allow(no-panic) shard < queues.len() — workers are spawned one per existing shard
+        control: &shared.controls[shard], // ams-lint: allow(no-panic) shard < controls.len() — controls is built with one entry per shard
+        adapt,
+        local: WorkerLocal::new(n, num_classes),
+        runs_per_model: vec![0usize; n],
+    };
+    let linger = Duration::from_millis(shared.cfg.batch_linger_ms);
+    loop {
+        // Under adaptive batching the shard's live limit replaces the
+        // static one; the controller retunes it between pops.
+        let limit = if shared.cfg.adaptive.is_some() {
+            w.control.limit.load(Ordering::Relaxed)
+        } else {
+            shared.cfg.max_batch
+        };
+        let batch = w.queue.pop_batch_lingering(limit, linger);
+        if batch.is_empty() {
+            return w.local;
+        }
+        let exec_start = Instant::now();
+        let survivors = w.claim(batch);
+        if survivors.is_empty() {
+            // The whole round was shed: no batch executed, nothing to
+            // observe or charge.
+            continue;
+        }
+        let outcomes = w.label(&survivors);
+        w.batch_admit();
+        w.deliver(survivors, outcomes, exec_start.elapsed());
+    }
+}
+
+impl Worker<'_> {
+    fn emit(&self, ev: Event) {
+        self.shared.emit(Some(self.index), ev);
+    }
+
+    /// Phase 1 — shed stale, claim the rest.
+    ///
+    /// Deadline-aware shedding: a request whose queue age has already
+    /// exhausted its deadline budget (`submit` stamped its SLO class's or
+    /// its ticket's own onto the request) is dropped before any work is
+    /// spent on it. A shed request is accounted exactly once — in
+    /// `shed_deadline` — and never reaches the stats (the recall
+    /// denominator) or the latency histograms.
+    ///
+    /// Cancellation races resolve here: a ticketed request is *claimed*
+    /// (`PENDING → CLAIMED`) before any labeling work, so a cancel that
+    /// arrives later is too late, while a request cancelled between
+    /// enqueue and this point is skipped without ledgering anything — the
+    /// cancellation already delivered its terminal event and recorded
+    /// itself.
+    fn claim(&mut self, batch: Vec<Request>) -> Vec<Survivor> {
+        let mut survivors = Vec::with_capacity(batch.len());
+        for req in batch {
+            let now = Instant::now();
+            let wait = now.saturating_duration_since(req.enqueued_at);
+            if req.expired(now) {
+                // An expired leader takes its coalesced followers down
+                // with it, whoever owns the leader's own shed event.
+                req.fail_cache(ShedReason::Deadline);
+                if req.resolve_or_own(|slot| slot.try_shed(ShedReason::Deadline)) {
+                    self.local.shed_deadline += 1;
+                    if let Some(cl) = self.local.classes.get_mut(req.class) {
+                        cl.shed_deadline += 1;
+                        cl.value_shed_deadline += req.value;
+                    }
+                    let shed = req.event(EventKind::ShedDeadline, self.shard as u32);
+                    self.emit(shed.detail(micros(wait)));
+                }
+            } else {
+                // A cancelled leader with waiters is promoted to ghost —
+                // executed for the followers' sake. With no waiters the
+                // entry abandons itself and the slot is free for the next
+                // submission of the same content.
+                let ghost = !req.resolve_or_own(|slot| slot.try_claim());
+                if !ghost || req.cache_entry().is_some_and(|e| e.wanted_or_abandon()) {
+                    survivors.push(Survivor { req, wait, ghost });
+                }
+            }
+        }
+        survivors
+    }
+
+    /// Phase 2 — label each survivor, collecting the batch's per-model run
+    /// counts into `runs_per_model`.
+    fn label(&mut self, survivors: &[Survivor]) -> Vec<LabelingOutcome> {
+        let shared = self.shared;
+        self.local.batches += 1;
+        self.local.max_batch_observed = self.local.max_batch_observed.max(survivors.len());
+        shared.observe(|obs| obs.batch_started(self.shard, survivors.len()));
+        for s in survivors {
+            let batched = s.req.event(EventKind::Batched, self.shard as u32);
+            self.emit(batched.detail(survivors.len() as u64));
+        }
+        // With adaptation on, repin the snapshot predictor first — one
+        // atomic generation check per batch, so every predict in this
+        // batch runs against one coherent weight set even while the
+        // trainer publishes mid-batch.
+        if let Some(a) = self.adapt.as_mut() {
+            a.refresh();
+        }
+        self.runs_per_model.fill(0);
+        survivors
+            .iter()
+            .map(|s| {
+                let outcome = match &self.adapt {
+                    Some(a) => {
+                        shared
+                            .scheduler
+                            .label_item_with(&a.predictor, &s.req.item, shared.budget)
+                    }
+                    None => shared.scheduler.label_item(&s.req.item, shared.budget),
+                };
+                for &m in &outcome.executed {
+                    self.runs_per_model[m.index()] += 1; // ams-lint: allow(no-panic) m.index() < zoo.len() == runs_per_model.len()
+                }
+                outcome
+            })
+            .collect()
+    }
+
+    /// Phase 3 — batched admission: one invocation per model over the
+    /// whole coalesced batch, packed into the virtual GPU pool; the bill
+    /// and the makespan are charged, and the makespan is slept when
+    /// execution is emulated.
+    fn batch_admit(&mut self) {
+        let cfg = &self.shared.cfg;
+        let zoo = self.shared.scheduler.zoo();
+        let groups: Vec<(Job, usize)> = self
+            .runs_per_model
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .map(|(m, &count)| {
+                let spec = zoo.spec(ModelId(m as u8));
+                (
+                    Job {
+                        id: m,
+                        time_ms: spec.time_ms,
+                        mem_mb: spec.mem_mb,
+                    },
+                    count,
+                )
+            })
+            .collect();
+        let makespan_ms = batched_makespan(&groups, cfg.pool_mb, &cfg.batch_model);
+        self.local.model_invocations += groups.len() as u64;
+        self.local.virtual_work_ms += groups
+            .iter()
+            .map(|&(job, count)| cfg.batch_model.batch_time_ms(job.time_ms, count))
+            .sum::<u64>();
+        self.local.virtual_exec_ms += makespan_ms;
+        if cfg.exec_emulation_scale > 0.0 && makespan_ms > 0 {
+            let wait_ms = makespan_ms as f64 * cfg.exec_emulation_scale;
+            std::thread::sleep(Duration::from_secs_f64(wait_ms / 1000.0));
+        }
+    }
+
+    /// Phase 4 — the whole batch completes together: publish the shard's
+    /// service-time signals, then resolve each member (cache fan-out,
+    /// ledgers, events, the ticket's own `Labeled` completion). Each
+    /// member is charged the batch's execute span on top of its own queue
+    /// wait.
+    fn deliver(
+        &mut self,
+        survivors: Vec<Survivor>,
+        outcomes: Vec<LabelingOutcome>,
+        exec: Duration,
+    ) {
+        let shared = self.shared;
+        // Publish the amortized per-request service time — the headroom
+        // signal admission control prices queue depth with — and the
+        // queue's drain rate (service time ÷ the workers sharing the
+        // queue), which value-weighted eviction prices its doom horizon
+        // with. Same yardstick as admission, so the two policies agree on
+        // what a queued request's wait looks like.
+        let amortized = self.control.publish_amortized(exec, survivors.len());
+        self.queue
+            .set_service_hint_us((amortized / shared.cfg.workers_per_shard as u64).max(1));
+        let exec_us = micros(exec);
+        shared.observe(|obs| obs.batch_finished(self.shard, survivors.len(), exec_us));
+        for (s, outcome) in survivors.iter().zip(outcomes) {
+            // Feed the trainer (non-blocking; a full channel drops and
+            // counts). Ghosts included — their executions were real.
+            if let Some(a) = &self.adapt {
+                a.offer(&s.req.item, &outcome.executed);
+            }
+            // Publish into the cache first: followers fan out the moment
+            // the leader resolves, and the entry flips to `Done` so the
+            // next identical submission is an exact hit.
+            if let (Some(cache), Some(entry)) = (&shared.cache, s.req.cache_entry()) {
+                cache.resolve(
+                    entry,
+                    CachedResult {
+                        labels: outcome.labels.clone(),
+                        executed: outcome.executed.clone(),
+                        label_value: outcome.value,
+                        recall: outcome.recall,
+                    },
+                    s.req.value,
+                );
+            }
+            if s.ghost {
+                // Billed in `batch_admit` (its model runs are in
+                // `runs_per_model`), but its own ticket already resolved
+                // as cancelled — nothing to complete, record, or deliver.
+                let ghost = s.req.event(EventKind::GhostExecuted, self.shard as u32);
+                self.emit(ghost.detail(exec_us));
+                continue;
+            }
+            self.complete(s, outcome, exec);
+        }
+        if let Some(acfg) = &shared.cfg.adaptive {
+            self.control.observe_batch(
+                survivors.iter().map(|s| s.wait),
+                exec,
+                acfg,
+                &shared.cfg.batch_model,
+            );
+        }
+    }
+
+    /// Ledger, announce and deliver one labeled request.
+    fn complete(&mut self, s: &Survivor, outcome: LabelingOutcome, exec: Duration) {
+        let Survivor { req, wait, .. } = s;
+        let local = &mut self.local;
+        local.stats.absorb(&outcome, ALERT_RECALL);
+        local.queue_wait.record(*wait);
+        local.execute.record(exec);
+        let total = *wait + exec;
+        local.total.record(total);
+        local.completed += 1;
+        let met = req.deadline_us.is_none_or(|d| micros(total) <= d);
+        if let Some(cl) = local.classes.get_mut(req.class) {
+            cl.completed += 1;
+            cl.value_completed += req.value;
+            cl.total.record(total);
+            cl.deadline_met += u64::from(met);
+            if !met {
+                cl.value_late += req.value;
+            }
+        }
+        let shard = self.shard as u32;
+        self.emit(req.event(EventKind::Executed, shard).detail(micros(exec)));
+        let labeled = req.event(EventKind::Labeled, shard);
+        self.emit(labeled.detail(micros(total)).flag(!met));
+        // Per-request delivery: the claimed slot receives the request's
+        // *own* labels and latency split — the payload the aggregate-only
+        // path folds into `ServeReport::stats`.
+        if let Some(slot) = req.completion() {
+            slot.finish_labeled(LabelResult {
+                ticket: slot.id(),
+                class: req.class,
+                labels: outcome.labels,
+                executed: outcome.executed,
+                label_value: outcome.value,
+                banked_value: req.value,
+                recall: outcome.recall,
+                queue_wait_us: micros(*wait),
+                execute_us: micros(exec),
+                deadline_met: met,
+            });
+        }
+    }
+}
+
+// ams-lint: end(no-panic)

@@ -52,6 +52,21 @@ impl Default for LatencyHistogram {
     }
 }
 
+/// `num / denom`, or 0 when the denominator is 0 — the shape of every
+/// rate a report or snapshot derives from two counters.
+pub(crate) fn ratio(num: u64, denom: u64) -> f64 {
+    if denom == 0 {
+        0.0
+    } else {
+        num as f64 / denom as f64
+    }
+}
+
+/// A duration as whole microseconds, saturating.
+pub(crate) fn micros(d: std::time::Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
+}
+
 /// Strictly increasing bucket upper bounds (µs), computed once.
 ///
 /// Bucket `i` holds values `bound(i-1) < us <= bound(i)`. The bounds follow
@@ -101,7 +116,7 @@ impl LatencyHistogram {
 
     /// Record a [`std::time::Duration`].
     pub fn record(&mut self, d: std::time::Duration) {
-        self.record_us(d.as_micros().min(u128::from(u64::MAX)) as u64);
+        self.record_us(micros(d));
     }
 
     /// Number of recorded latencies.
@@ -111,11 +126,7 @@ impl LatencyHistogram {
 
     /// Mean latency in microseconds (0 when empty).
     pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64
-        }
+        ratio(self.sum_us, self.count)
     }
 
     /// Largest recorded latency in microseconds.

@@ -5,6 +5,8 @@
 //! trainer's swaps show up in the event stream, the taps' offers show up
 //! in the experience counts, and conservation still holds.
 
+mod common;
+
 use ams_core::framework::{AdaptiveModelScheduler, Budget};
 use ams_core::streaming::{StreamProcessor, StreamStats};
 use ams_core::SnapshotPredictor;
@@ -12,6 +14,7 @@ use ams_data::{Dataset, DatasetProfile, TruthTable};
 use ams_models::ModelZoo;
 use ams_rl::{train, AgentSnapshot, Algo, OnlineConfig, TrainConfig, TrainedAgent};
 use ams_serve::{AdaptConfig, AmsServer, BackpressurePolicy, EventKind, ObsConfig, ServeConfig};
+use common::assert_stats_match;
 use std::sync::{Arc, OnceLock};
 
 const BUDGET: Budget = Budget::Deadline { ms: 900 };
@@ -50,21 +53,6 @@ fn frozen_serial_stats() -> StreamStats {
     serial.stats().clone()
 }
 
-fn assert_stats_match(got: &StreamStats, want: &StreamStats, ctx: &str) {
-    assert_eq!(got.items, want.items, "{ctx}: items");
-    assert_eq!(got.total_exec_ms, want.total_exec_ms, "{ctx}: exec ms");
-    assert_eq!(got.total_executions, want.total_executions, "{ctx}: execs");
-    assert_eq!(got.per_model_runs, want.per_model_runs, "{ctx}: per-model");
-    assert!(
-        (got.recall_sum - want.recall_sum).abs() < 1e-9,
-        "{ctx}: recall_sum"
-    );
-    assert!(
-        (got.value_sum - want.value_sum).abs() < 1e-9,
-        "{ctx}: value_sum"
-    );
-}
-
 /// `adapt: None` is the frozen path, bit for bit: serve-mode stats over a
 /// lossless stream equal the serial engine's with the same generation-0
 /// snapshot predictor, under every backpressure policy, and the report
@@ -73,11 +61,7 @@ fn assert_stats_match(got: &StreamStats, want: &StreamStats, ctx: &str) {
 fn adapt_off_is_byte_identical_to_frozen_path_across_policies() {
     let (agent, truth) = fixture();
     let want = frozen_serial_stats();
-    for policy in [
-        BackpressurePolicy::Block,
-        BackpressurePolicy::Reject,
-        BackpressurePolicy::ShedOldest,
-    ] {
+    for policy in common::POLICIES {
         let cfg = ServeConfig {
             shards: 2,
             workers_per_shard: 2,

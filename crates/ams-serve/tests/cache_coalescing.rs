@@ -5,44 +5,22 @@
 //! (now including the `cache_hit` and `coalesced` buckets) under
 //! cancellation storms across every backpressure policy.
 
-use ams_core::framework::{AdaptiveModelScheduler, Budget};
-use ams_core::predictor::OraclePredictor;
-use ams_data::{Dataset, DatasetProfile, TruthTable};
-use ams_models::ModelZoo;
+mod common;
+
+use ams_core::framework::Budget;
+use ams_data::TruthTable;
 use ams_serve::{
     AmsServer, BackpressurePolicy, CacheConfig, Completion, ServeConfig, SloClass, SloConfig,
     SubmitOutcome, Ticket,
 };
+use common::{scheduler, tally};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
-fn scheduler() -> AdaptiveModelScheduler {
-    let zoo = ModelZoo::standard();
-    let predictor = Box::new(OraclePredictor::new(zoo.len(), 0.5));
-    AdaptiveModelScheduler::new(zoo, predictor, 0.5, 64)
-}
-
 fn truth() -> &'static TruthTable {
     static TRUTH: OnceLock<TruthTable> = OnceLock::new();
-    TRUTH.get_or_init(|| {
-        let zoo = ModelZoo::standard();
-        let ds = Dataset::generate(DatasetProfile::Coco2017, 40, 64);
-        TruthTable::build(&zoo, &zoo.catalog(), &ds, 0.5)
-    })
-}
-
-/// Count events by kind: (labeled, shed, cancelled).
-fn tally(events: &[Completion]) -> (u64, u64, u64) {
-    let mut t = (0u64, 0u64, 0u64);
-    for ev in events {
-        match ev {
-            Completion::Labeled(_) => t.0 += 1,
-            Completion::Shed { .. } => t.1 += 1,
-            Completion::Cancelled { .. } => t.2 += 1,
-        }
-    }
-    t
+    TRUTH.get_or_init(|| common::truth_of(40))
 }
 
 /// A repetitive stream through the cache is lossless and deduplicated:
@@ -90,10 +68,7 @@ fn repeated_stream_hits_and_coalesces_losslessly() {
             issued += 1;
         }
     }
-    let mut events = Vec::new();
-    while let Some(ev) = client.recv() {
-        events.push(ev);
-    }
+    let events: Vec<Completion> = std::iter::from_fn(|| client.recv()).collect();
     let report = server.shutdown();
     assert_eq!(events.len() as u64, issued, "one event per ticket");
     let serial = scheduler();
@@ -132,11 +107,7 @@ fn repeated_stream_hits_and_coalesces_losslessly() {
 #[test]
 fn cancelled_leaders_promote_ghosts_across_policies() {
     let table = truth();
-    for policy in [
-        BackpressurePolicy::Block,
-        BackpressurePolicy::Reject,
-        BackpressurePolicy::ShedOldest,
-    ] {
+    for policy in common::POLICIES {
         let server = AmsServer::start(
             scheduler(),
             Budget::Deadline { ms: 900 },
@@ -197,10 +168,7 @@ fn cancelled_leaders_promote_ghosts_across_policies() {
         }
         drop(leaders);
         let report = server.shutdown();
-        let mut events = Vec::new();
-        while let Some(ev) = client.recv() {
-            events.push(ev);
-        }
+        let events: Vec<Completion> = std::iter::from_fn(|| client.recv()).collect();
         assert_eq!(events.len() as u64, issued, "{ctx}: one event per ticket");
         let ids: HashSet<u64> = events.iter().map(Completion::ticket).collect();
         assert_eq!(ids.len() as u64, issued, "{ctx}: no ticket resolved twice");
@@ -258,11 +226,7 @@ proptest! {
         repeat_span in 1usize..8,
         cancel_stride in 2usize..5,
     ) {
-        let policy = [
-            BackpressurePolicy::Block,
-            BackpressurePolicy::Reject,
-            BackpressurePolicy::ShedOldest,
-        ][policy_idx];
+        let policy = common::POLICIES[policy_idx];
         let table = truth();
         let server = AmsServer::start(
             scheduler(),
@@ -309,10 +273,7 @@ proptest! {
             t.cancel();
         }
         let report = server.shutdown();
-        let mut events = Vec::new();
-        while let Some(ev) = client.recv() {
-            events.push(ev);
-        }
+        let events: Vec<Completion> = std::iter::from_fn(|| client.recv()).collect();
         prop_assert_eq!(events.len() as u64, issued, "one event per ticket");
         let ids: HashSet<u64> = events.iter().map(Completion::ticket).collect();
         prop_assert_eq!(ids.len() as u64, issued, "ids unique");

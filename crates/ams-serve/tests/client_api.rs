@@ -4,43 +4,22 @@
 //! terminal event, across every backpressure policy, under cancellation
 //! storms and value-weighted eviction.
 
-use ams_core::framework::{AdaptiveModelScheduler, Budget};
-use ams_core::predictor::OraclePredictor;
-use ams_data::{Dataset, DatasetProfile, TruthTable};
-use ams_models::ModelZoo;
+mod common;
+
+use ams_core::framework::Budget;
+use ams_data::TruthTable;
 use ams_serve::{
-    AmsServer, BackpressurePolicy, Completion, ServeConfig, ShedReason, SloClass, SloConfig, Ticket,
+    AmsServer, BackpressurePolicy, Completion, ObsConfig, ServeConfig, ShedReason, SloClass,
+    SloConfig, Ticket,
 };
+use common::{scheduler, tally};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
-fn scheduler() -> AdaptiveModelScheduler {
-    let zoo = ModelZoo::standard();
-    let predictor = Box::new(OraclePredictor::new(zoo.len(), 0.5));
-    AdaptiveModelScheduler::new(zoo, predictor, 0.5, 64)
-}
-
 fn truth() -> &'static TruthTable {
     static TRUTH: OnceLock<TruthTable> = OnceLock::new();
-    TRUTH.get_or_init(|| {
-        let zoo = ModelZoo::standard();
-        let ds = Dataset::generate(DatasetProfile::Coco2017, 40, 64);
-        TruthTable::build(&zoo, &zoo.catalog(), &ds, 0.5)
-    })
-}
-
-/// Count events by kind: (labeled, shed, cancelled).
-fn tally(events: &[Completion]) -> (u64, u64, u64) {
-    let mut t = (0u64, 0u64, 0u64);
-    for ev in events {
-        match ev {
-            Completion::Labeled(_) => t.0 += 1,
-            Completion::Shed { .. } => t.1 += 1,
-            Completion::Cancelled { .. } => t.2 += 1,
-        }
-    }
-    t
+    TRUTH.get_or_init(|| common::truth_of(40))
 }
 
 /// Lossless serving through the client API: every ticket resolves to a
@@ -72,10 +51,7 @@ fn client_receives_each_requests_own_labels() {
             .expect("lossless config accepts everything");
         by_ticket.push((ticket.id(), i));
     }
-    let mut events = Vec::new();
-    while let Some(ev) = client.recv() {
-        events.push(ev);
-    }
+    let events: Vec<Completion> = std::iter::from_fn(|| client.recv()).collect();
     assert_eq!(events.len(), 40, "one terminal event per ticket");
     let serial = scheduler();
     for ev in &events {
@@ -150,10 +126,7 @@ fn cancellation_storm_keeps_completions_exactly_once() {
     drop(tx);
     let cancels_won = canceller.join().expect("canceller");
     let report = server.shutdown();
-    let mut events = Vec::new();
-    while let Some(ev) = client.recv() {
-        events.push(ev);
-    }
+    let events: Vec<Completion> = std::iter::from_fn(|| client.recv()).collect();
     assert_eq!(events.len() as u64, issued, "exactly one event per ticket");
     let ids: HashSet<u64> = events.iter().map(Completion::ticket).collect();
     assert_eq!(ids.len() as u64, issued, "no ticket resolved twice");
@@ -228,6 +201,58 @@ fn dropping_the_server_drains_workers_and_sheds_the_backlog() {
     assert!(client.recv().is_none(), "drained client terminates recv");
 }
 
+/// `pending()` counts what the `depth` gauges and admission pricing count:
+/// requests still wanting service. With every worker held inside an
+/// emulated batch, cancelling queued tickets leaves tombstones in the
+/// queues; they are no backlog, so `pending()` drops by the cancellations
+/// and equals the sum of the per-shard `depth` gauges.
+#[test]
+fn pending_excludes_cancelled_tombstones_like_the_depth_gauge() {
+    let table = truth();
+    let server = AmsServer::start(
+        scheduler(),
+        Budget::Deadline { ms: 900 },
+        ServeConfig {
+            shards: 2,
+            workers_per_shard: 1,
+            max_batch: 1,
+            queue_capacity: 64,
+            policy: BackpressurePolicy::Block,
+            // Each single-request batch sleeps for about a second: once a
+            // worker has popped one it stays held for the rest of the test.
+            exec_emulation_scale: 2.0,
+            obs: Some(ObsConfig::default()),
+            ..ServeConfig::default()
+        },
+    );
+    let client = server.client();
+    let tickets: Vec<Ticket> = table
+        .items()
+        .iter()
+        .take(12)
+        .map(|item| client.submit(Arc::new(item.clone())).ticket().unwrap())
+        .collect();
+    // Both workers pop one request each, then hold.
+    let shards_hit: HashSet<usize> = table
+        .items()
+        .iter()
+        .take(12)
+        .map(|i| server.shard_of(i))
+        .collect();
+    let queued = tickets.len() - shards_hit.len();
+    while server.pending() > queued {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    // A claimed request refuses the cancel; a queued one becomes a
+    // tombstone.
+    let cancelled = tickets.iter().step_by(2).filter(|t| t.cancel()).count();
+    assert!(cancelled > 0, "some queued tickets must cancel");
+    let gauges = server.metrics_snapshot().expect("obs is on").shards;
+    let depth: u64 = gauges.iter().map(|g| g.depth).sum();
+    assert_eq!(server.pending(), queued - cancelled);
+    assert_eq!(server.pending() as u64, depth);
+}
+
 /// The completion window genuinely bounds the ticket pipeline: a client
 /// with capacity N blocks its (N+1)-th submission until an event is
 /// consumed — and unblocks as soon as one is.
@@ -284,11 +309,7 @@ fn completion_window_blocks_submission_until_the_client_drains() {
 #[test]
 fn admission_reservations_conserve_and_protect_across_policies() {
     let table = truth();
-    for policy in [
-        BackpressurePolicy::Block,
-        BackpressurePolicy::Reject,
-        BackpressurePolicy::ShedOldest,
-    ] {
+    for policy in common::POLICIES {
         let server = AmsServer::start(
             scheduler(),
             Budget::Deadline { ms: 900 },
@@ -379,11 +400,7 @@ proptest! {
         slo_aware in any::<bool>(),
         cancel_stride in 2usize..5,
     ) {
-        let policy = [
-            BackpressurePolicy::Block,
-            BackpressurePolicy::Reject,
-            BackpressurePolicy::ShedOldest,
-        ][policy_idx];
+        let policy = common::POLICIES[policy_idx];
         let table = truth();
         let slo = slo_aware.then(|| SloConfig::aware(vec![
             SloClass::new("interactive", 25, 4.0),
@@ -429,10 +446,7 @@ proptest! {
             t.cancel();
         }
         let report = server.shutdown();
-        let mut events = Vec::new();
-        while let Some(ev) = client.recv() {
-            events.push(ev);
-        }
+        let events: Vec<Completion> = std::iter::from_fn(|| client.recv()).collect();
         prop_assert_eq!(events.len() as u64, issued, "one event per ticket");
         let ids: HashSet<u64> = events.iter().map(Completion::ticket).collect();
         prop_assert_eq!(ids.len() as u64, issued, "ids unique");

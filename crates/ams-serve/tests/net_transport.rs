@@ -6,10 +6,10 @@
 //! buffered frame reader against coalesced and dribbled byte streams, and
 //! ledger/event conservation across all of it.
 
-use ams_core::framework::{AdaptiveModelScheduler, Budget};
-use ams_core::predictor::OraclePredictor;
-use ams_data::{Dataset, DatasetProfile, TruthTable};
-use ams_models::ModelZoo;
+mod common;
+
+use ams_core::framework::Budget;
+use ams_data::TruthTable;
 use ams_serve::net::{NetClient, NetEvent, NetServer, WireError, MAX_FRAME};
 use ams_serve::wire::{
     decode_server_frame, encode_client_frame, encode_request, frame_append, ClientFrame,
@@ -19,6 +19,7 @@ use ams_serve::{
     AmsServer, BackpressurePolicy, Completion, ObsConfig, ServeConfig, ShedReason, SloClass,
     SloConfig, SubmitOptions,
 };
+use common::scheduler;
 use serde_json::to_string;
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
@@ -27,19 +28,9 @@ use std::sync::{mpsc, Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-fn scheduler() -> AdaptiveModelScheduler {
-    let zoo = ModelZoo::standard();
-    let predictor = Box::new(OraclePredictor::new(zoo.len(), 0.5));
-    AdaptiveModelScheduler::new(zoo, predictor, 0.5, 64)
-}
-
 fn truth() -> &'static TruthTable {
     static TRUTH: OnceLock<TruthTable> = OnceLock::new();
-    TRUTH.get_or_init(|| {
-        let zoo = ModelZoo::standard();
-        let ds = Dataset::generate(DatasetProfile::Coco2017, 40, 64);
-        TruthTable::build(&zoo, &zoo.catalog(), &ds, 0.5)
-    })
+    TRUTH.get_or_init(|| common::truth_of(40))
 }
 
 fn lossless_config() -> ServeConfig {

@@ -6,30 +6,23 @@
 //! must surface the very inputs `Router::route` prices with, and the
 //! Prometheus exposition must stay well-formed.
 
-use ams_core::framework::{AdaptiveModelScheduler, Budget};
-use ams_core::predictor::OraclePredictor;
-use ams_data::{Dataset, DatasetProfile, TruthTable};
-use ams_models::ModelZoo;
+mod common;
+
+use ams_core::framework::Budget;
+use ams_data::TruthTable;
 use ams_serve::{
     AffinityConfig, AmsServer, BackpressurePolicy, CacheConfig, EventKind, ObsConfig, RoutingMode,
-    ServeConfig, SloClass, SloConfig,
+    ServeConfig, SloClass, SloConfig, SubmitOptions,
 };
+use common::scheduler;
 use std::sync::{Arc, OnceLock};
-
-fn scheduler() -> AdaptiveModelScheduler {
-    let zoo = ModelZoo::standard();
-    let predictor = Box::new(OraclePredictor::new(zoo.len(), 0.5));
-    AdaptiveModelScheduler::new(zoo, predictor, 0.5, 64)
-}
 
 fn truth() -> &'static TruthTable {
     static TRUTH: OnceLock<TruthTable> = OnceLock::new();
     TRUTH.get_or_init(|| {
-        let zoo = ModelZoo::standard();
         // A small scene pool re-sampled many times: plenty of exact
         // duplicates so the cached runs exercise hits and coalescing.
-        let ds = Dataset::generate(DatasetProfile::Coco2017, 24, 64);
-        TruthTable::build(&zoo, &zoo.catalog(), &ds, 0.5)
+        common::truth_of(24)
     })
 }
 
@@ -150,7 +143,6 @@ fn ring_overflow_drop_counting_keeps_totals_honest() {
                 // Far longer than the run: every drain happens at
                 // snapshot/shutdown, so the rings must overflow.
                 drain_interval_ms: 60_000,
-                ..ObsConfig::default()
             }),
             ..ServeConfig::default()
         },
@@ -308,15 +300,15 @@ fn flight_recorder_answers_why_for_interesting_requests() {
             workers_per_shard: 1,
             queue_capacity: 128,
             max_batch: 4,
-            // Shed everything at dequeue: every request is "interesting".
-            request_timeout_ms: Some(0),
             obs: Some(ObsConfig::default()),
             ..ServeConfig::default()
         },
     );
     let client = server.client();
+    // Shed everything at dequeue: every request is "interesting".
+    let opts = SubmitOptions::default().deadline_us(0);
     for item in truth().items().iter().take(8) {
-        client.submit(Arc::new(item.clone()));
+        client.submit_with(Arc::new(item.clone()), opts);
     }
     let report = server.shutdown();
     let obs = report.obs.as_ref().expect("obs report present");

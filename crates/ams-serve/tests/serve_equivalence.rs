@@ -3,28 +3,18 @@
 //! across shard counts, worker counts, and batch sizes — and every offered
 //! request must be accounted for exactly once under every policy.
 
-use ams_core::framework::{AdaptiveModelScheduler, Budget};
-use ams_core::predictor::OraclePredictor;
+mod common;
+
+use ams_core::framework::Budget;
 use ams_core::streaming::{StreamProcessor, StreamStats};
-use ams_data::{Dataset, DatasetProfile, ItemTruth, TruthTable};
-use ams_models::ModelZoo;
+use ams_data::{ItemTruth, TruthTable};
 use ams_serve::{
     AdaptiveBatchConfig, AffinityConfig, AmsServer, BackpressurePolicy, Client, Router,
-    RoutingMode, ServeConfig, ServeReport, ShardQueue, SloClass, SloConfig, SubmitOutcome,
+    RoutingMode, ServeConfig, ServeReport, ShardQueue, SloClass, SloConfig, SubmitOptions,
+    SubmitOutcome, Ticket,
 };
+use common::{assert_stats_match, scheduler, truth_of as truth};
 use std::sync::Arc;
-
-fn scheduler() -> AdaptiveModelScheduler {
-    let zoo = ModelZoo::standard();
-    let predictor = Box::new(OraclePredictor::new(zoo.len(), 0.5));
-    AdaptiveModelScheduler::new(zoo, predictor, 0.5, 64)
-}
-
-fn truth(items: usize) -> TruthTable {
-    let zoo = ModelZoo::standard();
-    let ds = Dataset::generate(DatasetProfile::Coco2017, items, 64);
-    TruthTable::build(&zoo, &zoo.catalog(), &ds, 0.5)
-}
 
 fn serial_stats(budget: Budget, table: &TruthTable) -> StreamStats {
     let mut serial = StreamProcessor::new(scheduler(), budget);
@@ -32,22 +22,22 @@ fn serial_stats(budget: Budget, table: &TruthTable) -> StreamStats {
     serial.stats().clone()
 }
 
-fn assert_stats_match(got: &StreamStats, want: &StreamStats, ctx: &str) {
-    assert_eq!(got.items, want.items, "{ctx}: items");
-    assert_eq!(got.total_exec_ms, want.total_exec_ms, "{ctx}: exec ms");
-    assert_eq!(got.total_executions, want.total_executions, "{ctx}: execs");
-    assert_eq!(got.per_model_runs, want.per_model_runs, "{ctx}: per-model");
-    assert_eq!(got.low_recall_items, want.low_recall_items, "{ctx}: alerts");
-    assert!(
-        (got.recall_sum - want.recall_sum).abs() < 1e-9,
-        "{ctx}: recall_sum {} vs {}",
-        got.recall_sum,
-        want.recall_sum
-    );
-    assert!(
-        (got.value_sum - want.value_sum).abs() < 1e-9,
-        "{ctx}: value_sum"
-    );
+/// Start a server over `cfg`, submit the whole table through one client
+/// with `opts` (handing every admission outcome to `check`), and drain.
+fn serve_all(
+    cfg: ServeConfig,
+    budget: Budget,
+    table: &TruthTable,
+    opts: SubmitOptions,
+    mut check: impl FnMut(SubmitOutcome<Ticket>),
+) -> (Client, ServeReport) {
+    let server = AmsServer::start(scheduler(), budget, cfg);
+    let client = server.client_with_capacity(table.items().len());
+    for item in table.items() {
+        check(client.submit_with(Arc::new(item.clone()), opts));
+    }
+    let report = server.shutdown();
+    (client, report)
 }
 
 /// Per-ticket delivery checked against the aggregate ledger of a lossless
@@ -96,18 +86,14 @@ fn serve_stats_match_serial_when_nothing_is_shed() {
             max_batch,
             queue_capacity: 64,
             policy: BackpressurePolicy::Block,
-            request_timeout_ms: None,
             ..ServeConfig::default()
         };
-        let server = AmsServer::start(scheduler(), budget, cfg);
-        let client = server.client_with_capacity(table.items().len());
-        for item in table.items() {
+        let (client, report) = serve_all(cfg, budget, &table, SubmitOptions::default(), |o| {
             assert!(
-                client.submit(Arc::new(item.clone())).ticket().is_some(),
+                o.ticket().is_some(),
                 "lossless config must accept everything"
             );
-        }
-        let report = server.shutdown();
+        });
         let ctx = format!("{shards} shards x {workers_per_shard} workers, batch {max_batch}");
         assert_eq!(report.completed, 40, "{ctx}");
         assert_eq!(
@@ -141,15 +127,12 @@ fn affinity_routing_preserves_serial_equivalence() {
             routing: RoutingMode::Affinity(AffinityConfig::default()),
             ..ServeConfig::default()
         };
-        let server = AmsServer::start(scheduler(), budget, cfg);
-        let client = server.client_with_capacity(table.items().len());
-        for item in table.items() {
+        let (client, report) = serve_all(cfg, budget, &table, SubmitOptions::default(), |o| {
             assert!(
-                client.submit(Arc::new(item.clone())).ticket().is_some(),
+                o.ticket().is_some(),
                 "lossless affinity config must accept everything"
             );
-        }
-        let report = server.shutdown();
+        });
         let ctx = format!("affinity {shards}x{workers_per_shard}, batch {max_batch}");
         assert_eq!(report.routing, "affinity", "{ctx}");
         assert_eq!(report.completed, 40, "{ctx}");
@@ -184,16 +167,10 @@ fn adaptive_controller_keeps_stats_exact_and_reports_trajectory() {
             min_batch: 1,
             max_batch: 16,
             window: 8,
-            ..AdaptiveBatchConfig::default()
         }),
         ..ServeConfig::default()
     };
-    let server = AmsServer::start(scheduler(), budget, cfg);
-    let client = server.client_with_capacity(table.items().len());
-    for item in table.items() {
-        client.submit(Arc::new(item.clone()));
-    }
-    let report = server.shutdown();
+    let (client, report) = serve_all(cfg, budget, &table, SubmitOptions::default(), drop);
     assert_stats_match(&report.stats, &want, "adaptive");
     assert_delivery_matches_ledger(&client, &report, 48, "adaptive");
     let adaptive = report.adaptive.expect("controller ran");
@@ -231,16 +208,10 @@ fn adaptive_controller_decays_to_floor_under_impossible_target() {
             min_batch: 2,
             max_batch: 16,
             window: 8,
-            ..AdaptiveBatchConfig::default()
         }),
         ..ServeConfig::default()
     };
-    let server = AmsServer::start(scheduler(), budget, cfg);
-    let client = server.client_with_capacity(table.items().len());
-    for item in table.items() {
-        client.submit(Arc::new(item.clone()));
-    }
-    let report = server.shutdown();
+    let (client, report) = serve_all(cfg, budget, &table, SubmitOptions::default(), drop);
     assert_delivery_matches_ledger(&client, &report, 48, "latency control never drops work");
     let adaptive = report.adaptive.expect("controller ran");
     let shard = &adaptive.shards[0];
@@ -271,12 +242,7 @@ fn batched_admission_compresses_virtual_exec_time() {
         policy: BackpressurePolicy::Block,
         ..ServeConfig::default()
     };
-    let server = AmsServer::start(scheduler(), budget, cfg);
-    let client = server.client_with_capacity(table.items().len());
-    for item in table.items() {
-        client.submit(Arc::new(item.clone()));
-    }
-    let report = server.shutdown();
+    let (client, report) = serve_all(cfg, budget, &table, SubmitOptions::default(), drop);
     assert_delivery_matches_ledger(&client, &report, 48, "batched admission");
     assert!(
         report.virtual_exec_ms <= report.stats.total_exec_ms,
@@ -303,15 +269,10 @@ fn reject_policy_accounts_for_every_request() {
         exec_emulation_scale: 5e-3,
         ..ServeConfig::default()
     };
-    let server = AmsServer::start(scheduler(), budget, cfg);
-    let client = server.client_with_capacity(table.items().len());
     let mut rejected = 0u64;
-    for item in table.items() {
-        if client.submit(Arc::new(item.clone())).is_rejected() {
-            rejected += 1;
-        }
-    }
-    let report = server.shutdown();
+    let (_, report) = serve_all(cfg, budget, &table, SubmitOptions::default(), |o| {
+        rejected += u64::from(o.is_rejected());
+    });
     assert_eq!(report.rejected, rejected);
     assert!(report.rejected > 0, "a 2-deep queue must overflow");
     assert!(report.is_conserved());
@@ -334,15 +295,9 @@ fn shed_oldest_policy_keeps_admitting() {
         exec_emulation_scale: 5e-3,
         ..ServeConfig::default()
     };
-    let server = AmsServer::start(scheduler(), budget, cfg);
-    let client = server.client_with_capacity(table.items().len());
-    for item in table.items() {
-        assert!(
-            !client.submit(Arc::new(item.clone())).is_rejected(),
-            "shed-oldest always admits while open"
-        );
-    }
-    let report = server.shutdown();
+    let (_, report) = serve_all(cfg, budget, &table, SubmitOptions::default(), |o| {
+        assert!(!o.is_rejected(), "shed-oldest always admits while open");
+    });
     assert!(report.shed_oldest > 0, "a 2-deep queue must shed");
     assert_eq!(report.rejected, 0);
     assert!(report.is_conserved());
@@ -363,19 +318,14 @@ fn partial_batch_shed_counted_once_and_excluded_from_recall() {
         queue_capacity: 64,
         max_batch: 8,
         policy: BackpressurePolicy::Block,
-        // Each batch's emulated execution takes tens of wall ms, so
-        // requests queued behind it age past the timeout while the ones
-        // popped fresh survive — mixed batches, the partial-shed shape.
-        request_timeout_ms: Some(40),
         exec_emulation_scale: 5e-3,
         ..ServeConfig::default()
     };
-    let server = AmsServer::start(scheduler(), budget, cfg);
-    let client = server.client_with_capacity(table.items().len());
-    for item in table.items() {
-        client.submit(Arc::new(item.clone()));
-    }
-    let report = server.shutdown();
+    // Each batch's emulated execution takes tens of wall ms, so requests
+    // queued behind it age past their 40 ms deadline while the ones
+    // popped fresh survive — mixed batches, the partial-shed shape.
+    let opts = SubmitOptions::default().deadline_us(40_000);
+    let (_, report) = serve_all(cfg, budget, &table, opts, drop);
     assert!(report.shed_deadline > 0, "the backlog must age past 40ms");
     assert!(report.completed > 0, "fresh requests must survive");
     // Exactly-once ledger: every offered request is in precisely one bucket.
@@ -437,11 +387,7 @@ fn shard_of_matches_the_hash_routers_placement() {
 fn slo_shedding_conserves_every_request_across_policies() {
     let budget = Budget::Deadline { ms: 900 };
     let table = truth(60);
-    for policy in [
-        BackpressurePolicy::Block,
-        BackpressurePolicy::Reject,
-        BackpressurePolicy::ShedOldest,
-    ] {
+    for policy in common::POLICIES {
         let cfg = ServeConfig {
             shards: 1,
             workers_per_shard: 1,
@@ -625,7 +571,7 @@ fn blind_slo_mode_tracks_classes_without_perturbing_results() {
     assert!((back_slo.value_shed_loss() - slo.value_shed_loss()).abs() < 1e-12);
 }
 
-/// Deadline-aware shedding: with a zero timeout every dequeued request is
+/// Deadline-aware shedding: with a zero deadline every dequeued request is
 /// already expired, so everything is shed and nothing is executed.
 #[test]
 fn zero_timeout_sheds_every_request_at_dequeue() {
@@ -633,15 +579,10 @@ fn zero_timeout_sheds_every_request_at_dequeue() {
     let table = truth(20);
     let cfg = ServeConfig {
         shards: 2,
-        request_timeout_ms: Some(0),
         ..ServeConfig::default()
     };
-    let server = AmsServer::start(scheduler(), budget, cfg);
-    let client = server.client_with_capacity(table.items().len());
-    for item in table.items() {
-        client.submit(Arc::new(item.clone()));
-    }
-    let report = server.shutdown();
+    let opts = SubmitOptions::default().deadline_us(0);
+    let (_, report) = serve_all(cfg, budget, &table, opts, drop);
     assert_eq!(report.shed_deadline, 20);
     assert_eq!(report.completed, 0);
     assert_eq!(report.stats.items, 0);
@@ -666,12 +607,7 @@ fn shutdown_drains_backlog_and_latency_split_is_recorded() {
         exec_emulation_scale: 1e-3,
         ..ServeConfig::default()
     };
-    let server = AmsServer::start(scheduler(), budget, cfg);
-    let client = server.client_with_capacity(table.items().len());
-    for item in table.items() {
-        client.submit(Arc::new(item.clone()));
-    }
-    let report = server.shutdown();
+    let (client, report) = serve_all(cfg, budget, &table, SubmitOptions::default(), drop);
     assert_delivery_matches_ledger(&client, &report, 32, "backlog drained, not dropped");
     assert_eq!(report.queue_wait.count, 32);
     assert_eq!(report.execute.count, 32);

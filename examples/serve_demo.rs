@@ -215,6 +215,28 @@ fn main() {
     let budget = Budget::Deadline { ms: 1000 };
     let items: Vec<Arc<ItemTruth>> = truth.items().iter().map(|i| Arc::new(i.clone())).collect();
 
+    // The two small shapes several scenarios below share: a lossless 2x1
+    // server, and the same server overloaded — shallow shed-oldest queues
+    // under two deadline classes.
+    let lossless = ServeConfig {
+        shards: 2,
+        workers_per_shard: 1,
+        max_batch: 4,
+        queue_capacity: 64,
+        policy: BackpressurePolicy::Block,
+        exec_emulation_scale: 5e-3,
+        ..ServeConfig::default()
+    };
+    let overloaded = ServeConfig {
+        queue_capacity: 8,
+        policy: BackpressurePolicy::ShedOldest,
+        slo: Some(SloConfig::aware(vec![
+            SloClass::new("alert", 40, 4.0),
+            SloClass::new("archive", 400, 1.0),
+        ])),
+        ..lossless.clone()
+    };
+
     // 1) Lossless ingestion: blocking backpressure, everything is labeled.
     let server = AmsServer::start(
         scheduler(agent.clone(), album.world_seed),
@@ -245,14 +267,14 @@ fn main() {
             queue_capacity: 4,
             max_batch: 4,
             policy: BackpressurePolicy::ShedOldest,
-            request_timeout_ms: Some(50),
             exec_emulation_scale: 5e-3,
             ..ServeConfig::default()
         },
     );
     let client = server.client();
+    let stale_after = SubmitOptions::default().deadline_us(50_000);
     for item in &items {
-        client.submit(Arc::clone(item));
+        client.submit_with(Arc::clone(item), stale_after);
     }
     print_report(
         "overloaded surveillance feed (shed-oldest + 50ms deadline)",
@@ -299,19 +321,7 @@ fn main() {
     let server = AmsServer::start(
         scheduler(agent.clone(), album.world_seed),
         budget,
-        ServeConfig {
-            shards: 2,
-            workers_per_shard: 1,
-            queue_capacity: 8,
-            max_batch: 4,
-            policy: BackpressurePolicy::ShedOldest,
-            exec_emulation_scale: 5e-3,
-            slo: Some(SloConfig::aware(vec![
-                SloClass::new("alert", 40, 4.0),
-                SloClass::new("archive", 400, 1.0),
-            ])),
-            ..ServeConfig::default()
-        },
+        overloaded.clone(),
     );
     // Paced at roughly twice what the two workers sustain: a genuine
     // overload, not an instantaneous flood.
@@ -335,15 +345,7 @@ fn main() {
     let server = AmsServer::start(
         scheduler(agent.clone(), album.world_seed),
         budget,
-        ServeConfig {
-            shards: 2,
-            workers_per_shard: 1,
-            max_batch: 4,
-            queue_capacity: 64,
-            policy: BackpressurePolicy::Block,
-            exec_emulation_scale: 5e-3,
-            ..ServeConfig::default()
-        },
+        lossless.clone(),
     );
     let client = server.client();
     let take = items.len().min(24);
@@ -413,14 +415,8 @@ fn main() {
         scheduler(agent.clone(), album.world_seed),
         budget,
         ServeConfig {
-            shards: 2,
-            workers_per_shard: 1,
-            max_batch: 4,
-            queue_capacity: 64,
-            policy: BackpressurePolicy::Block,
-            exec_emulation_scale: 5e-3,
             cache: Some(CacheConfig::default()),
-            ..ServeConfig::default()
+            ..lossless.clone()
         },
     );
     let client = server.client();
@@ -506,18 +502,8 @@ fn main() {
         scheduler(agent.clone(), album.world_seed),
         budget,
         ServeConfig {
-            shards: 2,
-            workers_per_shard: 1,
-            queue_capacity: 8,
-            max_batch: 4,
-            policy: BackpressurePolicy::ShedOldest,
-            exec_emulation_scale: 5e-3,
-            slo: Some(SloConfig::aware(vec![
-                SloClass::new("alert", 40, 4.0),
-                SloClass::new("archive", 400, 1.0),
-            ])),
             obs: Some(ObsConfig::default()),
-            ..ServeConfig::default()
+            ..overloaded
         },
     );
     println!("--- live observability (snapshots mid-overload) ---");
@@ -610,14 +596,8 @@ fn main() {
         scheduler(agent.clone(), album.world_seed),
         budget,
         ServeConfig {
-            shards: 2,
-            workers_per_shard: 1,
-            max_batch: 4,
-            queue_capacity: 64,
-            policy: BackpressurePolicy::Block,
-            exec_emulation_scale: 5e-3,
             obs: Some(ObsConfig::default()),
-            ..ServeConfig::default()
+            ..lossless.clone()
         },
     );
     let net = NetServer::bind(server, "127.0.0.1:0").expect("bind loopback listener");

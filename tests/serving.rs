@@ -121,7 +121,6 @@ fn served_pipeline_with_affinity_and_adaptive_matches_serial() {
             min_batch: 1,
             max_batch: 8,
             window: 6,
-            ..AdaptiveBatchConfig::default()
         }),
         ..ServeConfig::default()
     };
