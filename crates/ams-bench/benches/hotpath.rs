@@ -5,8 +5,8 @@
 //! recorded `BENCH_hotpath.json` from the same fixtures.
 
 use ams::prelude::*;
-use ams::rl::{learn_step_batched, learn_step_scalar, BatchScratch, ScalarScratch};
-use ams_bench::hotpath::LearnSetup;
+use ams::rl::{learn_step_batched, BatchScratch};
+use ams_bench::hotpath::{learn_step_scalar, LearnSetup, ScalarScratch};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -12,8 +12,10 @@
 
 use ams::nn::{BatchFwdCache, BatchInput, FwdCache, InferScratch, Input, QInfer, QNet, QNetConfig};
 use ams::prelude::*;
-use ams::rl::{BatchScratch, ScalarScratch};
-use ams_bench::hotpath::{learn_step_seed, LearnSetup, SeedAdam, SeedScratch};
+use ams::rl::BatchScratch;
+use ams_bench::hotpath::{
+    learn_step_scalar, learn_step_seed, LearnSetup, ScalarScratch, SeedAdam, SeedScratch,
+};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -135,7 +137,7 @@ fn main() {
     let mut scratch_s = ScalarScratch::new(&net);
     let (scalar_ns, scalar_iters) = time_ns(
         || {
-            ams::rl::learn_step_scalar(
+            learn_step_scalar(
                 &mut net,
                 &target,
                 &mut opt_s,

@@ -173,6 +173,33 @@ impl SeedScratch {
     }
 }
 
+/// The TD target `y` of one sampled transition, by scalar forward passes
+/// (the per-sample computation both scalar learn steps below share).
+fn td_target(
+    net: &QNet,
+    target: &QNet,
+    tr: &Transition,
+    cfg: &TrainConfig,
+    act_cache: &mut ams::nn::FwdCache,
+    tgt_cache: &mut ams::nn::FwdCache,
+) -> f32 {
+    use ams::nn::Input;
+    use ams::rl::masked_argmax;
+    if tr.done {
+        return tr.reward;
+    }
+    let a_next = match cfg.algo {
+        Algo::Dqn | Algo::DuelingDqn => None,
+        Algo::DoubleDqn => {
+            let qo = net.forward(Input::Sparse(&tr.next_state), act_cache);
+            Some(masked_argmax(qo, tr.next_avail))
+        }
+        Algo::DeepSarsa => Some(tr.next_action as usize),
+    };
+    let qt = target.forward(Input::Sparse(&tr.next_state), tgt_cache);
+    tr.reward + cfg.gamma * qt[a_next.unwrap_or_else(|| masked_argmax(qt, tr.next_avail))]
+}
+
 /// The seed repository's learn step, frozen for benchmarking: one scalar
 /// forward/backward per sampled transition, a fresh backward-scratch
 /// allocation per pass (the seed's `backward` allocated its `gfeat`/`gin`
@@ -192,7 +219,6 @@ pub fn learn_step_seed(
     scratch: &mut SeedScratch,
 ) -> f32 {
     use ams::nn::{BwdCache, Input};
-    use ams::rl::masked_argmax;
     let idx = replay.sample_indices(cfg.batch, rng);
     let SeedScratch {
         grads,
@@ -206,27 +232,7 @@ pub fn learn_step_seed(
 
     for &i in &idx {
         let tr = replay.get(i);
-        let y = if tr.done {
-            tr.reward
-        } else {
-            let bootstrap = match cfg.algo {
-                Algo::Dqn | Algo::DuelingDqn => {
-                    let qt = target.forward(Input::Sparse(&tr.next_state), tgt_cache);
-                    qt[masked_argmax(qt, tr.next_avail)]
-                }
-                Algo::DoubleDqn => {
-                    let qo = net.forward(Input::Sparse(&tr.next_state), act_cache);
-                    let a_star = masked_argmax(qo, tr.next_avail);
-                    let qt = target.forward(Input::Sparse(&tr.next_state), tgt_cache);
-                    qt[a_star]
-                }
-                Algo::DeepSarsa => {
-                    let qt = target.forward(Input::Sparse(&tr.next_state), tgt_cache);
-                    qt[tr.next_action as usize]
-                }
-            };
-            tr.reward + cfg.gamma * bootstrap
-        };
+        let y = td_target(net, target, tr, cfg, act_cache, tgt_cache);
 
         let qs = net.forward(Input::Sparse(&tr.state), cache);
         let residual = qs[tr.action as usize] - y;
@@ -237,6 +243,80 @@ pub fn learn_step_seed(
         // `gfeat`/`gin` allocations.
         let mut bwd = BwdCache::default();
         net.backward(Input::Sparse(&tr.state), cache, gq, grads, &mut bwd);
+    }
+
+    grads.scale(1.0 / cfg.batch as f32);
+    let g = grads.tensors();
+    let mut p = net.tensors_mut();
+    opt.step(&mut p, &g);
+    total_loss / cfg.batch as f32
+}
+
+/// Reusable buffers for [`learn_step_scalar`]: the seed's, plus the
+/// backward scratch the seed allocated per pass — so a gradient step
+/// performs no heap allocation beyond the sampled index vector.
+pub struct ScalarScratch {
+    seed: SeedScratch,
+    bwd: ams::nn::BwdCache,
+}
+
+impl ScalarScratch {
+    /// Scratch shaped for `net`.
+    pub fn new(net: &QNet) -> Self {
+        Self {
+            seed: SeedScratch::new(net),
+            bwd: ams::nn::BwdCache::default(),
+        }
+    }
+}
+
+/// One minibatch gradient step via per-sample scalar passes; returns the
+/// mean Huber loss.
+///
+/// This is the pre-batching reference implementation: ~`2 x batch` scalar
+/// network passes per step, with [`learn_step_seed`]'s allocations hoisted
+/// and the shared vectorized Adam.
+/// [`learn_step_batched`](ams::rl::learn_step_batched) computes the same
+/// update with one batched pass per network; this version lives beside the
+/// hot-path benchmark as the baseline it compares against (and the
+/// equivalence test below holds the batched step to it).
+#[allow(clippy::too_many_arguments)] // mirrors learn_step_batched's signature
+pub fn learn_step_scalar(
+    net: &mut QNet,
+    target: &QNet,
+    opt: &mut ams::nn::Adam,
+    replay: &ReplayBuffer,
+    cfg: &TrainConfig,
+    huber: &ams::nn::Huber,
+    rng: &mut StdRng,
+    scratch: &mut ScalarScratch,
+) -> f32 {
+    use ams::nn::{Input, Optimizer};
+    let idx = replay.sample_indices(cfg.batch, rng);
+    let ScalarScratch { seed, bwd } = scratch;
+    let SeedScratch {
+        grads,
+        cache,
+        act_cache,
+        tgt_cache,
+        gq,
+    } = seed;
+    grads.zero();
+    let mut total_loss = 0.0f32;
+    debug_assert_eq!(gq.len(), net.actions());
+
+    for &i in &idx {
+        let tr = replay.get(i);
+        let y = td_target(net, target, tr, cfg, act_cache, tgt_cache);
+        let qs = net.forward(Input::Sparse(&tr.state), cache);
+        let residual = qs[tr.action as usize] - y;
+        total_loss += huber.loss(residual);
+        // gq is one-hot: write the single live entry, clear it after the
+        // backward pass instead of re-zeroing the whole vector per sample.
+        let a = tr.action as usize;
+        gq[a] = huber.dloss(residual);
+        net.backward(Input::Sparse(&tr.state), cache, gq, grads, bwd);
+        gq[a] = 0.0;
     }
 
     grads.scale(1.0 / cfg.batch as f32);
@@ -327,6 +407,77 @@ impl LearnSetup {
             net,
             target,
             replay,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ams::nn::{Adam, Huber, Input};
+    use ams::rl::{learn_step_batched, BatchScratch};
+
+    /// The batched learn step computes the same update as the scalar
+    /// reference: starting from identical nets, replays and RNG streams,
+    /// the learned Q values stay within float-rounding distance.
+    #[test]
+    fn batched_learn_step_matches_scalar() {
+        let zoo = ModelZoo::standard();
+        let ds = Dataset::generate(DatasetProfile::Coco2017, 30, 21);
+        let table = TruthTable::build(&zoo, &zoo.catalog(), &ds, 0.5);
+        for algo in Algo::ALL {
+            let cfg = TrainConfig {
+                batch: 16,
+                ..TrainConfig::fast_test(algo)
+            };
+            let arch = QNetConfig {
+                input_dim: cfg.input_dim,
+                hidden: cfg.hidden.clone(),
+                actions: zoo.len() + 1,
+                dueling: algo.dueling_head(),
+            };
+            let mut net_s = QNet::new(arch, 99);
+            let mut net_b = net_s.clone();
+            let target = net_s.clone();
+            let huber = Huber::default();
+            // Shared replay filled from a few random episodes.
+            let replay = fill_replay(table.items(), zoo.len(), &cfg.reward, 96, 5);
+
+            let mut opt_s = Adam::new(cfg.lr);
+            let mut opt_b = Adam::new(cfg.lr);
+            let mut rng_s = StdRng::seed_from_u64(17);
+            let mut rng_b = StdRng::seed_from_u64(17);
+            let mut scratch_s = ScalarScratch::new(&net_s);
+            let mut scratch_b = BatchScratch::new(&net_b);
+            for _ in 0..5 {
+                let ls = learn_step_scalar(
+                    &mut net_s,
+                    &target,
+                    &mut opt_s,
+                    &replay,
+                    &cfg,
+                    &huber,
+                    &mut rng_s,
+                    &mut scratch_s,
+                );
+                let lb = learn_step_batched(
+                    &mut net_b,
+                    &target,
+                    &mut opt_b,
+                    &replay,
+                    &cfg,
+                    &huber,
+                    &mut rng_b,
+                    &mut scratch_b,
+                );
+                assert!((ls - lb).abs() < 1e-4, "{algo}: loss {ls} vs {lb}");
+            }
+            let probe = [2u32, 40, 700];
+            let qs = net_s.q_values(Input::Sparse(&probe));
+            let qb = net_b.q_values(Input::Sparse(&probe));
+            for (a, b) in qs.iter().zip(&qb) {
+                assert!((a - b).abs() < 1e-3, "{algo}: {a} vs {b}");
+            }
         }
     }
 }

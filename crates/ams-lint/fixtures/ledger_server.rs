@@ -1,39 +1,36 @@
 //! Fixture: ledger↔event pairing in a server-like file.
 
-struct Ledger {
-    offered: u64,
-    completed: u64,
-    cache_hit: u64,
+fn bad_offer(row: &mut Tally, obs: &Obs) {
+    obs.emit(EventKind::Enqueued);
+    row.bump(EventKind::Admitted, 1.0);
+    row.bump(EventKind::Admitted, 1.0);
 }
 
-fn bad_offer(l: &mut Ledger) {
-    l.offered += 1;
-}
-
-fn good_offer(l: &mut Ledger, obs: &Obs) {
+fn good_offer(row: &mut Tally, obs: &Obs) {
     obs.emit(EventKind::Admitted);
-    l.offered += 1;
+    row.bump(EventKind::Admitted, 1.0);
 }
 
-fn merge(total: &mut Ledger, shard: &Ledger) {
-    total.offered += shard.offered;
-    total.completed += shard.completed;
+fn good_follower_shed(row: &mut Tally, obs: &Obs, reason: ShedReason) {
+    obs.emit(EventKind::of_shed(reason));
+    row.bump(EventKind::of_shed(reason), 1.0);
 }
 
-fn bad_helper_call(cache: &Cache) {
-    cache.ledger.record_hit(1);
+fn merge(total: &mut Tally, shard: &Tally) {
+    total.merge(shard);
 }
 
-fn good_helper_call(cache: &Cache, obs: &Obs) {
-    cache.ledger.record_hit(1);
-    obs.emit(EventKind::CacheHit);
+fn bad_unnamed_kind(row: &mut Tally, obs: &Obs, kind: EventKind) {
+    obs.emit(kind);
+    row.bump(kind, 1.0);
 }
 
-fn record_hit(n: u64) {
-    HITS.cache_hit += 1;
-    let _ = n;
+impl Tally {
+    fn bump(&mut self, kind: EventKind, value: f64) {
+        self.cells[kind.index()].add(1, value);
+    }
 }
 
-fn allowed_site(l: &mut Ledger) {
-    l.completed += 1; // ams-lint: allow(ledger-event) event emitted by caller under the ledger lock
+fn allowed_site(row: &mut Tally) {
+    row.bump(EventKind::Labeled, 1.0); // ams-lint: allow(ledger-event) event emitted by caller under the ledger lock
 }

@@ -107,138 +107,63 @@ fn no_panic(f: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// Conservation counters and the event evidence that must appear in the
-/// same function that bumps them (`counter += 1`). Evidence is any of
-/// the listed identifiers: the `EventKind` variant itself, or the name
-/// of the emit helper that wraps it.
-const COUNTER_EVIDENCE: &[(&str, &[&str])] = &[
-    ("offered", &["Admitted"]),
-    ("completed", &["Labeled"]),
-    ("cache_hit", &["CacheHit"]),
-    ("coalesced", &["Coalesced"]),
-    ("shed_admission", &["ShedAdmission", "of_shed"]),
-    (
-        "shed_overflow",
-        &["ShedOverflow", "of_shed", "emit_shed_overflow"],
-    ),
-    ("shed_deadline", &["ShedDeadline", "of_shed"]),
-    ("shed_drain", &["ShedDrain", "of_shed"]),
-    ("shed_oldest", &["ShedOverflow", "emit_shed_overflow"]),
-    ("rejected", &["Rejected"]),
-    ("cancelled", &["Cancelled"]),
-];
-
-/// Ledger helpers: calling one moves the pairing obligation to the call
-/// site (the helper itself only mutates counters, so its *definition*
-/// is exempt — the event must fire where the helper is invoked).
-const HELPER_EVIDENCE: &[(&str, &[&str])] = &[
-    ("record_hit", &["CacheHit"]),
-    ("record_offered", &["Admitted"]),
-    ("record_coalesced", &["Coalesced"]),
-    ("record_follower_shed", &["of_shed"]),
-    ("record_shed", &["ShedOverflow", "emit_shed_overflow"]),
-];
-
-fn helper_names() -> impl Iterator<Item = &'static str> {
-    HELPER_EVIDENCE.iter().map(|(n, _)| *n)
+/// The `X` of an `EventKind::X` path starting at token `i`, if one does.
+fn event_kind_at(f: &SourceFile, i: usize) -> Option<&str> {
+    let text = |k: usize| f.tokens.get(i + k).map(|t| t.text.as_str());
+    let is_path = text(0) == Some("EventKind") && text(1) == Some(":") && text(2) == Some(":");
+    is_path.then(|| text(3)).flatten()
 }
 
-/// rule `ledger-event` — in `server/*.rs`, `cache.rs` and `queue.rs` of
-/// ams-serve, every `counter += 1` on a conservation counter (and every
-/// call to a ledger helper) must have the matching `obs::EventKind`
-/// evidence somewhere in the same function, keeping "events at the
-/// exact sites that mutate the ledger" machine-checked.
+/// Whether token `i` is the `bump` of a `bump(` call (not its `fn bump`
+/// definition).
+fn is_bump_call(f: &SourceFile, i: usize) -> bool {
+    let t = &f.tokens[i];
+    t.kind == TokKind::Ident
+        && t.text == "bump"
+        && f.tokens.get(i + 1).is_some_and(|n| n.text == "(")
+        && !(i > 0 && f.tokens[i - 1].text == "fn")
+}
+
+/// rule `ledger-event` — in `server/*.rs`, `cache.rs`, `queue.rs` and
+/// `completion.rs` of ams-serve, every `bump(EventKind::X, …)` on a
+/// ledger row needs an emit naming `EventKind::X` somewhere in the same
+/// function (any other `EventKind::X` that is not itself a `bump`'s
+/// argument), keeping "events at the exact sites that mutate the ledger"
+/// machine-checked. A `bump(…)` that does not name its kind cannot be
+/// checked and is a finding too.
 ///
-/// Only `+= 1` counts as a mutation site: report *merges*
-/// (`total.offered += shard.offered`) fold units that already emitted
-/// their event when first counted, so they carry no new obligation.
+/// `merge` folds rows that already emitted their events when first
+/// bumped, so it carries no obligation.
 fn ledger_event(f: &SourceFile, out: &mut Vec<Finding>) {
     let in_scope = f.path.contains("ams-serve/src/server/")
-        || (f.path.contains("ams-serve") && matches!(f.basename(), "cache.rs" | "queue.rs"));
+        || (f.path.contains("ams-serve")
+            && matches!(f.basename(), "cache.rs" | "queue.rs" | "completion.rs"));
     if !in_scope {
         return;
     }
     for (i, t) in f.tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident || f.allowed("ledger-event", t.line) {
+        if !is_bump_call(f, i) || f.allowed("ledger-event", t.line) {
             continue;
         }
-        // `x.counter += 1`
-        if let Some((_, evidence)) = COUNTER_EVIDENCE.iter().find(|(n, _)| *n == t.text) {
-            let is_field = i > 0 && f.tokens[i - 1].text == ".";
-            let is_inc = f.tokens.get(i + 1).is_some_and(|t| t.text == "+")
-                && f.tokens.get(i + 2).is_some_and(|t| t.text == "=")
-                && f.tokens
-                    .get(i + 3)
-                    .is_some_and(|t| t.kind == TokKind::Num && t.text == "1");
-            if is_field && is_inc {
-                match f.enclosing_fn(i) {
-                    Some(func) if helper_names().any(|h| h == func.name) => {
-                        // Inside a ledger helper definition: the
-                        // obligation belongs to the helper's callers.
-                    }
-                    Some(func) => {
-                        if !has_evidence(f, func.start_tok, func.end_tok, evidence) {
-                            push(
-                                out,
-                                f,
-                                t.line,
-                                "ledger-event",
-                                format!(
-                                    "`{} += 1` without {} in fn {} — ledger mutations must emit their event at the mutation site",
-                                    t.text,
-                                    evidence_list(evidence),
-                                    func.name
-                                ),
-                            );
-                        }
-                    }
-                    None => push(
-                        out,
-                        f,
-                        t.line,
-                        "ledger-event",
-                        format!(
-                            "`{} += 1` outside any fn — cannot verify event pairing",
-                            t.text
-                        ),
-                    ),
-                }
-            }
-        }
-        // `record_xxx(…)` helper calls
-        if let Some((_, evidence)) = HELPER_EVIDENCE.iter().find(|(n, _)| *n == t.text) {
-            let is_call = f.tokens.get(i + 1).is_some_and(|t| t.text == "(");
-            let is_def = i > 0 && f.tokens[i - 1].text == "fn";
-            if is_call && !is_def {
-                if let Some(func) = f.enclosing_fn(i) {
-                    if !has_evidence(f, func.start_tok, func.end_tok, evidence) {
-                        push(
-                            out,
-                            f,
-                            t.line,
-                            "ledger-event",
-                            format!(
-                                "{}() called without {} in fn {} — the ledger helper's event must fire at the call site",
-                                t.text,
-                                evidence_list(evidence),
-                                func.name
-                            ),
-                        );
-                    }
-                }
-            }
-        }
+        let func = f.enclosing_fn(i);
+        let emitted = |kind| {
+            func.is_some_and(|func| {
+                (func.start_tok..=func.end_tok.min(f.tokens.len() - 1)).any(|j| {
+                    event_kind_at(f, j) == Some(kind) && !(j >= 2 && is_bump_call(f, j - 2))
+                })
+            })
+        };
+        let message = match event_kind_at(f, i + 2) {
+            Some(kind) if emitted(kind) => continue,
+            Some(kind) => format!(
+                "`bump(EventKind::{kind}, …)` without an emit naming `EventKind::{kind}` in {} — ledger mutations must emit their event at the mutation site",
+                func.map_or("no fn".to_string(), |func| format!("fn {}", func.name)),
+            ),
+            None => "`bump(…)` does not name its `EventKind::…` — cannot verify event pairing"
+                .to_string(),
+        };
+        push(out, f, t.line, "ledger-event", message);
     }
-}
-
-fn has_evidence(f: &SourceFile, start: usize, end: usize, names: &[&str]) -> bool {
-    f.tokens[start..=end.min(f.tokens.len() - 1)]
-        .iter()
-        .any(|t| t.kind == TokKind::Ident && names.contains(&t.text.as_str()))
-}
-
-fn evidence_list(names: &[&str]) -> String {
-    names.join("/")
 }
 
 /// rule `safety-comment` — every `unsafe` keyword (block, fn, impl)

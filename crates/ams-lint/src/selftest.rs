@@ -43,8 +43,9 @@ const FIXTURES: &[Fixture] = &[
         path: "crates/ams-serve/src/server/worker.rs",
         src: include_str!("../fixtures/ledger_server.rs"),
         expect: &[
-            ("ledger-event", 10), // offered += 1 without Admitted
-            ("ledger-event", 24), // record_hit() without CacheHit
+            ("ledger-event", 5),  // bump(Admitted) beside an Enqueued emit
+            ("ledger-event", 6),  // a second bump is no evidence for the first
+            ("ledger-event", 25), // bump(kind): the kind is not named
         ],
     },
     Fixture {

@@ -37,7 +37,4 @@ pub use eval::{evaluate_q_greedy, q_greedy_rollout, EvalSummary, Rollout};
 pub use online::{outcome_transitions, AgentSnapshot, OnlineConfig, OnlineTrainer};
 pub use policy::{epsilon_greedy, masked_argmax, EpsilonSchedule};
 pub use replay::{ReplayBuffer, Transition};
-pub use trainer::{
-    learn_step_batched, learn_step_scalar, train, BatchScratch, ScalarScratch, TrainConfig,
-    TrainStats, TrainedAgent,
-};
+pub use trainer::{learn_step_batched, train, BatchScratch, TrainConfig, TrainStats, TrainedAgent};

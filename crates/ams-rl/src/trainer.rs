@@ -7,8 +7,8 @@ use crate::policy::{epsilon_greedy, masked_argmax, EpsilonSchedule};
 use crate::replay::{ReplayBuffer, Transition};
 use ams_data::ItemTruth;
 use ams_nn::{
-    Adam, BatchBwdCache, BatchFwdCache, BatchInput, BwdCache, FwdCache, Huber, Input, Mat,
-    Optimizer, QNet, QNetConfig, QNetGrads,
+    Adam, BatchBwdCache, BatchFwdCache, BatchInput, FwdCache, Huber, Input, Mat, Optimizer, QNet,
+    QNetConfig, QNetGrads,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -311,106 +311,6 @@ pub fn train(
     )
 }
 
-/// Reusable buffers for [`learn_step_scalar`]: gradient accumulators and
-/// forward/backward caches, so a gradient step performs no heap allocation
-/// beyond the sampled index vector.
-pub struct ScalarScratch {
-    grads: QNetGrads,
-    cache: FwdCache,
-    act_cache: FwdCache,
-    tgt_cache: FwdCache,
-    bwd: BwdCache,
-    gq: Vec<f32>,
-}
-
-impl ScalarScratch {
-    /// Scratch shaped for `net`.
-    pub fn new(net: &QNet) -> Self {
-        Self {
-            grads: net.zero_grads(),
-            cache: FwdCache::default(),
-            act_cache: FwdCache::default(),
-            tgt_cache: FwdCache::default(),
-            bwd: BwdCache::default(),
-            gq: vec![0.0; net.actions()],
-        }
-    }
-}
-
-/// One minibatch gradient step via per-sample scalar passes; returns the
-/// mean Huber loss.
-///
-/// This is the pre-batching reference implementation: ~`2 x batch` scalar
-/// network passes per step. [`learn_step_batched`] computes the same update
-/// with one batched pass per network; this version is kept as the baseline
-/// the `ams-bench` hot-path benchmark compares against.
-#[allow(clippy::too_many_arguments)] // mirrors learn_step_batched's signature
-pub fn learn_step_scalar(
-    net: &mut QNet,
-    target: &QNet,
-    opt: &mut Adam,
-    replay: &ReplayBuffer,
-    cfg: &TrainConfig,
-    huber: &Huber,
-    rng: &mut StdRng,
-    scratch: &mut ScalarScratch,
-) -> f32 {
-    let idx = replay.sample_indices(cfg.batch, rng);
-    let grads = &mut scratch.grads;
-    grads.zero();
-    let mut total_loss = 0.0f32;
-    let gq = &mut scratch.gq;
-    debug_assert_eq!(gq.len(), net.actions());
-
-    for &i in &idx {
-        let tr = replay.get(i);
-        // TD target.
-        let y = if tr.done {
-            tr.reward
-        } else {
-            let bootstrap = match cfg.algo {
-                Algo::Dqn | Algo::DuelingDqn => {
-                    let qt = target.forward(Input::Sparse(&tr.next_state), &mut scratch.tgt_cache);
-                    qt[masked_argmax(qt, tr.next_avail)]
-                }
-                Algo::DoubleDqn => {
-                    let qo = net.forward(Input::Sparse(&tr.next_state), &mut scratch.act_cache);
-                    let a_star = masked_argmax(qo, tr.next_avail);
-                    let qt = target.forward(Input::Sparse(&tr.next_state), &mut scratch.tgt_cache);
-                    qt[a_star]
-                }
-                Algo::DeepSarsa => {
-                    let qt = target.forward(Input::Sparse(&tr.next_state), &mut scratch.tgt_cache);
-                    qt[tr.next_action as usize]
-                }
-            };
-            tr.reward + cfg.gamma * bootstrap
-        };
-
-        let qs = net.forward(Input::Sparse(&tr.state), &mut scratch.cache);
-        let residual = qs[tr.action as usize] - y;
-        total_loss += huber.loss(residual);
-        // gq is one-hot: write the single live entry, clear it after the
-        // backward pass instead of re-zeroing the whole vector per sample.
-        let a = tr.action as usize;
-        gq[a] = huber.dloss(residual);
-        net.backward(
-            Input::Sparse(&tr.state),
-            &scratch.cache,
-            gq,
-            grads,
-            &mut scratch.bwd,
-        );
-        gq[a] = 0.0;
-    }
-
-    grads.scale(1.0 / cfg.batch as f32);
-    let g = grads.tensors();
-    let mut p = net.tensors_mut();
-    opt.step(&mut p, &g);
-    total_loss / cfg.batch as f32
-}
-
 /// Reusable buffers for [`learn_step_batched`].
 pub struct BatchScratch {
     grads: QNetGrads,
@@ -447,12 +347,12 @@ impl BatchScratch {
 /// net (plus one of the online net for DoubleDQN's argmax), one batched
 /// forward of the online net on the current states, and one batched
 /// backward — instead of the ~`2 x batch` scalar passes of
-/// [`learn_step_scalar`]. Sampling consumes the same RNG stream and the
-/// batched kernels agree with the scalar ones to float rounding (the head
-/// kernels reassociate their reductions, and `1/batch` is folded into the
-/// output gradient instead of a post-hoc rescale), so training
-/// trajectories match the scalar implementation up to last-ULP noise —
-/// asserted by the equivalence test over identical RNG streams.
+/// `ams_bench::hotpath::learn_step_scalar`. Sampling consumes the same RNG
+/// stream and the batched kernels agree with the scalar ones to float
+/// rounding (the head kernels reassociate their reductions, and `1/batch`
+/// is folded into the output gradient instead of a post-hoc rescale), so
+/// training trajectories match the scalar implementation up to last-ULP
+/// noise — asserted by that module's test over identical RNG streams.
 #[allow(clippy::too_many_arguments)] // net/target/opt/replay are distinct roles
 pub fn learn_step_batched(
     net: &mut QNet,
@@ -624,96 +524,6 @@ mod tests {
         assert_eq!(agent.q_values(&[]).len(), 30);
         // every episode must run all 30 models (no early stop available)
         assert!(stats.episode_lengths.iter().all(|&l| l == 30));
-    }
-
-    /// The batched learn step computes the same update as the scalar
-    /// reference: starting from identical nets, replays and RNG streams,
-    /// the learned Q values stay within float-rounding distance.
-    #[test]
-    fn batched_learn_step_matches_scalar() {
-        let table = fixture();
-        for algo in Algo::ALL {
-            let cfg = TrainConfig {
-                batch: 16,
-                ..TrainConfig::fast_test(algo)
-            };
-            let actions = 30 + usize::from(cfg.use_end_action);
-            let arch = QNetConfig {
-                input_dim: cfg.input_dim,
-                hidden: cfg.hidden.clone(),
-                actions,
-                dueling: algo.dueling_head(),
-            };
-            let mut net_s = QNet::new(arch.clone(), 99);
-            let mut net_b = net_s.clone();
-            let target = net_s.clone();
-            let huber = Huber::default();
-
-            // Shared replay filled from a few random episodes.
-            let mut replay = ReplayBuffer::new(1024);
-            let mut rng = StdRng::seed_from_u64(5);
-            for _ in 0..4 {
-                let item = &table.items()[rng.gen_range(0..table.len())];
-                let mut env = LabelingEnv::new(item, &cfg.reward, 30, cfg.use_end_action);
-                let mut state: Arc<[u32]> = env.state_sparse().into();
-                let zeros = vec![0.0f32; actions];
-                loop {
-                    let avail = env.available_mask();
-                    let action = epsilon_greedy(&zeros, avail, 1.0, &mut rng);
-                    let step = env.step(action);
-                    let next_state: Arc<[u32]> = env.state_sparse().into();
-                    replay.push(Transition {
-                        state: Arc::clone(&state),
-                        action: action as u8,
-                        reward: step.reward,
-                        next_state: Arc::clone(&next_state),
-                        next_avail: env.available_mask(),
-                        next_action: 0,
-                        done: step.done,
-                    });
-                    if step.done {
-                        break;
-                    }
-                    state = next_state;
-                }
-            }
-
-            let mut opt_s = Adam::new(cfg.lr);
-            let mut opt_b = Adam::new(cfg.lr);
-            let mut rng_s = StdRng::seed_from_u64(17);
-            let mut rng_b = StdRng::seed_from_u64(17);
-            let mut scratch_s = ScalarScratch::new(&net_s);
-            let mut scratch_b = BatchScratch::new(&net_b);
-            for _ in 0..5 {
-                let ls = learn_step_scalar(
-                    &mut net_s,
-                    &target,
-                    &mut opt_s,
-                    &replay,
-                    &cfg,
-                    &huber,
-                    &mut rng_s,
-                    &mut scratch_s,
-                );
-                let lb = learn_step_batched(
-                    &mut net_b,
-                    &target,
-                    &mut opt_b,
-                    &replay,
-                    &cfg,
-                    &huber,
-                    &mut rng_b,
-                    &mut scratch_b,
-                );
-                assert!((ls - lb).abs() < 1e-4, "{algo}: loss {ls} vs {lb}");
-            }
-            let probe = [2u32, 40, 700];
-            let qs = net_s.q_values(Input::Sparse(&probe));
-            let qb = net_b.q_values(Input::Sparse(&probe));
-            for (a, b) in qs.iter().zip(&qb) {
-                assert!((a - b).abs() < 1e-3, "{algo}: {a} vs {b}");
-            }
-        }
     }
 
     #[test]

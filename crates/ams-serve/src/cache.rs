@@ -53,7 +53,7 @@
 //!
 //! Hits and coalesced followers get their own conservation buckets
 //! (`cache_hit`, `coalesced`, with per-class `value_cached`), recorded in
-//! the [`CacheLedger`] and folded into
+//! the cache's ledger and folded into
 //! [`ServeReport`](crate::ServeReport) /
 //! [`ClassReport`](crate::ClassReport) at shutdown:
 //!
@@ -67,6 +67,7 @@
 //! `cancelled` — the fan-out's losing CAS keeps it out of `coalesced`.
 
 use crate::completion::{CompletionSlot, LabelResult, ShedReason};
+use crate::ledger::Ledger;
 use crate::obs::{Event, EventKind, ServerObs, NO_SHARD};
 use crate::telemetry::micros;
 use ams_models::{LabelId, ModelId};
@@ -214,13 +215,12 @@ pub(crate) struct PendingEntry {
 
 impl PendingEntry {
     /// Attach a follower, unless the entry already reached a terminal
-    /// state. On `Attached` the follower's `offered` is recorded — its
-    /// terminal bucket (`coalesced`, a shed, or `cancelled`) comes later.
+    /// state. `submit` already counted it offered; its terminal bucket
+    /// (`coalesced`, a shed, or `cancelled`) comes later.
     pub(crate) fn attach(&self, follower: Follower) -> Attach {
         let mut st = self.state.lock().expect("cache entry");
         match &mut *st {
             EntryState::Waiting(followers) => {
-                self.ledger.record_offered(follower.class, follower.value); // ams-lint: allow(ledger-event) the follower's Admitted event was emitted by submit_inner before coalescing routed it here
                 followers.push(follower);
                 Attach::Attached
             }
@@ -265,10 +265,11 @@ impl PendingEntry {
                 deadline_met: met,
             });
             if delivered {
-                self.ledger.record_coalesced(f.class, f.value);
                 if let Some(obs) = &self.obs {
                     obs.emit(f.event(EventKind::Coalesced).detail(waited_us).flag(!met));
                 }
+                let mut ledger = self.ledger.lock().expect("cache ledger");
+                ledger.row(f.class).bump(EventKind::Coalesced, f.value);
             }
         }
     }
@@ -293,10 +294,13 @@ impl PendingEntry {
         };
         for f in followers {
             if f.slot.try_shed(reason) {
-                self.ledger.record_follower_shed(f.class, f.value, reason);
                 if let Some(obs) = &self.obs {
                     obs.emit(f.event(EventKind::of_shed(reason)));
                 }
+                let mut ledger = self.ledger.lock().expect("cache ledger");
+                ledger
+                    .row(f.class)
+                    .bump(EventKind::of_shed(reason), f.value);
             }
         }
         if let Some(cache) = self.cache.upgrade() {
@@ -396,7 +400,7 @@ impl LabelCache {
             tick: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            ledger: Arc::new(CacheLedger::default()),
+            ledger: Arc::default(),
             obs,
         })
     }
@@ -560,84 +564,12 @@ impl LabelCache {
     }
 }
 
-/// One class's cache ledger: offered hits/followers, terminal buckets,
-/// and the follower sheds broken down by loss path (folded into the
-/// matching [`ClassReport`](crate::ClassReport) buckets at shutdown).
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct ClassCache {
-    pub(crate) offered: u64,
-    pub(crate) value_offered: f64,
-    pub(crate) cache_hit: u64,
-    pub(crate) coalesced: u64,
-    pub(crate) value_cached: f64,
-    pub(crate) shed_admission: u64,
-    pub(crate) shed_overflow: u64,
-    pub(crate) shed_deadline: u64,
-    pub(crate) shed_drain: u64,
-    pub(crate) value_shed: f64,
-}
-
-/// The cache's conservation ledger, mutex-guarded like the cancellation
-/// ledger and for the same reason: a terminal-event CAS and its ledger
-/// entry must be one atomic step to a report reader.
-#[derive(Debug, Default)]
-pub(crate) struct CacheLedger {
-    state: Mutex<Vec<ClassCache>>,
-}
-
-impl CacheLedger {
-    fn class_mut<R>(&self, class: usize, f: impl FnOnce(&mut ClassCache) -> R) -> R {
-        let mut classes = self.state.lock().expect("cache ledger");
-        if classes.len() <= class {
-            classes.resize(class + 1, ClassCache::default());
-        }
-        f(&mut classes[class])
-    }
-
-    /// An exact hit: offered and terminally `cache_hit`, in one step.
-    pub(crate) fn record_hit(&self, class: usize, value: f64) {
-        self.class_mut(class, |c| {
-            c.offered += 1;
-            c.value_offered += value;
-            c.cache_hit += 1;
-            c.value_cached += value;
-        });
-    }
-
-    /// A follower attached: offered now, terminal bucket later.
-    pub(crate) fn record_offered(&self, class: usize, value: f64) {
-        self.class_mut(class, |c| {
-            c.offered += 1;
-            c.value_offered += value;
-        });
-    }
-
-    /// A follower received its fan-out completion.
-    pub(crate) fn record_coalesced(&self, class: usize, value: f64) {
-        self.class_mut(class, |c| {
-            c.coalesced += 1;
-            c.value_cached += value;
-        });
-    }
-
-    /// A follower was shed with its failed leader.
-    pub(crate) fn record_follower_shed(&self, class: usize, value: f64, reason: ShedReason) {
-        self.class_mut(class, |c| {
-            match reason {
-                ShedReason::Admission => c.shed_admission += 1,
-                ShedReason::Overflow => c.shed_overflow += 1,
-                ShedReason::Deadline => c.shed_deadline += 1,
-                ShedReason::Drain => c.shed_drain += 1,
-            }
-            c.value_shed += value;
-        });
-    }
-
-    /// Per-class snapshot (index = class; empty classes default-zero).
-    pub(crate) fn by_class(&self) -> Vec<ClassCache> {
-        self.state.lock().expect("cache ledger").clone()
-    }
-}
+/// The cache's share of the conservation [`Ledger`] — exact hits,
+/// fanned-out followers (`Coalesced`), and followers shed with a failed
+/// leader (their loss path's own bucket) — behind one mutex, like the
+/// cancellation ledger: fan-outs run on whichever thread resolves or fails
+/// the leader.
+pub(crate) type CacheLedger = Mutex<Ledger>;
 
 #[cfg(test)]
 mod tests {
@@ -667,6 +599,28 @@ mod tests {
         }
     }
 
+    /// The cache ledger's `kind` bucket, every class summed.
+    fn count(cache: &LabelCache, kind: EventKind) -> u64 {
+        let ledger = cache.ledger().lock().expect("cache ledger");
+        ledger.total().count(kind)
+    }
+
+    /// Look `key` up as its first sighting: the caller leads the entry.
+    fn lead(cache: &Arc<LabelCache>, key: u64) -> Arc<PendingEntry> {
+        match cache.lookup(key, follower()) {
+            Lookup::Miss(entry) => entry,
+            _ => panic!("first sighting must be a miss"),
+        }
+    }
+
+    /// Look `key` up again as ticket `id` on `cq`: it coalesces onto the leader.
+    fn coalesce(cache: &Arc<LabelCache>, key: u64, cq: &Arc<CompletionQueue>, id: u64) -> Ticket {
+        let (slot, ticket) = slotted(cq, id);
+        let follower = Follower { slot, ..follower() };
+        assert!(matches!(cache.lookup(key, follower), Lookup::Coalesced));
+        ticket
+    }
+
     fn slotted(cq: &Arc<CompletionQueue>, id: u64) -> (Arc<CompletionSlot>, Ticket) {
         cq.issue();
         let slot = Arc::new(CompletionSlot::new(
@@ -682,10 +636,7 @@ mod tests {
     #[test]
     fn miss_then_resolve_then_hit() {
         let cache = LabelCache::new_with_obs(CacheConfig::default(), None);
-        let entry = match cache.lookup(42, follower()) {
-            Lookup::Miss(entry) => entry,
-            _ => panic!("first sighting must be a miss"),
-        };
+        let entry = lead(&cache, 42);
         cache.resolve(&entry, result(4), 1.0);
         match cache.lookup(42, follower()) {
             Lookup::Hit(r) => assert_eq!(r.labels.len(), 4),
@@ -700,40 +651,29 @@ mod tests {
     #[test]
     fn second_lookup_coalesces_and_fan_out_delivers_labeled() {
         let cache = LabelCache::new_with_obs(CacheConfig::default(), None);
-        let entry = match cache.lookup(7, follower()) {
-            Lookup::Miss(e) => e,
-            _ => panic!("miss expected"),
-        };
+        let entry = lead(&cache, 7);
         let cq = Arc::new(CompletionQueue::new(4));
-        let (slot, _ticket) = slotted(&cq, 99);
-        assert!(matches!(
-            cache.lookup(7, Follower { slot, ..follower() }),
-            Lookup::Coalesced
-        ));
+        let _ticket = coalesce(&cache, 7, &cq, 99);
         cache.resolve(&entry, result(2), 1.0);
         let event = cq.try_recv().expect("fan-out delivered");
         let labeled = event.labeled().expect("labeled completion");
         assert_eq!(labeled.ticket, 99);
         assert_eq!(labeled.labels.len(), 2);
         assert_eq!(labeled.execute_us, 0, "zero bill for a coalesced result");
-        let classes = cache.ledger().by_class();
-        assert_eq!(classes[0].coalesced, 1);
-        assert_eq!(classes[0].offered, 1, "only the follower is cache-offered");
+        assert_eq!(count(&cache, EventKind::Coalesced), 1);
+        assert_eq!(
+            count(&cache, EventKind::Admitted),
+            0,
+            "offered is the submit path's to count"
+        );
     }
 
     #[test]
     fn failed_leader_sheds_followers_and_the_next_lookup_leads_fresh() {
         let cache = LabelCache::new_with_obs(CacheConfig::default(), None);
-        let entry = match cache.lookup(11, follower()) {
-            Lookup::Miss(e) => e,
-            _ => panic!("miss expected"),
-        };
+        let entry = lead(&cache, 11);
         let cq = Arc::new(CompletionQueue::new(4));
-        let (slot, _ticket) = slotted(&cq, 5);
-        assert!(matches!(
-            cache.lookup(11, Follower { slot, ..follower() }),
-            Lookup::Coalesced
-        ));
+        let _ticket = coalesce(&cache, 11, &cq, 5);
         entry.fail(ShedReason::Deadline);
         match cq.try_recv().expect("shed delivered") {
             crate::Completion::Shed { ticket, reason, .. } => {
@@ -742,8 +682,7 @@ mod tests {
             }
             other => panic!("expected shed, got {other:?}"),
         }
-        let classes = cache.ledger().by_class();
-        assert_eq!(classes[0].shed_deadline, 1);
+        assert_eq!(count(&cache, EventKind::ShedDeadline), 1);
         // The dead slot was removed: the key restarts as a fresh leader.
         assert!(matches!(cache.lookup(11, follower()), Lookup::Miss(_)));
     }
@@ -751,24 +690,17 @@ mod tests {
     #[test]
     fn cancelled_follower_is_skipped_by_the_fan_out() {
         let cache = LabelCache::new_with_obs(CacheConfig::default(), None);
-        let entry = match cache.lookup(13, follower()) {
-            Lookup::Miss(e) => e,
-            _ => panic!("miss expected"),
-        };
+        let entry = lead(&cache, 13);
         let cq = Arc::new(CompletionQueue::new(4));
-        let (slot, ticket) = slotted(&cq, 8);
-        assert!(matches!(
-            cache.lookup(13, Follower { slot, ..follower() }),
-            Lookup::Coalesced
-        ));
+        let ticket = coalesce(&cache, 13, &cq, 8);
         assert!(ticket.cancel());
         cache.resolve(&entry, result(1), 1.0);
         let event = cq.try_recv().expect("the cancellation event");
         assert!(event.is_cancelled(), "cancellation owns the terminal event");
         assert!(cq.try_recv().is_none(), "fan-out delivered nothing extra");
-        let classes = cache.ledger().by_class();
         assert_eq!(
-            classes[0].coalesced, 0,
+            count(&cache, EventKind::Coalesced),
+            0,
             "a cancelled follower never coalesces"
         );
     }
@@ -776,20 +708,14 @@ mod tests {
     #[test]
     fn abandon_without_waiters_but_execute_with() {
         let cache = LabelCache::new_with_obs(CacheConfig::default(), None);
-        let entry = match cache.lookup(21, follower()) {
-            Lookup::Miss(e) => e,
-            _ => panic!("miss expected"),
-        };
+        let entry = lead(&cache, 21);
         let wanted = match cache.lookup(21, follower()) {
             Lookup::Coalesced => entry.wanted_or_abandon(),
             _ => panic!("coalesce expected"),
         };
         assert!(wanted, "a waiter makes the ghost execution worthwhile");
 
-        let lone = match cache.lookup(22, follower()) {
-            Lookup::Miss(e) => e,
-            _ => panic!("miss expected"),
-        };
+        let lone = lead(&cache, 22);
         assert!(!lone.wanted_or_abandon(), "no waiters: abandon");
         assert!(
             matches!(cache.lookup(22, follower()), Lookup::Miss(_)),
@@ -806,10 +732,7 @@ mod tests {
         let cache = LabelCache::sized(1, one * 2 + 1, None);
         // Same bytes, different values: the low-value entry must go.
         for (key, value) in [(1u64, 5.0), (2, 0.1), (3, 4.0)] {
-            let entry = match cache.lookup(key, follower()) {
-                Lookup::Miss(e) => e,
-                _ => panic!("miss expected"),
-            };
+            let entry = lead(&cache, key);
             cache.resolve(&entry, result(90), value);
         }
         let report = cache.report();
@@ -832,10 +755,7 @@ mod tests {
         let one = result(90).approx_bytes();
         let cache = LabelCache::sized(1, one * 64, None);
         let insert = |key: u64, value: f64| {
-            let entry = match cache.lookup(key, follower()) {
-                Lookup::Miss(e) => e,
-                _ => panic!("miss expected"),
-            };
+            let entry = lead(&cache, key);
             cache.resolve(&entry, result(90), value);
         };
         let keepers = [1u64, 2, 3, 4];
@@ -875,20 +795,14 @@ mod tests {
         let one = result(90).approx_bytes();
         let cache = LabelCache::sized(1, one * 2 + 1, None);
         for key in [1u64, 2] {
-            let entry = match cache.lookup(key, follower()) {
-                Lookup::Miss(e) => e,
-                _ => panic!("miss expected"),
-            };
+            let entry = lead(&cache, key);
             cache.resolve(&entry, result(90), 1.0);
         }
         // Touch key 1 repeatedly: key 2's equal value decays with age.
         for _ in 0..8 {
             assert!(matches!(cache.lookup(1, follower()), Lookup::Hit(_)));
         }
-        let entry = match cache.lookup(3, follower()) {
-            Lookup::Miss(e) => e,
-            _ => panic!("miss expected"),
-        };
+        let entry = lead(&cache, 3);
         cache.resolve(&entry, result(90), 1.0);
         assert!(
             matches!(cache.lookup(1, follower()), Lookup::Hit(_)),

@@ -46,6 +46,7 @@
 //! a canceller running on the client's own thread cannot deadlock against
 //! the client's own full queue.
 
+use crate::ledger::Ledger;
 use crate::obs::{Event, EventKind, ServerObs, NO_SHARD};
 use ams_models::{LabelId, ModelId};
 use serde::{Deserialize, Serialize};
@@ -173,11 +174,12 @@ impl Completion {
     }
 }
 
-/// Server-side cancellation ledger: how many tickets were cancelled, by
-/// class, with the predicted value they carried. Shared between the live
-/// tickets (which record into it) and the server (which folds it into the
-/// final report), so a cancellation arriving from any thread lands in the
-/// same conservation equation as every other loss path.
+/// Server-side cancellation ledger: the `Cancelled` bucket of the
+/// conservation [`Ledger`], by class, with the predicted value the
+/// cancelled tickets carried. Shared between the live tickets (which record
+/// into it) and the server (which folds it into the final report), so a
+/// cancellation arriving from any thread lands in the same conservation
+/// equation as every other loss path.
 ///
 /// The winning `PENDING → RESOLVED` compare-and-swap of a cancellation
 /// runs **while holding this ledger's lock** ([`CompletionSlot::try_cancel`]):
@@ -185,33 +187,7 @@ impl Completion {
 /// a queue purge) is therefore ordered after the ledger entry, and a
 /// reader taking this lock — `shutdown` folding the report after the
 /// workers joined — can never see a cancellation the counters are missing.
-#[derive(Debug, Default)]
-pub(crate) struct CancelLedger {
-    state: Mutex<CancelState>,
-}
-
-#[derive(Debug, Default)]
-struct CancelState {
-    total: u64,
-    by_class: Vec<ClassCancel>,
-}
-
-/// One class's cancellation tally.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct ClassCancel {
-    pub(crate) count: u64,
-    pub(crate) value: f64,
-}
-
-impl CancelLedger {
-    pub(crate) fn total(&self) -> u64 {
-        self.state.lock().expect("cancel ledger").total
-    }
-
-    pub(crate) fn by_class(&self) -> Vec<ClassCancel> {
-        self.state.lock().expect("cancel ledger").by_class.clone()
-    }
-}
+pub(crate) type CancelLedger = Mutex<Ledger>;
 
 const PENDING: u8 = 0;
 const CLAIMED: u8 = 1;
@@ -375,7 +351,7 @@ impl CompletionSlot {
     /// preempted canceller write its ledger entry — a transient
     /// conservation violation in the report.
     pub(crate) fn try_cancel(&self) -> bool {
-        let mut ledger = self.ledger.state.lock().expect("cancel ledger");
+        let mut ledger = self.ledger.lock().expect("cancel ledger");
         // AcqRel: Release publishes the cancellation (and its ledger
         // entry, made atomic by the lock held around us) to Acquire
         // readers; Acquire orders us after a claim/labeling that won.
@@ -388,14 +364,9 @@ impl CompletionSlot {
         {
             return false;
         }
-        ledger.total += 1;
-        if ledger.by_class.len() <= self.class {
-            ledger
-                .by_class
-                .resize(self.class + 1, ClassCancel::default());
-        }
-        ledger.by_class[self.class].count += 1;
-        ledger.by_class[self.class].value += self.value;
+        ledger
+            .row(self.class)
+            .bump(EventKind::Cancelled, self.value);
         // Emit the terminal event *inside* the ledger-lock region: a
         // reader that takes this lock after us (shutdown folding the
         // report before its final ring drain) is then guaranteed every

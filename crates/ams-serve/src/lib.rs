@@ -76,6 +76,7 @@
 pub mod adapt;
 pub mod cache;
 pub mod completion;
+mod ledger;
 pub mod net;
 pub mod obs;
 pub mod queue;
@@ -92,7 +93,7 @@ pub use obs::{
     CacheGauges, ClassRates, EventCount, EventKind, EventRecord, MetricsSnapshot, ObsConfig,
     ObsReport, ShardGauges, SliceSnapshot, TraceReport,
 };
-pub use queue::{BackpressurePolicy, ClassShed, Request, ShardQueue, SubmitOutcome};
+pub use queue::{BackpressurePolicy, Request, ShardQueue, SubmitOutcome};
 pub use router::{fib_shard, AffinityConfig, Route, Router, RoutingMode};
 pub use server::{
     AdaptiveBatchConfig, AdaptiveReport, AmsServer, ClassReport, Client, ServeConfig, ServeReport,

@@ -52,6 +52,7 @@ use crate::completion::Completion;
 use crate::server::{AmsServer, Client, ServeReport, SubmitOptions};
 use crate::wire;
 use ams_data::ItemTruth;
+use ams_models::LabelId;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -427,6 +428,23 @@ impl NetServer {
     }
 }
 
+/// Whether a decoded item has the shape the labeling path indexes into
+/// without checking: one output and one static value per zoo model, in
+/// model order, and every label id inside the label universe. The frame
+/// codec validates framing only, and a worker that panics on a hostile
+/// item strands its whole shard; in-process [`Client`] callers are trusted.
+fn item_fits(item: &ItemTruth, num_models: usize) -> bool {
+    let known = |label: LabelId| label.index() < item.universe();
+    item.outputs.len() == num_models
+        && item.model_value.len() == num_models
+        && item
+            .outputs
+            .iter()
+            .enumerate()
+            .all(|(m, out)| out.model.index() == m && out.detections.iter().all(|d| known(d.label)))
+        && item.valuable.iter().all(|&(label, _)| known(label))
+}
+
 /// One connection: read `Hello`, open a window-sized in-process client,
 /// then pump frames until goodbye/disconnect. The reader thread is the
 /// current thread; completions are written back by a spawned writer.
@@ -451,6 +469,7 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
         _ => return,
     };
     let client = server.client_with_capacity(window);
+    let num_models = server.num_models();
     drop(server); // the Arc clone; the listener keeps the server alive
 
     let maps = Arc::new(ConnMaps::default());
@@ -513,6 +532,9 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
                     t.cancel();
                 }
             }
+            // A well-framed item the labeling path cannot index is a
+            // protocol error like any malformed frame.
+            ClientFrame::Request(req) if !item_fits(&req.item, num_models) => break,
             ClientFrame::Request(req) => {
                 let opts = SubmitOptions {
                     class: req.class,

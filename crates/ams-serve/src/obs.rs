@@ -31,6 +31,7 @@
 //! capacity cost is bounded at ≤2% in `bench_serve`.
 
 use crate::completion::ShedReason;
+use crate::ledger::Ledger;
 use crate::telemetry::{ratio, LatencyHistogram};
 use serde::{Deserialize, Serialize};
 use std::cell::UnsafeCell;
@@ -207,7 +208,19 @@ impl EventKind {
         )
     }
 
-    fn index(self) -> usize {
+    /// Whether this kind is one of the four shed paths.
+    pub(crate) fn is_shed(self) -> bool {
+        matches!(
+            self,
+            EventKind::ShedAdmission
+                | EventKind::ShedOverflow
+                | EventKind::ShedDeadline
+                | EventKind::ShedDrain
+        )
+    }
+
+    /// Position in [`EventKind::ALL`] (array-indexed counters).
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 }
@@ -545,15 +558,9 @@ impl FlightRecorder {
     fn settle(&mut self, tr: Trace) {
         let interesting = match tr.verdict {
             Some(EventKind::Labeled) => tr.deadline_missed,
-            Some(
-                EventKind::ShedAdmission
-                | EventKind::ShedOverflow
-                | EventKind::ShedDeadline
-                | EventKind::ShedDrain
-                | EventKind::Rejected
-                | EventKind::Cancelled,
-            ) => true,
-            _ => false,
+            Some(EventKind::Rejected | EventKind::Cancelled) => true,
+            Some(kind) => kind.is_shed(),
+            None => false,
         };
         if !interesting {
             return;
@@ -581,18 +588,6 @@ impl FlightRecorder {
 // Registry (aggregator state)
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Default)]
-struct ClassObs {
-    admitted: u64,
-    labeled: u64,
-    deadline_met: u64,
-    cache_hit: u64,
-    coalesced: u64,
-    shed: u64,
-    rejected: u64,
-    cancelled: u64,
-}
-
 #[derive(Debug, Clone)]
 struct SliceBucket {
     index: u64,
@@ -602,8 +597,9 @@ struct SliceBucket {
 }
 
 struct Registry {
-    totals: [u64; KIND_COUNT],
-    by_class: Vec<ClassObs>,
+    /// Per-class event counts in the conservation ledger's own row shape
+    /// (values stay zero — events carry none), fed only by `ingest`.
+    by_class: Ledger,
     latency: LatencyHistogram,
     slices: VecDeque<SliceBucket>,
     slice_us: u64,
@@ -622,8 +618,7 @@ impl Registry {
     /// A registry rolling `max_slices` slices of `slice_us` each.
     fn sized(shards: usize, slice_us: u64, max_slices: usize) -> Self {
         Self {
-            totals: [0; KIND_COUNT],
-            by_class: Vec::new(),
+            by_class: Ledger::default(),
             latency: LatencyHistogram::default(),
             slices: VecDeque::new(),
             slice_us,
@@ -631,14 +626,6 @@ impl Registry {
             recorder: FlightRecorder::sized(RECORDER_CAPACITY),
             fill_mark: vec![(0, 0); shards],
         }
-    }
-
-    fn class_mut(&mut self, class: u32) -> &mut ClassObs {
-        let idx = class as usize;
-        if self.by_class.len() <= idx {
-            self.by_class.resize_with(idx + 1, ClassObs::default);
-        }
-        &mut self.by_class[idx]
     }
 
     fn slice_mut(&mut self, index: u64) -> &mut SliceBucket {
@@ -672,27 +659,12 @@ impl Registry {
     }
 
     fn ingest(&mut self, ev: Event) {
-        self.totals[ev.kind.index()] += 1;
-        let c = self.class_mut(ev.class);
-        match ev.kind {
-            EventKind::Admitted => c.admitted += 1,
-            EventKind::Labeled => {
-                c.labeled += 1;
-                if !ev.flag {
-                    c.deadline_met += 1;
-                }
-            }
-            EventKind::CacheHit => c.cache_hit += 1,
-            EventKind::Coalesced => c.coalesced += 1,
-            EventKind::ShedAdmission
-            | EventKind::ShedOverflow
-            | EventKind::ShedDeadline
-            | EventKind::ShedDrain => c.shed += 1,
-            EventKind::Rejected => c.rejected += 1,
-            EventKind::Cancelled => c.cancelled += 1,
-            _ => {}
-        }
+        let row = self.by_class.row(ev.class as usize);
+        row.bump(ev.kind, 0.0);
         if ev.kind == EventKind::Labeled {
+            if ev.flag {
+                row.bump_late(0.0);
+            }
             self.latency.record_us(ev.detail);
         }
         let idx = ev.at_us / self.slice_us;
@@ -879,16 +851,17 @@ impl ServerObs {
         self.drain(&limits);
         let uptime_us = self.now_us().max(1);
         let reg = self.registry.lock().expect("obs registry poisoned");
+        let totals = reg.by_class.total();
         let events: Vec<EventCount> = EventKind::ALL
             .iter()
             .map(|&k| EventCount {
                 kind: k.name().to_string(),
-                count: reg.totals[k.index()],
+                count: totals.count(k),
                 dropped: self.dropped[k.index()].load(Ordering::Relaxed),
             })
             .collect();
         let total =
-            |k: EventKind| reg.totals[k.index()] + self.dropped[k.index()].load(Ordering::Relaxed);
+            |k: EventKind| totals.count(k) + self.dropped[k.index()].load(Ordering::Relaxed);
         let settled: u64 = EventKind::ALL
             .iter()
             .filter(|k| k.is_terminal())
@@ -921,22 +894,23 @@ impl ServerObs {
             .collect();
         let classes = reg
             .by_class
+            .rows()
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                let settled =
-                    c.labeled + c.cache_hit + c.coalesced + c.shed + c.rejected + c.cancelled;
+                let labeled = c.count(EventKind::Labeled);
+                let shed = c.sum(EventKind::is_shed).count;
                 ClassRates {
                     class: i as u32,
-                    admitted: c.admitted,
-                    labeled: c.labeled,
-                    cache_hit: c.cache_hit,
-                    coalesced: c.coalesced,
-                    shed: c.shed,
-                    rejected: c.rejected,
-                    cancelled: c.cancelled,
-                    deadline_met_rate: ratio(c.deadline_met, c.labeled),
-                    shed_rate: ratio(c.shed, settled),
+                    admitted: c.count(EventKind::Admitted),
+                    labeled,
+                    cache_hit: c.count(EventKind::CacheHit),
+                    coalesced: c.count(EventKind::Coalesced),
+                    shed,
+                    rejected: c.count(EventKind::Rejected),
+                    cancelled: c.count(EventKind::Cancelled),
+                    deadline_met_rate: ratio(labeled - c.late.count, labeled),
+                    shed_rate: ratio(shed, c.sum(EventKind::is_terminal).count),
                 }
             })
             .collect();
@@ -1461,7 +1435,7 @@ mod tests {
         }
         assert_eq!(reg.slices.len(), 3);
         assert_eq!(reg.slices.back().expect("slice").index, 9);
-        assert_eq!(reg.totals[EventKind::Admitted.index()], 10);
+        assert_eq!(reg.by_class.total().count(EventKind::Admitted), 10);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 use crate::cache::PendingEntry;
 use crate::completion::{CompletionSlot, ShedReason};
+use crate::ledger::Ledger;
 use crate::obs::{Event, EventKind, ServerObs, NO_TICKET};
 use crate::telemetry::micros;
 use ams_data::ItemTruth;
@@ -300,40 +301,20 @@ impl Request {
     }
 }
 
-/// Per-class overflow-shed ledger entry: how many requests of the class
-/// were evicted on overflow, and the summed predicted value lost.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ClassShed {
-    /// Evicted requests of this class.
-    pub count: u64,
-    /// Summed predicted (weighted) value of the evicted requests.
-    pub value: f64,
-}
-
 #[derive(Debug, Default)]
 struct QueueState {
     pending: VecDeque<Request>,
     closed: bool,
-    /// Requests evicted from the queue by [`BackpressurePolicy::ShedOldest`].
-    shed_oldest: u64,
-    /// The evictions broken down by SLO class (index = class).
-    shed_classes: Vec<ClassShed>,
+    /// The queue's share of the conservation ledger: the requests
+    /// [`BackpressurePolicy::ShedOldest`] evicted (or turned away as the
+    /// overflow victim), by SLO class.
+    ledger: Ledger,
     /// Queued requests per SLO class (index = class) — the admission
     /// reservations' accounting.
     class_counts: Vec<usize>,
 }
 
 impl QueueState {
-    fn record_shed(&mut self, req: &Request) {
-        self.shed_oldest += 1;
-        if self.shed_classes.len() <= req.class {
-            self.shed_classes
-                .resize(req.class + 1, ClassShed::default());
-        }
-        self.shed_classes[req.class].count += 1;
-        self.shed_classes[req.class].value += req.value;
-    }
-
     fn class_count(&self, class: usize) -> usize {
         self.class_counts.get(class).copied().unwrap_or(0)
     }
@@ -420,7 +401,7 @@ pub struct ShardQueue {
     service_hint_us: AtomicU64,
     /// Observability sink (`shard index`, pipeline handle): overflow
     /// sheds emit their lifecycle event at the exact point the ledger
-    /// counts them, so event totals reconcile with `shed_oldest`.
+    /// counts them, so event totals reconcile with the report's bucket.
     obs: Option<(u32, Arc<ServerObs>)>,
 }
 
@@ -461,12 +442,15 @@ impl ShardQueue {
         self
     }
 
-    /// Emit a terminal overflow-shed event for `req`, mirroring exactly
-    /// the points where the queue's shed ledger counts it.
-    fn emit_shed_overflow(&self, req: &Request) {
+    /// Settle `req` as an overflow shed: its terminal event and its ledger
+    /// entry, both under the queue lock `st` came from.
+    fn shed_overflow(&self, st: &mut QueueState, req: &Request) {
         if let Some((shard, obs)) = &self.obs {
             obs.emit(req.event(EventKind::ShedOverflow, *shard));
         }
+        st.ledger
+            .row(req.class)
+            .bump(EventKind::ShedOverflow, req.value);
     }
 
     /// Attach per-class admission reservations: `reservations[class]`
@@ -541,15 +525,9 @@ impl ShardQueue {
         (self.live_len() as u64).saturating_mul(self.service_hint_us.load(Ordering::Relaxed))
     }
 
-    /// Requests evicted on overflow so far (ShedOldest policy).
-    pub fn shed_oldest_count(&self) -> u64 {
-        self.state.lock().expect("shard queue").shed_oldest
-    }
-
-    /// The overflow evictions broken down by SLO class (index = class;
-    /// shorter than the class count when a class never shed).
-    pub fn shed_ledger(&self) -> Vec<ClassShed> {
-        self.state.lock().expect("shard queue").shed_classes.clone()
+    /// The queue's ledger so far: its overflow sheds, by SLO class.
+    pub(crate) fn ledger(&self) -> Ledger {
+        self.state.lock().expect("shard queue").ledger.clone()
     }
 
     /// One consistent admission snapshot — `(depth, ahead)` — under a
@@ -712,8 +690,7 @@ impl ShardQueue {
         // only path to a worker, so its followers must not wait forever.
         shed.fail_cache(ShedReason::Overflow);
         if shed.resolve_or_own(|slot| slot.try_shed(ShedReason::Overflow)) {
-            st.record_shed(&shed);
-            self.emit_shed_overflow(&shed);
+            self.shed_overflow(st, &shed);
             Eviction::Evicted
         } else {
             // Cancelled between selection and shedding: its event was
@@ -750,8 +727,7 @@ impl ShardQueue {
                             outcome = SubmitOutcome::EnqueuedShedOldest(());
                         }
                         Eviction::ShedIncoming => {
-                            st.record_shed(&req);
-                            self.emit_shed_overflow(&req);
+                            self.shed_overflow(&mut st, &req);
                             // The incoming request may already lead a
                             // coalescing entry (the lookup ran before
                             // admission): shed its followers with it.
@@ -996,6 +972,14 @@ mod tests {
         Request::new(Arc::clone(it), sig)
     }
 
+    /// The queue's `ShedOverflow` bucket as `(count, value)` per class.
+    fn overflow_sheds(q: &ShardQueue) -> Vec<(u64, f64)> {
+        let kind = EventKind::ShedOverflow;
+        let ledger = q.ledger();
+        let rows = ledger.rows().iter();
+        rows.map(|t| (t.count(kind), t.value(kind))).collect()
+    }
+
     #[test]
     fn reject_policy_refuses_when_full() {
         let q = ShardQueue::new(2, BackpressurePolicy::Reject);
@@ -1014,11 +998,7 @@ mod tests {
         q.push(req(&it, 0));
         assert_eq!(q.push(req(&it, 0)), SubmitOutcome::EnqueuedShedOldest(()));
         assert_eq!(q.len(), 2, "still at capacity");
-        assert_eq!(q.shed_oldest_count(), 1);
-        let ledger = q.shed_ledger();
-        assert_eq!(ledger.len(), 1);
-        assert_eq!(ledger[0].count, 1);
-        assert!((ledger[0].value - 1.0).abs() < 1e-12, "unit default value");
+        assert_eq!(overflow_sheds(&q), [(1, 1.0)], "unit default value");
     }
 
     #[test]
@@ -1108,10 +1088,11 @@ mod tests {
             q.push(req(&it, 0).with_slo(0, 2.0, Some(1_000_000))),
             SubmitOutcome::EnqueuedShedOldest(())
         );
-        let ledger = q.shed_ledger();
-        assert_eq!(ledger.len(), 2, "class-1 victim recorded");
-        assert_eq!(ledger[1].count, 1);
-        assert!((ledger[1].value - 0.5).abs() < 1e-12);
+        assert_eq!(
+            overflow_sheds(&q),
+            [(0, 0.0), (1, 0.5)],
+            "class-1 victim recorded"
+        );
         let values: Vec<f64> = q.pop_batch(4).iter().map(|r| r.value).collect();
         assert_eq!(values, vec![5.0, 3.0, 2.0], "high-value work survived");
     }
@@ -1228,10 +1209,11 @@ mod tests {
             q.push(req(&it, 0).with_slo(1, 9.0, Some(0))),
             SubmitOutcome::ShedIncoming(())
         );
-        let ledger = q.shed_ledger();
-        assert_eq!(ledger.len(), 2, "the class-1 newcomer was the shed");
-        assert_eq!(ledger[1].count, 1);
-        assert!((ledger[1].value - 9.0).abs() < 1e-12);
+        assert_eq!(
+            overflow_sheds(&q),
+            [(0, 0.0), (1, 9.0)],
+            "the class-1 newcomer was the shed"
+        );
         let values: Vec<f64> = q.pop_batch(4).iter().map(|r| r.value).collect();
         assert_eq!(values, vec![5.0, 3.0], "queued work untouched");
     }
@@ -1333,8 +1315,11 @@ mod tests {
             q.push(req(&it, 0).with_slo(0, 1.0, None)),
             SubmitOutcome::ShedIncoming(())
         );
-        let ledger = q.shed_ledger();
-        assert_eq!(ledger[0].count, 1, "the class-0 newcomer was the shed");
+        assert_eq!(
+            overflow_sheds(&q),
+            [(1, 1.0)],
+            "the class-0 newcomer was the shed"
+        );
         assert_eq!(q.pop_batch(4).len(), 2, "class-1 work untouched");
     }
 
@@ -1379,7 +1364,12 @@ mod tests {
         assert_eq!(q.live_len(), 0);
         assert_eq!(q.queued_ahead(now + Duration::from_secs(10)), (0, 0));
         assert_eq!(q.estimated_wait_us(), 0);
-        assert_eq!(ledger.total(), 3, "cancels recorded atomically");
+        let cancelled = ledger.lock().expect("cancel ledger").total();
+        assert_eq!(
+            cancelled.count(EventKind::Cancelled),
+            3,
+            "cancels recorded atomically"
+        );
     }
 
     /// Reservation sums beyond the capacity are clamped, earlier classes

@@ -277,6 +277,12 @@ impl ServeConfig {
         }
     }
 
+    /// How many ledger classes the server runs: one without `slo` — the
+    /// implicit class 0 (no deadline, unit value, blind).
+    pub(super) fn classes(&self) -> usize {
+        self.slo.as_ref().map_or(1, |s| s.classes.len())
+    }
+
     /// Every shard's starting batch limit (of a normalized config): the
     /// static `max_batch`, clamped into the adaptive band when the
     /// controller runs.

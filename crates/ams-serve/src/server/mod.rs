@@ -57,6 +57,7 @@ pub use submit::{Client, SubmitOptions};
 use crate::adapt::{AdaptRuntime, AdaptShared, WorkerAdapt};
 use crate::cache::LabelCache;
 use crate::completion::{CancelLedger, CompletionQueue, ShedReason};
+use crate::ledger::Ledger;
 use crate::obs::{
     CacheGauges, Event, EventKind, MetricsSnapshot, ServerObs, ShardSample, TraceReport, NO_SHARD,
 };
@@ -70,7 +71,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use submit::ClassAdmission;
 use worker::{worker_loop, WorkerLocal};
 
 /// Shared server state (queues + router + scheduler), behind one `Arc`.
@@ -81,21 +81,20 @@ struct Shared {
     scheduler: AdaptiveModelScheduler,
     budget: Budget,
     cfg: ServeConfig,
-    offered: AtomicU64,
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    shed_admission: AtomicU64,
+    /// Monotone request ids — the observability correlation key, and the
+    /// stripe key of `submit_ledger`.
+    next_req: AtomicU64,
     /// Monotone ticket ids, unique across every client of this server.
     next_ticket: AtomicU64,
     /// The cancellation ledger live tickets record into (shared with the
     /// ticket slots by `Arc`, so a cancellation from any thread — even
     /// after the server wound down — lands in one place).
     cancel_ledger: Arc<CancelLedger>,
-    /// Per-shard, per-class submit-path ledgers (present when SLO classes
-    /// are configured; outer index = shard). Shard-local so producers
-    /// contend at the same granularity as the shard queues themselves —
-    /// one global ledger lock would serialize every submitter.
-    class_admission: Option<Vec<Mutex<Vec<ClassAdmission>>>>,
+    /// The submit path's ledgers (offered, enqueued, rejected,
+    /// admission-shed), striped by request id like the submit-side event
+    /// rings — a cache hit or a follower is offered without ever taking a
+    /// shard, and one global ledger lock would serialize every submitter.
+    submit_ledger: Vec<Mutex<Ledger>>,
     /// The content-addressed label cache (present when
     /// [`ServeConfig::cache`] is configured).
     cache: Option<Arc<LabelCache>>,
@@ -127,14 +126,6 @@ impl Shared {
         });
     }
 
-    /// Update `class`'s submit-path ledger on `shard` (a no-op without SLO
-    /// classes).
-    fn class_ledger(&self, shard: usize, class: usize, update: impl FnOnce(&mut ClassAdmission)) {
-        if let Some(ledgers) = &self.class_admission {
-            update(&mut ledgers[shard].lock().expect("class ledger")[class]);
-        }
-    }
-
     /// Every shard's live AIMD batch limit — the trajectory sample the
     /// aggregator stamps onto each metrics time slice.
     fn batch_limits(&self) -> Vec<u64> {
@@ -152,11 +143,16 @@ impl Shared {
         self.queues
             .iter()
             .zip(&self.controls)
-            .map(|(q, c)| ShardSample {
-                depth: q.live_len() as u64,
-                service_hint_us: q.service_hint_us(),
-                estimated_wait_us: q.estimated_wait_us(),
-                batch_limit: c.limit.load(Ordering::Relaxed) as u64,
+            .map(|(q, c)| {
+                // One read of each input and their product taken here, so a
+                // pop or a first published hint cannot split the sample.
+                let (depth, service_hint_us) = (q.live_len() as u64, q.service_hint_us());
+                ShardSample {
+                    depth,
+                    service_hint_us,
+                    estimated_wait_us: depth.saturating_mul(service_hint_us),
+                    batch_limit: c.limit.load(Ordering::Relaxed) as u64,
+                }
             })
             .collect()
     }
@@ -165,17 +161,13 @@ impl Shared {
     fn cache_gauges(&self) -> Option<CacheGauges> {
         self.cache.as_ref().map(|c| {
             let r = c.report();
-            let hits: u64 = c
-                .ledger()
-                .by_class()
-                .iter()
-                .map(|cc| cc.cache_hit + cc.coalesced)
-                .sum();
+            let served = c.ledger().lock().expect("cache ledger").total();
+            let hits = served.count(EventKind::CacheHit) + served.count(EventKind::Coalesced);
             CacheGauges {
                 entries: r.entries,
                 bytes: r.bytes,
                 capacity_bytes: r.capacity_bytes,
-                hit_rate: ratio(hits, self.offered.load(Ordering::Relaxed)),
+                hit_rate: ratio(hits, self.next_req.load(Ordering::Relaxed)),
             }
         })
     }
@@ -263,11 +255,7 @@ impl AmsServer {
         let controls = (0..cfg.shards)
             .map(|_| ShardControl::new(cfg.start_limit()))
             .collect();
-        let class_admission = cfg.slo.as_ref().map(|s| {
-            (0..cfg.shards)
-                .map(|_| Mutex::new(vec![ClassAdmission::default(); s.classes.len()]))
-                .collect()
-        });
+        let submit_ledger = (0..cfg.shards).map(|_| Mutex::default()).collect();
         // Without SLO classes nothing consumes `Route::value`, so hash
         // routing skips the per-submission value scan.
         let mut router = Router::new(cfg.routing, cfg.shards);
@@ -287,13 +275,10 @@ impl AmsServer {
             controls,
             scheduler,
             budget,
-            offered: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            shed_admission: AtomicU64::new(0),
+            next_req: AtomicU64::new(0),
             next_ticket: AtomicU64::new(0),
-            cancel_ledger: Arc::new(CancelLedger::default()),
-            class_admission,
+            cancel_ledger: Arc::default(),
+            submit_ledger,
             cache: cfg.cache.map(|c| LabelCache::new_with_obs(c, obs.clone())),
             obs,
             adapt: adapt.as_ref().map(|r| Arc::clone(&r.shared)),
@@ -361,6 +346,12 @@ impl AmsServer {
     /// answer.
     pub fn shard_of(&self, item: &ItemTruth) -> usize {
         fib_shard(item.scene_id, self.shared().cfg.shards)
+    }
+
+    /// Models in the scheduler's zoo — the shape every served item must
+    /// have (the TCP front-end checks what it decodes against it).
+    pub(crate) fn num_models(&self) -> usize {
+        self.shared().scheduler.zoo().len()
     }
 
     /// Requests currently queued across all shards and still wanting
@@ -510,8 +501,7 @@ impl ServerInner {
             q.close();
         }
         let num_models = self.shared.scheduler.zoo().len();
-        let num_classes = self.shared.cfg.slo.as_ref().map_or(0, |s| s.classes.len());
-        let mut merged = WorkerLocal::new(num_models, num_classes);
+        let mut merged = WorkerLocal::new(num_models, self.shared.cfg.classes());
         for handle in self.workers {
             merged.merge(&handle.join().expect("serve worker panicked"));
         }

@@ -1,17 +1,14 @@
 //! The end-of-run record: the report types, and the fold that builds a
 //! [`ServeReport`] from the ledgers each layer kept while serving.
 
-use super::submit::ClassAdmission;
 use super::worker::WorkerLocal;
 use super::Shared;
 use crate::adapt::AdaptReport;
-use crate::cache::{CacheReport, ClassCache};
+use crate::cache::CacheReport;
 use crate::obs::{EventKind, ObsReport};
-use crate::queue::{ClassShed, ShardQueue};
-use crate::telemetry::{ratio, LatencySummary};
+use crate::telemetry::{ratio, LatencyHistogram, LatencySummary};
 use ams_core::streaming::StreamStats;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::Ordering;
 
 /// One shard's adaptive-batching record.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -107,21 +104,41 @@ pub struct ClassReport {
     pub total: LatencySummary,
 }
 
+/// The ledger buckets a report publishes, each under the [`EventKind`]
+/// that settles it — `offered` (under `Admitted`) first, then the eight
+/// terminal buckets a graceful drain can fill. [`ServeReport`] and
+/// [`ClassReport`] spell the fields alike, so this reads either.
+macro_rules! buckets {
+    ($report:expr) => {
+        [
+            (EventKind::Admitted, $report.offered),
+            (EventKind::Labeled, $report.completed),
+            (EventKind::CacheHit, $report.cache_hit),
+            (EventKind::Coalesced, $report.coalesced),
+            (EventKind::ShedAdmission, $report.shed_admission),
+            (EventKind::ShedOverflow, $report.shed_oldest),
+            (EventKind::ShedDeadline, $report.shed_deadline),
+            (EventKind::Rejected, $report.rejected),
+            (EventKind::Cancelled, $report.cancelled),
+        ]
+    };
+}
+
+/// The conservation equation over [`buckets!`]: every offered request is
+/// accounted for exactly once — labeled, lost on one of the four
+/// shed/reject paths, cancelled by its client, answered from the cache, or
+/// completed by a coalescing fan-out.
+fn conserved([(_, offered), settled @ ..]: [(EventKind, u64); 9]) -> bool {
+    offered == settled.iter().map(|&(_, count)| count).sum::<u64>()
+}
+
 impl ClassReport {
     /// Every offered request of the class is accounted for exactly once
     /// (completions, all four loss paths, cancellations, and the two
     /// cache buckets — a hit and a fanned-out follower each resolve
     /// exactly one ticket too).
     pub fn is_conserved(&self) -> bool {
-        self.offered
-            == self.completed
-                + self.rejected
-                + self.shed_admission
-                + self.shed_oldest
-                + self.shed_deadline
-                + self.cancelled
-                + self.cache_hit
-                + self.coalesced
+        conserved(buckets!(self))
     }
 
     /// Share of offered requests that completed within the class deadline
@@ -211,8 +228,8 @@ pub struct ServeReport {
     pub rejected: u64,
     /// Queued requests dropped by the ShedOldest policy.
     pub shed_oldest: u64,
-    /// Dequeued requests dropped because their queue age reached the
-    /// request timeout (or their SLO class deadline).
+    /// Dequeued requests dropped because their queue age reached their
+    /// deadline (the ticket's own, or their SLO class's).
     pub shed_deadline: u64,
     /// Requests shed by SLO admission control before occupying a queue
     /// slot: the shard's predicted wait already exceeded their deadline.
@@ -287,15 +304,7 @@ impl ServeReport {
     /// ledger side — each bucket except `rejected` delivers exactly one
     /// terminal event per request.
     pub fn is_conserved(&self) -> bool {
-        self.offered
-            == self.completed
-                + self.rejected
-                + self.shed_oldest
-                + self.shed_deadline
-                + self.shed_admission
-                + self.cancelled
-                + self.cache_hit
-                + self.coalesced
+        conserved(buckets!(self))
     }
 
     /// Share of offered requests answered without a fresh execution —
@@ -339,15 +348,9 @@ impl ServeReport {
     /// counted, never silently lost.
     pub fn events_reconcile(&self) -> bool {
         let Some(obs) = &self.obs else { return true };
-        obs.total(EventKind::Admitted) == self.offered
-            && obs.total(EventKind::Labeled) == self.completed
-            && obs.total(EventKind::CacheHit) == self.cache_hit
-            && obs.total(EventKind::Coalesced) == self.coalesced
-            && obs.total(EventKind::ShedOverflow) == self.shed_oldest
-            && obs.total(EventKind::ShedDeadline) == self.shed_deadline
-            && obs.total(EventKind::ShedAdmission) == self.shed_admission
-            && obs.total(EventKind::Rejected) == self.rejected
-            && obs.total(EventKind::Cancelled) == self.cancelled
+        buckets!(self)
+            .iter()
+            .all(|&(kind, count)| obs.total(kind) == count)
             && obs.total(EventKind::Spilled) == self.affinity_spills
             && obs.total(EventKind::WeightsSwapped) == self.adapt.as_ref().map_or(0, |a| a.swaps)
     }
@@ -373,20 +376,22 @@ pub(super) fn fold(
     merged: WorkerLocal,
     adapt_report: Option<AdaptReport>,
 ) -> ServeReport {
-    let num_classes = merged.classes.len();
-    let shed_oldest: u64 = shared
-        .queues
-        .iter()
-        .map(ShardQueue::shed_oldest_count)
-        .sum();
-    // Per-class overflow-shed ledgers, merged across shards.
-    let mut shed_classes: Vec<ClassShed> = vec![ClassShed::default(); num_classes];
-    for q in &shared.queues {
-        for (into, from) in shed_classes.iter_mut().zip(q.shed_ledger()) {
-            into.count += from.count;
-            into.value += from.value;
-        }
+    // One ledger: every layer's rows merged class by class. Followers
+    // shed with a failed leader sit in the cache's rows under their real
+    // loss path; drain sheds only happen on abort, where no report exists.
+    let mut ledger = merged.ledger;
+    for stripe in &shared.submit_ledger {
+        ledger.merge(&stripe.lock().expect("submit ledger"));
     }
+    for q in &shared.queues {
+        ledger.merge(&q.ledger());
+    }
+    ledger.merge(&shared.cancel_ledger.lock().expect("cancel ledger"));
+    if let Some(cache) = &shared.cache {
+        ledger.merge(&cache.ledger().lock().expect("cache ledger"));
+    }
+    // A class nothing was ever offered in still reports its (zero) row.
+    ledger.row(shared.cfg.classes() - 1);
     let adaptive = shared.cfg.adaptive.map(|acfg| AdaptiveReport {
         target_p99_ms: acfg.target_p99_ms,
         shards: shared
@@ -396,17 +401,6 @@ pub(super) fn fold(
             .map(|(shard, ctl)| ctl.record(shard, &acfg))
             .collect(),
     });
-    let cancelled_classes = shared.cancel_ledger.by_class();
-    let cancelled = shared.cancel_ledger.total();
-    // The cache ledger: hits and coalesced followers get their own
-    // buckets; followers shed with a failed leader fold into the
-    // matching loss buckets (their loss path was real). Drain sheds
-    // only happen on abort, where no report exists.
-    let cache_classes: Vec<ClassCache> = shared
-        .cache
-        .as_ref()
-        .map_or_else(Vec::new, |c| c.ledger().by_class());
-    let cache_sum = |f: fn(&ClassCache) -> u64| cache_classes.iter().map(f).sum::<u64>();
     // The final observability fold. `report` drains the rings one last
     // time, and the order matters: every ledger above was read first,
     // and every ledgered settlement pushed its event *before* its
@@ -420,66 +414,47 @@ pub(super) fn fold(
             adapt_report.as_ref().map(|a| a.generation),
         )
     });
-    let slo = shared.cfg.slo.as_ref().map(|slo_cfg| {
-        // Fold the per-shard submit-path ledgers into one.
-        let mut admission = vec![ClassAdmission::default(); num_classes];
-        for shard_ledger in shared
-            .class_admission
-            .as_ref()
-            .expect("ledger exists when SLO is configured")
-        {
-            for (into, from) in admission
-                .iter_mut()
-                .zip(shard_ledger.lock().expect("class ledger").iter())
-            {
-                into.merge(from);
-            }
-        }
-        SloReport {
-            admission_control: slo_cfg.admission_control,
-            value_weighted_shedding: slo_cfg.value_weighted_shedding,
-            edf_dequeue: slo_cfg.edf_dequeue,
-            classes: slo_cfg
-                .classes
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let adm = &admission[i];
-                    let local = &merged.classes[i];
-                    let oldest = shed_classes[i];
-                    let cancel = cancelled_classes.get(i).copied().unwrap_or_default();
-                    let cached = cache_classes.get(i).copied().unwrap_or_default();
-                    ClassReport {
-                        class: i,
-                        name: c.name.clone(),
-                        deadline_ms: c.deadline_ms,
-                        weight: c.weight,
-                        offered: adm.offered + cached.offered,
-                        completed: local.completed,
-                        deadline_met: local.deadline_met,
-                        rejected: adm.rejected,
-                        shed_admission: adm.shed_admission + cached.shed_admission,
-                        shed_oldest: oldest.count + cached.shed_overflow,
-                        shed_deadline: local.shed_deadline + cached.shed_deadline,
-                        cancelled: cancel.count,
-                        cache_hit: cached.cache_hit,
-                        coalesced: cached.coalesced,
-                        value_cached: cached.value_cached,
-                        value_cancelled: cancel.value,
-                        value_offered: adm.value_offered + cached.value_offered,
-                        value_completed: local.value_completed,
-                        value_late: local.value_late,
-                        value_shed: adm.value_rejected
-                            + adm.value_shed_admission
-                            + oldest.value
-                            + local.value_shed_deadline
-                            + cached.value_shed,
-                        total: local.total.summary(),
-                    }
-                })
-                .collect(),
-        }
+    let slo = shared.cfg.slo.as_ref().map(|slo_cfg| SloReport {
+        admission_control: slo_cfg.admission_control,
+        value_weighted_shedding: slo_cfg.value_weighted_shedding,
+        edf_dequeue: slo_cfg.edf_dequeue,
+        classes: slo_cfg
+            .classes
+            .iter()
+            .zip(ledger.rows())
+            .zip(&merged.total)
+            .enumerate()
+            .map(|(i, ((c, row), total))| ClassReport {
+                class: i,
+                name: c.name.clone(),
+                deadline_ms: c.deadline_ms,
+                weight: c.weight,
+                offered: row.count(EventKind::Admitted),
+                completed: row.count(EventKind::Labeled),
+                deadline_met: row.count(EventKind::Labeled) - row.late.count,
+                rejected: row.count(EventKind::Rejected),
+                shed_admission: row.count(EventKind::ShedAdmission),
+                shed_oldest: row.count(EventKind::ShedOverflow),
+                shed_deadline: row.count(EventKind::ShedDeadline),
+                cancelled: row.count(EventKind::Cancelled),
+                cache_hit: row.count(EventKind::CacheHit),
+                coalesced: row.count(EventKind::Coalesced),
+                value_cached: row.value(EventKind::CacheHit) + row.value(EventKind::Coalesced),
+                value_cancelled: row.value(EventKind::Cancelled),
+                value_offered: row.value(EventKind::Admitted),
+                value_completed: row.value(EventKind::Labeled),
+                value_late: row.late.value,
+                value_shed: row.sum(|k| k.is_shed() || k == EventKind::Rejected).value,
+                total: total.summary(),
+            })
+            .collect(),
     });
+    // Top-level counters are the sum over classes.
+    let all = ledger.total();
+    let mut total = LatencyHistogram::default();
+    for class_total in &merged.total {
+        total.merge(class_total);
+    }
     ServeReport {
         shards: shared.cfg.shards,
         workers: shared.cfg.shards * shared.cfg.workers_per_shard,
@@ -487,17 +462,16 @@ pub(super) fn fold(
         routing: shared.router.mode().name().to_string(),
         affinity_hits: shared.router.affinity_hits(),
         affinity_spills: shared.router.affinity_spills(),
-        offered: shared.offered.load(Ordering::Relaxed),
-        submitted: shared.submitted.load(Ordering::Relaxed),
-        completed: merged.completed,
-        rejected: shared.rejected.load(Ordering::Relaxed),
-        shed_oldest: shed_oldest + cache_sum(|c| c.shed_overflow),
-        shed_deadline: merged.shed_deadline + cache_sum(|c| c.shed_deadline),
-        shed_admission: shared.shed_admission.load(Ordering::Relaxed)
-            + cache_sum(|c| c.shed_admission),
-        cancelled,
-        cache_hit: cache_sum(|c| c.cache_hit),
-        coalesced: cache_sum(|c| c.coalesced),
+        offered: all.count(EventKind::Admitted),
+        submitted: all.count(EventKind::Enqueued),
+        completed: all.count(EventKind::Labeled),
+        rejected: all.count(EventKind::Rejected),
+        shed_oldest: all.count(EventKind::ShedOverflow),
+        shed_deadline: all.count(EventKind::ShedDeadline),
+        shed_admission: all.count(EventKind::ShedAdmission),
+        cancelled: all.count(EventKind::Cancelled),
+        cache_hit: all.count(EventKind::CacheHit),
+        coalesced: all.count(EventKind::Coalesced),
         batches: merged.batches,
         max_batch_observed: merged.max_batch_observed,
         model_invocations: merged.model_invocations,
@@ -505,7 +479,7 @@ pub(super) fn fold(
         virtual_exec_ms: merged.virtual_exec_ms,
         queue_wait: merged.queue_wait.summary(),
         execute: merged.execute.summary(),
-        total: merged.total.summary(),
+        total: total.summary(),
         stats: merged.stats,
         adaptive,
         slo,

@@ -8,6 +8,7 @@ use crate::cache::{CachedResult, Follower, LabelCache, Lookup};
 use crate::completion::{
     CancelLedger, Completion, CompletionQueue, CompletionSlot, LabelResult, ShedReason, Ticket,
 };
+use crate::ledger::Tally;
 use crate::obs::{Event, EventKind, NO_SHARD};
 use crate::queue::{Request, SubmitOutcome};
 use ams_data::ItemTruth;
@@ -191,35 +192,10 @@ impl SubmitOptions {
     }
 }
 
-/// Per-class counters recorded on the submit path (offered, rejected,
-/// admission-shed) — one short-lived lock per submission.
-#[derive(Debug, Default, Clone)]
-pub(super) struct ClassAdmission {
-    pub(super) offered: u64,
-    pub(super) value_offered: f64,
-    pub(super) rejected: u64,
-    pub(super) value_rejected: f64,
-    pub(super) shed_admission: u64,
-    pub(super) value_shed_admission: f64,
-}
-
-impl ClassAdmission {
-    /// Add another shard's ledger for the same class into this one.
-    pub(super) fn merge(&mut self, from: &Self) {
-        self.offered += from.offered;
-        self.value_offered += from.value_offered;
-        self.rejected += from.rejected;
-        self.value_rejected += from.value_rejected;
-        self.shed_admission += from.shed_admission;
-        self.value_shed_admission += from.value_shed_admission;
-    }
-}
-
 /// What the submit path resolved about one submission before it meets the
 /// cache, the router and the queue.
 struct Submission {
-    /// Observability correlation id: the prior `offered` count, unique
-    /// per submission.
+    /// Observability correlation id, unique per submission.
     req_id: u64,
     ticket_id: u64,
     class: usize,
@@ -235,9 +211,12 @@ impl Submission {
         shared.emit(None, ev.detail(detail));
     }
 
-    /// Update this submission's class ledger on the shard it routed to.
-    fn ledger(&self, shared: &Shared, update: impl FnOnce(&mut ClassAdmission)) {
-        shared.class_ledger(self.shard as usize, self.class, update);
+    /// Update this submission's row of the submit-path ledger (its class,
+    /// on its request id's stripe).
+    fn ledger(&self, shared: &Shared, update: impl FnOnce(&mut Tally)) {
+        let stripes = &shared.submit_ledger;
+        let stripe = &stripes[self.req_id as usize % stripes.len()];
+        update(stripe.lock().expect("submit ledger").row(self.class));
     }
 }
 
@@ -276,7 +255,7 @@ fn submit(
     let fp = shared
         .router
         .fingerprint(&shared.scheduler, &item, shared.cache.is_some());
-    let req_id = shared.offered.fetch_add(1, Ordering::Relaxed);
+    let req_id = shared.next_req.fetch_add(1, Ordering::Relaxed);
     // A per-ticket value replaces the predicted one (unit value without
     // SLO classes); either way the class stays the ledger bucket, so
     // conservation sums are untouched.
@@ -289,7 +268,10 @@ fn submit(
         shard: NO_SHARD,
     };
     let ticket = issue_ticket(shared, client, &sub);
+    // Offered, once, whatever happens next: a cache hit, a follower and a
+    // leader are all counted here, beside their `Admitted` event.
     sub.emit(shared, EventKind::Admitted, 0);
+    sub.ledger(shared, |row| row.bump(EventKind::Admitted, value));
     // Pre-admission cache protocol: an exact duplicate of a *resolved*
     // fingerprint is answered right here; a duplicate of a *queued or
     // in-flight* fingerprint coalesces onto that leader and completes at
@@ -319,10 +301,6 @@ fn submit(
         // reconcile against the router's own counter.
         sub.emit(shared, EventKind::Spilled, 0);
     }
-    sub.ledger(shared, |l| {
-        l.offered += 1;
-        l.value_offered += value;
-    });
     let mut req = Request::new(item, route.signature)
         .with_slo(class, value, deadline_us)
         .with_req_id(req_id)
@@ -359,15 +337,11 @@ fn shed_at_admission(
     req: &Request,
     ticket: Ticket,
 ) -> SubmitOutcome<Ticket> {
-    shared.shed_admission.fetch_add(1, Ordering::Relaxed);
     // No cancel race to lose: the ticket has not been returned to the
-    // caller yet, so this shed always owns the slot — the event mirrors
-    // the unconditional counter above.
+    // caller yet, so this shed always owns the slot — event and ledger
+    // entry are unconditional.
     sub.emit(shared, EventKind::ShedAdmission, wait_us);
-    sub.ledger(shared, |l| {
-        l.shed_admission += 1;
-        l.value_shed_admission += sub.value;
-    });
+    sub.ledger(shared, |row| row.bump(EventKind::ShedAdmission, sub.value));
     // A shed leader takes its pending cache entry down with it — no
     // worker will ever resolve it, so followers that coalesced between
     // lookup and here shed too.
@@ -388,8 +362,8 @@ fn enqueue(
     let outcome = shared.queues[sub.shard as usize].push(req);
     match outcome {
         SubmitOutcome::Enqueued(()) | SubmitOutcome::EnqueuedShedOldest(()) => {
-            shared.submitted.fetch_add(1, Ordering::Relaxed);
             sub.emit(shared, EventKind::Enqueued, 0);
+            sub.ledger(shared, |row| row.bump(EventKind::Enqueued, sub.value));
         }
         // The submission itself was the overflow shed: it never entered a
         // queue (so it is not `submitted`) and the queue recorded it in
@@ -398,12 +372,8 @@ fn enqueue(
         // balanced.
         SubmitOutcome::ShedIncoming(()) => {}
         SubmitOutcome::Rejected => {
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
             sub.emit(shared, EventKind::Rejected, 0);
-            sub.ledger(shared, |l| {
-                l.rejected += 1;
-                l.value_rejected += sub.value;
-            });
+            sub.ledger(shared, |row| row.bump(EventKind::Rejected, sub.value));
             // A rejection is synchronous: the caller sees it, no event is
             // owed, so the provisional ticket is withdrawn and its window
             // slot released. The leader's pending cache entry dies with
@@ -433,8 +403,10 @@ fn answer_from_cache(
     ticket: Ticket,
     result: CachedResult,
 ) -> SubmitOutcome<Ticket> {
-    cache.ledger().record_hit(sub.class, sub.value);
     sub.emit(shared, EventKind::CacheHit, 0);
+    let mut ledger = cache.ledger().lock().expect("cache ledger");
+    ledger.row(sub.class).bump(EventKind::CacheHit, sub.value);
+    drop(ledger); // before the delivery below takes the client's queue lock
     ticket.slot().try_labeled(LabelResult {
         ticket: sub.ticket_id,
         class: sub.class,

@@ -8,6 +8,7 @@ use super::Shared;
 use crate::adapt::WorkerAdapt;
 use crate::cache::CachedResult;
 use crate::completion::{LabelResult, ShedReason};
+use crate::ledger::Ledger;
 use crate::obs::{Event, EventKind};
 use crate::queue::{Request, ShardQueue};
 use crate::telemetry::{micros, LatencyHistogram};
@@ -23,42 +24,30 @@ use std::time::{Duration, Instant};
 /// default, which serve==serial equivalence is checked against.
 const ALERT_RECALL: f64 = 0.5;
 
-/// Per-class worker-side accumulators (completions, deadline sheds,
-/// value accounting, the class latency histogram).
-#[derive(Default)]
-pub(super) struct ClassLocal {
-    pub(super) completed: u64,
-    pub(super) deadline_met: u64,
-    pub(super) value_completed: f64,
-    pub(super) value_late: f64,
-    pub(super) shed_deadline: u64,
-    pub(super) value_shed_deadline: f64,
-    pub(super) total: LatencyHistogram,
-}
-
 /// Per-worker accumulators, merged at shutdown.
 #[derive(Default)]
 pub(super) struct WorkerLocal {
     pub(super) stats: StreamStats,
     pub(super) queue_wait: LatencyHistogram,
     pub(super) execute: LatencyHistogram,
-    pub(super) total: LatencyHistogram,
-    pub(super) completed: u64,
-    pub(super) shed_deadline: u64,
     pub(super) batches: u64,
     pub(super) max_batch_observed: usize,
     pub(super) model_invocations: u64,
     pub(super) virtual_work_ms: u64,
     pub(super) virtual_exec_ms: u64,
-    /// Per-class ledgers (empty when no SLO classes are configured).
-    pub(super) classes: Vec<ClassLocal>,
+    /// The worker's share of the conservation ledger: completions (and
+    /// the late ones among them) and deadline sheds, by class.
+    pub(super) ledger: Ledger,
+    /// Total (queue wait + execute) latency of completed requests, by
+    /// class; the report's all-class `total` is their merge.
+    pub(super) total: Vec<LatencyHistogram>,
 }
 
 impl WorkerLocal {
     pub(super) fn new(num_models: usize, num_classes: usize) -> Self {
         Self {
             stats: StreamStats::with_models(num_models),
-            classes: (0..num_classes).map(|_| ClassLocal::default()).collect(),
+            total: vec![LatencyHistogram::default(); num_classes],
             ..Self::default()
         }
     }
@@ -68,22 +57,14 @@ impl WorkerLocal {
         self.stats.merge(&from.stats);
         self.queue_wait.merge(&from.queue_wait);
         self.execute.merge(&from.execute);
-        self.total.merge(&from.total);
-        self.completed += from.completed;
-        self.shed_deadline += from.shed_deadline;
         self.batches += from.batches;
         self.max_batch_observed = self.max_batch_observed.max(from.max_batch_observed);
         self.model_invocations += from.model_invocations;
         self.virtual_work_ms += from.virtual_work_ms;
         self.virtual_exec_ms += from.virtual_exec_ms;
-        for (into, from) in self.classes.iter_mut().zip(&from.classes) {
-            into.completed += from.completed;
-            into.deadline_met += from.deadline_met;
-            into.value_completed += from.value_completed;
-            into.value_late += from.value_late;
-            into.shed_deadline += from.shed_deadline;
-            into.value_shed_deadline += from.value_shed_deadline;
-            into.total.merge(&from.total);
+        self.ledger.merge(&from.ledger);
+        for (into, from) in self.total.iter_mut().zip(&from.total) {
+            into.merge(from);
         }
     }
 }
@@ -130,7 +111,6 @@ pub(super) fn worker_loop(
     adapt: Option<WorkerAdapt>,
 ) -> WorkerLocal {
     let n = shared.scheduler.zoo().len();
-    let num_classes = shared.cfg.slo.as_ref().map_or(0, |s| s.classes.len());
     let mut w = Worker {
         shared,
         shard,
@@ -140,7 +120,7 @@ pub(super) fn worker_loop(
         queue: &shared.queues[shard], // ams-lint: allow(no-panic) shard < queues.len() — workers are spawned one per existing shard
         control: &shared.controls[shard], // ams-lint: allow(no-panic) shard < controls.len() — controls is built with one entry per shard
         adapt,
-        local: WorkerLocal::new(n, num_classes),
+        local: WorkerLocal::new(n, shared.cfg.classes()),
         runs_per_model: vec![0usize; n],
     };
     let linger = Duration::from_millis(shared.cfg.batch_linger_ms);
@@ -199,13 +179,10 @@ impl Worker<'_> {
                 // with it, whoever owns the leader's own shed event.
                 req.fail_cache(ShedReason::Deadline);
                 if req.resolve_or_own(|slot| slot.try_shed(ShedReason::Deadline)) {
-                    self.local.shed_deadline += 1;
-                    if let Some(cl) = self.local.classes.get_mut(req.class) {
-                        cl.shed_deadline += 1;
-                        cl.value_shed_deadline += req.value;
-                    }
                     let shed = req.event(EventKind::ShedDeadline, self.shard as u32);
                     self.emit(shed.detail(micros(wait)));
+                    let row = self.local.ledger.row(req.class);
+                    row.bump(EventKind::ShedDeadline, req.value);
                 }
             } else {
                 // A cancelled leader with waiters is promoted to ghost —
@@ -363,27 +340,24 @@ impl Worker<'_> {
     /// Ledger, announce and deliver one labeled request.
     fn complete(&mut self, s: &Survivor, outcome: LabelingOutcome, exec: Duration) {
         let Survivor { req, wait, .. } = s;
-        let local = &mut self.local;
-        local.stats.absorb(&outcome, ALERT_RECALL);
-        local.queue_wait.record(*wait);
-        local.execute.record(exec);
         let total = *wait + exec;
-        local.total.record(total);
-        local.completed += 1;
         let met = req.deadline_us.is_none_or(|d| micros(total) <= d);
-        if let Some(cl) = local.classes.get_mut(req.class) {
-            cl.completed += 1;
-            cl.value_completed += req.value;
-            cl.total.record(total);
-            cl.deadline_met += u64::from(met);
-            if !met {
-                cl.value_late += req.value;
-            }
-        }
         let shard = self.shard as u32;
         self.emit(req.event(EventKind::Executed, shard).detail(micros(exec)));
         let labeled = req.event(EventKind::Labeled, shard);
         self.emit(labeled.detail(micros(total)).flag(!met));
+        let local = &mut self.local;
+        local.stats.absorb(&outcome, ALERT_RECALL);
+        local.queue_wait.record(*wait);
+        local.execute.record(exec);
+        if let Some(class_total) = local.total.get_mut(req.class) {
+            class_total.record(total);
+        }
+        let row = local.ledger.row(req.class);
+        row.bump(EventKind::Labeled, req.value);
+        if !met {
+            row.bump_late(req.value);
+        }
         // Per-request delivery: the claimed slot receives the request's
         // *own* labels and latency split — the payload the aggregate-only
         // path folds into `ServeReport::stats`.

@@ -33,6 +33,13 @@ fn truth() -> &'static TruthTable {
     TRUTH.get_or_init(|| common::truth_of(40))
 }
 
+/// A server under `config` (900 ms deadline budget) behind a loopback
+/// listener on an ephemeral port.
+fn serve(config: ServeConfig) -> NetServer {
+    let server = AmsServer::start(scheduler(), Budget::Deadline { ms: 900 }, config);
+    NetServer::bind(server, "127.0.0.1:0").expect("bind")
+}
+
 fn lossless_config() -> ServeConfig {
     ServeConfig {
         shards: 3,
@@ -73,11 +80,7 @@ fn socket_labels_are_byte_identical_to_in_process() {
     let inproc_report = server.shutdown();
 
     for conns in [1usize, 2, 4] {
-        let net = NetServer::bind(
-            AmsServer::start(scheduler(), budget, lossless_config()),
-            "127.0.0.1:0",
-        )
-        .expect("bind");
+        let net = serve(lossless_config());
         let addr = net.local_addr();
         // Connection `start` submits items start, start + conns, …; its
         // k-th request carries id k, which the completion echoes.
@@ -153,32 +156,27 @@ fn socket_labels_are_byte_identical_to_in_process() {
 #[test]
 fn abrupt_disconnect_cancels_outstanding_and_server_keeps_serving() {
     let table = truth();
-    let server = AmsServer::start(
-        scheduler(),
-        Budget::Deadline { ms: 900 },
-        ServeConfig {
-            shards: 2,
-            workers_per_shard: 1,
-            max_batch: 2,
-            queue_capacity: 64,
-            policy: BackpressurePolicy::Block,
-            // Slow workers: most of the victim's stream is still queued
-            // when the disconnect lands.
-            exec_emulation_scale: 5e-3,
-            obs: Some(ObsConfig::default()),
-            slo: Some(SloConfig {
-                classes: vec![
-                    SloClass::new("interactive", 60_000, 4.0),
-                    SloClass::new("bulk", 60_000, 1.0),
-                ],
-                admission_control: false,
-                value_weighted_shedding: false,
-                edf_dequeue: false,
-            }),
-            ..ServeConfig::default()
-        },
-    );
-    let net = NetServer::bind(server, "127.0.0.1:0").expect("bind");
+    let net = serve(ServeConfig {
+        shards: 2,
+        workers_per_shard: 1,
+        max_batch: 2,
+        queue_capacity: 64,
+        policy: BackpressurePolicy::Block,
+        // Slow workers: most of the victim's stream is still queued
+        // when the disconnect lands.
+        exec_emulation_scale: 5e-3,
+        obs: Some(ObsConfig::default()),
+        slo: Some(SloConfig {
+            classes: vec![
+                SloClass::new("interactive", 60_000, 4.0),
+                SloClass::new("bulk", 60_000, 1.0),
+            ],
+            admission_control: false,
+            value_weighted_shedding: false,
+            edf_dequeue: false,
+        }),
+        ..ServeConfig::default()
+    });
     let addr = net.local_addr();
 
     // The victim: submit everything, read exactly one completion (so at
@@ -254,21 +252,16 @@ fn per_ticket_deadline_and_value_travel_the_wire() {
     // Deadlines without SLO classes: one slow worker, batch of 1. The
     // first (deadline-free) request occupies the worker long enough that
     // every deadline-carrying request behind it expires in queue.
-    let server = AmsServer::start(
-        scheduler(),
-        Budget::Deadline { ms: 900 },
-        ServeConfig {
-            shards: 1,
-            workers_per_shard: 1,
-            max_batch: 1,
-            queue_capacity: 64,
-            policy: BackpressurePolicy::Block,
-            exec_emulation_scale: 5e-3,
-            obs: Some(ObsConfig::default()),
-            ..ServeConfig::default()
-        },
-    );
-    let net = NetServer::bind(server, "127.0.0.1:0").expect("bind");
+    let net = serve(ServeConfig {
+        shards: 1,
+        workers_per_shard: 1,
+        max_batch: 1,
+        queue_capacity: 64,
+        policy: BackpressurePolicy::Block,
+        exec_emulation_scale: 5e-3,
+        obs: Some(ObsConfig::default()),
+        ..ServeConfig::default()
+    });
     let remote = NetClient::connect(net.local_addr()).expect("connect");
     // Four deadline-free head requests keep the single worker busy for
     // several real milliseconds (serial batches of 1 under slowed
@@ -321,25 +314,20 @@ fn per_ticket_deadline_and_value_travel_the_wire() {
 
     // Value override: with SLO classes configured, a wire-supplied value
     // replaces the predicted class-weighted one in the ledgers.
-    let server = AmsServer::start(
-        scheduler(),
-        Budget::Deadline { ms: 900 },
-        ServeConfig {
-            shards: 1,
-            workers_per_shard: 1,
-            max_batch: 4,
-            queue_capacity: 64,
-            policy: BackpressurePolicy::Block,
-            slo: Some(SloConfig {
-                classes: vec![SloClass::new("only", 60_000, 1.0)],
-                admission_control: false,
-                value_weighted_shedding: false,
-                edf_dequeue: false,
-            }),
-            ..ServeConfig::default()
-        },
-    );
-    let net = NetServer::bind(server, "127.0.0.1:0").expect("bind");
+    let net = serve(ServeConfig {
+        shards: 1,
+        workers_per_shard: 1,
+        max_batch: 4,
+        queue_capacity: 64,
+        policy: BackpressurePolicy::Block,
+        slo: Some(SloConfig {
+            classes: vec![SloClass::new("only", 60_000, 1.0)],
+            admission_control: false,
+            value_weighted_shedding: false,
+            edf_dequeue: false,
+        }),
+        ..ServeConfig::default()
+    });
     let remote = NetClient::connect(net.local_addr()).expect("connect");
     let n = 8u64;
     for item in table.items().iter().take(n as usize) {
@@ -372,21 +360,16 @@ fn per_ticket_deadline_and_value_travel_the_wire() {
 #[test]
 fn wire_cancellation_resolves_exactly_once() {
     let table = truth();
-    let server = AmsServer::start(
-        scheduler(),
-        Budget::Deadline { ms: 900 },
-        ServeConfig {
-            shards: 1,
-            workers_per_shard: 1,
-            max_batch: 2,
-            queue_capacity: 64,
-            policy: BackpressurePolicy::Block,
-            exec_emulation_scale: 5e-3,
-            obs: Some(ObsConfig::default()),
-            ..ServeConfig::default()
-        },
-    );
-    let net = NetServer::bind(server, "127.0.0.1:0").expect("bind");
+    let net = serve(ServeConfig {
+        shards: 1,
+        workers_per_shard: 1,
+        max_batch: 2,
+        queue_capacity: 64,
+        policy: BackpressurePolicy::Block,
+        exec_emulation_scale: 5e-3,
+        obs: Some(ObsConfig::default()),
+        ..ServeConfig::default()
+    });
     let remote = NetClient::connect(net.local_addr()).expect("connect");
     let mut ids = Vec::new();
     for item in table.items() {
@@ -476,11 +459,7 @@ fn dead_connection_wakes_a_submitter_blocked_on_a_full_window() {
 #[test]
 fn oversized_request_is_refused_before_the_wire_and_frees_its_slot() {
     let table = truth();
-    let net = NetServer::bind(
-        AmsServer::start(scheduler(), Budget::Deadline { ms: 900 }, lossless_config()),
-        "127.0.0.1:0",
-    )
-    .expect("bind");
+    let net = serve(lossless_config());
     let remote = NetClient::connect_with_window(net.local_addr(), 1).expect("connect");
 
     let mut huge = table.item(0).clone();
@@ -546,11 +525,7 @@ fn labeled_id(frame: &ServerFrame) -> u64 {
 /// are each answered exactly once, then the server closes.
 #[test]
 fn frames_coalesced_into_one_write_are_each_answered_exactly_once() {
-    let net = NetServer::bind(
-        AmsServer::start(scheduler(), Budget::Deadline { ms: 900 }, lossless_config()),
-        "127.0.0.1:0",
-    )
-    .expect("bind");
+    let net = serve(lossless_config());
     let mut bytes = Vec::new();
     push_frame(&mut bytes, &ClientFrame::Hello { window: 64 });
     for id in 0..64u64 {
@@ -580,11 +555,7 @@ fn frames_coalesced_into_one_write_are_each_answered_exactly_once() {
 /// a malformed length sent next kills that connection and no other.
 #[test]
 fn a_frame_dribbled_bytewise_is_answered_once_and_a_bad_length_kills_only_its_connection() {
-    let net = NetServer::bind(
-        AmsServer::start(scheduler(), Budget::Deadline { ms: 900 }, lossless_config()),
-        "127.0.0.1:0",
-    )
-    .expect("bind");
+    let net = serve(lossless_config());
     let bystander = NetClient::connect_with_window(net.local_addr(), 4).expect("connect");
     bystander
         .submit(Arc::new(truth().item(1).clone()))
@@ -623,6 +594,74 @@ fn a_frame_dribbled_bytewise_is_answered_once_and_a_bad_length_kills_only_its_co
 
     let report = net.shutdown();
     assert_eq!(report.offered, 3, "one dribbled + two bystander requests");
+    assert!(report.is_conserved());
+    assert!(report.events_reconcile());
+}
+
+/// The frame codec checks framing, not meaning: a well-framed request
+/// whose item the labeling path cannot index — a label id outside the
+/// label universe, fewer outputs or static values than the zoo has
+/// models, an output filed under the wrong model — must be refused at the
+/// connection like any malformed frame, not handed to a shard worker it
+/// would kill. One shard, one worker: had any hostile item reached it, the
+/// healthy request sent afterwards on another connection would never be
+/// answered.
+#[test]
+fn a_well_framed_item_the_zoo_cannot_index_kills_only_its_connection() {
+    use ams_models::{LabelId, ModelId};
+    let config = ServeConfig {
+        shards: 1,
+        workers_per_shard: 1,
+        ..lossless_config()
+    };
+    let net = serve(config);
+    // Hello + `request` on a fresh connection whose reads give up after 5 s.
+    let send = |request: &dyn Fn(&mut Vec<u8>)| {
+        let mut bytes = Vec::new();
+        push_frame(&mut bytes, &ClientFrame::Hello { window: 4 });
+        request(&mut bytes);
+        let mut s = TcpStream::connect(net.local_addr()).expect("connect");
+        let timeout = Some(Duration::from_secs(5));
+        s.set_read_timeout(timeout).expect("read timeout");
+        s.write_all(&bytes).expect("write");
+        s
+    };
+
+    let healthy = truth().item(0);
+    // A model other than model 0 (so refiling it under `ModelId(0)` is
+    // wrong) with at least one detection to corrupt.
+    let m = (1..healthy.outputs.len())
+        .max_by_key(|&m| healthy.outputs[m].detections.len())
+        .expect("a zoo has models");
+    let hostile: [fn(&mut ams_data::ItemTruth, usize); 5] = [
+        |item, m| item.outputs[m].detections[0].label = LabelId(u16::MAX),
+        |item, _| item.valuable.push((LabelId(u16::MAX), 0.9)),
+        |item, _| item.outputs.truncate(3),
+        |item, _| item.model_value.truncate(3),
+        |item, m| item.outputs[m].model = ModelId(0),
+    ];
+    for (id, corrupt) in hostile.iter().enumerate() {
+        let mut item = healthy.clone();
+        corrupt(&mut item, m);
+        let opts = SubmitOptions::default();
+        let mut a = send(&|bytes| {
+            frame_append(bytes, |buf| encode_request(buf, id as u64, &item, &opts)).expect("fits");
+        });
+        assert!(
+            read_server_frame(&mut a).is_none(),
+            "hostile shape {id}: nothing is answered and the server hangs up"
+        );
+    }
+
+    // Connection B never noticed: the only worker is alive and labels.
+    let mut b = send(&|bytes| push_request(bytes, 7, 0));
+    let frame = read_server_frame(&mut b).expect("the healthy request is answered");
+    assert_eq!(labeled_id(&frame), 7);
+    drop(b);
+
+    let report = net.shutdown();
+    assert_eq!(report.offered, 1, "no hostile item was ever submitted");
+    assert_eq!(report.completed, 1);
     assert!(report.is_conserved());
     assert!(report.events_reconcile());
 }

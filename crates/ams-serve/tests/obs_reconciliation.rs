@@ -11,11 +11,12 @@ mod common;
 use ams_core::framework::Budget;
 use ams_data::TruthTable;
 use ams_serve::{
-    AffinityConfig, AmsServer, BackpressurePolicy, CacheConfig, EventKind, ObsConfig, RoutingMode,
-    ServeConfig, SloClass, SloConfig, SubmitOptions,
+    AffinityConfig, AmsServer, BackpressurePolicy, CacheConfig, ClassReport, EventKind, ObsConfig,
+    RoutingMode, ServeConfig, SloClass, SloConfig, SubmitOptions, SubmitOutcome,
 };
 use common::scheduler;
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 fn truth() -> &'static TruthTable {
     static TRUTH: OnceLock<TruthTable> = OnceLock::new();
@@ -26,29 +27,32 @@ fn truth() -> &'static TruthTable {
     })
 }
 
+/// A server under `config` with the suite's scheduler and 900 ms budget.
+fn start(config: ServeConfig) -> AmsServer {
+    AmsServer::start(scheduler(), Budget::Deadline { ms: 900 }, config)
+}
+
 /// One stressed run: tight queues, deadline classes, a cancellation storm
 /// from the client side, and (optionally) the label cache — then the
 /// event-stream/ledger cross-check.
-fn storm(policy: BackpressurePolicy, cache: bool) {
-    let server = AmsServer::start(
-        scheduler(),
-        Budget::Deadline { ms: 900 },
-        ServeConfig {
-            shards: 2,
-            workers_per_shard: 1,
-            queue_capacity: 4,
-            max_batch: 4,
-            policy,
-            exec_emulation_scale: 5e-4,
-            slo: Some(SloConfig::aware(vec![
+fn storm(policy: BackpressurePolicy, cache: bool, classes: bool) {
+    let server = start(ServeConfig {
+        shards: 2,
+        workers_per_shard: 1,
+        queue_capacity: 4,
+        max_batch: 4,
+        policy,
+        exec_emulation_scale: 5e-4,
+        slo: classes.then(|| {
+            SloConfig::aware(vec![
                 SloClass::new("alert", 30, 4.0),
                 SloClass::new("archive", 250, 1.0),
-            ])),
-            cache: cache.then(CacheConfig::default),
-            obs: Some(ObsConfig::default()),
-            ..ServeConfig::default()
-        },
-    );
+            ])
+        }),
+        cache: cache.then(CacheConfig::default),
+        obs: Some(ObsConfig::default()),
+        ..ServeConfig::default()
+    });
     let client = server.client();
     let items: Vec<_> = truth().items().iter().cloned().map(Arc::new).collect();
     let mut tickets = Vec::new();
@@ -92,11 +96,29 @@ fn storm(policy: BackpressurePolicy, cache: bool) {
         report.cache_hit,
         report.coalesced,
     );
+    // Top-level counters are the sum over the class rows (and a classless
+    // server publishes no rows at all).
+    assert_eq!(report.slo.is_some(), classes);
+    if let Some(slo) = &report.slo {
+        assert!(slo.is_conserved(), "class ledgers balance: {slo:?}");
+        let sum = |f: fn(&ClassReport) -> u64| slo.classes.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|c| c.offered), report.offered);
+        assert_eq!(sum(|c| c.completed), report.completed);
+        assert_eq!(sum(|c| c.rejected), report.rejected);
+        assert_eq!(sum(|c| c.shed_oldest), report.shed_oldest);
+        assert_eq!(sum(|c| c.shed_deadline), report.shed_deadline);
+        assert_eq!(sum(|c| c.shed_admission), report.shed_admission);
+        assert_eq!(sum(|c| c.cancelled), report.cancelled);
+        assert_eq!(sum(|c| c.cache_hit), report.cache_hit);
+        assert_eq!(sum(|c| c.coalesced), report.coalesced);
+    }
     let obs = report.obs.as_ref().expect("obs report present");
     // The storm must actually have exercised the interesting paths.
     assert!(report.cancelled > 0, "storm produced no cancellations");
     assert_eq!(obs.total(EventKind::Cancelled), report.cancelled);
-    if cache {
+    // (Not of the classless row: with no admission control ahead of a
+    // 4-deep queue, every leader can be evicted before one resolves.)
+    if cache && classes {
         assert!(
             report.cache_hit + report.coalesced > 0,
             "duplicate-heavy stream produced no cache traffic"
@@ -108,20 +130,155 @@ fn storm(policy: BackpressurePolicy, cache: bool) {
 
 #[test]
 fn events_reconcile_under_block_policy() {
-    storm(BackpressurePolicy::Block, false);
-    storm(BackpressurePolicy::Block, true);
+    storm(BackpressurePolicy::Block, false, true);
+    storm(BackpressurePolicy::Block, true, true);
+    storm(BackpressurePolicy::Block, true, false);
 }
 
 #[test]
 fn events_reconcile_under_reject_policy() {
-    storm(BackpressurePolicy::Reject, false);
-    storm(BackpressurePolicy::Reject, true);
+    storm(BackpressurePolicy::Reject, false, true);
+    storm(BackpressurePolicy::Reject, true, true);
+    storm(BackpressurePolicy::Reject, true, false);
 }
 
 #[test]
 fn events_reconcile_under_shed_oldest_policy() {
-    storm(BackpressurePolicy::ShedOldest, false);
-    storm(BackpressurePolicy::ShedOldest, true);
+    storm(BackpressurePolicy::ShedOldest, false, true);
+    storm(BackpressurePolicy::ShedOldest, true, true);
+    storm(BackpressurePolicy::ShedOldest, true, false);
+}
+
+/// One request forced down each terminal path of a held one-worker
+/// server, so every bucket's expected count is known exactly: labeled,
+/// coalesced, cache hit, deadline shed, cancelled, the policy's overflow
+/// path (shed-oldest evicts / reject refuses / block has none) and — with
+/// classes and admission control — an admission shed. For every bucket the
+/// top-level counter, the class-0 ledger row and the event stream (in
+/// total and for class 0) must agree with that count: a classless server
+/// is a one-class server whose only row *is* the top level.
+fn one_request_down_each_path(policy: BackpressurePolicy, slo: Option<SloConfig>) {
+    let classful = slo.is_some();
+    let server = start(ServeConfig {
+        shards: 1,
+        workers_per_shard: 1,
+        queue_capacity: 3,
+        max_batch: 1,
+        policy,
+        // Long enough (~0.1 s a request) that the one worker is still
+        // inside a request's emulated execution while the next few
+        // are submitted.
+        exec_emulation_scale: 1.0,
+        slo,
+        cache: Some(CacheConfig::default()),
+        obs: Some(ObsConfig::default()),
+        ..ServeConfig::default()
+    });
+    let client = server.client();
+    let item = |i: usize| Arc::new(truth().items()[i].clone());
+    let wait_until_popped = || {
+        while server.pending() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    // The leader: the worker pops it and holds; its duplicate coalesces.
+    assert!(client.submit(item(0)).is_accepted());
+    wait_until_popped();
+    let duplicate = client.submit(item(0));
+    assert!(matches!(duplicate, SubmitOutcome::Coalesced(_)));
+    // Three queued behind it, filling the queue: the oldest (the overflow
+    // victim under shed-oldest), one already past its deadline, one
+    // cancelled while queued.
+    assert!(client.submit(item(1)).is_accepted());
+    let expired = SubmitOptions::default().deadline_us(0);
+    assert!(client.submit_with(item(2), expired).is_accepted());
+    let ticket = client.submit(item(3)).ticket().expect("queued");
+    assert!(ticket.cancel(), "nothing claimed it yet");
+    // The policy's answer to a full queue (block has none to force).
+    let overflow = (policy != BackpressurePolicy::Block).then(|| client.submit(item(4)));
+    let shed_oldest = u64::from(matches!(
+        overflow,
+        Some(SubmitOutcome::EnqueuedShedOldest(_))
+    ));
+    let rejected = u64::from(matches!(overflow, Some(SubmitOutcome::Rejected)));
+    let forced = match policy {
+        BackpressurePolicy::Block => (0, 0),
+        BackpressurePolicy::Reject => (0, 1),
+        BackpressurePolicy::ShedOldest => (1, 0),
+    };
+    assert_eq!(
+        (shed_oldest, rejected),
+        forced,
+        "{policy:?} on a full queue"
+    );
+    // Everything above settles; the leader's fingerprint is now a hit.
+    while client.recv().is_some() {}
+    assert!(matches!(client.submit(item(0)), SubmitOutcome::Cached(_)));
+    // With admission control: one request held by the worker, one queued
+    // behind it, and a third whose 1 µs budget the priced wait exceeds.
+    let admission = u64::from(classful);
+    if classful {
+        assert!(client.submit(item(5)).is_accepted());
+        wait_until_popped();
+        assert!(client.submit(item(6)).is_accepted());
+        let hopeless = SubmitOptions::default().deadline_us(1);
+        let outcome = client.submit_with(item(7), hopeless);
+        assert!(matches!(outcome, SubmitOutcome::ShedAdmission(_)));
+    }
+    let report = server.shutdown();
+    while client.recv().is_some() {}
+
+    use EventKind as K;
+    let r = &report;
+    let obs = r.obs.as_ref().expect("obs report present");
+    assert_eq!(r.slo.is_some(), classful, "`slo` only when configured");
+    let row = r.slo.as_ref().map(|slo| &slo.classes[0]);
+    let offered = 6 + shed_oldest + rejected + 3 * admission;
+    // (kind, expected, top-level counter, the class-0 ledger row's)
+    #[rustfmt::skip]
+    let buckets = [
+        (K::Admitted, offered, r.offered, row.map(|c| c.offered)),
+        (K::Labeled, 2 + 2 * admission, r.completed, row.map(|c| c.completed)),
+        (K::CacheHit, 1, r.cache_hit, row.map(|c| c.cache_hit)),
+        (K::Coalesced, 1, r.coalesced, row.map(|c| c.coalesced)),
+        (K::ShedAdmission, admission, r.shed_admission, row.map(|c| c.shed_admission)),
+        (K::ShedOverflow, shed_oldest, r.shed_oldest, row.map(|c| c.shed_oldest)),
+        (K::ShedDeadline, 1, r.shed_deadline, row.map(|c| c.shed_deadline)),
+        (K::Rejected, rejected, r.rejected, row.map(|c| c.rejected)),
+        (K::Cancelled, 1, r.cancelled, row.map(|c| c.cancelled)),
+    ];
+    for (kind, want, top, class) in buckets {
+        let ctx = format!("{} under {policy:?}, classful={classful}", kind.name());
+        assert_eq!(top, want, "top-level counter: {ctx}");
+        assert_eq!(class.unwrap_or(want), want, "class-0 ledger row: {ctx}");
+        assert_eq!(obs.total(kind), want, "event total: {ctx}");
+    }
+    assert!(r.is_conserved() && r.events_reconcile());
+    assert!(r.slo.as_ref().is_none_or(|slo| slo.is_conserved()));
+    // The event side's only class row is the top level too.
+    assert_eq!(obs.snapshot.classes.len(), 1);
+    let c = &obs.snapshot.classes[0];
+    let sheds = r.shed_admission + r.shed_oldest + r.shed_deadline;
+    assert_eq!(
+        (c.admitted, c.labeled, c.shed),
+        (r.offered, r.completed, sheds)
+    );
+    assert_eq!((c.cache_hit, c.coalesced), (r.cache_hit, r.coalesced));
+    assert_eq!((c.rejected, c.cancelled), (r.rejected, r.cancelled));
+}
+
+#[test]
+fn every_terminal_path_lands_in_one_bucket_classless_and_with_one_class() {
+    for policy in common::POLICIES {
+        one_request_down_each_path(policy, None);
+    }
+    // Admission control priced against raw depth (no EDF overtaking), a
+    // class deadline nothing here can reach.
+    let slo = SloConfig {
+        admission_control: true,
+        ..SloConfig::blind(vec![SloClass::new("only", 60_000, 1.0)])
+    };
+    one_request_down_each_path(BackpressurePolicy::ShedOldest, Some(slo));
 }
 
 /// Ring overflow keeps totals honest: with absurdly small rings and an
@@ -130,23 +287,19 @@ fn events_reconcile_under_shed_oldest_policy() {
 /// the producer (`total = drained + dropped`), never silently lost.
 #[test]
 fn ring_overflow_drop_counting_keeps_totals_honest() {
-    let server = AmsServer::start(
-        scheduler(),
-        Budget::Deadline { ms: 900 },
-        ServeConfig {
-            shards: 1,
-            workers_per_shard: 1,
-            queue_capacity: 256,
-            max_batch: 8,
-            obs: Some(ObsConfig {
-                ring_capacity: 8,
-                // Far longer than the run: every drain happens at
-                // snapshot/shutdown, so the rings must overflow.
-                drain_interval_ms: 60_000,
-            }),
-            ..ServeConfig::default()
-        },
-    );
+    let server = start(ServeConfig {
+        shards: 1,
+        workers_per_shard: 1,
+        queue_capacity: 256,
+        max_batch: 8,
+        obs: Some(ObsConfig {
+            ring_capacity: 8,
+            // Far longer than the run: every drain happens at
+            // snapshot/shutdown, so the rings must overflow.
+            drain_interval_ms: 60_000,
+        }),
+        ..ServeConfig::default()
+    });
     let items: Vec<_> = truth().items().iter().cloned().map(Arc::new).collect();
     let client = server.client();
     for item in items.iter().cycle().take(items.len() * 8) {
@@ -172,20 +325,16 @@ fn ring_overflow_drop_counting_keeps_totals_honest() {
 /// `Router::route` and SLO admission used.
 #[test]
 fn shard_gauges_match_what_routing_priced() {
-    let server = AmsServer::start(
-        scheduler(),
-        Budget::Deadline { ms: 900 },
-        ServeConfig {
-            shards: 2,
-            workers_per_shard: 1,
-            queue_capacity: 64,
-            max_batch: 4,
-            routing: RoutingMode::Affinity(AffinityConfig::default()),
-            exec_emulation_scale: 2e-3,
-            obs: Some(ObsConfig::default()),
-            ..ServeConfig::default()
-        },
-    );
+    let server = start(ServeConfig {
+        shards: 2,
+        workers_per_shard: 1,
+        queue_capacity: 64,
+        max_batch: 4,
+        routing: RoutingMode::Affinity(AffinityConfig::default()),
+        exec_emulation_scale: 2e-3,
+        obs: Some(ObsConfig::default()),
+        ..ServeConfig::default()
+    });
     let items: Vec<_> = truth().items().iter().cloned().map(Arc::new).collect();
     let client = server.client();
     for item in items.iter().cycle().take(items.len() * 4) {
@@ -213,19 +362,15 @@ fn shard_gauges_match_what_routing_priced() {
 /// (in that order), and the counter families are non-negative.
 #[test]
 fn prometheus_exposition_is_well_formed() {
-    let server = AmsServer::start(
-        scheduler(),
-        Budget::Deadline { ms: 900 },
-        ServeConfig {
-            shards: 2,
-            workers_per_shard: 1,
-            max_batch: 4,
-            cache: Some(CacheConfig::default()),
-            slo: Some(SloConfig::default()),
-            obs: Some(ObsConfig::default()),
-            ..ServeConfig::default()
-        },
-    );
+    let server = start(ServeConfig {
+        shards: 2,
+        workers_per_shard: 1,
+        max_batch: 4,
+        cache: Some(CacheConfig::default()),
+        slo: Some(SloConfig::default()),
+        obs: Some(ObsConfig::default()),
+        ..ServeConfig::default()
+    });
     let client = server.client();
     for item in truth().items().iter().take(16) {
         client.submit(Arc::new(item.clone()));
@@ -277,11 +422,7 @@ fn prometheus_exposition_is_well_formed() {
     server.shutdown();
 
     // Observability off: still well-formed scrape output (one comment).
-    let server = AmsServer::start(
-        scheduler(),
-        Budget::Deadline { ms: 900 },
-        ServeConfig::default(),
-    );
+    let server = start(ServeConfig::default());
     assert_eq!(server.render_metrics(), "# ams observability disabled\n");
     assert!(server.metrics_snapshot().is_none());
     server.shutdown();
@@ -292,18 +433,14 @@ fn prometheus_exposition_is_well_formed() {
 /// the final report.
 #[test]
 fn flight_recorder_answers_why_for_interesting_requests() {
-    let server = AmsServer::start(
-        scheduler(),
-        Budget::Deadline { ms: 900 },
-        ServeConfig {
-            shards: 1,
-            workers_per_shard: 1,
-            queue_capacity: 128,
-            max_batch: 4,
-            obs: Some(ObsConfig::default()),
-            ..ServeConfig::default()
-        },
-    );
+    let server = start(ServeConfig {
+        shards: 1,
+        workers_per_shard: 1,
+        queue_capacity: 128,
+        max_batch: 4,
+        obs: Some(ObsConfig::default()),
+        ..ServeConfig::default()
+    });
     let client = server.client();
     // Shed everything at dequeue: every request is "interesting".
     let opts = SubmitOptions::default().deadline_us(0);

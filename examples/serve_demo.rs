@@ -4,7 +4,7 @@
 //!
 //! A burst of album photos is submitted to an [`AmsServer`] nine times:
 //! once with a lossless blocking configuration, once with a tiny queue and
-//! a shed-oldest policy under a request timeout (graceful degradation
+//! a shed-oldest policy under a per-ticket deadline (graceful degradation
 //! under overload), once with model-affinity routing plus the adaptive
 //! batch-limit controller — the configuration that coalesces same-model
 //! batches deliberately and retunes `max_batch` against a tail-latency

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# One-command gate for every PR: formatting, lints (clippy + rustdoc
-# intra-doc links + the ams-lint workspace analyzer), the perf gate, and
-# the tier-1 verify. Three modes:
+# One-command gate for every PR: formatting, lints (clippy + a compile
+# check of bench/ + rustdoc intra-doc links + the ams-lint workspace
+# analyzer), the perf gate, and the tier-1 verify. Three modes:
 #
 #   ./scripts/check.sh          # full: fmt + clippy + doc links + release
 #                               #       build + bench gate + tier-1 tests
@@ -38,6 +38,14 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# The claim surface (all modes): bench/ is a package of its own that the
+# workspace never compiles, reaching into the public API (`ams::serve::net`,
+# the frame types, `Request`/`Router`/`ShardQueue`). A refactor that breaks
+# its imports must fail here, not in the benchmark pipeline. `--locked`
+# and the explicit target dir keep the step from writing under bench/.
+echo "==> cargo check (bench/, offline, locked)"
+(cd bench && CARGO_TARGET_DIR="$PWD/../target/bench" cargo check --release --offline --locked)
 
 # Intra-doc links (all modes): a doc comment naming an item that was
 # renamed or deleted must fail here, not rot silently.
