@@ -8,8 +8,9 @@
 //!
 //! Absolute numbers differ from the paper (its testbed was a Tesla P100
 //! running real DNNs); the claims being reproduced are the *shapes*: who
-//! wins, by roughly what factor, and where crossovers fall. EXPERIMENTS.md
-//! records paper-vs-measured for every experiment.
+//! wins, by roughly what factor, and where crossovers fall.
+//! `cargo run --release -p ams-bench` prints the measured side of every
+//! experiment.
 
 #![forbid(unsafe_code)]
 

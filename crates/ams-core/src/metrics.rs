@@ -142,7 +142,7 @@ pub struct Figure {
 
 impl Figure {
     /// Render as an aligned text table (one row per x, one column per
-    /// series) — the form EXPERIMENTS.md embeds.
+    /// series) — the form `cargo run --release -p ams-bench` prints.
     pub fn to_table(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();

@@ -384,8 +384,8 @@ mod tests {
         // §III-B/§VI-C: handcrafted rules "slightly improve the performance
         // compared with the random policy" but "leave a large room for
         // optimization". On this substrate the improvement is within noise
-        // (see EXPERIMENTS.md fig6 for the measured gap vs the paper's
-        // 22.6%); the invariant we hold is that rules never *hurt*
+        // (`cargo run --release -p ams-bench fig06_rules_vs_agent` prints
+        // the measured gap vs the paper's 22.6%); the invariant we hold is that rules never *hurt*
         // materially and sit far from the optimal policy.
         let (zoo, catalog, t) = fixture();
         let book = RuleBook::table2(&catalog);

@@ -124,7 +124,7 @@ fn is_bump_call(f: &SourceFile, i: usize) -> bool {
         && !(i > 0 && f.tokens[i - 1].text == "fn")
 }
 
-/// rule `ledger-event` — in `server/*.rs`, `cache.rs`, `queue.rs` and
+/// rule `ledger-event` — in `server/*.rs`, `queue/*.rs`, `cache.rs` and
 /// `completion.rs` of ams-serve, every `bump(EventKind::X, …)` on a
 /// ledger row needs an emit naming `EventKind::X` somewhere in the same
 /// function (any other `EventKind::X` that is not itself a `bump`'s
@@ -136,8 +136,8 @@ fn is_bump_call(f: &SourceFile, i: usize) -> bool {
 /// bumped, so it carries no obligation.
 fn ledger_event(f: &SourceFile, out: &mut Vec<Finding>) {
     let in_scope = f.path.contains("ams-serve/src/server/")
-        || (f.path.contains("ams-serve")
-            && matches!(f.basename(), "cache.rs" | "queue.rs" | "completion.rs"));
+        || f.path.contains("ams-serve/src/queue/")
+        || (f.path.contains("ams-serve") && matches!(f.basename(), "cache.rs" | "completion.rs"));
     if !in_scope {
         return;
     }

@@ -60,7 +60,8 @@ impl TrainConfig {
     /// divide by cost. A near-myopic discount makes `Q(s,m) ≈ E[r(m)|s]` —
     /// the marginal-value estimate those ratios need — while γ near 1 buries
     /// it under a shared return-to-go term and `Q/time` degenerates to
-    /// cheapest-first (measured in EXPERIMENTS.md's γ calibration).
+    /// cheapest-first (measured by `cargo run --release -p ams-bench --bin
+    /// probe_gamma`).
     pub fn new(algo: Algo) -> Self {
         Self {
             algo,

@@ -17,7 +17,11 @@
 //! * [`queue`] — bounded per-shard admission queues with selectable
 //!   backpressure (block / reject / shed-oldest) and per-class admission
 //!   reservations; queued entries carry their ticket's completion slot so
-//!   eviction notifies its victims.
+//!   eviction notifies its victims. `queue/core.rs` decides (admission,
+//!   eviction, EDF and batch assembly as pure functions of the queue's
+//!   state and a `now` it is handed); the [`ShardQueue`] shell in
+//!   `queue/mod.rs` locks, reads the clock once per lock hold, and settles
+//!   each decision's event and ledger entry under that lock.
 //! * [`router`] — request routing: scene-id hash, or *model-affinity*
 //!   routing that steers requests with matching predicted model sets onto
 //!   the same shard (bigger same-model batches) with a least-loaded spill

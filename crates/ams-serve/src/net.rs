@@ -445,6 +445,14 @@ fn item_fits(item: &ItemTruth, num_models: usize) -> bool {
         && item.valuable.iter().all(|&(label, _)| known(label))
 }
 
+/// Whether a request may be submitted: its item fits the zoo, and its
+/// per-ticket value may enter the ledgers — the codec carries any `f64` bit
+/// pattern, and one `NaN` summed into a class's tally poisons that class's
+/// value totals for the whole run.
+fn request_fits(req: &WireRequest, num_models: usize) -> bool {
+    item_fits(&req.item, num_models) && req.value.is_none_or(|v| v.is_finite() && v >= 0.0)
+}
+
 /// One connection: read `Hello`, open a window-sized in-process client,
 /// then pump frames until goodbye/disconnect. The reader thread is the
 /// current thread; completions are written back by a spawned writer.
@@ -532,9 +540,10 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
                     t.cancel();
                 }
             }
-            // A well-framed item the labeling path cannot index is a
-            // protocol error like any malformed frame.
-            ClientFrame::Request(req) if !item_fits(&req.item, num_models) => break,
+            // A well-framed item the labeling path cannot index, or a
+            // value the ledgers cannot sum, is a protocol error like any
+            // malformed frame.
+            ClientFrame::Request(req) if !request_fits(&req, num_models) => break,
             ClientFrame::Request(req) => {
                 let opts = SubmitOptions {
                     class: req.class,

@@ -1,0 +1,364 @@
+//! The queue's decisions as a plain value: what is pending, which class
+//! may take a slot, who is evicted for whom, and which requests form the
+//! next batch. Nothing here locks, waits, reads a clock or reports to the
+//! observability pipeline — time is the `now` a call receives — so every
+//! timing rule is tested with literal microseconds. The
+//! [`ShardQueue`](super::ShardQueue) shell owns the lock and the clock and
+//! settles (event + ledger entry) what the core decided.
+
+use super::{BackpressurePolicy, Request};
+use crate::completion::ShedReason;
+use std::cmp::{Ordering, Reverse};
+use std::collections::VecDeque;
+use std::time::Instant;
+
+/// What [`QueueCore::offer`] decided about the incoming request.
+#[derive(Debug)]
+pub(crate) enum Offer {
+    /// It took a slot, its `enqueued_at` stamped with the offer's `now`.
+    /// `evicted` is the queued request shed to make room — its slot
+    /// already resolved `Shed(Overflow)`, its coalesced followers failed;
+    /// the caller owes it its event and ledger entry. `None` when there
+    /// was room, or the victim turned out to be a cancellation tombstone
+    /// (a free purge).
+    Enqueued { evicted: Option<Request> },
+    /// Not queued: the incoming request is itself the overflow shed. It
+    /// comes back untouched; the caller resolves and ledgers it.
+    ShedIncoming(Request),
+    /// Not queued: no slot for its class under `Block`. The caller may
+    /// wait for one and offer the request again.
+    Full(Request),
+    /// Not queued, and dropped: the queue is closed, or full under
+    /// `Reject`.
+    Refused,
+}
+
+/// One shard queue's pending requests and the rules over them.
+#[derive(Debug, Default)]
+pub(crate) struct QueueCore {
+    pending: VecDeque<Request>,
+    closed: bool,
+    /// Queued requests per SLO class (index = class) — the admission
+    /// reservations' accounting.
+    class_counts: Vec<usize>,
+    capacity: usize,
+    policy: BackpressurePolicy,
+    /// Overflow eviction picks the worst value-per-remaining-deadline
+    /// victim instead of the head.
+    value_weighted: bool,
+    /// Dequeue picks the earliest-deadline head (EDF) instead of the
+    /// oldest, so urgent work leads batch assembly.
+    edf: bool,
+    /// Per-class reserved queue slots (index = class; empty = no
+    /// reservations). A class is always admitted while it holds fewer
+    /// slots than its reservation, and the shared pool excludes the slots
+    /// other classes still have in reserve.
+    reservations: Vec<usize>,
+}
+
+impl QueueCore {
+    /// A core holding at most `capacity` (≥ 1) pending requests.
+    pub(crate) fn new(
+        capacity: usize,
+        policy: BackpressurePolicy,
+        value_weighted: bool,
+        edf: bool,
+    ) -> Self {
+        Self {
+            capacity,
+            policy,
+            value_weighted,
+            edf,
+            ..Self::default()
+        }
+    }
+
+    /// Guarantee `reservations[class]` slots to each class, clamped so the
+    /// sum never exceeds the capacity — earlier classes keep their full
+    /// reserve.
+    pub(crate) fn set_reservations(&mut self, mut reservations: Vec<usize>) {
+        let mut budget = self.capacity;
+        for r in &mut reservations {
+            *r = (*r).min(budget);
+            budget -= *r;
+        }
+        self.reservations = reservations;
+    }
+
+    /// Requests physically queued, cancellation tombstones included.
+    pub(crate) fn len(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Open and empty: nothing to take yet, and more may come.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.pending.is_empty() && !self.closed
+    }
+
+    /// The most recently queued request.
+    pub(crate) fn newest(&self) -> Option<&Request> {
+        self.pending.back()
+    }
+
+    /// Queued requests that still want service (tombstones excluded).
+    pub(crate) fn live_len(&self) -> usize {
+        self.pending.iter().filter(|r| !r.is_tombstone()).count()
+    }
+
+    /// `(depth, ahead)`: the queued requests that still want service, and
+    /// the subset whose absolute deadline falls before `deadline_at`.
+    /// Deadline-less requests sort last under EDF and are never `ahead`;
+    /// tombstones count toward neither number.
+    pub(crate) fn snapshot(&self, deadline_at: Instant) -> (usize, usize) {
+        let mut depth = 0usize;
+        let mut ahead = 0usize;
+        for r in self.pending.iter().filter(|r| !r.is_tombstone()) {
+            depth += 1;
+            if r.deadline_at().is_some_and(|d| d < deadline_at) {
+                ahead += 1;
+            }
+        }
+        (depth, ahead)
+    }
+
+    /// Refuse every later offer; what is queued stays to be drained.
+    pub(crate) fn close(&mut self) {
+        self.closed = true;
+    }
+
+    /// Close and hand back the whole backlog.
+    pub(crate) fn abort(&mut self) -> Vec<Request> {
+        self.closed = true;
+        self.class_counts.clear();
+        self.pending.drain(..).collect()
+    }
+
+    fn class_count(&self, class: usize) -> usize {
+        self.class_counts.get(class).copied().unwrap_or(0)
+    }
+
+    fn reserved(&self, class: usize) -> usize {
+        self.reservations.get(class).copied().unwrap_or(0)
+    }
+
+    fn dec_class(counts: &mut [usize], class: usize) {
+        if let Some(n) = counts.get_mut(class) {
+            *n = n.saturating_sub(1);
+        }
+    }
+
+    /// Drop every cancellation tombstone. Their terminal events were
+    /// already delivered at cancel time, so nothing is ledgered.
+    fn purge_tombstones(&mut self) {
+        let counts = &mut self.class_counts;
+        self.pending.retain(|r| {
+            let dead = r.is_tombstone();
+            if dead {
+                Self::dec_class(counts, r.class);
+            }
+            !dead
+        });
+    }
+
+    /// Whether `class` may take a slot right now: the queue has room and
+    /// the class either sits under its own reservation or the shared pool
+    /// (capacity minus the slots other classes still hold in reserve) has
+    /// space.
+    fn admittable(&self, class: usize) -> bool {
+        if self.pending.len() >= self.capacity {
+            return false;
+        }
+        if self.reservations.is_empty() || self.class_count(class) < self.reserved(class) {
+            return true;
+        }
+        let held: usize = self
+            .reservations
+            .iter()
+            .enumerate()
+            .filter(|&(k, _)| k != class)
+            .map(|(k, &r)| r.saturating_sub(self.class_count(k)))
+            .sum();
+        self.pending.len() + held < self.capacity
+    }
+
+    /// Whether a queued request of `victim_class` may be evicted to admit
+    /// a request of `incoming_class`: its class must be strictly over its
+    /// reservation (eviction never dips a class below its guaranteed
+    /// share), except that the incoming class may always cannibalize its
+    /// own queue.
+    fn evictable(&self, victim_class: usize, incoming_class: usize) -> bool {
+        self.reservations.is_empty()
+            || victim_class == incoming_class
+            || self.class_count(victim_class) > self.reserved(victim_class)
+    }
+
+    /// Eviction sort key for one request, smallest shed first:
+    ///
+    /// * tier 0 — *doomed* (remaining budget at or below `doom_wait_us`,
+    ///   the typical wait still ahead of it: it will be deadline-shed at
+    ///   dequeue anyway, so shedding it costs nothing), keyed by raw
+    ///   value so the cheapest doomed request goes first;
+    /// * tier 1 — viable, keyed by **value-per-remaining-deadline**: low
+    ///   value and far-off deadlines both lower the score, so the queue
+    ///   keeps the work worth the most per unit of urgency — the
+    ///   economics of value-maximizing labeling under a time budget.
+    ///
+    /// A request without a deadline competes as infinitely lax: it is
+    /// never doomed, but any similarly valued request actually racing a
+    /// clock outranks it.
+    fn victim_key(r: &Request, now: Instant, doom_wait_us: u64) -> (u8, f64) {
+        match r.remaining_us(now) {
+            Some(remaining) if remaining <= doom_wait_us => (0, r.value),
+            Some(remaining) => (1, r.value / remaining.max(1) as f64),
+            None => (1, r.value / u64::MAX as f64),
+        }
+    }
+
+    /// Index of the queued request to shed so `req` can take its slot on a
+    /// full queue, or `None` when `req` itself is the shed (as it is when
+    /// a reservation the incoming class may not touch protects every
+    /// queued request). Blind shedding picks the oldest evictable request;
+    /// value-weighted shedding the smallest [`victim_key`], the front-most
+    /// among equals, on a doom horizon of half the queue depth × the
+    /// per-request drain time.
+    ///
+    /// [`victim_key`]: QueueCore::victim_key
+    fn overflow_victim(&self, req: &Request, now: Instant, service_hint_us: u64) -> Option<usize> {
+        let mut evictable =
+            (0..self.pending.len()).filter(|&i| self.evictable(self.pending[i].class, req.class));
+        if !self.value_weighted {
+            return evictable.next();
+        }
+        let doom_wait_us = service_hint_us.saturating_mul(self.pending.len() as u64 / 2);
+        let key = |r: &Request| Self::victim_key(r, now, doom_wait_us);
+        let victim = evictable.min_by(|&a, &b| {
+            let (a, b) = (key(&self.pending[a]), key(&self.pending[b]));
+            a.partial_cmp(&b).unwrap_or(Ordering::Equal)
+        })?;
+        // A *doomed* incoming request (tier 0: expired, or budget already
+        // below the queue's drain wait) that also scores worse than every
+        // evictable queued request is itself the shed — evicting viable
+        // queued work to admit a request that will only be deadline-shed
+        // at dequeue loses a completion for nothing. A viable newcomer
+        // always gets its slot: value density naturally reads lower on a
+        // fresh full budget than on aged queued work, and shedding
+        // fresh-but-lax traffic on that alone would invert the
+        // freshest-first instinct that makes overflow eviction work.
+        let incoming = key(req);
+        let incoming_is_shed = incoming.0 == 0 && incoming < key(&self.pending[victim]);
+        (!incoming_is_shed).then_some(victim)
+    }
+
+    /// Decide one submission at `now`, with `service_hint_us` the queue's
+    /// per-request drain time (0 = unknown) that sets value-weighted
+    /// eviction's doom horizon.
+    pub(crate) fn offer(&mut self, mut req: Request, now: Instant, service_hint_us: u64) -> Offer {
+        if self.closed {
+            return Offer::Refused;
+        }
+        let mut evicted = None;
+        // Cancellation tombstones are free slots; drop them before any
+        // backpressure applies. That need not make room: a purged slot of
+        // another class at or under its reserve stays held for that class.
+        if !self.admittable(req.class) {
+            self.purge_tombstones();
+        }
+        if !self.admittable(req.class) {
+            match self.policy {
+                BackpressurePolicy::Block => return Offer::Full(req),
+                BackpressurePolicy::Reject => return Offer::Refused,
+                BackpressurePolicy::ShedOldest => {}
+            }
+            let Some(victim) = self.overflow_victim(&req, now, service_hint_us) else {
+                return Offer::ShedIncoming(req);
+            };
+            let shed = self.pending.remove(victim).expect("victim index in range");
+            Self::dec_class(&mut self.class_counts, shed.class);
+            // An evicted coalescing leader takes its followers with it:
+            // each is shed with `Overflow` through its own slot CAS. This
+            // runs for the already-cancelled victim too — eviction removes
+            // the entry's only path to a worker, so its followers must not
+            // wait forever.
+            shed.fail_cache(ShedReason::Overflow);
+            // Lost only to a cancellation between selection and here: its
+            // event was already delivered, so that is a free purge, not a
+            // shed.
+            if shed.resolve_or_own(|slot| slot.try_shed(ShedReason::Overflow)) {
+                evicted = Some(shed);
+            }
+        }
+        // One eviction always makes room. Admissions keep
+        // Σ max(class count, class reservation) ≤ capacity; a class is
+        // refused only once that sum (or the length) has reached the
+        // capacity; and a victim is of the incoming class or of a class
+        // strictly over its reservation, so removing it lowers the sum
+        // and the length by one.
+        debug_assert!(self.admittable(req.class));
+        req.enqueued_at = now;
+        if self.class_counts.len() <= req.class {
+            self.class_counts.resize(req.class + 1, 0);
+        }
+        self.class_counts[req.class] += 1;
+        self.pending.push_back(req);
+        Offer::Enqueued { evicted }
+    }
+
+    /// Take up to `max_batch` requests (min 1) — everything queued when
+    /// fewer are — in batch order.
+    ///
+    /// The batch is assembled *signature-first*: the head request (always
+    /// served — no starvation) sets the batch's signature, every queued
+    /// request sharing it joins next (their model sets overlap most, so
+    /// they coalesce best), and the batch is then topped up with the
+    /// remaining requests in decreasing signature *overlap* with the head
+    /// (shared fingerprint bits = shared models = shared setup charges).
+    /// Under hash routing every signature is 0, which degenerates to the
+    /// plain FIFO drain.
+    ///
+    /// The head, and the order within each of those groups, is by *rank*:
+    /// queue order — or, under EDF dequeue, the earliest absolute deadline
+    /// first, so the most urgent request leads batch assembly, signature
+    /// coalescing groups around *it*, and within the batch the
+    /// clock-racing members go first. Deadline-less requests rank strictly
+    /// last (a leading bool, not a far-future sentinel that a long enough
+    /// real deadline could overtake); ties fall back to queue order. No
+    /// `now` is needed: the order is over absolute deadlines.
+    pub(crate) fn take(&mut self, max_batch: usize) -> Vec<Request> {
+        let (pending, edf) = (&self.pending, self.edf);
+        let rank = |i: usize| {
+            let deadline = if edf { pending[i].deadline_at() } else { None };
+            (edf && deadline.is_none(), deadline, i)
+        };
+        let Some(head) = (0..pending.len()).min_by_key(|&i| rank(i)) else {
+            return Vec::new();
+        };
+        let head_sig = pending[head].signature;
+        let max_batch = max_batch.max(1);
+        let of_sig = |same: bool| {
+            (0..pending.len()).filter(move |&i| (pending[i].signature == head_sig) == same)
+        };
+        let mut order: Vec<usize> = of_sig(true).collect();
+        if edf {
+            order.sort_by_key(|&i| rank(i));
+        }
+        order.truncate(max_batch);
+        // A full batch stops here: the rest is ranked only to top one up.
+        if order.len() < max_batch {
+            let mut rest: Vec<usize> = of_sig(false).collect();
+            let shared_bits = |i: usize| (pending[i].signature & head_sig).count_ones();
+            rest.sort_by_cached_key(|&i| (Reverse(shared_bits(i)), rank(i)));
+            rest.truncate(max_batch - order.len());
+            order.append(&mut rest);
+        }
+        let mut batch = Vec::with_capacity(order.len());
+        for (k, &want) in order.iter().enumerate() {
+            // Each earlier removal in front of it moved it down by one.
+            let moved = order[..k].iter().filter(|&&gone| gone < want).count();
+            let taken = self.pending.remove(want - moved);
+            let req = taken.expect("picked index in range");
+            Self::dec_class(&mut self.class_counts, req.class);
+            batch.push(req);
+        }
+        batch
+    }
+}

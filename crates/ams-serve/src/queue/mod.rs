@@ -1,0 +1,573 @@
+//! Bounded per-shard admission queues with selectable backpressure.
+//!
+//! Each shard owns one [`ShardQueue`]: a mutex around the queue's pure
+//! decision core (`core.rs` — admission, reservations, eviction and batch
+//! assembly as functions of *(state, now)*) plus two condvars (producers
+//! wait on `not_full` under the [`BackpressurePolicy::Block`] policy,
+//! workers wait on `not_empty`). The shell takes the lock, reads the clock
+//! once per lock hold, asks the core, and settles what it decided (event,
+//! then ledger entry) before letting the lock go. The queue is the *only*
+//! synchronization point between producers and a shard's workers, and it
+//! is held only for push/pop bookkeeping — never across labeling work.
+//!
+//! Queued requests carry their ticket's [`CompletionSlot`], so every
+//! in-queue loss path — overflow eviction, the incoming-doomed shed, and
+//! drain-abort — notifies its victim's client directly instead of only
+//! ledgering the loss. A request cancelled while queued becomes a
+//! *tombstone* (its slot already resolved); tombstones are purged for free
+//! when the queue needs a slot and skipped by the workers otherwise.
+//!
+//! With per-class **admission reservations** configured
+//! ([`ShardQueue::with_reservations`]), each SLO class is guaranteed its
+//! reserved share of the queue's slots: a burst of one class cannot occupy
+//! the slots another class has in reserve, and overflow eviction never
+//! picks a victim from a class that is at or under its reservation (other
+//! than the incoming request's own class).
+
+mod core;
+
+use self::core::{Offer, QueueCore};
+use crate::cache::PendingEntry;
+use crate::completion::{CompletionSlot, ShedReason};
+use crate::ledger::Ledger;
+use crate::obs::{Event, EventKind, ServerObs, NO_TICKET};
+use crate::telemetry::micros;
+use ams_data::ItemTruth;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
+
+/// What a full queue does to the *next* submission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum BackpressurePolicy {
+    /// Block the producer until a worker frees a slot (lossless; pushes
+    /// the queueing upstream — the paper's batch-ingestion shape).
+    #[default]
+    Block,
+    /// Refuse the new request immediately (lossy at the edge; the caller
+    /// sees the rejection and can retry elsewhere).
+    Reject,
+    /// Admit the new request and shed the *oldest* queued one (lossy in
+    /// the queue; freshest-first, the surveillance-feed shape where a
+    /// stale frame is worth less than a current one).
+    ShedOldest,
+}
+
+impl BackpressurePolicy {
+    /// Stable lowercase name for reports and JSON records.
+    pub fn name(&self) -> &'static str {
+        match self {
+            BackpressurePolicy::Block => "block",
+            BackpressurePolicy::Reject => "reject",
+            BackpressurePolicy::ShedOldest => "shed-oldest",
+        }
+    }
+}
+
+/// Outcome of one submission, carrying the issued [`Ticket`](crate::Ticket)
+/// when submitted through a [`Client`](crate::Client) (`T = Ticket`), or
+/// nothing at the bare [`ShardQueue::push`] boundary (`T = ()`).
+///
+/// Every variant except [`SubmitOutcome::Rejected`] issued a ticket whose
+/// terminal [`Completion`](crate::Completion) event will arrive on the
+/// client's queue — for the shed variants it is already there. `Rejected`
+/// carries no ticket and produces no event: the refusal itself is the
+/// synchronous answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubmitOutcome<T = ()> {
+    /// Queued; a worker will label it (or deadline-shed it at dequeue).
+    Enqueued(T),
+    /// Queued, at the cost of shedding a queued request
+    /// ([`BackpressurePolicy::ShedOldest`] on a full queue: the head under
+    /// blind shedding, the worst value-per-remaining-deadline victim
+    /// under value-weighted shedding). The victim's own ticket receives
+    /// the `Shed(Overflow)` event.
+    EnqueuedShedOldest(T),
+    /// Not queued: the queue was full and, under value-weighted shedding,
+    /// the submission itself was already *doomed* (expired, or budget
+    /// below the queue's drain wait) and scored strictly worst — evicting
+    /// viable queued work to admit a request that would only be
+    /// deadline-shed at dequeue loses a completion for nothing. Accounted
+    /// in the overflow-shed ledger, exactly like an evicted request; the
+    /// ticket resolves to `Shed(Overflow)` immediately.
+    ShedIncoming(T),
+    /// Shed at admission, before occupying a queue slot: the shard's
+    /// predicted queue wait already exceeded the request's deadline, so
+    /// queueing it could only convert capacity into a deadline shed. The
+    /// ticket resolves to `Shed(Admission)` immediately.
+    ShedAdmission(T),
+    /// Answered from the content-addressed label cache before admission:
+    /// the ticket's `Labeled` event (the cached labels, zero bill) is
+    /// already on the client's queue. Never routed, queued, or executed.
+    Cached(T),
+    /// Coalesced onto an identical already-queued or in-flight request:
+    /// the ticket's terminal event arrives when that leader resolves (its
+    /// labels fan out) or fails (the followers are shed with it).
+    Coalesced(T),
+    /// Refused: the queue was full ([`BackpressurePolicy::Reject`]), the
+    /// class's admission reservation was exhausted under `Reject`, or the
+    /// server is shutting down. No ticket, no event.
+    Rejected,
+}
+
+impl<T> SubmitOutcome<T> {
+    /// Whether the submission took a queue slot (a worker will reach it).
+    pub fn is_accepted(&self) -> bool {
+        matches!(
+            self,
+            SubmitOutcome::Enqueued(_) | SubmitOutcome::EnqueuedShedOldest(_)
+        )
+    }
+
+    /// Whether the submission was refused synchronously (no ticket).
+    pub fn is_rejected(&self) -> bool {
+        matches!(self, SubmitOutcome::Rejected)
+    }
+
+    /// The issued ticket (for every variant except `Rejected`).
+    pub fn ticket(self) -> Option<T> {
+        match self {
+            SubmitOutcome::Enqueued(t)
+            | SubmitOutcome::EnqueuedShedOldest(t)
+            | SubmitOutcome::ShedIncoming(t)
+            | SubmitOutcome::ShedAdmission(t)
+            | SubmitOutcome::Cached(t)
+            | SubmitOutcome::Coalesced(t) => Some(t),
+            SubmitOutcome::Rejected => None,
+        }
+    }
+
+    /// The issued ticket, by reference.
+    pub fn as_ticket(&self) -> Option<&T> {
+        match self {
+            SubmitOutcome::Enqueued(t)
+            | SubmitOutcome::EnqueuedShedOldest(t)
+            | SubmitOutcome::ShedIncoming(t)
+            | SubmitOutcome::ShedAdmission(t)
+            | SubmitOutcome::Cached(t)
+            | SubmitOutcome::Coalesced(t) => Some(t),
+            SubmitOutcome::Rejected => None,
+        }
+    }
+
+    /// Map the carried ticket, keeping the outcome shape.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> SubmitOutcome<U> {
+        match self {
+            SubmitOutcome::Enqueued(t) => SubmitOutcome::Enqueued(f(t)),
+            SubmitOutcome::EnqueuedShedOldest(t) => SubmitOutcome::EnqueuedShedOldest(f(t)),
+            SubmitOutcome::ShedIncoming(t) => SubmitOutcome::ShedIncoming(f(t)),
+            SubmitOutcome::ShedAdmission(t) => SubmitOutcome::ShedAdmission(f(t)),
+            SubmitOutcome::Cached(t) => SubmitOutcome::Cached(f(t)),
+            SubmitOutcome::Coalesced(t) => SubmitOutcome::Coalesced(f(t)),
+            SubmitOutcome::Rejected => SubmitOutcome::Rejected,
+        }
+    }
+}
+
+/// One labeling request as it sits in a shard queue.
+#[derive(Debug, Clone)]
+pub struct Request {
+    /// The pre-executed ground-truth item to label.
+    pub item: Arc<ItemTruth>,
+    /// The item's affinity signature (0 under hash routing). Workers use
+    /// it to assemble signature-pure batches from a mixed queue.
+    pub signature: u64,
+    /// SLO class index (0 when no SLO classes are configured).
+    pub class: usize,
+    /// Predicted label value, weighted by the SLO class (the scheduler's
+    /// cheap affinity-value scan × the class weight; 1.0 without SLO
+    /// classes). Value-weighted shedding evicts the worst
+    /// value-per-remaining-deadline first.
+    pub value: f64,
+    /// Relative deadline budget from `enqueued_at`, µs (`None` =
+    /// unbounded). A request whose queue age reaches this is shed at
+    /// dequeue instead of executed.
+    pub deadline_us: Option<u64>,
+    /// When the request entered the queue (queue-wait clock starts here).
+    pub enqueued_at: Instant,
+    /// The submitting client's completion slot (always set by the server;
+    /// `None` only for a ticketless request pushed into a bare queue).
+    completion: Option<Arc<CompletionSlot>>,
+    /// The label-cache coalescing entry this request leads (`None` when
+    /// the cache is off or the fingerprint was already in flight). Every
+    /// loss path fails it (shedding its followers); the labeling path
+    /// resolves it (fanning the result out).
+    cache: Option<Arc<PendingEntry>>,
+    /// Observability correlation id (the server's `offered` sequence
+    /// number; `u64::MAX` when the request never passed through a
+    /// server's submission path).
+    pub(crate) req_id: u64,
+}
+
+impl Request {
+    /// A request with no SLO attached: class 0, unit value, no deadline.
+    pub fn new(item: Arc<ItemTruth>, signature: u64) -> Self {
+        Self {
+            item,
+            signature,
+            class: 0,
+            value: 1.0,
+            deadline_us: None,
+            enqueued_at: Instant::now(),
+            completion: None,
+            cache: None,
+            req_id: u64::MAX,
+        }
+    }
+
+    /// Attach the observability correlation id events are keyed by.
+    pub(crate) fn with_req_id(mut self, req_id: u64) -> Self {
+        self.req_id = req_id;
+        self
+    }
+
+    /// Attach an SLO class: index, weighted value, and deadline budget.
+    pub fn with_slo(mut self, class: usize, value: f64, deadline_us: Option<u64>) -> Self {
+        self.class = class;
+        self.value = value;
+        self.deadline_us = deadline_us;
+        self
+    }
+
+    /// Attach the submitting client's completion slot: every loss path and
+    /// the labeling path will resolve it with the request's terminal event.
+    pub(crate) fn with_completion(mut self, slot: Arc<CompletionSlot>) -> Self {
+        self.completion = Some(slot);
+        self
+    }
+
+    /// The attached completion slot, if the request was submitted through
+    /// a client.
+    pub(crate) fn completion(&self) -> Option<&Arc<CompletionSlot>> {
+        self.completion.as_ref()
+    }
+
+    /// A lifecycle event of `kind` about this request on `shard`, carrying
+    /// its ticket id ([`NO_TICKET`] for a ticketless request).
+    pub(crate) fn event(&self, kind: EventKind, shard: u32) -> Event {
+        let ticket = self.completion.as_ref().map_or(NO_TICKET, |s| s.id());
+        Event::new(kind, self.req_id, ticket, shard, self.class)
+    }
+
+    /// Resolve the request's completion slot with `resolve` (a shed or a
+    /// claim) and report whether the caller now owns the request's
+    /// outcome — lost only when a cancellation resolved the slot first. A
+    /// ticketless request has no one to race, so the caller always owns it.
+    pub(crate) fn resolve_or_own(&self, resolve: impl FnOnce(&CompletionSlot) -> bool) -> bool {
+        self.completion.as_deref().is_none_or(resolve)
+    }
+
+    /// Attach the coalescing entry this request leads: followers of the
+    /// same fingerprint wait on it for the leader's result.
+    pub(crate) fn with_cache(mut self, entry: Arc<PendingEntry>) -> Self {
+        self.cache = Some(entry);
+        self
+    }
+
+    /// The coalescing entry this request leads, if any.
+    pub(crate) fn cache_entry(&self) -> Option<&Arc<PendingEntry>> {
+        self.cache.as_ref()
+    }
+
+    /// Fail the request's coalescing entry (no-op without one): its
+    /// followers are shed with `reason` and the next lookup of the
+    /// fingerprint starts a fresh leader. Idempotent.
+    pub(crate) fn fail_cache(&self, reason: ShedReason) {
+        if let Some(entry) = &self.cache {
+            entry.fail(reason);
+        }
+    }
+
+    /// Whether the request was cancelled (or otherwise resolved) while
+    /// still queued — a dead entry the queue can drop for free. A
+    /// cancelled request still *leading* a coalescing entry is **not** a
+    /// tombstone: followers wait on it, so it must reach a worker (which
+    /// either executes it for them or abandons the entry).
+    fn is_tombstone(&self) -> bool {
+        self.completion.as_ref().is_some_and(|s| s.is_resolved()) && self.cache.is_none()
+    }
+
+    /// Remaining deadline budget at `now`, µs (`None` = unbounded;
+    /// `Some(0)` = already expired).
+    pub fn remaining_us(&self, now: Instant) -> Option<u64> {
+        self.deadline_us
+            .map(|d| d.saturating_sub(micros(now.saturating_duration_since(self.enqueued_at))))
+    }
+
+    /// Whether the deadline budget is exhausted at `now`.
+    pub fn expired(&self, now: Instant) -> bool {
+        self.remaining_us(now) == Some(0)
+    }
+
+    /// Absolute deadline instant (`None` = unbounded), the EDF sort key.
+    fn deadline_at(&self) -> Option<Instant> {
+        self.deadline_us
+            .map(|d| self.enqueued_at + Duration::from_micros(d))
+    }
+}
+
+/// What the queue lock guards: the decisions, and the queue's share of
+/// the conservation ledger — requests that took a slot (`Enqueued`) and
+/// requests evicted or turned away on overflow (`ShedOverflow`) — so an
+/// entry lands under the lock hold that decided it.
+#[derive(Debug)]
+struct Locked {
+    core: QueueCore,
+    ledger: Ledger,
+}
+
+/// A bounded MPMC queue for one shard: the lock, the two condvars and the
+/// clock around the decision core (`queue/core.rs`).
+#[derive(Debug)]
+pub struct ShardQueue {
+    state: Mutex<Locked>,
+    not_empty: Condvar,
+    not_full: Condvar,
+    /// The core's capacity, readable without the lock.
+    capacity: usize,
+    /// Per-request drain time of this queue, µs (amortized service time ÷
+    /// workers), published by the shard's workers
+    /// ([`ShardQueue::set_service_hint_us`]; 0 = unknown).
+    service_hint_us: AtomicU64,
+    /// Observability sink (`shard index`, pipeline handle): the queue
+    /// emits a settlement's lifecycle event at the exact point its ledger
+    /// counts it, so event totals reconcile with the report's buckets.
+    obs: Option<(u32, Arc<ServerObs>)>,
+}
+
+impl ShardQueue {
+    /// Queue holding at most `capacity` pending requests (min 1), with
+    /// blind (head-first) overflow eviction and FIFO dequeue.
+    pub fn new(capacity: usize, policy: BackpressurePolicy) -> Self {
+        Self::with_slo(capacity, policy, false, false)
+    }
+
+    /// [`ShardQueue::new`] with the SLO-aware behaviors selectable:
+    /// `value_weighted` overflow eviction and `edf` (earliest-deadline
+    /// head) dequeue.
+    pub fn with_slo(
+        capacity: usize,
+        policy: BackpressurePolicy,
+        value_weighted: bool,
+        edf: bool,
+    ) -> Self {
+        let capacity = capacity.max(1);
+        let core = QueueCore::new(capacity, policy, value_weighted, edf);
+        let ledger = Ledger::default();
+        Self {
+            capacity,
+            state: Mutex::new(Locked { core, ledger }),
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
+            service_hint_us: AtomicU64::new(0),
+            obs: None,
+        }
+    }
+
+    /// Attach the observability pipeline when it is on (and this queue's
+    /// shard index) so the queue's settlements emit lifecycle events.
+    pub(crate) fn with_obs(mut self, shard: u32, obs: Option<Arc<ServerObs>>) -> Self {
+        self.obs = obs.map(|obs| (shard, obs));
+        self
+    }
+
+    fn emit(&self, kind: EventKind, req: &Request) {
+        if let Some((shard, obs)) = &self.obs {
+            obs.emit(req.event(kind, *shard));
+        }
+    }
+
+    /// Settle `req` as queued: its `Enqueued` event, then its ledger
+    /// entry, both under the queue lock `ledger` came from — so no worker
+    /// can stamp the request's `Batched` event first.
+    fn enqueued(&self, ledger: &mut Ledger, req: &Request) {
+        self.emit(EventKind::Enqueued, req);
+        ledger.row(req.class).bump(EventKind::Enqueued, req.value);
+    }
+
+    /// Settle `req` as an overflow shed: its terminal event, then its
+    /// ledger entry, both under the queue lock `ledger` came from.
+    fn shed_overflow(&self, ledger: &mut Ledger, req: &Request) {
+        self.emit(EventKind::ShedOverflow, req);
+        let row = ledger.row(req.class);
+        row.bump(EventKind::ShedOverflow, req.value);
+    }
+
+    /// Attach per-class admission reservations (see the module docs):
+    /// `reservations[class]` queue slots are guaranteed to the class,
+    /// clamped so the sum never exceeds the capacity — earlier classes
+    /// keep their full reserve.
+    pub fn with_reservations(mut self, reservations: Vec<usize>) -> Self {
+        let st = self.state.get_mut().expect("shard queue");
+        st.core.set_reservations(reservations);
+        self
+    }
+
+    /// Publish the queue's observed per-request *drain* time (µs): the
+    /// workers' amortized service time divided by how many workers share
+    /// this queue. Purely advisory: it sharpens the value-weighted
+    /// eviction's notion of a doomed request and feeds the router's
+    /// estimated-wait spill pricing; 0 (never published) degrades to pure
+    /// value-per-remaining-deadline / load-only behavior.
+    pub fn set_service_hint_us(&self, us: u64) {
+        self.service_hint_us.store(us, Ordering::Relaxed);
+    }
+
+    /// The currently published per-request drain hint (µs; 0 = unknown).
+    /// One of the two [`ShardQueue::estimated_wait_us`] inputs, exported
+    /// as a registry gauge so the wait the spill router prices is
+    /// observable rather than inferred.
+    pub fn service_hint_us(&self) -> u64 {
+        self.service_hint_us.load(Ordering::Relaxed)
+    }
+
+    /// The configured capacity.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Requests currently queued.
+    pub fn len(&self) -> usize {
+        self.state.lock().expect("shard queue").core.len()
+    }
+
+    /// Whether the queue is currently empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Requests currently queued that still want service — cancellation
+    /// tombstones excluded (they will be dropped, not served, so they
+    /// represent no drain work).
+    pub fn live_len(&self) -> usize {
+        self.state.lock().expect("shard queue").core.live_len()
+    }
+
+    /// The queue's estimated drain wait, µs: *live* depth × the published
+    /// per-request drain time (0 while the workers have published no
+    /// evidence). The deadline-aware spill router prices shards with this
+    /// instead of raw depth; pricing with the physical length would spill
+    /// deadline traffic away from a shard whose queue is full of
+    /// already-cancelled tombstones.
+    pub fn estimated_wait_us(&self) -> u64 {
+        (self.live_len() as u64).saturating_mul(self.service_hint_us())
+    }
+
+    /// The queue's ledger so far: what it enqueued and what it shed on
+    /// overflow, by SLO class.
+    pub(crate) fn ledger(&self) -> Ledger {
+        self.state.lock().expect("shard queue").ledger.clone()
+    }
+
+    /// One consistent admission snapshot — `(depth, ahead)` — under a
+    /// single lock acquisition: the queued requests that still want
+    /// service, and the subset an EDF dequeue would serve *ahead of* a
+    /// request due at `deadline_at`. Tombstones count toward neither —
+    /// pricing them would shed fresh requests against dead backlog.
+    /// Admission control prices an EDF queue with `ahead` (an urgent
+    /// request doesn't wait behind lax work it will overtake) and checks
+    /// fullness against `depth` from the *same* snapshot.
+    pub fn queued_ahead(&self, deadline_at: Instant) -> (usize, usize) {
+        let st = self.state.lock().expect("shard queue");
+        st.core.snapshot(deadline_at)
+    }
+
+    /// Submit one request under the queue's backpressure policy. The
+    /// request's `enqueued_at` is stamped when it actually takes a slot
+    /// (after any [`BackpressurePolicy::Block`] wait), so the queue-wait
+    /// clock never charges producer-side blocking.
+    pub fn push(&self, mut req: Request) -> SubmitOutcome {
+        let mut st = self.state.lock().expect("shard queue");
+        loop {
+            // The one clock read of this lock hold: every decision below
+            // and the `enqueued_at` stamp see the same instant. A `Block`
+            // wait gives the lock up, so the next round reads it afresh.
+            let now = Instant::now();
+            let Locked { core, ledger } = &mut *st;
+            match core.offer(req, now, self.service_hint_us()) {
+                Offer::Enqueued { evicted } => {
+                    if let Some(victim) = &evicted {
+                        self.shed_overflow(ledger, victim);
+                    }
+                    self.enqueued(ledger, core.newest().expect("offer just queued it"));
+                    drop(st);
+                    self.not_empty.notify_one();
+                    if evicted.is_none() {
+                        return SubmitOutcome::Enqueued(());
+                    }
+                    // The class mix changed: a producer blocked on a
+                    // reservation may be admittable now even though the
+                    // depth is unchanged.
+                    self.not_full.notify_all();
+                    return SubmitOutcome::EnqueuedShedOldest(());
+                }
+                Offer::ShedIncoming(req) => {
+                    self.shed_overflow(ledger, &req);
+                    // The incoming request may already lead a coalescing
+                    // entry (the lookup ran before admission): shed its
+                    // followers with it.
+                    req.fail_cache(ShedReason::Overflow);
+                    if let Some(slot) = req.completion() {
+                        slot.try_shed(ShedReason::Overflow);
+                    }
+                    // No slot was freed and nothing was queued: waiting
+                    // workers and producers are unaffected.
+                    return SubmitOutcome::ShedIncoming(());
+                }
+                Offer::Full(back) => {
+                    req = back;
+                    st = self.not_full.wait(st).expect("shard queue");
+                }
+                Offer::Refused => return SubmitOutcome::Rejected,
+            }
+        }
+    }
+
+    /// Pop up to `max_batch` requests, blocking while the queue is open
+    /// and empty. Returns an empty vec only when the queue is closed *and*
+    /// drained — the worker's signal to exit. It takes what is there
+    /// without waiting for more: coalescing is opportunistic, so an idle
+    /// server stays low-latency.
+    ///
+    /// The batch is assembled *signature-first* around the head request
+    /// (the oldest, or the most urgent under EDF): its signature group,
+    /// then the best-overlap rest. The head is always served, so no request
+    /// starves; a request can be overtaken only while batches ahead of it
+    /// keep finding better-matching work.
+    pub fn pop_batch(&self, max_batch: usize) -> Vec<Request> {
+        let mut st = self.state.lock().expect("shard queue");
+        while st.core.is_idle() {
+            st = self.not_empty.wait(st).expect("shard queue");
+        }
+        let batch = st.core.take(max_batch);
+        drop(st);
+        if !batch.is_empty() {
+            // Freed up to `max_batch` slots; wake blocked producers.
+            self.not_full.notify_all();
+        }
+        batch
+    }
+
+    /// Close the queue: subsequent pushes are rejected, blocked producers
+    /// wake and see the rejection, and workers drain what remains.
+    pub fn close(&self) {
+        self.state.lock().expect("shard queue").core.close();
+        self.not_empty.notify_all();
+        self.not_full.notify_all();
+    }
+
+    /// Close the queue *and discard its backlog*: the abort path
+    /// ([`AmsServer`](crate::AmsServer) dropped without `shutdown`).
+    /// Returns the discarded requests so the caller can resolve their
+    /// completion slots with `Shed(Drain)`; workers see a closed, empty
+    /// queue and exit promptly.
+    pub fn abort(&self) -> Vec<Request> {
+        let discarded = self.state.lock().expect("shard queue").core.abort();
+        self.not_empty.notify_all();
+        self.not_full.notify_all();
+        discarded
+    }
+}
+
+#[cfg(test)]
+mod tests;

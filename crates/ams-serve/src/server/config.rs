@@ -186,11 +186,6 @@ pub struct ServeConfig {
     /// Online per-shard batch-limit control (`None` keeps `max_batch`
     /// fixed).
     pub adaptive: Option<AdaptiveBatchConfig>,
-    /// Batching linger, ms: once a worker sees the first queued request it
-    /// waits up to this long for its batch to fill before executing
-    /// (0 = pop immediately). A bounded latency deposit that buys fuller,
-    /// better-amortized batches on lightly loaded shards.
-    pub batch_linger_ms: u64,
     /// Calibrated setup + marginal latency split for batched invocations.
     pub batch_model: BatchLatencyModel,
     /// Virtual GPU pool each batched invocation packs into, MB.
@@ -236,7 +231,6 @@ impl Default for ServeConfig {
             routing: RoutingMode::default(),
             max_batch: 8,
             adaptive: None,
-            batch_linger_ms: 0,
             batch_model: BatchLatencyModel::default(),
             pool_mb: 12_288,
             slo: None,

@@ -278,13 +278,15 @@ fn submit(
     // its fan-out. Only a first sighting (the leader) proceeds to routing
     // and admission, carrying the pending entry.
     let mut lead = None;
+    // The submission's one clock read.
+    let now = Instant::now();
     if let Some(cache) = &shared.cache {
         let follower = Follower {
             slot: Arc::clone(ticket.slot()),
             class,
             value,
             deadline_us,
-            submitted_at: Instant::now(),
+            submitted_at: now,
             req_id,
         };
         match cache.lookup(fp.content, follower) {
@@ -308,7 +310,7 @@ fn submit(
     if let Some(entry) = lead {
         req = req.with_cache(entry);
     }
-    if let Some(wait_us) = doomed_at_admission(shared, route.shard, deadline_us) {
+    if let Some(wait_us) = admission_wait(shared, route.shard, deadline_us, now) {
         return shed_at_admission(shared, &sub, wait_us, &req, ticket);
     }
     enqueue(shared, &sub, req, ticket)
@@ -350,8 +352,11 @@ fn shed_at_admission(
     SubmitOutcome::ShedAdmission(ticket)
 }
 
-/// Push the request into its shard queue and account for what the queue's
-/// backpressure policy did with it.
+/// Push the request into its shard queue. The queue settles what it does
+/// with it under its own lock — `Enqueued` for a request that took a
+/// slot; for a submission that was itself the overflow shed (it never
+/// entered a queue, so it is not `submitted`) the overflow-shed entry and
+/// its ticket's `Shed(Overflow)` — so only a refusal is accounted here.
 fn enqueue(
     shared: &Shared,
     sub: &Submission,
@@ -360,36 +365,19 @@ fn enqueue(
 ) -> SubmitOutcome<Ticket> {
     let lead = req.cache_entry().cloned();
     let outcome = shared.queues[sub.shard as usize].push(req);
-    match outcome {
-        SubmitOutcome::Enqueued(()) | SubmitOutcome::EnqueuedShedOldest(()) => {
-            sub.emit(shared, EventKind::Enqueued, 0);
-            sub.ledger(shared, |row| row.bump(EventKind::Enqueued, sub.value));
+    if outcome.is_rejected() {
+        sub.emit(shared, EventKind::Rejected, 0);
+        sub.ledger(shared, |row| row.bump(EventKind::Rejected, sub.value));
+        // A rejection is synchronous: the caller sees it, no event is
+        // owed, so the provisional ticket is withdrawn and its window
+        // slot released. The leader's pending cache entry dies with it;
+        // followers shed as Overflow — the rejection means the shard
+        // queue was full or closed, and no more specific shed reason
+        // exists for "leader never enqueued".
+        if let Some(entry) = &lead {
+            entry.fail(ShedReason::Overflow);
         }
-        // The submission itself was the overflow shed: it never entered a
-        // queue (so it is not `submitted`) and the queue recorded it in
-        // the overflow-shed ledger — and resolved its ticket with
-        // `Shed(Overflow)` — which keeps the conservation equation
-        // balanced.
-        SubmitOutcome::ShedIncoming(()) => {}
-        SubmitOutcome::Rejected => {
-            sub.emit(shared, EventKind::Rejected, 0);
-            sub.ledger(shared, |row| row.bump(EventKind::Rejected, sub.value));
-            // A rejection is synchronous: the caller sees it, no event is
-            // owed, so the provisional ticket is withdrawn and its window
-            // slot released. The leader's pending cache entry dies with
-            // it; followers shed as Overflow — the rejection means the
-            // shard queue was full or closed, and no more specific shed
-            // reason exists for "leader never enqueued".
-            if let Some(entry) = &lead {
-                entry.fail(ShedReason::Overflow);
-            }
-            ticket.slot().retract();
-            return SubmitOutcome::Rejected;
-        }
-        SubmitOutcome::ShedAdmission(()) => unreachable!("queues never shed at admission"),
-        SubmitOutcome::Cached(()) | SubmitOutcome::Coalesced(()) => {
-            unreachable!("queues never consult the cache")
-        }
+        ticket.slot().retract();
     }
     outcome.map(|()| ticket)
 }
@@ -422,42 +410,97 @@ fn answer_from_cache(
     SubmitOutcome::Cached(ticket)
 }
 
-/// SLO admission control: the predicted queue wait on `shard`, µs, when a
-/// request with this deadline should be shed before it occupies a slot;
-/// `None` admits (always, without admission control, a deadline, or any
-/// service-time evidence from the shard yet).
-fn doomed_at_admission(shared: &Shared, shard: usize, deadline_us: Option<u64>) -> Option<u64> {
+/// SLO admission control: [`doomed_at_admission`] on `shard`'s state — one
+/// consistent queue snapshot (a single lock acquisition) and the service
+/// times its workers publish. `None` admits (always, without admission
+/// control or a deadline).
+fn admission_wait(
+    shared: &Shared,
+    shard: usize,
+    deadline_us: Option<u64>,
+    now: Instant,
+) -> Option<u64> {
     let (slo, deadline) = (shared.cfg.slo.as_ref()?, deadline_us?);
     if !slo.admission_control {
         return None;
     }
-    let control = &shared.controls[shard];
-    let amortized = control.amortized_us.load(Ordering::Relaxed);
-    // One consistent snapshot of the queue (single lock acquisition):
-    // total depth for the fullness check, and the earlier-deadline
-    // backlog for EDF pricing — under EDF dequeue an urgent request
-    // overtakes lax work, so the raw depth would overcharge it (and shed
-    // requests EDF would have served in time).
-    let at = Instant::now() + Duration::from_micros(deadline);
-    let (qlen, ahead) = shared.queues[shard].queued_ahead(at);
-    let depth = if slo.edf_dequeue { ahead } else { qlen } as u64;
-    // Two shedding criteria, deliberately asymmetric:
-    //
-    // * the predicted *wait alone* exceeds the deadline — the request
-    //   provably cannot complete in time (it cannot even dequeue in
-    //   budget), so queueing it only wastes a slot;
-    // * the queue is *full* and wait + one batch execute span (the
-    //   measured EWMA) exceeds the deadline — here admitting means
-    //   evicting a queued request that still has a chance, in favor of
-    //   one predicted to finish late; refusing the doomed newcomer is the
-    //   strictly better trade.
-    //
-    // A merely-probably-late request on a non-full queue is admitted: EDF
-    // dequeue may still save it, and shedding at the margin would throw
-    // away value on a coin flip.
-    let wait_us = depth as f64 * amortized as f64 / shared.cfg.workers_per_shard as f64;
-    let full = qlen >= shared.queues[shard].capacity();
-    let span = control.exec_span_us.load(Ordering::Relaxed);
-    let doomed = wait_us >= deadline as f64 || (full && wait_us + span as f64 >= deadline as f64);
-    (amortized > 0 && doomed).then_some(wait_us as u64)
+    let (queue, control) = (&shared.queues[shard], &shared.controls[shard]);
+    doomed_at_admission(
+        queue.queued_ahead(now + Duration::from_micros(deadline)),
+        queue.capacity(),
+        control.amortized_us.load(Ordering::Relaxed),
+        control.exec_span_us.load(Ordering::Relaxed),
+        shared.cfg.workers_per_shard,
+        slo.edf_dequeue,
+        deadline,
+    )
+}
+
+/// Admission pricing as a pure function: the predicted wait, µs, when the
+/// request is doomed; `None` admits (always, without service-time evidence
+/// — `amortized_us == 0`). `(depth, ahead)` is the queue snapshot: the
+/// live backlog, and the part of it an EDF dequeue serves first. Under EDF
+/// an urgent request overtakes lax work, so the raw depth would overcharge
+/// it (and shed requests EDF would have served in time): EDF prices
+/// `ahead`, FIFO prices `depth`.
+///
+/// Two shedding criteria, deliberately asymmetric:
+///
+/// * the predicted *wait alone* exceeds the deadline — the request
+///   provably cannot complete in time (it cannot even dequeue in budget),
+///   so queueing it only wastes a slot;
+/// * the queue is *full* and wait + one batch execute span (the measured
+///   EWMA) exceeds the deadline — here admitting means evicting a queued
+///   request that still has a chance, in favor of one predicted to finish
+///   late; refusing the doomed newcomer is the strictly better trade.
+///
+/// A merely-probably-late request on a non-full queue is admitted: EDF
+/// dequeue may still save it, and shedding at the margin would throw away
+/// value on a coin flip.
+fn doomed_at_admission(
+    (depth, ahead): (usize, usize),
+    capacity: usize,
+    amortized_us: u64,
+    exec_span_us: u64,
+    workers: usize,
+    edf: bool,
+    deadline_us: u64,
+) -> Option<u64> {
+    let priced = if edf { ahead } else { depth };
+    let wait_us = priced as f64 * amortized_us as f64 / workers as f64;
+    let (full, deadline) = (depth >= capacity, deadline_us as f64);
+    let doomed = wait_us >= deadline || (full && wait_us + exec_span_us as f64 >= deadline);
+    (amortized_us > 0 && doomed).then_some(wait_us as u64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::doomed_at_admission;
+
+    /// Admission pricing as a table of literal microseconds: 4 queued, 1
+    /// of them ahead under EDF; 100 µs amortized per request over 2
+    /// workers (so FIFO waits 200 µs and EDF 50); a 300 µs execute span.
+    #[test]
+    fn admission_prices_the_backlog_against_the_deadline() {
+        let price = |capacity, amortized_us, edf, deadline_us| {
+            doomed_at_admission((4, 1), capacity, amortized_us, 300, 2, edf, deadline_us)
+        };
+        let (full, roomy, fifo, edf) = (4, 5, false, true);
+        // The wait alone reaches the deadline: shed, full or not.
+        assert_eq!(price(roomy, 100, fifo, 200), Some(200));
+        assert_eq!(price(roomy, 100, fifo, 201), None);
+        // Full: the wait plus one execute span reaches it.
+        assert_eq!(price(full, 100, fifo, 500), Some(200));
+        assert_eq!(price(full, 100, fifo, 501), None);
+        // Probably late, but the queue has room: admitted.
+        assert_eq!(price(roomy, 100, fifo, 500), None);
+        // EDF prices only the work ahead (50 µs), FIFO the depth.
+        assert_eq!(price(roomy, 100, edf, 50), Some(50));
+        assert_eq!(price(roomy, 100, edf, 51), None);
+        assert_eq!(price(full, 100, edf, 350), Some(50));
+        assert_eq!(price(full, 100, edf, 351), None);
+        // No service-time evidence yet: everything is admitted.
+        assert_eq!(price(full, 0, fifo, 0), None);
+        assert_eq!(price(full, 0, edf, 1), None);
+    }
 }

@@ -123,7 +123,6 @@ pub(super) fn worker_loop(
         local: WorkerLocal::new(n, shared.cfg.classes()),
         runs_per_model: vec![0usize; n],
     };
-    let linger = Duration::from_millis(shared.cfg.batch_linger_ms);
     loop {
         // Under adaptive batching the shard's live limit replaces the
         // static one; the controller retunes it between pops.
@@ -132,12 +131,14 @@ pub(super) fn worker_loop(
         } else {
             shared.cfg.max_batch
         };
-        let batch = w.queue.pop_batch_lingering(limit, linger);
+        let batch = w.queue.pop_batch(limit);
         if batch.is_empty() {
             return w.local;
         }
+        // The batch's one clock read: every member's queue wait and expiry
+        // is judged at the instant execution starts.
         let exec_start = Instant::now();
-        let survivors = w.claim(batch);
+        let survivors = w.claim(batch, exec_start);
         if survivors.is_empty() {
             // The whole round was shed: no batch executed, nothing to
             // observe or charge.
@@ -156,10 +157,10 @@ impl Worker<'_> {
 
     /// Phase 1 — shed stale, claim the rest.
     ///
-    /// Deadline-aware shedding: a request whose queue age has already
-    /// exhausted its deadline budget (`submit` stamped its SLO class's or
-    /// its ticket's own onto the request) is dropped before any work is
-    /// spent on it. A shed request is accounted exactly once — in
+    /// Deadline-aware shedding: a request whose queue age at `now` has
+    /// already exhausted its deadline budget (`submit` stamped its SLO
+    /// class's or its ticket's own onto the request) is dropped before any
+    /// work is spent on it. A shed request is accounted exactly once — in
     /// `shed_deadline` — and never reaches the stats (the recall
     /// denominator) or the latency histograms.
     ///
@@ -169,10 +170,9 @@ impl Worker<'_> {
     /// enqueue and this point is skipped without ledgering anything — the
     /// cancellation already delivered its terminal event and recorded
     /// itself.
-    fn claim(&mut self, batch: Vec<Request>) -> Vec<Survivor> {
+    fn claim(&mut self, batch: Vec<Request>, now: Instant) -> Vec<Survivor> {
         let mut survivors = Vec::with_capacity(batch.len());
         for req in batch {
-            let now = Instant::now();
             let wait = now.saturating_duration_since(req.enqueued_at);
             if req.expired(now) {
                 // An expired leader takes its coalesced followers down

@@ -605,13 +605,16 @@ fn a_frame_dribbled_bytewise_is_answered_once_and_a_bad_length_kills_only_its_co
 /// connection like any malformed frame, not handed to a shard worker it
 /// would kill. One shard, one worker: had any hostile item reached it, the
 /// healthy request sent afterwards on another connection would never be
-/// answered.
+/// answered. So must a per-ticket value the ledgers cannot sum (`NaN`,
+/// negative): once submitted it would poison its class's value totals for
+/// the whole run.
 #[test]
 fn a_well_framed_item_the_zoo_cannot_index_kills_only_its_connection() {
     use ams_models::{LabelId, ModelId};
     let config = ServeConfig {
         shards: 1,
         workers_per_shard: 1,
+        slo: Some(SloConfig::default()),
         ..lossless_config()
     };
     let net = serve(config);
@@ -633,17 +636,19 @@ fn a_well_framed_item_the_zoo_cannot_index_kills_only_its_connection() {
     let m = (1..healthy.outputs.len())
         .max_by_key(|&m| healthy.outputs[m].detections.len())
         .expect("a zoo has models");
-    let hostile: [fn(&mut ams_data::ItemTruth, usize); 5] = [
-        |item, m| item.outputs[m].detections[0].label = LabelId(u16::MAX),
-        |item, _| item.valuable.push((LabelId(u16::MAX), 0.9)),
-        |item, _| item.outputs.truncate(3),
-        |item, _| item.model_value.truncate(3),
-        |item, m| item.outputs[m].model = ModelId(0),
+    let hostile: [fn(&mut ams_data::ItemTruth, &mut SubmitOptions, usize); 7] = [
+        |item, _, m| item.outputs[m].detections[0].label = LabelId(u16::MAX),
+        |item, _, _| item.valuable.push((LabelId(u16::MAX), 0.9)),
+        |item, _, _| item.outputs.truncate(3),
+        |item, _, _| item.model_value.truncate(3),
+        |item, _, m| item.outputs[m].model = ModelId(0),
+        |_, opts, _| opts.value = Some(f64::NAN),
+        |_, opts, _| opts.value = Some(-1e300),
     ];
     for (id, corrupt) in hostile.iter().enumerate() {
         let mut item = healthy.clone();
-        corrupt(&mut item, m);
-        let opts = SubmitOptions::default();
+        let mut opts = SubmitOptions::default();
+        corrupt(&mut item, &mut opts, m);
         let mut a = send(&|bytes| {
             frame_append(bytes, |buf| encode_request(buf, id as u64, &item, &opts)).expect("fits");
         });
@@ -662,6 +667,9 @@ fn a_well_framed_item_the_zoo_cannot_index_kills_only_its_connection() {
     let report = net.shutdown();
     assert_eq!(report.offered, 1, "no hostile item was ever submitted");
     assert_eq!(report.completed, 1);
+    let class = &report.slo.as_ref().expect("slo report").classes[0];
+    assert!(class.value_offered.is_finite() && class.value_offered >= 0.0);
+    assert_eq!(class.value_completed, class.value_offered);
     assert!(report.is_conserved());
     assert!(report.events_reconcile());
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command gate for every PR: formatting, lints (clippy + a compile
-# check of bench/ + rustdoc intra-doc links + the ams-lint workspace
-# analyzer), the perf gate, and the tier-1 verify. Three modes:
+# check of bench/ + rustdoc intra-doc links + the queue-core purity grep +
+# the ams-lint workspace analyzer), the perf gate, and the tier-1 verify.
+# Three modes:
 #
 #   ./scripts/check.sh          # full: fmt + clippy + doc links + release
 #                               #       build + bench gate + tier-1 tests
@@ -51,6 +52,16 @@ echo "==> cargo check (bench/, offline, locked)"
 # renamed or deleted must fail here, not rot silently.
 echo "==> cargo doc (broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
+
+# The queue's decision core is pure (all modes): time is an argument, and
+# the lock, the condvars, the clock and the obs handle live in the shell
+# (`queue/mod.rs`). One word from that list in `core.rs` — code, comment or
+# doc — fails here.
+echo "==> queue/core.rs stays pure (no clock, lock, condvar, sleep or obs)"
+if grep -nE 'Instant::now|SystemTime|Mutex|Condvar|sleep|ServerObs' crates/ams-serve/src/queue/core.rs; then
+    echo "crates/ams-serve/src/queue/core.rs must stay a pure function of (state, now)" >&2
+    exit 1
+fi
 
 # Workspace-specific static analysis (all modes — it is fast): first prove
 # every rule can fire on its injected-violation fixtures, then require the

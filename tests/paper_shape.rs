@@ -1,6 +1,6 @@
 //! Shape tests: small-scale versions of the paper's headline claims that
-//! must hold qualitatively on every run. The full-fidelity numbers live in
-//! EXPERIMENTS.md (regenerated by `cargo run --release -p ams-bench`).
+//! must hold qualitatively on every run. The full-fidelity numbers are
+//! what `cargo run --release -p ams-bench` prints.
 
 use ams::core::policies::{aggregate_rollouts, optimal_rollout, random_rollout};
 use ams::core::predictor::OraclePredictor;
