@@ -59,6 +59,11 @@ struct Record {
     /// Max |Q_infer − Q_forward| over those states; the kernel is
     /// bit-identical, so this must be exactly 0.
     q_infer_max_abs_diff: f64,
+    /// Σ id-order list makespan ÷ Σ packed makespan over the stream
+    /// fixture's batches ([`ams_bench::hotpath::pack_gain`]): what choosing
+    /// the virtual-GPU pool's admission order saves. Virtual time only, so
+    /// it repeats exactly.
+    pack_gain: f64,
     stream_items: usize,
     /// Compute-only serial-engine throughput (virtual execution elided).
     compute_serial_items_per_s: f64,
@@ -322,6 +327,7 @@ fn main() {
         q_forward_ns,
         q_infer_ns,
         q_infer_max_abs_diff: q_infer_max_diff,
+        pack_gain: ams_bench::hotpath::pack_gain(&setup),
         stream_items: items.len(),
         compute_serial_items_per_s: compute_serial_ips,
         exec_emulation_scale: emu_scale,

@@ -434,7 +434,8 @@ mod tests {
                 "q_equivalence_max_abs_diff": 1e-7,
                 "q_forward_ns": 220.0,
                 "q_infer_ns": 90.0,
-                "q_infer_max_abs_diff": 0.0
+                "q_infer_max_abs_diff": 0.0,
+                "pack_gain": 1.15
             }"#,
         )
         .expect("fixture parses")

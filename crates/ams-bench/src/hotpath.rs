@@ -7,6 +7,7 @@ use crate::gate::{Break, Check, Rule};
 use ams::nn::{QNet, QNetConfig};
 use ams::prelude::*;
 use ams::rl::{ReplayBuffer, Transition};
+use ams::sim::list_makespan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -38,6 +39,13 @@ pub const CHECKS: &[Check] = &[
         name: "inference kernel is cheaper than the training forward",
         rule: Rule::Less("q_infer_ns", "q_forward_ns"),
         breaks: Break::Scale("q_infer_ns", 100.0),
+    },
+    Check {
+        name: "pool packing beats model-id order",
+        // Virtual milliseconds only — no clock, so the ratio repeats
+        // exactly; 1.0 would mean the packer chose nothing.
+        rule: Rule::Within("pack_gain", 1.05, f64::INFINITY),
+        breaks: Break::Scale("pack_gain", 0.5),
     },
 ];
 
@@ -365,6 +373,49 @@ impl StreamSetup {
             self.world_seed,
         )
     }
+}
+
+/// What choosing the pool's admission order buys on the fixture's stream:
+/// Σ [`list_makespan`] in model-id order ÷ Σ [`batched_makespan`], over
+/// the serial outcomes chunked the way the benchmark's workers batch them
+/// — by 8 under Algorithm 1's budget and by 4 under Algorithm 2's — on
+/// the default pool and latency split.
+pub fn pack_gain(setup: &StreamSetup) -> f64 {
+    let scheduler = setup.scheduler();
+    let specs = scheduler.zoo().specs();
+    let cfg = ServeConfig::default();
+    let deadline = Budget::Deadline { ms: 1000 };
+    let deadline_memory = Budget::DeadlineMemory {
+        ms: 1000,
+        mem_mb: 8192,
+    };
+    let (mut id_order_ms, mut packed_ms) = (0u64, 0u64);
+    for (budget, chunk) in [(deadline, 8), (deadline_memory, 4)] {
+        for batch in setup.truth.items().chunks(chunk) {
+            let mut runs = vec![0usize; specs.len()];
+            for item in batch {
+                for m in scheduler.label_item(item, budget).executed {
+                    runs[m.index()] += 1;
+                }
+            }
+            let groups: Vec<(Job, usize)> = specs
+                .iter()
+                .zip(runs)
+                .enumerate()
+                .map(|(id, (spec, count))| {
+                    let job = Job {
+                        id,
+                        time_ms: spec.time_ms,
+                        mem_mb: spec.mem_mb,
+                    };
+                    (job, count)
+                })
+                .collect();
+            id_order_ms += list_makespan(&groups, cfg.pool_mb, &cfg.batch_model);
+            packed_ms += batched_makespan(&groups, cfg.pool_mb, &cfg.batch_model);
+        }
+    }
+    id_order_ms as f64 / packed_ms as f64
 }
 
 /// Everything a learn-step benchmark needs, at the paper architecture.

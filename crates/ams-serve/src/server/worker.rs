@@ -14,7 +14,6 @@ use crate::queue::{Request, ShardQueue};
 use crate::telemetry::{micros, LatencyHistogram};
 use ams_core::framework::LabelingOutcome;
 use ams_core::streaming::StreamStats;
-use ams_models::ModelId;
 use ams_sim::{batched_makespan, Job};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -97,6 +96,9 @@ struct Worker<'a> {
     adapt: Option<WorkerAdapt>,
     local: WorkerLocal,
     runs_per_model: Vec<usize>,
+    /// The batch's `(job, runs)` group per model that ran, refilled from
+    /// `runs_per_model` by each `batch_admit`.
+    groups: Vec<(Job, usize)>,
 }
 
 // ams-lint: begin(no-panic) worker hot loop — a panicking worker strands
@@ -122,6 +124,7 @@ pub(super) fn worker_loop(
         adapt,
         local: WorkerLocal::new(n, shared.cfg.classes()),
         runs_per_model: vec![0usize; n],
+        groups: Vec::with_capacity(n),
     };
     loop {
         // Under adaptive batching the shard's live limit replaces the
@@ -237,35 +240,27 @@ impl Worker<'_> {
     }
 
     /// Phase 3 — batched admission: one invocation per model over the
-    /// whole coalesced batch, packed into the virtual GPU pool; the bill
-    /// and the makespan are charged, and the makespan is slept when
-    /// execution is emulated.
+    /// whole coalesced batch, packed into the virtual GPU pool in the best
+    /// admission order [`batched_makespan`] finds; the bill and the
+    /// makespan are charged, and the makespan is slept when execution is
+    /// emulated.
     fn batch_admit(&mut self) {
         let cfg = &self.shared.cfg;
-        let zoo = self.shared.scheduler.zoo();
-        let groups: Vec<(Job, usize)> = self
-            .runs_per_model
-            .iter()
-            .enumerate()
-            .filter(|&(_, &count)| count > 0)
-            .map(|(m, &count)| {
-                let spec = zoo.spec(ModelId(m as u8));
-                (
-                    Job {
-                        id: m,
-                        time_ms: spec.time_ms,
-                        mem_mb: spec.mem_mb,
-                    },
-                    count,
-                )
-            })
-            .collect();
-        let makespan_ms = batched_makespan(&groups, cfg.pool_mb, &cfg.batch_model);
-        self.local.model_invocations += groups.len() as u64;
-        self.local.virtual_work_ms += groups
-            .iter()
-            .map(|&(job, count)| cfg.batch_model.batch_time_ms(job.time_ms, count))
-            .sum::<u64>();
+        let specs = self.shared.scheduler.zoo().specs();
+        self.groups.clear();
+        for (id, (spec, &count)) in specs.iter().zip(&self.runs_per_model).enumerate() {
+            if count > 0 {
+                let job = Job {
+                    id,
+                    time_ms: spec.time_ms,
+                    mem_mb: spec.mem_mb,
+                };
+                self.groups.push((job, count));
+                self.local.virtual_work_ms += cfg.batch_model.batch_time_ms(spec.time_ms, count);
+            }
+        }
+        let makespan_ms = batched_makespan(&self.groups, cfg.pool_mb, &cfg.batch_model);
+        self.local.model_invocations += self.groups.len() as u64;
         self.local.virtual_exec_ms += makespan_ms;
         if cfg.exec_emulation_scale > 0.0 && makespan_ms > 0 {
             let wait_ms = makespan_ms as f64 * cfg.exec_emulation_scale;

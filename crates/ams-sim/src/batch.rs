@@ -15,9 +15,9 @@
 //! once per batch (the weights dominate and are shared; per-item
 //! activations are folded into the spec's peak figure).
 
-use crate::parallel::ParallelExecutor;
 use crate::Job;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// Calibrated setup + marginal per-item latency split for batched execution.
 ///
@@ -133,51 +133,219 @@ impl Default for BatchLatencyModel {
     }
 }
 
-/// Virtual makespan of running `groups` of batched jobs — `(job, count)`
-/// pairs, one per model, where `job` carries the model's single-item spec —
-/// on a shared pool of `capacity_mb`, under `model`'s latency split.
+/// One batched invocation as the packer sees it: the model's id, the whole
+/// batch's duration and the pool memory it holds while it runs.
+#[derive(Debug, Clone, Copy)]
+struct Batch {
+    id: usize,
+    time_ms: u32,
+    mem_mb: u32,
+    /// What [`batched_makespan`] sorts a candidate list by, largest first
+    /// (stored so the sort compares integers, not calls through a pointer).
+    priority: u64,
+    /// Smallest `mem_mb` from this batch to the end of its list: with less
+    /// than this free, nothing from here on fits and a scan can stop.
+    tail_min_mb: u32,
+    /// The next still-pending batch in list order, or [`END`].
+    next: u32,
+}
+
+/// End of the pending list threaded through [`Batch::next`].
+const END: u32 = u32::MAX;
+
+/// The non-empty `groups` as [`Batch`]es, in the order given. A batch whose
+/// weights exceed the whole pool is clamped to the pool (it would stream
+/// from host memory; it still runs, exclusively), and a duration beyond
+/// `u32::MAX` ms saturates exactly as [`ParallelExecutor::admit_batch`]
+/// saturates it.
 ///
-/// Greedy event loop (the Algorithm 2 shape): admit every batch that fits,
-/// wait for the earliest completion, repeat. Deterministic for a given
-/// group order. A batch whose weights exceed the whole pool is clamped to
-/// the pool (it would stream from host memory; it still runs, exclusively).
+/// [`ParallelExecutor::admit_batch`]: crate::ParallelExecutor::admit_batch
+fn batches<'a>(
+    groups: &'a [(Job, usize)],
+    capacity_mb: u32,
+    model: &'a BatchLatencyModel,
+) -> impl Iterator<Item = Batch> + 'a {
+    groups
+        .iter()
+        .filter(|&&(_, count)| count > 0)
+        .map(move |&(job, count)| Batch {
+            id: job.id,
+            time_ms: u32::try_from(model.batch_time_ms(job.time_ms, count)).unwrap_or(u32::MAX),
+            mem_mb: job.mem_mb.min(capacity_mb),
+            priority: 0,
+            tail_min_mb: 0,
+            next: END,
+        })
+}
+
+/// The event loop both makespan functions share (the Algorithm 2 shape):
+/// admit, in list order, every pending batch that fits the free pool; wait
+/// for the earliest completion (ties by id); release its memory; repeat.
+/// Returns the makespan of `list` — or `limit`, as soon as some batch is
+/// admitted that cannot finish before it.
+///
+/// No trace is recorded and nothing is allocated: pending batches are a
+/// linked list threaded through `list` (unlinking is O(1) and leaves the
+/// slice in order), `running` — `(finish_ms, id, mem_mb)` — is the
+/// caller's scratch. This is [`ParallelExecutor`](crate::ParallelExecutor)'s
+/// arithmetic without its bookkeeping, and `tests/props.rs` holds the two
+/// to the same answer.
+fn run_list(
+    list: &mut [Batch],
+    capacity_mb: u32,
+    running: &mut Vec<(u64, usize, u32)>,
+    limit: u64,
+) -> u64 {
+    debug_assert!(list.len() < END as usize);
+    let mut head = END;
+    let mut tail_min_mb = u32::MAX;
+    for (i, b) in list.iter_mut().enumerate().rev() {
+        tail_min_mb = tail_min_mb.min(b.mem_mb);
+        b.tail_min_mb = tail_min_mb;
+        b.next = head;
+        head = i as u32;
+    }
+    running.clear();
+    let (mut now_ms, mut end_ms, mut free_mb) = (0u64, 0u64, capacity_mb);
+    while head != END {
+        // First fit, front to back. Admissions only raise the true tail
+        // minimum, so the recorded one stays a valid reason to stop.
+        let (mut prev, mut cur) = (END, head);
+        while cur != END {
+            let b = list[cur as usize];
+            if free_mb < b.tail_min_mb {
+                break;
+            }
+            if b.mem_mb <= free_mb {
+                let finish_ms = now_ms + u64::from(b.time_ms);
+                if finish_ms >= limit {
+                    return limit;
+                }
+                end_ms = end_ms.max(finish_ms);
+                free_mb -= b.mem_mb;
+                running.push((finish_ms, b.id, b.mem_mb));
+                if prev == END {
+                    head = b.next;
+                } else {
+                    list[prev as usize].next = b.next;
+                }
+            } else {
+                prev = cur;
+            }
+            cur = b.next;
+        }
+        // Every batch fits an empty pool, so something is running here.
+        let Some((first, _)) = running
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &(finish_ms, id, _))| (finish_ms, id))
+        else {
+            break;
+        };
+        let (finish_ms, _, mem_mb) = running.swap_remove(first);
+        now_ms = finish_ms;
+        free_mb += mem_mb;
+    }
+    // Nothing left to admit: what is running just runs out.
+    end_ms
+}
+
+/// Virtual makespan of list-scheduling `groups_in_order` — `(job, count)`
+/// pairs, one batched invocation each, where `job` carries the model's
+/// single-item spec — on a shared pool of `capacity_mb`, under `model`'s
+/// latency split: the physics primitive.
+///
+/// Greedy first fit in the order given: at every event, admit each
+/// pending batch that fits, scanning the list front to back; wait for the
+/// earliest completion; repeat. The answer depends on the order —
+/// [`batched_makespan`] chooses one; this function is its building block
+/// and the oracle its tests compare against.
+pub fn list_makespan(
+    groups_in_order: &[(Job, usize)],
+    capacity_mb: u32,
+    model: &BatchLatencyModel,
+) -> u64 {
+    let capacity_mb = capacity_mb.max(1);
+    let mut list = Vec::with_capacity(groups_in_order.len());
+    list.extend(batches(groups_in_order, capacity_mb, model));
+    let mut running = Vec::with_capacity(list.len());
+    run_list(&mut list, capacity_mb, &mut running, u64::MAX)
+}
+
+/// The list-scheduling priorities [`batched_makespan`] tries, each a key
+/// sorted largest first with ties in id order: `batch_time × mem`, batch
+/// time, memory, and a constant — plain model-id order. Most likely
+/// winner first, so the later lists are cut short sooner.
+const PRIORITIES: [fn(&Batch) -> u64; 4] = [
+    |b| u64::from(b.time_ms) * u64::from(b.mem_mb),
+    |b| u64::from(b.time_ms),
+    |b| u64::from(b.mem_mb),
+    |_| 0,
+];
+
+/// Virtual makespan of running `groups` of batched jobs — `(job, count)`
+/// pairs, one per model — on a shared pool of `capacity_mb`, under
+/// `model`'s latency split, packed in the best of a few admission orders.
+///
+/// **Order-independent.** The result is a function of the *multiset* of
+/// groups: each candidate order is a sort of the groups by one of four
+/// priorities — ascending [`Job::id`]; longest batch first; largest
+/// memory first; largest `batch_time × mem` first — with ties broken by
+/// id, and the smallest [`list_makespan`] among them is returned.
+///
+/// **Never worse than id order.** Ascending id is what the serving worker
+/// and the benchmark probe pass (model-index order) and is always a
+/// candidate, so the result is `<=` the [`list_makespan`] of the
+/// id-sorted groups — the only schedule there was before the order became
+/// a decision — and `>=` the bound below, which no schedule can beat.
+///
+/// **Two early exits.** When every group fits the pool at once the
+/// makespan is the longest batch whatever the order, and no list is run.
+/// A candidate that reaches the lower bound `max(longest batch,
+/// ceil(sum(batch_time x mem) / capacity))` is optimal, so the remaining
+/// candidates are skipped. (And a candidate is abandoned at the first
+/// batch that would finish no sooner than the best makespan so far.)
+///
+/// Candidates run on three buffers allocated once per call, without
+/// recording an [`ExecTrace`](crate::ExecTrace).
 pub fn batched_makespan(
     groups: &[(Job, usize)],
     capacity_mb: u32,
     model: &BatchLatencyModel,
 ) -> u64 {
     let capacity_mb = capacity_mb.max(1);
-    let mut ex = ParallelExecutor::new(capacity_mb);
-    let mut pending: Vec<(Job, usize)> = groups
-        .iter()
-        .filter(|&&(_, count)| count > 0)
-        .map(|&(job, count)| {
-            (
-                Job {
-                    mem_mb: job.mem_mb.min(capacity_mb),
-                    ..job
-                },
-                count,
-            )
-        })
-        .collect();
-    while !pending.is_empty() {
-        let mut i = 0;
-        while i < pending.len() {
-            if ex.fits(pending[i].0.mem_mb) {
-                let (job, count) = pending.remove(i);
-                ex.admit_batch(job, count, model)
-                    .expect("fits() admits the batch");
-            } else {
-                i += 1;
-            }
-        }
-        if ex.wait_next().is_none() {
+    let mut sorted = Vec::with_capacity(groups.len());
+    sorted.extend(batches(groups, capacity_mb, model));
+    let (mut longest, mut total_mb, mut area) = (0u64, 0u64, 0u128);
+    for b in &sorted {
+        longest = longest.max(u64::from(b.time_ms));
+        total_mb += u64::from(b.mem_mb);
+        area += u128::from(b.time_ms) * u128::from(b.mem_mb);
+    }
+    if total_mb <= u64::from(capacity_mb) {
+        return longest;
+    }
+    let bound = u128::from(longest).max(area.div_ceil(u128::from(capacity_mb)));
+    // Canonical base order: any permutation of `groups` sorts to the same
+    // list (equal keys are equal batches), and a stable sort by priority
+    // from it breaks ties by id.
+    sorted.sort_unstable_by_key(|b| (b.id, b.time_ms, b.mem_mb));
+    let mut list = Vec::with_capacity(sorted.len());
+    let mut running = Vec::with_capacity(sorted.len());
+    let mut best = u64::MAX;
+    for priority in PRIORITIES {
+        list.clear();
+        list.extend(sorted.iter().map(|&b| Batch {
+            priority: priority(&b),
+            ..b
+        }));
+        list.sort_by_key(|b| Reverse(b.priority));
+        best = run_list(&mut list, capacity_mb, &mut running, best);
+        if u128::from(best) == bound {
             break;
         }
     }
-    ex.drain();
-    ex.now_ms()
+    best
 }
 
 #[cfg(test)]
@@ -318,6 +486,26 @@ mod tests {
         assert_eq!(batched_makespan(&groups, 1000, &m), 200);
         // On a 1200 MB pool they run concurrently.
         assert_eq!(batched_makespan(&groups, 1200, &m), 100);
+    }
+
+    #[test]
+    fn id_order_loses_to_a_better_packing() {
+        let m = BatchLatencyModel::new(0);
+        let j = |id, t, mem| Job {
+            id,
+            time_ms: t,
+            mem_mb: mem,
+        };
+        let groups = [
+            (j(0, 100, 400), 1),
+            (j(1, 100, 400), 1),
+            (j(2, 300, 600), 1),
+        ];
+        // As given, A and B fill 800 of 1000 MB and C waits for the first
+        // completion: 100 + 300.
+        assert_eq!(list_makespan(&groups, 1000, &m), 400);
+        // Longest first, C runs from t = 0 beside A, and B follows A.
+        assert_eq!(batched_makespan(&groups, 1000, &m), 300);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! invariants, and serial/parallel consistency.
 
 use ams_sim::{
-    batched_makespan, BatchLatencyModel, Job, MemoryPool, ParallelExecutor, SerialExecutor,
+    batched_makespan, list_makespan, BatchLatencyModel, ExecTrace, Job, MemoryPool,
+    ParallelExecutor, SerialExecutor,
 };
 use proptest::prelude::*;
 
@@ -17,6 +18,51 @@ fn arb_jobs() -> impl Strategy<Value = Vec<Job>> {
             })
             .collect()
     })
+}
+
+/// One model's batched invocation: its single-item spec and the item count.
+type Group = (Job, usize);
+
+/// `(time_ms, mem_mb, count)` triples as one batched group per model, ids
+/// in the order given.
+fn groups_of(specs: &[(u32, u32, usize)]) -> Vec<Group> {
+    specs
+        .iter()
+        .enumerate()
+        .map(|(id, &(time_ms, mem_mb, count))| {
+            let job = Job {
+                id,
+                time_ms,
+                mem_mb,
+            };
+            (job, count)
+        })
+        .collect()
+}
+
+/// First-fit list scheduling of `order` through the traced executor: the
+/// reference the trace-free `list_makespan` must agree with.
+fn replay(order: &[Group], capacity: u32, model: &BatchLatencyModel) -> ExecTrace {
+    let mut ex = ParallelExecutor::new(capacity);
+    let mut pending: Vec<Group> = order
+        .iter()
+        .map(|&(job, count)| {
+            let mem_mb = job.mem_mb.min(capacity);
+            (Job { mem_mb, ..job }, count)
+        })
+        .collect();
+    while !pending.is_empty() {
+        pending.retain(|&(job, count)| {
+            let fits = ex.fits(job.mem_mb);
+            if fits {
+                ex.admit_batch(job, count, model).expect("fits() said yes");
+            }
+            !fits
+        });
+        ex.wait_next()
+            .expect("an empty pool admits any clamped batch");
+    }
+    ex.into_trace()
 }
 
 proptest! {
@@ -171,11 +217,7 @@ proptest! {
         permille in 0u32..=1000,
     ) {
         let model = BatchLatencyModel::new(permille);
-        let gs: Vec<(Job, usize)> = groups
-            .iter()
-            .enumerate()
-            .map(|(id, &(time_ms, mem_mb, count))| (Job { id, time_ms, mem_mb }, count))
-            .collect();
+        let gs = groups_of(&groups);
         let makespan = batched_makespan(&gs, capacity, &model);
         let longest = gs
             .iter()
@@ -188,6 +230,83 @@ proptest! {
             .sum();
         prop_assert!(makespan >= longest);
         prop_assert!(makespan <= serial);
+    }
+
+    /// The packing is a function of the multiset of groups: shuffling them
+    /// changes nothing.
+    #[test]
+    fn batched_makespan_ignores_group_order(
+        keyed in prop::collection::vec((any::<u32>(), 50u32..500, 500u32..8000, 1usize..32), 1..20),
+        capacity in 1000u32..20000,
+        permille in 0u32..=1000,
+    ) {
+        let model = BatchLatencyModel::new(permille);
+        let specs: Vec<(u32, u32, usize)> = keyed.iter().map(|&(_, t, m, c)| (t, m, c)).collect();
+        let gs = groups_of(&specs);
+        let mut shuffled: Vec<(u32, Group)> =
+            keyed.iter().map(|k| k.0).zip(gs.iter().copied()).collect();
+        shuffled.sort_by_key(|&(key, _)| key);
+        let shuffled: Vec<Group> = shuffled.into_iter().map(|(_, g)| g).collect();
+        prop_assert_eq!(
+            batched_makespan(&shuffled, capacity, &model),
+            batched_makespan(&gs, capacity, &model)
+        );
+    }
+
+    /// Never worse than the id-order list schedule (the only schedule the
+    /// function used to produce), never better than the area and
+    /// longest-batch lower bound.
+    #[test]
+    fn batched_makespan_between_lower_bound_and_id_order(
+        specs in prop::collection::vec((50u32..500, 500u32..8000, 1usize..32), 1..20),
+        capacity in 1000u32..20000,
+        permille in 0u32..=1000,
+    ) {
+        let model = BatchLatencyModel::new(permille);
+        let gs = groups_of(&specs);
+        let makespan = batched_makespan(&gs, capacity, &model);
+        prop_assert!(makespan <= list_makespan(&gs, capacity, &model));
+        let batch_ms = |&(j, c): &Group| model.batch_time_ms(j.time_ms, c);
+        let longest = gs.iter().map(batch_ms).max().unwrap_or(0);
+        let area: u64 = gs
+            .iter()
+            .map(|g| batch_ms(g) * u64::from(g.0.mem_mb.min(capacity)))
+            .sum();
+        prop_assert!(makespan >= longest.max(area.div_ceil(u64::from(capacity))));
+    }
+
+    /// The chosen schedule is a real one: replaying the four priority
+    /// orders through the traced executor, the best of them takes exactly
+    /// `batched_makespan` and never overfills the pool — and the
+    /// trace-free `list_makespan` agrees with the executor on each order.
+    #[test]
+    fn batched_makespan_is_the_best_replayed_priority(
+        specs in prop::collection::vec((50u32..500, 500u32..8000, 1usize..32), 1..20),
+        capacity in 1000u32..20000,
+        permille in 0u32..=1000,
+    ) {
+        let model = BatchLatencyModel::new(permille);
+        let mut order = groups_of(&specs);
+        let batch_ms = |&(j, c): &Group| model.batch_time_ms(j.time_ms, c);
+        let priorities: [&dyn Fn(&Group) -> u64; 4] = [
+            &|_| 0,
+            &batch_ms,
+            &|g| u64::from(g.0.mem_mb.min(capacity)),
+            &|g| batch_ms(g) * u64::from(g.0.mem_mb.min(capacity)),
+        ];
+        let mut best: Option<ExecTrace> = None;
+        for priority in priorities {
+            order.sort_by_key(|g| (std::cmp::Reverse(priority(g)), g.0.id));
+            let trace = replay(&order, capacity, &model);
+            prop_assert_eq!(trace.makespan_ms(), list_makespan(&order, capacity, &model));
+            if best.as_ref().is_none_or(|b| trace.makespan_ms() < b.makespan_ms()) {
+                best = Some(trace);
+            }
+        }
+        let best = best.expect("four candidates ran");
+        prop_assert_eq!(best.makespan_ms(), batched_makespan(&order, capacity, &model));
+        prop_assert_eq!(best.spans.len(), specs.len());
+        prop_assert!(best.respects_memory(capacity), "peak {}", best.peak_mem_mb());
     }
 
     /// The parallel executor with capacity >= all jobs behaves like pure

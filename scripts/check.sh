@@ -6,10 +6,10 @@
 #
 #   ./scripts/check.sh          # full: fmt + clippy + doc links + release
 #                               #       build + bench gate + tier-1 tests
-#   ./scripts/check.sh --quick  # fmt + clippy + doc links + a fast
-#                               #       label-cache pass (PROPTEST_CASES=16)
-#                               #       + debug tests (no release build,
-#                               #       no bench gate)
+#   ./scripts/check.sh --quick  # fmt + clippy + doc links + fast
+#                               #       label-cache and pool-packer passes
+#                               #       (PROPTEST_CASES=16) + debug tests
+#                               #       (no release build, no bench gate)
 #   ./scripts/check.sh --smoke  # fmt + clippy + doc links + bench gate
 #                               #       only (the fast perf-regression
 #                               #       lane; runs scripts/bench_gate.sh,
@@ -90,6 +90,10 @@ if [[ $mode == quick ]]; then
     echo "==> label-cache tests (PROPTEST_CASES=16)"
     PROPTEST_CASES=16 cargo test -q -p ams-serve --lib cache::
     PROPTEST_CASES=16 cargo test -q -p ams-serve --test cache_coalescing
+    # And over the virtual-GPU pool packer: a packing that overfills the
+    # pool, depends on the group order or loses to id order fails here.
+    echo "==> ams-sim tests (PROPTEST_CASES=16)"
+    PROPTEST_CASES=16 cargo test -q -p ams-sim
 fi
 
 if [[ $mode == full || $mode == quick ]]; then
