@@ -64,6 +64,12 @@ struct Record {
     /// the virtual-GPU pool's admission order saves. Virtual time only, so
     /// it repeats exactly.
     pack_gain: f64,
+    /// Σ per-batch packed makespan ÷ the end of the same batches streamed
+    /// back to back through one pool
+    /// ([`ams_bench::hotpath::stream_gain`]): what letting each batch fill
+    /// the memory the last one leaves saves. Virtual time only, so it
+    /// repeats exactly.
+    stream_gain: f64,
     stream_items: usize,
     /// Compute-only serial-engine throughput (virtual execution elided).
     compute_serial_items_per_s: f64,
@@ -328,6 +334,7 @@ fn main() {
         q_infer_ns,
         q_infer_max_abs_diff: q_infer_max_diff,
         pack_gain: ams_bench::hotpath::pack_gain(&setup),
+        stream_gain: ams_bench::hotpath::stream_gain(&setup),
         stream_items: items.len(),
         compute_serial_items_per_s: compute_serial_ips,
         exec_emulation_scale: emu_scale,

@@ -435,7 +435,8 @@ mod tests {
                 "q_forward_ns": 220.0,
                 "q_infer_ns": 90.0,
                 "q_infer_max_abs_diff": 0.0,
-                "pack_gain": 1.15
+                "pack_gain": 1.15,
+                "stream_gain": 1.05
             }"#,
         )
         .expect("fixture parses")

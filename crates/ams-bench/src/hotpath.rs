@@ -7,7 +7,7 @@ use crate::gate::{Break, Check, Rule};
 use ams::nn::{QNet, QNetConfig};
 use ams::prelude::*;
 use ams::rl::{ReplayBuffer, Transition};
-use ams::sim::list_makespan;
+use ams::sim::{list_makespan, PoolTimeline};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -46,6 +46,13 @@ pub const CHECKS: &[Check] = &[
         // exactly; 1.0 would mean the packer chose nothing.
         rule: Rule::Within("pack_gain", 1.05, f64::INFINITY),
         breaks: Break::Scale("pack_gain", 0.5),
+    },
+    Check {
+        name: "streaming batches through one pool beats per-batch barriers",
+        // Virtual milliseconds only, like `pack_gain`; 1.0 would mean no
+        // batch ever started in memory an earlier one left.
+        rule: Rule::Within("stream_gain", 1.02, f64::INFINITY),
+        breaks: Break::Scale("stream_gain", 0.5),
     },
 ];
 
@@ -375,47 +382,83 @@ impl StreamSetup {
     }
 }
 
-/// What choosing the pool's admission order buys on the fixture's stream:
-/// Σ [`list_makespan`] in model-id order ÷ Σ [`batched_makespan`], over
-/// the serial outcomes chunked the way the benchmark's workers batch them
-/// — by 8 under Algorithm 1's budget and by 4 under Algorithm 2's — on
-/// the default pool and latency split.
-pub fn pack_gain(setup: &StreamSetup) -> f64 {
+/// The fixture's serial outcomes batched the way the benchmark's workers
+/// batch them — by 8 under Algorithm 1's budget and by 4 under Algorithm
+/// 2's — as one stream of batches per budget, each batch its `(job, runs)`
+/// groups in model-id order.
+fn fixture_streams(setup: &StreamSetup) -> Vec<Vec<Vec<(Job, usize)>>> {
     let scheduler = setup.scheduler();
     let specs = scheduler.zoo().specs();
-    let cfg = ServeConfig::default();
     let deadline = Budget::Deadline { ms: 1000 };
     let deadline_memory = Budget::DeadlineMemory {
         ms: 1000,
         mem_mb: 8192,
     };
-    let (mut id_order_ms, mut packed_ms) = (0u64, 0u64);
-    for (budget, chunk) in [(deadline, 8), (deadline_memory, 4)] {
-        for batch in setup.truth.items().chunks(chunk) {
-            let mut runs = vec![0usize; specs.len()];
-            for item in batch {
-                for m in scheduler.label_item(item, budget).executed {
-                    runs[m.index()] += 1;
+    [(deadline, 8), (deadline_memory, 4)]
+        .into_iter()
+        .map(|(budget, chunk)| {
+            let batch_groups = |batch: &[ItemTruth]| {
+                let mut runs = vec![0usize; specs.len()];
+                for item in batch {
+                    for m in scheduler.label_item(item, budget).executed {
+                        runs[m.index()] += 1;
+                    }
                 }
-            }
-            let groups: Vec<(Job, usize)> = specs
-                .iter()
-                .zip(runs)
-                .enumerate()
-                .map(|(id, (spec, count))| {
-                    let job = Job {
-                        id,
-                        time_ms: spec.time_ms,
-                        mem_mb: spec.mem_mb,
-                    };
-                    (job, count)
-                })
-                .collect();
-            id_order_ms += list_makespan(&groups, cfg.pool_mb, &cfg.batch_model);
-            packed_ms += batched_makespan(&groups, cfg.pool_mb, &cfg.batch_model);
-        }
+                specs
+                    .iter()
+                    .zip(runs)
+                    .enumerate()
+                    .map(|(id, (spec, count))| {
+                        let job = Job {
+                            id,
+                            time_ms: spec.time_ms,
+                            mem_mb: spec.mem_mb,
+                        };
+                        (job, count)
+                    })
+                    .collect()
+            };
+            setup
+                .truth
+                .items()
+                .chunks(chunk)
+                .map(batch_groups)
+                .collect()
+        })
+        .collect()
+}
+
+/// What choosing the pool's admission order buys on the fixture's stream:
+/// Σ [`list_makespan`] in model-id order ÷ Σ [`batched_makespan`] over
+/// [`fixture_streams`]' batches, on the default pool and latency split.
+pub fn pack_gain(setup: &StreamSetup) -> f64 {
+    let cfg = ServeConfig::default();
+    let (mut id_order_ms, mut packed_ms) = (0u64, 0u64);
+    for groups in fixture_streams(setup).iter().flatten() {
+        id_order_ms += list_makespan(groups, cfg.pool_mb, &cfg.batch_model);
+        packed_ms += batched_makespan(groups, cfg.pool_mb, &cfg.batch_model);
     }
     id_order_ms as f64 / packed_ms as f64
+}
+
+/// What streaming batches through one pool buys on the same batches:
+/// Σ [`batched_makespan`] (each batch on an empty pool, behind a barrier)
+/// ÷ the end of each budget's stream admitted back to back into one
+/// [`PoolTimeline`] — each batch once the previous one's last group has
+/// started.
+pub fn stream_gain(setup: &StreamSetup) -> f64 {
+    let cfg = ServeConfig::default();
+    let (mut barrier_ms, mut streamed_ms) = (0u64, 0u64);
+    for stream in fixture_streams(setup) {
+        let mut pool = PoolTimeline::new(cfg.pool_mb);
+        let mut end_ms = 0;
+        for groups in &stream {
+            barrier_ms += batched_makespan(groups, cfg.pool_mb, &cfg.batch_model);
+            end_ms = pool.admit(groups, &cfg.batch_model, &mut []).1;
+        }
+        streamed_ms += end_ms;
+    }
+    barrier_ms as f64 / streamed_ms as f64
 }
 
 /// Everything a learn-step benchmark needs, at the paper architecture.

@@ -97,7 +97,7 @@ pub fn stats_match(got: &StreamStats, want: &StreamStats) -> bool {
         && (got.value_sum - want.value_sum).abs() < 1e-9
 }
 
-/// 1 − batched virtual makespan / serial virtual bill.
+/// 1 − virtual pool busy time / serial virtual bill.
 pub fn saving_fraction(r: &ServeReport) -> f64 {
     1.0 - r.virtual_exec_ms as f64 / r.stats.total_exec_ms.max(1) as f64
 }
@@ -126,7 +126,7 @@ impl Ctx {
                 queue_capacity: 8,
                 policy: BackpressurePolicy::Block,
                 // 20 wall-clock µs per virtual execution ms: a batch's
-                // compressed makespan (~1-2 virtual s) costs tens of wall
+                // compressed pool time (~1-2 virtual s) costs tens of wall
                 // ms, so queues genuinely build and batches genuinely
                 // coalesce while every sweep still finishes in seconds.
                 exec_emulation_scale: 2e-2,
@@ -294,7 +294,7 @@ pub struct Record {
     pub closed_loop_p99_us: u64,
     /// Mean recall of the closed-loop run.
     pub mean_recall: f64,
-    /// 1 − batched virtual makespan / serial virtual bill on the
+    /// 1 − virtual pool busy time / serial virtual bill on the
     /// closed-loop run: the simulated GPU time batched admission saved.
     pub batching_saving_fraction: f64,
     /// Capacity lost to the live observability layer: 1 − best-of-trials

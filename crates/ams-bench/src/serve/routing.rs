@@ -34,8 +34,8 @@ pub struct RoutingPoint {
     /// Model executions coalesced per batched GPU invocation — the
     /// quantity affinity routing exists to raise.
     pub mean_coalesced: f64,
-    /// 1 − batched virtual *makespan* / serial virtual bill (wall-clock
-    /// view; pool packing moves it).
+    /// 1 − virtual pool *busy time* / serial virtual bill (wall-clock
+    /// view; pool packing and streaming move it).
     pub batching_saving_fraction: f64,
     /// 1 − batched GPU-time consumed / serial virtual bill (billing view;
     /// only coalescing moves it — the routing-quality metric).
@@ -104,9 +104,11 @@ pub const CHECKS: &[Check] = &[
 /// the smoke fixture yields only a handful of batches per mode, few
 /// enough that scheduler jitter can decide the comparison — sustaining the
 /// load averages `mean_coalesced` over enough batches to make the
-/// coalescing win a property of the routing, not of one lucky batch.
+/// coalescing win a property of the routing, not of one lucky batch. At
+/// 1.6x the queues are still building for the first few passes (batches
+/// grow run-long), so the stream runs long enough to reach deep queues.
 pub fn run(ctx: &Ctx) -> Vec<RoutingPoint> {
-    const PASSES: usize = 3;
+    const PASSES: usize = 8;
     let stream = ctx.repeated(PASSES);
     let shape = |routing| ServeConfig {
         routing,

@@ -115,8 +115,10 @@ pub struct LabelResult {
     pub recall: f64,
     /// Wall-clock time the request waited in its shard queue, µs.
     pub queue_wait_us: u64,
-    /// Wall-clock time the request spent in its worker (label + batched
-    /// execution wait), µs.
+    /// Wall-clock time from its batch's pop to its own delivery, µs:
+    /// labeling plus the pool's run up to the finish of the last model
+    /// *this request* executed — batch-mates whose models finish later do
+    /// not extend it.
     pub execute_us: u64,
     /// Whether wait + execute met the request's deadline (`true` when the
     /// request carried no deadline).

@@ -785,16 +785,18 @@ impl ServerObs {
         self.tickets_resolved.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Worker bookkeeping around one batch execution.
-    pub(crate) fn batch_started(&self, shard: usize, size: usize) {
+    /// Worker bookkeeping: a batch of `size` starts executing, `busy_us`
+    /// after the worker's previous batch start (its busy time since then).
+    pub(crate) fn batch_started(&self, shard: usize, size: usize, busy_us: u64) {
         self.executing[shard].fetch_add(size as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn batch_finished(&self, shard: usize, size: usize, exec_us: u64) {
-        self.executing[shard].fetch_sub(size as u64, Ordering::Relaxed);
-        self.busy_us[shard].fetch_add(exec_us, Ordering::Relaxed);
+        self.busy_us[shard].fetch_add(busy_us, Ordering::Relaxed);
         self.batches[shard].fetch_add(1, Ordering::Relaxed);
         self.batch_fill[shard].fetch_add(size as u64, Ordering::Relaxed);
+    }
+
+    /// `n` members of executing batches were delivered.
+    pub(crate) fn delivered(&self, shard: usize, n: usize) {
+        self.executing[shard].fetch_sub(n as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn request_stop(&self) {

@@ -535,9 +535,26 @@ impl ShardQueue {
     /// starves; a request can be overtaken only while batches ahead of it
     /// keep finding better-matching work.
     pub fn pop_batch(&self, max_batch: usize) -> Vec<Request> {
+        self.pop_batch_until(max_batch, None)
+    }
+
+    /// [`ShardQueue::pop_batch`], blocking on an open, empty queue only
+    /// until `until` (`None`: for as long as it takes). An empty batch
+    /// means the deadline passed, or the queue is closed and drained.
+    pub(crate) fn pop_batch_until(&self, max_batch: usize, until: Option<Instant>) -> Vec<Request> {
         let mut st = self.state.lock().expect("shard queue");
         while st.core.is_idle() {
-            st = self.not_empty.wait(st).expect("shard queue");
+            st = match until {
+                None => self.not_empty.wait(st).expect("shard queue"),
+                Some(until) => {
+                    let left = until.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Vec::new();
+                    }
+                    let (st, _) = self.not_empty.wait_timeout(st, left).expect("shard queue");
+                    st
+                }
+            };
         }
         let batch = st.core.take(max_batch);
         drop(st);

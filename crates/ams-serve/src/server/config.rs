@@ -195,10 +195,12 @@ pub struct ServeConfig {
     /// and deadline-free unless its ticket carries its own
     /// [`SubmitOptions::deadline_us`](super::SubmitOptions::deadline_us)).
     pub slo: Option<SloConfig>,
-    /// Wall-clock milliseconds slept per *virtual* millisecond of each
-    /// batch's execution makespan (see
-    /// [`ams_core::streaming::StreamProcessor::exec_emulation_scale`]);
-    /// batching pays one wait per batch, not per item.
+    /// Wall-clock milliseconds per *virtual* millisecond of the worker's
+    /// GPU pool (see
+    /// [`ams_core::streaming::StreamProcessor::exec_emulation_scale`]): a
+    /// request is delivered once its own last model finishes on the pool,
+    /// and the next batch is popped when the pool can take it. 0 makes the
+    /// pool instantaneous.
     pub exec_emulation_scale: f64,
     /// Content-addressed label cache with in-flight coalescing (see
     /// [`crate::cache`]); `None` disables it — on a unique stream the

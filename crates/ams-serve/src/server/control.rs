@@ -8,12 +8,42 @@ use crate::telemetry::{micros, LatencyHistogram};
 use ams_sim::BatchLatencyModel;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// AIMD multiplicative decrease: a window over target halves the limit.
 const DECREASE_FACTOR: f64 = 0.5;
 /// AIMD additive increase: a compliant window grows the limit by one.
 const INCREASE_STEP: usize = 1;
+
+/// A worker's busy wall time per batch: the span between successive batch
+/// starts less the time it spent blocked on an empty queue. With batches
+/// streaming through the pool the members' execute spans overlap, so a
+/// batch's drain time is this span, not any member's.
+#[derive(Debug, Default)]
+pub(super) struct ServiceClock {
+    /// The previous batch's start and size.
+    last: Option<(Instant, usize)>,
+    /// Time blocked on the queue since then.
+    blocked: Duration,
+}
+
+impl ServiceClock {
+    /// The worker spent `d` blocked waiting for work.
+    pub(super) fn blocked(&mut self, d: Duration) {
+        self.blocked += d;
+    }
+
+    /// A batch of `len` starts at `at`: the previous batch's busy span and
+    /// size (`None` for the first batch).
+    pub(super) fn batch_started(&mut self, at: Instant, len: usize) -> Option<(Duration, usize)> {
+        let blocked = std::mem::take(&mut self.blocked);
+        let (start, n) = self.last.replace((at, len))?;
+        Some((
+            at.saturating_duration_since(start).saturating_sub(blocked),
+            n,
+        ))
+    }
+}
 
 /// One shard's adaptive-batching state: the live limit workers read before
 /// every pop, the observation window the controller adjusts from, and the
@@ -21,16 +51,16 @@ const INCREASE_STEP: usize = 1;
 pub(super) struct ShardControl {
     pub(super) limit: AtomicUsize,
     /// Amortized per-request service time, µs (EWMA over executed
-    /// batches: execute span ÷ batch size). Published by the workers
-    /// after every batch whether or not the adaptive controller runs —
-    /// this is the headroom signal SLO admission control prices queue
-    /// depth with (predicted wait = depth × amortized ÷ workers). 0 until
-    /// the shard executes its first batch (admission control admits
-    /// everything until then — no evidence, no shedding).
+    /// batches: busy span ÷ batch size, see [`ServiceClock`]). Published
+    /// by the workers at every batch start whether or not the adaptive
+    /// controller runs — this is the headroom signal SLO admission control
+    /// prices queue depth with (predicted wait = depth × amortized ÷
+    /// workers). 0 until the shard starts its second batch (admission
+    /// control admits everything until then — no evidence, no shedding).
     pub(super) amortized_us: AtomicU64,
-    /// EWMA of the whole batch execute span, µs — what one more batch
-    /// costs end to end. Admission control adds it to the predicted wait
-    /// when pricing a *full* queue, where admitting means evicting.
+    /// EWMA of a whole batch's busy span, µs — what one more batch costs
+    /// end to end. Admission control adds it to the predicted wait when
+    /// pricing a *full* queue, where admitting means evicting.
     pub(super) exec_span_us: AtomicU64,
     window: Mutex<AdaptiveWindow>,
 }
@@ -59,12 +89,11 @@ impl ShardControl {
         }
     }
 
-    /// Fold one executed batch's execute span and amortized per-request
-    /// time into the published EWMAs (¾ old + ¼ new — smooth enough that
-    /// one outlier batch doesn't whipsaw admission, fresh enough to track
-    /// load shifts), returning the new amortized time. Racy
-    /// read-modify-write is fine: any interleaving stores a plausible
-    /// smoothed value.
+    /// Fold one batch's busy span and amortized per-request time into the
+    /// published EWMAs (¾ old + ¼ new — smooth enough that one outlier
+    /// batch doesn't whipsaw admission, fresh enough to track load
+    /// shifts), returning the new amortized time. Racy read-modify-write
+    /// is fine: any interleaving stores a plausible smoothed value.
     pub(super) fn publish_amortized(&self, exec: Duration, batch_len: usize) -> u64 {
         let ewma = |signal: &AtomicU64, obs: u64| {
             let old = signal.load(Ordering::Relaxed);
@@ -77,17 +106,17 @@ impl ShardControl {
         ewma(&self.amortized_us, span / batch_len.max(1) as u64)
     }
 
-    /// Record one executed batch's member latencies and retune the limit
-    /// once the window fills. One lock per batch, not per request.
+    /// Record delivered members' `(queue wait, execute)` latencies and
+    /// retune the limit once the window fills. One lock per delivery
+    /// pass, not per request.
     pub(super) fn observe_batch(
         &self,
-        waits: impl Iterator<Item = Duration>,
-        exec: Duration,
+        members: impl Iterator<Item = (Duration, Duration)>,
         acfg: &AdaptiveBatchConfig,
         batch_model: &BatchLatencyModel,
     ) {
         let mut win = self.window.lock().expect("adaptive window");
-        for wait in waits {
+        for (wait, exec) in members {
             win.execute.record(exec);
             win.total.record(wait + exec);
         }
@@ -145,5 +174,36 @@ impl ShardControl {
             within_target: within,
             trajectory: win.trajectory.clone(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The service hint is busy time between batch starts, blocked time
+    /// excluded: 10 ms from start to start with 3 ms blocked on an empty
+    /// queue is a 7 ms span for the 4-request batch, 1 750 µs a request.
+    #[test]
+    fn service_clock_publishes_busy_time_between_batch_starts() {
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
+        let mut clock = ServiceClock::default();
+        clock.blocked(ms(5));
+        assert_eq!(clock.batch_started(t0, 4), None, "nothing before it");
+        clock.blocked(ms(1));
+        clock.blocked(ms(2));
+        let span = clock.batch_started(t0 + ms(10), 2);
+        assert_eq!(span, Some((ms(7), 4)));
+        let control = ShardControl::new(8);
+        assert_eq!(control.publish_amortized(ms(7), 4), 1_750);
+        assert_eq!(control.exec_span_us.load(Ordering::Relaxed), 7_000);
+        // A busy stretch with no blocking counts whole; blocking longer
+        // than the gap (clock skew) counts nothing.
+        assert_eq!(clock.batch_started(t0 + ms(16), 1), Some((ms(6), 2)));
+        clock.blocked(ms(9));
+        assert_eq!(clock.batch_started(t0 + ms(20), 1), Some((ms(0), 1)));
+        // The EWMA folds the next span in at a quarter weight.
+        assert_eq!(control.publish_amortized(ms(6), 2), (1_750 * 3 + 3_000) / 4);
     }
 }

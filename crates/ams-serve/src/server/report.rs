@@ -259,14 +259,17 @@ pub struct ServeReport {
     /// deduplicating setup charges; compare with
     /// [`StreamStats::total_exec_ms`], the unbatched serial bill.
     pub virtual_work_ms: u64,
-    /// Sum of the batches' virtual execution *makespans*, ms — the virtual
-    /// wall-clock the GPU pool was busy. Batching and pool parallelism
-    /// compress this below the serial sum of the same items' execution
-    /// times ([`StreamStats::total_exec_ms`]).
+    /// The virtual GPU pools' busy time, ms: per worker, the length of the
+    /// union of the intervals in which its pool ran anything (batches
+    /// stream through one pool and overlap, so this is not a sum of
+    /// per-batch makespans), summed over workers. Batching and pool
+    /// parallelism compress it below the serial sum of the same items'
+    /// execution times ([`StreamStats::total_exec_ms`]).
     pub virtual_exec_ms: u64,
     /// Wall-clock time requests spent queued.
     pub queue_wait: LatencySummary,
-    /// Wall-clock time requests spent in a worker (label + batched wait).
+    /// Wall-clock time from a request's batch pop to its own delivery
+    /// (label + the pool's run up to its own last model).
     pub execute: LatencySummary,
     /// Queue wait + execute, per request.
     pub total: LatencySummary,

@@ -1,9 +1,10 @@
 //! The shard worker: pop a batch, then four phases — shed stale / claim,
-//! label, batch-admit into the virtual GPU pool, deliver — until the shard
-//! queue closes and drains. Also the accumulators a worker hands back at
-//! join.
+//! label, batch-admit into the worker's virtual GPU pool, stage — while
+//! earlier members are delivered as their own models finish, until the
+//! shard queue closes and drains. Also the accumulators a worker hands
+//! back at join.
 
-use super::control::ShardControl;
+use super::control::{ServiceClock, ShardControl};
 use super::Shared;
 use crate::adapt::WorkerAdapt;
 use crate::cache::CachedResult;
@@ -14,7 +15,7 @@ use crate::queue::{Request, ShardQueue};
 use crate::telemetry::{micros, LatencyHistogram};
 use ams_core::framework::LabelingOutcome;
 use ams_core::streaming::StreamStats;
-use ams_sim::{batched_makespan, Job};
+use ams_sim::{Job, PoolTimeline};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -33,6 +34,7 @@ pub(super) struct WorkerLocal {
     pub(super) max_batch_observed: usize,
     pub(super) model_invocations: u64,
     pub(super) virtual_work_ms: u64,
+    /// The worker's pool busy time: the union of its busy intervals.
     pub(super) virtual_exec_ms: u64,
     /// The worker's share of the conservation ledger: completions (and
     /// the late ones among them) and deadline sheds, by class.
@@ -81,6 +83,16 @@ struct Survivor {
     ghost: bool,
 }
 
+/// A labeled member whose models are on the pool.
+struct InFlight {
+    s: Survivor,
+    outcome: LabelingOutcome,
+    /// When its batch was popped: its execute span starts here.
+    exec_start: Instant,
+    /// When its own last model finishes — it is delivered then.
+    due: Instant,
+}
+
 /// One worker's view of the server plus its private state.
 struct Worker<'a> {
     shared: &'a Shared,
@@ -99,13 +111,28 @@ struct Worker<'a> {
     /// The batch's `(job, runs)` group per model that ran, refilled from
     /// `runs_per_model` by each `batch_admit`.
     groups: Vec<(Job, usize)>,
+    /// The worker's virtual GPU pool: every batch streams through it.
+    pool: PoolTimeline,
+    /// The pool's latest finish, virtual ms.
+    pool_end_ms: u64,
+    /// Per model, the virtual finish of its group in the last batch.
+    finishes: Vec<u64>,
+    /// The wall instant of virtual ms 0.
+    anchor: Instant,
+    /// Admitted members not yet delivered, in `due` order.
+    in_flight: Vec<InFlight>,
+    /// The last batch's last admission: from then on the pool takes the
+    /// next batch as soon as a full one is queued.
+    last_admit: Instant,
+    service: ServiceClock,
 }
 
 // ams-lint: begin(no-panic) worker hot loop — a panicking worker strands
 // its shard queue and every in-flight ticket on it
 
-/// One worker: pop → shed stale / claim → label → batch-admit → deliver,
-/// until the shard queue closes and drains.
+/// One worker: pace (deliver what is due, pop) → shed stale / claim →
+/// label → batch-admit → stage, until the shard queue closes and drains
+/// and the last member is delivered.
 pub(super) fn worker_loop(
     shared: &Shared,
     shard: usize,
@@ -113,6 +140,7 @@ pub(super) fn worker_loop(
     adapt: Option<WorkerAdapt>,
 ) -> WorkerLocal {
     let n = shared.scheduler.zoo().len();
+    let anchor = Instant::now();
     let mut w = Worker {
         shared,
         shard,
@@ -125,6 +153,13 @@ pub(super) fn worker_loop(
         local: WorkerLocal::new(n, shared.cfg.classes()),
         runs_per_model: vec![0usize; n],
         groups: Vec::with_capacity(n),
+        pool: PoolTimeline::new(shared.cfg.pool_mb),
+        pool_end_ms: 0,
+        finishes: vec![0u64; n],
+        anchor,
+        in_flight: Vec::new(),
+        last_admit: anchor,
+        service: ServiceClock::default(),
     };
     loop {
         // Under adaptive batching the shard's live limit replaces the
@@ -134,28 +169,91 @@ pub(super) fn worker_loop(
         } else {
             shared.cfg.max_batch
         };
-        let batch = w.queue.pop_batch(limit);
-        if batch.is_empty() {
+        let Some((batch, exec_start)) = w.pace(limit) else {
             return w.local;
-        }
-        // The batch's one clock read: every member's queue wait and expiry
-        // is judged at the instant execution starts.
-        let exec_start = Instant::now();
+        };
+        // Every member's queue wait and expiry is judged at the pop.
         let survivors = w.claim(batch, exec_start);
         if survivors.is_empty() {
             // The whole round was shed: no batch executed, nothing to
             // observe or charge.
             continue;
         }
+        w.batch_started(exec_start, survivors.len());
         let outcomes = w.label(&survivors);
         w.batch_admit();
-        w.deliver(survivors, outcomes, exec_start.elapsed());
+        w.stage(survivors, outcomes, exec_start);
     }
 }
 
 impl Worker<'_> {
     fn emit(&self, ev: Event) {
         self.shared.emit(Some(self.index), ev);
+    }
+
+    /// Wall instant of virtual pool time `v_ms`: `exec_emulation_scale`
+    /// wall ms per virtual ms from the anchor (the anchor itself without
+    /// emulation — every finish is due at once).
+    fn wall(&self, v_ms: u64) -> Instant {
+        let scale = self.shared.cfg.exec_emulation_scale;
+        if scale > 0.0 {
+            let offset = Duration::try_from_secs_f64(v_ms as f64 * scale / 1000.0);
+            if let Some(at) = offset.ok().and_then(|d| self.anchor.checked_add(d)) {
+                return at;
+            }
+        }
+        self.anchor
+    }
+
+    /// Virtual pool time now. Without emulation the pool is infinitely
+    /// fast next to the wall clock: it has always drained.
+    fn virtual_now(&self) -> u64 {
+        let scale = self.shared.cfg.exec_emulation_scale;
+        if scale > 0.0 {
+            (self.anchor.elapsed().as_secs_f64() * 1000.0 / scale) as u64
+        } else {
+            self.pool_end_ms
+        }
+    }
+
+    /// The loop's one pacing call: deliver every member that is due, then
+    /// pop the next batch once the pool can take it, with the instant it
+    /// was popped. The pool takes a full batch from the last batch's last
+    /// admission on — it starts in the memory the running groups release —
+    /// and anything less once everything in flight is delivered, so a
+    /// lightly loaded shard still batches all that queued while it ran.
+    /// A pop with members in flight waits for work only until the next one
+    /// is due, so none is stranded behind an empty queue. `None` once the
+    /// queue is closed and drained and nothing is in flight.
+    fn pace(&mut self, limit: usize) -> Option<(Vec<Request>, Instant)> {
+        loop {
+            let now = Instant::now();
+            self.deliver_due(now);
+            let Some(due) = self.in_flight.first().map(|m| m.due) else {
+                let (batch, at) = self.pop(limit, None);
+                return (!batch.is_empty()).then_some((batch, at));
+            };
+            if now < self.last_admit {
+                std::thread::sleep(self.last_admit.min(due).saturating_duration_since(now));
+            } else if self.queue.live_len() >= limit {
+                let (batch, at) = self.pop(limit, Some(due));
+                if !batch.is_empty() {
+                    return Some((batch, at));
+                }
+            } else {
+                std::thread::sleep(due.saturating_duration_since(now));
+            }
+        }
+    }
+
+    /// Pop up to `limit` requests, waiting for work until `until`, and
+    /// count the time spent as blocked (not busy) for the service hint.
+    fn pop(&mut self, limit: usize, until: Option<Instant>) -> (Vec<Request>, Instant) {
+        let asked = Instant::now();
+        let batch = self.queue.pop_batch_until(limit, until);
+        let at = Instant::now();
+        self.service.blocked(at.saturating_duration_since(asked));
+        (batch, at)
     }
 
     /// Phase 1 — shed stale, claim the rest.
@@ -201,13 +299,31 @@ impl Worker<'_> {
         survivors
     }
 
+    /// A batch of `len` starts executing at `at`: publish the shard's
+    /// service-time signals from the busy span since the previous batch
+    /// start — the amortized per-request service time admission control
+    /// prices queue depth with, and the queue's drain rate (service time ÷
+    /// the workers sharing the queue), which value-weighted eviction
+    /// prices its doom horizon with. Same yardstick as admission, so the
+    /// two policies agree on what a queued request's wait looks like.
+    fn batch_started(&mut self, at: Instant, len: usize) {
+        let busy = self.service.batch_started(at, len).map(|(busy, n)| {
+            let amortized = self.control.publish_amortized(busy, n);
+            let workers = self.shared.cfg.workers_per_shard as u64;
+            self.queue.set_service_hint_us((amortized / workers).max(1));
+            micros(busy)
+        });
+        let shard = self.shard;
+        self.shared
+            .observe(|obs| obs.batch_started(shard, len, busy.unwrap_or(0)));
+    }
+
     /// Phase 2 — label each survivor, collecting the batch's per-model run
     /// counts into `runs_per_model`.
     fn label(&mut self, survivors: &[Survivor]) -> Vec<LabelingOutcome> {
         let shared = self.shared;
         self.local.batches += 1;
         self.local.max_batch_observed = self.local.max_batch_observed.max(survivors.len());
-        shared.observe(|obs| obs.batch_started(self.shard, survivors.len()));
         for s in survivors {
             let batched = s.req.event(EventKind::Batched, self.shard as u32);
             self.emit(batched.detail(survivors.len() as u64));
@@ -240,10 +356,10 @@ impl Worker<'_> {
     }
 
     /// Phase 3 — batched admission: one invocation per model over the
-    /// whole coalesced batch, packed into the virtual GPU pool in the best
-    /// admission order [`batched_makespan`] finds; the bill and the
-    /// makespan are charged, and the makespan is slept when execution is
-    /// emulated.
+    /// whole coalesced batch, streamed into the worker's pool behind what
+    /// it already runs. The bill and the pool's added busy time are
+    /// charged; each model's finish lands in `finishes`, and the next pop
+    /// is gated on this batch's last admission.
     fn batch_admit(&mut self) {
         let cfg = &self.shared.cfg;
         let specs = self.shared.scheduler.zoo().specs();
@@ -259,77 +375,106 @@ impl Worker<'_> {
                 self.local.virtual_work_ms += cfg.batch_model.batch_time_ms(spec.time_ms, count);
             }
         }
-        let makespan_ms = batched_makespan(&self.groups, cfg.pool_mb, &cfg.batch_model);
+        self.pool.advance_to(self.virtual_now());
+        let busy_ms = self.pool.busy_ms();
+        let (last_admit_ms, end_ms) =
+            self.pool
+                .admit(&self.groups, &cfg.batch_model, &mut self.finishes);
         self.local.model_invocations += self.groups.len() as u64;
-        self.local.virtual_exec_ms += makespan_ms;
-        if cfg.exec_emulation_scale > 0.0 && makespan_ms > 0 {
-            let wait_ms = makespan_ms as f64 * cfg.exec_emulation_scale;
-            std::thread::sleep(Duration::from_secs_f64(wait_ms / 1000.0));
-        }
+        self.local.virtual_exec_ms += self.pool.busy_ms() - busy_ms;
+        self.pool_end_ms = end_ms;
+        self.last_admit = self.wall(last_admit_ms);
     }
 
-    /// Phase 4 — the whole batch completes together: publish the shard's
-    /// service-time signals, then resolve each member (cache fan-out,
-    /// ledgers, events, the ticket's own `Labeled` completion). Each
-    /// member is charged the batch's execute span on top of its own queue
-    /// wait.
-    fn deliver(
+    /// Phase 4 — stage each member for delivery at its own finish: the
+    /// latest finish among the models it executed.
+    fn stage(
         &mut self,
         survivors: Vec<Survivor>,
         outcomes: Vec<LabelingOutcome>,
-        exec: Duration,
+        exec_start: Instant,
     ) {
-        let shared = self.shared;
-        // Publish the amortized per-request service time — the headroom
-        // signal admission control prices queue depth with — and the
-        // queue's drain rate (service time ÷ the workers sharing the
-        // queue), which value-weighted eviction prices its doom horizon
-        // with. Same yardstick as admission, so the two policies agree on
-        // what a queued request's wait looks like.
-        let amortized = self.control.publish_amortized(exec, survivors.len());
-        self.queue
-            .set_service_hint_us((amortized / shared.cfg.workers_per_shard as u64).max(1));
-        let exec_us = micros(exec);
-        shared.observe(|obs| obs.batch_finished(self.shard, survivors.len(), exec_us));
-        for (s, outcome) in survivors.iter().zip(outcomes) {
-            // Feed the trainer (non-blocking; a full channel drops and
-            // counts). Ghosts included — their executions were real.
-            if let Some(a) = &self.adapt {
-                a.offer(&s.req.item, &outcome.executed);
-            }
-            // Publish into the cache first: followers fan out the moment
-            // the leader resolves, and the entry flips to `Done` so the
-            // next identical submission is an exact hit.
-            if let (Some(cache), Some(entry)) = (&shared.cache, s.req.cache_entry()) {
-                cache.resolve(
-                    entry,
-                    CachedResult {
-                        labels: outcome.labels.clone(),
-                        executed: outcome.executed.clone(),
-                        label_value: outcome.value,
-                        recall: outcome.recall,
-                    },
-                    s.req.value,
-                );
-            }
-            if s.ghost {
-                // Billed in `batch_admit` (its model runs are in
-                // `runs_per_model`), but its own ticket already resolved
-                // as cancelled — nothing to complete, record, or deliver.
-                let ghost = s.req.event(EventKind::GhostExecuted, self.shard as u32);
-                self.emit(ghost.detail(exec_us));
-                continue;
-            }
-            self.complete(s, outcome, exec);
-        }
-        if let Some(acfg) = &shared.cfg.adaptive {
-            self.control.observe_batch(
-                survivors.iter().map(|s| s.wait),
-                exec,
-                acfg,
-                &shared.cfg.batch_model,
+        for (s, outcome) in survivors.into_iter().zip(outcomes) {
+            let finish_ms = outcome
+                .executed
+                .iter()
+                .filter_map(|m| self.finishes.get(m.index()))
+                .max()
+                .copied()
+                .unwrap_or(0);
+            let due = self.wall(finish_ms);
+            let at = self.in_flight.partition_point(|m| m.due <= due);
+            self.in_flight.insert(
+                at,
+                InFlight {
+                    s,
+                    outcome,
+                    exec_start,
+                    due,
+                },
             );
         }
+    }
+
+    /// Deliver every staged member due at `now`: feed the adaptive
+    /// controller their latencies (one lock per call), then resolve each
+    /// one (cache fan-out, ledgers, events, the ticket's own `Labeled`
+    /// completion). Each is charged its own execute span — its batch's pop
+    /// to `now` — on top of its queue wait.
+    fn deliver_due(&mut self, now: Instant) {
+        let mut staged = std::mem::take(&mut self.in_flight);
+        let due = staged.partition_point(|m| m.due <= now);
+        if due > 0 {
+            let span = |m: &InFlight| now.saturating_duration_since(m.exec_start);
+            let shared = self.shared;
+            if let Some(acfg) = &shared.cfg.adaptive {
+                let members = staged.iter().take(due).map(|m| (m.s.wait, span(m)));
+                self.control
+                    .observe_batch(members, acfg, &shared.cfg.batch_model);
+            }
+            let shard = self.shard;
+            shared.observe(|obs| obs.delivered(shard, due));
+            for m in staged.drain(..due) {
+                let exec = span(&m);
+                self.deliver(m.s, m.outcome, exec);
+            }
+        }
+        self.in_flight = staged;
+    }
+
+    /// Resolve one member: the trainer's tap, the cache fan-out, then its
+    /// own completion (a ghost has none).
+    fn deliver(&mut self, s: Survivor, outcome: LabelingOutcome, exec: Duration) {
+        let shared = self.shared;
+        // Feed the trainer (non-blocking; a full channel drops and
+        // counts). Ghosts included — their executions were real.
+        if let Some(a) = &self.adapt {
+            a.offer(&s.req.item, &outcome.executed);
+        }
+        // Publish into the cache first: followers fan out the moment the
+        // leader resolves, and the entry flips to `Done` so the next
+        // identical submission is an exact hit.
+        if let (Some(cache), Some(entry)) = (&shared.cache, s.req.cache_entry()) {
+            cache.resolve(
+                entry,
+                CachedResult {
+                    labels: outcome.labels.clone(),
+                    executed: outcome.executed.clone(),
+                    label_value: outcome.value,
+                    recall: outcome.recall,
+                },
+                s.req.value,
+            );
+        }
+        if s.ghost {
+            // Billed in `batch_admit` (its model runs are in
+            // `runs_per_model`), but its own ticket already resolved as
+            // cancelled — nothing to complete, record, or deliver.
+            let ghost = s.req.event(EventKind::GhostExecuted, self.shard as u32);
+            self.emit(ghost.detail(micros(exec)));
+            return;
+        }
+        self.complete(&s, outcome, exec);
     }
 
     /// Ledger, announce and deliver one labeled request.

@@ -12,6 +12,7 @@ use ams_serve::{
     AmsServer, BackpressurePolicy, Completion, ObsConfig, ServeConfig, ShedReason, SloClass,
     SloConfig, Ticket,
 };
+use ams_sim::{BatchLatencyModel, Job, PoolTimeline};
 use common::{scheduler, tally};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -202,10 +203,10 @@ fn dropping_the_server_drains_workers_and_sheds_the_backlog() {
 }
 
 /// `pending()` counts what the `depth` gauges and admission pricing count:
-/// requests still wanting service. With every worker held inside an
-/// emulated batch, cancelling queued tickets leaves tombstones in the
-/// queues; they are no backlog, so `pending()` drops by the cancellations
-/// and equals the sum of the per-shard `depth` gauges.
+/// requests still wanting service. With every worker held by its pool,
+/// cancelling queued tickets leaves tombstones in the queues; they are no
+/// backlog, so `pending()` drops by the cancellations and equals the sum
+/// of the per-shard `depth` gauges.
 #[test]
 fn pending_excludes_cancelled_tombstones_like_the_depth_gauge() {
     let table = truth();
@@ -218,9 +219,12 @@ fn pending_excludes_cancelled_tombstones_like_the_depth_gauge() {
             max_batch: 1,
             queue_capacity: 64,
             policy: BackpressurePolicy::Block,
-            // Each single-request batch sleeps for about a second: once a
-            // worker has popped one it stays held for the rest of the test.
-            exec_emulation_scale: 2.0,
+            // A 1 MB pool runs a request's models one at a time, and the
+            // next request is popped only once the last of them starts:
+            // ~0.4 s per request, so a worker that has popped one stays
+            // held for the rest of the test.
+            pool_mb: 1,
+            exec_emulation_scale: 0.5,
             obs: Some(ObsConfig::default()),
             ..ServeConfig::default()
         },
@@ -251,6 +255,117 @@ fn pending_excludes_cancelled_tombstones_like_the_depth_gauge() {
     let depth: u64 = gauges.iter().map(|g| g.depth).sum();
     assert_eq!(server.pending(), queued - cancelled);
     assert_eq!(server.pending() as u64, depth);
+}
+
+/// Each batch member completes at its own finish. On a 1 MB pool a
+/// batch's models run one at a time, so of two requests batched together
+/// the one whose models all run before its batch-mate's last one is
+/// delivered strictly earlier, with a strictly smaller `execute_us` — and
+/// every ticket still resolves exactly once into a conserved report whose
+/// events reconcile.
+#[test]
+fn a_member_completes_at_its_own_finish_not_its_batchs() {
+    let budget = Budget::Deadline { ms: 900 };
+    let table = truth();
+    let sched = scheduler();
+    let specs = sched.zoo().specs();
+    let executed: Vec<Vec<usize>> = table
+        .items()
+        .iter()
+        .map(|item| {
+            let outcome = sched.label_item(item, budget);
+            outcome.executed.iter().map(|m| m.index()).collect()
+        })
+        .collect();
+    // Each member's own finish, virtual ms, when `pair` is one batch on a
+    // one-at-a-time pool.
+    let finishes = |pair: [usize; 2]| {
+        let mut runs = vec![0usize; specs.len()];
+        for m in pair.iter().flat_map(|&i| &executed[i]) {
+            runs[*m] += 1;
+        }
+        let groups: Vec<(Job, usize)> = specs
+            .iter()
+            .zip(runs)
+            .enumerate()
+            .filter(|&(_, (_, count))| count > 0)
+            .map(|(id, (spec, count))| {
+                let job = Job {
+                    id,
+                    time_ms: spec.time_ms,
+                    mem_mb: spec.mem_mb,
+                };
+                (job, count)
+            })
+            .collect();
+        let mut finish = vec![0u64; specs.len()];
+        PoolTimeline::new(1).admit(&groups, &BatchLatencyModel::default(), &mut finish);
+        pair.map(|i| executed[i].iter().map(|&m| finish[m]).max().unwrap_or(0))
+    };
+    // Item 0 holds the worker while the pair queues behind it; of the
+    // pairs after it, take the one whose own finishes lie furthest apart.
+    assert!(executed[0].len() >= 2, "the holder runs models in sequence");
+    let ((early, late), gap) = (1..12)
+        .flat_map(|a| (a + 1..12).map(move |b| [a, b]))
+        .map(|pair| {
+            let [fa, fb] = finishes(pair);
+            let order = if fa < fb {
+                (pair[0], pair[1])
+            } else {
+                (pair[1], pair[0])
+            };
+            (order, fa.abs_diff(fb))
+        })
+        .max_by_key(|&(_, gap)| gap)
+        .expect("55 candidate pairs");
+    assert!(
+        gap >= 200,
+        "items {early} and {late}: a 200+ virtual ms gap"
+    );
+    let server = AmsServer::start(
+        scheduler(),
+        budget,
+        ServeConfig {
+            shards: 1,
+            workers_per_shard: 1,
+            max_batch: 2,
+            queue_capacity: 8,
+            policy: BackpressurePolicy::Block,
+            pool_mb: 1,
+            // 200 virtual ms is 20 wall ms.
+            exec_emulation_scale: 0.1,
+            obs: Some(ObsConfig::default()),
+            ..ServeConfig::default()
+        },
+    );
+    let client = server.client();
+    let submit = |i: usize| {
+        let ticket = client.submit(Arc::new(table.item(i).clone())).ticket();
+        ticket.expect("lossless config").id()
+    };
+    submit(0);
+    while server.pending() > 0 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let (early_id, late_id) = (submit(early), submit(late));
+    let events: Vec<Completion> = std::iter::from_fn(|| client.recv()).take(3).collect();
+    let report = server.shutdown();
+    let execute_us = |id: u64| {
+        let ev = events.iter().find(|e| e.ticket() == id).expect("delivered");
+        ev.labeled().expect("lossless run only labels").execute_us
+    };
+    assert!(
+        execute_us(early_id) < execute_us(late_id),
+        "items {early} and {late}: {} vs {} us",
+        execute_us(early_id),
+        execute_us(late_id)
+    );
+    let ids: HashSet<u64> = events.iter().map(Completion::ticket).collect();
+    assert_eq!((events.len(), ids.len()), (3, 3), "exactly once");
+    assert_eq!(client.outstanding(), 0);
+    assert_eq!(report.completed, 3);
+    assert_eq!(report.batches, 2, "the pair rode one batch");
+    assert!(report.is_conserved() && report.events_reconcile());
 }
 
 /// The completion window genuinely bounds the ticket pipeline: a client

@@ -165,10 +165,12 @@ fn one_request_down_each_path(policy: BackpressurePolicy, slo: Option<SloConfig>
         queue_capacity: 3,
         max_batch: 1,
         policy,
-        // Long enough (~0.1 s a request) that the one worker is still
-        // inside a request's emulated execution while the next few
-        // are submitted.
-        exec_emulation_scale: 1.0,
+        // A 1 MB pool runs a request's models one at a time and the next
+        // request is popped only once the last of them starts: long
+        // enough (~0.2 s a request) that the one worker is still held
+        // while the next few are submitted.
+        pool_mb: 1,
+        exec_emulation_scale: 0.25,
         slo,
         cache: Some(CacheConfig::default()),
         obs: Some(ObsConfig::default()),

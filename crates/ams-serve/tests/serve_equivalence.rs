@@ -318,6 +318,9 @@ fn partial_batch_shed_counted_once_and_excluded_from_recall() {
         queue_capacity: 64,
         max_batch: 8,
         policy: BackpressurePolicy::Block,
+        // A 1 MB pool runs a batch's models one at a time, so the worker
+        // pops the next batch only tens of wall ms later.
+        pool_mb: 1,
         exec_emulation_scale: 5e-3,
         ..ServeConfig::default()
     };

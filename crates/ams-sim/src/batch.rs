@@ -14,10 +14,14 @@
 //! can never make a lone job faster than its spec says. Memory is charged
 //! once per batch (the weights dominate and are shared; per-item
 //! activations are folded into the spec's peak figure).
+//!
+//! A batch's invocations are then packed into the shared pool:
+//! [`batched_makespan`] packs one batch on an empty pool, and a
+//! [`PoolTimeline`] streams a sequence of batches through one pool, each
+//! filling the memory the previous ones leave.
 
 use crate::Job;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
 
 /// Calibrated setup + marginal per-item latency split for batched execution.
 ///
@@ -140,18 +144,23 @@ struct Batch {
     id: usize,
     time_ms: u32,
     mem_mb: u32,
-    /// What [`batched_makespan`] sorts a candidate list by, largest first
-    /// (stored so the sort compares integers, not calls through a pointer).
+    /// What a candidate list is sorted by, largest first (stored so the
+    /// sort compares integers, not calls through a pointer).
     priority: u64,
     /// Smallest `mem_mb` from this batch to the end of its list: with less
     /// than this free, nothing from here on fits and a scan can stop.
     tail_min_mb: u32,
     /// The next still-pending batch in list order, or [`END`].
     next: u32,
+    /// When the batch finishes, once [`run_list`] has admitted it.
+    finish_ms: u64,
 }
 
 /// End of the pending list threaded through [`Batch::next`].
 const END: u32 = u32::MAX;
+
+/// A batch holding pool memory: `(finish_ms, id, mem_mb)`.
+type Running = (u64, usize, u32);
 
 /// The non-empty `groups` as [`Batch`]es, in the order given. A batch whose
 /// weights exceed the whole pool is clamped to the pool (it would stream
@@ -175,25 +184,31 @@ fn batches<'a>(
             priority: 0,
             tail_min_mb: 0,
             next: END,
+            finish_ms: 0,
         })
 }
 
-/// The event loop both makespan functions share (the Algorithm 2 shape):
-/// admit, in list order, every pending batch that fits the free pool; wait
-/// for the earliest completion (ties by id); release its memory; repeat.
-/// Returns the makespan of `list` — or `limit`, as soon as some batch is
-/// admitted that cannot finish before it.
+/// The one event loop every admission runs (the Algorithm 2 shape): from
+/// `*now_ms`, with `*free_mb` free beside `running`, admit in list order
+/// every pending batch that fits; wait for the earliest completion (ties
+/// by id); release its memory; repeat until the whole list is admitted.
 ///
-/// No trace is recorded and nothing is allocated: pending batches are a
-/// linked list threaded through `list` (unlinking is O(1) and leaves the
-/// slice in order), `running` — `(finish_ms, id, mem_mb)` — is the
-/// caller's scratch. This is [`ParallelExecutor`](crate::ParallelExecutor)'s
-/// arithmetic without its bookkeeping, and `tests/props.rs` holds the two
-/// to the same answer.
+/// On return `*now_ms` is the last admission, `*free_mb` and `running` the
+/// pool at that instant, and each batch's `finish_ms` is set. Returns the
+/// latest finish in `list` (`*now_ms` when it is empty) — or `limit`, as
+/// soon as some batch is admitted that cannot finish before it, leaving
+/// the state partial.
+///
+/// Nothing is allocated beyond `running`'s growth and no trace is
+/// recorded: pending batches are a linked list threaded through `list`
+/// (unlinking is O(1) and leaves the slice in order). This is
+/// [`ParallelExecutor`](crate::ParallelExecutor)'s arithmetic without its
+/// bookkeeping, and `tests/props.rs` holds the two to the same answer.
 fn run_list(
     list: &mut [Batch],
-    capacity_mb: u32,
-    running: &mut Vec<(u64, usize, u32)>,
+    now_ms: &mut u64,
+    free_mb: &mut u32,
+    running: &mut Vec<Running>,
     limit: u64,
 ) -> u64 {
     debug_assert!(list.len() < END as usize);
@@ -205,25 +220,25 @@ fn run_list(
         b.next = head;
         head = i as u32;
     }
-    running.clear();
-    let (mut now_ms, mut end_ms, mut free_mb) = (0u64, 0u64, capacity_mb);
-    while head != END {
+    let mut end_ms = *now_ms;
+    loop {
         // First fit, front to back. Admissions only raise the true tail
         // minimum, so the recorded one stays a valid reason to stop.
         let (mut prev, mut cur) = (END, head);
         while cur != END {
             let b = list[cur as usize];
-            if free_mb < b.tail_min_mb {
+            if *free_mb < b.tail_min_mb {
                 break;
             }
-            if b.mem_mb <= free_mb {
-                let finish_ms = now_ms + u64::from(b.time_ms);
+            if b.mem_mb <= *free_mb {
+                let finish_ms = *now_ms + u64::from(b.time_ms);
                 if finish_ms >= limit {
                     return limit;
                 }
                 end_ms = end_ms.max(finish_ms);
-                free_mb -= b.mem_mb;
+                *free_mb -= b.mem_mb;
                 running.push((finish_ms, b.id, b.mem_mb));
+                list[cur as usize].finish_ms = finish_ms;
                 if prev == END {
                     head = b.next;
                 } else {
@@ -234,20 +249,22 @@ fn run_list(
             }
             cur = b.next;
         }
-        // Every batch fits an empty pool, so something is running here.
+        if head == END {
+            return end_ms;
+        }
+        // Something is pending and did not fit, so something is running:
+        // an empty pool fits every (clamped) batch.
         let Some((first, _)) = running
             .iter()
             .enumerate()
             .min_by_key(|&(_, &(finish_ms, id, _))| (finish_ms, id))
         else {
-            break;
+            return end_ms;
         };
         let (finish_ms, _, mem_mb) = running.swap_remove(first);
-        now_ms = finish_ms;
-        free_mb += mem_mb;
+        *now_ms = finish_ms;
+        *free_mb += mem_mb;
     }
-    // Nothing left to admit: what is running just runs out.
-    end_ms
 }
 
 /// Virtual makespan of list-scheduling `groups_in_order` — `(job, count)`
@@ -269,12 +286,13 @@ pub fn list_makespan(
     let mut list = Vec::with_capacity(groups_in_order.len());
     list.extend(batches(groups_in_order, capacity_mb, model));
     let mut running = Vec::with_capacity(list.len());
-    run_list(&mut list, capacity_mb, &mut running, u64::MAX)
+    let (mut now_ms, mut free_mb) = (0, capacity_mb);
+    run_list(&mut list, &mut now_ms, &mut free_mb, &mut running, u64::MAX)
 }
 
-/// The list-scheduling priorities [`batched_makespan`] tries, each a key
-/// sorted largest first with ties in id order: `batch_time × mem`, batch
-/// time, memory, and a constant — plain model-id order. Most likely
+/// The list-scheduling priorities [`PoolTimeline::admit`] tries, each a
+/// key sorted largest first with ties in id order: `batch_time × mem`,
+/// batch time, memory, and a constant — plain model-id order. Most likely
 /// winner first, so the later lists are cut short sooner.
 const PRIORITIES: [fn(&Batch) -> u64; 4] = [
     |b| u64::from(b.time_ms) * u64::from(b.mem_mb),
@@ -284,8 +302,9 @@ const PRIORITIES: [fn(&Batch) -> u64; 4] = [
 ];
 
 /// Virtual makespan of running `groups` of batched jobs — `(job, count)`
-/// pairs, one per model — on a shared pool of `capacity_mb`, under
-/// `model`'s latency split, packed in the best of a few admission orders.
+/// pairs, one per model — on an empty shared pool of `capacity_mb`, under
+/// `model`'s latency split, packed in the best of a few admission orders:
+/// `PoolTimeline::new(capacity_mb).admit(..)`'s end.
 ///
 /// **Order-independent.** The result is a function of the *multiset* of
 /// groups: each candidate order is a sort of the groups by one of four
@@ -293,11 +312,10 @@ const PRIORITIES: [fn(&Batch) -> u64; 4] = [
 /// memory first; largest `batch_time × mem` first — with ties broken by
 /// id, and the smallest [`list_makespan`] among them is returned.
 ///
-/// **Never worse than id order.** Ascending id is what the serving worker
-/// and the benchmark probe pass (model-index order) and is always a
-/// candidate, so the result is `<=` the [`list_makespan`] of the
-/// id-sorted groups — the only schedule there was before the order became
-/// a decision — and `>=` the bound below, which no schedule can beat.
+/// **Never worse than id order.** Ascending id is what the benchmark
+/// probe passes (model-index order) and is always a candidate, so the
+/// result is `<=` the [`list_makespan`] of the id-sorted groups and `>=`
+/// the bound below, which no schedule can beat.
 ///
 /// **Two early exits.** When every group fits the pool at once the
 /// makespan is the longest batch whatever the order, and no list is run.
@@ -305,47 +323,205 @@ const PRIORITIES: [fn(&Batch) -> u64; 4] = [
 /// ceil(sum(batch_time x mem) / capacity))` is optimal, so the remaining
 /// candidates are skipped. (And a candidate is abandoned at the first
 /// batch that would finish no sooner than the best makespan so far.)
-///
-/// Candidates run on three buffers allocated once per call, without
-/// recording an [`ExecTrace`](crate::ExecTrace).
 pub fn batched_makespan(
     groups: &[(Job, usize)],
     capacity_mb: u32,
     model: &BatchLatencyModel,
 ) -> u64 {
-    let capacity_mb = capacity_mb.max(1);
-    let mut sorted = Vec::with_capacity(groups.len());
-    sorted.extend(batches(groups, capacity_mb, model));
-    let (mut longest, mut total_mb, mut area) = (0u64, 0u64, 0u128);
-    for b in &sorted {
-        longest = longest.max(u64::from(b.time_ms));
-        total_mb += u64::from(b.mem_mb);
-        area += u128::from(b.time_ms) * u128::from(b.mem_mb);
-    }
-    if total_mb <= u64::from(capacity_mb) {
-        return longest;
-    }
-    let bound = u128::from(longest).max(area.div_ceil(u128::from(capacity_mb)));
-    // Canonical base order: any permutation of `groups` sorts to the same
-    // list (equal keys are equal batches), and a stable sort by priority
-    // from it breaks ties by id.
-    sorted.sort_unstable_by_key(|b| (b.id, b.time_ms, b.mem_mb));
-    let mut list = Vec::with_capacity(sorted.len());
-    let mut running = Vec::with_capacity(sorted.len());
-    let mut best = u64::MAX;
-    for priority in PRIORITIES {
-        list.clear();
-        list.extend(sorted.iter().map(|&b| Batch {
-            priority: priority(&b),
-            ..b
-        }));
-        list.sort_by_key(|b| Reverse(b.priority));
-        best = run_list(&mut list, capacity_mb, &mut running, best);
-        if u128::from(best) == bound {
-            break;
+    PoolTimeline::new(capacity_mb)
+        .admit(groups, model, &mut [])
+        .1
+}
+
+/// One pool's schedule across a stream of batches: Algorithm 2's loop run
+/// continuously instead of restarted per batch.
+///
+/// [`PoolTimeline::admit`] list-schedules a batch into the memory the
+/// earlier batches leave, behind every group already admitted: it starts
+/// at the later of [`PoolTimeline::advance_to`]'s time and the previous
+/// batch's last admission, and each earlier group keeps the finish it was
+/// given. A batch on an idle timeline is packed exactly as
+/// [`batched_makespan`] packs it. Times are virtual milliseconds;
+/// candidate lists run on buffers the timeline keeps, so a stream of
+/// batches allocates nothing once they have grown.
+#[derive(Debug, Clone)]
+pub struct PoolTimeline {
+    capacity_mb: u32,
+    /// Nothing is admitted before this.
+    now_ms: u64,
+    /// Memory not held by `running`.
+    free_mb: u32,
+    /// Every admitted group that may still hold memory.
+    running: Vec<Running>,
+    /// The latest admission: every admitted group has started by then.
+    last_admit_ms: u64,
+    /// The latest finish.
+    end_ms: u64,
+    /// Length of the union of the intervals in which something ran.
+    busy_ms: u64,
+    /// Candidate scratch: the list being tried, the best one so far, and
+    /// the pool a candidate runs on.
+    list: Vec<Batch>,
+    best_list: Vec<Batch>,
+    trial: Vec<Running>,
+}
+
+impl PoolTimeline {
+    /// An idle pool of `capacity_mb` (at least 1) at virtual time 0.
+    pub fn new(capacity_mb: u32) -> Self {
+        let capacity_mb = capacity_mb.max(1);
+        Self {
+            capacity_mb,
+            now_ms: 0,
+            free_mb: capacity_mb,
+            running: Vec::new(),
+            last_admit_ms: 0,
+            end_ms: 0,
+            busy_ms: 0,
+            list: Vec::new(),
+            best_list: Vec::new(),
+            trial: Vec::new(),
         }
     }
-    best
+
+    /// Move the clock to `v_ms` (never back), releasing what has finished.
+    pub fn advance_to(&mut self, v_ms: u64) {
+        self.now_ms = self.now_ms.max(v_ms);
+        self.release_until(self.now_ms);
+    }
+
+    fn release_until(&mut self, t_ms: u64) {
+        let free_mb = &mut self.free_mb;
+        self.running.retain(|&(finish_ms, _, mem_mb)| {
+            let done = finish_ms <= t_ms;
+            if done {
+                *free_mb += mem_mb;
+            }
+            !done
+        });
+    }
+
+    /// Length of the union of the intervals in which something ran, ms:
+    /// the pool's busy time, never more than the sum of its batch times.
+    pub fn busy_ms(&self) -> u64 {
+        self.busy_ms
+    }
+
+    /// Admit one batch — `(job, count)` groups, one batched invocation
+    /// each — and return `(last admission, latest finish)` over everything
+    /// admitted so far. Each group's finish is written to
+    /// `finish_by_id[job.id]` when the slice is long enough (pass `&mut []`
+    /// to skip).
+    ///
+    /// The batch starts at the later of the clock and the previous last
+    /// admission. It is packed in the best of four list orders (the
+    /// smallest finish of its own last group), each run against what is
+    /// still running; with everything fitting the free memory at once, or
+    /// a candidate reaching the lower bound, the rest are skipped.
+    pub fn admit(
+        &mut self,
+        groups: &[(Job, usize)],
+        model: &BatchLatencyModel,
+        finish_by_id: &mut [u64],
+    ) -> (u64, u64) {
+        let start_ms = self.now_ms.max(self.last_admit_ms);
+        self.release_until(start_ms);
+        self.list.clear();
+        self.list.reserve(groups.len());
+        self.list.extend(batches(groups, self.capacity_mb, model));
+        if self.list.is_empty() {
+            return (self.last_admit_ms, self.end_ms);
+        }
+        let (mut longest, mut total_mb, mut area) = (0u64, 0u64, 0u128);
+        for b in &self.list {
+            longest = longest.max(u64::from(b.time_ms));
+            total_mb += u64::from(b.mem_mb);
+            area += u128::from(b.time_ms) * u128::from(b.mem_mb);
+        }
+        let (last_admit_ms, end_ms) = if total_mb <= u64::from(self.free_mb) {
+            // Everything fits beside what runs: all start now.
+            self.running.reserve(self.list.len());
+            for b in &self.list {
+                let finish_ms = start_ms + u64::from(b.time_ms);
+                self.running.push((finish_ms, b.id, b.mem_mb));
+                if let Some(f) = finish_by_id.get_mut(b.id) {
+                    *f = finish_ms;
+                }
+            }
+            self.free_mb -= total_mb as u32;
+            (start_ms, start_ms + longest)
+        } else {
+            let bound = u128::from(start_ms)
+                + u128::from(longest).max(area.div_ceil(u128::from(self.capacity_mb)));
+            self.pack(start_ms, bound, finish_by_id)
+        };
+        self.busy_ms += end_ms.saturating_sub(start_ms.max(self.end_ms));
+        self.last_admit_ms = last_admit_ms;
+        self.end_ms = self.end_ms.max(end_ms);
+        (self.last_admit_ms, self.end_ms)
+    }
+
+    /// The candidate loop of [`PoolTimeline::admit`] over the batches in
+    /// `list`: every priority's order from `start_ms` against the running
+    /// groups, keeping the one whose last group finishes first (the
+    /// earliest such priority on a tie), then the pool it leaves at its
+    /// last admission. Returns its `(last admission, end)`.
+    fn pack(&mut self, start_ms: u64, bound: u128, finish_by_id: &mut [u64]) -> (u64, u64) {
+        self.best_list.clear();
+        let (mut best_end, mut best_admit) = (u64::MAX, start_ms);
+        for priority in PRIORITIES {
+            // After a win `list` is the old best buffer: empty the first
+            // time, otherwise the same batches in another order.
+            if self.list.is_empty() {
+                self.list.extend_from_slice(&self.best_list);
+            }
+            for b in &mut self.list {
+                b.priority = priority(b);
+            }
+            // Any permutation of the groups sorts to the same list: equal
+            // keys are equal batches.
+            self.list.sort_unstable_by(|a, b| {
+                (b.priority, a.id, a.time_ms, a.mem_mb)
+                    .cmp(&(a.priority, b.id, b.time_ms, b.mem_mb))
+            });
+            self.trial.clear();
+            self.trial.reserve(self.running.len() + self.list.len());
+            self.trial.extend_from_slice(&self.running);
+            let (mut now_ms, mut free_mb) = (start_ms, self.free_mb);
+            let end_ms = run_list(
+                &mut self.list,
+                &mut now_ms,
+                &mut free_mb,
+                &mut self.trial,
+                best_end,
+            );
+            if end_ms < best_end {
+                (best_end, best_admit) = (end_ms, now_ms);
+                std::mem::swap(&mut self.list, &mut self.best_list);
+            }
+            if u128::from(best_end) == bound {
+                break;
+            }
+        }
+        // The pool at the winner's last admission: every group, earlier or
+        // new, that is still running then (the trial buffer is reused).
+        std::mem::swap(&mut self.running, &mut self.trial);
+        self.running.clear();
+        let still_running = |&(finish_ms, ..): &Running| finish_ms > best_admit;
+        self.running
+            .extend(self.trial.iter().copied().filter(still_running));
+        for b in &self.best_list {
+            if b.finish_ms > best_admit {
+                self.running.push((b.finish_ms, b.id, b.mem_mb));
+            }
+            if let Some(f) = finish_by_id.get_mut(b.id) {
+                *f = b.finish_ms;
+            }
+        }
+        let held: u32 = self.running.iter().map(|&(_, _, mem_mb)| mem_mb).sum();
+        self.free_mb = self.capacity_mb - held;
+        (best_admit, best_end)
+    }
 }
 
 #[cfg(test)]
@@ -506,6 +682,58 @@ mod tests {
         assert_eq!(list_makespan(&groups, 1000, &m), 400);
         // Longest first, C runs from t = 0 beside A, and B follows A.
         assert_eq!(batched_makespan(&groups, 1000, &m), 300);
+    }
+
+    #[test]
+    fn second_batch_starts_in_the_memory_the_first_leaves() {
+        let m = BatchLatencyModel::new(0);
+        let a = Job {
+            id: 0,
+            time_ms: 300,
+            mem_mb: 600,
+        };
+        let b = Job {
+            id: 1,
+            time_ms: 100,
+            mem_mb: 400,
+        };
+        let mut pool = PoolTimeline::new(1000);
+        let mut finish = [0u64; 2];
+        assert_eq!(pool.admit(&[(a, 1)], &m, &mut finish), (0, 300));
+        // B runs beside A from t = 0, not after A's 300 ms makespan.
+        assert_eq!(pool.admit(&[(b, 1)], &m, &mut finish), (0, 300));
+        assert_eq!(finish, [300, 100]);
+        assert_eq!(pool.busy_ms(), 300);
+    }
+
+    #[test]
+    fn admit_on_an_idle_timeline_is_batched_makespan() {
+        let m = BatchLatencyModel::new(0);
+        let j = |id, t, mem| Job {
+            id,
+            time_ms: t,
+            mem_mb: mem,
+        };
+        let groups = [
+            (j(0, 100, 400), 1),
+            (j(1, 100, 400), 1),
+            (j(2, 300, 600), 1),
+        ];
+        let makespan = batched_makespan(&groups, 1000, &m);
+        assert_eq!(makespan, 300);
+        let mut pool = PoolTimeline::new(1000);
+        let mut finish = [0u64; 3];
+        assert_eq!(pool.admit(&groups, &m, &mut finish).1, makespan);
+        assert_eq!(finish, [100, 200, 300]);
+        // Idle again once the clock passes the end: the next batch packs
+        // exactly as on a fresh pool, shifted to the clock.
+        pool.advance_to(1000);
+        assert_eq!(
+            pool.admit(&groups, &m, &mut finish),
+            (1100, 1000 + makespan)
+        );
+        assert_eq!(finish, [1100, 1200, 1300]);
+        assert_eq!(pool.busy_ms(), 2 * makespan);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   (the setting of Algorithm 2).
 //! * [`batch`] — batched admission: coalesce same-model items into one
 //!   invocation under a calibrated setup + marginal-per-item latency split,
-//!   and pack a batch's invocations into the pool in the best of a few
-//!   list-scheduling orders.
+//!   pack a batch's invocations into the pool in the best of a few
+//!   list-scheduling orders, and stream successive batches through one
+//!   pool ([`PoolTimeline`]).
 //! * [`trace`] — execution traces and their invariants.
 //!
 //! The crate is deliberately generic: a job is just `(id, time, memory)`.
@@ -33,7 +34,7 @@ pub mod parallel;
 pub mod serial;
 pub mod trace;
 
-pub use batch::{batched_makespan, list_makespan, BatchLatencyModel};
+pub use batch::{batched_makespan, list_makespan, BatchLatencyModel, PoolTimeline};
 pub use clock::VirtualClock;
 pub use gpu::MemoryPool;
 pub use parallel::ParallelExecutor;

@@ -3,7 +3,7 @@
 
 use ams_sim::{
     batched_makespan, list_makespan, BatchLatencyModel, ExecTrace, Job, MemoryPool,
-    ParallelExecutor, SerialExecutor,
+    ParallelExecutor, PoolTimeline, SerialExecutor,
 };
 use proptest::prelude::*;
 
@@ -63,6 +63,35 @@ fn replay(order: &[Group], capacity: u32, model: &BatchLatencyModel) -> ExecTrac
             .expect("an empty pool admits any clamped batch");
     }
     ex.into_trace()
+}
+
+/// A stream of batches, each `(time_ms, mem_mb, count)` per model with
+/// ids `0..len` — the same model ids recur from batch to batch, as they
+/// do for a serving worker.
+fn arb_stream() -> impl Strategy<Value = Vec<Vec<(u32, u32, usize)>>> {
+    prop::collection::vec(
+        prop::collection::vec((50u32..500, 500u32..8000, 1usize..32), 1..12),
+        1..6,
+    )
+}
+
+/// Stream `batches` through one timeline with no clock moves between
+/// them: each batch's groups and the finish each was given at admission.
+fn stream(
+    batches: &[Vec<(u32, u32, usize)>],
+    capacity: u32,
+    model: &BatchLatencyModel,
+) -> Vec<Vec<(Group, u64)>> {
+    let mut pool = PoolTimeline::new(capacity);
+    batches
+        .iter()
+        .map(|specs| {
+            let gs = groups_of(specs);
+            let mut finish = vec![0u64; gs.len()];
+            pool.admit(&gs, model, &mut finish);
+            gs.into_iter().zip(finish).collect()
+        })
+        .collect()
 }
 
 proptest! {
@@ -307,6 +336,109 @@ proptest! {
         prop_assert_eq!(best.makespan_ms(), batched_makespan(&order, capacity, &model));
         prop_assert_eq!(best.spans.len(), specs.len());
         prop_assert!(best.respects_memory(capacity), "peak {}", best.peak_mem_mb());
+    }
+
+    /// Admitting batch k+1 never moves a finish of batch k: a timeline
+    /// that saw only batches 0..=k gives them the same finishes as one
+    /// that went on to admit the rest, and every group of batch k+1 starts
+    /// no earlier than batch k's last admission (behind it, not around it).
+    #[test]
+    fn streaming_never_moves_an_earlier_finish(
+        batches in arb_stream(),
+        capacity in 1000u32..20000,
+        permille in 0u32..=1000,
+    ) {
+        let model = BatchLatencyModel::new(permille);
+        let all = stream(&batches, capacity, &model);
+        for k in 0..batches.len() {
+            prop_assert_eq!(&stream(&batches[..=k], capacity, &model)[..], &all[..=k]);
+        }
+        let mut pool = PoolTimeline::new(capacity);
+        let (mut before, mut last_end) = (0, 0);
+        for specs in &batches {
+            let gs = groups_of(specs);
+            let mut finish = vec![0u64; gs.len()];
+            let (last_admit, end) = pool.admit(&gs, &model, &mut finish);
+            prop_assert!(end >= last_end && last_admit >= before);
+            for (&(job, count), &f) in gs.iter().zip(&finish) {
+                prop_assert!(f - model.batch_time_ms(job.time_ms, count) >= before);
+            }
+            (before, last_end) = (last_admit, end);
+        }
+    }
+
+    /// The streamed schedule is a real one: replaying every group through
+    /// the traced executor at the start the timeline gave it reproduces
+    /// each finish and never overfills the pool, and the timeline's busy
+    /// time is the length of the union of the replayed spans.
+    #[test]
+    fn streamed_timeline_replays_within_the_pool(
+        batches in arb_stream(),
+        capacity in 1000u32..20000,
+        permille in 0u32..=1000,
+    ) {
+        let model = BatchLatencyModel::new(permille);
+        let mut starts: Vec<(u64, Job, usize, u64)> = Vec::new();
+        for (job, count, finish) in stream(&batches, capacity, &model)
+            .into_iter()
+            .flatten()
+            .map(|((job, count), finish)| (job, count, finish))
+        {
+            let id = starts.len();
+            let mem_mb = job.mem_mb.min(capacity);
+            let start = finish - model.batch_time_ms(job.time_ms, count);
+            starts.push((start, Job { id, mem_mb, ..job }, count, finish));
+        }
+        starts.sort_by_key(|&(start, job, ..)| (start, job.id));
+        let mut ex = ParallelExecutor::new(capacity);
+        for &(start, job, count, finish) in &starts {
+            while ex.next_completion_ms().is_some_and(|f| f <= start) {
+                ex.wait_next();
+            }
+            // Every start is a completion instant or 0: the clock is there.
+            prop_assert_eq!(ex.now_ms(), start);
+            prop_assert!(ex.fits(job.mem_mb), "group {} at {}", job.id, start);
+            let dur = ex.admit_batch(job, count, &model).expect("fits() said yes");
+            prop_assert_eq!(ex.now_ms() + dur, finish);
+        }
+        let trace = ex.into_trace();
+        prop_assert!(trace.respects_memory(capacity), "peak {}", trace.peak_mem_mb());
+        let mut spans: Vec<(u64, u64)> = trace.spans.iter().map(|s| (s.start_ms, s.end_ms)).collect();
+        spans.sort_unstable();
+        let (mut union, mut reach) = (0u64, 0u64);
+        for (s, e) in spans {
+            union += e.saturating_sub(s.max(reach));
+            reach = reach.max(e);
+        }
+        let mut pool = PoolTimeline::new(capacity);
+        for specs in &batches {
+            pool.admit(&groups_of(specs), &model, &mut []);
+        }
+        prop_assert_eq!(pool.busy_ms(), union);
+    }
+
+    /// With the clock moved arbitrarily between batches, every finish is
+    /// at least its batch's admission plus its own batch time.
+    #[test]
+    fn every_finish_follows_its_admission(
+        batches in arb_stream(),
+        gaps in prop::collection::vec(0u64..2000, 6..7),
+        capacity in 1000u32..20000,
+        permille in 0u32..=1000,
+    ) {
+        let model = BatchLatencyModel::new(permille);
+        let mut pool = PoolTimeline::new(capacity);
+        let mut clock = 0u64;
+        for (specs, gap) in batches.iter().zip(gaps) {
+            clock += gap;
+            pool.advance_to(clock);
+            let gs = groups_of(specs);
+            let mut finish = vec![0u64; gs.len()];
+            pool.admit(&gs, &model, &mut finish);
+            for (&(job, count), &f) in gs.iter().zip(&finish) {
+                prop_assert!(f >= clock + model.batch_time_ms(job.time_ms, count));
+            }
+        }
     }
 
     /// The parallel executor with capacity >= all jobs behaves like pure

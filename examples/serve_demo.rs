@@ -131,7 +131,7 @@ fn print_report(tag: &str, r: &ServeReport) {
         r.total.p99_us as f64 / 1000.0,
     );
     println!(
-        "  batches: {} (largest {}), virtual exec {:.1}s vs serial bill {:.1}s ({:.0}% saved by batching)",
+        "  batches: {} (largest {}), virtual pool busy {:.1}s vs serial bill {:.1}s ({:.0}% saved by batching)",
         r.batches,
         r.max_batch_observed,
         r.virtual_exec_ms as f64 / 1000.0,

@@ -8,7 +8,8 @@
 #                               #       build + bench gate + tier-1 tests
 #   ./scripts/check.sh --quick  # fmt + clippy + doc links + fast
 #                               #       label-cache and pool-packer passes
-#                               #       (PROPTEST_CASES=16) + debug tests
+#                               #       (PROPTEST_CASES=16) + the held-
+#                               #       worker tests 5x + debug tests
 #                               #       (no release build, no bench gate)
 #   ./scripts/check.sh --smoke  # fmt + clippy + doc links + bench gate
 #                               #       only (the fast perf-regression
@@ -94,6 +95,19 @@ if [[ $mode == quick ]]; then
     # pool, depends on the group order or loses to id order fails here.
     echo "==> ams-sim tests (PROPTEST_CASES=16)"
     PROPTEST_CASES=16 cargo test -q -p ams-sim
+    # The wall-clock tests that hold a worker through its pool (or time a
+    # member's own finish), five runs each: a hold that is too short fails
+    # here, not one run in ten.
+    echo "==> held-worker tests (5 runs)"
+    for _ in 1 2 3 4 5; do
+        cargo test -q -p ams-serve --test client_api -- \
+            pending_excludes_cancelled_tombstones_like_the_depth_gauge \
+            a_member_completes_at_its_own_finish_not_its_batchs
+        cargo test -q -p ams-serve --test serve_equivalence -- \
+            partial_batch_shed_counted_once_and_excluded_from_recall
+        cargo test -q -p ams-serve --test obs_reconciliation -- \
+            every_terminal_path_lands_in_one_bucket_classless_and_with_one_class
+    done
 fi
 
 if [[ $mode == full || $mode == quick ]]; then
