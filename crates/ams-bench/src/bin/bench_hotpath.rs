@@ -70,6 +70,11 @@ struct Record {
     /// the memory the last one leaves saves. Virtual time only, so it
     /// repeats exactly.
     stream_gain: f64,
+    /// The same streams' end ÷ their end with one batch of look-ahead,
+    /// each batch's runs joining the not-yet-started invocations of their
+    /// models ([`ams_bench::hotpath::merge_gain`]): what sharing a setup
+    /// across batches saves. Virtual time only, so it repeats exactly.
+    merge_gain: f64,
     stream_items: usize,
     /// Compute-only serial-engine throughput (virtual execution elided).
     compute_serial_items_per_s: f64,
@@ -335,6 +340,7 @@ fn main() {
         q_infer_max_abs_diff: q_infer_max_diff,
         pack_gain: ams_bench::hotpath::pack_gain(&setup),
         stream_gain: ams_bench::hotpath::stream_gain(&setup),
+        merge_gain: ams_bench::hotpath::merge_gain(&setup),
         stream_items: items.len(),
         compute_serial_items_per_s: compute_serial_ips,
         exec_emulation_scale: emu_scale,

@@ -436,7 +436,8 @@ mod tests {
                 "q_infer_ns": 90.0,
                 "q_infer_max_abs_diff": 0.0,
                 "pack_gain": 1.15,
-                "stream_gain": 1.05
+                "stream_gain": 1.05,
+                "merge_gain": 1.1
             }"#,
         )
         .expect("fixture parses")

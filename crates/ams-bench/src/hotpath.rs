@@ -54,7 +54,18 @@ pub const CHECKS: &[Check] = &[
         rule: Rule::Within("stream_gain", 1.02, f64::INFINITY),
         breaks: Break::Scale("stream_gain", 0.5),
     },
+    Check {
+        name: "joining open groups beats streaming closed ones",
+        // Virtual milliseconds only, like `stream_gain`; 1.0 would mean no
+        // batch ever shared an earlier batch's setup.
+        rule: Rule::Within("merge_gain", MERGE_FLOOR, f64::INFINITY),
+        breaks: Break::Scale("merge_gain", 0.5),
+    },
 ];
+
+/// `merge_gain`'s floor, under the smoke (1.054) and full (1.075)
+/// records' values.
+const MERGE_FLOOR: f64 = 1.03;
 
 /// Fill a replay buffer with `min_transitions`+ transitions from uniform
 /// random-policy episodes over `items`.
@@ -382,13 +393,14 @@ impl StreamSetup {
     }
 }
 
+/// One batch as the workers see it: each member's executed model ids.
+type Members = Vec<Vec<usize>>;
+
 /// The fixture's serial outcomes batched the way the benchmark's workers
 /// batch them — by 8 under Algorithm 1's budget and by 4 under Algorithm
-/// 2's — as one stream of batches per budget, each batch its `(job, runs)`
-/// groups in model-id order.
-fn fixture_streams(setup: &StreamSetup) -> Vec<Vec<Vec<(Job, usize)>>> {
+/// 2's — as one stream of batches per budget, with its batch size.
+fn fixture_streams(setup: &StreamSetup) -> Vec<(usize, Vec<Members>)> {
     let scheduler = setup.scheduler();
-    let specs = scheduler.zoo().specs();
     let deadline = Budget::Deadline { ms: 1000 };
     let deadline_memory = Budget::DeadlineMemory {
         ms: 1000,
@@ -397,33 +409,38 @@ fn fixture_streams(setup: &StreamSetup) -> Vec<Vec<Vec<(Job, usize)>>> {
     [(deadline, 8), (deadline_memory, 4)]
         .into_iter()
         .map(|(budget, chunk)| {
-            let batch_groups = |batch: &[ItemTruth]| {
-                let mut runs = vec![0usize; specs.len()];
-                for item in batch {
-                    for m in scheduler.label_item(item, budget).executed {
-                        runs[m.index()] += 1;
-                    }
-                }
-                specs
+            let members = |batch: &[ItemTruth]| {
+                let executed = |item| scheduler.label_item(item, budget).executed;
+                batch
                     .iter()
-                    .zip(runs)
-                    .enumerate()
-                    .map(|(id, (spec, count))| {
-                        let job = Job {
-                            id,
-                            time_ms: spec.time_ms,
-                            mem_mb: spec.mem_mb,
-                        };
-                        (job, count)
-                    })
+                    .map(|item| executed(item).iter().map(|m| m.index()).collect())
                     .collect()
             };
-            setup
-                .truth
-                .items()
-                .chunks(chunk)
-                .map(batch_groups)
-                .collect()
+            let batches = setup.truth.items().chunks(chunk).map(members).collect();
+            (chunk, batches)
+        })
+        .collect()
+}
+
+/// One batch's `(job, runs)` groups in model-id order.
+fn groups(batch: &Members) -> Vec<(Job, usize)> {
+    let zoo = ModelZoo::standard();
+    let specs = zoo.specs();
+    let mut runs = vec![0usize; specs.len()];
+    for &m in batch.iter().flatten() {
+        runs[m] += 1;
+    }
+    specs
+        .iter()
+        .zip(runs)
+        .enumerate()
+        .map(|(id, (spec, count))| {
+            let job = Job {
+                id,
+                time_ms: spec.time_ms,
+                mem_mb: spec.mem_mb,
+            };
+            (job, count)
         })
         .collect()
 }
@@ -434,11 +451,56 @@ fn fixture_streams(setup: &StreamSetup) -> Vec<Vec<Vec<(Job, usize)>>> {
 pub fn pack_gain(setup: &StreamSetup) -> f64 {
     let cfg = ServeConfig::default();
     let (mut id_order_ms, mut packed_ms) = (0u64, 0u64);
-    for groups in fixture_streams(setup).iter().flatten() {
-        id_order_ms += list_makespan(groups, cfg.pool_mb, &cfg.batch_model);
-        packed_ms += batched_makespan(groups, cfg.pool_mb, &cfg.batch_model);
+    for (_, stream) in fixture_streams(setup) {
+        for batch in &stream {
+            let groups = groups(batch);
+            id_order_ms += list_makespan(&groups, cfg.pool_mb, &cfg.batch_model);
+            packed_ms += batched_makespan(&groups, cfg.pool_mb, &cfg.batch_model);
+        }
     }
     id_order_ms as f64 / packed_ms as f64
+}
+
+/// The end of `stream` admitted back to back into one [`PoolTimeline`],
+/// each batch once the previous one's last group has started: nothing is
+/// ever open to join.
+fn streamed_end(stream: &[Members], cfg: &ServeConfig) -> u64 {
+    let mut pool = PoolTimeline::new(cfg.pool_mb);
+    let mut end_ms = 0;
+    for batch in stream {
+        let admitted = pool.admit(&groups(batch), &cfg.batch_model);
+        pool.advance_to(admitted.last_start_ms);
+        end_ms = admitted.end_ms;
+    }
+    end_ms
+}
+
+/// The end of `stream` admitted into one [`PoolTimeline`] the way a
+/// saturated worker admits it: each batch once fewer than `look_ahead`
+/// admitted members still have a run whose group has not started, its
+/// runs joining the open groups of their models.
+fn open_group_end(stream: &[Members], cfg: &ServeConfig, look_ahead: usize) -> u64 {
+    let mut pool = PoolTimeline::new(cfg.pool_mb);
+    // Members with a run in an open group: `(admit, models, last start)`.
+    let mut waiting: Vec<(u64, &[usize], u64)> = Vec::new();
+    let (mut clock, mut end_ms) = (0, 0);
+    for batch in stream {
+        if waiting.len() >= look_ahead {
+            let mut starts: Vec<u64> = waiting.iter().map(|w| w.2).collect();
+            starts.sort_unstable();
+            clock = clock.max(starts[starts.len() - look_ahead]);
+        }
+        pool.advance_to(clock);
+        let admitted = pool.admit(&groups(batch), &cfg.batch_model);
+        end_ms = admitted.end_ms;
+        waiting.extend(batch.iter().map(|m| (admitted.index, &m[..], 0)));
+        for (admit, models, last_start) in &mut waiting {
+            let start = |&m: &usize| pool.group_of(*admit, m).map(|g| g.start_ms);
+            *last_start = models.iter().filter_map(start).max().unwrap_or(0);
+        }
+        waiting.retain(|w| w.2 > clock);
+    }
+    end_ms
 }
 
 /// What streaming batches through one pool buys on the same batches:
@@ -449,16 +511,27 @@ pub fn pack_gain(setup: &StreamSetup) -> f64 {
 pub fn stream_gain(setup: &StreamSetup) -> f64 {
     let cfg = ServeConfig::default();
     let (mut barrier_ms, mut streamed_ms) = (0u64, 0u64);
-    for stream in fixture_streams(setup) {
-        let mut pool = PoolTimeline::new(cfg.pool_mb);
-        let mut end_ms = 0;
-        for groups in &stream {
-            barrier_ms += batched_makespan(groups, cfg.pool_mb, &cfg.batch_model);
-            end_ms = pool.admit(groups, &cfg.batch_model, &mut []).1;
+    for (_, stream) in fixture_streams(setup) {
+        for batch in &stream {
+            barrier_ms += batched_makespan(&groups(batch), cfg.pool_mb, &cfg.batch_model);
         }
-        streamed_ms += end_ms;
+        streamed_ms += streamed_end(&stream, &cfg);
     }
     barrier_ms as f64 / streamed_ms as f64
+}
+
+/// What joining open groups buys on the same batches: the streams' ends
+/// as [`stream_gain`] admits them ÷ their ends with one batch of
+/// look-ahead (`open_group_end` with the batch size), where a later
+/// batch's runs join the not-yet-started invocations of their models.
+pub fn merge_gain(setup: &StreamSetup) -> f64 {
+    let cfg = ServeConfig::default();
+    let (mut streamed_ms, mut merged_ms) = (0u64, 0u64);
+    for (chunk, stream) in fixture_streams(setup) {
+        streamed_ms += streamed_end(&stream, &cfg);
+        merged_ms += open_group_end(&stream, &cfg, chunk);
+    }
+    streamed_ms as f64 / merged_ms as f64
 }
 
 /// Everything a learn-step benchmark needs, at the paper architecture.

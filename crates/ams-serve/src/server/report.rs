@@ -248,10 +248,11 @@ pub struct ServeReport {
     pub batches: u64,
     /// Largest executed (post-shedding) batch observed.
     pub max_batch_observed: usize,
-    /// Batched model invocations: one per `(model, batch)` group admitted
-    /// to the virtual GPU pool. `stats.total_executions /
-    /// model_invocations` is the mean coalescing depth — the quantity
-    /// affinity routing exists to raise.
+    /// Batched model invocations: one per group opened on a virtual GPU
+    /// pool. A later batch's runs that join a model's not-yet-started
+    /// group add none, so this counts groups, not `(model, batch)` pairs.
+    /// `stats.total_executions / model_invocations` is the mean coalescing
+    /// depth — the quantity affinity routing exists to raise.
     pub model_invocations: u64,
     /// Virtual GPU **bill**: the summed batched invocation times
     /// (`Σ batch_time(model, count)`), i.e. GPU-time consumed, independent
@@ -324,8 +325,9 @@ impl ServeReport {
 
     /// Mean model executions coalesced per batched invocation (0 when no
     /// invocation ran): how many same-model items shared one setup charge
-    /// on the virtual GPU. Routing that groups similar requests raises
-    /// this; 1.0 means batching bought nothing.
+    /// on the virtual GPU, across batches when a later batch joined an
+    /// open group. Routing that groups similar requests raises this; 1.0
+    /// means batching bought nothing.
     pub fn mean_coalesced(&self) -> f64 {
         ratio(self.stats.total_executions as u64, self.model_invocations)
     }

@@ -32,9 +32,12 @@ pub(super) struct WorkerLocal {
     pub(super) execute: LatencyHistogram,
     pub(super) batches: u64,
     pub(super) max_batch_observed: usize,
+    /// Groups the worker's pool opened: a run that joined an open group
+    /// adds none.
     pub(super) model_invocations: u64,
     pub(super) virtual_work_ms: u64,
-    /// The worker's pool busy time: the union of its busy intervals.
+    /// The worker's pool busy time: the union of its committed groups'
+    /// intervals.
     pub(super) virtual_exec_ms: u64,
     /// The worker's share of the conservation ledger: completions (and
     /// the late ones among them) and deadline sheds, by class.
@@ -89,8 +92,31 @@ struct InFlight {
     outcome: LabelingOutcome,
     /// When its batch was popped: its execute span starts here.
     exec_start: Instant,
+    /// The pool admit that took its runs.
+    admit: u64,
     /// When its own last model finishes — it is delivered then.
     due: Instant,
+    /// When the last of its groups starts.
+    last_start: Instant,
+}
+
+impl InFlight {
+    /// Re-due the member from where `pool` now has its runs, with `wall`
+    /// mapping virtual ms to wall time; a group that has finished by the
+    /// pool's clock no longer counts. Returns whether `due` moved.
+    fn redue(&mut self, pool: &PoolTimeline, wall: impl Fn(u64) -> Instant) -> bool {
+        let (mut finish_ms, mut start_ms) = (0, 0);
+        for m in &self.outcome.executed {
+            if let Some(g) = pool.group_of(self.admit, m.index()) {
+                finish_ms = finish_ms.max(g.finish_ms);
+                start_ms = start_ms.max(g.start_ms);
+            }
+        }
+        let due = wall(finish_ms);
+        let moved = due != self.due;
+        (self.due, self.last_start) = (due, wall(start_ms));
+        moved
+    }
 }
 
 /// One worker's view of the server plus its private state.
@@ -115,15 +141,10 @@ struct Worker<'a> {
     pool: PoolTimeline,
     /// The pool's latest finish, virtual ms.
     pool_end_ms: u64,
-    /// Per model, the virtual finish of its group in the last batch.
-    finishes: Vec<u64>,
     /// The wall instant of virtual ms 0.
     anchor: Instant,
     /// Admitted members not yet delivered, in `due` order.
     in_flight: Vec<InFlight>,
-    /// The last batch's last admission: from then on the pool takes the
-    /// next batch as soon as a full one is queued.
-    last_admit: Instant,
     service: ServiceClock,
 }
 
@@ -155,10 +176,8 @@ pub(super) fn worker_loop(
         groups: Vec::with_capacity(n),
         pool: PoolTimeline::new(shared.cfg.pool_mb),
         pool_end_ms: 0,
-        finishes: vec![0u64; n],
         anchor,
         in_flight: Vec::new(),
-        last_admit: anchor,
         service: ServiceClock::default(),
     };
     loop {
@@ -170,6 +189,10 @@ pub(super) fn worker_loop(
             shared.cfg.max_batch
         };
         let Some((batch, exec_start)) = w.pace(limit) else {
+            // Commit what has not started yet: the busy time is the union
+            // of committed groups.
+            w.pool.advance_to(u64::MAX);
+            w.local.virtual_exec_ms = w.pool.busy_ms();
             return w.local;
         };
         // Every member's queue wait and expiry is judged at the pop.
@@ -181,8 +204,8 @@ pub(super) fn worker_loop(
         }
         w.batch_started(exec_start, survivors.len());
         let outcomes = w.label(&survivors);
-        w.batch_admit();
-        w.stage(survivors, outcomes, exec_start);
+        let admit = w.batch_admit();
+        w.stage(survivors, outcomes, exec_start, admit);
     }
 }
 
@@ -191,18 +214,20 @@ impl Worker<'_> {
         self.shared.emit(Some(self.index), ev);
     }
 
-    /// Wall instant of virtual pool time `v_ms`: `exec_emulation_scale`
-    /// wall ms per virtual ms from the anchor (the anchor itself without
-    /// emulation — every finish is due at once).
-    fn wall(&self, v_ms: u64) -> Instant {
-        let scale = self.shared.cfg.exec_emulation_scale;
-        if scale > 0.0 {
-            let offset = Duration::try_from_secs_f64(v_ms as f64 * scale / 1000.0);
-            if let Some(at) = offset.ok().and_then(|d| self.anchor.checked_add(d)) {
-                return at;
+    /// Wall instant of virtual pool time: `exec_emulation_scale` wall ms
+    /// per virtual ms from the anchor (the anchor itself without emulation
+    /// — every finish is due at once).
+    fn wall(&self) -> impl Fn(u64) -> Instant + use<> {
+        let (anchor, scale) = (self.anchor, self.shared.cfg.exec_emulation_scale);
+        move |v_ms| {
+            if scale > 0.0 {
+                let offset = Duration::try_from_secs_f64(v_ms as f64 * scale / 1000.0);
+                if let Some(at) = offset.ok().and_then(|d| anchor.checked_add(d)) {
+                    return at;
+                }
             }
+            anchor
         }
-        self.anchor
     }
 
     /// Virtual pool time now. Without emulation the pool is infinitely
@@ -218,14 +243,23 @@ impl Worker<'_> {
 
     /// The loop's one pacing call: deliver every member that is due, then
     /// pop the next batch once the pool can take it, with the instant it
-    /// was popped. The pool takes a full batch from the last batch's last
-    /// admission on — it starts in the memory the running groups release —
-    /// and anything less once everything in flight is delivered, so a
-    /// lightly loaded shard still batches all that queued while it ran.
-    /// A pop with members in flight waits for work only until the next one
-    /// is due, so none is stranded behind an empty queue. `None` once the
-    /// queue is closed and drained and nothing is in flight.
+    /// was popped. The pool takes a full batch once fewer than `limit`
+    /// staged members still have a run whose group has not started — one
+    /// batch of look-ahead, whose runs may join those groups — and
+    /// anything less once everything in flight is delivered, so a lightly
+    /// loaded shard still batches all that queued while it ran. With
+    /// several workers on the shard there is no look-ahead: the full batch
+    /// waits until every group here has started, since a pop binds it to
+    /// this worker's pool while a sibling may free sooner. A pop with
+    /// members in flight waits for work only until the next one is due, so
+    /// none is stranded behind an empty queue. `None` once the queue is
+    /// closed and drained and nothing is in flight.
     fn pace(&mut self, limit: usize) -> Option<(Vec<Request>, Instant)> {
+        let look_ahead = if self.shared.cfg.workers_per_shard == 1 {
+            limit
+        } else {
+            1
+        };
         loop {
             let now = Instant::now();
             self.deliver_due(now);
@@ -233,8 +267,13 @@ impl Worker<'_> {
                 let (batch, at) = self.pop(limit, None);
                 return (!batch.is_empty()).then_some((batch, at));
             };
-            if now < self.last_admit {
-                std::thread::sleep(self.last_admit.min(due).saturating_duration_since(now));
+            let (mut waiting, mut first_start) = (0, due);
+            for m in self.in_flight.iter().filter(|m| m.last_start > now) {
+                waiting += 1;
+                first_start = first_start.min(m.last_start);
+            }
+            if waiting >= look_ahead {
+                std::thread::sleep(first_start.saturating_duration_since(now));
             } else if self.queue.live_len() >= limit {
                 let (batch, at) = self.pop(limit, Some(due));
                 if !batch.is_empty() {
@@ -357,10 +396,11 @@ impl Worker<'_> {
 
     /// Phase 3 — batched admission: one invocation per model over the
     /// whole coalesced batch, streamed into the worker's pool behind what
-    /// it already runs. The bill and the pool's added busy time are
-    /// charged; each model's finish lands in `finishes`, and the next pop
-    /// is gated on this batch's last admission.
-    fn batch_admit(&mut self) {
+    /// has started, each run joining its model's open group when there is
+    /// one. The bill and the groups opened are charged, members in flight
+    /// are re-dued to the re-planned groups, and the admit's index is
+    /// returned for staging.
+    fn batch_admit(&mut self) -> u64 {
         let cfg = &self.shared.cfg;
         let specs = self.shared.scheduler.zoo().specs();
         self.groups.clear();
@@ -372,47 +412,49 @@ impl Worker<'_> {
                     mem_mb: spec.mem_mb,
                 };
                 self.groups.push((job, count));
-                self.local.virtual_work_ms += cfg.batch_model.batch_time_ms(spec.time_ms, count);
             }
         }
         self.pool.advance_to(self.virtual_now());
-        let busy_ms = self.pool.busy_ms();
-        let (last_admit_ms, end_ms) =
-            self.pool
-                .admit(&self.groups, &cfg.batch_model, &mut self.finishes);
-        self.local.model_invocations += self.groups.len() as u64;
-        self.local.virtual_exec_ms += self.pool.busy_ms() - busy_ms;
-        self.pool_end_ms = end_ms;
-        self.last_admit = self.wall(last_admit_ms);
+        let admitted = self.pool.admit(&self.groups, &cfg.batch_model);
+        self.local.virtual_work_ms += admitted.bill_ms;
+        self.local.model_invocations += admitted.opened as u64;
+        self.pool_end_ms = admitted.end_ms;
+        // A re-plan moves only groups that start after the clock, so no
+        // member is delivered before its last group ends.
+        let (wall, mut moved) = (self.wall(), false);
+        for m in &mut self.in_flight {
+            moved |= m.redue(&self.pool, &wall);
+        }
+        if moved {
+            self.in_flight.sort_unstable_by_key(|m| m.due);
+        }
+        admitted.index
     }
 
     /// Phase 4 — stage each member for delivery at its own finish: the
-    /// latest finish among the models it executed.
+    /// latest finish among the groups its runs joined.
     fn stage(
         &mut self,
         survivors: Vec<Survivor>,
         outcomes: Vec<LabelingOutcome>,
         exec_start: Instant,
+        admit: u64,
     ) {
         for (s, outcome) in survivors.into_iter().zip(outcomes) {
-            let finish_ms = outcome
-                .executed
-                .iter()
-                .filter_map(|m| self.finishes.get(m.index()))
-                .max()
-                .copied()
-                .unwrap_or(0);
-            let due = self.wall(finish_ms);
-            let at = self.in_flight.partition_point(|m| m.due <= due);
-            self.in_flight.insert(
-                at,
-                InFlight {
-                    s,
-                    outcome,
-                    exec_start,
-                    due,
-                },
-            );
+            let mut m = InFlight {
+                s,
+                outcome,
+                exec_start,
+                admit,
+                due: self.anchor,
+                last_start: self.anchor,
+            };
+            // Without emulation every member is due at once.
+            if self.shared.cfg.exec_emulation_scale > 0.0 {
+                m.redue(&self.pool, self.wall());
+            }
+            let at = self.in_flight.partition_point(|f| f.due <= m.due);
+            self.in_flight.insert(at, m);
         }
     }
 

@@ -12,7 +12,7 @@ use ams_serve::{
     AmsServer, BackpressurePolicy, Completion, ObsConfig, ServeConfig, ShedReason, SloClass,
     SloConfig, Ticket,
 };
-use ams_sim::{BatchLatencyModel, Job, PoolTimeline};
+use ams_sim::{Admitted, BatchLatencyModel, Group, Job, PoolTimeline};
 use common::{scheduler, tally};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -257,6 +257,43 @@ fn pending_excludes_cancelled_tombstones_like_the_depth_gauge() {
     assert_eq!(server.pending() as u64, depth);
 }
 
+/// Each fixture item's executed model indices under `budget`.
+fn executed_models(budget: Budget) -> Vec<Vec<usize>> {
+    let sched = scheduler();
+    let table = truth();
+    table
+        .items()
+        .iter()
+        .map(|item| {
+            let outcome = sched.label_item(item, budget);
+            outcome.executed.iter().map(|m| m.index()).collect()
+        })
+        .collect()
+}
+
+/// One batch of `items` as `(job, runs)` groups, one per model that ran.
+fn groups_of(executed: &[Vec<usize>], items: &[usize]) -> Vec<(Job, usize)> {
+    let specs = scheduler().zoo().specs().to_vec();
+    let mut runs = vec![0usize; specs.len()];
+    for m in items.iter().flat_map(|&i| &executed[i]) {
+        runs[*m] += 1;
+    }
+    specs
+        .iter()
+        .zip(runs)
+        .enumerate()
+        .filter(|&(_, (_, count))| count > 0)
+        .map(|(id, (spec, count))| {
+            let job = Job {
+                id,
+                time_ms: spec.time_ms,
+                mem_mb: spec.mem_mb,
+            };
+            (job, count)
+        })
+        .collect()
+}
+
 /// Each batch member completes at its own finish. On a 1 MB pool a
 /// batch's models run one at a time, so of two requests batched together
 /// the one whose models all run before its batch-mate's last one is
@@ -267,57 +304,35 @@ fn pending_excludes_cancelled_tombstones_like_the_depth_gauge() {
 fn a_member_completes_at_its_own_finish_not_its_batchs() {
     let budget = Budget::Deadline { ms: 900 };
     let table = truth();
-    let sched = scheduler();
-    let specs = sched.zoo().specs();
-    let executed: Vec<Vec<usize>> = table
-        .items()
-        .iter()
-        .map(|item| {
-            let outcome = sched.label_item(item, budget);
-            outcome.executed.iter().map(|m| m.index()).collect()
-        })
-        .collect();
-    // Each member's own finish, virtual ms, when `pair` is one batch on a
-    // one-at-a-time pool.
+    let executed = executed_models(budget);
+    // Each member's own finish, virtual ms, with `pair` batched on an
+    // idle one-at-a-time pool. Behind a holder that shares none of its
+    // models the pair plans the same, only later, whenever it is admitted:
+    // its groups open after the holder's and run after the holder's last.
     let finishes = |pair: [usize; 2]| {
-        let mut runs = vec![0usize; specs.len()];
-        for m in pair.iter().flat_map(|&i| &executed[i]) {
-            runs[*m] += 1;
-        }
-        let groups: Vec<(Job, usize)> = specs
-            .iter()
-            .zip(runs)
-            .enumerate()
-            .filter(|&(_, (_, count))| count > 0)
-            .map(|(id, (spec, count))| {
-                let job = Job {
-                    id,
-                    time_ms: spec.time_ms,
-                    mem_mb: spec.mem_mb,
-                };
-                (job, count)
-            })
-            .collect();
-        let mut finish = vec![0u64; specs.len()];
-        PoolTimeline::new(1).admit(&groups, &BatchLatencyModel::default(), &mut finish);
-        pair.map(|i| executed[i].iter().map(|&m| finish[m]).max().unwrap_or(0))
+        let mut pool = PoolTimeline::new(1);
+        pool.admit(&groups_of(&executed, &pair), &BatchLatencyModel::default());
+        let finish = |&m: &usize| pool.group_of(0, m).map_or(0, |g| g.finish_ms);
+        pair.map(|i| executed[i].iter().map(finish).max().unwrap_or(0))
     };
-    // Item 0 holds the worker while the pair queues behind it; of the
-    // pairs after it, take the one whose own finishes lie furthest apart.
-    assert!(executed[0].len() >= 2, "the holder runs models in sequence");
-    let ((early, late), gap) = (1..12)
-        .flat_map(|a| (a + 1..12).map(move |b| [a, b]))
-        .map(|pair| {
+    let disjoint = |a: usize, b: usize| !executed[a].iter().any(|m| executed[b].contains(m));
+    // The holder holds the worker while the pair queues behind it; of the
+    // pairs sharing no model with it, take the one whose own finishes lie
+    // furthest apart.
+    let (holder, (early, late), gap) = (0..12)
+        .flat_map(|h| (0..12).flat_map(move |a| (a + 1..12).map(move |b| (h, [a, b]))))
+        .filter(|&(h, [a, b])| h != a && h != b && disjoint(h, a) && disjoint(h, b))
+        .map(|(h, pair)| {
             let [fa, fb] = finishes(pair);
             let order = if fa < fb {
                 (pair[0], pair[1])
             } else {
                 (pair[1], pair[0])
             };
-            (order, fa.abs_diff(fb))
+            (h, order, fa.abs_diff(fb))
         })
-        .max_by_key(|&(_, gap)| gap)
-        .expect("55 candidate pairs");
+        .max_by_key(|&(_, _, gap)| gap)
+        .expect("a pair sharing no model with a holder");
     assert!(
         gap >= 200,
         "items {early} and {late}: a 200+ virtual ms gap"
@@ -343,7 +358,7 @@ fn a_member_completes_at_its_own_finish_not_its_batchs() {
         let ticket = client.submit(Arc::new(table.item(i).clone())).ticket();
         ticket.expect("lossless config").id()
     };
-    submit(0);
+    submit(holder);
     while server.pending() > 0 {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
@@ -366,6 +381,173 @@ fn a_member_completes_at_its_own_finish_not_its_batchs() {
     assert_eq!(report.completed, 3);
     assert_eq!(report.batches, 2, "the pair rode one batch");
     assert!(report.is_conserved() && report.events_reconcile());
+}
+
+/// A later batch's runs join the pool's not-yet-started invocation of the
+/// same model. On a 1 MB pool a batch's models run one at a time. A
+/// blocker holds the worker while a holder pair queues; once the holders
+/// are admitted, the next full batch — a second pair, queued meanwhile —
+/// is popped as soon as one holder's groups have all started, while the
+/// other holder's later groups are still open. When the second pair
+/// shares exactly one of those models, the worker opens one invocation
+/// fewer and pays one setup less, and the holder whose group grew is
+/// delivered no earlier than the merged group's finish. Every ticket
+/// still resolves exactly once into a conserved report whose events
+/// reconcile.
+#[test]
+fn a_later_batch_joins_an_open_group() {
+    let budget = Budget::Deadline { ms: 900 };
+    let table = truth();
+    let executed = executed_models(budget);
+    let specs = scheduler().zoo().specs().to_vec();
+    let model = BatchLatencyModel::default();
+    let bill = |items: &[usize]| -> u64 {
+        let groups = groups_of(&executed, items);
+        groups
+            .iter()
+            .map(|&(j, c)| model.batch_time_ms(j.time_ms, c))
+            .sum()
+    };
+    // The holders on an idle pool, then the pair at the earlier holder's
+    // last start, virtual ms from the holders' admit. `margin` is the
+    // shortest of: that start, and the wait from it to the next group's
+    // start — how late the wall clock may run without changing the plan.
+    struct Case {
+        holders: [usize; 2],
+        pair: [usize; 2],
+        admits: [Admitted; 2],
+        shared: usize,
+        merged: Group,
+        margin: u64,
+    }
+    let case = |holders: [usize; 2], pair: [usize; 2]| {
+        let mut pool = PoolTimeline::new(1);
+        let first = pool.admit(&groups_of(&executed, &holders), &model);
+        let start = |m: usize| pool.group_of(first.index, m).map(|g| g.start_ms);
+        let last_start = |i: usize| executed[i].iter().filter_map(|&m| start(m)).max();
+        let popped = last_start(holders[0]).min(last_start(holders[1]))?;
+        let next = (0..specs.len())
+            .filter_map(start)
+            .filter(|&s| s > popped)
+            .min()?;
+        pool.advance_to(popped);
+        let second = pool.admit(&groups_of(&executed, &pair), &model);
+        let mut shared = (0..specs.len()).filter(|&m| {
+            let joined = pool.group_of(second.index, m);
+            joined.is_some_and(|g| g.opened == first.index)
+                && pair.iter().any(|&i| executed[i].contains(&m))
+        });
+        let one = shared.next().filter(|_| shared.next().is_none())?;
+        Some(Case {
+            holders,
+            pair,
+            admits: [first, second],
+            shared: one,
+            merged: pool.group_of(first.index, one)?,
+            margin: popped.min(next - popped),
+        })
+    };
+    let pairs: Vec<[usize; 2]> = (1..12)
+        .flat_map(|a| (a + 1..12).map(move |b| [a, b]))
+        .collect();
+    let Case {
+        holders,
+        pair,
+        admits: [first, second],
+        shared,
+        merged,
+        margin,
+    } = pairs
+        .iter()
+        .flat_map(|&h| pairs.iter().map(move |&p| (h, p)))
+        .filter(|(h, p)| !h.iter().any(|i| p.contains(i)))
+        .filter_map(|(h, p)| case(h, p))
+        .max_by_key(|c| c.margin)
+        .expect("a pair sharing one open model");
+    assert_eq!(
+        (first.opened + second.opened, first.bill_ms + second.bill_ms),
+        (
+            groups_of(&executed, &holders).len() + groups_of(&executed, &pair).len() - 1,
+            bill(&holders) + bill(&pair) - model.setup_ms(specs[shared].time_ms),
+        ),
+        "one invocation and one setup fewer"
+    );
+    // 30 wall ms of margin, and a blocker — outside both pairs — that runs
+    // at least 60 wall ms while the holders queue.
+    let scale = 30.0 / margin as f64;
+    let blocker = (0..12)
+        .filter(|i| !holders.contains(i) && !pair.contains(i))
+        .max_by_key(|&i| bill(&[i]))
+        .expect("a blocker");
+    assert!(bill(&[blocker]) as f64 * scale >= 60.0, "blocker {blocker}");
+    let server = AmsServer::start(
+        scheduler(),
+        budget,
+        ServeConfig {
+            shards: 1,
+            workers_per_shard: 1,
+            max_batch: 2,
+            queue_capacity: 8,
+            policy: BackpressurePolicy::Block,
+            pool_mb: 1,
+            exec_emulation_scale: scale,
+            obs: Some(ObsConfig::default()),
+            ..ServeConfig::default()
+        },
+    );
+    let client = server.client();
+    let submit = |i: usize| {
+        let ticket = client.submit(Arc::new(table.item(i).clone())).ticket();
+        ticket.expect("lossless config").id()
+    };
+    let popped = || {
+        while server.pending() > 0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    };
+    submit(blocker);
+    popped();
+    let holder_ids = holders.map(submit);
+    popped();
+    let pair_ids = pair.map(submit);
+    let events: Vec<Completion> = std::iter::from_fn(|| client.recv()).take(5).collect();
+    let report = server.shutdown();
+    let ids: HashSet<u64> = events.iter().map(Completion::ticket).collect();
+    assert_eq!((events.len(), ids.len()), (5, 5), "exactly once");
+    assert!(holder_ids
+        .iter()
+        .chain(&pair_ids)
+        .all(|id| ids.contains(id)));
+    assert_eq!(client.outstanding(), 0);
+    assert_eq!((report.completed, report.batches), (5, 3));
+    assert!(report.is_conserved() && report.events_reconcile());
+    let blocker_groups = groups_of(&executed, &[blocker]).len() as u64;
+    assert_eq!(
+        (report.model_invocations, report.virtual_work_ms),
+        (
+            blocker_groups + (first.opened + second.opened) as u64,
+            bill(&[blocker]) + first.bill_ms + second.bill_ms
+        ),
+        "the pair joined the holder's open group"
+    );
+    // The holder whose group grew runs from its pop, at most one virtual
+    // ms before its admit, to the merged group's finish at least.
+    let merged_us = (merged.finish_ms - 1) as f64 * scale * 1000.0;
+    for (i, id) in holders.into_iter().zip(holder_ids) {
+        if !executed[i].contains(&shared) {
+            continue;
+        }
+        let exec_us = events
+            .iter()
+            .find(|e| e.ticket() == id)
+            .and_then(Completion::labeled)
+            .expect("the holder is labeled")
+            .execute_us;
+        assert!(
+            exec_us as f64 >= merged_us,
+            "holder {i} delivered after {exec_us} us, before the merged group ends at {merged_us} us"
+        );
+    }
 }
 
 /// The completion window genuinely bounds the ticket pipeline: a client

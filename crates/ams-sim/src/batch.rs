@@ -18,7 +18,8 @@
 //! A batch's invocations are then packed into the shared pool:
 //! [`batched_makespan`] packs one batch on an empty pool, and a
 //! [`PoolTimeline`] streams a sequence of batches through one pool, each
-//! filling the memory the previous ones leave.
+//! filling the memory the previous ones leave and joining the invocations
+//! of the same model that have not started yet.
 
 use crate::Job;
 use serde::{Deserialize, Serialize};
@@ -137,11 +138,16 @@ impl Default for BatchLatencyModel {
     }
 }
 
-/// One batched invocation as the packer sees it: the model's id, the whole
-/// batch's duration and the pool memory it holds while it runs.
+/// One batched invocation as the packer sees it: the model's single-item
+/// spec and item count, the whole batch's duration and the pool memory it
+/// holds while it runs.
 #[derive(Debug, Clone, Copy)]
 struct Batch {
-    id: usize,
+    /// The model's single-item spec; its id names the model.
+    job: Job,
+    count: usize,
+    /// Index of the [`PoolTimeline::admit`] that opened the group.
+    opened: u64,
     time_ms: u32,
     mem_mb: u32,
     /// What a candidate list is sorted by, largest first (stored so the
@@ -156,37 +162,38 @@ struct Batch {
     finish_ms: u64,
 }
 
-/// End of the pending list threaded through [`Batch::next`].
-const END: u32 = u32::MAX;
-
-/// A batch holding pool memory: `(finish_ms, id, mem_mb)`.
-type Running = (u64, usize, u32);
-
-/// The non-empty `groups` as [`Batch`]es, in the order given. A batch whose
-/// weights exceed the whole pool is clamped to the pool (it would stream
-/// from host memory; it still runs, exclusively), and a duration beyond
-/// `u32::MAX` ms saturates exactly as [`ParallelExecutor::admit_batch`]
-/// saturates it.
-///
-/// [`ParallelExecutor::admit_batch`]: crate::ParallelExecutor::admit_batch
-fn batches<'a>(
-    groups: &'a [(Job, usize)],
-    capacity_mb: u32,
-    model: &'a BatchLatencyModel,
-) -> impl Iterator<Item = Batch> + 'a {
-    groups
-        .iter()
-        .filter(|&&(_, count)| count > 0)
-        .map(move |&(job, count)| Batch {
-            id: job.id,
-            time_ms: u32::try_from(model.batch_time_ms(job.time_ms, count)).unwrap_or(u32::MAX),
+impl Batch {
+    /// `count` items of `job` as one invocation taking `time_ms`. A batch
+    /// whose weights exceed the whole pool is clamped to the pool (it would
+    /// stream from host memory; it still runs, exclusively), and a duration
+    /// beyond `u32::MAX` ms saturates exactly as
+    /// [`ParallelExecutor::admit_batch`] saturates it.
+    ///
+    /// [`ParallelExecutor::admit_batch`]: crate::ParallelExecutor::admit_batch
+    fn new(job: Job, count: usize, opened: u64, capacity_mb: u32, time_ms: u64) -> Self {
+        Self {
+            job,
+            count,
+            opened,
+            time_ms: u32::try_from(time_ms).unwrap_or(u32::MAX),
             mem_mb: job.mem_mb.min(capacity_mb),
             priority: 0,
             tail_min_mb: 0,
             next: END,
             finish_ms: 0,
-        })
+        }
+    }
+
+    fn start_ms(&self) -> u64 {
+        self.finish_ms - u64::from(self.time_ms)
+    }
 }
+
+/// End of the pending list threaded through [`Batch::next`].
+const END: u32 = u32::MAX;
+
+/// A batch holding pool memory: `(finish_ms, id, mem_mb)`.
+type Running = (u64, usize, u32);
 
 /// The one event loop every admission runs (the Algorithm 2 shape): from
 /// `*now_ms`, with `*free_mb` free beside `running`, admit in list order
@@ -237,7 +244,7 @@ fn run_list(
                 }
                 end_ms = end_ms.max(finish_ms);
                 *free_mb -= b.mem_mb;
-                running.push((finish_ms, b.id, b.mem_mb));
+                running.push((finish_ms, b.job.id, b.mem_mb));
                 list[cur as usize].finish_ms = finish_ms;
                 if prev == END {
                     head = b.next;
@@ -283,8 +290,14 @@ pub fn list_makespan(
     model: &BatchLatencyModel,
 ) -> u64 {
     let capacity_mb = capacity_mb.max(1);
-    let mut list = Vec::with_capacity(groups_in_order.len());
-    list.extend(batches(groups_in_order, capacity_mb, model));
+    let mut list: Vec<Batch> = groups_in_order
+        .iter()
+        .filter(|&&(_, count)| count > 0)
+        .map(|&(job, count)| {
+            let time_ms = model.batch_time_ms(job.time_ms, count);
+            Batch::new(job, count, 0, capacity_mb, time_ms)
+        })
+        .collect();
     let mut running = Vec::with_capacity(list.len());
     let (mut now_ms, mut free_mb) = (0, capacity_mb);
     run_list(&mut list, &mut now_ms, &mut free_mb, &mut running, u64::MAX)
@@ -328,40 +341,101 @@ pub fn batched_makespan(
     capacity_mb: u32,
     model: &BatchLatencyModel,
 ) -> u64 {
-    PoolTimeline::new(capacity_mb)
-        .admit(groups, model, &mut [])
-        .1
+    PoolTimeline::new(capacity_mb).admit(groups, model).end_ms
+}
+
+/// Where a run sits on a [`PoolTimeline`]: its group's start and finish,
+/// virtual ms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Group {
+    /// Index of the admit that opened it: with the model's id, it names
+    /// the group.
+    pub opened: u64,
+    /// When the group starts.
+    pub start_ms: u64,
+    /// When it finishes.
+    pub finish_ms: u64,
+}
+
+/// What one [`PoolTimeline::admit`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Admitted {
+    /// Index of this admit (the first is 0), what
+    /// [`PoolTimeline::group_of`] is asked with.
+    pub index: u64,
+    /// The batch time it added to the bill: a run that joined an open
+    /// group costs only its marginal share, `batch_time(c + d) −
+    /// batch_time(c)`.
+    pub bill_ms: u64,
+    /// Groups it opened: the invocations it added.
+    pub opened: usize,
+    /// The latest planned start (the clock when nothing is open): every
+    /// group has started by then.
+    pub last_start_ms: u64,
+    /// The latest finish, committed or planned.
+    pub end_ms: u64,
+}
+
+/// A pool at one instant: the clock, the memory free, and the groups
+/// holding the rest (each may still hold memory after the clock).
+#[derive(Debug, Clone, Default)]
+struct Pool {
+    now_ms: u64,
+    free_mb: u32,
+    running: Vec<Running>,
+}
+
+/// A committed group that may still hold memory.
+#[derive(Debug, Clone, Copy)]
+struct Started {
+    id: usize,
+    mem_mb: u32,
+    /// The first admit whose runs it does not hold: the admit after its
+    /// commit.
+    closed: u64,
+    group: Group,
 }
 
 /// One pool's schedule across a stream of batches: Algorithm 2's loop run
-/// continuously instead of restarted per batch.
+/// continuously instead of restarted per batch, with the groups that have
+/// not started yet still open to later batches.
 ///
-/// [`PoolTimeline::admit`] list-schedules a batch into the memory the
-/// earlier batches leave, behind every group already admitted: it starts
-/// at the later of [`PoolTimeline::advance_to`]'s time and the previous
-/// batch's last admission, and each earlier group keeps the finish it was
-/// given. A batch on an idle timeline is packed exactly as
-/// [`batched_makespan`] packs it. Times are virtual milliseconds;
-/// candidate lists run on buffers the timeline keeps, so a stream of
-/// batches allocates nothing once they have grown.
+/// A group is *committed* once [`PoolTimeline::advance_to`] passes its
+/// start, and never moves again. Until then it is *open*:
+/// [`PoolTimeline::admit`] adds a batch's runs to the open group of the
+/// same model (one setup for both batches) or opens a new one, then
+/// re-plans the open groups behind the committed ones, admit by admit in
+/// the order they were admitted: each admit's groups in the best of the
+/// four [`batched_makespan`] orders, from the previous admit's last start.
+/// So no group is ever planned behind a later admit's, and a batch
+/// admitted on an idle pool, or with the clock at or after every start,
+/// finds nothing open and is packed exactly as [`batched_makespan`] packs
+/// it. Times are virtual milliseconds; candidate lists run on buffers the
+/// timeline keeps, so a stream of batches allocates nothing once they have
+/// grown.
 #[derive(Debug, Clone)]
 pub struct PoolTimeline {
     capacity_mb: u32,
-    /// Nothing is admitted before this.
+    /// The clock: every group that starts by then is committed.
     now_ms: u64,
-    /// Memory not held by `running`.
+    /// Memory not held by `started`.
     free_mb: u32,
-    /// Every admitted group that may still hold memory.
-    running: Vec<Running>,
-    /// The latest admission: every admitted group has started by then.
-    last_admit_ms: u64,
-    /// The latest finish.
-    end_ms: u64,
-    /// Length of the union of the intervals in which something ran.
+    /// Every committed group that may still hold memory.
+    started: Vec<Started>,
+    /// The open groups — planned, not started — in the order of the admits
+    /// that opened them.
+    open: Vec<Batch>,
+    /// Scratch: the `(start, finish)` of the groups a commit takes.
+    spans: Vec<(u64, u64)>,
+    /// Admits so far.
+    admits: u64,
+    /// The latest committed finish.
+    reach_ms: u64,
+    /// Length of the union of the committed groups' intervals.
     busy_ms: u64,
-    /// Candidate scratch: the list being tried, the best one so far, and
-    /// the pool a candidate runs on.
-    list: Vec<Batch>,
+    /// Re-plan scratch: the pool as planned so far, the best candidate
+    /// list, and the pool a candidate runs on.
+    planned: Pool,
     best_list: Vec<Batch>,
     trial: Vec<Running>,
 }
@@ -374,153 +448,234 @@ impl PoolTimeline {
             capacity_mb,
             now_ms: 0,
             free_mb: capacity_mb,
-            running: Vec::new(),
-            last_admit_ms: 0,
-            end_ms: 0,
+            started: Vec::new(),
+            open: Vec::new(),
+            spans: Vec::new(),
+            admits: 0,
+            reach_ms: 0,
             busy_ms: 0,
-            list: Vec::new(),
+            planned: Pool::default(),
             best_list: Vec::new(),
             trial: Vec::new(),
         }
     }
 
-    /// Move the clock to `v_ms` (never back), releasing what has finished.
+    /// Move the clock to `v_ms` (never back): commit every open group that
+    /// starts by then, and release what has finished.
     pub fn advance_to(&mut self, v_ms: u64) {
-        self.now_ms = self.now_ms.max(v_ms);
-        self.release_until(self.now_ms);
-    }
-
-    fn release_until(&mut self, t_ms: u64) {
-        let free_mb = &mut self.free_mb;
-        self.running.retain(|&(finish_ms, _, mem_mb)| {
-            let done = finish_ms <= t_ms;
-            if done {
-                *free_mb += mem_mb;
+        let now_ms = self.now_ms.max(v_ms);
+        self.now_ms = now_ms;
+        let Self {
+            open,
+            started,
+            spans,
+            admits,
+            ..
+        } = self;
+        started.retain(|s| s.group.finish_ms > now_ms);
+        open.retain(|b| {
+            let (start_ms, finish_ms) = (b.start_ms(), b.finish_ms);
+            if start_ms > now_ms {
+                return true;
             }
-            !done
+            spans.push((start_ms, finish_ms));
+            if finish_ms > now_ms {
+                let group = Group {
+                    opened: b.opened,
+                    start_ms,
+                    finish_ms,
+                };
+                started.push(Started {
+                    id: b.job.id,
+                    mem_mb: b.mem_mb,
+                    closed: *admits,
+                    group,
+                });
+            }
+            false
         });
+        // In start order, so the busy union grows left to right.
+        spans.sort_unstable();
+        for (start_ms, finish_ms) in spans.drain(..) {
+            self.busy_ms += finish_ms.saturating_sub(start_ms.max(self.reach_ms));
+            self.reach_ms = self.reach_ms.max(finish_ms);
+        }
+        let held: u32 = self.started.iter().map(|s| s.mem_mb).sum();
+        self.free_mb = self.capacity_mb - held;
     }
 
-    /// Length of the union of the intervals in which something ran, ms:
-    /// the pool's busy time, never more than the sum of its batch times.
+    /// Length of the union of the intervals in which a committed group
+    /// ran, ms: the pool's busy time, never more than the sum of its batch
+    /// times.
     pub fn busy_ms(&self) -> u64 {
         self.busy_ms
     }
 
     /// Admit one batch — `(job, count)` groups, one batched invocation
-    /// each — and return `(last admission, latest finish)` over everything
-    /// admitted so far. Each group's finish is written to
-    /// `finish_by_id[job.id]` when the slice is long enough (pass `&mut []`
-    /// to skip).
+    /// each — at the clock. Each group's runs join the same job's group
+    /// that an earlier admit opened and that is still open, or open a new
+    /// one; then the open groups are re-planned behind the committed ones,
+    /// admit by admit (see [`PoolTimeline`]). A batch with no runs changes
+    /// nothing.
     ///
-    /// The batch starts at the later of the clock and the previous last
-    /// admission. It is packed in the best of four list orders (the
-    /// smallest finish of its own last group), each run against what is
-    /// still running; with everything fitting the free memory at once, or
-    /// a candidate reaching the lower bound, the rest are skipped.
-    pub fn admit(
-        &mut self,
-        groups: &[(Job, usize)],
-        model: &BatchLatencyModel,
-        finish_by_id: &mut [u64],
-    ) -> (u64, u64) {
-        let start_ms = self.now_ms.max(self.last_admit_ms);
-        self.release_until(start_ms);
-        self.list.clear();
-        self.list.reserve(groups.len());
-        self.list.extend(batches(groups, self.capacity_mb, model));
-        if self.list.is_empty() {
-            return (self.last_admit_ms, self.end_ms);
+    /// Each admit's re-plan is the best of four list orders (the smallest
+    /// finish of its last group), each run against the groups planned
+    /// before it; with everything fitting the free memory at once, or a
+    /// candidate reaching the lower bound, the rest are skipped.
+    pub fn admit(&mut self, groups: &[(Job, usize)], model: &BatchLatencyModel) -> Admitted {
+        let index = self.admits;
+        self.admits += 1;
+        let (mut bill_ms, mut opened, mut added) = (0, 0, false);
+        // Only earlier admits' groups are joined: within one batch each
+        // `(job, count)` is its own invocation.
+        let earlier = self.open.len();
+        self.open.reserve(groups.len());
+        for &(job, count) in groups.iter().filter(|&&(_, count)| count > 0) {
+            added = true;
+            if let Some(b) = self.open[..earlier].iter_mut().find(|b| b.job == job) {
+                let before = model.batch_time_ms(job.time_ms, b.count);
+                let time_ms = model.batch_time_ms(job.time_ms, b.count + count);
+                *b = Batch::new(job, b.count + count, b.opened, self.capacity_mb, time_ms);
+                bill_ms += time_ms - before;
+            } else {
+                let time_ms = model.batch_time_ms(job.time_ms, count);
+                self.open
+                    .push(Batch::new(job, count, index, self.capacity_mb, time_ms));
+                bill_ms += time_ms;
+                opened += 1;
+            }
         }
+        if added {
+            self.replan();
+        }
+        let (mut last_start_ms, mut end_ms) = (self.now_ms, self.reach_ms);
+        for b in &self.open {
+            last_start_ms = last_start_ms.max(b.start_ms());
+            end_ms = end_ms.max(b.finish_ms);
+        }
+        Admitted {
+            index,
+            bill_ms,
+            opened,
+            last_start_ms,
+            end_ms,
+        }
+    }
+
+    /// The group admit `admit`'s run of model `id` sits in, or `None` once
+    /// that group has finished by the clock (or when that admit ran no
+    /// such model). An open group's answer may change at the next admit; a
+    /// committed one's never does.
+    pub fn group_of(&self, admit: u64, id: usize) -> Option<Group> {
+        let open = self
+            .open
+            .iter()
+            .find(|b| b.job.id == id && b.opened <= admit);
+        match open {
+            Some(b) => Some(Group {
+                opened: b.opened,
+                start_ms: b.start_ms(),
+                finish_ms: b.finish_ms,
+            }),
+            None => self
+                .started
+                .iter()
+                .find(|s| s.id == id && s.group.opened <= admit && admit < s.closed)
+                .map(|s| s.group),
+        }
+    }
+
+    /// Plan the open groups behind the committed ones, one admit's at a
+    /// time in admit order, each from the previous one's last start.
+    fn replan(&mut self) {
+        self.planned.now_ms = self.now_ms;
+        self.planned.free_mb = self.free_mb;
+        self.planned.running.clear();
+        let running = self
+            .started
+            .iter()
+            .map(|s| (s.group.finish_ms, s.id, s.mem_mb));
+        self.planned.running.extend(running);
+        let mut lo = 0;
+        while let Some(first) = self.open.get(lo) {
+            let opened = first.opened;
+            let hi = lo + self.open[lo..].partition_point(|b| b.opened == opened);
+            self.place(lo, hi);
+            lo = hi;
+        }
+    }
+
+    /// Place one admit's open groups, `open[lo..hi]`, into the planned
+    /// pool from its clock: every priority's order against the groups
+    /// planned before them, keeping the one whose last group finishes
+    /// first (the earliest such priority on a tie); then move the planned
+    /// pool to that order's last start.
+    fn place(&mut self, lo: usize, hi: usize) {
+        let Self {
+            capacity_mb,
+            open,
+            planned,
+            best_list,
+            trial,
+            ..
+        } = self;
+        let list = &mut open[lo..hi];
+        let start_ms = planned.now_ms;
         let (mut longest, mut total_mb, mut area) = (0u64, 0u64, 0u128);
-        for b in &self.list {
+        for b in list.iter() {
             longest = longest.max(u64::from(b.time_ms));
             total_mb += u64::from(b.mem_mb);
             area += u128::from(b.time_ms) * u128::from(b.mem_mb);
         }
-        let (last_admit_ms, end_ms) = if total_mb <= u64::from(self.free_mb) {
+        planned.running.reserve(list.len());
+        if total_mb <= u64::from(planned.free_mb) {
             // Everything fits beside what runs: all start now.
-            self.running.reserve(self.list.len());
-            for b in &self.list {
-                let finish_ms = start_ms + u64::from(b.time_ms);
-                self.running.push((finish_ms, b.id, b.mem_mb));
-                if let Some(f) = finish_by_id.get_mut(b.id) {
-                    *f = finish_ms;
-                }
+            for b in list.iter_mut() {
+                b.finish_ms = start_ms + u64::from(b.time_ms);
+                planned.running.push((b.finish_ms, b.job.id, b.mem_mb));
             }
-            self.free_mb -= total_mb as u32;
-            (start_ms, start_ms + longest)
-        } else {
-            let bound = u128::from(start_ms)
-                + u128::from(longest).max(area.div_ceil(u128::from(self.capacity_mb)));
-            self.pack(start_ms, bound, finish_by_id)
-        };
-        self.busy_ms += end_ms.saturating_sub(start_ms.max(self.end_ms));
-        self.last_admit_ms = last_admit_ms;
-        self.end_ms = self.end_ms.max(end_ms);
-        (self.last_admit_ms, self.end_ms)
-    }
-
-    /// The candidate loop of [`PoolTimeline::admit`] over the batches in
-    /// `list`: every priority's order from `start_ms` against the running
-    /// groups, keeping the one whose last group finishes first (the
-    /// earliest such priority on a tie), then the pool it leaves at its
-    /// last admission. Returns its `(last admission, end)`.
-    fn pack(&mut self, start_ms: u64, bound: u128, finish_by_id: &mut [u64]) -> (u64, u64) {
-        self.best_list.clear();
+            planned.free_mb -= total_mb as u32;
+            return;
+        }
+        let bound =
+            u128::from(start_ms) + u128::from(longest).max(area.div_ceil(u128::from(*capacity_mb)));
         let (mut best_end, mut best_admit) = (u64::MAX, start_ms);
         for priority in PRIORITIES {
-            // After a win `list` is the old best buffer: empty the first
-            // time, otherwise the same batches in another order.
-            if self.list.is_empty() {
-                self.list.extend_from_slice(&self.best_list);
-            }
-            for b in &mut self.list {
+            for b in list.iter_mut() {
                 b.priority = priority(b);
             }
             // Any permutation of the groups sorts to the same list: equal
             // keys are equal batches.
-            self.list.sort_unstable_by(|a, b| {
-                (b.priority, a.id, a.time_ms, a.mem_mb)
-                    .cmp(&(a.priority, b.id, b.time_ms, b.mem_mb))
+            list.sort_unstable_by(|a, b| {
+                (b.priority, a.job.id, a.time_ms, a.mem_mb)
+                    .cmp(&(a.priority, b.job.id, b.time_ms, b.mem_mb))
             });
-            self.trial.clear();
-            self.trial.reserve(self.running.len() + self.list.len());
-            self.trial.extend_from_slice(&self.running);
-            let (mut now_ms, mut free_mb) = (start_ms, self.free_mb);
-            let end_ms = run_list(
-                &mut self.list,
-                &mut now_ms,
-                &mut free_mb,
-                &mut self.trial,
-                best_end,
-            );
+            trial.clear();
+            trial.reserve(planned.running.len() + list.len());
+            trial.extend_from_slice(&planned.running);
+            let (mut now_ms, mut free_mb) = (start_ms, planned.free_mb);
+            let end_ms = run_list(list, &mut now_ms, &mut free_mb, trial, best_end);
             if end_ms < best_end {
                 (best_end, best_admit) = (end_ms, now_ms);
-                std::mem::swap(&mut self.list, &mut self.best_list);
+                best_list.clear();
+                best_list.extend_from_slice(list);
             }
             if u128::from(best_end) == bound {
                 break;
             }
         }
-        // The pool at the winner's last admission: every group, earlier or
-        // new, that is still running then (the trial buffer is reused).
-        std::mem::swap(&mut self.running, &mut self.trial);
-        self.running.clear();
-        let still_running = |&(finish_ms, ..): &Running| finish_ms > best_admit;
-        self.running
-            .extend(self.trial.iter().copied().filter(still_running));
-        for b in &self.best_list {
-            if b.finish_ms > best_admit {
-                self.running.push((b.finish_ms, b.id, b.mem_mb));
-            }
-            if let Some(f) = finish_by_id.get_mut(b.id) {
-                *f = b.finish_ms;
-            }
+        list.copy_from_slice(best_list);
+        // The pool at the winner's last start: every group, earlier or
+        // this admit's, that is still running then.
+        planned
+            .running
+            .retain(|&(finish_ms, ..)| finish_ms > best_admit);
+        for b in list.iter().filter(|b| b.finish_ms > best_admit) {
+            planned.running.push((b.finish_ms, b.job.id, b.mem_mb));
         }
-        let held: u32 = self.running.iter().map(|&(_, _, mem_mb)| mem_mb).sum();
-        self.free_mb = self.capacity_mb - held;
-        (best_admit, best_end)
+        let held: u32 = planned.running.iter().map(|&(.., mem_mb)| mem_mb).sum();
+        planned.free_mb = *capacity_mb - held;
+        planned.now_ms = best_admit;
     }
 }
 
@@ -639,11 +794,6 @@ mod tests {
     #[test]
     fn makespan_of_disjoint_fitting_groups_is_longest_batch() {
         let m = BatchLatencyModel::new(500);
-        let j = |id, t, mem| Job {
-            id,
-            time_ms: t,
-            mem_mb: mem,
-        };
         let groups = [(j(0, 100, 300), 4), (j(1, 200, 300), 2)];
         // batch 0: 50 + 4*50 = 250; batch 1: 100 + 2*100 = 300
         assert_eq!(batched_makespan(&groups, 1000, &m), 300);
@@ -667,11 +817,6 @@ mod tests {
     #[test]
     fn id_order_loses_to_a_better_packing() {
         let m = BatchLatencyModel::new(0);
-        let j = |id, t, mem| Job {
-            id,
-            time_ms: t,
-            mem_mb: mem,
-        };
         let groups = [
             (j(0, 100, 400), 1),
             (j(1, 100, 400), 1),
@@ -684,36 +829,43 @@ mod tests {
         assert_eq!(batched_makespan(&groups, 1000, &m), 300);
     }
 
+    fn j(id: usize, time_ms: u32, mem_mb: u32) -> Job {
+        Job {
+            id,
+            time_ms,
+            mem_mb,
+        }
+    }
+
+    /// Admit `admit`'s runs of models `0..n` as `(start, finish)`.
+    fn spans(pool: &PoolTimeline, admit: u64, n: usize) -> Vec<Option<(u64, u64)>> {
+        (0..n)
+            .map(|id| {
+                let g = pool.group_of(admit, id)?;
+                Some((g.start_ms, g.finish_ms))
+            })
+            .collect()
+    }
+
     #[test]
     fn second_batch_starts_in_the_memory_the_first_leaves() {
         let m = BatchLatencyModel::new(0);
-        let a = Job {
-            id: 0,
-            time_ms: 300,
-            mem_mb: 600,
-        };
-        let b = Job {
-            id: 1,
-            time_ms: 100,
-            mem_mb: 400,
-        };
+        let (a, b) = (j(0, 300, 600), j(1, 100, 400));
         let mut pool = PoolTimeline::new(1000);
-        let mut finish = [0u64; 2];
-        assert_eq!(pool.admit(&[(a, 1)], &m, &mut finish), (0, 300));
+        assert_eq!(pool.admit(&[(a, 1)], &m).end_ms, 300);
+        pool.advance_to(0);
         // B runs beside A from t = 0, not after A's 300 ms makespan.
-        assert_eq!(pool.admit(&[(b, 1)], &m, &mut finish), (0, 300));
-        assert_eq!(finish, [300, 100]);
+        let admitted = pool.admit(&[(b, 1)], &m);
+        assert_eq!((admitted.last_start_ms, admitted.end_ms), (0, 300));
+        assert_eq!(spans(&pool, 0, 2), [Some((0, 300)), None]);
+        assert_eq!(spans(&pool, 1, 2), [None, Some((0, 100))]);
+        pool.advance_to(0);
         assert_eq!(pool.busy_ms(), 300);
     }
 
     #[test]
     fn admit_on_an_idle_timeline_is_batched_makespan() {
         let m = BatchLatencyModel::new(0);
-        let j = |id, t, mem| Job {
-            id,
-            time_ms: t,
-            mem_mb: mem,
-        };
         let groups = [
             (j(0, 100, 400), 1),
             (j(1, 100, 400), 1),
@@ -722,18 +874,89 @@ mod tests {
         let makespan = batched_makespan(&groups, 1000, &m);
         assert_eq!(makespan, 300);
         let mut pool = PoolTimeline::new(1000);
-        let mut finish = [0u64; 3];
-        assert_eq!(pool.admit(&groups, &m, &mut finish).1, makespan);
-        assert_eq!(finish, [100, 200, 300]);
+        assert_eq!(pool.admit(&groups, &m).end_ms, makespan);
+        let finishes = |pool: &PoolTimeline, admit| {
+            spans(pool, admit, 3)
+                .iter()
+                .map(|s| s.map(|s| s.1))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(finishes(&pool, 0), [Some(100), Some(200), Some(300)]);
         // Idle again once the clock passes the end: the next batch packs
         // exactly as on a fresh pool, shifted to the clock.
         pool.advance_to(1000);
+        let admitted = pool.admit(&groups, &m);
         assert_eq!(
-            pool.admit(&groups, &m, &mut finish),
+            (admitted.last_start_ms, admitted.end_ms),
             (1100, 1000 + makespan)
         );
-        assert_eq!(finish, [1100, 1200, 1300]);
+        assert_eq!(finishes(&pool, 1), [Some(1100), Some(1200), Some(1300)]);
+        // The first batch's groups have finished by the clock.
+        assert_eq!(finishes(&pool, 0), [None, None, None]);
+        pool.advance_to(u64::MAX);
         assert_eq!(pool.busy_ms(), 2 * makespan);
+    }
+
+    /// Pool 1000 MB, 70 % setup. Batch 1 is A (300 ms, 600 MB) and B
+    /// (100 ms, 600 MB): A runs first and B is open until A ends at 300.
+    #[test]
+    fn a_later_batch_joins_an_open_group() {
+        let m = BatchLatencyModel::new(700);
+        let (a, b) = (j(0, 300, 600), j(1, 100, 600));
+        let batch_1 = |pool: &mut PoolTimeline| {
+            let admitted = pool.admit(&[(a, 1), (b, 1)], &m);
+            assert_eq!(
+                (admitted.bill_ms, admitted.opened, admitted.end_ms),
+                (400, 2, 400)
+            );
+            assert_eq!(spans(pool, 0, 2), [Some((0, 300)), Some((300, 400))]);
+        };
+
+        // Batch 2 = B x 1 at t = 50: A has started, B has not. B's second
+        // run costs only its marginal 30 ms, and B now ends at 430 for
+        // both batches.
+        let mut pool = PoolTimeline::new(1000);
+        batch_1(&mut pool);
+        pool.advance_to(50);
+        let admitted = pool.admit(&[(b, 1)], &m);
+        assert_eq!(
+            (admitted.bill_ms, admitted.opened, admitted.end_ms),
+            (30, 0, 430)
+        );
+        assert_eq!(spans(&pool, 0, 2), [Some((0, 300)), Some((300, 430))]);
+        assert_eq!(spans(&pool, 1, 2), [None, Some((300, 430))]);
+        pool.advance_to(u64::MAX);
+        assert_eq!(pool.busy_ms(), 430);
+
+        // The same batch at t = 300: B has started, so a second B opens
+        // and pays the setup again.
+        let mut pool = PoolTimeline::new(1000);
+        batch_1(&mut pool);
+        pool.advance_to(300);
+        let admitted = pool.admit(&[(b, 1)], &m);
+        assert_eq!(
+            (admitted.bill_ms, admitted.opened, admitted.end_ms),
+            (100, 1, 500)
+        );
+        assert_eq!(spans(&pool, 0, 2), [None, Some((300, 400))]);
+        assert_eq!(spans(&pool, 1, 2), [None, Some((400, 500))]);
+    }
+
+    /// Pool 1000 MB, no setup. Batch 1's B (100 ms) waits behind A
+    /// (300 ms); batch 2's C (200 ms) arrives while B is open. Re-planned
+    /// together, C first would end as soon as B first (600) and win the
+    /// tie, pushing B to 500; B keeps its place ahead of the later admit.
+    #[test]
+    fn a_later_admit_never_overtakes_an_open_group() {
+        let m = BatchLatencyModel::new(0);
+        let (a, b, c) = (j(0, 300, 600), j(1, 100, 600), j(2, 200, 600));
+        let mut pool = PoolTimeline::new(1000);
+        pool.admit(&[(a, 1), (b, 1)], &m);
+        pool.advance_to(50);
+        let admitted = pool.admit(&[(c, 1)], &m);
+        assert_eq!((admitted.last_start_ms, admitted.end_ms), (400, 600));
+        assert_eq!(pool.group_of(0, 1).map(|g| g.finish_ms), Some(400));
+        assert_eq!(pool.group_of(1, 2).map(|g| g.start_ms), Some(400));
     }
 
     #[test]

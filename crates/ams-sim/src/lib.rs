@@ -17,7 +17,8 @@
 //!   invocation under a calibrated setup + marginal-per-item latency split,
 //!   pack a batch's invocations into the pool in the best of a few
 //!   list-scheduling orders, and stream successive batches through one
-//!   pool ([`PoolTimeline`]).
+//!   pool ([`PoolTimeline`]), where a later batch joins a model's
+//!   invocation that has not started yet.
 //! * [`trace`] — execution traces and their invariants.
 //!
 //! The crate is deliberately generic: a job is just `(id, time, memory)`.
@@ -34,7 +35,9 @@ pub mod parallel;
 pub mod serial;
 pub mod trace;
 
-pub use batch::{batched_makespan, list_makespan, BatchLatencyModel, PoolTimeline};
+pub use batch::{
+    batched_makespan, list_makespan, Admitted, BatchLatencyModel, Group, PoolTimeline,
+};
 pub use clock::VirtualClock;
 pub use gpu::MemoryPool;
 pub use parallel::ParallelExecutor;

@@ -2,10 +2,11 @@
 //! invariants, and serial/parallel consistency.
 
 use ams_sim::{
-    batched_makespan, list_makespan, BatchLatencyModel, ExecTrace, Job, MemoryPool,
+    batched_makespan, list_makespan, Admitted, BatchLatencyModel, ExecTrace, Job, MemoryPool,
     ParallelExecutor, PoolTimeline, SerialExecutor,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn arb_jobs() -> impl Strategy<Value = Vec<Job>> {
     prop::collection::vec((50u32..500, 500u32..8000), 1..30).prop_map(|v| {
@@ -65,33 +66,131 @@ fn replay(order: &[Group], capacity: u32, model: &BatchLatencyModel) -> ExecTrac
     ex.into_trace()
 }
 
-/// A stream of batches, each `(time_ms, mem_mb, count)` per model with
-/// ids `0..len` — the same model ids recur from batch to batch, as they
-/// do for a serving worker.
-fn arb_stream() -> impl Strategy<Value = Vec<Vec<(u32, u32, usize)>>> {
-    prop::collection::vec(
-        prop::collection::vec((50u32..500, 500u32..8000, 1usize..32), 1..12),
-        1..6,
-    )
+/// A worker's models, `(time_ms, mem_mb)` with ids `0..len`.
+fn arb_models() -> impl Strategy<Value = Vec<(u32, u32)>> {
+    prop::collection::vec((50u32..500, 500u32..8000), 1..12)
 }
 
-/// Stream `batches` through one timeline with no clock moves between
-/// them: each batch's groups and the finish each was given at admission.
+/// Each group's `(id, finish)`.
+type Finishes = Vec<(usize, u64)>;
+
+/// First-fit list scheduling of `order` on `ex` from its clock, stopping
+/// at the last admission: each group's `(id, finish)`.
+fn list_on(ex: &mut ParallelExecutor, order: &[Group], model: &BatchLatencyModel) -> Finishes {
+    let mut pending = order.to_vec();
+    let mut finishes = Vec::new();
+    loop {
+        pending.retain(|&(job, count)| {
+            let fits = ex.fits(job.mem_mb);
+            if fits {
+                let dur = ex.admit_batch(job, count, model).expect("fits() said yes");
+                finishes.push((job.id, ex.now_ms() + dur));
+            }
+            !fits
+        });
+        if pending.is_empty() {
+            return finishes;
+        }
+        ex.wait_next()
+            .expect("an empty pool admits any clamped batch");
+    }
+}
+
+/// A stream of batches, each a run count per model (0 = the model did
+/// not run; counts past the model list are ignored): the same models recur
+/// from batch to batch, as they do for a serving worker.
+fn arb_stream() -> impl Strategy<Value = Vec<Vec<usize>>> {
+    prop::collection::vec(prop::collection::vec(0usize..6, 12..13), 1..8)
+}
+
+/// One batch's `(job, count)` groups over `models`.
+fn batch_groups(models: &[(u32, u32)], counts: &[usize]) -> Vec<Group> {
+    let specs: Vec<(u32, u32, usize)> = models
+        .iter()
+        .zip(counts)
+        .map(|(&(time_ms, mem_mb), &count)| (time_ms, mem_mb, count))
+        .collect();
+    groups_of(&specs)
+}
+
+/// Where a run sits on a timeline, `None` once its group has finished.
+type Placed = Option<ams_sim::Group>;
+
+/// One admit as a test sees it: the clock it ran at, what it returned,
+/// and where every run admitted so far sits after it, as `(admit, model
+/// id, group)` in admit then id order.
+struct Step {
+    clock: u64,
+    admitted: Admitted,
+    runs: Vec<(u64, usize, Placed)>,
+}
+
+/// Stream `batches` through one timeline, moving the clock by `clock(k,
+/// previous admit)` before batch `k`; the timeline is returned with
+/// everything committed.
 fn stream(
-    batches: &[Vec<(u32, u32, usize)>],
+    models: &[(u32, u32)],
+    batches: &[Vec<usize>],
     capacity: u32,
     model: &BatchLatencyModel,
-) -> Vec<Vec<(Group, u64)>> {
+    clock: impl Fn(usize, Option<&Admitted>) -> u64,
+) -> (PoolTimeline, Vec<Step>) {
     let mut pool = PoolTimeline::new(capacity);
-    batches
-        .iter()
-        .map(|specs| {
-            let gs = groups_of(specs);
-            let mut finish = vec![0u64; gs.len()];
-            pool.admit(&gs, model, &mut finish);
-            gs.into_iter().zip(finish).collect()
-        })
-        .collect()
+    let mut steps: Vec<Step> = Vec::new();
+    for (k, counts) in batches.iter().enumerate() {
+        let previous = steps.last();
+        // The pool's clock never moves back.
+        let at = previous
+            .map_or(0, |s| s.clock)
+            .max(clock(k, previous.map(|s| &s.admitted)));
+        pool.advance_to(at);
+        let admitted = pool.admit(&batch_groups(models, counts), model);
+        let mut runs = Vec::new();
+        for (admit, counts) in batches[..=k].iter().enumerate() {
+            for (id, _) in counts[..models.len()]
+                .iter()
+                .enumerate()
+                .filter(|c| *c.1 > 0)
+            {
+                runs.push((admit as u64, id, pool.group_of(admit as u64, id)));
+            }
+        }
+        steps.push(Step {
+            clock: at,
+            admitted,
+            runs,
+        });
+    }
+    pool.advance_to(u64::MAX);
+    (pool, steps)
+}
+
+/// Every group the stream opened, as it ran — each one's last reported
+/// place (an open group is committed where it was last planned) — keyed
+/// by `(model id, opening admit)`, with its run count.
+fn final_groups(
+    steps: &[Step],
+    batches: &[Vec<usize>],
+) -> BTreeMap<(usize, u64), (ams_sim::Group, usize)> {
+    let mut last: BTreeMap<(u64, usize), ams_sim::Group> = BTreeMap::new();
+    for s in steps {
+        for &(admit, id, g) in &s.runs {
+            if let Some(g) = g {
+                last.insert((admit, id), g);
+            }
+        }
+    }
+    let mut groups = BTreeMap::new();
+    for ((admit, id), g) in last {
+        let count = batches[admit as usize][id];
+        groups.entry((id, g.opened)).or_insert((g, 0)).1 += count;
+    }
+    groups
+}
+
+/// A clock that moves by `gaps[k]` before batch `k`.
+fn gapped(gaps: &[u64]) -> impl Fn(usize, Option<&Admitted>) -> u64 + '_ {
+    move |k, _| gaps[..=k].iter().sum()
 }
 
 proptest! {
@@ -338,105 +437,221 @@ proptest! {
         prop_assert!(best.respects_memory(capacity), "peak {}", best.peak_mem_mb());
     }
 
-    /// Admitting batch k+1 never moves a finish of batch k: a timeline
-    /// that saw only batches 0..=k gives them the same finishes as one
-    /// that went on to admit the rest, and every group of batch k+1 starts
-    /// no earlier than batch k's last admission (behind it, not around it).
+    /// A committed group never changes: once it has started by the clock
+    /// every later admit reports it exactly as before until it finishes,
+    /// and an open group stays the same group, moved no earlier than the
+    /// clock.
     #[test]
-    fn streaming_never_moves_an_earlier_finish(
+    fn a_committed_group_never_changes(
+        models in arb_models(),
         batches in arb_stream(),
+        gaps in prop::collection::vec(0u64..1500, 8..9),
         capacity in 1000u32..20000,
         permille in 0u32..=1000,
     ) {
         let model = BatchLatencyModel::new(permille);
-        let all = stream(&batches, capacity, &model);
-        for k in 0..batches.len() {
-            prop_assert_eq!(&stream(&batches[..=k], capacity, &model)[..], &all[..=k]);
-        }
-        let mut pool = PoolTimeline::new(capacity);
-        let (mut before, mut last_end) = (0, 0);
-        for specs in &batches {
-            let gs = groups_of(specs);
-            let mut finish = vec![0u64; gs.len()];
-            let (last_admit, end) = pool.admit(&gs, &model, &mut finish);
-            prop_assert!(end >= last_end && last_admit >= before);
-            for (&(job, count), &f) in gs.iter().zip(&finish) {
-                prop_assert!(f - model.batch_time_ms(job.time_ms, count) >= before);
+        let (_, steps) = stream(&models, &batches, capacity, &model, gapped(&gaps));
+        for pair in steps.windows(2) {
+            let (before, after) = (&pair[0], &pair[1]);
+            for (&(k, id, was), &(k2, id2, now)) in before.runs.iter().zip(&after.runs) {
+                prop_assert_eq!((k, id), (k2, id2));
+                match was {
+                    Some(g) if g.start_ms <= after.clock => {
+                        prop_assert_eq!(now, (g.finish_ms > after.clock).then_some(g));
+                    }
+                    Some(g) => {
+                        let moved = now.expect("an open group has not finished");
+                        prop_assert_eq!(moved.opened, g.opened);
+                        prop_assert!(moved.start_ms >= after.clock);
+                    }
+                    None => prop_assert_eq!(now, None),
+                }
             }
-            (before, last_end) = (last_admit, end);
         }
     }
 
-    /// The streamed schedule is a real one: replaying every group through
-    /// the traced executor at the start the timeline gave it reproduces
-    /// each finish and never overfills the pool, and the timeline's busy
-    /// time is the length of the union of the replayed spans.
+    /// The bill is the final groups' batch time: a merged run is charged
+    /// only its marginal, every group runs for the batch time of all the
+    /// runs it took, and every group opened runs once.
     #[test]
-    fn streamed_timeline_replays_within_the_pool(
+    fn the_bill_is_the_final_groups_batch_time(
+        models in arb_models(),
         batches in arb_stream(),
+        gaps in prop::collection::vec(0u64..1500, 8..9),
         capacity in 1000u32..20000,
         permille in 0u32..=1000,
     ) {
         let model = BatchLatencyModel::new(permille);
-        let mut starts: Vec<(u64, Job, usize, u64)> = Vec::new();
-        for (job, count, finish) in stream(&batches, capacity, &model)
-            .into_iter()
-            .flatten()
-            .map(|((job, count), finish)| (job, count, finish))
-        {
-            let id = starts.len();
-            let mem_mb = job.mem_mb.min(capacity);
-            let start = finish - model.batch_time_ms(job.time_ms, count);
-            starts.push((start, Job { id, mem_mb, ..job }, count, finish));
+        let (_, steps) = stream(&models, &batches, capacity, &model, gapped(&gaps));
+        let bill: u64 = steps.iter().map(|s| s.admitted.bill_ms).sum();
+        let opened: usize = steps.iter().map(|s| s.admitted.opened).sum();
+        let groups = final_groups(&steps, &batches);
+        let mut time = 0;
+        for (&(id, _), &(g, count)) in &groups {
+            prop_assert_eq!(g.finish_ms - g.start_ms, model.batch_time_ms(models[id].0, count));
+            time += g.finish_ms - g.start_ms;
         }
-        starts.sort_by_key(|&(start, job, ..)| (start, job.id));
+        prop_assert_eq!(bill, time);
+        prop_assert_eq!(opened, groups.len());
+        let runs = batches.iter().flat_map(|b| &b[..models.len()]).filter(|&&c| c > 0).count();
+        prop_assert!(groups.len() <= runs);
+    }
+
+    /// The committed schedule is a real one: replaying every group through
+    /// the traced executor at its start reproduces its finish and never
+    /// overfills the pool, and the timeline's busy time is the length of
+    /// the union of the replayed spans.
+    #[test]
+    fn streamed_timeline_replays_within_the_pool(
+        models in arb_models(),
+        batches in arb_stream(),
+        gaps in prop::collection::vec(0u64..1500, 8..9),
+        capacity in 1000u32..20000,
+        permille in 0u32..=1000,
+    ) {
+        let model = BatchLatencyModel::new(permille);
+        let (pool, steps) = stream(&models, &batches, capacity, &model, gapped(&gaps));
+        let mut starts: Vec<(u64, Job, u64)> = Vec::new();
+        for (&(id, _), &(g, _)) in &final_groups(&steps, &batches) {
+            let job = Job {
+                id: starts.len(),
+                time_ms: u32::try_from(g.finish_ms - g.start_ms).expect("small"),
+                mem_mb: models[id].1.min(capacity),
+            };
+            starts.push((g.start_ms, job, g.finish_ms));
+        }
+        starts.sort_by_key(|&(start, job, _)| (start, job.id));
         let mut ex = ParallelExecutor::new(capacity);
-        for &(start, job, count, finish) in &starts {
+        for &(start, job, finish) in &starts {
             while ex.next_completion_ms().is_some_and(|f| f <= start) {
                 ex.wait_next();
             }
-            // Every start is a completion instant or 0: the clock is there.
-            prop_assert_eq!(ex.now_ms(), start);
+            // Every start is a completion instant or a clock the pool was
+            // advanced to, never earlier than the executor's clock.
+            prop_assert!(ex.now_ms() <= start);
             prop_assert!(ex.fits(job.mem_mb), "group {} at {}", job.id, start);
-            let dur = ex.admit_batch(job, count, &model).expect("fits() said yes");
-            prop_assert_eq!(ex.now_ms() + dur, finish);
+            let dur = ex.admit_batch(job, 1, &model).expect("fits() said yes");
+            prop_assert_eq!(start + dur, finish);
         }
         let trace = ex.into_trace();
         prop_assert!(trace.respects_memory(capacity), "peak {}", trace.peak_mem_mb());
-        let mut spans: Vec<(u64, u64)> = trace.spans.iter().map(|s| (s.start_ms, s.end_ms)).collect();
-        spans.sort_unstable();
         let (mut union, mut reach) = (0u64, 0u64);
-        for (s, e) in spans {
-            union += e.saturating_sub(s.max(reach));
-            reach = reach.max(e);
-        }
-        let mut pool = PoolTimeline::new(capacity);
-        for specs in &batches {
-            pool.admit(&groups_of(specs), &model, &mut []);
+        for &(start, _, finish) in &starts {
+            union += finish.saturating_sub(start.max(reach));
+            reach = reach.max(finish);
         }
         prop_assert_eq!(pool.busy_ms(), union);
     }
 
-    /// With the clock moved arbitrarily between batches, every finish is
-    /// at least its batch's admission plus its own batch time.
+    /// Every reported group is still running or yet to run, inside the
+    /// admit's reported span, and an admit's own runs start no earlier
+    /// than its clock.
     #[test]
     fn every_finish_follows_its_admission(
+        models in arb_models(),
         batches in arb_stream(),
-        gaps in prop::collection::vec(0u64..2000, 6..7),
+        gaps in prop::collection::vec(0u64..1500, 8..9),
         capacity in 1000u32..20000,
         permille in 0u32..=1000,
     ) {
         let model = BatchLatencyModel::new(permille);
-        let mut pool = PoolTimeline::new(capacity);
-        let mut clock = 0u64;
-        for (specs, gap) in batches.iter().zip(gaps) {
-            clock += gap;
-            pool.advance_to(clock);
-            let gs = groups_of(specs);
-            let mut finish = vec![0u64; gs.len()];
-            pool.admit(&gs, &model, &mut finish);
-            for (&(job, count), &f) in gs.iter().zip(&finish) {
-                prop_assert!(f >= clock + model.batch_time_ms(job.time_ms, count));
+        let (_, steps) = stream(&models, &batches, capacity, &model, gapped(&gaps));
+        for s in &steps {
+            for &(admit, _, g) in &s.runs {
+                let Some(g) = g else { continue };
+                prop_assert!(g.finish_ms > s.clock && g.finish_ms > g.start_ms);
+                prop_assert!(g.finish_ms <= s.admitted.end_ms && g.start_ms <= s.admitted.last_start_ms);
+                if admit == s.admitted.index {
+                    prop_assert!(g.start_ms >= s.clock);
+                }
+            }
+        }
+    }
+
+    /// No group is planned behind a later admit's: in the schedule as it
+    /// ran, every group opened by an earlier admit starts no later than
+    /// any group a later admit opened.
+    #[test]
+    fn a_later_admit_never_overtakes_an_earlier_one(
+        models in arb_models(),
+        batches in arb_stream(),
+        gaps in prop::collection::vec(0u64..1500, 8..9),
+        capacity in 1000u32..20000,
+        permille in 0u32..=1000,
+    ) {
+        let model = BatchLatencyModel::new(permille);
+        let (_, steps) = stream(&models, &batches, capacity, &model, gapped(&gaps));
+        let mut by_admit: Vec<(u64, u64)> = final_groups(&steps, &batches)
+            .values()
+            .map(|&(g, _)| (g.opened, g.start_ms))
+            .collect();
+        by_admit.sort_unstable();
+        let mut latest_earlier = 0;
+        for pair in by_admit.chunk_by(|a, b| a.0 == b.0) {
+            prop_assert!(pair.iter().all(|&(_, start)| start >= latest_earlier));
+            latest_earlier = pair.iter().map(|&(_, start)| start).max().unwrap_or(0);
+        }
+    }
+
+    /// With every admit at or after the previous admit's last start,
+    /// nothing is ever open to join, and each batch is packed exactly as a
+    /// closed-group pool packs it: the best of the four priorities, each
+    /// list-scheduled through the traced executor from the pool the
+    /// earlier batches leave, by its last finish (the earliest priority on
+    /// a tie).
+    #[test]
+    fn admits_after_the_last_start_pack_as_closed_groups(
+        models in arb_models(),
+        batches in arb_stream(),
+        capacity in 1000u32..20000,
+        permille in 0u32..=1000,
+    ) {
+        let model = BatchLatencyModel::new(permille);
+        let at_last_start = |_: usize, previous: Option<&Admitted>| previous.map_or(0, |a| a.last_start_ms);
+        let (_, steps) = stream(&models, &batches, capacity, &model, at_last_start);
+        let mut ex = ParallelExecutor::new(capacity);
+        for (counts, step) in batches.iter().zip(&steps) {
+            let mut order: Vec<Group> = batch_groups(&models, counts)
+                .into_iter()
+                .filter(|&(_, count)| count > 0)
+                .map(|(job, count)| (Job { mem_mb: job.mem_mb.min(capacity), ..job }, count))
+                .collect();
+            let batch_ms = |&(j, c): &Group| model.batch_time_ms(j.time_ms, c);
+            let bill: u64 = order.iter().map(batch_ms).sum();
+            prop_assert_eq!((step.admitted.bill_ms, step.admitted.opened), (bill, order.len()));
+            if order.is_empty() {
+                continue;
+            }
+            while ex.next_completion_ms().is_some_and(|f| f <= ex.now_ms()) {
+                ex.wait_next();
+            }
+            let priorities: [&dyn Fn(&Group) -> u64; 4] = [
+                &|g| batch_ms(g) * u64::from(g.0.mem_mb),
+                &batch_ms,
+                &|g| u64::from(g.0.mem_mb),
+                &|_| 0,
+            ];
+            let mut best: Option<(u64, ParallelExecutor, Finishes)> = None;
+            for priority in priorities {
+                order.sort_by_key(|g| (std::cmp::Reverse(priority(g)), g.0.id));
+                let mut trial = ex.clone();
+                let finishes = list_on(&mut trial, &order, &model);
+                let end = finishes.iter().map(|&(_, f)| f).max().unwrap_or(0);
+                if best.as_ref().is_none_or(|b| end < b.0) {
+                    best = Some((end, trial, finishes));
+                }
+            }
+            let (_, winner, finishes) = best.expect("four candidates ran");
+            ex = winner;
+            for (id, finish) in finishes {
+                let placed = step
+                    .runs
+                    .iter()
+                    .find(|r| (r.0, r.1) == (step.admitted.index, id))
+                    .and_then(|r| r.2)
+                    .expect("every group of the batch is reported");
+                prop_assert_eq!(placed.finish_ms, finish);
+                prop_assert_eq!(placed.opened, step.admitted.index);
             }
         }
     }

@@ -96,13 +96,14 @@ if [[ $mode == quick ]]; then
     echo "==> ams-sim tests (PROPTEST_CASES=16)"
     PROPTEST_CASES=16 cargo test -q -p ams-sim
     # The wall-clock tests that hold a worker through its pool (or time a
-    # member's own finish), five runs each: a hold that is too short fails
-    # here, not one run in ten.
+    # member's own finish, or merge a later batch into an open group), five
+    # runs each: a hold that is too short fails here, not one run in ten.
     echo "==> held-worker tests (5 runs)"
     for _ in 1 2 3 4 5; do
         cargo test -q -p ams-serve --test client_api -- \
             pending_excludes_cancelled_tombstones_like_the_depth_gauge \
-            a_member_completes_at_its_own_finish_not_its_batchs
+            a_member_completes_at_its_own_finish_not_its_batchs \
+            a_later_batch_joins_an_open_group
         cargo test -q -p ams-serve --test serve_equivalence -- \
             partial_batch_shed_counted_once_and_excluded_from_recall
         cargo test -q -p ams-serve --test obs_reconciliation -- \
