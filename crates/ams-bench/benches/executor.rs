@@ -1,7 +1,7 @@
 //! Micro-bench: virtual-time executors (the substrate cost of simulating
 //! one item's schedule).
 
-use ams::sim::{Job, ParallelExecutor, SerialExecutor};
+use ams::sim::{Job, Pool, SerialExecutor};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn jobs() -> Vec<Job> {
@@ -26,25 +26,23 @@ fn bench_executors(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("parallel_executor_30_jobs_16gb", |b| {
+    c.bench_function("pool_30_jobs_16gb", |b| {
         b.iter(|| {
-            let mut ex = ParallelExecutor::new(16_384);
+            let mut pool = Pool::new(16_384);
             let mut pending: Vec<Job> = js.clone();
-            while !pending.is_empty() || ex.running_count() > 0 {
-                let mut i = 0;
-                while i < pending.len() {
-                    if ex.fits(pending[i].mem_mb) {
-                        let j = pending.remove(i);
-                        ex.admit(j).expect("fits");
-                    } else {
-                        i += 1;
+            loop {
+                pending.retain(|&j| {
+                    let fits = pool.fits(j.mem_mb);
+                    if fits {
+                        pool.admit(black_box(j));
                     }
-                }
-                if ex.wait_next().is_none() {
+                    !fits
+                });
+                if pool.wait_next().is_none() {
                     break;
                 }
             }
-            black_box(ex.now_ms())
+            black_box(pool.now_ms())
         })
     });
 }

@@ -5,7 +5,7 @@ use crate::harness::{deadline_grid_s, memory_deadline_grid_s, recall_grid, Harne
 use ams::core::metrics::{mean, Cdf, Figure, Series};
 use ams::core::policies::{
     aggregate_rollouts, no_policy_time_ms, optimal_rollout, predictor_greedy_rollout,
-    random_rollout,
+    random_packing_recall, random_rollout,
 };
 use ams::core::scheduler::optimal_star;
 use ams::prelude::*;
@@ -630,7 +630,8 @@ pub fn fig11_memory(h: &mut Harness) -> Vec<Figure> {
                 ra +=
                     schedule_deadline_memory(&predictor, &zoo, item, budget_ms, mem_mb, threshold)
                         .recall;
-                rr += random_memory_recall(&zoo, item, budget_ms, mem_mb, threshold, 23);
+                let seed = 23 ^ item.scene_id.wrapping_mul(0x9E37_79B9);
+                rr += random_packing_recall(item, &zoo, budget_ms, mem_mb, threshold, seed);
                 rs +=
                     optimal_star::recall::deadline_memory(&zoo, item, budget_ms, mem_mb, threshold);
             }
@@ -1030,55 +1031,6 @@ fn random_deadline_recall(
         if t <= remaining {
             remaining -= t;
             value += item.apply(&mut state, m, threshold);
-        }
-    }
-    if item.total_value > 0.0 {
-        value / item.total_value
-    } else {
-        1.0
-    }
-}
-
-/// Random packing under deadline + memory: admit random fitting models,
-/// wait on completions, count only models finishing before the deadline.
-fn random_memory_recall(
-    zoo: &ModelZoo,
-    item: &ItemTruth,
-    budget_ms: u64,
-    mem_mb: u32,
-    threshold: f32,
-    seed: u64,
-) -> f64 {
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-    let mut order: Vec<ModelId> = zoo.ids().collect();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ item.scene_id.wrapping_mul(0x9E37_79B9));
-    order.shuffle(&mut rng);
-    let mut ex = ParallelExecutor::new(mem_mb);
-    let mut state = LabelSet::new(item.universe());
-    let mut value = 0.0;
-    let mut pending = order;
-    while ex.now_ms() < budget_ms {
-        // admit every random-order model that fits memory and deadline now
-        let now = ex.now_ms();
-        let mut i = 0;
-        while i < pending.len() {
-            let spec = zoo.spec(pending[i]);
-            if ex.fits(spec.mem_mb) && now + u64::from(spec.time_ms) <= budget_ms {
-                let m = pending.remove(i);
-                ex.admit(Job {
-                    id: m.index(),
-                    time_ms: spec.time_ms,
-                    mem_mb: spec.mem_mb,
-                })
-                .expect("fits");
-            } else {
-                i += 1;
-            }
-        }
-        let Some(done) = ex.wait_next() else { break };
-        if ex.now_ms() <= budget_ms {
-            value += item.apply(&mut state, ModelId(done.id as u8), threshold);
         }
     }
     if item.total_value > 0.0 {

@@ -15,6 +15,7 @@ use crate::predictor::ValuePredictor;
 use ams_data::ItemTruth;
 use ams_models::{LabelSet, ModelId, ModelZoo};
 use ams_rl::Rollout;
+use ams_sim::{Job, Pool};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -70,6 +71,52 @@ pub fn random_rollout(
         i += 1;
         m
     })
+}
+
+/// Random packing under a deadline and a memory budget (the §VI-G
+/// baseline): shuffle the models with `shuffle_seed`; at every completion
+/// admit, in that order, each pending model that fits the free memory and
+/// can finish by the deadline. Only models that finish by the deadline
+/// count. Returns the recall.
+pub fn random_packing_recall(
+    item: &ItemTruth,
+    zoo: &ModelZoo,
+    budget_ms: u64,
+    mem_mb: u32,
+    threshold: f32,
+    shuffle_seed: u64,
+) -> f64 {
+    let mut pending: Vec<ModelId> = zoo.ids().collect();
+    pending.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
+    let mut pool = Pool::new(mem_mb);
+    let mut state = LabelSet::new(item.universe());
+    let mut value = 0.0;
+    while pool.now_ms() < budget_ms {
+        let now = pool.now_ms();
+        pending.retain(|&m| {
+            let spec = zoo.spec(m);
+            let admit = pool.fits(spec.mem_mb) && now + u64::from(spec.time_ms) <= budget_ms;
+            if admit {
+                pool.admit(Job {
+                    id: m.index(),
+                    time_ms: spec.time_ms,
+                    mem_mb: spec.mem_mb,
+                });
+            }
+            !admit
+        });
+        let Some((_, id, _)) = pool.wait_next() else {
+            break;
+        };
+        if pool.now_ms() <= budget_ms {
+            value += item.apply(&mut state, ModelId(id as u8), threshold);
+        }
+    }
+    if item.total_value > 0.0 {
+        value / item.total_value
+    } else {
+        1.0
+    }
 }
 
 /// Optimal policy (§VI-B): executes models in descending order of their

@@ -18,7 +18,7 @@ use super::GreedyScore;
 use crate::predictor::ValuePredictor;
 use ams_data::ItemTruth;
 use ams_models::{LabelSet, ModelId, ModelZoo};
-use ams_sim::{Job, ParallelExecutor};
+use ams_sim::{ExecTrace, Job, Pool, Span};
 
 /// Outcome of scheduling one item under deadline + memory constraints.
 #[derive(Debug, Clone)]
@@ -32,8 +32,9 @@ pub struct DeadlineMemoryResult {
     pub value: f64,
     /// Recall rate.
     pub recall: f64,
-    /// Execution trace of completed models.
-    pub trace: ams_sim::ExecTrace,
+    /// Execution trace of every admitted model, completed or cut off, in
+    /// completion order.
+    pub trace: ExecTrace,
     /// Peak memory observed, MB.
     pub peak_mem_mb: u32,
 }
@@ -49,15 +50,23 @@ pub fn schedule_deadline_memory(
 ) -> DeadlineMemoryResult {
     let n = zoo.len();
     debug_assert_eq!(predictor.num_models(), n);
-    let mut ex = ParallelExecutor::new(mem_budget_mb);
+    let mut pool = Pool::new(mem_budget_mb);
+    let mut trace = ExecTrace::default();
+    // A completion `(finish_ms, id, mem_mb)` as its span in the trace.
+    let span = |(end_ms, id, mem_mb): (u64, usize, u32)| Span {
+        job: id,
+        start_ms: end_ms - u64::from(zoo.spec(ModelId(id as u8)).time_ms),
+        end_ms,
+        mem_mb,
+    };
     let mut state = LabelSet::new(item.universe());
     let mut scheduled = 0u64; // admitted (running or done)
     let mut completed = Vec::new();
     let mut value = 0.0f64;
     let mut q = vec![0.0f32; n];
 
-    while ex.now_ms() < budget_ms {
-        let now = ex.now_ms();
+    while pool.now_ms() < budget_ms {
+        let now = pool.now_ms();
         predictor.predict_into(&state, item, &mut q);
 
         // Step 1: seed by value per resource area among models that fit the
@@ -69,7 +78,7 @@ pub fn schedule_deadline_memory(
                 continue;
             }
             let spec = zoo.spec(ModelId(m as u8));
-            if !ex.fits(spec.mem_mb) || now + u64::from(spec.time_ms) > budget_ms {
+            if !pool.fits(spec.mem_mb) || now + u64::from(spec.time_ms) > budget_ms {
                 continue;
             }
             let area = f64::from(spec.time_ms) / 1000.0 * f64::from(spec.mem_mb) / 1024.0;
@@ -82,12 +91,11 @@ pub fn schedule_deadline_memory(
         if let Some((s, _)) = seed {
             let spec = zoo.spec(ModelId(s as u8));
             let temp_deadline = now + u64::from(spec.time_ms);
-            ex.admit(Job {
+            pool.admit(Job {
                 id: s,
                 time_ms: spec.time_ms,
                 mem_mb: spec.mem_mb,
-            })
-            .expect("seed fits by construction");
+            });
             scheduled |= 1 << s;
 
             // Step 2: fill remaining memory with Q/mem-greedy picks that
@@ -100,7 +108,7 @@ pub fn schedule_deadline_memory(
                         continue;
                     }
                     let sp = zoo.spec(ModelId(m as u8));
-                    if !ex.fits(sp.mem_mb) || now + u64::from(sp.time_ms) > temp_deadline {
+                    if !pool.fits(sp.mem_mb) || now + u64::from(sp.time_ms) > temp_deadline {
                         continue;
                     }
                     let score = GreedyScore::new(q[m], f64::from(sp.mem_mb) / 1024.0);
@@ -110,37 +118,35 @@ pub fn schedule_deadline_memory(
                 }
                 let Some((f, _)) = fill else { break };
                 let sp = zoo.spec(ModelId(f as u8));
-                ex.admit(Job {
+                pool.admit(Job {
                     id: f,
                     time_ms: sp.time_ms,
                     mem_mb: sp.mem_mb,
-                })
-                .expect("fill fits by construction");
+                });
                 scheduled |= 1 << f;
             }
-        } else if ex.running_count() == 0 {
+        } else if pool.next_finish_ms().is_none() {
             // Nothing runnable and nothing running: done.
             break;
         }
 
         // Step 3: wait for one completion and fold in its output.
-        let Some(done) = ex.wait_next() else { break };
-        if ex.now_ms() <= budget_ms {
-            let m = ModelId(done.id as u8);
+        let Some(done) = pool.wait_next() else { break };
+        trace.push(span(done));
+        if pool.now_ms() <= budget_ms {
+            let m = ModelId(done.1 as u8);
             completed.push(m);
             value += item.apply(&mut state, m, threshold);
         }
     }
 
     // Anything still in flight at the deadline produced no value.
-    let peak = ex.trace().peak_mem_mb();
     let mut cut_off = Vec::new();
-    let mut drained = ex;
-    for job in drained.drain() {
-        cut_off.push(ModelId(job.id as u8));
+    while let Some(done) = pool.wait_next() {
+        trace.push(span(done));
+        cut_off.push(ModelId(done.1 as u8));
     }
-    let trace = drained.into_trace();
-    let peak_mem_mb = peak.max(trace.peak_mem_mb());
+    let peak_mem_mb = trace.peak_mem_mb();
 
     let recall = if item.total_value > 0.0 {
         value / item.total_value
@@ -260,6 +266,40 @@ mod tests {
                 assert!(seen.insert(*m), "model {m} admitted twice");
             }
         }
+    }
+
+    /// Algorithm 2's every decision, pinned: an FNV-1a fold over each
+    /// item's completed and cut-off models, the bits of its value and its
+    /// trace spans in order, at 8, 12 and 16 GB. Recorded before the pool
+    /// was rewritten; any change to admission order, tie-breaks or the
+    /// trace moves it.
+    #[test]
+    fn golden_digest() {
+        fn mix(h: u64, x: u64) -> u64 {
+            (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+        }
+        let (zoo, t) = fixture();
+        let oracle = OraclePredictor::new(30, 0.5);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for mem in [8192u32, 12288, 16384] {
+            for item in t.items() {
+                let r = schedule_deadline_memory(&oracle, &zoo, item, 800, mem, 0.5);
+                for list in [&r.completed, &r.cut_off] {
+                    h = mix(h, list.len() as u64);
+                    for m in list {
+                        h = mix(h, m.index() as u64);
+                    }
+                }
+                h = mix(h, r.value.to_bits());
+                h = mix(h, r.trace.spans.len() as u64);
+                for s in &r.trace.spans {
+                    for x in [s.job as u64, s.start_ms, s.end_ms, u64::from(s.mem_mb)] {
+                        h = mix(h, x);
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0x0af8_2e2b_41a4_bab8, "Algorithm 2 digest {h:#018x}");
     }
 
     #[test]

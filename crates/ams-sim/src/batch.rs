@@ -21,7 +21,7 @@
 //! filling the memory the previous ones leave and joining the invocations
 //! of the same model that have not started yet.
 
-use crate::Job;
+use crate::{Job, Pool};
 use serde::{Deserialize, Serialize};
 
 /// Calibrated setup + marginal per-item latency split for batched execution.
@@ -166,10 +166,7 @@ impl Batch {
     /// `count` items of `job` as one invocation taking `time_ms`. A batch
     /// whose weights exceed the whole pool is clamped to the pool (it would
     /// stream from host memory; it still runs, exclusively), and a duration
-    /// beyond `u32::MAX` ms saturates exactly as
-    /// [`ParallelExecutor::admit_batch`] saturates it.
-    ///
-    /// [`ParallelExecutor::admit_batch`]: crate::ParallelExecutor::admit_batch
+    /// beyond `u32::MAX` ms (~49 virtual days) saturates.
     fn new(job: Job, count: usize, opened: u64, capacity_mb: u32, time_ms: u64) -> Self {
         Self {
             job,
@@ -187,37 +184,34 @@ impl Batch {
     fn start_ms(&self) -> u64 {
         self.finish_ms - u64::from(self.time_ms)
     }
+
+    /// The invocation as the pool runs it.
+    fn run(&self) -> Job {
+        Job {
+            id: self.job.id,
+            time_ms: self.time_ms,
+            mem_mb: self.mem_mb,
+        }
+    }
 }
 
 /// End of the pending list threaded through [`Batch::next`].
 const END: u32 = u32::MAX;
 
-/// A batch holding pool memory: `(finish_ms, id, mem_mb)`.
-type Running = (u64, usize, u32);
-
 /// The one event loop every admission runs (the Algorithm 2 shape): from
-/// `*now_ms`, with `*free_mb` free beside `running`, admit in list order
-/// every pending batch that fits; wait for the earliest completion (ties
-/// by id); release its memory; repeat until the whole list is admitted.
+/// `pool`'s clock, admit in list order every pending batch that fits;
+/// [`Pool::wait_next`]; repeat until the whole list is admitted.
 ///
-/// On return `*now_ms` is the last admission, `*free_mb` and `running` the
-/// pool at that instant, and each batch's `finish_ms` is set. Returns the
-/// latest finish in `list` (`*now_ms` when it is empty) — or `limit`, as
-/// soon as some batch is admitted that cannot finish before it, leaving
-/// the state partial.
+/// On return `pool` is at the last admission and each batch's `finish_ms`
+/// is set. Returns the latest finish in `list` (the clock when it is
+/// empty) — or `limit`, as soon as some batch is admitted that cannot
+/// finish before it, leaving the state partial.
 ///
-/// Nothing is allocated beyond `running`'s growth and no trace is
-/// recorded: pending batches are a linked list threaded through `list`
-/// (unlinking is O(1) and leaves the slice in order). This is
-/// [`ParallelExecutor`](crate::ParallelExecutor)'s arithmetic without its
-/// bookkeeping, and `tests/props.rs` holds the two to the same answer.
-fn run_list(
-    list: &mut [Batch],
-    now_ms: &mut u64,
-    free_mb: &mut u32,
-    running: &mut Vec<Running>,
-    limit: u64,
-) -> u64 {
+/// Nothing is allocated beyond the pool's growth and no trace is recorded:
+/// pending batches are a linked list threaded through `list` (unlinking is
+/// O(1) and leaves the slice in order). `tests/props.rs` holds it to a
+/// brute-force first fit.
+fn run_list(list: &mut [Batch], pool: &mut Pool, limit: u64) -> u64 {
     debug_assert!(list.len() < END as usize);
     let mut head = END;
     let mut tail_min_mb = u32::MAX;
@@ -227,24 +221,22 @@ fn run_list(
         b.next = head;
         head = i as u32;
     }
-    let mut end_ms = *now_ms;
+    let mut end_ms = pool.now_ms();
     loop {
         // First fit, front to back. Admissions only raise the true tail
         // minimum, so the recorded one stays a valid reason to stop.
         let (mut prev, mut cur) = (END, head);
         while cur != END {
             let b = list[cur as usize];
-            if *free_mb < b.tail_min_mb {
+            if pool.free_mb() < b.tail_min_mb {
                 break;
             }
-            if b.mem_mb <= *free_mb {
-                let finish_ms = *now_ms + u64::from(b.time_ms);
+            if pool.fits(b.mem_mb) {
+                let finish_ms = pool.admit(b.run());
                 if finish_ms >= limit {
                     return limit;
                 }
                 end_ms = end_ms.max(finish_ms);
-                *free_mb -= b.mem_mb;
-                running.push((finish_ms, b.job.id, b.mem_mb));
                 list[cur as usize].finish_ms = finish_ms;
                 if prev == END {
                     head = b.next;
@@ -261,16 +253,9 @@ fn run_list(
         }
         // Something is pending and did not fit, so something is running:
         // an empty pool fits every (clamped) batch.
-        let Some((first, _)) = running
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &(finish_ms, id, _))| (finish_ms, id))
-        else {
+        if pool.wait_next().is_none() {
             return end_ms;
-        };
-        let (finish_ms, _, mem_mb) = running.swap_remove(first);
-        *now_ms = finish_ms;
-        *free_mb += mem_mb;
+        }
     }
 }
 
@@ -298,9 +283,7 @@ pub fn list_makespan(
             Batch::new(job, count, 0, capacity_mb, time_ms)
         })
         .collect();
-    let mut running = Vec::with_capacity(list.len());
-    let (mut now_ms, mut free_mb) = (0, capacity_mb);
-    run_list(&mut list, &mut now_ms, &mut free_mb, &mut running, u64::MAX)
+    run_list(&mut list, &mut Pool::new(capacity_mb), u64::MAX)
 }
 
 /// The list-scheduling priorities [`PoolTimeline::admit`] tries, each a
@@ -376,15 +359,6 @@ pub struct Admitted {
     pub end_ms: u64,
 }
 
-/// A pool at one instant: the clock, the memory free, and the groups
-/// holding the rest (each may still hold memory after the clock).
-#[derive(Debug, Clone, Default)]
-struct Pool {
-    now_ms: u64,
-    free_mb: u32,
-    running: Vec<Running>,
-}
-
 /// A committed group that may still hold memory.
 #[derive(Debug, Clone, Copy)]
 struct Started {
@@ -418,8 +392,6 @@ pub struct PoolTimeline {
     capacity_mb: u32,
     /// The clock: every group that starts by then is committed.
     now_ms: u64,
-    /// Memory not held by `started`.
-    free_mb: u32,
     /// Every committed group that may still hold memory.
     started: Vec<Started>,
     /// The open groups — planned, not started — in the order of the admits
@@ -433,11 +405,12 @@ pub struct PoolTimeline {
     reach_ms: u64,
     /// Length of the union of the committed groups' intervals.
     busy_ms: u64,
-    /// Re-plan scratch: the pool as planned so far, the best candidate
-    /// list, and the pool a candidate runs on.
+    /// Re-plan scratch: the pool as planned so far, a candidate list's
+    /// pool, and the best candidate's list and pool.
     planned: Pool,
+    trial: Pool,
+    best: Pool,
     best_list: Vec<Batch>,
-    trial: Vec<Running>,
 }
 
 impl PoolTimeline {
@@ -447,16 +420,16 @@ impl PoolTimeline {
         Self {
             capacity_mb,
             now_ms: 0,
-            free_mb: capacity_mb,
             started: Vec::new(),
             open: Vec::new(),
             spans: Vec::new(),
             admits: 0,
             reach_ms: 0,
             busy_ms: 0,
-            planned: Pool::default(),
+            planned: Pool::new(capacity_mb),
+            trial: Pool::new(capacity_mb),
+            best: Pool::new(capacity_mb),
             best_list: Vec::new(),
-            trial: Vec::new(),
         }
     }
 
@@ -500,8 +473,6 @@ impl PoolTimeline {
             self.busy_ms += finish_ms.saturating_sub(start_ms.max(self.reach_ms));
             self.reach_ms = self.reach_ms.max(finish_ms);
         }
-        let held: u32 = self.started.iter().map(|s| s.mem_mb).sum();
-        self.free_mb = self.capacity_mb - held;
     }
 
     /// Length of the union of the intervals in which a committed group
@@ -588,14 +559,17 @@ impl PoolTimeline {
     /// Plan the open groups behind the committed ones, one admit's at a
     /// time in admit order, each from the previous one's last start.
     fn replan(&mut self) {
-        self.planned.now_ms = self.now_ms;
-        self.planned.free_mb = self.free_mb;
-        self.planned.running.clear();
-        let running = self
-            .started
-            .iter()
-            .map(|s| (s.group.finish_ms, s.id, s.mem_mb));
-        self.planned.running.extend(running);
+        self.planned.reset(self.now_ms);
+        for s in &self.started {
+            // It started by the clock, so what is left of it fits its
+            // batch time.
+            let left_ms = s.group.finish_ms - self.now_ms;
+            self.planned.admit(Job {
+                id: s.id,
+                time_ms: u32::try_from(left_ms).expect("within the batch time"),
+                mem_mb: s.mem_mb,
+            });
+        }
         let mut lo = 0;
         while let Some(first) = self.open.get(lo) {
             let opened = first.opened;
@@ -615,31 +589,29 @@ impl PoolTimeline {
             capacity_mb,
             open,
             planned,
-            best_list,
             trial,
+            best,
+            best_list,
             ..
         } = self;
         let list = &mut open[lo..hi];
-        let start_ms = planned.now_ms;
+        let start_ms = planned.now_ms();
         let (mut longest, mut total_mb, mut area) = (0u64, 0u64, 0u128);
         for b in list.iter() {
             longest = longest.max(u64::from(b.time_ms));
             total_mb += u64::from(b.mem_mb);
             area += u128::from(b.time_ms) * u128::from(b.mem_mb);
         }
-        planned.running.reserve(list.len());
-        if total_mb <= u64::from(planned.free_mb) {
+        if total_mb <= u64::from(planned.free_mb()) {
             // Everything fits beside what runs: all start now.
             for b in list.iter_mut() {
-                b.finish_ms = start_ms + u64::from(b.time_ms);
-                planned.running.push((b.finish_ms, b.job.id, b.mem_mb));
+                b.finish_ms = planned.admit(b.run());
             }
-            planned.free_mb -= total_mb as u32;
             return;
         }
         let bound =
             u128::from(start_ms) + u128::from(longest).max(area.div_ceil(u128::from(*capacity_mb)));
-        let (mut best_end, mut best_admit) = (u64::MAX, start_ms);
+        let mut best_end = u64::MAX;
         for priority in PRIORITIES {
             for b in list.iter_mut() {
                 b.priority = priority(b);
@@ -650,15 +622,13 @@ impl PoolTimeline {
                 (b.priority, a.job.id, a.time_ms, a.mem_mb)
                     .cmp(&(a.priority, b.job.id, b.time_ms, b.mem_mb))
             });
-            trial.clear();
-            trial.reserve(planned.running.len() + list.len());
-            trial.extend_from_slice(&planned.running);
-            let (mut now_ms, mut free_mb) = (start_ms, planned.free_mb);
-            let end_ms = run_list(list, &mut now_ms, &mut free_mb, trial, best_end);
+            trial.clone_from(planned);
+            let end_ms = run_list(list, trial, best_end);
             if end_ms < best_end {
-                (best_end, best_admit) = (end_ms, now_ms);
+                best_end = end_ms;
                 best_list.clear();
                 best_list.extend_from_slice(list);
+                std::mem::swap(best, trial);
             }
             if u128::from(best_end) == bound {
                 break;
@@ -667,15 +637,13 @@ impl PoolTimeline {
         list.copy_from_slice(best_list);
         // The pool at the winner's last start: every group, earlier or
         // this admit's, that is still running then.
-        planned
-            .running
-            .retain(|&(finish_ms, ..)| finish_ms > best_admit);
-        for b in list.iter().filter(|b| b.finish_ms > best_admit) {
-            planned.running.push((b.finish_ms, b.job.id, b.mem_mb));
+        std::mem::swap(planned, best);
+        while planned
+            .next_finish_ms()
+            .is_some_and(|finish_ms| finish_ms <= planned.now_ms())
+        {
+            planned.wait_next();
         }
-        let held: u32 = planned.running.iter().map(|&(.., mem_mb)| mem_mb).sum();
-        planned.free_mb = *capacity_mb - held;
-        planned.now_ms = best_admit;
     }
 }
 

@@ -6,13 +6,12 @@
 //! P100; here they are simulated so that experiments are deterministic and
 //! run in milliseconds.
 //!
-//! * [`clock`] — a virtual clock in milliseconds.
-//! * [`gpu`] — a GPU memory pool with acquire/release accounting.
 //! * [`serial`] — single-processor executor: jobs run one after another
 //!   against a deadline (the setting of Algorithm 1).
-//! * [`parallel`] — event-driven multi-processor executor: jobs run
-//!   concurrently while they fit in memory; completions release memory
-//!   (the setting of Algorithm 2).
+//! * [`parallel`] — the shared memory pool on a virtual clock ([`Pool`]):
+//!   jobs run concurrently while they fit in memory, and each completion
+//!   releases memory (the setting of Algorithm 2). Algorithm 2, the
+//!   packer below and the random-packing baseline all run on it.
 //! * [`batch`] — batched admission: coalesce same-model items into one
 //!   invocation under a calibrated setup + marginal-per-item latency split,
 //!   pack a batch's invocations into the pool in the best of a few
@@ -29,8 +28,6 @@
 #![warn(clippy::all)]
 
 pub mod batch;
-pub mod clock;
-pub mod gpu;
 pub mod parallel;
 pub mod serial;
 pub mod trace;
@@ -38,9 +35,7 @@ pub mod trace;
 pub use batch::{
     batched_makespan, list_makespan, Admitted, BatchLatencyModel, Group, PoolTimeline,
 };
-pub use clock::VirtualClock;
-pub use gpu::MemoryPool;
-pub use parallel::ParallelExecutor;
+pub use parallel::Pool;
 pub use serial::SerialExecutor;
 pub use trace::{ExecTrace, Span};
 

@@ -1,162 +1,113 @@
-//! Event-driven multi-processor execution with a shared memory pool
-//! (the Algorithm 2 setting).
+//! The shared memory pool of the multi-processor setting (Algorithm 2).
 //!
-//! Jobs admitted into the executor run concurrently as long as their
-//! combined memory fits the pool; each completion releases memory and
-//! advances the virtual clock to the completion instant. This reproduces
-//! the paper's loop: pack models into GPU memory, wait until one finishes,
-//! release its memory, re-plan.
+//! Jobs admitted into the pool run concurrently as long as their combined
+//! memory fits; each completion releases memory and moves the virtual
+//! clock to the completion instant. This is the paper's loop — pack
+//! models into GPU memory, wait until one finishes, release its memory,
+//! re-plan — and every scheduler and packer in the workspace runs on it.
 
-use crate::batch::BatchLatencyModel;
-use crate::clock::VirtualClock;
-use crate::gpu::{MemError, MemoryPool};
-use crate::trace::{ExecTrace, Span};
 use crate::Job;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// A job currently executing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Running {
-    finish_ms: u64,
-    job: Job,
+/// A GPU memory pool on a virtual clock: the time, the memory free, and
+/// the running jobs as `(finish_ms, id, mem_mb)`.
+///
+/// Times are integer milliseconds, so event order is exact and
+/// reproducible. Nothing is recorded beyond the running set: a caller that
+/// wants a trace builds it from what [`Pool::wait_next`] returns.
+#[derive(Debug)]
+pub struct Pool {
+    capacity_mb: u32,
+    now_ms: u64,
+    free_mb: u32,
+    running: Vec<(u64, usize, u32)>,
 }
 
-impl Ord for Running {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; order by finish time then id for
-        // deterministic tie-breaking.
-        (self.finish_ms, self.job.id).cmp(&(other.finish_ms, other.job.id))
-    }
-}
-
-impl PartialOrd for Running {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Event-driven executor over a shared memory pool.
-#[derive(Debug, Clone)]
-pub struct ParallelExecutor {
-    clock: VirtualClock,
-    pool: MemoryPool,
-    running: BinaryHeap<Reverse<Running>>,
-    trace: ExecTrace,
-}
-
-impl ParallelExecutor {
-    /// Executor over a pool of `capacity_mb` megabytes.
+impl Pool {
+    /// An idle pool of `capacity_mb` at virtual time 0.
     pub fn new(capacity_mb: u32) -> Self {
         Self {
-            clock: VirtualClock::new(),
-            pool: MemoryPool::new(capacity_mb),
-            running: BinaryHeap::new(),
-            trace: ExecTrace::default(),
+            capacity_mb,
+            now_ms: 0,
+            free_mb: capacity_mb,
+            running: Vec::new(),
         }
+    }
+
+    /// Empty the pool and set its clock to `now_ms`, keeping its buffer.
+    pub(crate) fn reset(&mut self, now_ms: u64) {
+        self.now_ms = now_ms;
+        self.free_mb = self.capacity_mb;
+        self.running.clear();
     }
 
     /// Current virtual time.
     pub fn now_ms(&self) -> u64 {
-        self.clock.now_ms()
+        self.now_ms
     }
 
-    /// Free memory right now.
-    pub fn available_mb(&self) -> u32 {
-        self.pool.available_mb()
+    /// Memory free right now.
+    pub fn free_mb(&self) -> u32 {
+        self.free_mb
     }
 
     /// Whether a job of `mem_mb` can be admitted right now.
     pub fn fits(&self, mem_mb: u32) -> bool {
-        self.pool.fits(mem_mb)
+        mem_mb <= self.free_mb
     }
 
-    /// Number of jobs currently running.
-    pub fn running_count(&self) -> usize {
-        self.running.len()
+    /// Start `job` at the clock and return its finish. The caller has
+    /// checked [`Pool::fits`].
+    pub fn admit(&mut self, job: Job) -> u64 {
+        debug_assert!(self.fits(job.mem_mb), "admitted {job:?} past the pool");
+        let finish_ms = self.now_ms + u64::from(job.time_ms);
+        self.free_mb -= job.mem_mb;
+        self.running.push((finish_ms, job.id, job.mem_mb));
+        finish_ms
     }
 
-    /// Earliest completion time among running jobs.
-    pub fn next_completion_ms(&self) -> Option<u64> {
-        self.running.peek().map(|Reverse(r)| r.finish_ms)
+    /// The earliest finish among the running jobs, `None` when idle.
+    pub fn next_finish_ms(&self) -> Option<u64> {
+        self.running.iter().map(|&(finish_ms, ..)| finish_ms).min()
     }
 
-    /// Admit `job` at the current virtual time.
-    pub fn admit(&mut self, job: Job) -> Result<(), MemError> {
-        self.pool.acquire(job.mem_mb)?;
-        let finish_ms = self.clock.now_ms() + u64::from(job.time_ms);
-        self.running.push(Reverse(Running { finish_ms, job }));
-        Ok(())
+    /// Wait for the earliest finish (the lowest id on a tie): move the
+    /// clock to it, release its memory and return it as `(finish_ms, id,
+    /// mem_mb)`. `None` when nothing is running.
+    pub fn wait_next(&mut self) -> Option<(u64, usize, u32)> {
+        let (first, _) = self
+            .running
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &(finish_ms, id, _))| (finish_ms, id))?;
+        let done = self.running.swap_remove(first);
+        self.now_ms = done.0;
+        self.free_mb += done.2;
+        Some(done)
     }
+}
 
-    /// Admit one *batched* invocation of `count` items through the model
-    /// `job` describes: memory is acquired once (the weights are shared
-    /// across the batch) and the invocation occupies the processor for
-    /// [`BatchLatencyModel::batch_time_ms`] of `job.time_ms` and `count`.
-    ///
-    /// The running entry's `time_ms` becomes the whole batch's duration, so
-    /// [`Self::wait_next`] returns the batch as a single completed job and
-    /// the trace records one span covering it. Returns the batch duration.
-    /// A zero-item batch is rejected as a no-op (`Ok(0)` without admission).
-    /// Durations beyond `u32::MAX` ms (~49 virtual days — far past any
-    /// meaningful simulation horizon) saturate rather than wrap; past that
-    /// point the model's monotonicity guarantee flattens with them.
-    pub fn admit_batch(
-        &mut self,
-        job: Job,
-        count: usize,
-        model: &BatchLatencyModel,
-    ) -> Result<u64, MemError> {
-        if count == 0 {
-            return Ok(0);
+impl Clone for Pool {
+    fn clone(&self) -> Self {
+        Self {
+            running: self.running.clone(),
+            ..*self
         }
-        let batch_ms = model.batch_time_ms(job.time_ms, count);
-        let time_ms = u32::try_from(batch_ms).unwrap_or(u32::MAX);
-        self.admit(Job { time_ms, ..job })?;
-        Ok(u64::from(time_ms))
     }
 
-    /// Advance the clock to the next completion; returns the finished job.
-    /// Returns `None` when nothing is running.
-    pub fn wait_next(&mut self) -> Option<Job> {
-        let Reverse(done) = self.running.pop()?;
-        self.clock.advance_to(done.finish_ms);
-        self.pool
-            .release(done.job.mem_mb)
-            .expect("release of admitted job cannot fail");
-        self.trace.push(Span {
-            job: done.job.id,
-            start_ms: done.finish_ms - u64::from(done.job.time_ms),
-            end_ms: done.finish_ms,
-            mem_mb: done.job.mem_mb,
-        });
-        Some(done.job)
-    }
-
-    /// Drain every running job to completion, in completion order.
-    pub fn drain(&mut self) -> Vec<Job> {
-        let mut out = Vec::with_capacity(self.running.len());
-        while let Some(j) = self.wait_next() {
-            out.push(j);
-        }
-        out
-    }
-
-    /// The trace of *completed* jobs so far.
-    pub fn trace(&self) -> &ExecTrace {
-        &self.trace
-    }
-
-    /// Consume the executor, draining remaining jobs into the trace.
-    pub fn into_trace(mut self) -> ExecTrace {
-        self.drain();
-        self.trace
+    /// Reuses `self`'s buffer, so a packer's trial pools stop allocating
+    /// once they have grown.
+    fn clone_from(&mut self, source: &Self) {
+        self.running.clone_from(&source.running);
+        (self.capacity_mb, self.now_ms, self.free_mb) =
+            (source.capacity_mb, source.now_ms, source.free_mb);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchLatencyModel;
+    use crate::trace::{ExecTrace, Span};
 
     fn job(id: usize, t: u32, m: u32) -> Job {
         Job {
@@ -166,121 +117,128 @@ mod tests {
         }
     }
 
+    /// A completion `(end_ms, id, mem_mb)` as the span of a job that took
+    /// `time_ms`.
+    fn span((end_ms, job, mem_mb): (u64, usize, u32), time_ms: u32) -> Span {
+        let start_ms = end_ms - u64::from(time_ms);
+        Span {
+            job,
+            start_ms,
+            end_ms,
+            mem_mb,
+        }
+    }
+
+    /// Wait out every running job; job `id` took `times[id]`.
+    fn drain(pool: &mut Pool, times: &[u32]) -> ExecTrace {
+        let mut trace = ExecTrace::default();
+        while let Some(done) = pool.wait_next() {
+            trace.push(span(done, times[done.1]));
+        }
+        trace
+    }
+
     #[test]
     fn parallel_overlap_shortens_makespan() {
-        let mut ex = ParallelExecutor::new(1000);
-        ex.admit(job(0, 300, 400))
-            .expect("400MB fits a 1000MB pool");
-        ex.admit(job(1, 200, 400))
-            .expect("800MB total fits the pool");
-        let first = ex.wait_next().expect("two jobs are running");
-        assert_eq!(first.id, 1, "shorter job completes first");
-        assert_eq!(ex.now_ms(), 200);
-        let second = ex.wait_next().expect("one job still running");
-        assert_eq!(second.id, 0);
-        assert_eq!(ex.now_ms(), 300);
-        let t = ex.into_trace();
+        let mut pool = Pool::new(1000);
+        assert_eq!(pool.admit(job(0, 300, 400)), 300);
+        assert_eq!(pool.admit(job(1, 200, 400)), 200);
+        assert_eq!(pool.wait_next(), Some((200, 1, 400)), "shorter job first");
+        assert_eq!(pool.now_ms(), 200);
+        assert_eq!(pool.next_finish_ms(), Some(300));
+        let t = drain(&mut pool, &[300, 200]);
+        assert_eq!(pool.now_ms(), 300);
         assert_eq!(t.makespan_ms(), 300);
-        assert_eq!(t.busy_ms(), 500);
         assert!(t.respects_memory(800));
     }
 
     #[test]
     fn memory_gate_rejects_oversubscription() {
-        let mut ex = ParallelExecutor::new(500);
-        ex.admit(job(0, 100, 300)).expect("300MB fits a 500MB pool");
-        assert!(ex.admit(job(1, 100, 300)).is_err());
-        assert_eq!(ex.running_count(), 1);
+        let mut pool = Pool::new(500);
+        pool.admit(job(0, 100, 300));
+        assert!(!pool.fits(300));
+        assert_eq!(pool.free_mb(), 200);
         // after completion the memory frees up
-        ex.wait_next().expect("job 0 is running");
-        assert!(ex.admit(job(1, 100, 300)).is_ok());
+        pool.wait_next().expect("job 0 is running");
+        assert!(pool.fits(300));
     }
 
     #[test]
     fn admission_after_wait_starts_at_current_time() {
-        let mut ex = ParallelExecutor::new(1000);
-        ex.admit(job(0, 100, 100))
-            .expect("100MB fits a 1000MB pool");
-        ex.wait_next().expect("job 0 is running");
-        ex.admit(job(1, 50, 100)).expect("pool is empty again");
-        ex.wait_next().expect("job 1 is running");
-        let t = ex.into_trace();
-        let span1 = t
-            .spans
-            .iter()
-            .find(|s| s.job == 1)
-            .expect("job 1 completed, so it has a span");
-        assert_eq!(span1.start_ms, 100);
-        assert_eq!(span1.end_ms, 150);
+        let mut pool = Pool::new(1000);
+        pool.admit(job(0, 100, 100));
+        pool.wait_next().expect("job 0 is running");
+        assert_eq!(pool.admit(job(1, 50, 100)), 150);
+        assert_eq!(pool.wait_next(), Some((150, 1, 100)));
     }
 
     #[test]
     fn deterministic_tie_break_by_id() {
-        let mut ex = ParallelExecutor::new(1000);
-        ex.admit(job(5, 100, 100))
-            .expect("100MB fits a 1000MB pool");
-        ex.admit(job(2, 100, 100))
-            .expect("200MB total fits the pool");
-        assert_eq!(ex.wait_next().expect("two jobs running").id, 2);
-        assert_eq!(ex.wait_next().expect("one job running").id, 5);
+        let mut pool = Pool::new(1000);
+        pool.admit(job(5, 100, 100));
+        pool.admit(job(2, 100, 100));
+        assert_eq!(pool.wait_next().map(|d| d.1), Some(2));
+        assert_eq!(pool.wait_next().map(|d| d.1), Some(5));
     }
 
     #[test]
     fn drain_completes_everything() {
-        let mut ex = ParallelExecutor::new(10_000);
+        let mut pool = Pool::new(10_000);
         for i in 0..5 {
-            ex.admit(job(i, 100 * (i as u32 + 1), 1000))
-                .expect("5 x 1000MB fits a 10000MB pool");
+            pool.admit(job(i, 100 * (i as u32 + 1), 1000));
         }
-        let done = ex.drain();
-        assert_eq!(done.len(), 5);
-        assert_eq!(ex.running_count(), 0);
-        assert!(ex.trace().respects_memory(10_000));
+        let t = drain(&mut pool, &[100, 200, 300, 400, 500]);
+        assert_eq!(t.completion_order(), [0, 1, 2, 3, 4]);
+        assert_eq!((pool.next_finish_ms(), pool.free_mb()), (None, 10_000));
+        assert!(t.respects_memory(10_000));
     }
 
     #[test]
     fn batched_admission_charges_pool_once_and_batch_latency() {
         let model = BatchLatencyModel::new(500);
-        let mut ex = ParallelExecutor::new(500);
-        // An 8-item batch of a 100ms/400MB model: one 400MB acquisition,
-        // 50 + 8*50 = 450ms duration.
-        let dur = ex
-            .admit_batch(job(0, 100, 400), 8, &model)
-            .expect("weights fit once");
-        assert_eq!(dur, 450);
+        let mut pool = Pool::new(500);
+        // An 8-item batch of a 100ms/400MB model is one 400MB job of
+        // 50 + 8*50 = 450ms.
+        let time_ms = model.batch_time_ms(100, 8) as u32;
+        assert_eq!(pool.admit(job(0, time_ms, 400)), 450);
         assert_eq!(
-            ex.available_mb(),
+            pool.free_mb(),
             100,
             "memory charged per batch, not per item"
         );
-        assert!(ex.admit_batch(job(1, 100, 400), 2, &model).is_err());
-        let done = ex.wait_next().expect("the batch is running");
-        assert_eq!(done.id, 0);
-        assert_eq!(ex.now_ms(), 450);
-        assert_eq!(ex.available_mb(), 500);
-        let t = ex.into_trace();
-        assert_eq!(t.spans[0].end_ms - t.spans[0].start_ms, 450);
-    }
-
-    #[test]
-    fn zero_item_batch_is_a_noop() {
-        let model = BatchLatencyModel::default();
-        let mut ex = ParallelExecutor::new(100);
-        assert_eq!(ex.admit_batch(job(0, 100, 90), 0, &model), Ok(0));
-        assert_eq!(ex.running_count(), 0);
-        assert_eq!(ex.available_mb(), 100);
+        assert!(!pool.fits(400));
+        assert_eq!(pool.wait_next(), Some((450, 0, 400)));
+        assert_eq!(pool.free_mb(), 500);
     }
 
     #[test]
     fn trace_memory_profile_matches_pool_constraint() {
-        let mut ex = ParallelExecutor::new(700);
-        ex.admit(job(0, 300, 400)).expect("400MB fits a 700MB pool");
-        ex.admit(job(1, 100, 300))
-            .expect("700MB total fits the pool");
-        ex.wait_next().expect("job 1 finishes at t=100");
-        ex.admit(job(2, 100, 300)).expect("job 1 freed 300MB");
-        let t = ex.into_trace();
+        let times = [300, 100, 100];
+        let mut pool = Pool::new(700);
+        pool.admit(job(0, 300, 400));
+        pool.admit(job(1, 100, 300));
+        let first = pool.wait_next().expect("job 1 finishes at t=100");
+        assert!(pool.fits(300), "job 1 freed 300MB");
+        pool.admit(job(2, 100, 300));
+        let mut t = drain(&mut pool, &times);
+        t.push(span(first, times[1]));
         assert!(t.respects_memory(700));
         assert_eq!(t.peak_mem_mb(), 700);
+    }
+
+    #[test]
+    fn acquire_release_cycle() {
+        let mut pool = Pool::new(1000);
+        assert!(pool.fits(1000));
+        pool.admit(job(0, 10, 600));
+        assert_eq!(pool.free_mb(), 400);
+        assert!(!pool.fits(401));
+        pool.admit(job(1, 20, 400));
+        assert_eq!(pool.free_mb(), 0);
+        pool.wait_next().expect("job 0 is running");
+        assert_eq!(pool.free_mb(), 600);
+        pool.reset(5);
+        assert_eq!((pool.now_ms(), pool.free_mb()), (5, 1000));
+        assert_eq!(pool.next_finish_ms(), None);
     }
 }

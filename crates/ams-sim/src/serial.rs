@@ -1,13 +1,13 @@
 //! Single-processor execution under a deadline (the Algorithm 1 setting).
 
-use crate::clock::VirtualClock;
 use crate::trace::{ExecTrace, Span};
 use crate::Job;
 
 /// Serial executor: runs one job at a time against a per-item deadline.
 #[derive(Debug, Clone)]
 pub struct SerialExecutor {
-    clock: VirtualClock,
+    /// Elapsed virtual time, ms.
+    now_ms: u64,
     deadline_ms: u64,
     trace: ExecTrace,
 }
@@ -16,7 +16,7 @@ impl SerialExecutor {
     /// Executor with a total time budget (`B_time`) in milliseconds.
     pub fn new(deadline_ms: u64) -> Self {
         Self {
-            clock: VirtualClock::new(),
+            now_ms: 0,
             deadline_ms,
             trace: ExecTrace::default(),
         }
@@ -24,12 +24,12 @@ impl SerialExecutor {
 
     /// Remaining budget.
     pub fn remaining_ms(&self) -> u64 {
-        self.deadline_ms.saturating_sub(self.clock.now_ms())
+        self.deadline_ms.saturating_sub(self.now_ms)
     }
 
     /// Elapsed virtual time.
     pub fn elapsed_ms(&self) -> u64 {
-        self.clock.now_ms()
+        self.now_ms
     }
 
     /// Whether `job` fits in the remaining budget.
@@ -43,12 +43,12 @@ impl SerialExecutor {
         if !self.fits(&job) {
             return false;
         }
-        let start = self.clock.now_ms();
-        self.clock.advance(u64::from(job.time_ms));
+        let start_ms = self.now_ms;
+        self.now_ms += u64::from(job.time_ms);
         self.trace.push(Span {
             job: job.id,
-            start_ms: start,
-            end_ms: self.clock.now_ms(),
+            start_ms,
+            end_ms: self.now_ms,
             mem_mb: job.mem_mb,
         });
         true

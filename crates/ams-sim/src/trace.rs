@@ -18,7 +18,8 @@ pub struct Span {
 /// A full execution trace: the spans of every job that ran.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ExecTrace {
-    /// Spans in start-time order.
+    /// Spans in the order recorded: start order for a serial run,
+    /// completion order for a pool's.
     pub spans: Vec<Span>,
 }
 

@@ -1,9 +1,9 @@
 //! Property tests for the execution substrate: memory conservation, trace
-//! invariants, and serial/parallel consistency.
+//! invariants, and the packer held to a brute-force first fit.
 
 use ams_sim::{
-    batched_makespan, list_makespan, Admitted, BatchLatencyModel, ExecTrace, Job, MemoryPool,
-    ParallelExecutor, PoolTimeline, SerialExecutor,
+    batched_makespan, list_makespan, Admitted, BatchLatencyModel, ExecTrace, Job, Pool,
+    PoolTimeline, SerialExecutor, Span,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -41,59 +41,111 @@ fn groups_of(specs: &[(u32, u32, usize)]) -> Vec<Group> {
         .collect()
 }
 
-/// First-fit list scheduling of `order` through the traced executor: the
-/// reference the trace-free `list_makespan` must agree with.
-fn replay(order: &[Group], capacity: u32, model: &BatchLatencyModel) -> ExecTrace {
-    let mut ex = ParallelExecutor::new(capacity);
-    let mut pending: Vec<Group> = order
-        .iter()
-        .map(|&(job, count)| {
-            let mem_mb = job.mem_mb.min(capacity);
-            (Job { mem_mb, ..job }, count)
-        })
-        .collect();
-    while !pending.is_empty() {
-        pending.retain(|&(job, count)| {
-            let fits = ex.fits(job.mem_mb);
+/// Run `jobs` on `pool`: at every completion admit each pending job that
+/// fits, front to back. The completions as a trace, and the jobs that
+/// never fit.
+fn run_all(pool: &mut Pool, jobs: &[Job]) -> (ExecTrace, Vec<Job>) {
+    let mut pending = jobs.to_vec();
+    let mut trace = ExecTrace::default();
+    loop {
+        pending.retain(|&job| {
+            let fits = pool.fits(job.mem_mb);
             if fits {
-                ex.admit_batch(job, count, model).expect("fits() said yes");
+                pool.admit(job);
             }
             !fits
         });
-        ex.wait_next()
-            .expect("an empty pool admits any clamped batch");
+        let Some((end_ms, job, mem_mb)) = pool.wait_next() else {
+            return (trace, pending);
+        };
+        let start_ms = end_ms - u64::from(jobs[job].time_ms);
+        trace.push(Span {
+            job,
+            start_ms,
+            end_ms,
+            mem_mb,
+        });
     }
-    ex.into_trace()
-}
-
-/// A worker's models, `(time_ms, mem_mb)` with ids `0..len`.
-fn arb_models() -> impl Strategy<Value = Vec<(u32, u32)>> {
-    prop::collection::vec((50u32..500, 500u32..8000), 1..12)
 }
 
 /// Each group's `(id, finish)`.
 type Finishes = Vec<(usize, u64)>;
 
-/// First-fit list scheduling of `order` on `ex` from its clock, stopping
-/// at the last admission: each group's `(id, finish)`.
-fn list_on(ex: &mut ParallelExecutor, order: &[Group], model: &BatchLatencyModel) -> Finishes {
-    let mut pending = order.to_vec();
-    let mut finishes = Vec::new();
-    loop {
-        pending.retain(|&(job, count)| {
-            let fits = ex.fits(job.mem_mb);
-            if fits {
-                let dur = ex.admit_batch(job, count, model).expect("fits() said yes");
-                finishes.push((job.id, ex.now_ms() + dur));
-            }
-            !fits
-        });
-        if pending.is_empty() {
-            return finishes;
+/// The brute-force reference the packer is held to, sharing no code with
+/// it: a clock, the spans still holding memory and the trace of those
+/// that have let it go, in plain vectors scanned in full at every event.
+#[derive(Clone)]
+struct Reference {
+    capacity: u32,
+    now: u64,
+    held: Vec<Span>,
+    trace: ExecTrace,
+}
+
+impl Reference {
+    fn new(capacity: u32) -> Self {
+        Self {
+            capacity,
+            now: 0,
+            held: Vec::new(),
+            trace: ExecTrace::default(),
         }
-        ex.wait_next()
-            .expect("an empty pool admits any clamped batch");
     }
+
+    /// One event: the held span that ends first (the lowest id on a tie)
+    /// lets its memory go, and the clock moves to its end. `false` when
+    /// nothing is held.
+    fn event(&mut self) -> bool {
+        let held = &self.held;
+        let Some(first) = (0..held.len()).min_by_key(|&i| (held[i].end_ms, held[i].job)) else {
+            return false;
+        };
+        let span = self.held.remove(first);
+        self.now = span.end_ms;
+        self.trace.push(span);
+        true
+    }
+
+    /// First fit of `order` from the clock: start every pending group that
+    /// fits, front to back, then wait one event, until every group has
+    /// started. Each group's `(id, finish)`.
+    fn first_fit(&mut self, order: &[Group], model: &BatchLatencyModel) -> Finishes {
+        let mut pending = order.to_vec();
+        let mut finishes = Vec::new();
+        loop {
+            pending.retain(|&(job, count)| {
+                let mem_mb = job.mem_mb.min(self.capacity);
+                let held: u32 = self.held.iter().map(|s| s.mem_mb).sum();
+                let fits = held + mem_mb <= self.capacity;
+                if fits {
+                    let end_ms = self.now + model.batch_time_ms(job.time_ms, count);
+                    self.held.push(Span {
+                        job: job.id,
+                        start_ms: self.now,
+                        end_ms,
+                        mem_mb,
+                    });
+                    finishes.push((job.id, end_ms));
+                }
+                !fits
+            });
+            if pending.is_empty() {
+                return finishes;
+            }
+            assert!(self.event(), "an empty pool starts any clamped group");
+        }
+    }
+
+    /// Every span, once everything held has ended.
+    fn into_trace(mut self) -> ExecTrace {
+        while self.event() {}
+        self.trace
+    }
+}
+
+/// A worker's models, `(time_ms, mem_mb)` with ids `0..len`.
+fn arb_models() -> impl Strategy<Value = Vec<(u32, u32)>> {
+    prop::collection::vec((50u32..500, 500u32..8000), 1..12)
 }
 
 /// A stream of batches, each a run count per model (0 = the model did
@@ -194,41 +246,24 @@ fn gapped(gaps: &[u64]) -> impl Fn(usize, Option<&Admitted>) -> u64 + '_ {
 }
 
 proptest! {
-    /// The parallel executor never exceeds its pool and completes all jobs.
+    /// The pool never exceeds its capacity and runs every job that fits
+    /// it alone.
     #[test]
     fn parallel_executor_conserves_memory(jobs in arb_jobs(), capacity in 8000u32..20000) {
-        let mut ex = ParallelExecutor::new(capacity);
-        let mut pending = jobs.clone();
-        let mut done = Vec::new();
-        while !pending.is_empty() || ex.running_count() > 0 {
-            let mut i = 0;
-            while i < pending.len() {
-                if ex.fits(pending[i].mem_mb) {
-                    let j = pending.remove(i);
-                    ex.admit(j).expect("fits() said yes");
-                } else {
-                    i += 1;
-                }
-            }
-            match ex.wait_next() {
-                Some(j) => done.push(j),
-                None => break,
-            }
-        }
-        prop_assert_eq!(done.len() + pending.len(), jobs.len());
+        let mut pool = Pool::new(capacity);
+        let (trace, pending) = run_all(&mut pool, &jobs);
+        prop_assert_eq!(trace.spans.len() + pending.len(), jobs.len());
         // jobs bigger than the pool can never run, everything else must
         for p in &pending {
             prop_assert!(p.mem_mb > capacity);
         }
-        let trace = ex.into_trace();
         prop_assert!(trace.respects_memory(capacity), "peak {}", trace.peak_mem_mb());
+        prop_assert_eq!(pool.free_mb(), capacity);
         // makespan >= the critical path lower bound (longest single job)
-        if let Some(max_t) = done.iter().map(|j| u64::from(j.time_ms)).max() {
-            prop_assert!(trace.makespan_ms() >= max_t);
-        }
+        let ran = trace.spans.iter().map(|s| u64::from(jobs[s.job].time_ms));
+        prop_assert!(trace.makespan_ms() >= ran.clone().max().unwrap_or(0));
         // busy time equals the sum of executed job times
-        let total: u64 = done.iter().map(|j| u64::from(j.time_ms)).sum();
-        prop_assert_eq!(trace.busy_ms(), total);
+        prop_assert_eq!(trace.busy_ms(), ran.sum::<u64>());
     }
 
     /// Serial execution time is exactly the prefix sum; the deadline is a
@@ -249,26 +284,31 @@ proptest! {
         prop_assert!(ex.into_trace().is_serial());
     }
 
-    /// Memory pool accounting never goes negative or above capacity and
-    /// failed acquires change nothing.
+    /// Pool accounting: what is free is the capacity less what the running
+    /// jobs hold, a job fits exactly when it is no larger, an admitted job
+    /// finishes its time after the clock, and the clock never moves back.
     #[test]
-    fn memory_pool_accounting(ops in prop::collection::vec((any::<bool>(), 1u32..10000), 0..100), capacity in 1000u32..16000) {
-        let mut pool = MemoryPool::new(capacity);
-        let mut held: Vec<u32> = Vec::new();
-        for (acquire, size) in ops {
-            if acquire {
-                let before = pool.in_use_mb();
-                match pool.acquire(size) {
-                    Ok(()) => held.push(size),
-                    Err(_) => prop_assert_eq!(pool.in_use_mb(), before),
+    fn memory_pool_accounting(
+        ops in prop::collection::vec((any::<bool>(), 1u32..10000, 0u32..100), 0..100),
+        capacity in 1000u32..16000,
+    ) {
+        let mut pool = Pool::new(capacity);
+        let mut held: Vec<(usize, u32)> = Vec::new();
+        for (id, (admit, mem_mb, time_ms)) in ops.into_iter().enumerate() {
+            let (now_ms, free_mb) = (pool.now_ms(), capacity - held.iter().map(|h| h.1).sum::<u32>());
+            if admit {
+                prop_assert_eq!(pool.fits(mem_mb), mem_mb <= free_mb);
+                if pool.fits(mem_mb) {
+                    let finish_ms = pool.admit(Job { id, time_ms, mem_mb });
+                    prop_assert_eq!(finish_ms, now_ms + u64::from(time_ms));
+                    held.push((id, mem_mb));
                 }
-            } else if let Some(mb) = held.pop() {
-                pool.release(mb).expect("held memory releases");
+            } else if let Some((_, id, mem_mb)) = pool.wait_next() {
+                let i = held.iter().position(|&h| h == (id, mem_mb));
+                held.swap_remove(i.expect("only a running job ends"));
+                prop_assert!(pool.now_ms() >= now_ms);
             }
-            let sum: u32 = held.iter().sum();
-            prop_assert_eq!(pool.in_use_mb(), sum);
-            prop_assert!(pool.in_use_mb() <= capacity);
-            prop_assert!(pool.peak_mb() >= pool.in_use_mb());
+            prop_assert_eq!(pool.free_mb(), capacity - held.iter().map(|h| h.1).sum::<u32>());
         }
     }
 
@@ -291,9 +331,9 @@ proptest! {
         prop_assert_eq!(m.setup_ms(single_ms) + m.marginal_ms(single_ms), u64::from(single_ms));
     }
 
-    /// Batched admission conserves pool memory: weights are acquired once
-    /// per batch, every admission/release balances, and the trace respects
-    /// the capacity.
+    /// Batched admission conserves pool memory: a batch is one job that
+    /// holds its weights once for its batch time, every admission is
+    /// released, and the trace respects the capacity.
     #[test]
     fn batched_admission_conserves_memory(
         groups in prop::collection::vec((50u32..500, 500u32..8000, 1usize..32), 1..20),
@@ -301,38 +341,21 @@ proptest! {
         permille in 0u32..=1000,
     ) {
         let model = BatchLatencyModel::new(permille);
-        let mut ex = ParallelExecutor::new(capacity);
-        let mut pending: Vec<(Job, usize)> = groups
+        let batches: Vec<Job> = groups
             .iter()
             .enumerate()
-            .map(|(id, &(time_ms, mem_mb, count))| (Job { id, time_ms, mem_mb }, count))
+            .map(|(id, &(time_ms, mem_mb, count))| {
+                let time_ms = u32::try_from(model.batch_time_ms(time_ms, count)).expect("small");
+                Job { id, time_ms, mem_mb }
+            })
             .collect();
-        let mut admitted = 0usize;
-        while !pending.is_empty() || ex.running_count() > 0 {
-            let mut i = 0;
-            while i < pending.len() {
-                if ex.fits(pending[i].0.mem_mb) {
-                    let (job, count) = pending.remove(i);
-                    let dur = ex.admit_batch(job, count, &model).expect("fits() said yes");
-                    prop_assert_eq!(dur, model.batch_time_ms(job.time_ms, count));
-                    admitted += 1;
-                } else {
-                    i += 1;
-                }
-            }
-            prop_assert!(ex.available_mb() <= capacity);
-            if ex.wait_next().is_none() {
-                break;
-            }
-        }
-        // every admitted batch ran and released its memory
-        prop_assert_eq!(ex.running_count(), 0);
-        prop_assert_eq!(ex.available_mb(), capacity);
+        let mut pool = Pool::new(capacity);
+        let (trace, pending) = run_all(&mut pool, &batches);
+        prop_assert_eq!((pool.next_finish_ms(), pool.free_mb()), (None, capacity));
         for p in &pending {
-            prop_assert!(p.0.mem_mb > capacity, "only pool-exceeding batches remain");
+            prop_assert!(p.mem_mb > capacity, "only pool-exceeding batches remain");
         }
-        let trace = ex.into_trace();
-        prop_assert_eq!(trace.spans.len(), admitted);
+        prop_assert_eq!(trace.spans.len() + pending.len(), batches.len());
         prop_assert!(trace.respects_memory(capacity));
     }
 
@@ -404,9 +427,9 @@ proptest! {
     }
 
     /// The chosen schedule is a real one: replaying the four priority
-    /// orders through the traced executor, the best of them takes exactly
-    /// `batched_makespan` and never overfills the pool — and the
-    /// trace-free `list_makespan` agrees with the executor on each order.
+    /// orders through the brute-force reference, the best of them takes
+    /// exactly `batched_makespan` and never overfills the pool — and
+    /// `list_makespan` agrees with the reference on each order.
     #[test]
     fn batched_makespan_is_the_best_replayed_priority(
         specs in prop::collection::vec((50u32..500, 500u32..8000, 1usize..32), 1..20),
@@ -425,7 +448,9 @@ proptest! {
         let mut best: Option<ExecTrace> = None;
         for priority in priorities {
             order.sort_by_key(|g| (std::cmp::Reverse(priority(g)), g.0.id));
-            let trace = replay(&order, capacity, &model);
+            let mut reference = Reference::new(capacity);
+            reference.first_fit(&order, &model);
+            let trace = reference.into_trace();
             prop_assert_eq!(trace.makespan_ms(), list_makespan(&order, capacity, &model));
             if best.as_ref().is_none_or(|b| trace.makespan_ms() < b.makespan_ms()) {
                 best = Some(trace);
@@ -497,10 +522,10 @@ proptest! {
         prop_assert!(groups.len() <= runs);
     }
 
-    /// The committed schedule is a real one: replaying every group through
-    /// the traced executor at its start reproduces its finish and never
-    /// overfills the pool, and the timeline's busy time is the length of
-    /// the union of the replayed spans.
+    /// The committed schedule is a real one: every group, as a span from
+    /// its start to its finish, runs for its batch time, the spans never
+    /// overfill the pool, and the timeline's busy time is the length of
+    /// their union.
     #[test]
     fn streamed_timeline_replays_within_the_pool(
         models in arb_models(),
@@ -511,34 +536,22 @@ proptest! {
     ) {
         let model = BatchLatencyModel::new(permille);
         let (pool, steps) = stream(&models, &batches, capacity, &model, gapped(&gaps));
-        let mut starts: Vec<(u64, Job, u64)> = Vec::new();
-        for (&(id, _), &(g, _)) in &final_groups(&steps, &batches) {
-            let job = Job {
-                id: starts.len(),
-                time_ms: u32::try_from(g.finish_ms - g.start_ms).expect("small"),
+        let mut trace = ExecTrace::default();
+        for (&(id, _), &(g, count)) in &final_groups(&steps, &batches) {
+            prop_assert_eq!(g.finish_ms - g.start_ms, model.batch_time_ms(models[id].0, count));
+            trace.push(Span {
+                job: id,
+                start_ms: g.start_ms,
+                end_ms: g.finish_ms,
                 mem_mb: models[id].1.min(capacity),
-            };
-            starts.push((g.start_ms, job, g.finish_ms));
+            });
         }
-        starts.sort_by_key(|&(start, job, _)| (start, job.id));
-        let mut ex = ParallelExecutor::new(capacity);
-        for &(start, job, finish) in &starts {
-            while ex.next_completion_ms().is_some_and(|f| f <= start) {
-                ex.wait_next();
-            }
-            // Every start is a completion instant or a clock the pool was
-            // advanced to, never earlier than the executor's clock.
-            prop_assert!(ex.now_ms() <= start);
-            prop_assert!(ex.fits(job.mem_mb), "group {} at {}", job.id, start);
-            let dur = ex.admit_batch(job, 1, &model).expect("fits() said yes");
-            prop_assert_eq!(start + dur, finish);
-        }
-        let trace = ex.into_trace();
         prop_assert!(trace.respects_memory(capacity), "peak {}", trace.peak_mem_mb());
+        trace.spans.sort_by_key(|s| s.start_ms);
         let (mut union, mut reach) = (0u64, 0u64);
-        for &(start, _, finish) in &starts {
-            union += finish.saturating_sub(start.max(reach));
-            reach = reach.max(finish);
+        for s in &trace.spans {
+            union += s.end_ms.saturating_sub(s.start_ms.max(reach));
+            reach = reach.max(s.end_ms);
         }
         prop_assert_eq!(pool.busy_ms(), union);
     }
@@ -596,7 +609,7 @@ proptest! {
     /// With every admit at or after the previous admit's last start,
     /// nothing is ever open to join, and each batch is packed exactly as a
     /// closed-group pool packs it: the best of the four priorities, each
-    /// list-scheduled through the traced executor from the pool the
+    /// list-scheduled through the brute-force reference from the pool the
     /// earlier batches leave, by its last finish (the earliest priority on
     /// a tie).
     #[test]
@@ -609,7 +622,7 @@ proptest! {
         let model = BatchLatencyModel::new(permille);
         let at_last_start = |_: usize, previous: Option<&Admitted>| previous.map_or(0, |a| a.last_start_ms);
         let (_, steps) = stream(&models, &batches, capacity, &model, at_last_start);
-        let mut ex = ParallelExecutor::new(capacity);
+        let mut reference = Reference::new(capacity);
         for (counts, step) in batches.iter().zip(&steps) {
             let mut order: Vec<Group> = batch_groups(&models, counts)
                 .into_iter()
@@ -622,8 +635,8 @@ proptest! {
             if order.is_empty() {
                 continue;
             }
-            while ex.next_completion_ms().is_some_and(|f| f <= ex.now_ms()) {
-                ex.wait_next();
+            while reference.held.iter().any(|s| s.end_ms <= reference.now) {
+                reference.event();
             }
             let priorities: [&dyn Fn(&Group) -> u64; 4] = [
                 &|g| batch_ms(g) * u64::from(g.0.mem_mb),
@@ -631,18 +644,18 @@ proptest! {
                 &|g| u64::from(g.0.mem_mb),
                 &|_| 0,
             ];
-            let mut best: Option<(u64, ParallelExecutor, Finishes)> = None;
+            let mut best: Option<(u64, Reference, Finishes)> = None;
             for priority in priorities {
                 order.sort_by_key(|g| (std::cmp::Reverse(priority(g)), g.0.id));
-                let mut trial = ex.clone();
-                let finishes = list_on(&mut trial, &order, &model);
+                let mut trial = reference.clone();
+                let finishes = trial.first_fit(&order, &model);
                 let end = finishes.iter().map(|&(_, f)| f).max().unwrap_or(0);
                 if best.as_ref().is_none_or(|b| end < b.0) {
                     best = Some((end, trial, finishes));
                 }
             }
             let (_, winner, finishes) = best.expect("four candidates ran");
-            ex = winner;
+            reference = winner;
             for (id, finish) in finishes {
                 let placed = step
                     .runs
@@ -656,17 +669,17 @@ proptest! {
         }
     }
 
-    /// The parallel executor with capacity >= all jobs behaves like pure
-    /// concurrency: makespan equals the longest job.
+    /// A pool with capacity >= all jobs is pure concurrency: makespan
+    /// equals the longest job.
     #[test]
     fn unbounded_pool_is_fully_concurrent(jobs in arb_jobs()) {
         let total_mem: u32 = jobs.iter().map(|j| j.mem_mb).sum();
-        let mut ex = ParallelExecutor::new(total_mem.max(1));
-        for j in &jobs {
-            ex.admit(*j).expect("unbounded");
+        let mut pool = Pool::new(total_mem.max(1));
+        for &j in &jobs {
+            pool.admit(j);
         }
         let max_t = jobs.iter().map(|j| u64::from(j.time_ms)).max().unwrap_or(0);
-        ex.drain();
-        prop_assert_eq!(ex.now_ms(), max_t);
+        while pool.wait_next().is_some() {}
+        prop_assert_eq!(pool.now_ms(), max_t);
     }
 }

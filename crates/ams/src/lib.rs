@@ -9,8 +9,8 @@
 //!   inference and ground-truth tables.
 //! * [`nn`] — the dense neural-network substrate.
 //! * [`rl`] — the labeling MDP and the four DRL training schemas.
-//! * [`sim`] — virtual-time serial/parallel executors, the GPU pool, and
-//!   batched admission.
+//! * [`sim`] — the virtual-time serial executor, the shared GPU memory pool,
+//!   and batched admission.
 //! * [`core`] — value prediction, Algorithms 1–2, baselines, rules, the
 //!   relation graph, and the [`core::framework::AdaptiveModelScheduler`]
 //!   facade.
@@ -102,7 +102,6 @@ pub mod prelude {
         SloConfig, SloReport, SubmitOptions, SubmitOutcome, Ticket, TraceReport, WireError,
     };
     pub use ams_sim::{
-        batched_makespan, BatchLatencyModel, ExecTrace, Job, MemoryPool, ParallelExecutor,
-        SerialExecutor, Span,
+        batched_makespan, BatchLatencyModel, ExecTrace, Job, Pool, SerialExecutor, Span,
     };
 }

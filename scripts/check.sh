@@ -116,4 +116,10 @@ if [[ $mode == full || $mode == quick ]]; then
     cargo test -q
 fi
 
+# Size (all modes): the Rust line counts every CHANGES.md entry reports,
+# measured the same way each time.
+workspace_loc=$(find crates tests examples -name '*.rs' | xargs cat | wc -l)
+sim_loc=$(find crates/ams-sim -name '*.rs' | xargs cat | wc -l)
+echo "==> Rust LoC: workspace $workspace_loc, ams-sim $sim_loc"
+
 echo "All checks passed."

@@ -2,7 +2,9 @@
 //! must hold qualitatively on every run. The full-fidelity numbers are
 //! what `cargo run --release -p ams-bench` prints.
 
-use ams::core::policies::{aggregate_rollouts, optimal_rollout, random_rollout};
+use ams::core::policies::{
+    aggregate_rollouts, optimal_rollout, random_packing_recall, random_rollout,
+};
 use ams::core::predictor::OraclePredictor;
 use ams::core::scheduler::optimal_star;
 use ams::prelude::*;
@@ -102,46 +104,7 @@ fn memory_scheduling_shape() {
         let mut rand_total = 0.0;
         for item in truth.items() {
             agent += schedule_deadline_memory(&oracle, &zoo, item, budget, mem, 0.5).recall;
-            // random packing baseline
-            use rand::seq::SliceRandom;
-            use rand::SeedableRng;
-            let mut order: Vec<ModelId> = zoo.ids().collect();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(item.scene_id ^ 77);
-            order.shuffle(&mut rng);
-            let mut ex = ParallelExecutor::new(mem);
-            let mut state = LabelSet::new(item.universe());
-            let mut v = 0.0;
-            let mut pending = order;
-            while ex.now_ms() < budget {
-                let now = ex.now_ms();
-                let mut i = 0;
-                while i < pending.len() {
-                    let spec = zoo.spec(pending[i]);
-                    if ex.fits(spec.mem_mb) && now + u64::from(spec.time_ms) <= budget {
-                        let m = pending.remove(i);
-                        ex.admit(Job {
-                            id: m.index(),
-                            time_ms: spec.time_ms,
-                            mem_mb: spec.mem_mb,
-                        })
-                        .unwrap();
-                    } else {
-                        i += 1;
-                    }
-                }
-                match ex.wait_next() {
-                    Some(done) if ex.now_ms() <= budget => {
-                        v += item.apply(&mut state, ModelId(done.id as u8), 0.5);
-                    }
-                    Some(_) => {}
-                    None => break,
-                }
-            }
-            rand_total += if item.total_value > 0.0 {
-                v / item.total_value
-            } else {
-                1.0
-            };
+            rand_total += random_packing_recall(item, &zoo, budget, mem, 0.5, item.scene_id ^ 77);
         }
         edge.push(agent / rand_total.max(1e-9));
     }
