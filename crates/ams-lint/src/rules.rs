@@ -207,14 +207,17 @@ const ORDERING_WORDS: &[&str] = &[
     "Acquire", "Release", "AcqRel", "Relaxed", "SeqCst", "ordering", "Ordering",
 ];
 
-/// rule `atomic-order` — in `obs.rs` (event rings), `completion.rs`
-/// (ticket slots), and `adapt.rs` (the generation-counted weight-swap
-/// cell), every atomic op on `seq`/`head`/`tail`/`state`/`generation`
-/// needs an adjacent comment justifying its memory ordering (it must name
-/// the ordering or say "ordering"). These protocols are the only
-/// lock-free code in the workspace; each fence choice is load-bearing.
+/// rule `atomic-order` — under `ams-serve/src/obs/` (event rings),
+/// in `completion.rs` (ticket slots), and in `adapt.rs` (the
+/// generation-counted weight-swap cell), every atomic op on
+/// `seq`/`head`/`tail`/`state`/`generation` needs an adjacent comment
+/// justifying its memory ordering (it must name the ordering or say
+/// "ordering"). These protocols are the only lock-free code in the
+/// workspace; each fence choice is load-bearing.
 fn atomic_order(f: &SourceFile, out: &mut Vec<Finding>) {
-    if !matches!(f.basename(), "obs.rs" | "completion.rs" | "adapt.rs") {
+    let in_scope = f.path.contains("ams-serve/src/obs/")
+        || (f.path.contains("ams-serve") && matches!(f.basename(), "completion.rs" | "adapt.rs"));
+    if !in_scope {
         return;
     }
     for i in 0..f.tokens.len() {

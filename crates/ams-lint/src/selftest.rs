@@ -57,7 +57,7 @@ const FIXTURES: &[Fixture] = &[
         ],
     },
     Fixture {
-        path: "crates/ams-serve/src/obs.rs",
+        path: "crates/ams-serve/src/obs/ring.rs",
         src: include_str!("../fixtures/atomic_ring.rs"),
         expect: &[
             ("atomic-order", 4),  // head.load, no justification

@@ -48,10 +48,11 @@
 //!   and the [`net::NetClient`] mirrors the in-process [`Client`] API so
 //!   callers can swap transports without code changes.
 //! * [`obs`] — the live observability layer: a structured lifecycle
-//!   event stream (per-worker lock-free bounded rings, drop-counted on
-//!   overflow, drained by a background aggregator), a time-sliced rolling
-//!   metrics registry behind [`AmsServer::metrics_snapshot`] /
-//!   [`AmsServer::render_metrics`], and a flight recorder that retains
+//!   event stream (lock-free bounded MPMC rings, one per worker and one
+//!   per shard's submit side, drop-counted on overflow, drained by a
+//!   background aggregator), a cumulative metrics registry behind
+//!   [`AmsServer::metrics_snapshot`] / [`AmsServer::render_metrics`],
+//!   and a flight recorder that retains
 //!   the complete causal trace of the last N sheds, deadline misses, and
 //!   cancellations ([`AmsServer::why`]). Event totals reconcile
 //!   bucket-for-bucket against the [`ServeReport`] conservation ledger
@@ -75,6 +76,7 @@
 //! it costs, never what it computes.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![warn(clippy::all)]
 
 pub mod adapt;
@@ -95,7 +97,7 @@ pub use completion::{Completion, LabelResult, ShedReason, Ticket};
 pub use net::{ClientFrame, NetClient, NetEvent, NetServer, ServerFrame, WireError, WireRequest};
 pub use obs::{
     CacheGauges, ClassRates, EventCount, EventKind, EventRecord, MetricsSnapshot, ObsConfig,
-    ObsReport, ShardGauges, SliceSnapshot, TraceReport,
+    ObsReport, ShardGauges, TraceReport,
 };
 pub use queue::{BackpressurePolicy, Request, ShardQueue, SubmitOutcome};
 pub use router::{fib_shard, AffinityConfig, Route, Router, RoutingMode};

@@ -206,7 +206,7 @@ pub struct ServeConfig {
     /// [`crate::cache`]); `None` disables it — on a unique stream the
     /// cached and uncached servers behave identically.
     pub cache: Option<CacheConfig>,
-    /// Live observability: the lifecycle event stream, the rolling
+    /// Live observability: the lifecycle event stream, the cumulative
     /// metrics registry behind
     /// [`AmsServer::metrics_snapshot`](super::AmsServer::metrics_snapshot), and the
     /// shed/deadline-miss flight recorder (see [`crate::obs`]). `None`

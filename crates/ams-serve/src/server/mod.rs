@@ -59,7 +59,8 @@ use crate::cache::LabelCache;
 use crate::completion::{CancelLedger, CompletionQueue, ShedReason};
 use crate::ledger::Ledger;
 use crate::obs::{
-    CacheGauges, Event, EventKind, MetricsSnapshot, ServerObs, ShardSample, TraceReport, NO_SHARD,
+    Aggregator, CacheGauges, Event, EventKind, MetricsSnapshot, ServerObs, ShardSample,
+    TraceReport, NO_SHARD,
 };
 use crate::queue::ShardQueue;
 use crate::router::{fib_shard, Router};
@@ -70,7 +71,6 @@ use control::ShardControl;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 use worker::{worker_loop, WorkerLocal};
 
 /// Shared server state (queues + router + scheduler), behind one `Arc`.
@@ -124,15 +124,6 @@ impl Shared {
             Some(w) => obs.emit_worker(w, ev),
             None => obs.emit(ev),
         });
-    }
-
-    /// Every shard's live AIMD batch limit — the trajectory sample the
-    /// aggregator stamps onto each metrics time slice.
-    fn batch_limits(&self) -> Vec<u64> {
-        self.controls
-            .iter()
-            .map(|c| c.limit.load(Ordering::Relaxed) as u64)
-            .collect()
     }
 
     /// One racy-but-consistent gauge sample per shard: the queue depth and
@@ -298,7 +289,7 @@ impl AmsServer {
         let aggregator = shared
             .obs
             .as_ref()
-            .map(|o| Aggregator::spawn(Arc::clone(o), Arc::clone(&shared)));
+            .map(|o| Aggregator::spawn(Arc::clone(o)));
         Self {
             inner: Some(ServerInner {
                 shared,
@@ -364,11 +355,12 @@ impl AmsServer {
 
     /// A live metrics snapshot *while the server is running*: event
     /// totals, in-flight and outstanding-ticket gauges, per-shard queue
-    /// depth / wait estimate / busy fraction / batch-limit trajectory,
-    /// per-class admission and deadline rates, cache occupancy, and the
-    /// rolling latency histogram — all without stopping a single worker
-    /// (the rings are drained opportunistically first so the numbers are
-    /// current). `None` when [`ServeConfig::obs`] is off.
+    /// depth / wait estimate / busy fraction / current batch limit,
+    /// per-class admission and deadline rates (lifetime ratios), cache
+    /// occupancy, and the latency histogram since start — all without
+    /// stopping a single worker (the rings are drained opportunistically
+    /// first so the numbers are current). `None` when [`ServeConfig::obs`]
+    /// is off.
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
         let shared = self.shared();
         shared.obs.as_ref().map(|o| {
@@ -396,11 +388,7 @@ impl AmsServer {
     /// `None` when observability is off, the id never settled
     /// interestingly, or the bounded recorder already evicted it.
     pub fn why(&self, id: u64) -> Option<TraceReport> {
-        let shared = self.shared();
-        let obs = shared.obs.as_ref()?;
-        // Drain first so a request that settled moments ago is visible.
-        obs.drain(&shared.batch_limits());
-        obs.why(id)
+        self.shared().obs.as_ref()?.why(id)
     }
 
     /// Close admission, drain every queue through the workers, join them,
@@ -424,48 +412,6 @@ impl Drop for AmsServer {
         if let Some(inner) = self.inner.take() {
             inner.abort();
         }
-    }
-}
-
-/// The observability aggregator: a background thread that periodically
-/// drains the event rings into the metrics registry. Workers never block
-/// on observability — they only push into their rings (dropping, with a
-/// count, when full); all folding happens here.
-struct Aggregator {
-    obs: Arc<ServerObs>,
-    handle: JoinHandle<()>,
-}
-
-impl Aggregator {
-    fn spawn(obs: Arc<ServerObs>, shared: Arc<Shared>) -> Self {
-        let handle = {
-            let obs = Arc::clone(&obs);
-            std::thread::spawn(move || {
-                let interval = Duration::from_millis(obs.drain_interval_ms());
-                while !obs.stopped() {
-                    // Sleep in short steps so a long drain interval never
-                    // holds shutdown hostage — stop is re-checked every
-                    // few milliseconds.
-                    let mut slept = Duration::ZERO;
-                    while slept < interval && !obs.stopped() {
-                        let step = (interval - slept).min(Duration::from_millis(5));
-                        std::thread::sleep(step);
-                        slept += step;
-                    }
-                    if obs.stopped() {
-                        break;
-                    }
-                    obs.drain(&shared.batch_limits());
-                }
-            })
-        };
-        Self { obs, handle }
-    }
-
-    /// Ask the thread to stop and join it.
-    fn stop(self) -> std::thread::Result<()> {
-        self.obs.request_stop();
-        self.handle.join()
     }
 }
 
