@@ -204,8 +204,8 @@ impl Ctx {
                 std::thread::sleep(wait);
             }
             for (i, item) in chunk.iter().enumerate() {
-                let class = class_of(b * burst + i);
-                match client.submit_class(Arc::clone(item), class).ticket() {
+                let opts = SubmitOptions::class(class_of(b * burst + i));
+                match client.submit_with(Arc::clone(item), opts).ticket() {
                     Some(t) => tickets.push(t.id()),
                     None => rejected += 1,
                 }

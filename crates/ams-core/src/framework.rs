@@ -147,16 +147,6 @@ impl AdaptiveModelScheduler {
         self.predictor.as_ref()
     }
 
-    /// Predicted per-model values on the item's *initial* (empty) labeling
-    /// state, written into `out` (`out.len() == zoo.len()`). One predictor
-    /// forward, no labeling work — the cheap introspection a serving router
-    /// uses to guess which models an item will lean on before any scheduling
-    /// decision is made.
-    pub fn initial_values_into(&self, item: &ItemTruth, out: &mut [f32]) {
-        let state = LabelSet::new(item.universe());
-        self.predictor.predict_into(&state, item, out);
-    }
-
     /// The item's *affinity signature*: a bitmask over the zoo of the
     /// `top_k` models whose own output is most valuable on this item
     /// ([`ItemTruth::model_value`]; ties broken toward the lower model
@@ -484,15 +474,6 @@ mod tests {
         // Larger top_k only adds bits.
         let sig4 = s.affinity_signature(&item, 4);
         assert_eq!(sig4 & sig, sig, "top-1 remains in top-4");
-        // The predictor-introspection hook stays coherent: initial oracle
-        // values are the marginal values on the empty state.
-        let mut q = vec![0.0f32; s.zoo().len()];
-        s.initial_values_into(&item, &mut q);
-        let state = LabelSet::new(item.universe());
-        for (m, &got) in q.iter().enumerate() {
-            let want = item.marginal_value(&state, ModelId(m as u8), 0.5) as f32;
-            assert!((got - want).abs() < 1e-6, "model {m}");
-        }
     }
 
     #[test]

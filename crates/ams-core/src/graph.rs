@@ -3,33 +3,27 @@
 //! The paper's conclusion proposes constructing an explicit graph of
 //! semantic relationships among models' labeling capacities. This module
 //! builds one from a training split of the ground truth: for every
-//! (trigger label, model) pair it estimates
+//! (trigger label, model) pair it estimates `P(m valuable | l recalled)`
+//! beside the prior `P(m valuable)`.
 //!
-//! ```text
-//! lift(l → m) = P(m valuable | l recalled) / P(m valuable)
-//! ```
-//!
-//! The graph serves two purposes: (1) a human-inspectable artifact
-//! (exportable as Graphviz dot) showing what the dependencies look like,
-//! and (2) a lightweight statistical [`ValuePredictor`] — a non-learned
-//! comparator that sits between handcrafted rules and the DRL agent.
+//! The graph is a lightweight statistical [`ValuePredictor`] — a
+//! non-learned comparator that sits between handcrafted rules and the DRL
+//! agent.
 
 use crate::predictor::ValuePredictor;
 use ams_data::ItemTruth;
-use ams_models::{LabelCatalog, LabelId, LabelSet, ModelId};
+use ams_models::{LabelId, LabelSet, ModelId};
 
 /// Conditional-probability statistics from a train split.
 #[derive(Debug, Clone)]
 pub struct ModelRelationGraph {
     num_models: usize,
-    num_labels: usize,
     /// `p_valuable[m]`: prior probability model `m` yields valuable output.
     p_valuable: Vec<f64>,
     /// `p_joint[l * num_models + m]`: P(label l present AND m valuable).
     p_joint: Vec<f64>,
     /// `p_label[l]`: P(label l present).
     p_label: Vec<f64>,
-    threshold: f32,
 }
 
 impl ModelRelationGraph {
@@ -80,11 +74,9 @@ impl ModelRelationGraph {
         }
         Self {
             num_models,
-            num_labels,
             p_valuable,
             p_joint,
             p_label,
-            threshold,
         }
     }
 
@@ -102,63 +94,6 @@ impl ModelRelationGraph {
         }
         self.p_joint[l.index() * self.num_models + m.index()] / pl
     }
-
-    /// Lift of edge `l → m` (1.0 = independent; >1 = l predicts m).
-    pub fn lift(&self, l: LabelId, m: ModelId) -> f64 {
-        let pm = self.prior(m);
-        if pm <= 0.0 {
-            return 0.0;
-        }
-        self.conditional(l, m) / pm
-    }
-
-    /// Strongest incoming edges of model `m`: `(label, lift)` with lift ≥
-    /// `min_lift` and label support ≥ `min_support`, sorted descending.
-    pub fn top_edges(
-        &self,
-        m: ModelId,
-        min_lift: f64,
-        min_support: f64,
-        k: usize,
-    ) -> Vec<(LabelId, f64)> {
-        let mut edges: Vec<(LabelId, f64)> = (0..self.num_labels)
-            .filter(|&l| self.p_label[l] >= min_support)
-            .map(|l| (LabelId(l as u16), self.lift(LabelId(l as u16), m)))
-            .filter(|&(_, lift)| lift >= min_lift)
-            .collect();
-        edges.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        edges.truncate(k);
-        edges
-    }
-
-    /// Export the strongest edges as a Graphviz dot digraph.
-    pub fn to_dot(
-        &self,
-        catalog: &LabelCatalog,
-        zoo: &ams_models::ModelZoo,
-        min_lift: f64,
-    ) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("digraph model_relations {\n  rankdir=LR;\n");
-        for m in 0..self.num_models {
-            let id = ModelId(m as u8);
-            for (l, lift) in self.top_edges(id, min_lift, 0.02, 3) {
-                let _ = writeln!(
-                    out,
-                    "  \"{}\" -> \"{}\" [label=\"{lift:.1}\"];",
-                    catalog.name(l),
-                    zoo.spec(id).name,
-                );
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// The value threshold the statistics were computed at.
-    pub fn threshold(&self) -> f32 {
-        self.threshold
-    }
 }
 
 /// A [`ValuePredictor`] backed by the relation graph: score of model `m` is
@@ -173,11 +108,6 @@ impl GraphPredictor {
     /// Wrap a built graph.
     pub fn new(graph: ModelRelationGraph) -> Self {
         Self { graph }
-    }
-
-    /// Access the underlying graph.
-    pub fn graph(&self) -> &ModelRelationGraph {
-        &self.graph
     }
 }
 
@@ -207,7 +137,7 @@ mod tests {
     use super::*;
     use crate::policies::{aggregate_rollouts, predictor_greedy_rollout, random_rollout};
     use ams_data::{Dataset, DatasetProfile, TruthTable};
-    use ams_models::ModelZoo;
+    use ams_models::{LabelCatalog, ModelZoo};
 
     fn fixture() -> (ModelZoo, LabelCatalog, TruthTable) {
         let zoo = ModelZoo::standard();
@@ -242,7 +172,7 @@ mod tests {
             .next()
             .unwrap()
             .id;
-        let lift = g.lift(person, pose);
+        let lift = g.conditional(person, pose) / g.prior(pose);
         assert!(
             lift > 1.1,
             "person should lift pose models (lift {lift:.2})"
@@ -286,25 +216,6 @@ mod tests {
             graph_models < rand_models,
             "graph predictor ({graph_models:.2}) should beat random ({rand_models:.2})"
         );
-    }
-
-    #[test]
-    fn dot_export_contains_edges() {
-        let (zoo, catalog, t) = fixture();
-        let g = ModelRelationGraph::build(t.items(), 30, 1104, 0.5);
-        let dot = g.to_dot(&catalog, &zoo, 1.3);
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("->"), "dot should contain at least one edge");
-        assert!(dot.ends_with("}\n"));
-    }
-
-    #[test]
-    fn top_edges_sorted_and_bounded() {
-        let (_, _, t) = fixture();
-        let g = ModelRelationGraph::build(t.items(), 30, 1104, 0.5);
-        let edges = g.top_edges(ModelId(12), 1.0, 0.02, 5);
-        assert!(edges.len() <= 5);
-        assert!(edges.windows(2).all(|w| w[0].1 >= w[1].1));
     }
 
     #[test]

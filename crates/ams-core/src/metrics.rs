@@ -11,15 +11,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation; 0 for slices shorter than 2.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 /// An empirical CDF (the per-image time-cost CDFs of Figs. 2 and 8).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Cdf {
@@ -58,22 +49,6 @@ impl Cdf {
         let q = q.clamp(0.0, 1.0);
         let i = ((self.sorted.len() - 1) as f64 * q).round() as usize;
         self.sorted[i]
-    }
-
-    /// Sample the CDF at `k` evenly spaced points across its support,
-    /// returning `(x, F(x))` pairs (for plotting/printing).
-    pub fn sample_points(&self, k: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = *self.sorted.last().expect("non-empty");
-        (0..k)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (k.max(2) - 1) as f64;
-                (x, self.at(x))
-            })
-            .collect()
     }
 
     /// Mean of the underlying samples.
@@ -117,11 +92,6 @@ impl Series {
         let (x0, x1) = (self.x[i - 1], self.x[i]);
         let (y0, y1) = (self.y[i - 1], self.y[i]);
         y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    }
-
-    /// Whether the series is monotone non-decreasing in y.
-    pub fn is_non_decreasing(&self) -> bool {
-        self.y.windows(2).all(|w| w[1] >= w[0] - 1e-9)
     }
 }
 
@@ -173,8 +143,6 @@ mod tests {
     fn mean_and_std() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert!((std_dev(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
-        assert_eq!(std_dev(&[5.0]), 0.0);
     }
 
     #[test]
@@ -184,8 +152,6 @@ mod tests {
         assert_eq!(c.at(1.0), 0.25);
         assert_eq!(c.at(2.0), 0.75);
         assert_eq!(c.at(10.0), 1.0);
-        let pts = c.sample_points(5);
-        assert!(pts.windows(2).all(|w| w[1].1 >= w[0].1));
     }
 
     #[test]
@@ -205,7 +171,6 @@ mod tests {
         assert_eq!(s.at(0.5), 5.0);
         assert_eq!(s.at(1.5), 25.0);
         assert_eq!(s.at(5.0), 40.0);
-        assert!(s.is_non_decreasing());
     }
 
     #[test]

@@ -192,11 +192,6 @@ impl Dataset {
     pub fn train(&self, split: Split) -> &[Scene] {
         &self.scenes[..split.train_len]
     }
-
-    /// Testing scenes of a split.
-    pub fn test(&self, split: Split) -> &[Scene] {
-        &self.scenes[split.train_len..]
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +236,7 @@ mod tests {
         let d = Dataset::generate(DatasetProfile::MirFlickr25, 100, 1);
         let s = d.split_1_to_4();
         assert_eq!(d.train(s).len(), 20);
-        assert_eq!(d.test(s).len(), 80);
+        assert_eq!(s.total - s.train_len, 80);
     }
 
     #[test]
@@ -249,7 +244,7 @@ mod tests {
         let d = Dataset::generate(DatasetProfile::PascalVoc2012, 10, 1);
         let s = d.split(0.5);
         assert_eq!(d.train(s).len(), 5);
-        assert_eq!(d.test(s).len(), 5);
+        assert_eq!(s.total - s.train_len, 5);
     }
 
     #[test]

@@ -218,35 +218,6 @@ impl TruthTable {
     pub fn split(&self, split: crate::dataset::Split) -> (&[ItemTruth], &[ItemTruth]) {
         self.items.split_at(split.train_len)
     }
-
-    /// Average `f(M, d)` across items (diagnostic).
-    pub fn mean_total_value(&self) -> f64 {
-        if self.items.is_empty() {
-            return 0.0;
-        }
-        self.items.iter().map(|i| i.total_value).sum::<f64>() / self.items.len() as f64
-    }
-
-    /// Fraction of model executions that produce at least one valuable
-    /// label (Fig. 1's blue-box rate; the paper's sample shows 14/30).
-    pub fn valuable_execution_rate(&self) -> f64 {
-        let mut valuable = 0usize;
-        let mut total = 0usize;
-        for it in &self.items {
-            for m in 0..self.num_models {
-                total += 1;
-                if it
-                    .output(ModelId(m as u8))
-                    .valuable(self.value_threshold)
-                    .next()
-                    .is_some()
-                {
-                    valuable += 1;
-                }
-            }
-        }
-        valuable as f64 / total.max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -335,7 +306,22 @@ mod tests {
     fn some_executions_are_wasted() {
         // Fig. 1 / §II: a large portion of executions yield nothing valuable.
         let (_, table) = small_table();
-        let rate = table.valuable_execution_rate();
+        let executions = table.items().len() * table.num_models;
+        let valuable: usize = table
+            .items()
+            .iter()
+            .map(|it| {
+                (0..table.num_models)
+                    .filter(|&m| {
+                        it.output(ModelId(m as u8))
+                            .valuable(table.value_threshold)
+                            .next()
+                            .is_some()
+                    })
+                    .count()
+            })
+            .sum();
+        let rate = valuable as f64 / executions as f64;
         assert!(rate > 0.15 && rate < 0.75, "valuable-execution rate {rate}");
     }
 

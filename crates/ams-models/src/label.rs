@@ -168,8 +168,7 @@ pub const INDOOR_PLACE_COUNT: usize = 20;
 pub const NAMED_PLACE_COUNT: usize = 40;
 
 /// Named action categories at the head of the action-classification range.
-/// The first [`SPORT_ACTION_COUNT`] are sports actions (used by Table II's
-/// "indoor place lowers sport-action probability" rule).
+/// The first 12 are sports actions.
 const ACTION_NAMES: &[&str] = &[
     // sports actions (first 12)
     "riding bike",
@@ -379,11 +378,6 @@ impl LabelCatalog {
     pub fn place_is_indoor(place_index: usize) -> bool {
         place_index < INDOOR_PLACE_COUNT
     }
-
-    /// Whether an action label (by within-task index) is a sports action.
-    pub fn action_is_sport(action_index: usize) -> bool {
-        action_index < SPORT_ACTION_COUNT
-    }
 }
 
 impl Default for LabelCatalog {
@@ -448,8 +442,6 @@ mod tests {
         assert!(LabelCatalog::place_is_indoor(0));
         assert!(LabelCatalog::place_is_indoor(INDOOR_PLACE_COUNT - 1));
         assert!(!LabelCatalog::place_is_indoor(INDOOR_PLACE_COUNT));
-        assert!(LabelCatalog::action_is_sport(0));
-        assert!(!LabelCatalog::action_is_sport(SPORT_ACTION_COUNT));
     }
 
     #[test]

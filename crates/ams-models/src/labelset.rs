@@ -117,16 +117,6 @@ impl LabelSet {
         out.clear();
         out.extend(self.iter().map(|l| u32::from(l.0)));
     }
-
-    /// Write the set as a dense 0/1 `f32` vector into `out`
-    /// (`out.len() == universe`).
-    pub fn write_dense(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.len);
-        out.fill(0.0);
-        for l in self.iter() {
-            out[l.index()] = 1.0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -171,18 +161,6 @@ mod tests {
         a.union_with(&b);
         assert_eq!(a.count(), 2);
         assert!(b.is_subset_of(&a));
-    }
-
-    #[test]
-    fn dense_round_trip() {
-        let mut s = LabelSet::new(70);
-        s.insert(LabelId(5));
-        s.insert(LabelId(69));
-        let mut dense = vec![0.0f32; 70];
-        s.write_dense(&mut dense);
-        assert_eq!(dense[5], 1.0);
-        assert_eq!(dense[69], 1.0);
-        assert_eq!(dense.iter().sum::<f32>(), 2.0);
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl QualityProfile {
             self.tier.base_recall()
         }
     }
-
-    /// Whether within-task label index `i` is in the specialty slice.
-    pub fn in_specialty(&self, i: usize) -> bool {
-        i >= self.specialty.0 && i < self.specialty.1
-    }
 }
 
 /// A model in the zoo: identity, task, costs, and quality profile.
@@ -147,13 +142,6 @@ pub struct ModelSpec {
     pub mem_mb: u32,
     /// Output-quality profile.
     pub quality: QualityProfile,
-}
-
-impl ModelSpec {
-    /// Execution time in seconds (convenience for reporting).
-    pub fn time_secs(&self) -> f64 {
-        f64::from(self.time_ms) / 1000.0
-    }
 }
 
 #[cfg(test)]
@@ -180,8 +168,8 @@ mod tests {
         };
         assert_eq!(q.recall_for(15), SkillTier::Specialist.specialty_recall());
         assert_eq!(q.recall_for(5), SkillTier::Specialist.base_recall());
-        assert!(q.in_specialty(10));
-        assert!(!q.in_specialty(20));
+        assert_eq!(q.recall_for(10), SkillTier::Specialist.specialty_recall());
+        assert_eq!(q.recall_for(20), SkillTier::Specialist.base_recall());
     }
 
     #[test]
@@ -189,21 +177,5 @@ mod tests {
         let id = ModelId(7);
         assert_eq!(id.to_string(), "M7");
         assert_eq!(id.index(), 7);
-    }
-
-    #[test]
-    fn time_secs_converts() {
-        let spec = ModelSpec {
-            id: ModelId(0),
-            name: "x".into(),
-            task: Task::FaceDetection,
-            time_ms: 250,
-            mem_mb: 500,
-            quality: QualityProfile {
-                tier: SkillTier::Flagship,
-                specialty: (0, 1),
-            },
-        };
-        assert!((spec.time_secs() - 0.25).abs() < 1e-12);
     }
 }

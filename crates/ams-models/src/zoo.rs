@@ -139,11 +139,6 @@ impl ModelZoo {
         self.specs.iter().map(|s| s.time_ms).sum()
     }
 
-    /// The single most expensive model's memory footprint, in MB.
-    pub fn max_mem_mb(&self) -> u32 {
-        self.specs.iter().map(|s| s.mem_mb).max().unwrap_or(0)
-    }
-
     /// Build a reduced zoo containing only the given model ids (re-identified
     /// densely). Useful for small tests and ablations.
     pub fn subset(&self, ids: &[ModelId]) -> Self {
@@ -225,7 +220,7 @@ mod tests {
     #[test]
     fn pose_flagship_is_most_memory_hungry() {
         let zoo = ModelZoo::standard();
-        assert_eq!(zoo.max_mem_mb(), 8000);
+        assert_eq!(zoo.specs().iter().map(|s| s.mem_mb).max(), Some(8000));
         let pose = zoo.models_for(Task::PoseEstimation).next().unwrap();
         assert_eq!(pose.mem_mb, 8000);
     }

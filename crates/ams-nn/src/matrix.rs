@@ -89,17 +89,6 @@ impl Mat {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// `self += other * scale` element-wise.
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    pub fn add_scaled(&mut self, other: &Mat, scale: f32) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b * scale;
-        }
-    }
-
     /// Frobenius norm.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
@@ -168,14 +157,6 @@ mod tests {
     #[should_panic(expected = "shape mismatch")]
     fn from_vec_wrong_len_panics() {
         let _ = Mat::from_vec(2, 2, vec![1.0]);
-    }
-
-    #[test]
-    fn add_scaled_accumulates() {
-        let mut a = Mat::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        let b = Mat::from_vec(1, 3, vec![10.0, 10.0, 10.0]);
-        a.add_scaled(&b, 0.5);
-        assert_eq!(a.as_slice(), &[6.0, 7.0, 8.0]);
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl<'a> LabelingEnv<'a> {
         }
     }
 
-    /// Number of actions (models + END when enabled).
-    pub fn num_actions(&self) -> usize {
-        self.num_models + usize::from(self.use_end_action)
-    }
-
     /// Index of the END action.
     pub fn end_action(&self) -> usize {
         self.num_models
@@ -145,11 +140,6 @@ impl<'a> LabelingEnv<'a> {
         } else {
             models
         }
-    }
-
-    /// Whether model `m` has been executed this episode.
-    pub fn is_executed(&self, m: ModelId) -> bool {
-        self.executed >> m.index() & 1 == 1
     }
 
     /// Number of steps taken.
@@ -254,7 +244,6 @@ mod tests {
         let env = LabelingEnv::new(t.item(0), &cfg, 30, true);
         assert!(env.state_sparse().is_empty());
         assert_eq!(env.available_mask().count_ones(), 31);
-        assert_eq!(env.num_actions(), 31);
         assert!(!env.is_done());
     }
 
@@ -280,7 +269,6 @@ mod tests {
         let cfg = RewardConfig::default();
         let mut env = LabelingEnv::new(t.item(0), &cfg, 30, true);
         env.step(3);
-        assert!(env.is_executed(ModelId(3)));
         assert_eq!(env.available_mask() >> 3 & 1, 0);
     }
 
@@ -396,7 +384,6 @@ mod tests {
         let t = table();
         let cfg = RewardConfig::default();
         let env = LabelingEnv::new(t.item(0), &cfg, 30, false);
-        assert_eq!(env.num_actions(), 30);
         assert_eq!(env.available_mask().count_ones(), 30);
     }
 }

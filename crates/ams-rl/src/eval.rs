@@ -137,24 +137,6 @@ pub fn evaluate_q_greedy(
     }
 }
 
-/// Position (1-based) of `model` in the Q-greedy execution sequence run to
-/// full recall; `num_models + 1` if never executed. Used by the §VI-E
-/// priority experiment.
-pub fn execution_position(
-    agent: &TrainedAgent,
-    zoo: &ModelZoo,
-    item: &ItemTruth,
-    model: ModelId,
-    value_threshold: f32,
-) -> usize {
-    let r = q_greedy_rollout(agent, zoo, item, 1.0, value_threshold);
-    r.executed
-        .iter()
-        .position(|&m| m == model)
-        .map(|p| p + 1)
-        .unwrap_or(agent.num_models + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,12 +225,5 @@ mod tests {
         let (zoo, _, agent) = fixture();
         let s = evaluate_q_greedy(&agent, &zoo, &[], 1.0, 0.5);
         assert_eq!(s, EvalSummary::default());
-    }
-
-    #[test]
-    fn execution_position_in_range() {
-        let (zoo, table, agent) = fixture();
-        let pos = execution_position(&agent, &zoo, table.item(0), ModelId(6), 0.5);
-        assert!((1..=31).contains(&pos));
     }
 }

@@ -170,23 +170,27 @@ pub fn outcome_transitions(
     pushed
 }
 
+/// Discount factor of the online learner (see [`TrainConfig::new`] for why
+/// it is near 0).
+const GAMMA: f32 = 0.1;
+/// Replay capacity in transitions; old experience ages out.
+const REPLAY_CAP: usize = 8192;
+/// Hard target-network sync period, in learn steps.
+const TARGET_SYNC: usize = 100;
+
 /// Knobs of an [`OnlineTrainer`]. The action space, algorithm, and reward
 /// function are inherited from the seed agent, not configured here — an
-/// online learner must match the network it continues from.
+/// online learner must match the network it continues from. The discount,
+/// replay capacity and target-sync period are the constants `GAMMA`,
+/// `REPLAY_CAP` and `TARGET_SYNC`.
 #[derive(Debug, Clone)]
 pub struct OnlineConfig {
     /// Minibatch size per learn step.
     pub batch: usize,
     /// Adam learning rate.
     pub lr: f32,
-    /// Discount factor (see [`TrainConfig::new`] for why it is near 0).
-    pub gamma: f32,
-    /// Replay capacity (transitions; old experience ages out).
-    pub replay_cap: usize,
     /// Transitions required before the first learn step.
     pub warmup: usize,
-    /// Hard target-network sync period, in learn steps.
-    pub target_sync: usize,
     /// Seed for minibatch sampling — the only randomness in the loop.
     pub seed: u64,
 }
@@ -196,10 +200,7 @@ impl Default for OnlineConfig {
         Self {
             batch: 32,
             lr: 1e-3,
-            gamma: 0.1,
-            replay_cap: 8192,
             warmup: 64,
-            target_sync: 100,
             seed: 0,
         }
     }
@@ -234,12 +235,12 @@ impl OnlineTrainer {
         // build one around the online knobs (episode/ε fields are unused
         // by the step API but kept coherent).
         let train_cfg = TrainConfig {
-            gamma: cfg.gamma,
+            gamma: GAMMA,
             lr: cfg.lr,
             batch: cfg.batch.max(1),
-            replay_cap: cfg.replay_cap.max(1),
+            replay_cap: REPLAY_CAP,
             warmup: cfg.warmup,
-            target_sync: cfg.target_sync.max(1),
+            target_sync: TARGET_SYNC,
             seed: cfg.seed,
             use_end_action,
             reward: agent.reward.clone(),
@@ -249,7 +250,7 @@ impl OnlineTrainer {
             net: agent.net.clone(),
             target: agent.net.clone(),
             opt: Adam::new(cfg.lr),
-            replay: ReplayBuffer::new(cfg.replay_cap.max(1)),
+            replay: ReplayBuffer::new(REPLAY_CAP),
             scratch: BatchScratch::new(&agent.net),
             rng: StdRng::seed_from_u64(cfg.seed),
             cfg: train_cfg,
@@ -285,7 +286,7 @@ impl OnlineTrainer {
     }
 
     /// One minibatch gradient step; `None` before warmup. Syncs the
-    /// target network every `target_sync` steps.
+    /// target network every `TARGET_SYNC` steps.
     pub fn learn_step(&mut self) -> Option<f32> {
         if !self.ready() {
             return None;
@@ -315,11 +316,6 @@ impl OnlineTrainer {
     /// Transitions absorbed so far.
     pub fn transitions(&self) -> u64 {
         self.transitions
-    }
-
-    /// Transitions currently resident in the replay buffer.
-    pub fn replay_len(&self) -> usize {
-        self.replay.len()
     }
 
     /// Export the current weights as a snapshot stamped `generation`. The
@@ -430,7 +426,6 @@ mod tests {
         let cfg = OnlineConfig {
             warmup: 16,
             batch: 8,
-            target_sync: 2,
             ..OnlineConfig::default()
         };
         let mut tr = OnlineTrainer::new(&agent, &cfg);

@@ -36,7 +36,6 @@ pub struct ReplayBuffer {
     buf: Vec<Transition>,
     cap: usize,
     pos: usize,
-    pushed: u64,
 }
 
 impl ReplayBuffer {
@@ -50,7 +49,6 @@ impl ReplayBuffer {
             buf: Vec::with_capacity(cap.min(4096)),
             cap,
             pos: 0,
-            pushed: 0,
         }
     }
 
@@ -62,7 +60,6 @@ impl ReplayBuffer {
             self.buf[self.pos] = t;
         }
         self.pos = (self.pos + 1) % self.cap;
-        self.pushed += 1;
     }
 
     /// Number of stored transitions.
@@ -73,11 +70,6 @@ impl ReplayBuffer {
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
-    }
-
-    /// Total number of pushes ever (≥ `len`).
-    pub fn pushed(&self) -> u64 {
-        self.pushed
     }
 
     /// A stored transition.
@@ -118,7 +110,6 @@ mod tests {
             rb.push(t(a));
         }
         assert_eq!(rb.len(), 3);
-        assert_eq!(rb.pushed(), 5);
         // oldest entries (0, 1) evicted; 2, 3, 4 remain
         let actions: Vec<u8> = (0..3).map(|i| rb.get(i).action).collect();
         let mut sorted = actions.clone();

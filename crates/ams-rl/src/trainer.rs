@@ -180,13 +180,6 @@ impl TrainedAgent {
     pub fn q_values_cached<'c>(&self, state_sparse: &[u32], cache: &'c mut FwdCache) -> &'c [f32] {
         self.net.forward(Input::Sparse(state_sparse), cache)
     }
-
-    /// Q values over *models only* (END dropped), for schedulers.
-    pub fn model_q_values(&self, state_sparse: &[u32]) -> Vec<f32> {
-        let mut q = self.q_values(state_sparse);
-        q.truncate(self.num_models);
-        q
-    }
 }
 
 /// Train an agent on a slice of ground-truth items (the train split).
@@ -499,18 +492,6 @@ mod tests {
         for (x, y) in q1.iter().zip(&q2) {
             assert!((x - y).abs() < 1e-7);
         }
-    }
-
-    #[test]
-    fn model_q_values_drop_end() {
-        let table = fixture();
-        let cfg = TrainConfig {
-            episodes: 5,
-            ..TrainConfig::fast_test(Algo::Dqn)
-        };
-        let (agent, _) = train(table.items(), 30, &cfg);
-        assert_eq!(agent.q_values(&[]).len(), 31);
-        assert_eq!(agent.model_q_values(&[]).len(), 30);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! ## Bounded memory, value-priced eviction
 //!
 //! The cache is sharded into lock stripes; each stripe owns a byte budget
-//! (`capacity_bytes / stripes`). When an insert overflows the budget the
+//! (`CAPACITY_BYTES / STRIPES`). When an insert overflows the budget the
 //! stripe evicts the resolved entries with the smallest
 //! **value-per-byte × recency** score — the same value units the SLO
 //! ledger prices shedding in (the leader's class-weighted predicted
@@ -77,27 +77,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
-/// Label-cache configuration ([`ServeConfig::cache`](crate::ServeConfig);
+/// Label-cache switch ([`ServeConfig::cache`](crate::ServeConfig);
 /// `None` disables the cache entirely — the no-cache serving path is
-/// byte-for-byte what it was before this module existed).
-#[derive(Debug, Clone, Copy)]
-pub struct CacheConfig {
-    /// Total byte budget across all stripes (approximate, counted from
-    /// the cached labels + model lists). Min 1 KiB. Overflow evicts the
-    /// lowest value-per-byte × recency entries in the inserting stripe
-    /// (an eighth of its residents per overflow, at least one).
-    pub capacity_bytes: usize,
-}
+/// byte-for-byte what it was before this module existed). The cache has
+/// no knobs: its byte budget is `CAPACITY_BYTES` and its stripe count
+/// `STRIPES`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CacheConfig {}
 
-impl Default for CacheConfig {
-    /// 1 MiB — thousands of typical label sets, far more than a smoke run
-    /// needs and small enough that eviction is exercised.
-    fn default() -> Self {
-        Self {
-            capacity_bytes: 1 << 20,
-        }
-    }
-}
+/// Total byte budget across all stripes (approximate, counted from the
+/// cached labels + model lists): 1 MiB — thousands of typical label sets,
+/// far more than a smoke run needs and small enough that eviction is
+/// exercised. Overflow evicts the lowest value-per-byte × recency entries
+/// in the inserting stripe (an eighth of its residents per overflow, at
+/// least one).
+const CAPACITY_BYTES: usize = 1 << 20;
 
 /// Lock stripes the key space is sharded over: more stripes = less
 /// contention between concurrent submitters; the byte budget is split
@@ -384,8 +378,8 @@ pub(crate) struct LabelCache {
 }
 
 impl LabelCache {
-    pub(crate) fn new_with_obs(cfg: CacheConfig, obs: Option<Arc<ServerObs>>) -> Arc<Self> {
-        Self::sized(STRIPES, cfg.capacity_bytes, obs)
+    pub(crate) fn new(obs: Option<Arc<ServerObs>>) -> Arc<Self> {
+        Self::sized(STRIPES, CAPACITY_BYTES, obs)
     }
 
     /// A cache of `capacity_bytes` (min 1 KiB) over `stripes` lock stripes.
@@ -635,7 +629,7 @@ mod tests {
 
     #[test]
     fn miss_then_resolve_then_hit() {
-        let cache = LabelCache::new_with_obs(CacheConfig::default(), None);
+        let cache = LabelCache::new(None);
         let entry = lead(&cache, 42);
         cache.resolve(&entry, result(4), 1.0);
         match cache.lookup(42, follower()) {
@@ -650,7 +644,7 @@ mod tests {
 
     #[test]
     fn second_lookup_coalesces_and_fan_out_delivers_labeled() {
-        let cache = LabelCache::new_with_obs(CacheConfig::default(), None);
+        let cache = LabelCache::new(None);
         let entry = lead(&cache, 7);
         let cq = Arc::new(CompletionQueue::new(4));
         let _ticket = coalesce(&cache, 7, &cq, 99);
@@ -670,7 +664,7 @@ mod tests {
 
     #[test]
     fn failed_leader_sheds_followers_and_the_next_lookup_leads_fresh() {
-        let cache = LabelCache::new_with_obs(CacheConfig::default(), None);
+        let cache = LabelCache::new(None);
         let entry = lead(&cache, 11);
         let cq = Arc::new(CompletionQueue::new(4));
         let _ticket = coalesce(&cache, 11, &cq, 5);
@@ -689,7 +683,7 @@ mod tests {
 
     #[test]
     fn cancelled_follower_is_skipped_by_the_fan_out() {
-        let cache = LabelCache::new_with_obs(CacheConfig::default(), None);
+        let cache = LabelCache::new(None);
         let entry = lead(&cache, 13);
         let cq = Arc::new(CompletionQueue::new(4));
         let ticket = coalesce(&cache, 13, &cq, 8);
@@ -707,7 +701,7 @@ mod tests {
 
     #[test]
     fn abandon_without_waiters_but_execute_with() {
-        let cache = LabelCache::new_with_obs(CacheConfig::default(), None);
+        let cache = LabelCache::new(None);
         let entry = lead(&cache, 21);
         let wanted = match cache.lookup(21, follower()) {
             Lookup::Coalesced => entry.wanted_or_abandon(),

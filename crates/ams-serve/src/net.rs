@@ -592,7 +592,7 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
 // ---------------------------------------------------------------------------
 
 /// The remote mirror of the in-process [`Client`]: same submit surface
-/// (`submit` / `submit_class` / `submit_with`), same bounded-window
+/// (`submit` / `submit_with`), same bounded-window
 /// semantics (`submit` blocks while `window` requests are in flight),
 /// same drain-loop termination (`recv` returns `Ok(None)` at zero
 /// outstanding). The differences forced by the transport: submissions
@@ -679,12 +679,8 @@ impl NetClient {
         self.submit_with(item, SubmitOptions::default())
     }
 
-    /// [`NetClient::submit`] with an explicit SLO class.
-    pub fn submit_class(&self, item: Arc<ItemTruth>, class: usize) -> Result<u64, WireError> {
-        self.submit_with(item, SubmitOptions::class(class))
-    }
-
-    /// [`NetClient::submit`] with full per-ticket economics, mirroring
+    /// [`NetClient::submit`] with an SLO class and full per-ticket
+    /// economics, mirroring
     /// [`Client::submit_with`]. Fails with [`WireError::Closed`] — also
     /// when already blocked on a full window — once the connection is
     /// dead, and with [`WireError::FrameTooLarge`] (connection intact)

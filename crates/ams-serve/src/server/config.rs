@@ -121,7 +121,8 @@ impl SloClass {
 pub struct SloConfig {
     /// The request classes. Class 0 is the default for
     /// [`Client::submit`](super::Client::submit);
-    /// [`Client::submit_class`](super::Client::submit_class) picks others.
+    /// [`Client::submit_with`](super::Client::submit_with) with
+    /// `SubmitOptions::class(c)` picks others.
     /// Normalized to at least one class at server start.
     pub classes: Vec<SloClass>,
     /// Shed at admission when the predicted queue wait exceeds the

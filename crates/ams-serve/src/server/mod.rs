@@ -22,7 +22,7 @@
 //! ## The client API
 //!
 //! [`AmsServer::client`] opens a request/response [`Client`]: its
-//! `submit`/`submit_class` return `SubmitOutcome<Ticket>`, where the
+//! `submit`/`submit_with` return `SubmitOutcome<Ticket>`, where the
 //! [`Ticket`](crate::Ticket) is a cancellable handle tied to exactly one
 //! terminal [`Completion`](crate::Completion) event — `Labeled` (the request's own labels, chosen
 //! models, value banked, queue-wait/execute breakdown), `Shed` (which
@@ -270,7 +270,7 @@ impl AmsServer {
             next_ticket: AtomicU64::new(0),
             cancel_ledger: Arc::default(),
             submit_ledger,
-            cache: cfg.cache.map(|c| LabelCache::new_with_obs(c, obs.clone())),
+            cache: cfg.cache.map(|_| LabelCache::new(obs.clone())),
             obs,
             adapt: adapt.as_ref().map(|r| Arc::clone(&r.shared)),
             cfg,

@@ -74,29 +74,25 @@ impl Client {
     /// shard's own backpressure policy
     /// ([`Block`](crate::BackpressurePolicy::Block) waits for queue space).
     pub fn submit(&self, item: Arc<ItemTruth>) -> SubmitOutcome<Ticket> {
-        self.submit_class(item, 0)
+        self.submit_with(item, SubmitOptions::default())
     }
 
-    /// [`Client::submit`] with an explicit SLO class (clamped to the
-    /// configured classes; ignored when no SLO is configured).
-    ///
-    /// With admission control on, the call first prices the shard's
-    /// backlog: predicted wait = queue depth × the amortized per-request
-    /// batch time the shard's workers publish ÷ workers on the shard. A
-    /// request whose prediction already exceeds its class deadline is
-    /// refused here ([`SubmitOutcome::ShedAdmission`]) *before* it
-    /// occupies a queue slot — admitting it could only evict or delay
-    /// work that still has a chance, then be deadline-shed anyway.
-    pub fn submit_class(&self, item: Arc<ItemTruth>, class: usize) -> SubmitOutcome<Ticket> {
-        self.submit_with(item, SubmitOptions::class(class))
-    }
-
-    /// [`Client::submit_class`] with full per-ticket economics: an
+    /// [`Client::submit`] with an SLO class (clamped to the configured
+    /// classes; ignored when no SLO is configured;
+    /// `SubmitOptions::class(c)`) and full per-ticket economics: an
     /// optional deadline and value that override the class defaults for
     /// this ticket only (see [`SubmitOptions`]). Admission pricing, EDF
     /// dequeue, deadline shedding, and value-weighted eviction read the
     /// per-ticket numbers; the class remains the ledger bucket, so every
     /// conservation gate is unchanged.
+    ///
+    /// With admission control on, the call first prices the shard's
+    /// backlog: predicted wait = queue depth × the amortized per-request
+    /// batch time the shard's workers publish ÷ workers on the shard. A
+    /// request whose prediction already exceeds its deadline is refused
+    /// here ([`SubmitOutcome::ShedAdmission`]) *before* it occupies a
+    /// queue slot — admitting it could only evict or delay work that still
+    /// has a chance, then be deadline-shed anyway.
     pub fn submit_with(&self, item: Arc<ItemTruth>, opts: SubmitOptions) -> SubmitOutcome<Ticket> {
         let Some(shared) = self.shared.upgrade() else {
             // The server shut down; nothing can be queued anymore.

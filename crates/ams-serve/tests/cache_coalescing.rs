@@ -11,7 +11,7 @@ use ams_core::framework::Budget;
 use ams_data::TruthTable;
 use ams_serve::{
     AmsServer, BackpressurePolicy, CacheConfig, Completion, ServeConfig, SloClass, SloConfig,
-    SubmitOutcome, Ticket,
+    SubmitOptions, SubmitOutcome, Ticket,
 };
 use common::{scheduler, tally};
 use proptest::prelude::*;
@@ -140,7 +140,8 @@ fn cancelled_leaders_promote_ghosts_across_policies() {
             let class = round % 2;
             let mut follower_seen = false;
             for dup in 0..3 {
-                let outcome = client.submit_class(Arc::new(item.clone()), class);
+                let opts = SubmitOptions::class(class);
+                let outcome = client.submit_with(Arc::new(item.clone()), opts);
                 if outcome.is_rejected() {
                     rejected += 1;
                     continue;
@@ -254,7 +255,8 @@ proptest! {
             // Repeat items with span `repeat_span`: span 1 is one item
             // submitted 60 times, span 7 cycles seven contents.
             let item = table.item(i % repeat_span);
-            match client.submit_class(Arc::new(item.clone()), i % 2).ticket() {
+            let opts = SubmitOptions::class(i % 2);
+            match client.submit_with(Arc::new(item.clone()), opts).ticket() {
                 Some(ticket) => {
                     issued += 1;
                     if i % cancel_stride == 0 {

@@ -10,7 +10,7 @@ use ams_core::framework::Budget;
 use ams_data::TruthTable;
 use ams_serve::{
     AmsServer, BackpressurePolicy, Completion, ObsConfig, ServeConfig, ShedReason, SloClass,
-    SloConfig, Ticket,
+    SloConfig, SubmitOptions, Ticket,
 };
 use ams_sim::{Admitted, BatchLatencyModel, Group, Job, PoolTimeline};
 use common::{scheduler, tally};
@@ -637,7 +637,8 @@ fn admission_reservations_conserve_and_protect_across_policies() {
         // Bulk flood first, then interactive submissions at the peak.
         for (i, item) in table.items().iter().enumerate() {
             let class = if i < 30 { 0 } else { 1 };
-            let outcome = client.submit_class(Arc::new(item.clone()), class);
+            let opts = SubmitOptions::class(class);
+            let outcome = client.submit_with(Arc::new(item.clone()), opts);
             issued += u64::from(!outcome.is_rejected());
             outcomes.push((class, outcome.is_accepted()));
         }
@@ -722,7 +723,8 @@ proptest! {
         let mut rejected = 0u64;
         let mut storm: Vec<Ticket> = Vec::new();
         for (i, item) in table.items().iter().enumerate() {
-            match client.submit_class(Arc::new(item.clone()), i % 2).ticket() {
+            let opts = SubmitOptions::class(i % 2);
+            match client.submit_with(Arc::new(item.clone()), opts).ticket() {
                 Some(ticket) => {
                     issued += 1;
                     if i % cancel_stride == 0 {

@@ -184,7 +184,7 @@ fn abrupt_disconnect_cancels_outstanding_and_server_keeps_serving() {
     let victim = NetClient::connect_with_window(addr, 64).expect("connect");
     for (i, item) in table.items().iter().enumerate() {
         victim
-            .submit_class(Arc::new(item.clone()), i % 2)
+            .submit_with(Arc::new(item.clone()), SubmitOptions::class(i % 2))
             .expect("submit");
     }
     let first = victim

@@ -57,7 +57,8 @@ fn storm(policy: BackpressurePolicy, cache: bool, classes: bool) {
     let items: Vec<_> = truth().items().iter().cloned().map(Arc::new).collect();
     let mut tickets = Vec::new();
     for (i, item) in items.iter().cycle().take(items.len() * 4).enumerate() {
-        match client.submit_class(Arc::clone(item), i % 2).ticket() {
+        let opts = SubmitOptions::class(i % 2);
+        match client.submit_with(Arc::clone(item), opts).ticket() {
             Some(t) => tickets.push(t),
             None => continue,
         }

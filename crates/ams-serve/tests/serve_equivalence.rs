@@ -413,7 +413,8 @@ fn slo_shedding_conserves_every_request_across_policies() {
         let mut offered_by_class = [0u64; 2];
         {
             let mut submit = |item: &ItemTruth, class: usize| {
-                let idx = match client.submit_class(Arc::new(item.clone()), class) {
+                let opts = SubmitOptions::class(class);
+                let idx = match client.submit_with(Arc::new(item.clone()), opts) {
                     SubmitOutcome::Enqueued(_) => 0,
                     SubmitOutcome::EnqueuedShedOldest(_) => 1,
                     SubmitOutcome::Rejected => 2,
@@ -537,7 +538,7 @@ fn blind_slo_mode_tracks_classes_without_perturbing_results() {
     for (i, item) in table.items().iter().enumerate() {
         assert!(
             matches!(
-                client.submit_class(Arc::new(item.clone()), i % 2),
+                client.submit_with(Arc::new(item.clone()), SubmitOptions::class(i % 2)),
                 SubmitOutcome::Enqueued(_)
             ),
             "lossless blind config admits everything"

@@ -48,11 +48,6 @@ impl BatchLatencyModel {
         }
     }
 
-    /// The configured fixed-setup share in thousandths.
-    pub fn setup_permille(&self) -> u32 {
-        self.setup_permille
-    }
-
     /// Fixed setup portion of a single-item latency of `single_ms`.
     pub fn setup_ms(&self, single_ms: u32) -> u64 {
         u64::from(single_ms) * u64::from(self.setup_permille) / 1000
@@ -72,30 +67,6 @@ impl BatchLatencyModel {
         self.setup_ms(single_ms) + batch as u64 * self.marginal_ms(single_ms)
     }
 
-    /// Marginal cost of admitting one more item into a batch currently
-    /// holding `batch` items: the full `single_ms` for the item that opens
-    /// the invocation (it pays the setup), the marginal share for every
-    /// item after it. This is the quantity a cost-aware router or batching
-    /// controller compares across placement choices —
-    /// `batch_time_ms(t, k+1) - batch_time_ms(t, k)` exactly.
-    pub fn marginal_cost_ms(&self, single_ms: u32, batch: usize) -> u64 {
-        if batch == 0 {
-            u64::from(single_ms)
-        } else {
-            self.marginal_ms(single_ms)
-        }
-    }
-
-    /// Amortized per-item latency of a `batch`-item invocation, in
-    /// fractional milliseconds (0 for an empty batch). Decreasing in the
-    /// batch size: the setup charge spreads over more items.
-    pub fn amortized_ms(&self, single_ms: u32, batch: usize) -> f64 {
-        if batch == 0 {
-            return 0.0;
-        }
-        self.batch_time_ms(single_ms, batch) as f64 / batch as f64
-    }
-
     /// How much longer a batched invocation gets when it grows from `from`
     /// to `to` items, as a latency ratio (`batch_time(to) / batch_time(from)`,
     /// 1.0 for degenerate inputs). Scale-free in `single_ms`: the ratio
@@ -110,23 +81,6 @@ impl BatchLatencyModel {
             return 1.0;
         }
         self.batch_time_ms(REF_MS, to) as f64 / self.batch_time_ms(REF_MS, from) as f64
-    }
-
-    /// The largest batch whose single invocation still fits a latency
-    /// budget: max `k` with `batch_time_ms(single_ms, k) <= budget_ms`
-    /// (0 when even one item does not fit). The upper bound an adaptive
-    /// batching controller must never grow past, whatever its control law
-    /// says.
-    pub fn max_batch_within(&self, single_ms: u32, budget_ms: u64) -> usize {
-        if u64::from(single_ms) > budget_ms || single_ms == 0 {
-            return if single_ms == 0 { usize::MAX } else { 0 };
-        }
-        let marginal = self.marginal_ms(single_ms);
-        if marginal == 0 {
-            // Pure-setup model: every batch costs the same as one item.
-            return usize::MAX;
-        }
-        ((budget_ms - self.setup_ms(single_ms)) / marginal) as usize
     }
 }
 
@@ -684,13 +638,20 @@ mod tests {
 
     #[test]
     fn marginal_cost_is_exact_batch_time_difference() {
+        // One more item in a batch of `k` costs the full single-item latency
+        // when it opens the invocation, the marginal share after that.
         for permille in [0, 300, 700, 1000] {
             let m = BatchLatencyModel::new(permille);
             for t in [1u32, 45, 90, 700] {
                 for k in 0..=16usize {
+                    let want = if k == 0 {
+                        u64::from(t)
+                    } else {
+                        m.marginal_ms(t)
+                    };
                     assert_eq!(
-                        m.marginal_cost_ms(t, k),
                         m.batch_time_ms(t, k + 1) - m.batch_time_ms(t, k),
+                        want,
                         "permille {permille}, t {t}, k {k}"
                     );
                 }
@@ -700,15 +661,16 @@ mod tests {
 
     #[test]
     fn amortized_cost_decreases_with_batch_size() {
+        // The setup charge spreads over the batch: the per-item cost never
+        // grows with the batch and never drops below the marginal share.
         let m = BatchLatencyModel::default();
         let mut prev = f64::INFINITY;
         for k in 1..=32usize {
-            let a = m.amortized_ms(180, k);
+            let a = m.batch_time_ms(180, k) as f64 / k as f64;
             assert!(a <= prev, "amortized cost must not grow: k={k}");
             assert!(a >= m.marginal_ms(180) as f64, "never below marginal");
             prev = a;
         }
-        assert_eq!(m.amortized_ms(180, 0), 0.0);
     }
 
     #[test]
@@ -730,31 +692,9 @@ mod tests {
     }
 
     #[test]
-    fn max_batch_within_inverts_batch_time() {
-        let m = BatchLatencyModel::new(700);
-        for t in [10u32, 90, 450] {
-            for budget in [0u64, 5, 10, 100, 1000, 10_000] {
-                let k = m.max_batch_within(t, budget);
-                if k == 0 {
-                    assert!(u64::from(t) > budget, "one item must not fit");
-                } else {
-                    assert!(m.batch_time_ms(t, k) <= budget, "t {t} budget {budget}");
-                    assert!(m.batch_time_ms(t, k + 1) > budget, "k={k} not maximal");
-                }
-            }
-        }
-        // Pure-setup model and zero-cost model: unbounded batches.
-        assert_eq!(
-            BatchLatencyModel::new(1000).max_batch_within(100, 100),
-            usize::MAX
-        );
-        assert_eq!(m.max_batch_within(0, 1), usize::MAX);
-    }
-
-    #[test]
     fn permille_clamped() {
         let m = BatchLatencyModel::new(5000);
-        assert_eq!(m.setup_permille(), 1000);
+        assert_eq!(m, BatchLatencyModel::new(1000));
         assert_eq!(m.marginal_ms(100), 0);
         assert_eq!(m.batch_time_ms(100, 50), 100, "pure-setup model is flat");
     }

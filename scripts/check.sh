@@ -6,10 +6,12 @@
 #
 #   ./scripts/check.sh          # full: fmt + clippy + doc links + release
 #                               #       build + bench gate + tier-1 tests
+#                               #       + the serve_demo smoke run
 #   ./scripts/check.sh --quick  # fmt + clippy + doc links + fast
 #                               #       label-cache and pool-packer passes
 #                               #       (PROPTEST_CASES=16) + the held-
-#                               #       worker tests 5x + debug tests
+#                               #       worker tests 5x + debug tests +
+#                               #       the serve_demo smoke run
 #                               #       (no release build, no bench gate)
 #   ./scripts/check.sh --smoke  # fmt + clippy + doc links + bench gate
 #                               #       only (the fast perf-regression
@@ -114,12 +116,17 @@ fi
 if [[ $mode == full || $mode == quick ]]; then
     echo "==> cargo test -q"
     cargo test -q
+    # The same smoke run CI's quick lane makes: the composed service over
+    # TCP with two forked clients, then drift + online adaptation.
+    echo "==> serve_demo --smoke"
+    cargo run -q --example serve_demo -- --smoke
 fi
 
 # Size (all modes): the Rust line counts every CHANGES.md entry reports,
 # measured the same way each time.
 workspace_loc=$(find crates tests examples -name '*.rs' | xargs cat | wc -l)
 sim_loc=$(find crates/ams-sim -name '*.rs' | xargs cat | wc -l)
-echo "==> Rust LoC: workspace $workspace_loc, ams-sim $sim_loc"
+examples_loc=$(find examples -name '*.rs' | xargs cat | wc -l)
+echo "==> Rust LoC: workspace $workspace_loc, ams-sim $sim_loc, examples $examples_loc"
 
 echo "All checks passed."

@@ -201,7 +201,7 @@ fn served_pipeline_with_slo_classes_keeps_the_ledger_exact() {
     let client = server.client();
     let mut issued = 0u64;
     for (i, item) in truth.items().iter().enumerate() {
-        let outcome = client.submit_class(Arc::new(item.clone()), i % 2);
+        let outcome = client.submit_with(Arc::new(item.clone()), SubmitOptions::class(i % 2));
         issued += u64::from(!outcome.is_rejected());
         // Cancel a straggler mid-stream: the ledger must absorb the race
         // (either the cancel wins, or the request resolves normally).
