@@ -5,7 +5,7 @@ use crate::harness::{deadline_grid_s, memory_deadline_grid_s, recall_grid, Harne
 use ams::core::metrics::{mean, Cdf, Figure, Series};
 use ams::core::policies::{
     aggregate_rollouts, no_policy_time_ms, optimal_rollout, predictor_greedy_rollout,
-    random_packing_recall, random_rollout,
+    random_packing_recall, random_rollout, run_serial,
 };
 use ams::core::scheduler::optimal_star;
 use ams::prelude::*;
@@ -974,39 +974,25 @@ fn q_greedy_deadline_recall(
     budget_ms: u64,
     threshold: f32,
 ) -> f64 {
-    let n = zoo.len();
-    let mut state = LabelSet::new(item.universe());
-    let mut mask = 0u64;
-    let mut remaining = budget_ms;
-    let mut value = 0.0;
-    loop {
-        let q = predictor.predict(&state, item);
-        let mut best: Option<(usize, f32)> = None;
-        for (m, &v) in q.iter().enumerate() {
-            if mask >> m & 1 == 1 {
-                continue;
+    let mut q = vec![0.0f32; zoo.len()];
+    run_serial(
+        item,
+        zoo,
+        budget_ms,
+        threshold,
+        |state, mask, remaining, _| {
+            predictor.predict_into(state, item, &mut q);
+            let mut best: Option<(usize, f32)> = None;
+            for (m, &v) in q.iter().enumerate() {
+                let fits = u64::from(zoo.spec(ModelId(m as u8)).time_ms) <= remaining;
+                if mask >> m & 1 == 0 && fits && best.map(|(_, bv)| v > bv).unwrap_or(true) {
+                    best = Some((m, v));
+                }
             }
-            if u64::from(zoo.spec(ModelId(m as u8)).time_ms) > remaining {
-                continue;
-            }
-            if best.map(|(_, bv)| v > bv).unwrap_or(true) {
-                best = Some((m, v));
-            }
-        }
-        let Some((m, _)) = best else { break };
-        let id = ModelId(m as u8);
-        mask |= 1 << m;
-        remaining -= u64::from(zoo.spec(id).time_ms);
-        value += item.apply(&mut state, id, threshold);
-        if mask.count_ones() as usize == n {
-            break;
-        }
-    }
-    if item.total_value > 0.0 {
-        value / item.total_value
-    } else {
-        1.0
-    }
+            best.map(|(m, _)| ModelId(m as u8))
+        },
+    )
+    .recall
 }
 
 /// Random policy under a deadline: random order, skipping models that no
@@ -1023,19 +1009,9 @@ fn random_deadline_recall(
     let mut order: Vec<ModelId> = zoo.ids().collect();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ item.scene_id.wrapping_mul(0x2545_F491));
     order.shuffle(&mut rng);
-    let mut state = LabelSet::new(item.universe());
-    let mut remaining = budget_ms;
-    let mut value = 0.0;
-    for m in order {
-        let t = u64::from(zoo.spec(m).time_ms);
-        if t <= remaining {
-            remaining -= t;
-            value += item.apply(&mut state, m, threshold);
-        }
-    }
-    if item.total_value > 0.0 {
-        value / item.total_value
-    } else {
-        1.0
-    }
+    let mut order = order.into_iter();
+    run_serial(item, zoo, budget_ms, threshold, |_, _, remaining, _| {
+        order.find(|&m| u64::from(zoo.spec(m).time_ms) <= remaining)
+    })
+    .recall
 }

@@ -1,5 +1,5 @@
-//! Shared fixtures for the hot-path benchmarks (`bench_hotpath` binary and
-//! the `hotpath` criterion bench): a paper-architecture Q-net pair plus a
+//! Shared fixtures for the hot-path benchmark (the `bench_hotpath`
+//! binary): a paper-architecture Q-net pair plus a
 //! replay buffer filled from real random-policy episodes, so the measured
 //! minibatches have realistic sparse-state density (~tens of active labels).
 

@@ -8,11 +8,12 @@
 //! simulated-inference substrate (`ams-data::infer`), which plays the same
 //! role at zero cost — the scheduling logic is identical.
 
+use crate::policies::run_serial;
 use crate::predictor::ValuePredictor;
 use crate::scheduler::deadline::schedule_deadline;
 use crate::scheduler::deadline_memory::schedule_deadline_memory;
 use ams_data::{ItemTruth, Scene};
-use ams_models::{LabelCatalog, LabelId, LabelSet, ModelId, ModelZoo};
+use ams_models::{LabelCatalog, LabelId, ModelId, ModelZoo};
 
 /// Resource constraint for labeling one item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,37 +281,28 @@ impl AdaptiveModelScheduler {
         predictor: &dyn ValuePredictor,
         item: &ItemTruth,
     ) -> LabelingOutcome {
-        let n = self.zoo.len();
-        let mut state = LabelSet::new(item.universe());
-        let mut executed = Vec::new();
-        let mut mask = 0u64;
-        let mut value = 0.0;
-        let mut elapsed = 0u64;
-        let mut q = vec![0.0f32; n];
-        while executed.len() < n {
-            predictor.predict_into(&state, item, &mut q);
-            let mut best: Option<(usize, f32)> = None;
-            for (m, &v) in q.iter().enumerate() {
-                if mask >> m & 1 == 0 && best.map(|(_, bv)| v > bv).unwrap_or(true) {
-                    best = Some((m, v));
+        let mut q = vec![0.0f32; self.zoo.len()];
+        let r = run_serial(
+            item,
+            &self.zoo,
+            u64::MAX,
+            self.value_threshold,
+            |state, mask, _, _| {
+                predictor.predict_into(state, item, &mut q);
+                let mut best: Option<(usize, f32)> = None;
+                for (m, &v) in q.iter().enumerate() {
+                    if mask >> m & 1 == 0 && best.map(|(_, bv)| v > bv).unwrap_or(true) {
+                        best = Some((m, v));
+                    }
                 }
-            }
-            let Some((m, v)) = best else { break };
-            if v <= 0.0 {
-                break; // nothing left worth running
-            }
-            let id = ModelId(m as u8);
-            mask |= 1 << m;
-            executed.push(id);
-            elapsed += u64::from(self.zoo.spec(id).time_ms);
-            value += item.apply(&mut state, id, self.value_threshold);
-        }
-        let recall = if item.total_value > 0.0 {
-            value / item.total_value
-        } else {
-            1.0
-        };
-        self.outcome(item, executed, value, recall, elapsed)
+                let (m, v) = best?;
+                if v <= 0.0 {
+                    return None; // nothing left worth running
+                }
+                Some(ModelId(m as u8))
+            },
+        );
+        self.outcome(item, r.executed, r.value, r.recall, r.elapsed_ms)
     }
 
     fn outcome(
@@ -338,28 +330,6 @@ impl AdaptiveModelScheduler {
             recall,
             elapsed_ms,
         }
-    }
-
-    /// Human-readable rendering of an outcome (used by examples).
-    pub fn describe(&self, outcome: &LabelingOutcome) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "executed {} models in {:.2}s (recall {:.1}%, value {:.2}):",
-            outcome.executed.len(),
-            outcome.elapsed_ms as f64 / 1000.0,
-            outcome.recall * 100.0,
-            outcome.value,
-        );
-        for &m in &outcome.executed {
-            let _ = writeln!(s, "  - {}", self.zoo.spec(m).name);
-        }
-        let _ = writeln!(s, "labels:");
-        for &(l, c) in &outcome.labels {
-            let _ = writeln!(s, "  {} ({c:.2})", self.catalog.name(l));
-        }
-        s
     }
 }
 
@@ -427,15 +397,6 @@ mod tests {
             assert!(w[0].0 < w[1].0);
         }
         assert!(out.labels.iter().all(|&(_, c)| c >= 0.5));
-    }
-
-    #[test]
-    fn describe_mentions_models_and_labels() {
-        let s = scheduler();
-        let out = s.label_scene(&one_scene(), Budget::Unconstrained);
-        let text = s.describe(&out);
-        assert!(text.contains("executed"));
-        assert!(text.contains("labels:"));
     }
 
     #[test]

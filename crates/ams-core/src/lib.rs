@@ -14,8 +14,10 @@
 //!   on `Q/m.time`) and Algorithm 2 (deadline + GPU-memory constraint on a
 //!   multi-processor pool), plus the relaxed **optimal\*** upper bound of
 //!   §V-C.
-//! * [`policies`] — run-to-recall execution policies: random, optimal
-//!   (true-value descending), Q-greedy, and the shared rollout runner.
+//! * [`policies`] — the one serial runner (Algorithm 1, the unconstrained
+//!   greedy, the rules and every run-to-recall policy pick over it) and
+//!   the run-to-recall policies: random, optimal (true-value descending),
+//!   Q-greedy.
 //! * [`rules`] — the handcrafted-rule baseline of Table II.
 //! * [`chunked`] — the §I explore–exploit scheduler for correlated chunks.
 //! * [`graph`] — the model-relationship graph sketched as future work in

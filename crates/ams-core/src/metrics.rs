@@ -43,14 +43,6 @@ impl Cdf {
         n as f64 / self.sorted.len() as f64
     }
 
-    /// The `q`-quantile (`q` in `[0, 1]`).
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!(!self.sorted.is_empty(), "empty CDF");
-        let q = q.clamp(0.0, 1.0);
-        let i = ((self.sorted.len() - 1) as f64 * q).round() as usize;
-        self.sorted[i]
-    }
-
     /// Mean of the underlying samples.
     pub fn mean(&self) -> f64 {
         mean(&self.sorted)
@@ -157,10 +149,10 @@ mod tests {
     #[test]
     fn cdf_quantiles() {
         let c = Cdf::new((1..=100).map(f64::from).collect());
-        assert_eq!(c.quantile(0.0), 1.0);
-        assert_eq!(c.quantile(1.0), 100.0);
-        let med = c.quantile(0.5);
-        assert!((49.0..=52.0).contains(&med));
+        assert_eq!(c.at(1.0), 0.01);
+        assert_eq!(c.at(50.0), 0.5);
+        assert_eq!(c.at(99.0), 0.99);
+        assert_eq!(c.at(100.0), 1.0);
         assert!((c.mean() - 50.5).abs() < 1e-9);
     }
 

@@ -1,8 +1,15 @@
-//! Run-to-recall execution policies (§VI-B protocol) and the shared
-//! rollout runner.
+//! The serial runner every one-model-at-a-time policy runs on, and the
+//! run-to-recall execution policies (§VI-B protocol) built over it.
 //!
-//! These policies answer: "in what order do we execute models until the
-//! recalled value reaches a target?" They power Figs. 2, 4, 5, 6 and 8:
+//! [`run_serial`] is the loop of Fig. 3: a picker chooses a model, the
+//! model runs on a [`SerialExecutor`] under the time budget, its labels
+//! are credited to the state, and the picker chooses again until it
+//! returns `None`. Algorithm 1, the unconstrained greedy, the Table II
+//! rules and the Fig. 10 baselines are pickers over it.
+//!
+//! The run-to-recall policies answer: "in what order do we execute models
+//! until the recalled value reaches a target?" They power Figs. 2, 4, 5,
+//! 6 and 8:
 //!
 //! * **Random** — uniformly random order (the paper's random policy).
 //! * **Optimal** — models in descending order of their true output value
@@ -12,13 +19,70 @@
 //!   paper's Q-value greedy policy).
 
 use crate::predictor::ValuePredictor;
+use crate::scheduler::deadline::DeadlineResult;
 use ams_data::ItemTruth;
 use ams_models::{LabelSet, ModelId, ModelZoo};
-use ams_rl::Rollout;
-use ams_sim::{Job, Pool};
+use ams_sim::{Job, Pool, SerialExecutor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+
+/// One run-to-recall rollout's outcome.
+#[derive(Debug, Clone)]
+pub struct Rollout {
+    /// Models in execution order.
+    pub executed: Vec<ModelId>,
+    /// Total execution time of the models run, ms.
+    pub time_ms: u64,
+    /// Final recall rate of the true output value.
+    pub recall: f64,
+}
+
+/// Run the models `pick` chooses, one at a time, within `budget_ms`
+/// (`u64::MAX` for no budget), until it returns `None`.
+///
+/// `pick(state, executed_mask, remaining_ms, value)` sees the labeling
+/// state, the mask of executed models, the budget left and the value
+/// recalled so far, and must return an unexecuted model that fits the
+/// remaining budget.
+pub fn run_serial(
+    item: &ItemTruth,
+    zoo: &ModelZoo,
+    budget_ms: u64,
+    threshold: f32,
+    mut pick: impl FnMut(&LabelSet, u64, u64, f64) -> Option<ModelId>,
+) -> DeadlineResult {
+    let mut ex = SerialExecutor::new(budget_ms);
+    let mut state = LabelSet::new(item.universe());
+    let mut executed = Vec::new();
+    let mut mask = 0u64;
+    let mut value = 0.0f64;
+    while let Some(m) = pick(&state, mask, ex.remaining_ms(), value) {
+        assert_eq!(mask >> m.index() & 1, 0, "policy picked executed model {m}");
+        let spec = zoo.spec(m);
+        let ran = ex.run(Job {
+            id: m.index(),
+            time_ms: spec.time_ms,
+            mem_mb: spec.mem_mb,
+        });
+        assert!(ran, "policy picked model {m} past the budget");
+        mask |= 1 << m.index();
+        executed.push(m);
+        value += item.apply(&mut state, m, threshold);
+    }
+    let recall = if item.total_value > 0.0 {
+        value / item.total_value
+    } else {
+        1.0
+    };
+    DeadlineResult {
+        executed,
+        value,
+        recall,
+        elapsed_ms: ex.elapsed_ms(),
+        trace: ex.into_trace(),
+    }
+}
 
 /// Execute models chosen by `pick` until the recall target is reached or
 /// every model has run. `pick(state, executed_mask)` must return an
@@ -31,26 +95,17 @@ pub fn run_to_recall(
     mut pick: impl FnMut(&LabelSet, u64) -> ModelId,
 ) -> Rollout {
     let n = zoo.len();
-    let mut state = LabelSet::new(item.universe());
-    let mut executed = Vec::new();
-    let mut mask = 0u64;
-    let mut time_ms = 0u64;
-    let mut recalled = 0.0f64;
     let total = item.total_value;
-
-    while executed.len() < n && total > 0.0 && recalled / total < recall_target - 1e-12 {
-        let m = pick(&state, mask);
-        assert_eq!(mask >> m.index() & 1, 0, "policy picked executed model {m}");
-        mask |= 1 << m.index();
-        executed.push(m);
-        time_ms += u64::from(zoo.spec(m).time_ms);
-        recalled += item.apply(&mut state, m, threshold);
-    }
-    let recall = if total > 0.0 { recalled / total } else { 1.0 };
+    let r = run_serial(item, zoo, u64::MAX, threshold, |state, mask, _, value| {
+        let more = (mask.count_ones() as usize) < n
+            && total > 0.0
+            && value / total < recall_target - 1e-12;
+        more.then(|| pick(state, mask))
+    });
     Rollout {
-        executed,
-        time_ms,
-        recall,
+        executed: r.executed,
+        time_ms: r.elapsed_ms,
+        recall: r.recall,
     }
 }
 
@@ -273,6 +328,66 @@ mod tests {
     fn no_policy_time_is_zoo_total() {
         let (zoo, _) = fixture();
         assert_eq!(no_policy_time_ms(&zoo), u64::from(zoo.total_time_ms()));
+    }
+
+    /// Pins every serial policy: an FNV-1a fold over each run's executed
+    /// ids, the bits of its value, its elapsed time and the bits of its
+    /// recall — Algorithm 1 under two predictors at three budgets, the
+    /// unconstrained greedy, the random, optimal and Q-greedy rollouts at
+    /// two targets, and the Table II rules. Recorded before the serial
+    /// loops became one runner; any change to a pick, a tie-break or an
+    /// accumulation order moves it.
+    #[test]
+    fn golden_digest() {
+        use crate::framework::{AdaptiveModelScheduler, Budget};
+        use crate::predictor::UniformPredictor;
+        use crate::rules::{rule_rollout, RuleBook};
+        use crate::scheduler::deadline::schedule_deadline;
+        fn mix(h: u64, x: u64) -> u64 {
+            (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+        }
+        fn fold(h: u64, executed: &[ModelId], value: f64, elapsed_ms: u64, recall: f64) -> u64 {
+            let mut h = mix(h, executed.len() as u64);
+            for m in executed {
+                h = mix(h, m.index() as u64);
+            }
+            [value.to_bits(), elapsed_ms, recall.to_bits()]
+                .into_iter()
+                .fold(h, mix)
+        }
+        let (zoo, t) = fixture();
+        let catalog = zoo.catalog();
+        let book = RuleBook::table2(&catalog);
+        let oracle = OraclePredictor::new(30, 0.5);
+        let uniform = UniformPredictor::new(30);
+        let sched = AdaptiveModelScheduler::new(
+            zoo.clone(),
+            Box::new(OraclePredictor::new(30, 0.5)),
+            0.5,
+            7,
+        );
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for item in t.items() {
+            for p in [&oracle as &dyn ValuePredictor, &uniform] {
+                for budget in [300u64, 900, 2500] {
+                    let r = schedule_deadline(p, &zoo, item, budget, 0.5);
+                    h = fold(h, &r.executed, r.value, r.elapsed_ms, r.recall);
+                }
+            }
+            let r = sched.label_item(item, Budget::Unconstrained);
+            h = fold(h, &r.executed, r.value, r.elapsed_ms, r.recall);
+            for target in [0.6, 1.0] {
+                for r in [
+                    random_rollout(item, &zoo, target, 0.5, 11),
+                    optimal_rollout(item, &zoo, target, 0.5),
+                    predictor_greedy_rollout(item, &zoo, &oracle, target, 0.5),
+                    rule_rollout(item, &zoo, &catalog, &book, target, 0.5, 11),
+                ] {
+                    h = fold(h, &r.executed, 0.0, r.time_ms, r.recall);
+                }
+            }
+        }
+        assert_eq!(h, 0x97d9_302c_740b_3abd, "serial-policy digest {h:#018x}");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! pairwise, fixed-multiplier rules help only marginally: they encode a
 //! handful of obvious dependencies while the DRL agent mines many more.
 
+use crate::policies::{run_to_recall, Rollout};
 use ams_data::ItemTruth;
-use ams_models::{LabelCatalog, LabelId, LabelSet, ModelId, ModelZoo, Task};
-use ams_rl::Rollout;
+use ams_models::{LabelCatalog, LabelId, ModelId, ModelZoo, Task};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -62,7 +62,8 @@ pub struct Rule {
     /// Restrict the target to one variant tier (e.g. only the specialist
     /// model of the task). `None` targets every model of the task.
     pub tier_filter: Option<ams_models::SkillTier>,
-    /// Weight multiplier (2.0 = encourage, 0.5 = discourage).
+    /// Weight multiplier (2.0 = encourage, 0.5 = discourage, 0.0 = only
+    /// once nothing else is left).
     pub multiplier: f64,
 }
 
@@ -224,31 +225,27 @@ pub fn rule_rollout(
     let n = zoo.len();
     let mut rng = StdRng::seed_from_u64(seed ^ item.scene_id.wrapping_mul(0x517C_C1B7));
     let mut weights = vec![1.0f64; n];
-    let mut state = LabelSet::new(item.universe());
-    let mut executed = Vec::new();
-    let mut mask = 0u64;
-    let mut time_ms = 0u64;
-    let mut recalled = 0.0f64;
-    let total = item.total_value;
-
-    while executed.len() < n && total > 0.0 && recalled / total < recall_target - 1e-12 {
-        // weighted sample among unexecuted models
+    run_to_recall(item, zoo, recall_target, threshold, |_, mask| {
+        // weighted sample among unexecuted models; when the weights left do
+        // not sum to a positive number (a 0.0 rule zeroed them), take the
+        // last unexecuted model
         let sum: f64 = (0..n)
             .filter(|&m| mask >> m & 1 == 0)
             .map(|m| weights[m])
             .sum();
-        let mut x = rng.gen_range(0.0..sum);
         let mut pick = usize::MAX;
-        #[allow(clippy::needless_range_loop)] // index pairs with the bitmask
-        for m in 0..n {
-            if mask >> m & 1 == 1 {
-                continue;
+        if sum > 0.0 && sum.is_finite() {
+            let mut x = rng.gen_range(0.0..sum);
+            for (m, &w) in weights.iter().enumerate() {
+                if mask >> m & 1 == 1 {
+                    continue;
+                }
+                if x < w {
+                    pick = m;
+                    break;
+                }
+                x -= w;
             }
-            if x < weights[m] {
-                pick = m;
-                break;
-            }
-            x -= weights[m];
         }
         if pick == usize::MAX {
             pick = (0..n)
@@ -257,9 +254,7 @@ pub fn rule_rollout(
                 .expect("model left");
         }
         let m = ModelId(pick as u8);
-        mask |= 1 << pick;
-        executed.push(m);
-        time_ms += u64::from(zoo.spec(m).time_ms);
+        let mask = mask | 1 << pick;
 
         // A rule's intent ("run a pose estimator") is satisfied once any
         // model of that task has executed: reset the task-mates' weights so
@@ -278,15 +273,9 @@ pub fn rule_rollout(
         // estimator may pay off.
         let output_labels: Vec<LabelId> =
             item.output(m).detections.iter().map(|d| d.label).collect();
-        recalled += item.apply(&mut state, m, threshold);
         book.apply(&output_labels, catalog, zoo, &mut weights);
-    }
-    let recall = if total > 0.0 { recalled / total } else { 1.0 };
-    Rollout {
-        executed,
-        time_ms,
-        recall,
-    }
+        m
+    })
 }
 
 #[cfg(test)]
@@ -376,6 +365,31 @@ mod tests {
             assert!(r.recall >= 1.0 - 1e-9);
             let mut seen = std::collections::HashSet::new();
             assert!(r.executed.iter().all(|m| seen.insert(*m)));
+        }
+    }
+
+    #[test]
+    fn zero_multiplier_rules_run_to_full_recall() {
+        // A 0.0 multiplier reads as "never": once every unexecuted model is
+        // one a fired rule zeroed, the weights sum to 0 and the rollout
+        // must fall back to a remaining model instead of sampling an empty
+        // range.
+        let (zoo, catalog, t) = fixture();
+        let book = RuleBook::new(
+            Task::ALL
+                .into_iter()
+                .map(|target_task| Rule {
+                    source_task: Task::PlaceClassification,
+                    trigger: Trigger::IndoorPlace,
+                    target_task,
+                    tier_filter: None,
+                    multiplier: 0.0,
+                })
+                .collect(),
+        );
+        for item in t.items() {
+            let r = rule_rollout(item, &zoo, &catalog, &book, 1.0, 0.5, 3);
+            assert!(r.recall >= 1.0 - 1e-9);
         }
     }
 

@@ -8,10 +8,10 @@
 //! the next iteration re-predicts.
 
 use super::GreedyScore;
+use crate::policies::run_serial;
 use crate::predictor::ValuePredictor;
 use ams_data::ItemTruth;
-use ams_models::{LabelSet, ModelId, ModelZoo};
-use ams_sim::{Job, SerialExecutor};
+use ams_models::{ModelId, ModelZoo};
 
 /// Outcome of scheduling one item under a deadline.
 #[derive(Debug, Clone)]
@@ -36,61 +36,31 @@ pub fn schedule_deadline(
     budget_ms: u64,
     threshold: f32,
 ) -> DeadlineResult {
-    let n = zoo.len();
-    debug_assert_eq!(predictor.num_models(), n);
-    let mut ex = SerialExecutor::new(budget_ms);
-    let mut state = LabelSet::new(item.universe());
-    let mut executed = Vec::new();
-    let mut mask = 0u64;
-    let mut value = 0.0f64;
-    let mut q = vec![0.0f32; n];
-
-    loop {
-        // Line 3: filter models that don't fit the remaining budget.
-        let remaining = ex.remaining_ms();
-        predictor.predict_into(&state, item, &mut q);
-        let mut best: Option<(usize, GreedyScore)> = None;
-        #[allow(clippy::needless_range_loop)] // index pairs with the bitmask
-        for m in 0..n {
-            if mask >> m & 1 == 1 {
-                continue;
+    debug_assert_eq!(predictor.num_models(), zoo.len());
+    let mut q = vec![0.0f32; zoo.len()];
+    run_serial(
+        item,
+        zoo,
+        budget_ms,
+        threshold,
+        |state, mask, remaining, _| {
+            predictor.predict_into(state, item, &mut q);
+            let mut best: Option<(usize, GreedyScore)> = None;
+            for (m, &v) in q.iter().enumerate() {
+                let time_ms = zoo.spec(ModelId(m as u8)).time_ms;
+                // Line 3: filter models that don't fit the remaining budget.
+                if mask >> m & 1 == 1 || u64::from(time_ms) > remaining {
+                    continue;
+                }
+                // Line 4: argmax Q(m,d) / m.time.
+                let score = GreedyScore::new(v, f64::from(time_ms) / 1000.0);
+                if best.map(|(_, s)| score.better_than(&s)).unwrap_or(true) {
+                    best = Some((m, score));
+                }
             }
-            let spec = zoo.spec(ModelId(m as u8));
-            if u64::from(spec.time_ms) > remaining {
-                continue;
-            }
-            // Line 4: argmax Q(m,d) / m.time.
-            let score = GreedyScore::new(q[m], f64::from(spec.time_ms) / 1000.0);
-            if best.map(|(_, s)| score.better_than(&s)).unwrap_or(true) {
-                best = Some((m, score));
-            }
-        }
-        let Some((pick, _)) = best else { break };
-        let m = ModelId(pick as u8);
-        let spec = zoo.spec(m);
-        let ran = ex.run(Job {
-            id: pick,
-            time_ms: spec.time_ms,
-            mem_mb: spec.mem_mb,
-        });
-        debug_assert!(ran, "filtered model must fit");
-        mask |= 1 << pick;
-        executed.push(m);
-        value += item.apply(&mut state, m, threshold);
-    }
-
-    let recall = if item.total_value > 0.0 {
-        value / item.total_value
-    } else {
-        1.0
-    };
-    DeadlineResult {
-        executed,
-        value,
-        recall,
-        elapsed_ms: ex.elapsed_ms(),
-        trace: ex.into_trace(),
-    }
+            best.map(|(m, _)| ModelId(m as u8))
+        },
+    )
 }
 
 #[cfg(test)]

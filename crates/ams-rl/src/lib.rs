@@ -16,8 +16,6 @@
 //! * [`online`] — online adaptation: generation-stamped weight snapshots,
 //!   the outcome→transition builder, and a trainer-step API over an
 //!   externally fed replay (the serving hot-swap's learning half).
-//! * [`eval`] — Q-value-greedy rollouts and the §VI-B metrics (average
-//!   executed models / execution time vs required recall rate).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +23,6 @@
 
 pub mod algo;
 pub mod env;
-pub mod eval;
 pub mod online;
 pub mod policy;
 pub mod replay;
@@ -33,7 +30,6 @@ pub mod trainer;
 
 pub use algo::Algo;
 pub use env::{LabelingEnv, RewardConfig, Smoothing, StepResult};
-pub use eval::{evaluate_q_greedy, q_greedy_rollout, EvalSummary, Rollout};
 pub use online::{outcome_transitions, AgentSnapshot, OnlineConfig, OnlineTrainer};
 pub use policy::{epsilon_greedy, masked_argmax, EpsilonSchedule};
 pub use replay::{ReplayBuffer, Transition};

@@ -144,41 +144,10 @@ pub struct TrainedAgent {
 }
 
 impl TrainedAgent {
-    /// Serialize the agent (weights + metadata) to a JSON string.
-    ///
-    /// The format is stable across runs of the same crate version; it is
-    /// how experiments persist agents so training is not repeated.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("agent serializes")
-    }
-
-    /// Deserialize an agent from [`TrainedAgent::to_json`] output.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
-    /// Persist the agent to a file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Load an agent persisted by [`TrainedAgent::save`].
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        Self::from_json(&text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
     /// Q values for a sparse labeling state; returns one value per action
     /// (END last when present).
     pub fn q_values(&self, state_sparse: &[u32]) -> Vec<f32> {
         self.net.q_values(Input::Sparse(state_sparse))
-    }
-
-    /// Q values through a caller-provided forward cache — the
-    /// allocation-free variant of [`TrainedAgent::q_values`] for rollout
-    /// and scheduling hot loops.
-    pub fn q_values_cached<'c>(&self, state_sparse: &[u32], cache: &'c mut FwdCache) -> &'c [f32] {
-        self.net.forward(Input::Sparse(state_sparse), cache)
     }
 }
 
@@ -517,60 +486,5 @@ mod tests {
         };
         let (_, stats) = train(table.items(), 30, &cfg);
         assert!(stats.episode_lengths.iter().all(|&l| (1..=31).contains(&l)));
-    }
-}
-
-#[cfg(test)]
-mod persistence_tests {
-    use super::*;
-    use ams_data::{Dataset, DatasetProfile, TruthTable};
-    use ams_models::ModelZoo;
-
-    #[test]
-    fn agent_round_trips_through_json() {
-        let zoo = ModelZoo::standard();
-        let ds = Dataset::generate(DatasetProfile::Coco2017, 20, 77);
-        let table = TruthTable::build(&zoo, &zoo.catalog(), &ds, 0.5);
-        let cfg = TrainConfig {
-            episodes: 10,
-            ..TrainConfig::fast_test(Algo::DuelingDqn)
-        };
-        let (agent, _) = train(table.items(), 30, &cfg);
-        let json = agent.to_json();
-        let restored = TrainedAgent::from_json(&json).expect("valid json");
-        assert_eq!(restored.algo, agent.algo);
-        assert_eq!(restored.num_models, agent.num_models);
-        let state = [5u32, 100, 800];
-        let qa = agent.q_values(&state);
-        let qb = restored.q_values(&state);
-        for (a, b) in qa.iter().zip(&qb) {
-            assert!((a - b).abs() < 1e-7, "weights must round-trip exactly");
-        }
-    }
-
-    #[test]
-    fn agent_saves_and_loads_from_disk() {
-        let zoo = ModelZoo::standard();
-        let ds = Dataset::generate(DatasetProfile::Coco2017, 20, 78);
-        let table = TruthTable::build(&zoo, &zoo.catalog(), &ds, 0.5);
-        let cfg = TrainConfig {
-            episodes: 5,
-            ..TrainConfig::fast_test(Algo::Dqn)
-        };
-        let (agent, _) = train(table.items(), 30, &cfg);
-        let path = std::env::temp_dir().join("ams_agent_roundtrip_test.json");
-        agent.save(&path).expect("save");
-        let restored = TrainedAgent::load(&path).expect("load");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(restored.q_values(&[]).len(), 31);
-    }
-
-    #[test]
-    fn corrupt_file_is_an_error() {
-        let path = std::env::temp_dir().join("ams_agent_corrupt_test.json");
-        std::fs::write(&path, "{not json").expect("write");
-        let err = TrainedAgent::load(&path).unwrap_err();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 }

@@ -69,7 +69,7 @@ pub mod prelude {
     pub use ams_core::framework::{AdaptiveModelScheduler, Budget, LabelingOutcome};
     pub use ams_core::graph::{GraphPredictor, ModelRelationGraph};
     pub use ams_core::metrics::{Cdf, Figure, Series};
-    pub use ams_core::policies;
+    pub use ams_core::policies::{self, Rollout};
     pub use ams_core::predictor::{
         AgentPredictor, OraclePredictor, SnapshotPredictor, StaticValuePredictor, UniformPredictor,
         ValuePredictor,
@@ -90,9 +90,8 @@ pub mod prelude {
         QualityProfile, SkillTier, Task,
     };
     pub use ams_rl::{
-        evaluate_q_greedy, learn_step_batched, q_greedy_rollout, train, AgentSnapshot, Algo,
-        BatchScratch, EvalSummary, LabelingEnv, OnlineConfig, OnlineTrainer, RewardConfig, Rollout,
-        Smoothing, TrainConfig, TrainStats, TrainedAgent,
+        learn_step_batched, train, AgentSnapshot, Algo, BatchScratch, LabelingEnv, OnlineConfig,
+        OnlineTrainer, RewardConfig, Smoothing, TrainConfig, TrainStats, TrainedAgent,
     };
     pub use ams_serve::{
         AdaptConfig, AdaptReport, AdaptiveBatchConfig, AdaptiveReport, AffinityConfig, AmsServer,

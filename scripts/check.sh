@@ -6,13 +6,15 @@
 #
 #   ./scripts/check.sh          # full: fmt + clippy + doc links + release
 #                               #       build + bench gate + tier-1 tests
-#                               #       + the serve_demo smoke run
+#                               #       + bench/'s tests + the runner,
+#                               #       serve_demo and Prometheus smokes
 #   ./scripts/check.sh --quick  # fmt + clippy + doc links + fast
 #                               #       label-cache and pool-packer passes
 #                               #       (PROPTEST_CASES=16) + the held-
 #                               #       worker tests 5x + debug tests +
-#                               #       the serve_demo smoke run
-#                               #       (no release build, no bench gate)
+#                               #       the same bench/ tests and smokes
+#                               #       (no release build, no bench gate);
+#                               #       CI's quick lane runs exactly this
 #   ./scripts/check.sh --smoke  # fmt + clippy + doc links + bench gate
 #                               #       only (the fast perf-regression
 #                               #       lane; runs scripts/bench_gate.sh,
@@ -116,10 +118,29 @@ fi
 if [[ $mode == full || $mode == quick ]]; then
     echo "==> cargo test -q"
     cargo test -q
-    # The same smoke run CI's quick lane makes: the composed service over
-    # TCP with two forked clients, then drift + online adaptation.
+    # bench/'s own tests against this tree: it reaches into `ams::serve::net`
+    # and the frame types' serde impls through the public API and builds
+    # against its own lock file.
+    echo "==> cargo test (bench/, offline, locked)"
+    (cd bench && CARGO_TARGET_DIR="$PWD/../target/bench" cargo test --offline --locked)
+    # `ams-bench [--smoke] [name…]` is the only way to regenerate a table or
+    # figure; a typo must list the names and exit 2, not run everything.
+    echo "==> experiment runner smoke (one named experiment; an unknown name exits 2)"
+    cargo run -q -p ams-bench -- --smoke table1_zoo
+    rc=0
+    cargo run -q -p ams-bench -- no_such_experiment || rc=$?
+    if [[ $rc -ne 2 ]]; then
+        echo "an unknown experiment name must exit 2, got $rc" >&2
+        exit 1
+    fi
+    # The composed service over TCP with two forked clients, then drift +
+    # online adaptation.
     echo "==> serve_demo --smoke"
     cargo run -q --example serve_demo -- --smoke
+    # A scrape a collector cannot parse is silent monitoring loss: format
+    # breakage gets its own named failure.
+    echo "==> metrics exposition smoke (the Prometheus scrape stays parseable)"
+    cargo test -q -p ams-serve --test obs_reconciliation prometheus_exposition_is_well_formed
 fi
 
 # Size (all modes): the Rust line counts every CHANGES.md entry reports,

@@ -99,8 +99,14 @@ fn eval_metrics_consistent_with_rollouts() {
         ..TrainConfig::fast_test(Algo::Dqn)
     };
     let (agent, _) = train(table.items(), zoo.len(), &cfg);
-    let summary = evaluate_q_greedy(&agent, &zoo, table.items(), 0.7, 0.5);
-    assert!(summary.avg_recall >= 0.7 - 1e-9);
-    assert!(summary.avg_models >= 1.0);
-    assert!(summary.avg_time_s > 0.0);
+    let predictor = AgentPredictor::new(agent);
+    let rollout =
+        |it: &ItemTruth| policies::predictor_greedy_rollout(it, &zoo, &predictor, 0.7, 0.5);
+    let (avg_models, avg_time_s) = policies::aggregate_rollouts(table.items().iter(), rollout);
+    assert!(table
+        .items()
+        .iter()
+        .all(|it| rollout(it).recall >= 0.7 - 1e-9));
+    assert!(avg_models >= 1.0);
+    assert!(avg_time_s > 0.0);
 }
