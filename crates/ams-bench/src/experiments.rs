@@ -1,5 +1,10 @@
 //! One function per paper experiment; `main.rs`'s `EXPERIMENTS` table is
 //! the index the `ams-bench` runner picks from by name.
+//!
+//! The paper plots two kinds of curve, and each has one sweep here: Figs.
+//! 4–6 put a required recall on the x axis (`recall_curves`), Figs. 10–12
+//! a deadline (`deadline_curves`). A figure is a list of named policies
+//! over one of them.
 
 use crate::harness::{deadline_grid_s, memory_deadline_grid_s, recall_grid, Harness};
 use ams::core::metrics::{mean, Cdf, Figure, Series};
@@ -10,10 +15,16 @@ use ams::core::policies::{
 use ams::core::scheduler::optimal_star;
 use ams::prelude::*;
 use std::fmt::Write as _;
+use std::io;
+
+/// A named policy: the legend label and one item's run at one x — a
+/// required recall ([`recall_curves`]) or a budget in ms
+/// ([`deadline_curves`]).
+type Policy<'a, X, Y> = (&'a str, Box<dyn Fn(&ItemTruth, X) -> Y + 'a>);
 
 /// §II / Fig. 2 — time cost of no-policy vs random vs optimal to obtain all
 /// valuable labels (average + CDF over a mixed corpus).
-pub fn fig02_policy_gap(h: &mut Harness) -> Figure {
+pub fn fig02_policy_gap(h: &mut Harness) -> io::Result<Figure> {
     let mut times_random = Vec::new();
     let mut times_optimal = Vec::new();
     let mut times_nopolicy = Vec::new();
@@ -21,13 +32,12 @@ pub fn fig02_policy_gap(h: &mut Harness) -> Figure {
     let threshold = h.cfg.threshold;
 
     for profile in DatasetProfile::PREDICTION_TRIO {
-        let zoo = h.zoo.clone();
         for item in h.eval_items(profile) {
             times_nopolicy.push(no_policy_s);
             times_random
-                .push(random_rollout(&item, &zoo, 1.0, threshold, 11).time_ms as f64 / 1000.0);
+                .push(random_rollout(&item, &h.zoo, 1.0, threshold, 11).time_ms as f64 / 1000.0);
             times_optimal
-                .push(optimal_rollout(&item, &zoo, 1.0, threshold).time_ms as f64 / 1000.0);
+                .push(optimal_rollout(&item, &h.zoo, 1.0, threshold).time_ms as f64 / 1000.0);
         }
     }
 
@@ -51,43 +61,26 @@ pub fn fig02_policy_gap(h: &mut Harness) -> Figure {
         );
     }
     let _ = writeln!(out, "(paper: 5.16 / 4.64 / 1.14 s → 100% / 90% / 22.1%)");
-    h.emit_text("fig2_summary", &out);
+    h.emit_text("fig2_summary", &out)?;
 
-    // CDF curves sampled on a common grid.
-    let cdf_r = Cdf::new(times_random.clone());
-    let cdf_o = Cdf::new(times_optimal.clone());
-    let xs: Vec<f64> = (0..=20).map(|i| i as f64 * no_policy_s / 20.0).collect();
-    let fig = Figure {
-        id: "fig2_cdf".into(),
-        title: "CDF of per-image time cost to full valuable-label recall".into(),
-        x_label: "time s".into(),
-        y_label: "CDF".into(),
-        series: vec![
-            Series::new(
-                "no-policy",
-                xs.clone(),
-                xs.iter()
-                    .map(|&x| f64::from(x >= no_policy_s - 1e-9))
-                    .collect(),
-            ),
-            Series::new(
-                "random",
-                xs.clone(),
-                xs.iter().map(|&x| cdf_r.at(x)).collect(),
-            ),
-            Series::new(
-                "optimal",
-                xs.clone(),
-                xs.iter().map(|&x| cdf_o.at(x)).collect(),
-            ),
-        ],
-    };
-    h.emit(&fig);
-    fig
+    let random = cdf_series("random", no_policy_s, times_random);
+    let step = random.x.iter().map(|&x| f64::from(x >= no_policy_s - 1e-9));
+    let series = vec![
+        Series::new("no-policy", random.x.clone(), step.collect()),
+        random,
+        cdf_series("optimal", no_policy_s, times_optimal),
+    ];
+    h.figure(
+        "fig2_cdf",
+        "CDF of per-image time cost to full valuable-label recall",
+        "time s",
+        "CDF",
+        series,
+    )
 }
 
 /// Table I — the deployed zoo.
-pub fn table1_zoo(h: &mut Harness) -> String {
+pub fn table1_zoo(h: &mut Harness) -> io::Result<String> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -117,89 +110,41 @@ pub fn table1_zoo(h: &mut Harness) -> String {
         "total zoo time: {:.2} s (paper: 5.16 s)",
         h.zoo.total_time_ms() as f64 / 1000.0
     );
-    h.emit_text("table1_zoo", &out);
-    out
+    h.emit_text("table1_zoo", &out)?;
+    Ok(out)
 }
 
 /// Figs. 4 & 5 — avg executed models / execution time vs required recall
 /// rate, for the four DRL schemas plus random and optimal, on the three
 /// prediction datasets. Returns `(fig4 figures, fig5 figures)`.
-pub fn fig04_05_prediction(h: &mut Harness) -> (Vec<Figure>, Vec<Figure>) {
-    let grid = recall_grid();
+pub fn fig04_05_prediction(h: &mut Harness) -> io::Result<(Vec<Figure>, Vec<Figure>)> {
+    let threshold = h.cfg.threshold;
     let mut fig4 = Vec::new();
     let mut fig5 = Vec::new();
-    let threshold = h.cfg.threshold;
-
     for profile in DatasetProfile::PREDICTION_TRIO {
         let items = h.eval_items(profile);
-        let zoo = h.zoo.clone();
-        let mut series_models: Vec<Series> = Vec::new();
-        let mut series_time: Vec<Series> = Vec::new();
-
-        for algo in Algo::ALL {
-            let agent = h.agent(profile, algo);
-            let predictor = AgentPredictor::new(agent);
-            let mut ys_m = Vec::new();
-            let mut ys_t = Vec::new();
-            for &target in &grid {
-                let (m, t) = aggregate_rollouts(items.iter(), |it| {
-                    predictor_greedy_rollout(it, &zoo, &predictor, target, threshold)
-                });
-                ys_m.push(m);
-                ys_t.push(t);
-            }
-            series_models.push(Series::new(algo.name(), grid.clone(), ys_m));
-            series_time.push(Series::new(algo.name(), grid.clone(), ys_t));
-        }
-
-        type Runner<'a> = Box<dyn Fn(&ItemTruth, f64) -> Rollout + 'a>;
-        let baselines: Vec<(&str, Runner<'_>)> = vec![
-            (
-                "Random",
-                Box::new(|it: &ItemTruth, tgt: f64| random_rollout(it, &zoo, tgt, threshold, 5)),
-            ),
-            (
-                "Optimal",
-                Box::new(|it: &ItemTruth, tgt: f64| optimal_rollout(it, &zoo, tgt, threshold)),
-            ),
-        ];
-        for (name, f) in baselines {
-            let mut ys_m = Vec::new();
-            let mut ys_t = Vec::new();
-            for &target in &grid {
-                let (m, t) = aggregate_rollouts(items.iter(), |it| f(it, target));
-                ys_m.push(m);
-                ys_t.push(t);
-            }
-            series_models.push(Series::new(name, grid.clone(), ys_m));
-            series_time.push(Series::new(name, grid.clone(), ys_t));
-        }
+        let agents =
+            Algo::ALL.map(|algo| (algo.name(), AgentPredictor::new(h.agent(profile, algo))));
+        let zoo = &h.zoo;
+        let mut policies: Vec<_> = agents
+            .iter()
+            .map(|(name, p)| greedy(name, zoo, p, threshold))
+            .collect();
+        policies.extend(recall_baselines(zoo, threshold, 5));
+        let (models, time) = recall_curves(&items, &policies);
 
         let tag = profile.name().replace(' ', "_");
-        let f4 = Figure {
-            id: format!("fig4_{tag}"),
-            title: format!("avg executed models vs recall — {}", profile.name()),
-            x_label: "recall".into(),
-            y_label: "models".into(),
-            series: series_models,
-        };
-        let f5 = Figure {
-            id: format!("fig5_{tag}"),
-            title: format!("avg execution time vs recall — {}", profile.name()),
-            x_label: "recall".into(),
-            y_label: "seconds".into(),
-            series: series_time,
-        };
-        h.emit(&f4);
-        h.emit(&f5);
-        fig4.push(f4);
-        fig5.push(f5);
+        let name = profile.name();
+        let title = format!("avg executed models vs recall — {name}");
+        fig4.push(h.figure(format!("fig4_{tag}"), title, "recall", "models", models)?);
+        let title = format!("avg execution time vs recall — {name}");
+        fig5.push(h.figure(format!("fig5_{tag}"), title, "recall", "seconds", time)?);
     }
-    (fig4, fig5)
+    Ok((fig4, fig5))
 }
 
 /// Table II — the handcrafted rules.
-pub fn table2_rules(h: &mut Harness) -> String {
+pub fn table2_rules(h: &mut Harness) -> io::Result<String> {
     let book = RuleBook::table2(&h.catalog);
     let mut out = String::new();
     let _ = writeln!(out, "# table2 — handcrafted model execution rules");
@@ -228,91 +173,48 @@ pub fn table2_rules(h: &mut Harness) -> String {
             r.multiplier
         );
     }
-    h.emit_text("table2_rules", &out);
-    out
+    h.emit_text("table2_rules", &out)?;
+    Ok(out)
 }
 
 /// Fig. 6 — rules vs DuelingDQN vs random vs optimal on MSCOCO.
-pub fn fig06_rules_vs_agent(h: &mut Harness) -> (Figure, Figure) {
+pub fn fig06_rules_vs_agent(h: &mut Harness) -> io::Result<(Figure, Figure)> {
     let profile = DatasetProfile::Coco2017;
-    let grid = recall_grid();
     let items = h.eval_items(profile);
-    let zoo = h.zoo.clone();
-    let catalog = h.catalog.clone();
-    let threshold = h.cfg.threshold;
-    let book = RuleBook::table2(&catalog);
-    let agent = h.agent(profile, Algo::DuelingDqn);
-    let predictor = AgentPredictor::new(agent);
-
-    type TargetRunner<'a> = Box<dyn Fn(&ItemTruth, f64) -> Rollout + 'a>;
-    let mut series_m: Vec<Series> = Vec::new();
-    let mut series_t: Vec<Series> = Vec::new();
-    let runners: Vec<(&str, TargetRunner<'_>)> = vec![
+    let predictor = AgentPredictor::new(h.agent(profile, Algo::DuelingDqn));
+    let (zoo, catalog, threshold) = (&h.zoo, &h.catalog, h.cfg.threshold);
+    let book = RuleBook::table2(catalog);
+    let mut policies: Vec<Policy<'_, f64, Rollout>> = vec![
         (
             "Rule",
-            Box::new(|it, tgt| rule_rollout(it, &zoo, &catalog, &book, tgt, threshold, 13)),
+            Box::new(|it, tgt| rule_rollout(it, zoo, catalog, &book, tgt, threshold, 13)),
         ),
-        (
-            "DuelingDQN",
-            Box::new(|it, tgt| predictor_greedy_rollout(it, &zoo, &predictor, tgt, threshold)),
-        ),
-        (
-            "Random",
-            Box::new(|it, tgt| random_rollout(it, &zoo, tgt, threshold, 13)),
-        ),
-        (
-            "Optimal",
-            Box::new(|it, tgt| optimal_rollout(it, &zoo, tgt, threshold)),
-        ),
+        greedy("DuelingDQN", zoo, &predictor, threshold),
     ];
-    for (name, f) in &runners {
-        let mut ys_m = Vec::new();
-        let mut ys_t = Vec::new();
-        for &target in &grid {
-            let (m, t) = aggregate_rollouts(items.iter(), |it| f(it, target));
-            ys_m.push(m);
-            ys_t.push(t);
-        }
-        series_m.push(Series::new(*name, grid.clone(), ys_m));
-        series_t.push(Series::new(*name, grid.clone(), ys_t));
-    }
+    policies.extend(recall_baselines(zoo, threshold, 13));
+    let (models, time) = recall_curves(&items, &policies);
 
-    let f_m = Figure {
-        id: "fig6_models".into(),
-        title: "rules vs agent: avg executed models vs recall (MSCOCO)".into(),
-        x_label: "recall".into(),
-        y_label: "models".into(),
-        series: series_m,
-    };
-    let f_t = Figure {
-        id: "fig6_time".into(),
-        title: "rules vs agent: avg execution time vs recall (MSCOCO)".into(),
-        x_label: "recall".into(),
-        y_label: "seconds".into(),
-        series: series_t,
-    };
-    h.emit(&f_m);
-    h.emit(&f_t);
-    (f_m, f_t)
+    let title = "rules vs agent: avg executed models vs recall (MSCOCO)";
+    let f_m = h.figure("fig6_models", title, "recall", "models", models)?;
+    let title = "rules vs agent: avg execution time vs recall (MSCOCO)";
+    let f_t = h.figure("fig6_time", title, "recall", "seconds", time)?;
+    Ok((f_m, f_t))
 }
 
 /// Fig. 7 — a qualitative model-execution sequence for one item, scheduled
 /// by the DuelingDQN agent's Q-greedy policy.
-pub fn fig07_sequence(h: &mut Harness) -> String {
+pub fn fig07_sequence(h: &mut Harness) -> io::Result<String> {
     let profile = DatasetProfile::MirFlickr25;
-    let agent = h.agent(profile, Algo::DuelingDqn);
+    let predictor = AgentPredictor::new(h.agent(profile, Algo::DuelingDqn));
     let items = h.eval_items(profile);
-    let zoo = h.zoo.clone();
-    let catalog = h.catalog.clone();
-    let threshold = h.cfg.threshold;
+    let (zoo, catalog, threshold) = (&h.zoo, &h.catalog, h.cfg.threshold);
 
     // pick an item with a rich execution sequence (several valuable models)
     let item = items
         .iter()
         .max_by_key(|it| it.valuable_models(threshold).len())
         .expect("non-empty eval set");
-    let predictor = AgentPredictor::new(agent);
-    let rollout = predictor_greedy_rollout(item, &zoo, &predictor, 1.0, threshold);
+    let rollout = predictor_greedy_rollout(item, zoo, &predictor, 1.0, threshold);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -346,18 +248,17 @@ pub fn fig07_sequence(h: &mut Harness) -> String {
             break;
         }
     }
-    h.emit_text("fig7_sequence", &out);
-    out
+    h.emit_text("fig7_sequence", &out)?;
+    Ok(out)
 }
 
 /// Fig. 8 — transferability: agents trained on Stanford40 / VOC, tested on
 /// both, Q-greedy to full recall; average time + CDFs.
-pub fn fig08_transfer(h: &mut Harness) -> Figure {
+pub fn fig08_transfer(h: &mut Harness) -> io::Result<Figure> {
     let d1 = DatasetProfile::Stanford40;
     let d2 = DatasetProfile::PascalVoc2012;
     let agent1 = AgentPredictor::new(h.agent(d1, Algo::DuelingDqn));
     let agent2 = AgentPredictor::new(h.agent(d2, Algo::DuelingDqn));
-    let zoo = h.zoo.clone();
     let threshold = h.cfg.threshold;
 
     let mut out = String::new();
@@ -367,52 +268,38 @@ pub fn fig08_transfer(h: &mut Harness) -> Figure {
         "{:<10} {:>8} {:>8} {:>8} {:>8}",
         "test set", "Agent1", "Agent2", "Random", "Optimal"
     );
-    let mut cdf_series = Vec::new();
-    for (name, profile) in [("Dataset1", d1), ("Dataset2", d2)] {
+    let mut cdf_curves = Vec::new();
+    for (native, (name, profile)) in [("Dataset1", d1), ("Dataset2", d2)].into_iter().enumerate() {
         let items = h.eval_items(profile);
-        let (_, t1) = aggregate_rollouts(items.iter(), |it| {
-            predictor_greedy_rollout(it, &zoo, &agent1, 1.0, threshold)
-        });
-        let (_, t2) = aggregate_rollouts(items.iter(), |it| {
-            predictor_greedy_rollout(it, &zoo, &agent2, 1.0, threshold)
-        });
-        let (_, tr) = aggregate_rollouts(items.iter(), |it| {
-            random_rollout(it, &zoo, 1.0, threshold, 21)
-        });
-        let (_, to) =
-            aggregate_rollouts(items.iter(), |it| optimal_rollout(it, &zoo, 1.0, threshold));
-        let _ = writeln!(out, "{name:<10} {t1:>8.2} {t2:>8.2} {tr:>8.2} {to:>8.2}");
+        let zoo = &h.zoo;
+        let mut policies = vec![
+            greedy("Agent1", zoo, &agent1, threshold),
+            greedy("Agent2", zoo, &agent2, threshold),
+        ];
+        policies.extend(recall_baselines(zoo, threshold, 21));
+        let t: Vec<f64> = policies
+            .iter()
+            .map(|(_, run)| aggregate_rollouts(items.iter(), |it| run(it, 1.0)).1)
+            .collect();
+        let _ = writeln!(
+            out,
+            "{name:<10} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
+            t[0], t[1], t[2], t[3]
+        );
 
         // CDF of per-item times for the native agent on this set
-        let times: Vec<f64> = items
-            .iter()
-            .map(|it| {
-                let a: &AgentPredictor = if profile == d1 { &agent1 } else { &agent2 };
-                predictor_greedy_rollout(it, &zoo, a, 1.0, threshold).time_ms as f64 / 1000.0
-            })
-            .collect();
-        let cdf = Cdf::new(times);
-        let xs: Vec<f64> = (0..=20).map(|i| i as f64 * 5.2 / 20.0).collect();
-        cdf_series.push(Series::new(
-            format!("native-agent-on-{name}"),
-            xs.clone(),
-            xs.iter().map(|&x| cdf.at(x)).collect(),
-        ));
+        let run = &policies[native].1;
+        let times = items.iter().map(|it| run(it, 1.0).time_ms as f64 / 1000.0);
+        let label = format!("native-agent-on-{name}");
+        cdf_curves.push(cdf_series(label, 5.2, times.collect()));
     }
     let _ = writeln!(
         out,
         "(paper: Agent1 1.94/2.63, Agent2 2.09/2.47, Random 4.12/4.04, Optimal 0.79/0.68)"
     );
-    h.emit_text("fig8_transfer", &out);
-    let fig = Figure {
-        id: "fig8_cdf".into(),
-        title: "CDF of per-image time, native agents".into(),
-        x_label: "time s".into(),
-        y_label: "CDF".into(),
-        series: cdf_series,
-    };
-    h.emit(&fig);
-    fig
+    h.emit_text("fig8_transfer", &out)?;
+    let title = "CDF of per-image time, native agents";
+    h.figure("fig8_cdf", title, "time s", "CDF", cdf_curves)
 }
 
 /// Fig. 9 — the θ priority experiment on the face-detection flagship:
@@ -420,7 +307,7 @@ pub fn fig08_transfer(h: &mut Harness) -> Figure {
 ///
 /// The agents across θ values share one training seed so that the only
 /// varying factor is θ itself.
-pub fn fig09_theta(h: &mut Harness) -> (Figure, Figure) {
+pub fn fig09_theta(h: &mut Harness) -> io::Result<(Figure, Figure)> {
     let profile = DatasetProfile::Coco2017;
     let face_model = h
         .zoo
@@ -429,11 +316,10 @@ pub fn fig09_theta(h: &mut Harness) -> (Figure, Figure) {
         .expect("face detector")
         .id;
     let thetas = [1.0f32, 2.0, 5.0, 10.0];
-    let zoo = h.zoo.clone();
-    let threshold = h.cfg.threshold;
+    let xs: Vec<f64> = thetas.iter().map(|&t| f64::from(t)).collect();
     let items = h.eval_items(profile);
-    let episodes = h.cfg.episodes;
     let train_items = h.train_items(profile);
+    let (zoo, threshold) = (&h.zoo, h.cfg.threshold);
 
     let mut series_pos: Vec<Series> = Vec::new();
     let mut series_time: Vec<Series> = Vec::new();
@@ -447,7 +333,7 @@ pub fn fig09_theta(h: &mut Harness) -> (Figure, Figure) {
             }
             .with_theta(face_model, theta, zoo.len());
             let cfg = TrainConfig {
-                episodes,
+                episodes: h.cfg.episodes,
                 seed: h.cfg.seed ^ 0xF19, // identical across θ: only θ varies
                 reward,
                 ..TrainConfig::new(algo)
@@ -464,7 +350,7 @@ pub fn fig09_theta(h: &mut Harness) -> (Figure, Figure) {
                 .iter()
                 .filter(|it| it.model_value[face_model.index()] > 0.0)
                 .map(|it| {
-                    let r = predictor_greedy_rollout(it, &zoo, &predictor, 1.0, threshold);
+                    let r = predictor_greedy_rollout(it, zoo, &predictor, 1.0, threshold);
                     r.executed
                         .iter()
                         .position(|&m| m == face_model)
@@ -473,267 +359,138 @@ pub fn fig09_theta(h: &mut Harness) -> (Figure, Figure) {
                 })
                 .collect();
             let (_, t) = aggregate_rollouts(items.iter(), |it| {
-                predictor_greedy_rollout(it, &zoo, &predictor, 1.0, threshold)
+                predictor_greedy_rollout(it, zoo, &predictor, 1.0, threshold)
             });
             pos.push(mean(&positions));
             time.push(t);
         }
-        series_pos.push(Series::new(
-            algo.name(),
-            thetas.iter().map(|&t| f64::from(t)).collect(),
-            pos,
-        ));
-        series_time.push(Series::new(
-            algo.name(),
-            thetas.iter().map(|&t| f64::from(t)).collect(),
-            time,
-        ));
+        series_pos.push(Series::new(algo.name(), xs.clone(), pos));
+        series_time.push(Series::new(algo.name(), xs.clone(), time));
     }
     // random baseline: expected position of a fixed model = (n+1)/2
     let n = zoo.len() as f64;
     series_pos.push(Series::new(
         "Random",
-        thetas.iter().map(|&t| f64::from(t)).collect(),
-        vec![(n + 1.0) / 2.0; thetas.len()],
+        xs.clone(),
+        vec![(n + 1.0) / 2.0; xs.len()],
     ));
     let (_, rt) = aggregate_rollouts(items.iter(), |it| {
-        random_rollout(it, &zoo, 1.0, threshold, 31)
+        random_rollout(it, zoo, 1.0, threshold, 31)
     });
-    series_time.push(Series::new(
-        "Random",
-        thetas.iter().map(|&t| f64::from(t)).collect(),
-        vec![rt; thetas.len()],
-    ));
+    series_time.push(Series::new("Random", xs.clone(), vec![rt; xs.len()]));
 
-    let f_pos = Figure {
-        id: "fig9_order".into(),
-        title: "avg execution order of the face-detection model vs θ".into(),
-        x_label: "theta".into(),
-        y_label: "position".into(),
-        series: series_pos,
-    };
-    let f_time = Figure {
-        id: "fig9_time".into(),
-        title: "avg full-recall execution time vs θ".into(),
-        x_label: "theta".into(),
-        y_label: "seconds".into(),
-        series: series_time,
-    };
-    h.emit(&f_pos);
-    h.emit(&f_time);
-    (f_pos, f_time)
+    let title = "avg execution order of the face-detection model vs θ";
+    let f_pos = h.figure("fig9_order", title, "theta", "position", series_pos)?;
+    let title = "avg full-recall execution time vs θ";
+    let f_time = h.figure("fig9_time", title, "theta", "seconds", series_time)?;
+    Ok((f_pos, f_time))
 }
 
 /// Fig. 10 — value recall under deadline constraints: Algorithm 1 (cost-Q
 /// greedy) vs Q-greedy vs random vs optimal*, plus the performance-ratio
 /// panel.
-pub fn fig10_deadline(h: &mut Harness) -> Vec<Figure> {
+pub fn fig10_deadline(h: &mut Harness) -> io::Result<Vec<Figure>> {
     let grid = deadline_grid_s();
-    let zoo = h.zoo.clone();
     let threshold = h.cfg.threshold;
     let mut figures = Vec::new();
-    let mut ratio_series: Vec<Series> = Vec::new();
-
+    let mut ratios = Vec::new();
     for profile in DatasetProfile::PREDICTION_TRIO {
-        let agent = h.agent(profile, Algo::DuelingDqn);
-        let predictor = AgentPredictor::new(agent);
+        let predictor = AgentPredictor::new(h.agent(profile, Algo::DuelingDqn));
         let items = h.eval_items(profile);
+        let zoo = &h.zoo;
+        let q_greedy =
+            |it: &ItemTruth, b| q_greedy_deadline_recall(&predictor, zoo, it, b, threshold);
+        let mut policies: Vec<Policy<'_, u64, f64>> = vec![
+            ("Q Greedy", Box::new(q_greedy)),
+            algorithm1("Cost-Q Greedy", zoo, &predictor, threshold),
+        ];
+        policies.extend(deadline_baselines(zoo, threshold, 17));
+        let curves = deadline_curves(&items, &grid, &policies);
+        ratios.push(ratio_to_star(profile.name(), &curves[1], &curves[3]));
 
-        let mut y_alg1 = Vec::new();
-        let mut y_qg = Vec::new();
-        let mut y_rand = Vec::new();
-        let mut y_star = Vec::new();
-        for &dl in &grid {
-            let budget_ms = (dl * 1000.0) as u64;
-            let mut r_alg1 = 0.0;
-            let mut r_qg = 0.0;
-            let mut r_rand = 0.0;
-            let mut r_star = 0.0;
-            for item in &items {
-                r_alg1 += schedule_deadline(&predictor, &zoo, item, budget_ms, threshold).recall;
-                r_qg += q_greedy_deadline_recall(&predictor, &zoo, item, budget_ms, threshold);
-                r_rand += random_deadline_recall(&zoo, item, budget_ms, threshold, 17);
-                r_star += optimal_star::recall::deadline(&zoo, item, budget_ms, threshold);
-            }
-            let n = items.len() as f64;
-            y_alg1.push(r_alg1 / n);
-            y_qg.push(r_qg / n);
-            y_rand.push(r_rand / n);
-            y_star.push(r_star / n);
-        }
-        let ratio: Vec<f64> = y_alg1
-            .iter()
-            .zip(&y_star)
-            .map(|(a, s)| if *s > 0.0 { a / s } else { 1.0 })
-            .collect();
-        ratio_series.push(Series::new(profile.name(), grid.clone(), ratio));
-
-        let tag = profile.name().replace(' ', "_");
-        let fig = Figure {
-            id: format!("fig10_{tag}"),
-            title: format!("value recall vs deadline — {}", profile.name()),
-            x_label: "deadline s".into(),
-            y_label: "recall".into(),
-            series: vec![
-                Series::new("Q Greedy", grid.clone(), y_qg),
-                Series::new("Cost-Q Greedy", grid.clone(), y_alg1),
-                Series::new("Random", grid.clone(), y_rand),
-                Series::new("Optimal*", grid.clone(), y_star),
-            ],
-        };
-        h.emit(&fig);
-        figures.push(fig);
+        let id = format!("fig10_{}", profile.name().replace(' ', "_"));
+        let title = format!("value recall vs deadline — {}", profile.name());
+        figures.push(h.figure(id, title, "deadline s", "recall", curves)?);
     }
-
-    let one_minus_inv_e = 1.0 - 1.0 / std::f64::consts::E;
-    ratio_series.push(Series::new(
-        "1-1/e",
-        grid.clone(),
-        vec![one_minus_inv_e; grid.len()],
-    ));
-    let ratio_fig = Figure {
-        id: "fig10_ratio".into(),
-        title: "Algorithm 1 / optimal* performance ratio".into(),
-        x_label: "deadline s".into(),
-        y_label: "ratio".into(),
-        series: ratio_series,
-    };
-    h.emit(&ratio_fig);
-    figures.push(ratio_fig);
-    figures
+    let title = "Algorithm 1 / optimal* performance ratio";
+    figures.push(ratio_figure(h, "fig10_ratio", title, &grid, ratios)?);
+    Ok(figures)
 }
 
 /// Fig. 11 — recall under deadline + memory constraints (Algorithm 2 vs
 /// random packing vs optimal*), and the ratio panel.
-pub fn fig11_memory(h: &mut Harness) -> Vec<Figure> {
+pub fn fig11_memory(h: &mut Harness) -> io::Result<Vec<Figure>> {
     // The paper's worst case: Agent1 (Stanford40) evaluated on Dataset2.
-    let agent = h.agent(DatasetProfile::Stanford40, Algo::DuelingDqn);
-    let predictor = AgentPredictor::new(agent);
+    let predictor = AgentPredictor::new(h.agent(DatasetProfile::Stanford40, Algo::DuelingDqn));
     let items = h.eval_items(DatasetProfile::PascalVoc2012);
-    let zoo = h.zoo.clone();
-    let threshold = h.cfg.threshold;
+    let (zoo, threshold) = (&h.zoo, h.cfg.threshold);
     let grid = memory_deadline_grid_s();
-    let mems = [(8192u32, "8GB"), (12288, "12GB"), (16384, "16GB")];
-
     let mut figures = Vec::new();
-    let mut ratio_series: Vec<Series> = Vec::new();
-    for (mem_mb, mem_name) in mems {
-        let mut y_agent = Vec::new();
-        let mut y_rand = Vec::new();
-        let mut y_star = Vec::new();
-        for &dl in &grid {
-            let budget_ms = (dl * 1000.0) as u64;
-            let mut ra = 0.0;
-            let mut rr = 0.0;
-            let mut rs = 0.0;
-            for item in &items {
-                ra +=
-                    schedule_deadline_memory(&predictor, &zoo, item, budget_ms, mem_mb, threshold)
-                        .recall;
-                let seed = 23 ^ item.scene_id.wrapping_mul(0x9E37_79B9);
-                rr += random_packing_recall(item, &zoo, budget_ms, mem_mb, threshold, seed);
-                rs +=
-                    optimal_star::recall::deadline_memory(&zoo, item, budget_ms, mem_mb, threshold);
-            }
-            let n = items.len() as f64;
-            y_agent.push(ra / n);
-            y_rand.push(rr / n);
-            y_star.push(rs / n);
-        }
-        let ratio: Vec<f64> = y_agent
-            .iter()
-            .zip(&y_star)
-            .map(|(a, s)| if *s > 0.0 { a / s } else { 1.0 })
-            .collect();
-        ratio_series.push(Series::new(format!("{mem_name} Mem"), grid.clone(), ratio));
-        let fig = Figure {
-            id: format!("fig11_{mem_name}"),
-            title: format!("recall vs deadline under {mem_name} memory"),
-            x_label: "deadline s".into(),
-            y_label: "recall".into(),
-            series: vec![
-                Series::new("Agent", grid.clone(), y_agent),
-                Series::new("Random", grid.clone(), y_rand),
-                Series::new("Optimal*", grid.clone(), y_star),
-            ],
-        };
-        h.emit(&fig);
-        figures.push(fig);
+    let mut ratios = Vec::new();
+    for (mem_mb, mem_name) in [(8192u32, "8GB"), (12288, "12GB"), (16384, "16GB")] {
+        let policies: [Policy<'_, u64, f64>; 3] = [
+            (
+                "Agent",
+                Box::new(|it, b| {
+                    schedule_deadline_memory(&predictor, zoo, it, b, mem_mb, threshold).recall
+                }),
+            ),
+            (
+                "Random",
+                Box::new(|it, b| {
+                    let seed = 23 ^ it.scene_id.wrapping_mul(0x9E37_79B9);
+                    random_packing_recall(it, zoo, b, mem_mb, threshold, seed)
+                }),
+            ),
+            (
+                "Optimal*",
+                Box::new(|it, b| {
+                    optimal_star::recall::deadline_memory(zoo, it, b, mem_mb, threshold)
+                }),
+            ),
+        ];
+        let curves = deadline_curves(&items, &grid, &policies);
+        let label = format!("{mem_name} Mem");
+        ratios.push(ratio_to_star(label, &curves[0], &curves[2]));
+        let id = format!("fig11_{mem_name}");
+        let title = format!("recall vs deadline under {mem_name} memory");
+        figures.push(h.figure(id, title, "deadline s", "recall", curves)?);
     }
-    let one_minus_inv_e = 1.0 - 1.0 / std::f64::consts::E;
-    ratio_series.push(Series::new(
-        "1-1/e",
-        grid.clone(),
-        vec![one_minus_inv_e; grid.len()],
-    ));
-    let ratio_fig = Figure {
-        id: "fig11_ratio".into(),
-        title: "Algorithm 2 / optimal* performance ratio".into(),
-        x_label: "deadline s".into(),
-        y_label: "ratio".into(),
-        series: ratio_series,
-    };
-    h.emit(&ratio_fig);
-    figures.push(ratio_fig);
-    figures
+    let title = "Algorithm 2 / optimal* performance ratio";
+    figures.push(ratio_figure(h, "fig11_ratio", title, &grid, ratios)?);
+    Ok(figures)
 }
 
 /// Fig. 12 — transfer agents under deadline constraints (Algorithm 1).
-pub fn fig12_transfer_deadline(h: &mut Harness) -> Vec<Figure> {
+pub fn fig12_transfer_deadline(h: &mut Harness) -> io::Result<Vec<Figure>> {
     let d1 = DatasetProfile::Stanford40;
     let d2 = DatasetProfile::PascalVoc2012;
     let agent1 = AgentPredictor::new(h.agent(d1, Algo::DuelingDqn));
     let agent2 = AgentPredictor::new(h.agent(d2, Algo::DuelingDqn));
-    let zoo = h.zoo.clone();
     let threshold = h.cfg.threshold;
     let grid = deadline_grid_s();
-
     let mut figures = Vec::new();
     for (name, profile) in [("Dataset1", d1), ("Dataset2", d2)] {
         let items = h.eval_items(profile);
-        let mut y1 = Vec::new();
-        let mut y2 = Vec::new();
-        let mut yr = Vec::new();
-        let mut ys = Vec::new();
-        for &dl in &grid {
-            let budget_ms = (dl * 1000.0) as u64;
-            let mut a1 = 0.0;
-            let mut a2 = 0.0;
-            let mut rr = 0.0;
-            let mut ss = 0.0;
-            for item in &items {
-                a1 += schedule_deadline(&agent1, &zoo, item, budget_ms, threshold).recall;
-                a2 += schedule_deadline(&agent2, &zoo, item, budget_ms, threshold).recall;
-                rr += random_deadline_recall(&zoo, item, budget_ms, threshold, 29);
-                ss += optimal_star::recall::deadline(&zoo, item, budget_ms, threshold);
-            }
-            let n = items.len() as f64;
-            y1.push(a1 / n);
-            y2.push(a2 / n);
-            yr.push(rr / n);
-            ys.push(ss / n);
-        }
-        let fig = Figure {
-            id: format!("fig12_{name}"),
-            title: format!("transfer agents under deadline — {name}"),
-            x_label: "deadline s".into(),
-            y_label: "recall".into(),
-            series: vec![
-                Series::new("Agent1", grid.clone(), y1),
-                Series::new("Agent2", grid.clone(), y2),
-                Series::new("Random", grid.clone(), yr),
-                Series::new("Optimal*", grid.clone(), ys),
-            ],
-        };
-        h.emit(&fig);
-        figures.push(fig);
+        let zoo = &h.zoo;
+        let mut policies = vec![
+            algorithm1("Agent1", zoo, &agent1, threshold),
+            algorithm1("Agent2", zoo, &agent2, threshold),
+        ];
+        policies.extend(deadline_baselines(zoo, threshold, 29));
+        let curves = deadline_curves(&items, &grid, &policies);
+        let (id, title) = (
+            format!("fig12_{name}"),
+            format!("transfer agents under deadline — {name}"),
+        );
+        figures.push(h.figure(id, title, "deadline s", "recall", curves)?);
     }
-    figures
+    Ok(figures)
 }
 
 /// Table III — scheduling overhead: per-decision agent time and memory vs
 /// the simulated model costs.
-pub fn table3_overhead(h: &mut Harness) -> String {
+pub fn table3_overhead(h: &mut Harness) -> io::Result<String> {
     let agent = h.agent(DatasetProfile::Coco2017, Algo::DuelingDqn);
     let items = h.eval_items(DatasetProfile::Coco2017);
     // time per decision: full Q evaluation on a populated state
@@ -786,16 +543,16 @@ pub fn table3_overhead(h: &mut Harness) -> String {
         out,
         "({params} parameters; paper: 3-6 ms per decision, ~100 MB agent)"
     );
-    h.emit_text("table3_overhead", &out);
-    out
+    h.emit_text("table3_overhead", &out)?;
+    Ok(out)
 }
 
 /// §I ablation — explore–exploit on correlated chunked streams.
-pub fn ablation_chunked(h: &mut Harness) -> String {
-    let zoo = h.zoo.clone();
-    let chunks = chunked::chunked_stream(&zoo, 40, 7, h.cfg.seed, h.cfg.threshold);
+pub fn ablation_chunked(h: &mut Harness) -> io::Result<String> {
+    let zoo = &h.zoo;
+    let chunks = chunked::chunked_stream(zoo, 40, 7, h.cfg.seed, h.cfg.threshold);
     let cfg = ChunkedConfig::default();
-    let (time, recall, no_policy) = chunked::run_stream(&chunks, &zoo, &cfg);
+    let (time, recall, no_policy) = chunked::run_stream(&chunks, zoo, &cfg);
     let mut out = String::new();
     let _ = writeln!(out, "# ablation — explore-exploit on chunked streams");
     let _ = writeln!(
@@ -812,18 +569,17 @@ pub fn ablation_chunked(h: &mut Harness) -> String {
         (1.0 - time as f64 / no_policy as f64) * 100.0
     );
     let _ = writeln!(out, "mean recall     : {:.3}", recall);
-    h.emit_text("ablation_chunked", &out);
-    out
+    h.emit_text("ablation_chunked", &out)?;
+    Ok(out)
 }
 
 /// Reward-design ablation: END action on/off and the three smoothings
 /// (§IV-A/§IV-B design choices).
-pub fn ablation_reward(h: &mut Harness) -> String {
+pub fn ablation_reward(h: &mut Harness) -> io::Result<String> {
     let profile = DatasetProfile::Coco2017;
     let train_items = h.train_items(profile);
     let items = h.eval_items(profile);
-    let zoo = h.zoo.clone();
-    let threshold = h.cfg.threshold;
+    let (zoo, threshold) = (&h.zoo, h.cfg.threshold);
     let episodes = h.cfg.episodes_small;
 
     let mut out = String::new();
@@ -838,54 +594,31 @@ pub fn ablation_reward(h: &mut Harness) -> String {
         "variant", "models@0.8", "time@0.8 s", "trail reward", "late ep len"
     );
 
-    let variants: Vec<(&str, TrainConfig)> = vec![
-        (
-            "log smoothing + END",
-            TrainConfig {
-                episodes,
-                ..TrainConfig::new(Algo::Dqn)
-            },
-        ),
-        (
-            "no END action",
-            TrainConfig {
-                episodes,
-                use_end_action: false,
-                ..TrainConfig::new(Algo::Dqn)
-            },
-        ),
-        (
-            "mean smoothing",
-            TrainConfig {
-                episodes,
-                reward: RewardConfig {
-                    smoothing: Smoothing::Mean,
-                    ..Default::default()
-                },
-                ..TrainConfig::new(Algo::Dqn)
-            },
-        ),
-        (
-            "raw sum (biased)",
-            TrainConfig {
-                episodes,
-                reward: RewardConfig {
-                    smoothing: Smoothing::Sum,
-                    ..Default::default()
-                },
-                ..TrainConfig::new(Algo::Dqn)
-            },
-        ),
+    let variants = [
+        ("log smoothing + END", true, Smoothing::Log),
+        ("no END action", false, Smoothing::Log),
+        ("mean smoothing", true, Smoothing::Mean),
+        ("raw sum (biased)", true, Smoothing::Sum),
     ];
-    for (name, cfg) in variants {
+    for (name, use_end_action, smoothing) in variants {
+        let cfg = TrainConfig {
+            episodes,
+            use_end_action,
+            reward: RewardConfig {
+                smoothing,
+                ..Default::default()
+            },
+            ..TrainConfig::new(Algo::Dqn)
+        };
         let (agent, stats) = train(&train_items, zoo.len(), &cfg);
         let predictor = AgentPredictor::new(agent);
         let (m, t) = aggregate_rollouts(items.iter(), |it| {
-            predictor_greedy_rollout(it, &zoo, &predictor, 0.8, threshold)
+            predictor_greedy_rollout(it, zoo, &predictor, 0.8, threshold)
         });
         // convergence evidence: late-training reward and episode length
-        // (the END action exists to let episodes stop instead of farming -1s)
-        let tail = stats.episode_lengths.len() / 4;
+        // (the END action exists to let episodes stop instead of farming -1s);
+        // at least one episode, so fewer than four do not divide by zero
+        let tail = (stats.episode_lengths.len() / 4).max(1);
         let late_len: f64 = stats.episode_lengths[stats.episode_lengths.len() - tail..]
             .iter()
             .map(|&l| l as f64)
@@ -898,31 +631,28 @@ pub fn ablation_reward(h: &mut Harness) -> String {
         );
     }
     let (rm, rt) = aggregate_rollouts(items.iter(), |it| {
-        random_rollout(it, &zoo, 0.8, threshold, 5)
+        random_rollout(it, zoo, 0.8, threshold, 5)
     });
     let _ = writeln!(
         out,
         "{:<26} {rm:>12.2} {rt:>12.2} {:>14} {:>14}",
         "random baseline", "-", "-"
     );
-    h.emit_text("ablation_reward", &out);
-    out
+    h.emit_text("ablation_reward", &out)?;
+    Ok(out)
 }
 
 /// Relation-graph comparator (§VIII future work): graph predictor vs rules
 /// vs agent at 0.8 recall.
-pub fn ablation_graph(h: &mut Harness) -> String {
+pub fn ablation_graph(h: &mut Harness) -> io::Result<String> {
     let profile = DatasetProfile::Coco2017;
     let train_items = h.train_items(profile);
     let items = h.eval_items(profile);
-    let zoo = h.zoo.clone();
-    let catalog = h.catalog.clone();
-    let threshold = h.cfg.threshold;
-
+    let agent = AgentPredictor::new(h.agent(profile, Algo::DuelingDqn));
+    let (zoo, catalog, threshold) = (&h.zoo, &h.catalog, h.cfg.threshold);
     let graph = ModelRelationGraph::build(&train_items, zoo.len(), catalog.len(), threshold);
     let gp = GraphPredictor::new(graph);
-    let agent = AgentPredictor::new(h.agent(profile, Algo::DuelingDqn));
-    let book = RuleBook::table2(&catalog);
+    let book = RuleBook::table2(catalog);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -930,45 +660,151 @@ pub fn ablation_graph(h: &mut Harness) -> String {
         "# ablation — relation-graph predictor vs baselines (recall 0.8)"
     );
     let _ = writeln!(out, "{:<18} {:>12} {:>12}", "policy", "models", "time s");
-    type ItemRunner<'a> = Box<dyn Fn(&ItemTruth) -> Rollout + 'a>;
-    let rows: Vec<(&str, ItemRunner<'_>)> = vec![
-        (
-            "relation-graph",
-            Box::new(|it| predictor_greedy_rollout(it, &zoo, &gp, 0.8, threshold)),
-        ),
-        (
-            "dueling-dqn",
-            Box::new(|it| predictor_greedy_rollout(it, &zoo, &agent, 0.8, threshold)),
-        ),
+    let mut rows = vec![
+        greedy("relation-graph", zoo, &gp, threshold),
+        greedy("dueling-dqn", zoo, &agent, threshold),
         (
             "rules",
-            Box::new(|it| rule_rollout(it, &zoo, &catalog, &book, 0.8, threshold, 13)),
-        ),
-        (
-            "random",
-            Box::new(|it| random_rollout(it, &zoo, 0.8, threshold, 13)),
-        ),
-        (
-            "optimal",
-            Box::new(|it| optimal_rollout(it, &zoo, 0.8, threshold)),
+            Box::new(|it, tgt| rule_rollout(it, zoo, catalog, &book, tgt, threshold, 13)),
         ),
     ];
-    for (name, f) in &rows {
-        let (m, t) = aggregate_rollouts(items.iter(), |it| f(it));
+    let [random, optimal] = recall_baselines(zoo, threshold, 13);
+    rows.extend([("random", random.1), ("optimal", optimal.1)]);
+    for (name, run) in &rows {
+        let (m, t) = aggregate_rollouts(items.iter(), |it| run(it, 0.8));
         let _ = writeln!(out, "{name:<18} {m:>12.2} {t:>12.2}");
     }
-    h.emit_text("ablation_graph", &out);
-    out
+    h.emit_text("ablation_graph", &out)?;
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
 // helpers
 // ---------------------------------------------------------------------------
 
+/// Figs. 4–6's sweep: every policy's mean executed models and mean seconds
+/// over `items` at each `recall_grid()` target, as `(models, time)` series
+/// in policy order.
+fn recall_curves(
+    items: &[ItemTruth],
+    policies: &[Policy<'_, f64, Rollout>],
+) -> (Vec<Series>, Vec<Series>) {
+    let grid = recall_grid();
+    policies
+        .iter()
+        .map(|(name, run)| {
+            let (models, time): (Vec<f64>, Vec<f64>) = grid
+                .iter()
+                .map(|&target| aggregate_rollouts(items.iter(), |it| run(it, target)))
+                .unzip();
+            (
+                Series::new(*name, grid.clone(), models),
+                Series::new(*name, grid.clone(), time),
+            )
+        })
+        .unzip()
+}
+
+/// Q-greedy to a recall target under `predictor` (the agents of Figs. 4–6).
+fn greedy<'a>(
+    name: &'a str,
+    zoo: &'a ModelZoo,
+    predictor: &'a dyn ValuePredictor,
+    threshold: f32,
+) -> Policy<'a, f64, Rollout> {
+    let run =
+        move |it: &ItemTruth, tgt| predictor_greedy_rollout(it, zoo, predictor, tgt, threshold);
+    (name, Box::new(run))
+}
+
+/// The random and optimal rollouts every recall figure ends with.
+fn recall_baselines(zoo: &ModelZoo, threshold: f32, seed: u64) -> [Policy<'_, f64, Rollout>; 2] {
+    let random = move |it: &ItemTruth, tgt| random_rollout(it, zoo, tgt, threshold, seed);
+    let optimal = move |it: &ItemTruth, tgt| optimal_rollout(it, zoo, tgt, threshold);
+    [("Random", Box::new(random)), ("Optimal", Box::new(optimal))]
+}
+
+/// Figs. 10–12's sweep: every policy's mean recall over `items` at each
+/// deadline of `grid_s` (seconds, truncated to whole ms), one series per
+/// policy. Each mean sums the items in order.
+fn deadline_curves(
+    items: &[ItemTruth],
+    grid_s: &[f64],
+    policies: &[Policy<'_, u64, f64>],
+) -> Vec<Series> {
+    let n = items.len() as f64;
+    policies
+        .iter()
+        .map(|(name, recall)| {
+            let ys = grid_s.iter().map(|&dl| {
+                let budget_ms = (dl * 1000.0) as u64;
+                items
+                    .iter()
+                    .fold(0.0, |sum, it| sum + recall(it, budget_ms))
+                    / n
+            });
+            Series::new(*name, grid_s.to_vec(), ys.collect())
+        })
+        .collect()
+}
+
+/// Algorithm 1 (cost-Q greedy) under `predictor` (Figs. 10 and 12).
+fn algorithm1<'a>(
+    name: &'a str,
+    zoo: &'a ModelZoo,
+    predictor: &'a dyn ValuePredictor,
+    threshold: f32,
+) -> Policy<'a, u64, f64> {
+    let run = move |it: &ItemTruth, b| schedule_deadline(predictor, zoo, it, b, threshold).recall;
+    (name, Box::new(run))
+}
+
+/// The random and optimal* recalls Figs. 10 and 12 end with.
+fn deadline_baselines(zoo: &ModelZoo, threshold: f32, seed: u64) -> [Policy<'_, u64, f64>; 2] {
+    let random = move |it: &ItemTruth, b| random_deadline_recall(zoo, it, b, threshold, seed);
+    let star = move |it: &ItemTruth, b| optimal_star::recall::deadline(zoo, it, b, threshold);
+    [("Random", Box::new(random)), ("Optimal*", Box::new(star))]
+}
+
+/// One curve of a ratio panel: `a / optimal*` per deadline, 1 where
+/// optimal* recalls nothing.
+fn ratio_to_star(label: impl Into<String>, a: &Series, star: &Series) -> Series {
+    let ys = a.y.iter().zip(&star.y);
+    let ratio = ys.map(|(a, s)| if *s > 0.0 { a / s } else { 1.0 });
+    Series::new(label, a.x.clone(), ratio.collect())
+}
+
+/// Figs. 10–11's ratio panel: the `a / optimal*` curves plus the 1 − 1/e
+/// line the greedy guarantee promises.
+fn ratio_figure(
+    h: &Harness,
+    id: &str,
+    title: &str,
+    grid: &[f64],
+    mut ratios: Vec<Series>,
+) -> io::Result<Figure> {
+    let one_minus_inv_e = 1.0 - 1.0 / std::f64::consts::E;
+    ratios.push(Series::new(
+        "1-1/e",
+        grid.to_vec(),
+        vec![one_minus_inv_e; grid.len()],
+    ));
+    h.figure(id, title, "deadline s", "ratio", ratios)
+}
+
+/// Figs. 2 and 8's CDF curves: the CDF of `times` sampled at 21 even steps
+/// over `[0, max_s]`.
+fn cdf_series(label: impl Into<String>, max_s: f64, times: Vec<f64>) -> Series {
+    let cdf = Cdf::new(times);
+    let xs: Vec<f64> = (0..=20).map(|i| i as f64 * max_s / 20.0).collect();
+    let ys = xs.iter().map(|&x| cdf.at(x)).collect();
+    Series::new(label, xs, ys)
+}
+
 /// Q-greedy under a deadline: execute the max-Q unexecuted model that still
 /// fits (the paper's "Q Greedy" baseline of Fig. 10, which ignores cost).
 fn q_greedy_deadline_recall(
-    predictor: &AgentPredictor,
+    predictor: &dyn ValuePredictor,
     zoo: &ModelZoo,
     item: &ItemTruth,
     budget_ms: u64,
@@ -1014,4 +850,94 @@ fn random_deadline_recall(
         order.find(|&m| u64::from(zoo.spec(m).time_ms) <= remaining)
     })
     .recall
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ExperimentConfig;
+    use std::path::PathBuf;
+
+    fn mix(h: u64, x: u64) -> u64 {
+        (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+    }
+
+    fn fold_str(h: u64, s: &str) -> u64 {
+        s.bytes()
+            .fold(mix(h, s.len() as u64), |h, b| mix(h, u64::from(b)))
+    }
+
+    fn fold_fig(h: u64, f: &Figure) -> u64 {
+        let h = [&f.id, &f.title, &f.x_label, &f.y_label]
+            .into_iter()
+            .fold(mix(h, f.series.len() as u64), |h, s| fold_str(h, s));
+        f.series.iter().fold(h, |h, s| {
+            let h = mix(fold_str(h, &s.label), s.x.len() as u64);
+            s.x.iter().chain(&s.y).fold(h, |h, v| mix(h, v.to_bits()))
+        })
+    }
+
+    /// A config small enough that every experiment runs in seconds in a
+    /// debug build, writing under `target/<dir>`.
+    fn tiny(dir: &str) -> ExperimentConfig {
+        ExperimentConfig {
+            items: 20,
+            episodes: 6,
+            episodes_small: 4,
+            eval_items: 6,
+            out_dir: PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+                .join("../../target")
+                .join(dir),
+            ..ExperimentConfig::smoke()
+        }
+    }
+
+    /// Pins every experiment: an FNV-1a fold over what each of the 15
+    /// returns (ids, titles, axis and series labels, and the bits of every
+    /// point), in runner order on one harness, skipping table3's
+    /// wall-clock "time per decision" row. Recorded before the figures
+    /// became policy lists over one sweep per axis; any change to a policy,
+    /// a seed, a series order or an accumulation order moves it.
+    #[test]
+    fn golden_digest() -> io::Result<()> {
+        let mut h = Harness::new(tiny("experiments-golden"));
+        let mut d = 0xcbf2_9ce4_8422_2325u64;
+        d = fold_str(d, &table1_zoo(&mut h)?);
+        d = fold_fig(d, &fig02_policy_gap(&mut h)?);
+        let (fig4, fig5) = fig04_05_prediction(&mut h)?;
+        d = fig4.iter().chain(&fig5).fold(d, fold_fig);
+        d = fold_str(d, &table2_rules(&mut h)?);
+        let (a, b) = fig06_rules_vs_agent(&mut h)?;
+        d = fold_fig(fold_fig(d, &a), &b);
+        d = fold_str(d, &fig07_sequence(&mut h)?);
+        d = fold_fig(d, &fig08_transfer(&mut h)?);
+        let (a, b) = fig09_theta(&mut h)?;
+        d = fold_fig(fold_fig(d, &a), &b);
+        d = fig10_deadline(&mut h)?.iter().fold(d, fold_fig);
+        d = fig11_memory(&mut h)?.iter().fold(d, fold_fig);
+        d = fig12_transfer_deadline(&mut h)?.iter().fold(d, fold_fig);
+        let table3 = table3_overhead(&mut h)?;
+        d = table3
+            .lines()
+            .filter(|l| !l.starts_with("time per decision"))
+            .fold(d, fold_str);
+        d = fold_str(d, &ablation_chunked(&mut h)?);
+        d = fold_str(d, &ablation_reward(&mut h)?);
+        d = fold_str(d, &ablation_graph(&mut h)?);
+        assert_eq!(d, 0xc1dd_ad8f_e247_58ee, "experiments digest {d:#018x}");
+        Ok(())
+    }
+
+    /// `episodes_small` is public: at three episodes the late-training
+    /// window still holds one episode instead of dividing by zero.
+    #[test]
+    fn ablation_reward_under_four_episodes_prints_numbers() -> io::Result<()> {
+        let cfg = ExperimentConfig {
+            episodes_small: 3,
+            ..tiny("experiments-three-episodes")
+        };
+        let out = ablation_reward(&mut Harness::new(cfg))?;
+        assert!(!out.contains("NaN"), "{out}");
+        Ok(())
+    }
 }

@@ -3,7 +3,7 @@
 
 use ams::prelude::*;
 use std::collections::HashMap;
-use std::io::Write as _;
+use std::io;
 use std::path::PathBuf;
 
 /// Global knobs for every experiment. Defaults are sized for a
@@ -55,12 +55,8 @@ impl ExperimentConfig {
     }
 }
 
-/// A dataset world: scenes plus full-execution ground truth, split 1:4.
+/// A dataset world: full-execution ground truth, split 1:4.
 pub struct World {
-    /// The dataset profile.
-    pub profile: DatasetProfile,
-    /// Materialized scenes.
-    pub dataset: Dataset,
     /// Ground truth (every model executed on every item).
     pub truth: TruthTable,
     /// 1:4 train/test split.
@@ -79,15 +75,6 @@ impl World {
     }
 }
 
-/// Cache key for trained agents.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct AgentKey {
-    profile: DatasetProfile,
-    algo: Algo,
-    theta_model: Option<(u8, u32)>, // (model, theta*1000)
-    episodes: usize,
-}
-
 /// The experiment harness: shared zoo/catalog, lazily built worlds, and a
 /// cache of trained agents so a full run never trains the same agent twice.
 pub struct Harness {
@@ -98,7 +85,7 @@ pub struct Harness {
     /// The 1104-label catalog.
     pub catalog: LabelCatalog,
     worlds: HashMap<DatasetProfile, World>,
-    agents: HashMap<AgentKey, TrainedAgent>,
+    agents: HashMap<(DatasetProfile, Algo), TrainedAgent>,
 }
 
 impl Harness {
@@ -128,74 +115,37 @@ impl Harness {
                 dataset.len(),
                 t0.elapsed()
             );
-            self.worlds.insert(
-                profile,
-                World {
-                    profile,
-                    dataset,
-                    truth,
-                    split,
-                },
-            );
+            self.worlds.insert(profile, World { truth, split });
         }
         &self.worlds[&profile]
     }
 
-    /// Train (or fetch) an agent for `(profile, algo)` with default θ.
+    /// Train (or fetch) the agent for `(profile, algo)`: `cfg.episodes`
+    /// episodes under the default reward, seeded by `cfg.seed`.
     pub fn agent(&mut self, profile: DatasetProfile, algo: Algo) -> TrainedAgent {
-        let episodes = self.cfg.episodes;
-        self.agent_with(profile, algo, None, episodes)
-    }
-
-    /// Train (or fetch) an agent with an optional θ override on one model.
-    pub fn agent_with(
-        &mut self,
-        profile: DatasetProfile,
-        algo: Algo,
-        theta: Option<(ModelId, f32)>,
-        episodes: usize,
-    ) -> TrainedAgent {
-        let key = AgentKey {
-            profile,
-            algo,
-            theta_model: theta.map(|(m, t)| (m.0, (t * 1000.0) as u32)),
-            episodes,
-        };
-        if let Some(a) = self.agents.get(&key) {
+        if let Some(a) = self.agents.get(&(profile, algo)) {
             return a.clone();
         }
-        let threshold = self.cfg.threshold;
-        let seed = self.cfg.seed;
         let num_models = self.zoo.len();
-        self.world(profile); // ensure built
-        let world = &self.worlds[&profile];
-        let mut reward = RewardConfig {
-            value_threshold: threshold,
-            ..Default::default()
-        };
-        if let Some((m, t)) = theta {
-            reward = reward.with_theta(m, t, num_models);
-        }
         let cfg = TrainConfig {
-            episodes,
-            seed: seed
-                ^ (key
-                    .theta_model
-                    .map(|(m, t)| u64::from(m) * 31 + u64::from(t))
-                    .unwrap_or(0)),
-            reward,
+            episodes: self.cfg.episodes,
+            seed: self.cfg.seed,
+            reward: RewardConfig {
+                value_threshold: self.cfg.threshold,
+                ..Default::default()
+            },
             ..TrainConfig::new(algo)
         };
         let t0 = std::time::Instant::now();
-        let (agent, stats) = train(world.train_items(), num_models, &cfg);
+        let (agent, stats) = train(self.world(profile).train_items(), num_models, &cfg);
         eprintln!(
-            "[harness] trained {algo} on {} ({episodes} eps, θ={:?}) in {:.1?}, trailing reward {:.2}",
+            "[harness] trained {algo} on {} ({} eps) in {:.1?}, trailing reward {:.2}",
             profile.name(),
-            theta,
+            cfg.episodes,
             t0.elapsed(),
             stats.trailing_reward(100)
         );
-        self.agents.insert(key, agent.clone());
+        self.agents.insert((profile, algo), agent.clone());
         agent
     }
 
@@ -211,37 +161,44 @@ impl Harness {
         self.world(profile).train_items().to_vec()
     }
 
-    /// Write a figure both as pretty text and JSON under `out_dir`.
-    pub fn emit(&self, fig: &Figure) {
-        println!("{}", fig.to_table());
-        if let Err(e) = std::fs::create_dir_all(&self.cfg.out_dir) {
-            eprintln!(
-                "[harness] cannot create {}: {e}",
-                self.cfg.out_dir.display()
-            );
-            return;
-        }
-        let json_path = self.cfg.out_dir.join(format!("{}.json", fig.id));
-        match serde_json::to_string_pretty(fig) {
-            Ok(js) => {
-                if let Ok(mut f) = std::fs::File::create(&json_path) {
-                    let _ = f.write_all(js.as_bytes());
-                }
-            }
-            Err(e) => eprintln!("[harness] serialize {}: {e}", fig.id),
-        }
-        let txt_path = self.cfg.out_dir.join(format!("{}.txt", fig.id));
-        if let Ok(mut f) = std::fs::File::create(&txt_path) {
-            let _ = f.write_all(fig.to_table().as_bytes());
-        }
+    /// Build a figure, print it as a table, write it under `out_dir` as
+    /// `<id>.json` and `<id>.txt`, and return it.
+    pub fn figure(
+        &self,
+        id: impl Into<String>,
+        title: impl Into<String>,
+        x_label: &str,
+        y_label: &str,
+        series: Vec<Series>,
+    ) -> io::Result<Figure> {
+        let fig = Figure {
+            id: id.into(),
+            title: title.into(),
+            x_label: x_label.into(),
+            y_label: y_label.into(),
+            series,
+        };
+        let table = fig.to_table();
+        println!("{table}");
+        let json = serde_json::to_string_pretty(&fig).map_err(io::Error::other)?;
+        self.write(&format!("{}.json", fig.id), &json)?;
+        self.write(&format!("{}.txt", fig.id), &table)?;
+        Ok(fig)
     }
 
-    /// Write free-form text output (tables, sequences) under `out_dir`.
-    pub fn emit_text(&self, id: &str, text: &str) {
+    /// Print free-form text output (tables, sequences) and write it under
+    /// `out_dir` as `<id>.txt`.
+    pub fn emit_text(&self, id: &str, text: &str) -> io::Result<()> {
         println!("{text}");
-        if std::fs::create_dir_all(&self.cfg.out_dir).is_ok() {
-            let _ = std::fs::write(self.cfg.out_dir.join(format!("{id}.txt")), text);
-        }
+        self.write(&format!("{id}.txt"), text)
+    }
+
+    /// Write one file under `out_dir`; the error names the path.
+    fn write(&self, name: &str, contents: &str) -> io::Result<()> {
+        let path = self.cfg.out_dir.join(name);
+        std::fs::create_dir_all(&self.cfg.out_dir)
+            .and_then(|()| std::fs::write(&path, contents))
+            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
     }
 }
 
@@ -258,4 +215,28 @@ pub fn deadline_grid_s() -> Vec<f64> {
 /// The deadline grid (seconds) of Fig. 11.
 pub fn memory_deadline_grid_s() -> Vec<f64> {
     vec![0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A results directory that cannot be created is an error naming the
+    /// path, not a silent success: an `out_dir` under a regular file fails
+    /// even for root, which ignores permission bits.
+    #[test]
+    fn an_unwritable_out_dir_is_an_error_naming_the_path() {
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/harness-unwritable");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("a-file");
+        std::fs::write(&file, "").unwrap();
+        let h = Harness::new(ExperimentConfig {
+            out_dir: file.join("results"),
+            ..ExperimentConfig::smoke()
+        });
+        let e = h.emit_text("t", "x").unwrap_err();
+        assert!(e.to_string().contains("a-file/results/t.txt"), "{e}");
+        let e = h.figure("f", "t", "x", "y", Vec::new()).unwrap_err();
+        assert!(e.to_string().contains("a-file/results/f.json"), "{e}");
+    }
 }

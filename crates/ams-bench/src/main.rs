@@ -4,34 +4,38 @@
 //!
 //! Usage: `cargo run --release -p ams-bench -- [--smoke] [name…]` — the
 //! named experiments in table order, all of them when none is named. An
-//! unknown name prints the list and exits 2.
+//! unknown name prints the list and exits 2; a result that cannot be
+//! written names its path and exits 1.
 
 use ams_bench::experiments::*;
 use ams_bench::{ExperimentConfig, Harness};
+use std::io;
 use std::time::Instant;
 
 /// One experiment: its name and the library function that runs it.
-type Experiment = (&'static str, fn(&mut Harness));
+type Experiment = (&'static str, fn(&mut Harness) -> io::Result<()>);
 
 /// Every experiment, in the order a full run executes them.
 const EXPERIMENTS: &[Experiment] = &[
-    ("table1_zoo", |h| drop(table1_zoo(h))),
-    ("fig02_policy_gap", |h| drop(fig02_policy_gap(h))),
-    ("fig04_05_prediction", |h| drop(fig04_05_prediction(h))),
-    ("table2_rules", |h| drop(table2_rules(h))),
-    ("fig06_rules_vs_agent", |h| drop(fig06_rules_vs_agent(h))),
-    ("fig07_sequence", |h| drop(fig07_sequence(h))),
-    ("fig08_transfer", |h| drop(fig08_transfer(h))),
-    ("fig09_theta", |h| drop(fig09_theta(h))),
-    ("fig10_deadline", |h| drop(fig10_deadline(h))),
-    ("fig11_memory", |h| drop(fig11_memory(h))),
-    ("fig12_transfer_deadline", |h| {
-        drop(fig12_transfer_deadline(h))
+    ("table1_zoo", |h| table1_zoo(h).map(drop)),
+    ("fig02_policy_gap", |h| fig02_policy_gap(h).map(drop)),
+    ("fig04_05_prediction", |h| fig04_05_prediction(h).map(drop)),
+    ("table2_rules", |h| table2_rules(h).map(drop)),
+    ("fig06_rules_vs_agent", |h| {
+        fig06_rules_vs_agent(h).map(drop)
     }),
-    ("table3_overhead", |h| drop(table3_overhead(h))),
-    ("ablation_chunked", |h| drop(ablation_chunked(h))),
-    ("ablation_reward", |h| drop(ablation_reward(h))),
-    ("ablation_graph", |h| drop(ablation_graph(h))),
+    ("fig07_sequence", |h| fig07_sequence(h).map(drop)),
+    ("fig08_transfer", |h| fig08_transfer(h).map(drop)),
+    ("fig09_theta", |h| fig09_theta(h).map(drop)),
+    ("fig10_deadline", |h| fig10_deadline(h).map(drop)),
+    ("fig11_memory", |h| fig11_memory(h).map(drop)),
+    ("fig12_transfer_deadline", |h| {
+        fig12_transfer_deadline(h).map(drop)
+    }),
+    ("table3_overhead", |h| table3_overhead(h).map(drop)),
+    ("ablation_chunked", |h| ablation_chunked(h).map(drop)),
+    ("ablation_reward", |h| ablation_reward(h).map(drop)),
+    ("ablation_graph", |h| ablation_graph(h).map(drop)),
 ];
 
 fn main() {
@@ -59,7 +63,10 @@ fn main() {
         }
         let t0 = Instant::now();
         eprintln!("=== {name} ===");
-        run(&mut h);
+        if let Err(e) = run(&mut h) {
+            eprintln!("[ams-bench] {name}: cannot write results: {e}");
+            std::process::exit(1);
+        }
         eprintln!(
             "[ams-bench] {name} done in {:.1?} (total {:.1?})",
             t0.elapsed(),

@@ -6,13 +6,16 @@
 #
 #   ./scripts/check.sh          # full: fmt + clippy + doc links + release
 #                               #       build + bench gate + tier-1 tests
-#                               #       + bench/'s tests + the runner,
-#                               #       serve_demo and Prometheus smokes
+#                               #       + bench/'s tests + every
+#                               #       experiment at --smoke (digest of
+#                               #       its outputs printed at the end) +
+#                               #       the serve_demo and Prometheus smokes
 #   ./scripts/check.sh --quick  # fmt + clippy + doc links + fast
 #                               #       label-cache and pool-packer passes
 #                               #       (PROPTEST_CASES=16) + the held-
 #                               #       worker tests 5x + debug tests +
-#                               #       the same bench/ tests and smokes
+#                               #       the same bench/ tests and smokes,
+#                               #       one experiment (table1_zoo) only
 #                               #       (no release build, no bench gate);
 #                               #       CI's quick lane runs exactly this
 #   ./scripts/check.sh --smoke  # fmt + clippy + doc links + bench gate
@@ -124,9 +127,26 @@ if [[ $mode == full || $mode == quick ]]; then
     echo "==> cargo test (bench/, offline, locked)"
     (cd bench && CARGO_TARGET_DIR="$PWD/../target/bench" cargo test --offline --locked)
     # `ams-bench [--smoke] [name…]` is the only way to regenerate a table or
-    # figure; a typo must list the names and exit 2, not run everything.
-    echo "==> experiment runner smoke (one named experiment; an unknown name exits 2)"
-    cargo run -q -p ams-bench -- --smoke table1_zoo
+    # figure; a typo must list the names and exit 2, not run everything. The
+    # full mode runs all 15 experiments from a fresh directory and digests
+    # what they write (file names and bytes, table3's wall-clock "time per
+    # decision" row masked): a "no behaviour change" PR reports it unchanged.
+    if [[ $mode == full ]]; then
+        echo "==> experiment runner smoke (every experiment; an unknown name exits 2)"
+        exp_dir=target/experiments-smoke
+        rm -rf "$exp_dir"
+        mkdir -p "$exp_dir"
+        (cd "$exp_dir" && cargo run --release -q -p ams-bench -- --smoke >/dev/null)
+        exp_files=$(find "$exp_dir/results-smoke" -type f | wc -l)
+        exp_digest=$(cd "$exp_dir/results-smoke" && find . -type f | LC_ALL=C sort |
+            while read -r f; do
+                echo "$f"
+                sed '/^time per decision/d' "$f"
+            done | sha256sum | cut -d' ' -f1)
+    else
+        echo "==> experiment runner smoke (one named experiment; an unknown name exits 2)"
+        cargo run -q -p ams-bench -- --smoke table1_zoo
+    fi
     rc=0
     cargo run -q -p ams-bench -- no_such_experiment || rc=$?
     if [[ $rc -ne 2 ]]; then
@@ -149,5 +169,8 @@ workspace_loc=$(find crates tests examples -name '*.rs' | xargs cat | wc -l)
 sim_loc=$(find crates/ams-sim -name '*.rs' | xargs cat | wc -l)
 examples_loc=$(find examples -name '*.rs' | xargs cat | wc -l)
 echo "==> Rust LoC: workspace $workspace_loc, ams-sim $sim_loc, examples $examples_loc"
+if [[ -n ${exp_digest:-} ]]; then
+    echo "==> experiments digest: sha256 $exp_digest over $exp_files files (table3 timing row masked)"
+fi
 
 echo "All checks passed."
