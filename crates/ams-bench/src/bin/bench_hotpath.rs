@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release -p ams-bench --bin bench_hotpath [-- --smoke]`
 
-use ams::nn::{BatchFwdCache, BatchInput, FwdCache, InferScratch, Input, QInfer, QNet, QNetConfig};
+use ams::nn::{BatchFwdCache, BatchInput, FwdCache, InferScratch, Input, QInfer, QNet};
 use ams::prelude::*;
 use ams::rl::BatchScratch;
 use ams_bench::hotpath::{
@@ -173,15 +173,7 @@ fn main() {
         ns_per_iter: scalar_ns,
     });
 
-    let mut net_b = QNet::new(
-        QNetConfig {
-            input_dim: cfg.input_dim,
-            hidden: cfg.hidden.clone(),
-            actions: net.actions(),
-            dueling: cfg.algo.dueling_head(),
-        },
-        42,
-    );
+    let mut net_b = QNet::new(net.config().clone(), 42);
     let mut opt_b = ams::nn::Adam::new(cfg.lr);
     let mut rng_b = {
         use rand::SeedableRng;

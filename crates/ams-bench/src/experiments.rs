@@ -492,28 +492,27 @@ pub fn fig12_transfer_deadline(h: &mut Harness) -> io::Result<Vec<Figure>> {
 /// the simulated model costs.
 pub fn table3_overhead(h: &mut Harness) -> io::Result<String> {
     let agent = h.agent(DatasetProfile::Coco2017, Algo::DuelingDqn);
-    let items = h.eval_items(DatasetProfile::Coco2017);
-    // time per decision: full Q evaluation on a populated state
-    let state: Vec<u32> = items
-        .first()
-        .map(|it| {
-            let mut s = LabelSet::new(it.universe());
-            for m in 0..10 {
-                it.apply(&mut s, ModelId(m), h.cfg.threshold);
-            }
-            s.to_sparse()
-        })
-        .unwrap_or_default();
-    let reps = 2000;
-    let t0 = std::time::Instant::now();
-    let mut sink = 0.0f32;
-    for _ in 0..reps {
-        sink += agent.q_values(&state).iter().sum::<f32>();
-    }
-    let per_decision_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(reps);
-    std::hint::black_box(sink);
-
     let params = agent.net.param_count();
+    let predictor = AgentPredictor::new(agent);
+    let items = h.eval_items(DatasetProfile::Coco2017);
+    // time per decision: the Q evaluation the scheduler makes (the served
+    // inference kernel) on a populated state
+    let mut per_decision_us = 0.0;
+    if let Some(item) = items.first() {
+        let mut state = LabelSet::new(item.universe());
+        for m in 0..10 {
+            item.apply(&mut state, ModelId(m), h.cfg.threshold);
+        }
+        let mut q = vec![0.0; predictor.num_models()];
+        let reps = 2000;
+        let t0 = std::time::Instant::now();
+        for _ in 0..reps {
+            predictor.predict_into(&state, item, &mut q);
+            std::hint::black_box(&mut q);
+        }
+        per_decision_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(reps);
+    }
+
     let agent_mb = params as f64 * 4.0 / (1024.0 * 1024.0);
     let (min_t, max_t) = h.zoo.specs().iter().fold((u32::MAX, 0), |(lo, hi), s| {
         (lo.min(s.time_ms), hi.max(s.time_ms))

@@ -44,6 +44,9 @@ pub enum Rule {
     Increasing(&'static str, &'static str),
     /// The flag `field` is `true` at every element of the array.
     EachTrue(&'static str, &'static str),
+    /// `candidate == baseline`, of any type (digests, virtual-time
+    /// ratios that repeat exactly run to run).
+    Same(&'static str),
 }
 
 /// The synthetic regression that must trip a row ([`self_test`]).
@@ -285,6 +288,14 @@ impl Rule {
                     flag(cand, &p).map(|b| (b, format!("{p} is {b}")))
                 })
                 .collect(),
+            Rule::Same(p) => {
+                let missing = || format!("missing field `{p}`");
+                let (b, c) = (
+                    get(base, p).ok_or_else(missing)?,
+                    get(cand, p).ok_or_else(missing)?,
+                );
+                one(b == c, format!("{p} {c:?} vs baseline {b:?}"))
+            }
         }
     }
 }
@@ -467,9 +478,11 @@ mod tests {
     /// Every candidate path a rule reads.
     fn paths(rule: &Rule) -> Vec<String> {
         match *rule {
-            Rule::True(p) | Rule::RatioFloor(p, _) | Rule::Slack(p, _) | Rule::Within(p, _, _) => {
-                vec![p.into()]
-            }
+            Rule::True(p)
+            | Rule::RatioFloor(p, _)
+            | Rule::Slack(p, _)
+            | Rule::Within(p, _, _)
+            | Rule::Same(p) => vec![p.into()],
             Rule::Less(a, b) | Rule::AtLeast(a, b) => vec![a.into(), b.into()],
             Rule::SumIs(parts, total) => {
                 parts.iter().chain([&total]).map(|p| (*p).into()).collect()

@@ -51,6 +51,13 @@ pub const CHECKS: &[Check] = &[
         breaks: Break::Flip("exactly_once_ticketing"),
     },
     Check {
+        name: "labels digest equals the baseline's",
+        // Labels are seed-determined: a change that moves them moves the
+        // committed baseline with it, on purpose.
+        rule: Rule::Same("labels_digest"),
+        breaks: Break::Set("labels_digest", 0.0),
+    },
+    Check {
         name: "closed-loop capacity holds half the baseline's",
         rule: Rule::RatioFloor("closed_loop_capacity_per_s", THROUGHPUT_FLOOR),
         breaks: Break::Scale("closed_loop_capacity_per_s", 0.3),

@@ -11,9 +11,11 @@
 //!   labels `O'`, `r = ln(θ_m · Σ_{l∈O'} conf_l + 1)` under the default
 //!   [`Smoothing::Log`]; a model yielding nothing new is punished with −1.
 
+use crate::replay::Transition;
 use ams_data::ItemTruth;
 use ams_models::{LabelSet, ModelId};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Reward smoothing applied to the new-label confidence mass (§IV-A
 /// discusses log vs other smoothings; kept configurable for the ablation).
@@ -89,7 +91,6 @@ pub struct LabelingEnv<'a> {
     use_end_action: bool,
     state: LabelSet,
     executed: u64,
-    steps: usize,
     finished: bool,
 }
 
@@ -109,7 +110,6 @@ impl<'a> LabelingEnv<'a> {
             use_end_action,
             state: LabelSet::new(item.universe()),
             executed: 0,
-            steps: 0,
             finished: false,
         }
     }
@@ -140,11 +140,6 @@ impl<'a> LabelingEnv<'a> {
         } else {
             models
         }
-    }
-
-    /// Number of steps taken.
-    pub fn steps(&self) -> usize {
-        self.steps
     }
 
     /// Whether the episode has terminated.
@@ -179,7 +174,6 @@ impl<'a> LabelingEnv<'a> {
             "action {action} unavailable (mask {:b})",
             self.available_mask()
         );
-        self.steps += 1;
         if self.use_end_action && action == self.end_action() {
             self.finished = true;
             return StepResult {
@@ -221,6 +215,32 @@ impl<'a> LabelingEnv<'a> {
         StepResult {
             reward,
             done: self.finished,
+        }
+    }
+
+    /// Take `action` from `state` (the current state's sparse encoding)
+    /// and return the replay transition: the next state is encoded through
+    /// `scratch`, and `next_action` is 0 for the caller to fill with the
+    /// action it takes next.
+    ///
+    /// # Panics
+    /// As [`LabelingEnv::step`].
+    pub fn step_transition(
+        &mut self,
+        state: Arc<[u32]>,
+        action: usize,
+        scratch: &mut Vec<u32>,
+    ) -> Transition {
+        let step = self.step(action);
+        self.state.write_sparse(scratch);
+        Transition {
+            state,
+            action: action as u8,
+            reward: step.reward,
+            next_state: Arc::from(&scratch[..]),
+            next_avail: self.available_mask(),
+            next_action: 0,
+            done: step.done,
         }
     }
 }

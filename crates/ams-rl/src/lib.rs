@@ -12,10 +12,12 @@
 //!   (already-executed models cannot be selected again).
 //! * [`algo`] — the four training schemas compared in §VI-B: DQN,
 //!   DoubleDQN, DuelingDQN and DeepSARSA.
-//! * [`trainer`] — the training loop (target network, Adam, Huber TD loss).
+//! * [`trainer`] — the TD learner (target network, Adam, Huber TD loss,
+//!   the one learn step) and the offline training loop over it.
 //! * [`online`] — online adaptation: generation-stamped weight snapshots,
-//!   the outcome→transition builder, and a trainer-step API over an
-//!   externally fed replay (the serving hot-swap's learning half).
+//!   the outcome→transition builder, and a trainer-step API that steps
+//!   [`trainer`]'s learner over an externally fed replay (the serving
+//!   hot-swap's learning half).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,17 +16,17 @@
 //!   trainer would have seen, terminated by the END action (the scheduler
 //!   stopping *is* the END decision).
 //! * [`OnlineTrainer`] — a trainer-step API over an externally fed replay:
-//!   absorb outcomes, run [`learn_step_batched`] minibatches on a cloned
-//!   network, export snapshots. All randomness flows from the configured
-//!   seed — no ambient RNG state — so an adaptation run is reproducible
-//!   given the same outcome sequence.
+//!   absorb outcomes, step the TD learner offline training steps too (on a
+//!   cloned network), export snapshots. All randomness flows from the
+//!   configured seed — no ambient RNG state — so an adaptation run is
+//!   reproducible given the same outcome sequence.
 
 use crate::env::LabelingEnv;
-use crate::replay::{ReplayBuffer, Transition};
-use crate::trainer::{learn_step_batched, BatchScratch, TrainConfig, TrainedAgent};
+use crate::replay::Transition;
+use crate::trainer::{Learner, TrainConfig, TrainedAgent};
 use ams_data::ItemTruth;
 use ams_models::ModelId;
-use ams_nn::{Adam, Huber, InferScratch, QInfer, QNet};
+use ams_nn::{InferScratch, QInfer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -108,7 +108,7 @@ pub fn outcome_transitions(
     let mut sparse: Vec<u32> = Vec::new();
     env.state().write_sparse(&mut sparse);
     let mut state: Arc<[u32]> = Arc::from(&sparse[..]);
-    let mut pushed = 0usize;
+    let start = out.len();
 
     // The action sequence actually taken: the executed models (filtered to
     // the available set), then END when the episode stopped early.
@@ -121,58 +121,22 @@ pub fn outcome_transitions(
         if env.available_mask() >> action & 1 == 0 {
             continue; // duplicate in a corrupted tap; skip defensively
         }
-        let step = env.step(action);
-        env.state().write_sparse(&mut sparse);
-        let next_state: Arc<[u32]> = Arc::from(&sparse[..]);
-        let next_avail = env.available_mask();
+        let mut t = env.step_transition(state, action, &mut sparse);
         // The action taken at next_state is the following executed model,
         // or END when the scheduler stopped after this one.
-        let next_action = if step.done {
-            0
-        } else {
-            actions
-                .get(k + 1)
-                .copied()
-                .filter(|&a| a < num_models)
-                .unwrap_or(env.end_action())
-        };
-        out.push(Transition {
-            state,
-            action: action as u8,
-            reward: step.reward,
-            next_state: Arc::clone(&next_state),
-            next_avail,
-            next_action: next_action as u8,
-            done: step.done,
-        });
-        pushed += 1;
-        state = next_state;
-        if step.done {
-            return pushed;
+        if !t.done {
+            t.next_action = actions.get(k + 1).copied().unwrap_or(env.end_action()) as u8;
         }
+        state = Arc::clone(&t.next_state);
+        out.push(t);
     }
 
     if use_end_action && !env.is_done() {
-        let step = env.step(env.end_action());
-        env.state().write_sparse(&mut sparse);
-        let next_state: Arc<[u32]> = Arc::from(&sparse[..]);
-        out.push(Transition {
-            state,
-            action: env.end_action() as u8,
-            reward: step.reward,
-            next_state,
-            next_avail: env.available_mask(),
-            next_action: 0,
-            done: true,
-        });
-        pushed += 1;
+        out.push(env.step_transition(state, env.end_action(), &mut sparse));
     }
-    pushed
+    out.len() - start
 }
 
-/// Discount factor of the online learner (see [`TrainConfig::new`] for why
-/// it is near 0).
-const GAMMA: f32 = 0.1;
 /// Replay capacity in transitions; old experience ages out.
 const REPLAY_CAP: usize = 8192;
 /// Hard target-network sync period, in learn steps.
@@ -180,9 +144,10 @@ const TARGET_SYNC: usize = 100;
 
 /// Knobs of an [`OnlineTrainer`]. The action space, algorithm, and reward
 /// function are inherited from the seed agent, not configured here — an
-/// online learner must match the network it continues from. The discount,
-/// replay capacity and target-sync period are the constants `GAMMA`,
-/// `REPLAY_CAP` and `TARGET_SYNC`.
+/// online learner must match the network it continues from. The discount
+/// is [`crate::trainer::GAMMA`], shared with offline training; the replay
+/// capacity and target-sync period are the constants `REPLAY_CAP` and
+/// `TARGET_SYNC`.
 #[derive(Debug, Clone)]
 pub struct OnlineConfig {
     /// Minibatch size per learn step.
@@ -208,55 +173,35 @@ impl Default for OnlineConfig {
 
 /// A trainer-step API over an externally fed replay buffer.
 ///
-/// Owns a clone of the seed agent's network (the serving snapshot is
-/// never trained in place), a target network, the optimizer, the replay
-/// buffer, and a seeded RNG. The caller decides *when* to absorb
-/// outcomes, step, and export — this type only guarantees that given the
-/// same call sequence it produces the same weights.
+/// Owns the TD learner offline training steps too, over a clone of the
+/// seed agent's network (the serving snapshot is never trained in place),
+/// and a seeded RNG. The caller decides *when* to absorb outcomes, step, and
+/// export — this type only guarantees that given the same call sequence it
+/// produces the same weights.
 pub struct OnlineTrainer {
-    net: QNet,
-    target: QNet,
-    opt: Adam,
-    replay: ReplayBuffer,
-    scratch: BatchScratch,
+    learner: Learner,
     rng: StdRng,
-    cfg: TrainConfig,
-    num_models: usize,
-    use_end_action: bool,
-    steps: u64,
     transitions: u64,
 }
 
 impl OnlineTrainer {
     /// A trainer continuing from `agent` under `cfg`.
     pub fn new(agent: &TrainedAgent, cfg: &OnlineConfig) -> Self {
-        let use_end_action = agent.net.actions() > agent.num_models;
-        // learn_step_batched reads algo/gamma/batch from a TrainConfig;
-        // build one around the online knobs (episode/ε fields are unused
-        // by the step API but kept coherent).
+        // The episode and ε fields are unused by the step API.
         let train_cfg = TrainConfig {
-            gamma: GAMMA,
             lr: cfg.lr,
-            batch: cfg.batch.max(1),
+            batch: cfg.batch,
             replay_cap: REPLAY_CAP,
             warmup: cfg.warmup,
             target_sync: TARGET_SYNC,
             seed: cfg.seed,
-            use_end_action,
+            use_end_action: agent.net.actions() > agent.num_models,
             reward: agent.reward.clone(),
             ..TrainConfig::new(agent.algo)
         };
         Self {
-            net: agent.net.clone(),
-            target: agent.net.clone(),
-            opt: Adam::new(cfg.lr),
-            replay: ReplayBuffer::new(REPLAY_CAP),
-            scratch: BatchScratch::new(&agent.net),
+            learner: Learner::new(agent.net.clone(), train_cfg),
             rng: StdRng::seed_from_u64(cfg.seed),
-            cfg: train_cfg,
-            num_models: agent.num_models,
-            use_end_action,
-            steps: 0,
             transitions: 0,
         }
     }
@@ -265,16 +210,18 @@ impl OnlineTrainer {
     /// Returns the number of transitions absorbed.
     pub fn absorb(&mut self, item: &ItemTruth, executed: &[ModelId]) -> usize {
         let mut buf = Vec::new();
+        let cfg = &self.learner.cfg;
+        let num_models = self.learner.net.actions() - usize::from(cfg.use_end_action);
         let n = outcome_transitions(
             item,
             executed,
-            &self.cfg.reward,
-            self.num_models,
-            self.use_end_action,
+            &cfg.reward,
+            num_models,
+            cfg.use_end_action,
             &mut buf,
         );
         for t in buf {
-            self.replay.push(t);
+            self.learner.replay.push(t);
         }
         self.transitions += n as u64;
         n
@@ -282,35 +229,18 @@ impl OnlineTrainer {
 
     /// Whether enough experience has accumulated to learn.
     pub fn ready(&self) -> bool {
-        self.replay.len() >= self.cfg.warmup.max(self.cfg.batch)
+        self.learner.ready()
     }
 
     /// One minibatch gradient step; `None` before warmup. Syncs the
     /// target network every `TARGET_SYNC` steps.
     pub fn learn_step(&mut self) -> Option<f32> {
-        if !self.ready() {
-            return None;
-        }
-        let loss = learn_step_batched(
-            &mut self.net,
-            &self.target,
-            &mut self.opt,
-            &self.replay,
-            &self.cfg,
-            &Huber::default(),
-            &mut self.rng,
-            &mut self.scratch,
-        );
-        self.steps += 1;
-        if self.steps.is_multiple_of(self.cfg.target_sync as u64) {
-            self.target.copy_from(&self.net);
-        }
-        Some(loss)
+        self.learner.learn_step(&mut self.rng)
     }
 
     /// Learn steps taken so far.
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.learner.steps as u64
     }
 
     /// Transitions absorbed so far.
@@ -322,15 +252,7 @@ impl OnlineTrainer {
     /// snapshot's inference view is built here, on the caller's (the
     /// trainer's) thread, so a reader that pins the snapshot pays nothing.
     pub fn export(&self, generation: u64) -> AgentSnapshot {
-        AgentSnapshot::new(
-            TrainedAgent {
-                net: self.net.clone(),
-                algo: self.cfg.algo,
-                num_models: self.num_models,
-                reward: self.cfg.reward.clone(),
-            },
-            generation,
-        )
+        AgentSnapshot::new(self.learner.agent(), generation)
     }
 }
 

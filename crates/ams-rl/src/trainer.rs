@@ -1,10 +1,15 @@
 //! The DRL training loop (§IV-B): experience replay, target network,
 //! Adam on a Huber TD loss, ε-greedy behaviour policy with the END action.
+//!
+//! The TD learner — online net, target net, Adam, replay, learn-step count
+//! — exists once, as the crate-private `Learner`. Offline [`train`] feeds
+//! it from its own episodes; [`crate::online::OnlineTrainer`] from served
+//! outcomes.
 
 use crate::algo::Algo;
 use crate::env::{LabelingEnv, RewardConfig};
 use crate::policy::{epsilon_greedy, masked_argmax, EpsilonSchedule};
-use crate::replay::{ReplayBuffer, Transition};
+use crate::replay::ReplayBuffer;
 use ams_data::ItemTruth;
 use ams_nn::{
     Adam, BatchBwdCache, BatchFwdCache, BatchInput, FwdCache, Huber, Input, Mat, Optimizer, QNet,
@@ -22,8 +27,6 @@ pub struct TrainConfig {
     pub algo: Algo,
     /// Number of episodes (items are drawn uniformly from the train set).
     pub episodes: usize,
-    /// Discount factor.
-    pub gamma: f32,
     /// Adam learning rate.
     pub lr: f32,
     /// Minibatch size.
@@ -32,17 +35,13 @@ pub struct TrainConfig {
     pub replay_cap: usize,
     /// Environment steps before learning starts.
     pub warmup: usize,
-    /// Hard target-network sync period (in learning steps).
+    /// Hard target-network sync period (in learning steps; 0 syncs after
+    /// every step).
     pub target_sync: usize,
-    /// Run a gradient step every `learn_every` environment steps
-    /// (2 halves training cost with negligible quality loss).
-    pub learn_every: usize,
     /// ε-greedy schedule.
     pub epsilon: EpsilonSchedule,
     /// Hidden layer widths (paper: `[256]`).
     pub hidden: Vec<usize>,
-    /// Dimension of the observation (1104 for the standard catalog).
-    pub input_dim: usize,
     /// RNG seed.
     pub seed: u64,
     /// Whether the END action is available (the paper's §IV-B addition;
@@ -52,34 +51,38 @@ pub struct TrainConfig {
     pub reward: RewardConfig,
 }
 
+/// Discount factor of both learners, offline and online.
+///
+/// 0.1: the framework's prediction component estimates the *value of
+/// executing a model now* (§IV), which Algorithms 1–2 divide by cost. A
+/// near-myopic discount makes `Q(s,m) ≈ E[r(m)|s]` — the marginal-value
+/// estimate those ratios need — while γ near 1 buries it under a shared
+/// return-to-go term and `Q/time` degenerates to cheapest-first (PERF.md,
+/// "Discount factor γ", has the measured table).
+pub const GAMMA: f32 = 0.1;
+
+/// Offline training runs a learn step every `LEARN_EVERY` environment
+/// steps (2 halves training cost with negligible quality loss).
+const LEARN_EVERY: usize = 2;
+
 impl TrainConfig {
-    /// Sensible defaults for the standard 30-model zoo.
-    ///
-    /// γ defaults to 0.1: the framework's prediction component estimates
-    /// the *value of executing a model now* (§IV), which Algorithms 1–2
-    /// divide by cost. A near-myopic discount makes `Q(s,m) ≈ E[r(m)|s]` —
-    /// the marginal-value estimate those ratios need — while γ near 1 buries
-    /// it under a shared return-to-go term and `Q/time` degenerates to
-    /// cheapest-first (measured by `cargo run --release -p ams-bench --bin
-    /// probe_gamma`).
+    /// Sensible defaults for the standard 30-model zoo (the discount is
+    /// [`GAMMA`]).
     pub fn new(algo: Algo) -> Self {
         Self {
             algo,
             episodes: 1500,
-            gamma: 0.1,
             lr: 1e-3,
             batch: 32,
             replay_cap: 50_000,
             warmup: 200,
             target_sync: 250,
-            learn_every: 2,
             epsilon: EpsilonSchedule {
                 start: 1.0,
                 end: 0.05,
                 decay_episodes: 800,
             },
             hidden: vec![256],
-            input_dim: 1104,
             seed: 0,
             use_end_action: true,
             reward: RewardConfig::default(),
@@ -110,8 +113,6 @@ pub struct TrainStats {
     pub episode_rewards: Vec<f32>,
     /// Episode lengths (number of actions taken).
     pub episode_lengths: Vec<usize>,
-    /// Mean Huber loss per episode (0 until learning starts).
-    pub episode_losses: Vec<f32>,
     /// Total environment steps.
     pub steps: usize,
     /// Total learning (gradient) steps.
@@ -158,120 +159,128 @@ pub fn train(
     cfg: &TrainConfig,
 ) -> (TrainedAgent, TrainStats) {
     assert!(!items.is_empty(), "empty training set");
-    let actions = num_models + usize::from(cfg.use_end_action);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut net = QNet::new(
+    let net = QNet::new(
         QNetConfig {
-            input_dim: cfg.input_dim,
+            input_dim: items[0].universe(),
             hidden: cfg.hidden.clone(),
-            actions,
+            actions: num_models + usize::from(cfg.use_end_action),
             dueling: cfg.algo.dueling_head(),
         },
         cfg.seed ^ 0x51ED_CAFE,
     );
-    let mut target = net.clone();
-    let mut opt = Adam::new(cfg.lr);
-    let mut replay = ReplayBuffer::new(cfg.replay_cap);
-    let huber = Huber::default();
+    let mut learner = Learner::new(net, cfg.clone());
     let mut stats = TrainStats::default();
-    let mut scratch = BatchScratch::new(&net);
     let mut act_cache = FwdCache::default();
-    let mut sparse_scratch: Vec<u32> = Vec::new();
+    let mut sparse: Vec<u32> = Vec::new();
 
     for ep in 0..cfg.episodes {
         let eps = cfg.epsilon.at(ep);
         let item = &items[rng.gen_range(0..items.len())];
         let mut env = LabelingEnv::new(item, &cfg.reward, num_models, cfg.use_end_action);
 
-        let mut state: Arc<[u32]> = {
-            env.state().write_sparse(&mut sparse_scratch);
-            Arc::from(&sparse_scratch[..])
-        };
-        let mut avail = env.available_mask();
-        let q = net.forward(Input::Sparse(&state), &mut act_cache);
-        let mut action = epsilon_greedy(q, avail, eps, &mut rng);
+        env.state().write_sparse(&mut sparse);
+        let mut state: Arc<[u32]> = Arc::from(&sparse[..]);
+        let q = learner.net.forward(Input::Sparse(&state), &mut act_cache);
+        let mut action = epsilon_greedy(q, env.available_mask(), eps, &mut rng);
 
-        let mut ep_reward = 0.0f32;
-        let mut ep_len = 0usize;
-        let mut ep_loss = 0.0f32;
-        let mut ep_loss_n = 0usize;
+        let (mut ep_reward, mut ep_len) = (0.0f32, 0usize);
 
-        loop {
-            let step = env.step(action);
-            ep_reward += step.reward;
+        while !env.is_done() {
+            let mut t = env.step_transition(state, action, &mut sparse);
+            ep_reward += t.reward;
             ep_len += 1;
             stats.steps += 1;
-
-            let next_state: Arc<[u32]> = {
-                env.state().write_sparse(&mut sparse_scratch);
-                Arc::from(&sparse_scratch[..])
-            };
-            let next_avail = env.available_mask();
-            let next_action = if step.done {
-                0
-            } else {
-                let qn = net.forward(Input::Sparse(&next_state), &mut act_cache);
-                epsilon_greedy(qn, next_avail, eps, &mut rng)
-            };
-
-            replay.push(Transition {
-                state,
-                action: action as u8,
-                reward: step.reward,
-                next_state: Arc::clone(&next_state),
-                next_avail,
-                next_action: next_action as u8,
-                done: step.done,
-            });
-
-            if replay.len() >= cfg.warmup.max(cfg.batch)
-                && stats.steps.is_multiple_of(cfg.learn_every.max(1))
-            {
-                let loss = learn_step_batched(
-                    &mut net,
-                    &target,
-                    &mut opt,
-                    &replay,
-                    cfg,
-                    &huber,
-                    &mut rng,
-                    &mut scratch,
-                );
-                ep_loss += loss;
-                ep_loss_n += 1;
-                stats.learn_steps += 1;
-                if stats.learn_steps % cfg.target_sync == 0 {
-                    target.copy_from(&net);
-                }
+            if !t.done {
+                let qn = learner
+                    .net
+                    .forward(Input::Sparse(&t.next_state), &mut act_cache);
+                t.next_action = epsilon_greedy(qn, t.next_avail, eps, &mut rng) as u8;
             }
-
-            if step.done {
-                break;
+            action = usize::from(t.next_action);
+            state = Arc::clone(&t.next_state);
+            learner.replay.push(t);
+            if stats.steps.is_multiple_of(LEARN_EVERY) {
+                learner.learn_step(&mut rng);
             }
-            state = next_state;
-            avail = next_avail;
-            debug_assert!(avail != 0);
-            action = next_action;
         }
 
         stats.episode_rewards.push(ep_reward);
         stats.episode_lengths.push(ep_len);
-        stats.episode_losses.push(if ep_loss_n > 0 {
-            ep_loss / ep_loss_n as f32
-        } else {
-            0.0
-        });
     }
 
-    (
-        TrainedAgent {
+    stats.learn_steps = learner.steps;
+    (learner.agent(), stats)
+}
+
+/// The TD learner both training loops step: the online network (which
+/// ε-greedy acting reads too), its target, Adam, the replay memory and
+/// the learn-step count.
+pub(crate) struct Learner {
+    pub(crate) net: QNet,
+    target: QNet,
+    opt: Adam,
+    pub(crate) replay: ReplayBuffer,
+    scratch: BatchScratch,
+    pub(crate) cfg: TrainConfig,
+    pub(crate) steps: usize,
+}
+
+impl Learner {
+    /// A learner continuing from `net` under `cfg`; `batch` and
+    /// `target_sync` are floored at 1.
+    pub(crate) fn new(net: QNet, mut cfg: TrainConfig) -> Self {
+        cfg.batch = cfg.batch.max(1);
+        cfg.target_sync = cfg.target_sync.max(1);
+        Self {
+            target: net.clone(),
+            opt: Adam::new(cfg.lr),
+            replay: ReplayBuffer::new(cfg.replay_cap),
+            scratch: BatchScratch::new(&net),
             net,
-            algo: cfg.algo,
-            num_models,
-            reward: cfg.reward.clone(),
-        },
-        stats,
-    )
+            cfg,
+            steps: 0,
+        }
+    }
+
+    /// Whether the replay holds enough experience to learn.
+    pub(crate) fn ready(&self) -> bool {
+        self.replay.len() >= self.cfg.warmup.max(self.cfg.batch)
+    }
+
+    /// One [`learn_step_batched`] minibatch drawn from `rng`; `None`
+    /// before [`Learner::ready`]. Syncs the target network every
+    /// `target_sync` steps.
+    pub(crate) fn learn_step(&mut self, rng: &mut StdRng) -> Option<f32> {
+        if !self.ready() {
+            return None;
+        }
+        let loss = learn_step_batched(
+            &mut self.net,
+            &self.target,
+            &mut self.opt,
+            &self.replay,
+            &self.cfg,
+            &Huber::default(),
+            rng,
+            &mut self.scratch,
+        );
+        self.steps += 1;
+        if self.steps.is_multiple_of(self.cfg.target_sync) {
+            self.target.copy_from(&self.net);
+        }
+        Some(loss)
+    }
+
+    /// The current weights as a trained agent.
+    pub(crate) fn agent(&self) -> TrainedAgent {
+        TrainedAgent {
+            net: self.net.clone(),
+            algo: self.cfg.algo,
+            num_models: self.net.actions() - usize::from(self.cfg.use_end_action),
+            reward: self.cfg.reward.clone(),
+        }
+    }
 }
 
 /// Reusable buffers for [`learn_step_batched`].
@@ -362,7 +371,7 @@ pub fn learn_step_batched(
                 Algo::DoubleDqn => row[scratch.a_star[s]],
                 Algo::DeepSarsa => row[tr.next_action as usize],
             };
-            tr.reward + cfg.gamma * bootstrap
+            tr.reward + GAMMA * bootstrap
         };
     }
 
@@ -486,5 +495,77 @@ mod tests {
         };
         let (_, stats) = train(table.items(), 30, &cfg);
         assert!(stats.episode_lengths.iter().all(|&l| (1..=31).contains(&l)));
+    }
+
+    /// `target_sync` is a public field: 0 syncs the target after every
+    /// learn step instead of dividing by zero.
+    #[test]
+    fn zero_target_sync_trains() {
+        let table = fixture();
+        let cfg = TrainConfig {
+            episodes: 20,
+            target_sync: 0,
+            ..TrainConfig::fast_test(Algo::Dqn)
+        };
+        let (_, stats) = train(table.items(), 30, &cfg);
+        assert!(stats.learn_steps > 0, "learning must start");
+    }
+
+    /// Pins trained weights across commits: an FNV-1a fold over the bits
+    /// of every weight and episode reward `train()` produces at
+    /// `fast_test` size for each algorithm (and once without END), then
+    /// over an `OnlineTrainer` continuing from the DQN agent on the
+    /// fixture's outcomes — its losses and its exported weights after 120
+    /// learn steps (one target sync). Any change to a draw order, the
+    /// warmup, the target sync or a TD target moves it.
+    #[test]
+    fn golden_digest() {
+        use crate::online::{OnlineConfig, OnlineTrainer};
+        use ams_models::ModelId;
+        fn fold<'a>(h: u64, xs: impl IntoIterator<Item = &'a f32>) -> u64 {
+            let mix = |h: u64, x: &f32| (h ^ u64::from(x.to_bits())).wrapping_mul(0x100_0000_01b3);
+            xs.into_iter().fold(h, mix)
+        }
+        let table = fixture();
+        let no_end = TrainConfig {
+            use_end_action: false,
+            ..TrainConfig::fast_test(Algo::Dqn)
+        };
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut agents = Vec::new();
+        for cfg in Algo::ALL
+            .map(TrainConfig::fast_test)
+            .into_iter()
+            .chain([no_end])
+        {
+            let (agent, stats) = train(table.items(), 30, &cfg);
+            h = fold(
+                agent.net.tensors().into_iter().fold(h, fold),
+                &stats.episode_rewards,
+            );
+            agents.push(agent);
+        }
+        let cfg = OnlineConfig {
+            warmup: 32,
+            seed: 5,
+            ..OnlineConfig::default()
+        };
+        let mut online = OnlineTrainer::new(&agents[0], &cfg);
+        for (i, item) in table.items().iter().enumerate() {
+            let executed: Vec<ModelId> = (0..4 + i % 6)
+                .map(|k| ModelId(((i * 7 + k * 11) % 30) as u8))
+                .collect();
+            online.absorb(item, &executed);
+        }
+        let losses: Vec<f32> = (0..120).filter_map(|_| online.learn_step()).collect();
+        assert_eq!(losses.len(), 120, "the fixture warms the online trainer");
+        h = online
+            .export(1)
+            .agent()
+            .net
+            .tensors()
+            .into_iter()
+            .fold(fold(h, &losses), fold);
+        assert_eq!(h, 0x897e_da89_628f_8c2d, "trainer digest {h:#018x}");
     }
 }

@@ -67,9 +67,9 @@ pub struct AdaptConfig {
     /// counted in [`AdaptReport::experiences_dropped`] — rather than
     /// stalling a worker. Min 1.
     pub channel_capacity: usize,
-    /// Learner hyperparameters (batch, lr, gamma, replay capacity,
-    /// warmup, target sync) plus the **seed** every bit of trainer
-    /// randomness derives from.
+    /// Learner hyperparameters (batch, lr, warmup) plus the **seed**
+    /// every bit of trainer randomness derives from; the discount, replay
+    /// capacity and target sync are constants of `ams_rl`.
     pub online: OnlineConfig,
     /// Learn steps attempted per absorbed outcome (more = faster
     /// tracking, more CPU on the trainer thread). Min 1.
