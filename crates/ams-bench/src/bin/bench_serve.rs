@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release -p ams-bench --bin bench_serve [-- --smoke]`
 
 use ams_bench::gate::{run_gate, GateKind};
-use ams_bench::serve::{adaptive, capacity, drift, routing, slo, zipf, Ctx, Record};
+use ams_bench::serve::{capacity, drift, routing, slo, zipf, Ctx, Record};
 use serde::Serialize;
 use std::process::ExitCode;
 
@@ -19,7 +19,6 @@ fn main() -> ExitCode {
     let ctx = Ctx::new(smoke);
     let capacity = capacity::run(&ctx);
     let routing_sweep = routing::run(&ctx);
-    let adaptive = adaptive::run(&ctx, capacity.closed_loop_p99_us);
     let slo_sweep = slo::run(&ctx);
     let zipf_sweep = zipf::run(&ctx);
     let drift_sweep = drift::run(&ctx);
@@ -28,9 +27,8 @@ fn main() -> ExitCode {
         description: "AMS serving benchmark: sharded front-end (bounded queues, per-shard \
                       workers, batched admission into the virtual GPU pool) driven closed-loop \
                       at capacity, with and without live observability; hash vs model-affinity \
-                      routing compared at 0.8x/1.6x burst load; adaptive batch-limit controller \
-                      closed-loop against a self-calibrated p99 target; blind vs SLO-aware \
-                      shedding at 1.6x burst overload; the content-addressed label cache swept \
+                      routing compared at 0.8x/1.6x burst load; blind vs SLO-aware shedding at \
+                      1.6x burst overload; the content-addressed label cache swept \
                       over Zipf repeat rates, cache-on vs cache-off; online adaptation \
                       (ams-serve::adapt) under a mid-stream mixture shift, frozen vs adaptive. \
                       DRL-agent predictor, 1s per-item deadline. See PERF.md for methodology."
@@ -54,7 +52,6 @@ fn main() -> ExitCode {
         obs_overhead_fraction: capacity.obs_overhead_fraction,
         affinity_top_k: routing::AFFINITY_TOP_K,
         routing_sweep,
-        adaptive,
         slo_sweep,
         zipf_sweep,
         drift_sweep,

@@ -15,7 +15,7 @@
 //! slowdowns like an accidentally serialized worker pool, not 10%
 //! scheduler noise). Each tolerance sits on its row with its reason.
 
-use crate::serve::{adaptive, capacity, drift, routing, slo, zipf};
+use crate::serve::{capacity, drift, routing, slo, zipf};
 use serde::Value;
 use std::fmt::Write as _;
 
@@ -94,7 +94,6 @@ impl GateKind {
             GateKind::Serve => &[
                 capacity::CHECKS,
                 routing::CHECKS,
-                adaptive::CHECKS,
                 slo::CHECKS,
                 zipf::CHECKS,
                 drift::CHECKS,
@@ -393,7 +392,6 @@ mod tests {
                 "mean_recall": 0.72,
                 "batching_saving_fraction": 0.8,
                 "obs_overhead_fraction": 0.004,
-                "adaptive": { "all_within_target": true },
                 "routing_sweep": [
                     { "mode": "hash", "load_factor": 0.8,
                       "mean_coalesced": 2.5, "bill_saving_fraction": 0.40 },

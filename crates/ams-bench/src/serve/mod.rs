@@ -13,12 +13,11 @@
 //!   ([`Ctx::check_serial`]), and a unique stream makes the label cache a
 //!   no-op ([`zipf`]). The record carries them as flags.
 //! * **Economics** depend on wall-clock timing — the routing win, the SLO
-//!   win, cache monotonicity, the adaptive target, the drift win, the
-//!   observability tax, the capacity floor. They are table rows only:
+//!   win, cache monotonicity, the drift win, the observability tax, the
+//!   capacity floor. They are table rows only:
 //!   `bench_serve` writes its record first and then lets the same table
 //!   `bench_gate` uses decide its exit code.
 
-pub mod adaptive;
 pub mod capacity;
 pub mod drift;
 pub mod routing;
@@ -289,8 +288,7 @@ pub struct Record {
     pub labels_digest: String,
     /// Closed-loop sustainable capacity, items/s.
     pub closed_loop_capacity_per_s: f64,
-    /// Total-latency p99 of the closed-loop run, µs (the adaptive sweep's
-    /// target is 1.25× this).
+    /// Total-latency p99 of the closed-loop run, µs.
     pub closed_loop_p99_us: u64,
     /// Mean recall of the closed-loop run.
     pub mean_recall: f64,
@@ -304,8 +302,6 @@ pub struct Record {
     pub affinity_top_k: usize,
     /// Hash vs affinity routing at 0.8x and 1.6x offered load.
     pub routing_sweep: Vec<routing::RoutingPoint>,
-    /// The adaptive batch-limit controller under closed-loop pressure.
-    pub adaptive: adaptive::AdaptiveSweep,
     /// Blind vs SLO-aware shedding at 1.6x burst overload.
     pub slo_sweep: slo::SloSweep,
     /// The label cache under increasing content repetition.

@@ -15,9 +15,8 @@
 //!   when it resolves, and eviction is priced in SLO value units
 //!   (value-per-byte × recency) under a bounded byte budget.
 //! * [`queue`] — bounded per-shard admission queues with selectable
-//!   backpressure (block / reject / shed-oldest) and per-class admission
-//!   reservations; queued entries carry their ticket's completion slot so
-//!   eviction notifies its victims. `queue/core.rs` decides (admission,
+//!   backpressure (block / reject / shed-oldest); queued entries carry
+//!   their ticket's completion slot so eviction notifies its victims. `queue/core.rs` decides (admission,
 //!   eviction, EDF and batch assembly as pure functions of the queue's
 //!   state and a `now` it is handed); the [`ShardQueue`] shell in
 //!   `queue/mod.rs` locks, reads the clock once per lock hold, and settles
@@ -30,10 +29,7 @@
 //!   shard over one shared
 //!   [`AdaptiveModelScheduler`](ams_core::framework::AdaptiveModelScheduler),
 //!   deadline-aware load shedding, batched admission into the `ams-sim`
-//!   virtual GPU pool, an optional per-shard adaptive batch-limit
-//!   controller (AIMD against a tail-latency target, step-bounded by the
-//!   calibrated batch latency model), optional **SLO-aware admission and
-//!   shedding** (per-request deadline + value classes, predicted-wait
+//!   virtual GPU pool, optional **SLO-aware admission and shedding** (per-request deadline + value classes, predicted-wait
 //!   admission control, value-weighted overflow eviction, EDF dequeue,
 //!   per-class ledgers), and graceful drain on shutdown.
 //! * [`net`] — the TCP front-end: a blocking `std::net` listener
@@ -102,7 +98,7 @@ pub use obs::{
 pub use queue::{BackpressurePolicy, Request, ShardQueue, SubmitOutcome};
 pub use router::{fib_shard, AffinityConfig, Route, Router, RoutingMode};
 pub use server::{
-    AdaptiveBatchConfig, AdaptiveReport, AmsServer, ClassReport, Client, ServeConfig, ServeReport,
-    ShardAdaptive, SloClass, SloConfig, SloReport, SubmitOptions,
+    AmsServer, ClassReport, Client, ServeConfig, ServeReport, SloClass, SloConfig, SloReport,
+    SubmitOptions,
 };
 pub use telemetry::{LatencyHistogram, LatencySummary};

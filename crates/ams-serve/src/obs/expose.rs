@@ -9,12 +9,11 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::Ordering;
 
 /// Per-shard gauge inputs sampled by the server at snapshot time (queue
-/// state and AIMD limit live outside this module).
+/// state lives outside this module).
 pub(crate) struct ShardSample {
     pub depth: u64,
     pub service_hint_us: u64,
     pub estimated_wait_us: u64,
-    pub batch_limit: u64,
 }
 
 impl ServerObs {
@@ -64,7 +63,6 @@ impl ServerObs {
                     estimated_wait_us: s.estimated_wait_us,
                     executing: self.executing[i].load(Ordering::Relaxed),
                     busy_fraction: (busy as f64 / denom as f64).min(1.0),
-                    batch_limit: s.batch_limit,
                     mean_batch_fill: ratio(fill, batches),
                 }
             })
@@ -151,8 +149,6 @@ pub struct ShardGauges {
     pub executing: u64,
     /// Fraction of worker wall time spent executing batches.
     pub busy_fraction: f64,
-    /// Current AIMD `max_batch` limit (static limit when non-adaptive).
-    pub batch_limit: u64,
     /// Mean realized batch size since start.
     pub mean_batch_fill: f64,
 }
@@ -313,7 +309,6 @@ const SHARD_ROWS: &[Family<ShardGauges>] = &[
     ("gauge", "ams_shard_estimated_wait_us", "depth * service_hint: the wait Router::route prices (microseconds).", |s| s.estimated_wait_us as f64),
     ("gauge", "ams_shard_executing", "Requests inside an executing batch per shard.", |s| s.executing as f64),
     ("gauge", "ams_shard_busy_fraction", "Fraction of worker wall time spent executing.", |s| s.busy_fraction),
-    ("gauge", "ams_shard_batch_limit", "Current (AIMD) max_batch per shard.", |s| s.batch_limit as f64),
     ("gauge", "ams_shard_mean_batch_fill", "Mean realized batch size per shard.", |s| s.mean_batch_fill),
 ];
 #[rustfmt::skip]

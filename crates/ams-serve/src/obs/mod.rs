@@ -359,7 +359,6 @@ mod tests {
                 depth: 0,
                 service_hint_us: 0,
                 estimated_wait_us: 0,
-                batch_limit: 4,
             }],
             None,
             None,
@@ -442,13 +441,11 @@ mod tests {
                 depth: 3,
                 service_hint_us: 40,
                 estimated_wait_us: 120,
-                batch_limit: 4,
             },
             ShardSample {
                 depth: 0,
                 service_hint_us: 0,
                 estimated_wait_us: 0,
-                batch_limit: 4,
             },
         ];
         let snap = obs.snapshot(&samples, None, Some(7));

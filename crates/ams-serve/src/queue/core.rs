@@ -1,6 +1,6 @@
-//! The queue's decisions as a plain value: what is pending, which class
-//! may take a slot, who is evicted for whom, and which requests form the
-//! next batch. Nothing here locks, waits, reads a clock or reports to the
+//! The queue's decisions as a plain value: what is pending, whether a
+//! request may take a slot, who is evicted for whom, and which requests
+//! form the next batch. Nothing here locks, waits, reads a clock or reports to the
 //! observability pipeline — time is the `now` a call receives — so every
 //! timing rule is tested with literal microseconds. The
 //! [`ShardQueue`](super::ShardQueue) shell owns the lock and the clock and
@@ -25,8 +25,8 @@ pub(crate) enum Offer {
     /// Not queued: the incoming request is itself the overflow shed. It
     /// comes back untouched; the caller resolves and ledgers it.
     ShedIncoming(Request),
-    /// Not queued: no slot for its class under `Block`. The caller may
-    /// wait for one and offer the request again.
+    /// Not queued: no free slot under `Block`. The caller may wait for
+    /// one and offer the request again.
     Full(Request),
     /// Not queued, and dropped: the queue is closed, or full under
     /// `Reject`.
@@ -38,9 +38,6 @@ pub(crate) enum Offer {
 pub(crate) struct QueueCore {
     pending: VecDeque<Request>,
     closed: bool,
-    /// Queued requests per SLO class (index = class) — the admission
-    /// reservations' accounting.
-    class_counts: Vec<usize>,
     capacity: usize,
     policy: BackpressurePolicy,
     /// Overflow eviction picks the worst value-per-remaining-deadline
@@ -49,11 +46,6 @@ pub(crate) struct QueueCore {
     /// Dequeue picks the earliest-deadline head (EDF) instead of the
     /// oldest, so urgent work leads batch assembly.
     edf: bool,
-    /// Per-class reserved queue slots (index = class; empty = no
-    /// reservations). A class is always admitted while it holds fewer
-    /// slots than its reservation, and the shared pool excludes the slots
-    /// other classes still have in reserve.
-    reservations: Vec<usize>,
 }
 
 impl QueueCore {
@@ -71,18 +63,6 @@ impl QueueCore {
             edf,
             ..Self::default()
         }
-    }
-
-    /// Guarantee `reservations[class]` slots to each class, clamped so the
-    /// sum never exceeds the capacity — earlier classes keep their full
-    /// reserve.
-    pub(crate) fn set_reservations(&mut self, mut reservations: Vec<usize>) {
-        let mut budget = self.capacity;
-        for r in &mut reservations {
-            *r = (*r).min(budget);
-            budget -= *r;
-        }
-        self.reservations = reservations;
     }
 
     /// Requests physically queued, cancellation tombstones included.
@@ -129,67 +109,18 @@ impl QueueCore {
     /// Close and hand back the whole backlog.
     pub(crate) fn abort(&mut self) -> Vec<Request> {
         self.closed = true;
-        self.class_counts.clear();
         self.pending.drain(..).collect()
-    }
-
-    fn class_count(&self, class: usize) -> usize {
-        self.class_counts.get(class).copied().unwrap_or(0)
-    }
-
-    fn reserved(&self, class: usize) -> usize {
-        self.reservations.get(class).copied().unwrap_or(0)
-    }
-
-    fn dec_class(counts: &mut [usize], class: usize) {
-        if let Some(n) = counts.get_mut(class) {
-            *n = n.saturating_sub(1);
-        }
     }
 
     /// Drop every cancellation tombstone. Their terminal events were
     /// already delivered at cancel time, so nothing is ledgered.
     fn purge_tombstones(&mut self) {
-        let counts = &mut self.class_counts;
-        self.pending.retain(|r| {
-            let dead = r.is_tombstone();
-            if dead {
-                Self::dec_class(counts, r.class);
-            }
-            !dead
-        });
+        self.pending.retain(|r| !r.is_tombstone());
     }
 
-    /// Whether `class` may take a slot right now: the queue has room and
-    /// the class either sits under its own reservation or the shared pool
-    /// (capacity minus the slots other classes still hold in reserve) has
-    /// space.
-    fn admittable(&self, class: usize) -> bool {
-        if self.pending.len() >= self.capacity {
-            return false;
-        }
-        if self.reservations.is_empty() || self.class_count(class) < self.reserved(class) {
-            return true;
-        }
-        let held: usize = self
-            .reservations
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| k != class)
-            .map(|(k, &r)| r.saturating_sub(self.class_count(k)))
-            .sum();
-        self.pending.len() + held < self.capacity
-    }
-
-    /// Whether a queued request of `victim_class` may be evicted to admit
-    /// a request of `incoming_class`: its class must be strictly over its
-    /// reservation (eviction never dips a class below its guaranteed
-    /// share), except that the incoming class may always cannibalize its
-    /// own queue.
-    fn evictable(&self, victim_class: usize, incoming_class: usize) -> bool {
-        self.reservations.is_empty()
-            || victim_class == incoming_class
-            || self.class_count(victim_class) > self.reserved(victim_class)
+    /// Whether a request may take a slot right now.
+    fn admittable(&self) -> bool {
+        self.pending.len() < self.capacity
     }
 
     /// Eviction sort key for one request, smallest shed first:
@@ -215,29 +146,25 @@ impl QueueCore {
     }
 
     /// Index of the queued request to shed so `req` can take its slot on a
-    /// full queue, or `None` when `req` itself is the shed (as it is when
-    /// a reservation the incoming class may not touch protects every
-    /// queued request). Blind shedding picks the oldest evictable request;
-    /// value-weighted shedding the smallest [`victim_key`], the front-most
-    /// among equals, on a doom horizon of half the queue depth × the
-    /// per-request drain time.
+    /// full queue, or `None` when `req` itself is the shed. Blind shedding
+    /// picks the oldest request; value-weighted shedding the smallest
+    /// [`victim_key`], the front-most among equals, on a doom horizon of
+    /// half the queue depth × the per-request drain time.
     ///
     /// [`victim_key`]: QueueCore::victim_key
     fn overflow_victim(&self, req: &Request, now: Instant, service_hint_us: u64) -> Option<usize> {
-        let mut evictable =
-            (0..self.pending.len()).filter(|&i| self.evictable(self.pending[i].class, req.class));
         if !self.value_weighted {
-            return evictable.next();
+            return (!self.pending.is_empty()).then_some(0);
         }
         let doom_wait_us = service_hint_us.saturating_mul(self.pending.len() as u64 / 2);
         let key = |r: &Request| Self::victim_key(r, now, doom_wait_us);
-        let victim = evictable.min_by(|&a, &b| {
+        let victim = (0..self.pending.len()).min_by(|&a, &b| {
             let (a, b) = (key(&self.pending[a]), key(&self.pending[b]));
             a.partial_cmp(&b).unwrap_or(Ordering::Equal)
         })?;
         // A *doomed* incoming request (tier 0: expired, or budget already
         // below the queue's drain wait) that also scores worse than every
-        // evictable queued request is itself the shed — evicting viable
+        // queued request is itself the shed — evicting viable
         // queued work to admit a request that will only be deadline-shed
         // at dequeue loses a completion for nothing. A viable newcomer
         // always gets its slot: value density naturally reads lower on a
@@ -258,12 +185,11 @@ impl QueueCore {
         }
         let mut evicted = None;
         // Cancellation tombstones are free slots; drop them before any
-        // backpressure applies. That need not make room: a purged slot of
-        // another class at or under its reserve stays held for that class.
-        if !self.admittable(req.class) {
+        // backpressure applies.
+        if !self.admittable() {
             self.purge_tombstones();
         }
-        if !self.admittable(req.class) {
+        if !self.admittable() {
             match self.policy {
                 BackpressurePolicy::Block => return Offer::Full(req),
                 BackpressurePolicy::Reject => return Offer::Refused,
@@ -273,7 +199,6 @@ impl QueueCore {
                 return Offer::ShedIncoming(req);
             };
             let shed = self.pending.remove(victim).expect("victim index in range");
-            Self::dec_class(&mut self.class_counts, shed.class);
             // An evicted coalescing leader takes its followers with it:
             // each is shed with `Overflow` through its own slot CAS. This
             // runs for the already-cancelled victim too — eviction removes
@@ -287,18 +212,9 @@ impl QueueCore {
                 evicted = Some(shed);
             }
         }
-        // One eviction always makes room. Admissions keep
-        // Σ max(class count, class reservation) ≤ capacity; a class is
-        // refused only once that sum (or the length) has reached the
-        // capacity; and a victim is of the incoming class or of a class
-        // strictly over its reservation, so removing it lowers the sum
-        // and the length by one.
-        debug_assert!(self.admittable(req.class));
+        // One eviction always makes room.
+        debug_assert!(self.admittable());
         req.enqueued_at = now;
-        if self.class_counts.len() <= req.class {
-            self.class_counts.resize(req.class + 1, 0);
-        }
-        self.class_counts[req.class] += 1;
         self.pending.push_back(req);
         Offer::Enqueued { evicted }
     }
@@ -355,9 +271,7 @@ impl QueueCore {
             // Each earlier removal in front of it moved it down by one.
             let moved = order[..k].iter().filter(|&&gone| gone < want).count();
             let taken = self.pending.remove(want - moved);
-            let req = taken.expect("picked index in range");
-            Self::dec_class(&mut self.class_counts, req.class);
-            batch.push(req);
+            batch.push(taken.expect("picked index in range"));
         }
         batch
     }

@@ -1,10 +1,10 @@
 //! Bounded per-shard admission queues with selectable backpressure.
 //!
 //! Each shard owns one [`ShardQueue`]: a mutex around the queue's pure
-//! decision core (`core.rs` — admission, reservations, eviction and batch
-//! assembly as functions of *(state, now)*) plus two condvars (producers
-//! wait on `not_full` under the [`BackpressurePolicy::Block`] policy,
-//! workers wait on `not_empty`). The shell takes the lock, reads the clock
+//! decision core (`core.rs` — admission, eviction and batch assembly as
+//! functions of *(state, now)*) plus two condvars (producers wait on
+//! `not_full` under the [`BackpressurePolicy::Block`] policy, workers wait
+//! on `not_empty`). The shell takes the lock, reads the clock
 //! once per lock hold, asks the core, and settles what it decided (event,
 //! then ledger entry) before letting the lock go. The queue is the *only*
 //! synchronization point between producers and a shard's workers, and it
@@ -16,13 +16,6 @@
 //! ledgering the loss. A request cancelled while queued becomes a
 //! *tombstone* (its slot already resolved); tombstones are purged for free
 //! when the queue needs a slot and skipped by the workers otherwise.
-//!
-//! With per-class **admission reservations** configured
-//! ([`ShardQueue::with_reservations`]), each SLO class is guaranteed its
-//! reserved share of the queue's slots: a burst of one class cannot occupy
-//! the slots another class has in reserve, and overflow eviction never
-//! picks a victim from a class that is at or under its reservation (other
-//! than the incoming request's own class).
 
 mod core;
 
@@ -104,8 +97,7 @@ pub enum SubmitOutcome<T = ()> {
     /// the ticket's terminal event arrives when that leader resolves (its
     /// labels fan out) or fails (the followers are shed with it).
     Coalesced(T),
-    /// Refused: the queue was full ([`BackpressurePolicy::Reject`]), the
-    /// class's admission reservation was exhausted under `Reject`, or the
+    /// Refused: the queue was full ([`BackpressurePolicy::Reject`]) or the
     /// server is shutting down. No ticket, no event.
     Rejected,
 }
@@ -393,16 +385,6 @@ impl ShardQueue {
         row.bump(EventKind::ShedOverflow, req.value);
     }
 
-    /// Attach per-class admission reservations (see the module docs):
-    /// `reservations[class]` queue slots are guaranteed to the class,
-    /// clamped so the sum never exceeds the capacity — earlier classes
-    /// keep their full reserve.
-    pub fn with_reservations(mut self, reservations: Vec<usize>) -> Self {
-        let st = self.state.get_mut().expect("shard queue");
-        st.core.set_reservations(reservations);
-        self
-    }
-
     /// Publish the queue's observed per-request *drain* time (µs): the
     /// workers' amortized service time divided by how many workers share
     /// this queue. Purely advisory: it sharpens the value-weighted
@@ -492,14 +474,10 @@ impl ShardQueue {
                     self.enqueued(ledger, core.newest().expect("offer just queued it"));
                     drop(st);
                     self.not_empty.notify_one();
-                    if evicted.is_none() {
-                        return SubmitOutcome::Enqueued(());
-                    }
-                    // The class mix changed: a producer blocked on a
-                    // reservation may be admittable now even though the
-                    // depth is unchanged.
-                    self.not_full.notify_all();
-                    return SubmitOutcome::EnqueuedShedOldest(());
+                    return match evicted {
+                        None => SubmitOutcome::Enqueued(()),
+                        Some(_) => SubmitOutcome::EnqueuedShedOldest(()),
+                    };
                 }
                 Offer::ShedIncoming(req) => {
                     self.shed_overflow(ledger, &req);

@@ -198,124 +198,49 @@ fn edf_pop_serves_earliest_deadline_first_within_signature_groups() {
     );
 }
 
-/// Admission reservations: a flood of class 0 can fill the shared slots
-/// but never the slots class 1 holds in reserve, so class 1 is still
-/// admitted at the flood's peak — and neither an eviction nor a tombstone
-/// purge dips class 1 below its guaranteed share.
-#[test]
-fn reservations_protect_a_class_from_a_foreign_flood() {
-    let (at, it, desk) = (timeline(), item(), desk());
-    let class = |c| req(&it, 0).with_slo(c, 1.0, None);
-    // Capacity 4, class 1 reserves 2 slots.
-    for policy in [Block, Reject, ShedOldest] {
-        let mut core = QueueCore::new(4, policy, false, false);
-        core.set_reservations(vec![0, 2]);
-        // Class-0 flood: only the 2 shared slots admit. Under ShedOldest
-        // the flood churns them among itself (evicting its own class),
-        // never the reserve.
-        let admitted0 = (0..6)
-            .filter(|&i| matches!(core.offer(class(0), at(i), 0), Offer::Enqueued { .. }))
-            .count();
-        assert_eq!(core.len(), 2, "{policy:?}: only the shared slots fill");
-        assert_eq!(admitted0, if policy == ShedOldest { 6 } else { 2 });
-        // From here a class-0 offer meets the policy, evicting at most its
-        // own class.
-        let overflows = |core: &mut QueueCore, now| match core.offer(class(0), now, 0) {
-            Offer::Full(back) => assert_eq!((policy, back.class), (Block, 0)),
-            Offer::Refused => assert_eq!(policy, Reject),
-            Offer::Enqueued { evicted } => assert_eq!(evicted.expect("churn").class, 0),
-            other => panic!("{policy:?}: {other:?}"),
-        };
-        // Regression: also while class 1 holds a cancelled slot — purging
-        // it hands the slot back to class 1's reserve, not the shared pool.
-        let (r, ticket) = ticketed(class(1), 0, &desk);
-        assert!(admit(&mut core, r, at(10), 0).is_none());
-        assert!(ticket.cancel());
-        overflows(&mut core, at(11));
-        assert_eq!((core.len(), core.live_len()), (2, 2), "{policy:?}: purged");
-        // Class 1 still gets its reserved slots, and keeps them.
-        assert!(admit(&mut core, class(1), at(12), 0).is_none());
-        assert!(admit(&mut core, class(1), at(13), 0).is_none());
-        overflows(&mut core, at(14));
-        let class1 = core.take(8).iter().filter(|r| r.class == 1).count();
-        assert_eq!(class1, 2, "{policy:?}: the reserve survived");
-    }
-}
-
-/// With every queued request protected by a foreign reservation, a
-/// ShedOldest newcomer with no reserve of its own is itself the shed.
-#[test]
-fn newcomer_is_shed_when_every_slot_is_reserved_by_others() {
-    let (at, it) = (timeline(), item());
-    let mut core = QueueCore::new(2, ShedOldest, false, false);
-    core.set_reservations(vec![0, 2]);
-    let class = |c| req(&it, 0).with_slo(c, 1.0, None);
-    assert!(admit(&mut core, class(1), at(0), 0).is_none());
-    assert!(admit(&mut core, class(1), at(1), 0).is_none());
-    match core.offer(class(0), at(2), 0) {
-        Offer::ShedIncoming(back) => assert_eq!(back.class, 0),
-        other => panic!("the class-0 newcomer is the shed, got {other:?}"),
-    }
-    assert_eq!(core.take(4).len(), 2, "class-1 work untouched");
-}
-
-/// Reservation sums beyond the capacity are clamped, earlier classes
-/// first — the queue never promises slots it does not have.
-#[test]
-fn oversubscribed_reservations_are_clamped() {
-    let (at, it) = (timeline(), item());
-    let class = |c| req(&it, 0).with_slo(c, 1.0, None);
-    for policy in [Reject, Block] {
-        let mut core = QueueCore::new(3, policy, false, false);
-        core.set_reservations(vec![2, 4]);
-        // Class 1's reserve clamps to 1 (3 - 2); class 0 keeps 2.
-        for c in [0, 0, 1] {
-            assert!(admit(&mut core, class(c), at(0), 0).is_none());
-        }
-        match core.offer(class(1), at(0), 0) {
-            Offer::Refused => assert_eq!(policy, Reject),
-            Offer::Full(back) => assert_eq!((policy, back.class), (Block, 1)),
-            other => panic!("{policy:?}: a full queue, got {other:?}"),
-        }
-    }
-}
-
 /// Regression: cancellation tombstones must not inflate the admission
 /// snapshot or the live depth the router's wait estimate multiplies — a
 /// queue full of cancelled entries is no drain work, and pricing it as
 /// backlog would shed or spill fresh requests against dead weight. They
-/// are purged before any backpressure applies.
+/// are purged before any backpressure applies, under every policy.
 #[test]
 fn tombstones_are_excluded_from_admission_pricing() {
     let (at, it) = (timeline(), item());
-    let mut core = QueueCore::new(3, Reject, false, false);
-    let desk = desk();
-    let issued: Vec<Ticket> = (0..3)
-        .map(|id| {
-            let r = req(&it, 0).with_slo(0, 1.0, Some(50_000));
-            let (r, ticket) = ticketed(r, id, &desk);
-            admit(&mut core, r, at(0), 0);
-            ticket
-        })
-        .collect();
-    assert_eq!(core.snapshot(at(50_001)), (3, 3));
-    assert_eq!(
-        core.snapshot(at(50_000)),
-        (3, 0),
-        "ahead is strictly earlier"
-    );
-    assert_eq!(core.live_len(), 3);
-    assert!(issued.iter().all(Ticket::cancel));
-    // All three entries are tombstones now: physically queued, but no
-    // drain work and no admission occupancy.
-    assert_eq!(core.len(), 3, "tombstones still occupy until purged");
-    assert_eq!(core.live_len(), 0);
-    assert_eq!(core.snapshot(at(50_001)), (0, 0));
-    let cancelled = desk.1.lock().expect("cancel ledger").total();
-    assert_eq!(cancelled.count(EventKind::Cancelled), 3);
-    // A full-looking `Reject` queue admits: the purge comes first.
-    assert!(admit(&mut core, req(&it, 0), at(10), 0).is_none());
-    assert_eq!((core.len(), core.live_len()), (1, 1));
+    for policy in [Reject, Block, ShedOldest] {
+        let mut core = QueueCore::new(3, policy, false, false);
+        let desk = desk();
+        let issued: Vec<Ticket> = (0..3)
+            .map(|id| {
+                let r = req(&it, 0).with_slo(0, 1.0, Some(50_000));
+                let (r, ticket) = ticketed(r, id, &desk);
+                admit(&mut core, r, at(0), 0);
+                ticket
+            })
+            .collect();
+        assert_eq!(core.snapshot(at(50_001)), (3, 3));
+        assert_eq!(
+            core.snapshot(at(50_000)),
+            (3, 0),
+            "ahead is strictly earlier"
+        );
+        assert_eq!(core.live_len(), 3);
+        assert!(issued.iter().all(Ticket::cancel));
+        // All three entries are tombstones now: physically queued, but no
+        // drain work and no admission occupancy.
+        assert_eq!(core.len(), 3, "tombstones still occupy until purged");
+        assert_eq!(core.live_len(), 0);
+        assert_eq!(core.snapshot(at(50_001)), (0, 0));
+        let cancelled = desk.1.lock().expect("cancel ledger").total();
+        assert_eq!(cancelled.count(EventKind::Cancelled), 3);
+        // A full-looking queue admits with nothing evicted: the purge
+        // comes first — no `Full` under `Block`, no shed under
+        // `ShedOldest`.
+        assert!(
+            admit(&mut core, req(&it, 0), at(10), 0).is_none(),
+            "{policy:?}"
+        );
+        assert_eq!((core.len(), core.live_len()), (1, 1), "{policy:?}");
+    }
 }
 
 // The shell: outcomes, settlement, blocking, close.

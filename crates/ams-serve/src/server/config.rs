@@ -10,46 +10,6 @@ use crate::router::RoutingMode;
 use ams_sim::BatchLatencyModel;
 use serde::{Deserialize, Serialize};
 
-/// Online batch-limit control: AIMD on the tail latency, bounded by the
-/// calibrated batch latency model.
-///
-/// Each shard starts at the server's configured `max_batch` (clamped into
-/// `[min_batch, max_batch]` below) and retunes after every `window`
-/// completed requests:
-///
-/// * observed total-latency p99 **above** `target_p99_ms` → multiplicative
-///   decrease (the limit halves, floored at `min_batch`);
-/// * otherwise → additive increase (the limit grows by one, capped at
-///   `max_batch`) — but only if the [`BatchLatencyModel`] predicts the
-///   grown batch's execute tail still fits the target. The model's
-///   [`growth_ratio`](BatchLatencyModel::growth_ratio) is scale-free, so
-///   the prediction `queue_p99 + exec_p99 × ratio` needs no knowledge of
-///   absolute model latencies: the step is bounded before it is taken
-///   instead of oscillating through a violation it could have foreseen.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveBatchConfig {
-    /// Wall-clock total-latency (queue wait + execute) p99 target, ms.
-    pub target_p99_ms: u64,
-    /// AIMD floor: the limit never shrinks below this. Min 1.
-    pub min_batch: usize,
-    /// AIMD ceiling: the limit never grows past this.
-    pub max_batch: usize,
-    /// Completed requests per shard between adjustments. Min 1.
-    pub window: u64,
-}
-
-impl Default for AdaptiveBatchConfig {
-    /// 50 ms p99 target, limits in `[1, 32]`, retune every 16 requests.
-    fn default() -> Self {
-        Self {
-            target_p99_ms: 50,
-            min_batch: 1,
-            max_batch: 32,
-            window: 16,
-        }
-    }
-}
-
 /// One request class of the service-level objective: a deadline and a
 /// value weight.
 ///
@@ -68,48 +28,31 @@ pub struct SloClass {
     pub deadline_ms: u64,
     /// Multiplier on the request's predicted label value.
     pub weight: f64,
-    /// Admission reservation: the fraction of every shard queue's slots
-    /// guaranteed to this class (0.0 = no reserve, purely shared slots).
-    /// A burst of another class can fill the shared pool but never the
-    /// slots this class holds in reserve, so it cannot starve this class
-    /// of *admission*. Fractions are clamped so the per-queue reserved
-    /// slots never exceed the capacity (earlier classes keep their full
-    /// reserve).
-    pub reserve: f64,
 }
 
 impl SloClass {
-    /// A named class with the given deadline and weight (no reservation).
+    /// A named class with the given deadline and weight.
     pub fn new(name: impl Into<String>, deadline_ms: u64, weight: f64) -> Self {
         Self {
             name: name.into(),
             deadline_ms,
             weight: weight.max(0.0),
-            reserve: 0.0,
         }
-    }
-
-    /// Guarantee the class `fraction` of every shard queue's slots at
-    /// admission (clamped into `[0, 1]`).
-    pub fn with_reserve(mut self, fraction: f64) -> Self {
-        self.reserve = fraction.clamp(0.0, 1.0);
-        self
     }
 }
 
 /// SLO-aware admission and shedding configuration.
 ///
 /// With classes configured, every request carries a deadline and a
-/// weighted value, and three behaviors become selectable (all off =
+/// weighted value. `aware` switches three behaviors on together (off =
 /// "blind" mode — identical scheduling to a classless server, but with the
 /// per-class value/latency ledger still recorded, which is what makes an
 /// honest blind-vs-aware comparison on the same stream possible):
 ///
 /// * **admission control** — `submit` predicts the shard's queue wait
-///   (depth × the amortized per-request batch time the workers publish,
-///   i.e. the same headroom signal the adaptive batch controller tunes
-///   against) and sheds a request *before* it occupies a slot when the
-///   prediction already exceeds its deadline;
+///   (depth × the amortized per-request batch time the workers publish)
+///   and sheds a request *before* it occupies a slot when the prediction
+///   already exceeds its deadline;
 /// * **value-weighted shedding** — on ShedOldest overflow, evict the
 ///   queued request with the worst value-per-remaining-deadline (expired
 ///   requests first — they are dead weight) instead of the head;
@@ -125,14 +68,9 @@ pub struct SloConfig {
     /// `SubmitOptions::class(c)` picks others.
     /// Normalized to at least one class at server start.
     pub classes: Vec<SloClass>,
-    /// Shed at admission when the predicted queue wait exceeds the
-    /// request's deadline.
-    pub admission_control: bool,
-    /// Evict the worst value-per-remaining-deadline request on overflow
-    /// instead of the head.
-    pub value_weighted_shedding: bool,
-    /// Earliest-deadline-first head selection at dequeue.
-    pub edf_dequeue: bool,
+    /// Admission control, value-weighted shedding and EDF dequeue, all on
+    /// (`true`) or all off (`false`).
+    pub aware: bool,
 }
 
 impl SloConfig {
@@ -140,9 +78,7 @@ impl SloConfig {
     pub fn aware(classes: Vec<SloClass>) -> Self {
         Self {
             classes,
-            admission_control: true,
-            value_weighted_shedding: true,
-            edf_dequeue: true,
+            aware: true,
         }
     }
 
@@ -152,9 +88,7 @@ impl SloConfig {
     pub fn blind(classes: Vec<SloClass>) -> Self {
         Self {
             classes,
-            admission_control: false,
-            value_weighted_shedding: false,
-            edf_dequeue: false,
+            aware: false,
         }
     }
 }
@@ -181,12 +115,7 @@ pub struct ServeConfig {
     /// routing (see [`crate::router`]).
     pub routing: RoutingMode,
     /// Max requests a worker coalesces into one batched admission. Min 1.
-    /// With [`ServeConfig::adaptive`] set this is the *starting* limit;
-    /// the controller then retunes each shard online.
     pub max_batch: usize,
-    /// Online per-shard batch-limit control (`None` keeps `max_batch`
-    /// fixed).
-    pub adaptive: Option<AdaptiveBatchConfig>,
     /// Calibrated setup + marginal latency split for batched invocations.
     pub batch_model: BatchLatencyModel,
     /// Virtual GPU pool each batched invocation packs into, MB.
@@ -233,7 +162,6 @@ impl Default for ServeConfig {
             policy: BackpressurePolicy::default(),
             routing: RoutingMode::default(),
             max_batch: 8,
-            adaptive: None,
             batch_model: BatchLatencyModel::default(),
             pool_mb: 12_288,
             slo: None,
@@ -246,21 +174,15 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The config the server actually runs: every count floored at 1, the
-    /// adaptive band made non-empty, an empty SLO class list replaced by
-    /// the default class, negative class weights floored at 0.
+    /// The config the server actually runs: every count floored at 1, an
+    /// empty SLO class list replaced by the default class, negative class
+    /// weights floored at 0.
     pub(super) fn normalized(self) -> Self {
         Self {
             shards: self.shards.max(1),
             workers_per_shard: self.workers_per_shard.max(1),
             queue_capacity: self.queue_capacity.max(1),
             max_batch: self.max_batch.max(1),
-            adaptive: self.adaptive.map(|a| AdaptiveBatchConfig {
-                min_batch: a.min_batch.max(1),
-                max_batch: a.max_batch.max(a.min_batch.max(1)),
-                window: a.window.max(1),
-                ..a
-            }),
             slo: self.slo.map(|mut s| {
                 if s.classes.is_empty() {
                     s.classes = SloConfig::default().classes;
@@ -279,15 +201,6 @@ impl ServeConfig {
     pub(super) fn classes(&self) -> usize {
         self.slo.as_ref().map_or(1, |s| s.classes.len())
     }
-
-    /// Every shard's starting batch limit (of a normalized config): the
-    /// static `max_batch`, clamped into the adaptive band when the
-    /// controller runs.
-    pub(super) fn start_limit(&self) -> usize {
-        self.adaptive.map_or(self.max_batch, |a| {
-            self.max_batch.clamp(a.min_batch, a.max_batch)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -295,24 +208,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn normalization_floors_counts_and_repairs_the_slo_and_adaptive_band() {
-        let banded = |max_batch, min_batch, band_max, window| ServeConfig {
-            max_batch,
-            adaptive: Some(AdaptiveBatchConfig {
-                min_batch,
-                max_batch: band_max,
-                window,
-                ..AdaptiveBatchConfig::default()
-            }),
-            ..ServeConfig::default()
-        };
-        let band = |c: &ServeConfig| c.adaptive.map(|a| (a.min_batch, a.max_batch, a.window));
+    fn normalization_floors_counts_and_repairs_the_slo() {
         let zeroed = ServeConfig {
             shards: 0,
             workers_per_shard: 0,
             queue_capacity: 0,
+            max_batch: 0,
             slo: Some(SloConfig::aware(Vec::new())),
-            ..banded(0, 0, 0, 0)
+            ..ServeConfig::default()
         }
         .normalized();
         let counts = (
@@ -321,17 +224,9 @@ mod tests {
             zeroed.queue_capacity,
         );
         assert_eq!((counts, zeroed.max_batch), ((1, 1, 1), 1));
-        assert_eq!(band(&zeroed), Some((1, 1, 1)));
         let classes = &zeroed.slo.as_ref().expect("slo survives").classes;
         assert_eq!(classes.len(), 1, "empty class list takes the default class");
         assert_eq!(classes[0].name, "default");
-
-        // A ceiling under the floor is lifted to it, and the static limit
-        // starts inside the band from either side.
-        assert_eq!(band(&banded(8, 6, 2, 16).normalized()), Some((6, 6, 16)));
-        assert_eq!(banded(64, 2, 16, 16).normalized().start_limit(), 16);
-        assert_eq!(banded(1, 4, 16, 16).normalized().start_limit(), 4);
-        assert_eq!(ServeConfig::default().normalized().start_limit(), 8);
 
         // `SloClass::new` floors weights; a literal can still carry a
         // negative one.

@@ -5,17 +5,13 @@
 //! hash, or by *model affinity* (see [`crate::router`]) so that requests
 //! predicted to run the same models coalesce on the same shard — and
 //! pushes it into that shard's queue under the configured backpressure
-//! policy. A shard worker pops up to the shard's current batch limit,
+//! policy. A shard worker pops up to [`ServeConfig::max_batch`] requests,
 //! sheds requests whose age has already exhausted their deadline, labels
 //! the rest through the scheduler, coalesces the batch's model
 //! executions into batched invocations on the virtual GPU pool (the
 //! `ams-sim` batching model — one memory acquisition and one setup charge
 //! per model, marginal cost per extra item), and records the queue-wait /
-//! execute latency split. With adaptive batching enabled, each shard's
-//! batch limit is retuned online: AIMD on the observed total-latency p99
-//! against [`AdaptiveBatchConfig::target_p99_ms`], with the growth step
-//! bounded by the calibrated [`BatchLatencyModel`](ams_sim::BatchLatencyModel) so the controller never
-//! *predictably* overshoots its own target. `shutdown` closes the queues,
+//! execute latency split. `shutdown` closes the queues,
 //! drains every worker gracefully, and merges the per-worker shards into
 //! one [`ServeReport`].
 //!
@@ -41,8 +37,8 @@
 //! shared state; the rest is one small module per concern: `config` (the
 //! knobs and their normalisation), `submit` ([`Client`] and the admission
 //! path), `worker` (the shard hot loop, phase by phase), `control` (the
-//! per-shard AIMD batch limit) and `report` (the report types and the
-//! end-of-run fold).
+//! per-shard service-time signals admission prices with) and `report`
+//! (the report types and the end-of-run fold).
 
 mod config;
 mod control;
@@ -50,8 +46,8 @@ mod report;
 mod submit;
 mod worker;
 
-pub use config::{AdaptiveBatchConfig, ServeConfig, SloClass, SloConfig};
-pub use report::{AdaptiveReport, ClassReport, ServeReport, ShardAdaptive, SloReport};
+pub use config::{ServeConfig, SloClass, SloConfig};
+pub use report::{ClassReport, ServeReport, SloReport};
 pub use submit::{Client, SubmitOptions};
 
 use crate::adapt::{AdaptRuntime, AdaptShared, WorkerAdapt};
@@ -129,12 +125,11 @@ impl Shared {
     /// One racy-but-consistent gauge sample per shard: the queue depth and
     /// published drain hint — the very inputs
     /// [`ShardQueue::estimated_wait_us`] prices admission and spill routing
-    /// with — plus the live batch limit.
+    /// with.
     fn shard_samples(&self) -> Vec<ShardSample> {
         self.queues
             .iter()
-            .zip(&self.controls)
-            .map(|(q, c)| {
+            .map(|q| {
                 // One read of each input and their product taken here, so a
                 // pop or a first published hint cannot split the sample.
                 let (depth, service_hint_us) = (q.live_len() as u64, q.service_hint_us());
@@ -142,7 +137,6 @@ impl Shared {
                     depth,
                     service_hint_us,
                     estimated_wait_us: depth.saturating_mul(service_hint_us),
-                    batch_limit: c.limit.load(Ordering::Relaxed) as u64,
                 }
             })
             .collect()
@@ -212,40 +206,18 @@ impl AmsServer {
     /// Spin up the shard queues, the router, and the worker threads.
     pub fn start(scheduler: AdaptiveModelScheduler, budget: Budget, cfg: ServeConfig) -> Self {
         let cfg = cfg.normalized();
-        let (value_weighted, edf) = cfg.slo.as_ref().map_or((false, false), |s| {
-            (s.value_weighted_shedding, s.edf_dequeue)
-        });
-        // Per-class admission reservations: each class's configured
-        // fraction of every shard queue's slots, floored to whole slots
-        // (the queue clamps the sum to its capacity, earlier classes
-        // first). All-zero reservations are dropped entirely — the
-        // classless admission path stays untouched.
-        let reservations: Vec<usize> = cfg.slo.as_ref().map_or(Vec::new(), |s| {
-            let slots: Vec<usize> = s
-                .classes
-                .iter()
-                .map(|c| (c.reserve.clamp(0.0, 1.0) * cfg.queue_capacity as f64).floor() as usize)
-                .collect();
-            if slots.iter().all(|&r| r == 0) {
-                Vec::new()
-            } else {
-                slots
-            }
-        });
+        let aware = cfg.slo.as_ref().is_some_and(|s| s.aware);
         let obs = cfg
             .obs
             .clone()
             .map(|o| Arc::new(ServerObs::new(o, cfg.shards, cfg.workers_per_shard)));
         let queues: Vec<ShardQueue> = (0..cfg.shards)
             .map(|shard| {
-                ShardQueue::with_slo(cfg.queue_capacity, cfg.policy, value_weighted, edf)
-                    .with_reservations(reservations.clone())
+                ShardQueue::with_slo(cfg.queue_capacity, cfg.policy, aware, aware)
                     .with_obs(shard as u32, obs.clone())
             })
             .collect();
-        let controls = (0..cfg.shards)
-            .map(|_| ShardControl::new(cfg.start_limit()))
-            .collect();
+        let controls = (0..cfg.shards).map(|_| ShardControl::default()).collect();
         let submit_ledger = (0..cfg.shards).map(|_| Mutex::default()).collect();
         // Without SLO classes nothing consumes `Route::value`, so hash
         // routing skips the per-submission value scan.
@@ -355,7 +327,7 @@ impl AmsServer {
 
     /// A live metrics snapshot *while the server is running*: event
     /// totals, in-flight and outstanding-ticket gauges, per-shard queue
-    /// depth / wait estimate / busy fraction / current batch limit,
+    /// depth / wait estimate / busy fraction,
     /// per-class admission and deadline rates (lifetime ratios), cache
     /// occupancy, and the latency histogram since start — all without
     /// stopping a single worker (the rings are drained opportunistically

@@ -10,42 +10,6 @@ use crate::telemetry::{ratio, LatencyHistogram, LatencySummary};
 use ams_core::streaming::StreamStats;
 use serde::{Deserialize, Serialize};
 
-/// One shard's adaptive-batching record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardAdaptive {
-    /// Shard index.
-    pub shard: usize,
-    /// Batch limit when the server drained.
-    pub final_max_batch: usize,
-    /// Adjustment windows evaluated.
-    pub adjustments: u64,
-    /// Total-latency p99 of the last evaluated window, µs (0 when the
-    /// shard never filled half a window — too little traffic to judge).
-    pub last_window_p99_us: u64,
-    /// Whether the last evaluated window met the target.
-    pub within_target: bool,
-    /// Batch limit after each adjustment, in order — the trajectory the
-    /// benchmark publishes.
-    pub trajectory: Vec<usize>,
-}
-
-/// The merged adaptive-batching record (present when the server ran with
-/// [`ServeConfig::adaptive`](super::ServeConfig::adaptive)).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AdaptiveReport {
-    /// The configured total-latency p99 target, ms.
-    pub target_p99_ms: u64,
-    /// Per-shard controller trajectories.
-    pub shards: Vec<ShardAdaptive>,
-}
-
-impl AdaptiveReport {
-    /// Whether every shard's last evaluated window met the target.
-    pub fn all_within_target(&self) -> bool {
-        self.shards.iter().all(|s| s.within_target)
-    }
-}
-
 /// One SLO class's merged ledger: every loss path, the value accounting,
 /// and the class's own latency distribution.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -154,12 +118,9 @@ impl ClassReport {
 /// [`ServeConfig::slo`](super::ServeConfig::slo)).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SloReport {
-    /// Whether admission control ran.
-    pub admission_control: bool,
-    /// Whether overflow eviction was value-weighted.
-    pub value_weighted_shedding: bool,
-    /// Whether dequeue was earliest-deadline-first.
-    pub edf_dequeue: bool,
+    /// Whether the SLO-aware behaviors ran (admission control,
+    /// value-weighted eviction, earliest-deadline-first dequeue).
+    pub aware: bool,
     /// Per-class ledgers, indexed by class.
     pub classes: Vec<ClassReport>,
 }
@@ -278,8 +239,6 @@ pub struct ServeReport {
     /// what a serial [`ams_core::streaming::StreamProcessor`] produces over
     /// the same items when nothing is shed.
     pub stats: StreamStats,
-    /// Adaptive-batching trajectories (when the controller ran).
-    pub adaptive: Option<AdaptiveReport>,
     /// Per-class SLO ledgers (when SLO classes were configured).
     pub slo: Option<SloReport>,
     /// Label-cache telemetry (when the cache ran).
@@ -397,15 +356,6 @@ pub(super) fn fold(
     }
     // A class nothing was ever offered in still reports its (zero) row.
     ledger.row(shared.cfg.classes() - 1);
-    let adaptive = shared.cfg.adaptive.map(|acfg| AdaptiveReport {
-        target_p99_ms: acfg.target_p99_ms,
-        shards: shared
-            .controls
-            .iter()
-            .enumerate()
-            .map(|(shard, ctl)| ctl.record(shard, &acfg))
-            .collect(),
-    });
     // The final observability fold. `report` drains the rings one last
     // time, and the order matters: every ledger above was read first,
     // and every ledgered settlement pushed its event *before* its
@@ -420,9 +370,7 @@ pub(super) fn fold(
         )
     });
     let slo = shared.cfg.slo.as_ref().map(|slo_cfg| SloReport {
-        admission_control: slo_cfg.admission_control,
-        value_weighted_shedding: slo_cfg.value_weighted_shedding,
-        edf_dequeue: slo_cfg.edf_dequeue,
+        aware: slo_cfg.aware,
         classes: slo_cfg
             .classes
             .iter()
@@ -486,7 +434,6 @@ pub(super) fn fold(
         execute: merged.execute.summary(),
         total: total.summary(),
         stats: merged.stats,
-        adaptive,
         slo,
         cache: shared.cache.as_ref().map(|c| c.report()),
         obs: obs_report,

@@ -142,7 +142,7 @@ impl Client {
 }
 
 /// Per-ticket economics for [`Client::submit_with`]: the SLO class is
-/// the aggregation bucket (ledgers, reports, reservations), while the
+/// the aggregation bucket (ledgers and reports), while the
 /// optional deadline and value override the class defaults for *this
 /// ticket only* — admission pricing, EDF dequeue, deadline shedding, and
 /// value-weighted eviction all read the per-ticket numbers.
@@ -417,7 +417,7 @@ fn admission_wait(
     now: Instant,
 ) -> Option<u64> {
     let (slo, deadline) = (shared.cfg.slo.as_ref()?, deadline_us?);
-    if !slo.admission_control {
+    if !slo.aware {
         return None;
     }
     let (queue, control) = (&shared.queues[shard], &shared.controls[shard]);
@@ -427,7 +427,6 @@ fn admission_wait(
         control.amortized_us.load(Ordering::Relaxed),
         control.exec_span_us.load(Ordering::Relaxed),
         shared.cfg.workers_per_shard,
-        slo.edf_dequeue,
         deadline,
     )
 }
@@ -435,10 +434,10 @@ fn admission_wait(
 /// Admission pricing as a pure function: the predicted wait, µs, when the
 /// request is doomed; `None` admits (always, without service-time evidence
 /// — `amortized_us == 0`). `(depth, ahead)` is the queue snapshot: the
-/// live backlog, and the part of it an EDF dequeue serves first. Under EDF
-/// an urgent request overtakes lax work, so the raw depth would overcharge
-/// it (and shed requests EDF would have served in time): EDF prices
-/// `ahead`, FIFO prices `depth`.
+/// live backlog, and the part of it the EDF dequeue serves first. An
+/// urgent request overtakes lax work, so the raw depth would overcharge
+/// it (and shed requests EDF would have served in time): the wait prices
+/// `ahead`, and only the full-queue test reads `depth`.
 ///
 /// Two shedding criteria, deliberately asymmetric:
 ///
@@ -459,11 +458,9 @@ fn doomed_at_admission(
     amortized_us: u64,
     exec_span_us: u64,
     workers: usize,
-    edf: bool,
     deadline_us: u64,
 ) -> Option<u64> {
-    let priced = if edf { ahead } else { depth };
-    let wait_us = priced as f64 * amortized_us as f64 / workers as f64;
+    let wait_us = ahead as f64 * amortized_us as f64 / workers as f64;
     let (full, deadline) = (depth >= capacity, deadline_us as f64);
     let doomed = wait_us >= deadline || (full && wait_us + exec_span_us as f64 >= deadline);
     (amortized_us > 0 && doomed).then_some(wait_us as u64)
@@ -475,28 +472,23 @@ mod tests {
 
     /// Admission pricing as a table of literal microseconds: 4 queued, 1
     /// of them ahead under EDF; 100 µs amortized per request over 2
-    /// workers (so FIFO waits 200 µs and EDF 50); a 300 µs execute span.
+    /// workers (so the wait is 50 µs); a 300 µs execute span.
     #[test]
     fn admission_prices_the_backlog_against_the_deadline() {
-        let price = |capacity, amortized_us, edf, deadline_us| {
-            doomed_at_admission((4, 1), capacity, amortized_us, 300, 2, edf, deadline_us)
+        let price = |capacity, amortized_us, deadline_us| {
+            doomed_at_admission((4, 1), capacity, amortized_us, 300, 2, deadline_us)
         };
-        let (full, roomy, fifo, edf) = (4, 5, false, true);
-        // The wait alone reaches the deadline: shed, full or not.
-        assert_eq!(price(roomy, 100, fifo, 200), Some(200));
-        assert_eq!(price(roomy, 100, fifo, 201), None);
+        let (full, roomy) = (4, 5);
+        // The wait alone reaches the deadline: shed, full or not. Only the
+        // work ahead is priced, not the depth (which would wait 200 µs).
+        assert_eq!(price(roomy, 100, 50), Some(50));
+        assert_eq!(price(roomy, 100, 51), None);
         // Full: the wait plus one execute span reaches it.
-        assert_eq!(price(full, 100, fifo, 500), Some(200));
-        assert_eq!(price(full, 100, fifo, 501), None);
+        assert_eq!(price(full, 100, 350), Some(50));
+        assert_eq!(price(full, 100, 351), None);
         // Probably late, but the queue has room: admitted.
-        assert_eq!(price(roomy, 100, fifo, 500), None);
-        // EDF prices only the work ahead (50 µs), FIFO the depth.
-        assert_eq!(price(roomy, 100, edf, 50), Some(50));
-        assert_eq!(price(roomy, 100, edf, 51), None);
-        assert_eq!(price(full, 100, edf, 350), Some(50));
-        assert_eq!(price(full, 100, edf, 351), None);
+        assert_eq!(price(roomy, 100, 200), None);
         // No service-time evidence yet: everything is admitted.
-        assert_eq!(price(full, 0, fifo, 0), None);
-        assert_eq!(price(full, 0, edf, 1), None);
+        assert_eq!(price(full, 0, 0), None);
     }
 }

@@ -16,7 +16,6 @@ use crate::telemetry::{micros, LatencyHistogram};
 use ams_core::framework::LabelingOutcome;
 use ams_core::streaming::StreamStats;
 use ams_sim::{Job, PoolTimeline};
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// Items below this recall increment [`StreamStats::low_recall_items`] —
@@ -181,14 +180,7 @@ pub(super) fn worker_loop(
         service: ServiceClock::default(),
     };
     loop {
-        // Under adaptive batching the shard's live limit replaces the
-        // static one; the controller retunes it between pops.
-        let limit = if shared.cfg.adaptive.is_some() {
-            w.control.limit.load(Ordering::Relaxed)
-        } else {
-            shared.cfg.max_batch
-        };
-        let Some((batch, exec_start)) = w.pace(limit) else {
+        let Some((batch, exec_start)) = w.pace(shared.cfg.max_batch) else {
             // Commit what has not started yet: the busy time is the union
             // of committed groups.
             w.pool.advance_to(u64::MAX);
@@ -458,26 +450,17 @@ impl Worker<'_> {
         }
     }
 
-    /// Deliver every staged member due at `now`: feed the adaptive
-    /// controller their latencies (one lock per call), then resolve each
-    /// one (cache fan-out, ledgers, events, the ticket's own `Labeled`
+    /// Deliver every staged member due at `now`: resolve each one (cache fan-out, ledgers, events, the ticket's own `Labeled`
     /// completion). Each is charged its own execute span — its batch's pop
     /// to `now` — on top of its queue wait.
     fn deliver_due(&mut self, now: Instant) {
         let mut staged = std::mem::take(&mut self.in_flight);
         let due = staged.partition_point(|m| m.due <= now);
         if due > 0 {
-            let span = |m: &InFlight| now.saturating_duration_since(m.exec_start);
-            let shared = self.shared;
-            if let Some(acfg) = &shared.cfg.adaptive {
-                let members = staged.iter().take(due).map(|m| (m.s.wait, span(m)));
-                self.control
-                    .observe_batch(members, acfg, &shared.cfg.batch_model);
-            }
             let shard = self.shard;
-            shared.observe(|obs| obs.delivered(shard, due));
+            self.shared.observe(|obs| obs.delivered(shard, due));
             for m in staged.drain(..due) {
-                let exec = span(&m);
+                let exec = now.saturating_duration_since(m.exec_start);
                 self.deliver(m.s, m.outcome, exec);
             }
         }

@@ -599,86 +599,6 @@ fn completion_window_blocks_submission_until_the_client_drains() {
     server.shutdown();
 }
 
-/// Per-class admission reservations, end to end: a flood of bulk traffic
-/// cannot starve the interactive class of *admission* — its reserved
-/// slots admit it at the flood's peak — and the per-class ledgers stay
-/// conserved (including cancellations) under every backpressure policy.
-#[test]
-fn admission_reservations_conserve_and_protect_across_policies() {
-    let table = truth();
-    for policy in common::POLICIES {
-        let server = AmsServer::start(
-            scheduler(),
-            Budget::Deadline { ms: 900 },
-            ServeConfig {
-                shards: 1,
-                workers_per_shard: 1,
-                queue_capacity: 8,
-                max_batch: 2,
-                policy,
-                // Slow drain so the flood genuinely saturates the queue.
-                exec_emulation_scale: 5e-3,
-                slo: Some(SloConfig {
-                    classes: vec![
-                        SloClass::new("bulk", 60_000, 1.0),
-                        // Interactive reserves half the queue's slots.
-                        SloClass::new("interactive", 60_000, 4.0).with_reserve(0.5),
-                    ],
-                    admission_control: false,
-                    value_weighted_shedding: policy == BackpressurePolicy::ShedOldest,
-                    edf_dequeue: false,
-                }),
-                ..ServeConfig::default()
-            },
-        );
-        let client = server.client();
-        let mut outcomes: Vec<(usize, bool)> = Vec::new(); // (class, accepted)
-        let mut issued = 0u64;
-        // Bulk flood first, then interactive submissions at the peak.
-        for (i, item) in table.items().iter().enumerate() {
-            let class = if i < 30 { 0 } else { 1 };
-            let opts = SubmitOptions::class(class);
-            let outcome = client.submit_with(Arc::new(item.clone()), opts);
-            issued += u64::from(!outcome.is_rejected());
-            outcomes.push((class, outcome.is_accepted()));
-        }
-        let report = server.shutdown();
-        let ctx = format!("policy {policy:?}");
-        // The reserve holds: the bulk flood can saturate the shared slots,
-        // but the interactive class is still admitted at least up to its
-        // reserved share (4 of 8 slots) — without the reservation, a
-        // Reject queue full of bulk would refuse *every* interactive
-        // request. Block and ShedOldest admit all of them (blocking or
-        // evicting over-reserve bulk, never the protected slots).
-        let interactive_accepted = outcomes
-            .iter()
-            .filter(|&&(class, accepted)| class == 1 && accepted)
-            .count();
-        assert!(
-            interactive_accepted >= 4,
-            "{ctx}: the reserve admits at least its share, got {interactive_accepted}"
-        );
-        if policy != BackpressurePolicy::Reject {
-            assert_eq!(interactive_accepted, 10, "{ctx}: nothing refused");
-        }
-        assert!(report.is_conserved(), "{ctx}");
-        let slo = report.slo.as_ref().expect("slo ledger");
-        assert!(slo.is_conserved(), "{ctx}: per-class ledgers balance");
-        assert_eq!(slo.classes[1].offered, 10, "{ctx}");
-        for c in &slo.classes {
-            assert!(
-                (c.value_offered - c.value_completed - c.value_shed - c.value_cancelled).abs()
-                    < 1e-6,
-                "{ctx} class {}: value ledger balances",
-                c.name
-            );
-        }
-        // Exactly-once on the event side too.
-        let events = client.drain();
-        assert_eq!(events.len() as u64, issued, "{ctx}: one event per ticket");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

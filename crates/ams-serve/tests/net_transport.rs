@@ -166,15 +166,10 @@ fn abrupt_disconnect_cancels_outstanding_and_server_keeps_serving() {
         // when the disconnect lands.
         exec_emulation_scale: 5e-3,
         obs: Some(ObsConfig::default()),
-        slo: Some(SloConfig {
-            classes: vec![
-                SloClass::new("interactive", 60_000, 4.0),
-                SloClass::new("bulk", 60_000, 1.0),
-            ],
-            admission_control: false,
-            value_weighted_shedding: false,
-            edf_dequeue: false,
-        }),
+        slo: Some(SloConfig::blind(vec![
+            SloClass::new("interactive", 60_000, 4.0),
+            SloClass::new("bulk", 60_000, 1.0),
+        ])),
         ..ServeConfig::default()
     });
     let addr = net.local_addr();
@@ -320,12 +315,7 @@ fn per_ticket_deadline_and_value_travel_the_wire() {
         max_batch: 4,
         queue_capacity: 64,
         policy: BackpressurePolicy::Block,
-        slo: Some(SloConfig {
-            classes: vec![SloClass::new("only", 60_000, 1.0)],
-            admission_control: false,
-            value_weighted_shedding: false,
-            edf_dequeue: false,
-        }),
+        slo: Some(SloConfig::blind(vec![SloClass::new("only", 60_000, 1.0)])),
         ..ServeConfig::default()
     });
     let remote = NetClient::connect(net.local_addr()).expect("connect");

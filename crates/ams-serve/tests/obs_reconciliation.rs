@@ -154,12 +154,13 @@ fn events_reconcile_under_shed_oldest_policy() {
 /// server, so every bucket's expected count is known exactly: labeled,
 /// coalesced, cache hit, deadline shed, cancelled, the policy's overflow
 /// path (shed-oldest evicts / reject refuses / block has none) and — with
-/// classes and admission control — an admission shed. For every bucket the
+/// SLO-aware classes — an admission shed. For every bucket the
 /// top-level counter, the class-0 ledger row and the event stream (in
 /// total and for class 0) must agree with that count: a classless server
 /// is a one-class server whose only row *is* the top level.
 fn one_request_down_each_path(policy: BackpressurePolicy, slo: Option<SloConfig>) {
     let classful = slo.is_some();
+    let aware = slo.as_ref().is_some_and(|s| s.aware);
     let server = start(ServeConfig {
         shards: 1,
         workers_per_shard: 1,
@@ -217,15 +218,16 @@ fn one_request_down_each_path(policy: BackpressurePolicy, slo: Option<SloConfig>
     // Everything above settles; the leader's fingerprint is now a hit.
     while client.recv().is_some() {}
     assert!(matches!(client.submit(item(0)), SubmitOutcome::Cached(_)));
-    // With admission control: one request held by the worker, one queued
-    // behind it, and a third whose 1 µs budget the priced wait exceeds.
-    let admission = u64::from(classful);
-    if classful {
+    // With admission control: one request held by the worker (so the
+    // shard has published its service time), and a second whose zero
+    // budget the priced wait already reaches. EDF prices only the work
+    // due before it, so a budget above zero could be admitted here.
+    let admission = u64::from(aware);
+    if aware {
         assert!(client.submit(item(5)).is_accepted());
         wait_until_popped();
-        assert!(client.submit(item(6)).is_accepted());
-        let hopeless = SubmitOptions::default().deadline_us(1);
-        let outcome = client.submit_with(item(7), hopeless);
+        let hopeless = SubmitOptions::default().deadline_us(0);
+        let outcome = client.submit_with(item(6), hopeless);
         assert!(matches!(outcome, SubmitOutcome::ShedAdmission(_)));
     }
     let report = server.shutdown();
@@ -236,17 +238,22 @@ fn one_request_down_each_path(policy: BackpressurePolicy, slo: Option<SloConfig>
     let obs = r.obs.as_ref().expect("obs report present");
     assert_eq!(r.slo.is_some(), classful, "`slo` only when configured");
     let row = r.slo.as_ref().map(|slo| &slo.classes[0]);
-    let offered = 6 + shed_oldest + rejected + 3 * admission;
+    let offered = 6 + shed_oldest + rejected + 2 * admission;
+    // Value-weighted eviction sheds the doomed request first: on an aware
+    // shed-oldest queue the overflow victim is the expired request, so it
+    // never reaches the dequeue-time deadline shed and the oldest is
+    // labeled instead.
+    let expired_evicted = u64::from(aware && shed_oldest == 1);
     // (kind, expected, top-level counter, the class-0 ledger row's)
     #[rustfmt::skip]
     let buckets = [
         (K::Admitted, offered, r.offered, row.map(|c| c.offered)),
-        (K::Labeled, 2 + 2 * admission, r.completed, row.map(|c| c.completed)),
+        (K::Labeled, 2 + expired_evicted + admission, r.completed, row.map(|c| c.completed)),
         (K::CacheHit, 1, r.cache_hit, row.map(|c| c.cache_hit)),
         (K::Coalesced, 1, r.coalesced, row.map(|c| c.coalesced)),
         (K::ShedAdmission, admission, r.shed_admission, row.map(|c| c.shed_admission)),
         (K::ShedOverflow, shed_oldest, r.shed_oldest, row.map(|c| c.shed_oldest)),
-        (K::ShedDeadline, 1, r.shed_deadline, row.map(|c| c.shed_deadline)),
+        (K::ShedDeadline, 1 - expired_evicted, r.shed_deadline, row.map(|c| c.shed_deadline)),
         (K::Rejected, rejected, r.rejected, row.map(|c| c.rejected)),
         (K::Cancelled, 1, r.cancelled, row.map(|c| c.cancelled)),
     ];
@@ -275,13 +282,13 @@ fn every_terminal_path_lands_in_one_bucket_classless_and_with_one_class() {
     for policy in common::POLICIES {
         one_request_down_each_path(policy, None);
     }
-    // Admission control priced against raw depth (no EDF overtaking), a
-    // class deadline nothing here can reach.
-    let slo = SloConfig {
-        admission_control: true,
-        ..SloConfig::blind(vec![SloClass::new("only", 60_000, 1.0)])
-    };
-    one_request_down_each_path(BackpressurePolicy::ShedOldest, Some(slo));
+    // One SLO-aware class whose deadline nothing here can reach: under
+    // Reject the expired request reaches the deadline shed, under
+    // ShedOldest value-weighted eviction takes it.
+    for policy in [BackpressurePolicy::Reject, BackpressurePolicy::ShedOldest] {
+        let slo = SloConfig::aware(vec![SloClass::new("only", 60_000, 1.0)]);
+        one_request_down_each_path(policy, Some(slo));
+    }
 }
 
 /// Ring overflow keeps totals honest: with absurdly small rings and an

@@ -9,9 +9,8 @@ use ams_core::framework::Budget;
 use ams_core::streaming::{StreamProcessor, StreamStats};
 use ams_data::{ItemTruth, TruthTable};
 use ams_serve::{
-    AdaptiveBatchConfig, AffinityConfig, AmsServer, BackpressurePolicy, Client, Router,
-    RoutingMode, ServeConfig, ServeReport, ShardQueue, SloClass, SloConfig, SubmitOptions,
-    SubmitOutcome, Ticket,
+    AffinityConfig, AmsServer, BackpressurePolicy, Client, Router, RoutingMode, ServeConfig,
+    ServeReport, ShardQueue, SloClass, SloConfig, SubmitOptions, SubmitOutcome, Ticket,
 };
 use common::{assert_stats_match, scheduler, truth_of as truth};
 use std::sync::Arc;
@@ -145,86 +144,6 @@ fn affinity_routing_preserves_serial_equivalence() {
         assert!(report.mean_coalesced() >= 1.0, "{ctx}");
         assert_delivery_matches_ledger(&client, &report, 40, &ctx);
     }
-}
-
-/// The adaptive controller retunes the batch limit without perturbing the
-/// labeling results, and publishes its trajectory.
-#[test]
-fn adaptive_controller_keeps_stats_exact_and_reports_trajectory() {
-    let budget = Budget::Deadline { ms: 900 };
-    let table = truth(48);
-    let want = serial_stats(budget, &table);
-    let cfg = ServeConfig {
-        shards: 1,
-        workers_per_shard: 1,
-        max_batch: 4,
-        queue_capacity: 64,
-        policy: BackpressurePolicy::Block,
-        adaptive: Some(AdaptiveBatchConfig {
-            // Generous target: pure simulation latencies sit far below
-            // 10 s, so every window complies and the limit can only grow.
-            target_p99_ms: 10_000,
-            min_batch: 1,
-            max_batch: 16,
-            window: 8,
-        }),
-        ..ServeConfig::default()
-    };
-    let (client, report) = serve_all(cfg, budget, &table, SubmitOptions::default(), drop);
-    assert_stats_match(&report.stats, &want, "adaptive");
-    assert_delivery_matches_ledger(&client, &report, 48, "adaptive");
-    let adaptive = report.adaptive.expect("controller ran");
-    assert_eq!(adaptive.target_p99_ms, 10_000);
-    assert_eq!(adaptive.shards.len(), 1);
-    let shard = &adaptive.shards[0];
-    assert!(
-        shard.adjustments > 0,
-        "48 items fill several 8-wide windows"
-    );
-    assert_eq!(shard.trajectory.len(), shard.adjustments as usize);
-    assert!(shard.final_max_batch >= 4, "compliant windows only grow");
-    assert!(shard.final_max_batch <= 16, "never past the ceiling");
-    assert!(shard.within_target);
-    assert!(adaptive.all_within_target());
-}
-
-/// An impossible target drives the limit down to the floor — the
-/// multiplicative-decrease path — and the report says the target was
-/// missed rather than pretending otherwise.
-#[test]
-fn adaptive_controller_decays_to_floor_under_impossible_target() {
-    let budget = Budget::Deadline { ms: 900 };
-    let table = truth(48);
-    let cfg = ServeConfig {
-        shards: 1,
-        workers_per_shard: 1,
-        max_batch: 16,
-        queue_capacity: 64,
-        policy: BackpressurePolicy::Block,
-        // Make execution take real wall time so a 0 ms target must fail.
-        exec_emulation_scale: 1e-3,
-        adaptive: Some(AdaptiveBatchConfig {
-            target_p99_ms: 0,
-            min_batch: 2,
-            max_batch: 16,
-            window: 8,
-        }),
-        ..ServeConfig::default()
-    };
-    let (client, report) = serve_all(cfg, budget, &table, SubmitOptions::default(), drop);
-    assert_delivery_matches_ledger(&client, &report, 48, "latency control never drops work");
-    let adaptive = report.adaptive.expect("controller ran");
-    let shard = &adaptive.shards[0];
-    assert_eq!(shard.final_max_batch, 2, "decayed to the configured floor");
-    assert!(
-        !shard.within_target,
-        "an impossible target is reported missed"
-    );
-    assert!(
-        shard.trajectory.windows(2).all(|w| w[1] <= w[0]),
-        "violations only shrink the limit: {:?}",
-        shard.trajectory
-    );
 }
 
 /// Batched admission compresses virtual execution: the sum of batch
@@ -552,7 +471,7 @@ fn blind_slo_mode_tracks_classes_without_perturbing_results() {
     // The full SLO report survives serde for the bench records.
     let json = serde_json::to_string(&report).expect("serializes");
     let slo = report.slo.expect("ledger present");
-    assert!(!slo.admission_control && !slo.value_weighted_shedding && !slo.edf_dequeue);
+    assert!(!slo.aware);
     assert!(slo.is_conserved());
     assert!(
         (slo.deadline_met_rate() - 1.0).abs() < 1e-12,

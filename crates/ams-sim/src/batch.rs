@@ -66,22 +66,6 @@ impl BatchLatencyModel {
         }
         self.setup_ms(single_ms) + batch as u64 * self.marginal_ms(single_ms)
     }
-
-    /// How much longer a batched invocation gets when it grows from `from`
-    /// to `to` items, as a latency ratio (`batch_time(to) / batch_time(from)`,
-    /// 1.0 for degenerate inputs). Scale-free in `single_ms`: the ratio
-    /// depends only on the setup share and the two batch sizes, so an
-    /// adaptive controller can bound a wall-clock p99 prediction with it
-    /// without knowing the models' absolute latencies.
-    pub fn growth_ratio(&self, from: usize, to: usize) -> f64 {
-        // A reference latency large enough that integer setup/marginal
-        // rounding cannot distort the ratio.
-        const REF_MS: u32 = 1_000_000;
-        if from == 0 || to <= from {
-            return 1.0;
-        }
-        self.batch_time_ms(REF_MS, to) as f64 / self.batch_time_ms(REF_MS, from) as f64
-    }
 }
 
 impl Default for BatchLatencyModel {
@@ -670,24 +654,6 @@ mod tests {
             assert!(a <= prev, "amortized cost must not grow: k={k}");
             assert!(a >= m.marginal_ms(180) as f64, "never below marginal");
             prev = a;
-        }
-    }
-
-    #[test]
-    fn growth_ratio_is_scale_free_and_bounded() {
-        let m = BatchLatencyModel::new(700);
-        assert_eq!(m.growth_ratio(0, 5), 1.0);
-        assert_eq!(m.growth_ratio(4, 4), 1.0);
-        assert_eq!(m.growth_ratio(8, 2), 1.0);
-        for (from, to) in [(1usize, 2usize), (2, 4), (4, 8), (8, 9)] {
-            let r = m.growth_ratio(from, to);
-            // Growing a batch costs something but less than proportionally:
-            // the setup charge is already paid.
-            assert!(r > 1.0, "{from}->{to}: {r}");
-            assert!(r <= to as f64 / from as f64, "{from}->{to}: {r}");
-            // Matches the batch-time ratio at an arbitrary latency scale.
-            let direct = m.batch_time_ms(90_000, to) as f64 / m.batch_time_ms(90_000, from) as f64;
-            assert!((r - direct).abs() < 1e-3, "{from}->{to}: {r} vs {direct}");
         }
     }
 

@@ -16,10 +16,8 @@
 //!   facade.
 //! * [`serve`] — the sharded serving front-end: a request/response client
 //!   API (completion tickets, per-request label delivery, cancellation),
-//!   bounded queues with backpressure and per-class admission
-//!   reservations, model-affinity routing with deadline-aware spill,
-//!   batched admission with an adaptive per-shard batch-limit controller,
-//!   deadline shedding, a content-addressed label cache with request
+//!   bounded queues with backpressure, model-affinity routing with
+//!   deadline-aware spill, batched admission, deadline shedding, a content-addressed label cache with request
 //!   coalescing, latency telemetry, and online adaptation (a background
 //!   trainer learning from served outcomes and hot-swapping
 //!   generation-counted weight snapshots into the predict path).
@@ -94,11 +92,11 @@ pub mod prelude {
         OnlineTrainer, RewardConfig, Smoothing, TrainConfig, TrainStats, TrainedAgent,
     };
     pub use ams_serve::{
-        AdaptConfig, AdaptReport, AdaptiveBatchConfig, AdaptiveReport, AffinityConfig, AmsServer,
-        BackpressurePolicy, CacheConfig, CacheReport, ClassReport, Client, Completion, EventKind,
-        LabelResult, LatencySummary, MetricsSnapshot, NetClient, NetEvent, NetServer, ObsConfig,
-        ObsReport, RoutingMode, ServeConfig, ServeReport, ShardAdaptive, ShedReason, SloClass,
-        SloConfig, SloReport, SubmitOptions, SubmitOutcome, Ticket, TraceReport, WireError,
+        AdaptConfig, AdaptReport, AffinityConfig, AmsServer, BackpressurePolicy, CacheConfig,
+        CacheReport, ClassReport, Client, Completion, EventKind, LabelResult, LatencySummary,
+        MetricsSnapshot, NetClient, NetEvent, NetServer, ObsConfig, ObsReport, RoutingMode,
+        ServeConfig, ServeReport, ShedReason, SloClass, SloConfig, SloReport, SubmitOptions,
+        SubmitOutcome, Ticket, TraceReport, WireError,
     };
     pub use ams_sim::{
         batched_makespan, BatchLatencyModel, ExecTrace, Job, Pool, SerialExecutor, Span,
