@@ -70,8 +70,8 @@ struct Record {
     /// the memory the last one leaves saves. Virtual time only, so it
     /// repeats exactly.
     stream_gain: f64,
-    /// The same streams' end ÷ their end with one batch of look-ahead,
-    /// each batch's runs joining the not-yet-started invocations of their
+    /// The same streams' end ÷ their end with the serving worker's
+    /// look-ahead (`LOOK_AHEAD_BATCHES` batches), each batch's runs joining the not-yet-started invocations of their
     /// models ([`ams_bench::hotpath::merge_gain`]): what sharing a setup
     /// across batches saves. Virtual time only, so it repeats exactly.
     merge_gain: f64,

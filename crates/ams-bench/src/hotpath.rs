@@ -8,6 +8,7 @@ use ams::nn::{QNet, QNetConfig};
 use ams::prelude::*;
 use ams::rl::trainer::GAMMA;
 use ams::rl::{ReplayBuffer, Transition};
+use ams::serve::server::LOOK_AHEAD_BATCHES;
 use ams::sim::{list_makespan, PoolTimeline};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,7 +82,7 @@ pub const CHECKS: &[Check] = &[
     },
 ];
 
-/// `merge_gain`'s floor, under the smoke (1.054) and full (1.075)
+/// `merge_gain`'s floor, under the smoke (1.200) and full (1.222)
 /// records' values.
 const MERGE_FLOOR: f64 = 1.03;
 
@@ -528,15 +529,16 @@ pub fn stream_gain(setup: &StreamSetup) -> f64 {
 }
 
 /// What joining open groups buys on the same batches: the streams' ends
-/// as [`stream_gain`] admits them ÷ their ends with one batch of
-/// look-ahead (`open_group_end` with the batch size), where a later
-/// batch's runs join the not-yet-started invocations of their models.
+/// as [`stream_gain`] admits them ÷ their ends with the serving worker's
+/// look-ahead (`open_group_end` with [`LOOK_AHEAD_BATCHES`] × the batch
+/// size), where a later batch's runs join the not-yet-started invocations
+/// of their models.
 pub fn merge_gain(setup: &StreamSetup) -> f64 {
     let cfg = ServeConfig::default();
     let (mut streamed_ms, mut merged_ms) = (0u64, 0u64);
     for (chunk, stream) in fixture_streams(setup) {
         streamed_ms += streamed_end(&stream, &cfg);
-        merged_ms += open_group_end(&stream, &cfg, chunk);
+        merged_ms += open_group_end(&stream, &cfg, LOOK_AHEAD_BATCHES * chunk);
     }
     streamed_ms as f64 / merged_ms as f64
 }

@@ -149,14 +149,23 @@ impl QueueCore {
     /// full queue, or `None` when `req` itself is the shed. Blind shedding
     /// picks the oldest request; value-weighted shedding the smallest
     /// [`victim_key`], the front-most among equals, on a doom horizon of
-    /// half the queue depth × the per-request drain time.
+    /// half the queue depth × the per-request drain time, plus the pool
+    /// wait still ahead of a request once it is popped.
     ///
     /// [`victim_key`]: QueueCore::victim_key
-    fn overflow_victim(&self, req: &Request, now: Instant, service_hint_us: u64) -> Option<usize> {
+    fn overflow_victim(
+        &self,
+        req: &Request,
+        now: Instant,
+        service_hint_us: u64,
+        pool_wait_us: u64,
+    ) -> Option<usize> {
         if !self.value_weighted {
             return (!self.pending.is_empty()).then_some(0);
         }
-        let doom_wait_us = service_hint_us.saturating_mul(self.pending.len() as u64 / 2);
+        let doom_wait_us = service_hint_us
+            .saturating_mul(self.pending.len() as u64 / 2)
+            .saturating_add(pool_wait_us);
         let key = |r: &Request| Self::victim_key(r, now, doom_wait_us);
         let victim = (0..self.pending.len()).min_by(|&a, &b| {
             let (a, b) = (key(&self.pending[a]), key(&self.pending[b]));
@@ -177,9 +186,16 @@ impl QueueCore {
     }
 
     /// Decide one submission at `now`, with `service_hint_us` the queue's
-    /// per-request drain time (0 = unknown) that sets value-weighted
-    /// eviction's doom horizon.
-    pub(crate) fn offer(&mut self, mut req: Request, now: Instant, service_hint_us: u64) -> Offer {
+    /// per-request drain time (0 = unknown) and `pool_wait_us` the pool
+    /// wait ahead of a request popped now, which together set
+    /// value-weighted eviction's doom horizon.
+    pub(crate) fn offer(
+        &mut self,
+        mut req: Request,
+        now: Instant,
+        service_hint_us: u64,
+        pool_wait_us: u64,
+    ) -> Offer {
         if self.closed {
             return Offer::Refused;
         }
@@ -195,7 +211,8 @@ impl QueueCore {
                 BackpressurePolicy::Reject => return Offer::Refused,
                 BackpressurePolicy::ShedOldest => {}
             }
-            let Some(victim) = self.overflow_victim(&req, now, service_hint_us) else {
+            let Some(victim) = self.overflow_victim(&req, now, service_hint_us, pool_wait_us)
+            else {
                 return Offer::ShedIncoming(req);
             };
             let shed = self.pending.remove(victim).expect("victim index in range");

@@ -321,6 +321,13 @@ pub struct ShardQueue {
     /// workers), published by the shard's workers
     /// ([`ShardQueue::set_service_hint_us`]; 0 = unknown).
     service_hint_us: AtomicU64,
+    /// When each of the shard's workers' pool plans ends, µs after
+    /// `epoch` ([`ShardQueue::set_pool_end`]; 0 = nothing planned). The
+    /// shortest of them is the pool wait still ahead of a request popped
+    /// now.
+    pool_ends_us: Box<[AtomicU64]>,
+    /// The instant the pool ends are measured from.
+    epoch: Instant,
     /// Observability sink (`shard index`, pipeline handle): the queue
     /// emits a settlement's lifecycle event at the exact point its ledger
     /// counts it, so event totals reconcile with the report's buckets.
@@ -352,6 +359,8 @@ impl ShardQueue {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             service_hint_us: AtomicU64::new(0),
+            pool_ends_us: Box::new([AtomicU64::new(0)]),
+            epoch: Instant::now(),
             obs: None,
         }
     }
@@ -360,6 +369,12 @@ impl ShardQueue {
     /// shard index) so the queue's settlements emit lifecycle events.
     pub(crate) fn with_obs(mut self, shard: u32, obs: Option<Arc<ServerObs>>) -> Self {
         self.obs = obs.map(|obs| (shard, obs));
+        self
+    }
+
+    /// One pool-end slot per worker sharing the queue (min 1).
+    pub(crate) fn with_workers(mut self, workers: usize) -> Self {
+        self.pool_ends_us = (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect();
         self
     }
 
@@ -401,6 +416,30 @@ impl ShardQueue {
     /// observable rather than inferred.
     pub fn service_hint_us(&self) -> u64 {
         self.service_hint_us.load(Ordering::Relaxed)
+    }
+
+    /// Publish when the pool of the queue's `worker`-th worker (of those
+    /// sharing it) ends the work it has planned. Published at each
+    /// batch admission, like the service hint, and priced by both doom
+    /// tests — value-weighted eviction's horizon and SLO admission — as
+    /// [`ShardQueue::pool_wait_us`].
+    pub(crate) fn set_pool_end(&self, worker: usize, end: Instant) {
+        if let Some(slot) = self.pool_ends_us.get(worker) {
+            slot.store(
+                micros(end.saturating_duration_since(self.epoch)),
+                Ordering::Relaxed,
+            );
+        }
+    }
+
+    /// The pool wait ahead of a request popped at `now`, µs: the time left
+    /// until the *soonest* published pool end — the worker that frees
+    /// first takes the next batch. 0 when any pool has drained, or none
+    /// ever published (every pool at `exec_emulation_scale` 0).
+    pub(crate) fn pool_wait_us(&self, now: Instant) -> u64 {
+        let now_us = micros(now.saturating_duration_since(self.epoch));
+        let ends = self.pool_ends_us.iter().map(|e| e.load(Ordering::Relaxed));
+        ends.min().unwrap_or(0).saturating_sub(now_us)
     }
 
     /// The configured capacity.
@@ -466,7 +505,7 @@ impl ShardQueue {
             // wait gives the lock up, so the next round reads it afresh.
             let now = Instant::now();
             let Locked { core, ledger } = &mut *st;
-            match core.offer(req, now, self.service_hint_us()) {
+            match core.offer(req, now, self.service_hint_us(), self.pool_wait_us(now)) {
                 Offer::Enqueued { evicted } => {
                     if let Some(victim) = &evicted {
                         self.shed_overflow(ledger, victim);

@@ -31,7 +31,7 @@ fn timeline() -> impl Fn(u64) -> Instant {
 /// which must take a slot; the victim evicted for it, if any.
 fn admit(core: &mut QueueCore, mut r: Request, now: Instant, hint_us: u64) -> Option<Request> {
     r.enqueued_at = now;
-    match core.offer(r, now, hint_us) {
+    match core.offer(r, now, hint_us, 0) {
         Offer::Enqueued { evicted } => evicted,
         other => panic!("expected a slot, got {other:?}"),
     }
@@ -92,6 +92,62 @@ fn eviction_tiers_split_exactly_at_the_doom_horizon() {
     assert_eq!(survivors[0], 5.0, "horizon + 1 µs is viable");
 }
 
+/// The doom horizon adds the pool wait still ahead of a popped request:
+/// 100 µs drain hint × half of the two queued = 100 µs, plus a 150 µs pool
+/// wait. At t = 800 µs the 100.0 has 200 µs left — viable on the queue
+/// wait alone, doomed once the pool wait is priced.
+#[test]
+fn the_pool_wait_extends_the_doom_horizon() {
+    let (at, it) = (timeline(), item());
+    let slo = |value, budget_us| req(&it, 0).with_slo(0, value, Some(budget_us));
+    let victim_at_pool_wait = |pool_wait_us| {
+        let mut core = QueueCore::new(2, ShedOldest, true, false);
+        admit(&mut core, slo(100.0, 1_000), at(0), 100);
+        admit(&mut core, slo(1.0, 1_000_000), at(0), 100);
+        let mut newcomer = slo(1.0, 1_000_000);
+        newcomer.enqueued_at = at(800);
+        match core.offer(newcomer, at(800), 100, pool_wait_us) {
+            Offer::Enqueued { evicted } => evicted.expect("a full queue evicts").value,
+            other => panic!("expected a slot, got {other:?}"),
+        }
+    };
+    assert_eq!(victim_at_pool_wait(0), 1.0, "viable: worst density goes");
+    assert_eq!(
+        victim_at_pool_wait(99),
+        1.0,
+        "remaining 1 µs past the horizon"
+    );
+    assert_eq!(
+        victim_at_pool_wait(100),
+        100.0,
+        "remaining == horizon: doomed"
+    );
+    assert_eq!(victim_at_pool_wait(150), 100.0);
+}
+
+/// The shell prices the soonest published pool end: the worker that frees
+/// first takes the next batch. Ends before `now` (a drained pool) and
+/// unpublished slots wait 0.
+#[test]
+fn pool_wait_is_the_time_left_to_the_soonest_pool_end() {
+    let q = ShardQueue::new(4, Block).with_workers(2);
+    let t0 = Instant::now();
+    let ms = Duration::from_millis;
+    assert_eq!(q.pool_wait_us(t0), 0, "nothing published");
+    q.set_pool_end(0, t0 + ms(5));
+    assert_eq!(q.pool_wait_us(t0), 0, "worker 1 has published nothing");
+    q.set_pool_end(1, t0 + ms(3));
+    assert_eq!(q.pool_wait_us(t0), 3_000);
+    assert_eq!(q.pool_wait_us(t0 + ms(1)), 2_000);
+    assert_eq!(q.pool_wait_us(t0 + ms(4)), 0, "worker 1 has drained");
+    q.set_pool_end(1, t0 + ms(9));
+    assert_eq!(
+        q.pool_wait_us(t0 + ms(4)),
+        1_000,
+        "now worker 0 frees first"
+    );
+}
+
 #[test]
 fn value_weighted_eviction_drops_worst_value_density() {
     let (at, it) = (timeline(), item());
@@ -144,7 +200,7 @@ fn worthless_incoming_request_is_shed_instead_of_viable_queued_work() {
     // Expired on arrival: admitting it could only convert a viable queued
     // request into a shed.
     let mut core = queue();
-    match core.offer(slo(1, 9.0, 0), at(100), 0) {
+    match core.offer(slo(1, 9.0, 0), at(100), 0, 0) {
         Offer::ShedIncoming(back) => assert_eq!((back.class, back.value), (1, 9.0)),
         other => panic!("the newcomer is the shed, got {other:?}"),
     }

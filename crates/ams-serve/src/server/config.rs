@@ -50,8 +50,8 @@ impl SloClass {
 /// honest blind-vs-aware comparison on the same stream possible):
 ///
 /// * **admission control** — `submit` predicts the shard's queue wait
-///   (depth × the amortized per-request batch time the workers publish)
-///   and sheds a request *before* it occupies a slot when the prediction
+///   (depth × the amortized per-request batch time the workers publish,
+///   plus the pool wait ahead of a popped request) and sheds a request *before* it occupies a slot when the prediction
 ///   already exceeds its deadline;
 /// * **value-weighted shedding** — on ShedOldest overflow, evict the
 ///   queued request with the worst value-per-remaining-deadline (expired

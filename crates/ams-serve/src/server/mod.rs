@@ -42,11 +42,13 @@
 
 mod config;
 mod control;
+mod gate;
 mod report;
 mod submit;
 mod worker;
 
 pub use config::{ServeConfig, SloClass, SloConfig};
+pub use gate::LOOK_AHEAD_BATCHES;
 pub use report::{ClassReport, ServeReport, SloReport};
 pub use submit::{Client, SubmitOptions};
 
@@ -215,6 +217,7 @@ impl AmsServer {
             .map(|shard| {
                 ShardQueue::with_slo(cfg.queue_capacity, cfg.policy, aware, aware)
                     .with_obs(shard as u32, obs.clone())
+                    .with_workers(cfg.workers_per_shard)
             })
             .collect();
         let controls = (0..cfg.shards).map(|_| ShardControl::default()).collect();

@@ -87,8 +87,9 @@ impl Client {
     /// conservation gate is unchanged.
     ///
     /// With admission control on, the call first prices the shard's
-    /// backlog: predicted wait = queue depth × the amortized per-request
-    /// batch time the shard's workers publish ÷ workers on the shard. A
+    /// backlog: predicted wait = the pool wait ahead of a popped request +
+    /// queue depth × the amortized per-request batch time the shard's
+    /// workers publish ÷ workers on the shard. A
     /// request whose prediction already exceeds its deadline is refused
     /// here ([`SubmitOutcome::ShedAdmission`]) *before* it occupies a
     /// queue slot — admitting it could only evict or delay work that still
@@ -407,8 +408,9 @@ fn answer_from_cache(
 }
 
 /// SLO admission control: [`doomed_at_admission`] on `shard`'s state — one
-/// consistent queue snapshot (a single lock acquisition) and the service
-/// times its workers publish. `None` admits (always, without admission
+/// consistent queue snapshot (a single lock acquisition), the service
+/// times its workers publish and the pool wait ahead of a request popped
+/// at `now`. `None` admits (always, without admission
 /// control or a deadline).
 fn admission_wait(
     shared: &Shared,
@@ -424,6 +426,7 @@ fn admission_wait(
     doomed_at_admission(
         queue.queued_ahead(now + Duration::from_micros(deadline)),
         queue.capacity(),
+        queue.pool_wait_us(now),
         control.amortized_us.load(Ordering::Relaxed),
         control.exec_span_us.load(Ordering::Relaxed),
         shared.cfg.workers_per_shard,
@@ -437,7 +440,8 @@ fn admission_wait(
 /// live backlog, and the part of it the EDF dequeue serves first. An
 /// urgent request overtakes lax work, so the raw depth would overcharge
 /// it (and shed requests EDF would have served in time): the wait prices
-/// `ahead`, and only the full-queue test reads `depth`.
+/// `ahead`, and only the full-queue test reads `depth`. The wait starts
+/// with `pool_wait_us`, the pool work a popped request still waits behind.
 ///
 /// Two shedding criteria, deliberately asymmetric:
 ///
@@ -455,12 +459,13 @@ fn admission_wait(
 fn doomed_at_admission(
     (depth, ahead): (usize, usize),
     capacity: usize,
+    pool_wait_us: u64,
     amortized_us: u64,
     exec_span_us: u64,
     workers: usize,
     deadline_us: u64,
 ) -> Option<u64> {
-    let wait_us = ahead as f64 * amortized_us as f64 / workers as f64;
+    let wait_us = pool_wait_us as f64 + ahead as f64 * amortized_us as f64 / workers as f64;
     let (full, deadline) = (depth >= capacity, deadline_us as f64);
     let doomed = wait_us >= deadline || (full && wait_us + exec_span_us as f64 >= deadline);
     (amortized_us > 0 && doomed).then_some(wait_us as u64)
@@ -476,7 +481,7 @@ mod tests {
     #[test]
     fn admission_prices_the_backlog_against_the_deadline() {
         let price = |capacity, amortized_us, deadline_us| {
-            doomed_at_admission((4, 1), capacity, amortized_us, 300, 2, deadline_us)
+            doomed_at_admission((4, 1), capacity, 0, amortized_us, 300, 2, deadline_us)
         };
         let (full, roomy) = (4, 5);
         // The wait alone reaches the deadline: shed, full or not. Only the
@@ -490,5 +495,17 @@ mod tests {
         assert_eq!(price(roomy, 100, 200), None);
         // No service-time evidence yet: everything is admitted.
         assert_eq!(price(full, 0, 0), None);
+    }
+
+    /// The pool wait ahead of a popped request adds to the queue wait: a
+    /// 100 µs deadline on a roomy queue with a 50 µs queue wait admits at
+    /// pool wait 0 and sheds once pool wait + queue wait reaches it.
+    #[test]
+    fn admission_prices_the_pool_wait_on_top_of_the_queue_wait() {
+        let price = |pool_wait_us| doomed_at_admission((4, 1), 5, pool_wait_us, 100, 300, 2, 100);
+        assert_eq!(price(0), None);
+        assert_eq!(price(49), None);
+        assert_eq!(price(50), Some(100));
+        assert_eq!(price(70), Some(120));
     }
 }

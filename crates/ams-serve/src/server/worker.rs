@@ -5,6 +5,7 @@
 //! back at join.
 
 use super::control::{ServiceClock, ShardControl};
+use super::gate::{gate, Gate};
 use super::Shared;
 use crate::adapt::WorkerAdapt;
 use crate::cache::CachedResult;
@@ -234,46 +235,41 @@ impl Worker<'_> {
     }
 
     /// The loop's one pacing call: deliver every member that is due, then
-    /// pop the next batch once the pool can take it, with the instant it
-    /// was popped. The pool takes a full batch once fewer than `limit`
-    /// staged members still have a run whose group has not started — one
-    /// batch of look-ahead, whose runs may join those groups — and
-    /// anything less once everything in flight is delivered, so a lightly
-    /// loaded shard still batches all that queued while it ran. With
-    /// several workers on the shard there is no look-ahead: the full batch
-    /// waits until every group here has started, since a pop binds it to
-    /// this worker's pool while a sibling may free sooner. A pop with
-    /// members in flight waits for work only until the next one is due, so
-    /// none is stranded behind an empty queue. `None` once the queue is
-    /// closed and drained and nothing is in flight.
+    /// ask the pop gate ([`gate`]) whether the pool can take the next
+    /// batch, with the instant it was popped. A held pool sleeps until the
+    /// first unstarted group starts; a partial batch sleeps until the next
+    /// member is due; a pop with members in flight waits for work only
+    /// until that member is due, so none is stranded behind an empty
+    /// queue. `None` once the queue is closed and drained and nothing is
+    /// in flight.
     fn pace(&mut self, limit: usize) -> Option<(Vec<Request>, Instant)> {
-        let look_ahead = if self.shared.cfg.workers_per_shard == 1 {
-            limit
-        } else {
-            1
-        };
         loop {
             let now = Instant::now();
             self.deliver_due(now);
-            let Some(due) = self.in_flight.first().map(|m| m.due) else {
-                let (batch, at) = self.pop(limit, None);
-                return (!batch.is_empty()).then_some((batch, at));
-            };
-            let (mut waiting, mut first_start) = (0, due);
+            let due = self.in_flight.first().map_or(now, |m| m.due);
+            let (mut unstarted, mut first_start) = (0, due);
             for m in self.in_flight.iter().filter(|m| m.last_start > now) {
-                waiting += 1;
+                unstarted += 1;
                 first_start = first_start.min(m.last_start);
             }
-            if waiting >= look_ahead {
-                std::thread::sleep(first_start.saturating_duration_since(now));
-            } else if self.queue.live_len() >= limit {
-                let (batch, at) = self.pop(limit, Some(due));
-                if !batch.is_empty() {
-                    return Some((batch, at));
+            let (in_flight, queued) = (self.in_flight.len(), self.queue.live_len());
+            let workers = self.shared.cfg.workers_per_shard;
+            let until = match gate(in_flight, unstarted, queued, limit, workers) {
+                Gate::PopAny => {
+                    let (batch, at) = self.pop(limit, None);
+                    return (!batch.is_empty()).then_some((batch, at));
                 }
-            } else {
-                std::thread::sleep(due.saturating_duration_since(now));
-            }
+                Gate::PopFull => {
+                    let (batch, at) = self.pop(limit, Some(due));
+                    if !batch.is_empty() {
+                        return Some((batch, at));
+                    }
+                    continue;
+                }
+                Gate::Hold => first_start,
+                Gate::WaitDue => due,
+            };
+            std::thread::sleep(until.saturating_duration_since(now));
         }
     }
 
@@ -389,9 +385,11 @@ impl Worker<'_> {
     /// Phase 3 — batched admission: one invocation per model over the
     /// whole coalesced batch, streamed into the worker's pool behind what
     /// has started, each run joining its model's open group when there is
-    /// one. The bill and the groups opened are charged, members in flight
-    /// are re-dued to the re-planned groups, and the admit's index is
-    /// returned for staging.
+    /// one. The bill and the groups opened are charged, the plan's new
+    /// end is published to the shard queue (the pool wait both doom tests
+    /// price; nothing is published without emulation, where the pool has
+    /// always drained), members in flight are re-dued to the re-planned
+    /// groups, and the admit's index is returned for staging.
     fn batch_admit(&mut self) -> u64 {
         let cfg = &self.shared.cfg;
         let specs = self.shared.scheduler.zoo().specs();
@@ -411,9 +409,14 @@ impl Worker<'_> {
         self.local.virtual_work_ms += admitted.bill_ms;
         self.local.model_invocations += admitted.opened as u64;
         self.pool_end_ms = admitted.end_ms;
+        let wall = self.wall();
+        if cfg.exec_emulation_scale > 0.0 {
+            let worker = self.index % cfg.workers_per_shard;
+            self.queue.set_pool_end(worker, wall(admitted.end_ms));
+        }
         // A re-plan moves only groups that start after the clock, so no
         // member is delivered before its last group ends.
-        let (wall, mut moved) = (self.wall(), false);
+        let mut moved = false;
         for m in &mut self.in_flight {
             moved |= m.redue(&self.pool, &wall);
         }
@@ -544,3 +547,50 @@ impl Worker<'_> {
 }
 
 // ams-lint: end(no-panic)
+
+#[cfg(test)]
+mod tests {
+    use super::super::{AmsServer, ServeConfig};
+    use ams_core::framework::{AdaptiveModelScheduler, Budget};
+    use ams_core::predictor::OraclePredictor;
+    use ams_data::{Dataset, DatasetProfile, TruthTable};
+    use ams_models::ModelZoo;
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    /// The pool end one shard's worker published after labeling 16 items at
+    /// `exec_emulation_scale`, µs after the queue's epoch.
+    fn published_pool_end_us(exec_emulation_scale: f64) -> u64 {
+        let zoo = ModelZoo::standard();
+        let ds = Dataset::generate(DatasetProfile::Coco2017, 16, 3);
+        let truth = TruthTable::build(&zoo, &zoo.catalog(), &ds, 0.5);
+        let predictor = Box::new(OraclePredictor::new(zoo.len(), 0.5));
+        let scheduler = AdaptiveModelScheduler::new(zoo, predictor, 0.5, 3);
+        let cfg = ServeConfig {
+            shards: 1,
+            exec_emulation_scale,
+            ..ServeConfig::default()
+        };
+        // Read before the queue exists, the wait is the raw published end.
+        let before_epoch = Instant::now();
+        let server = AmsServer::start(scheduler, Budget::Deadline { ms: 1000 }, cfg);
+        let client = server.client();
+        for item in truth.items() {
+            assert!(client.submit(Arc::new(item.clone())).is_accepted());
+        }
+        for _ in truth.items() {
+            client.recv().expect("one completion per ticket");
+        }
+        let end_us = server.shared().queues[0].pool_wait_us(before_epoch);
+        server.shutdown();
+        end_us
+    }
+
+    /// Without emulation every member is due at admission: no pool end is
+    /// published, so both doom tests price the queue wait alone.
+    #[test]
+    fn the_pool_wait_is_published_only_under_emulation() {
+        assert_eq!(published_pool_end_us(0.0), 0);
+        assert!(published_pool_end_us(1e-3) > 0);
+    }
+}

@@ -210,19 +210,21 @@ fn dropping_the_server_drains_workers_and_sheds_the_backlog() {
 #[test]
 fn pending_excludes_cancelled_tombstones_like_the_depth_gauge() {
     let table = truth();
+    let workers_per_shard = 2;
     let server = AmsServer::start(
         scheduler(),
         Budget::Deadline { ms: 900 },
         ServeConfig {
             shards: 2,
-            workers_per_shard: 1,
+            workers_per_shard,
             max_batch: 1,
             queue_capacity: 64,
             policy: BackpressurePolicy::Block,
-            // A 1 MB pool runs a request's models one at a time, and the
-            // next request is popped only once the last of them starts:
-            // ~0.4 s per request, so a worker that has popped one stays
-            // held for the rest of the test.
+            // A 1 MB pool runs a request's models one at a time, and with
+            // several workers on a shard (no look-ahead) a worker pops its
+            // next request only once the last of them starts: ~0.4 s per
+            // request, so each worker that has popped one stays held for
+            // the rest of the test.
             pool_mb: 1,
             exec_emulation_scale: 0.5,
             obs: Some(ObsConfig::default()),
@@ -236,14 +238,17 @@ fn pending_excludes_cancelled_tombstones_like_the_depth_gauge() {
         .take(12)
         .map(|item| client.submit(Arc::new(item.clone())).ticket().unwrap())
         .collect();
-    // Both workers pop one request each, then hold.
-    let shards_hit: HashSet<usize> = table
-        .items()
-        .iter()
-        .take(12)
-        .map(|i| server.shard_of(i))
-        .collect();
-    let queued = tickets.len() - shards_hit.len();
+    // Each worker pops one request, then holds.
+    let popped: usize = (0..2)
+        .map(|shard| {
+            let on_shard = table.items()[..12]
+                .iter()
+                .filter(|&i| server.shard_of(i) == shard)
+                .count();
+            on_shard.min(workers_per_shard)
+        })
+        .sum();
+    let queued = tickets.len() - popped;
     while server.pending() > queued {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
@@ -386,14 +391,14 @@ fn a_member_completes_at_its_own_finish_not_its_batchs() {
 /// A later batch's runs join the pool's not-yet-started invocation of the
 /// same model. On a 1 MB pool a batch's models run one at a time. A
 /// blocker holds the worker while a holder pair queues; once the holders
-/// are admitted, the next full batch — a second pair, queued meanwhile —
-/// is popped as soon as one holder's groups have all started, while the
-/// other holder's later groups are still open. When the second pair
-/// shares exactly one of those models, the worker opens one invocation
-/// fewer and pays one setup less, and the holder whose group grew is
-/// delivered no earlier than the merged group's finish. Every ticket
-/// still resolves exactly once into a conserved report whose events
-/// reconcile.
+/// are admitted, the next full batch — a second pair, queued while the
+/// worker waits for its next member to be due — is popped when the first
+/// holder is delivered, while the other holder's later groups are still
+/// open. When the second pair shares exactly one of those models, the
+/// worker opens one invocation fewer and pays one setup less, and the
+/// holder whose group grew is delivered no earlier than the merged
+/// group's finish. Every ticket still resolves exactly once into a
+/// conserved report whose events reconcile.
 #[test]
 fn a_later_batch_joins_an_open_group() {
     let budget = Budget::Deadline { ms: 900 };
@@ -409,9 +414,9 @@ fn a_later_batch_joins_an_open_group() {
             .sum()
     };
     // The holders on an idle pool, then the pair at the earlier holder's
-    // last start, virtual ms from the holders' admit. `margin` is the
-    // shortest of: that start, and the wait from it to the next group's
-    // start — how late the wall clock may run without changing the plan.
+    // finish, virtual ms from the holders' admit. `margin` is the shortest
+    // of: that finish, and the wait from it to the next group's start —
+    // how late the wall clock may run without changing the plan.
     struct Case {
         holders: [usize; 2],
         pair: [usize; 2],
@@ -423,11 +428,18 @@ fn a_later_batch_joins_an_open_group() {
     let case = |holders: [usize; 2], pair: [usize; 2]| {
         let mut pool = PoolTimeline::new(1);
         let first = pool.admit(&groups_of(&executed, &holders), &model);
-        let start = |m: usize| pool.group_of(first.index, m).map(|g| g.start_ms);
-        let last_start = |i: usize| executed[i].iter().filter_map(|&m| start(m)).max();
-        let popped = last_start(holders[0]).min(last_start(holders[1]))?;
+        let group = |m: usize| pool.group_of(first.index, m);
+        let finish = |i: usize| {
+            executed[i]
+                .iter()
+                .filter_map(|&m| group(m))
+                .map(|g| g.finish_ms)
+                .max()
+        };
+        let popped = finish(holders[0])?.min(finish(holders[1])?);
         let next = (0..specs.len())
-            .filter_map(start)
+            .filter_map(group)
+            .map(|g| g.start_ms)
             .filter(|&s| s > popped)
             .min()?;
         pool.advance_to(popped);
@@ -500,10 +512,15 @@ fn a_later_batch_joins_an_open_group() {
         let ticket = client.submit(Arc::new(table.item(i).clone())).ticket();
         ticket.expect("lossless config").id()
     };
+    // Popped, then 10 ms for the worker to stage the batch and wait for
+    // its next member to be due (at least 30 ms away) before the next
+    // requests queue: a full batch queued any sooner would be popped at
+    // once.
     let popped = || {
         while server.pending() > 0 {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
+        std::thread::sleep(std::time::Duration::from_millis(10));
     };
     submit(blocker);
     popped();

@@ -167,10 +167,10 @@ fn one_request_down_each_path(policy: BackpressurePolicy, slo: Option<SloConfig>
         queue_capacity: 3,
         max_batch: 1,
         policy,
-        // A 1 MB pool runs a request's models one at a time and the next
-        // request is popped only once the last of them starts: long
-        // enough (~0.2 s a request) that the one worker is still held
-        // while the next few are submitted.
+        // A 1 MB pool runs a request's models one at a time, and a worker
+        // that found its queue empty after admitting a request waits until
+        // that request is due: long enough (~0.2 s a request) that the one
+        // worker is still held while the next few are submitted.
         pool_mb: 1,
         exec_emulation_scale: 0.25,
         slo,
@@ -180,10 +180,14 @@ fn one_request_down_each_path(policy: BackpressurePolicy, slo: Option<SloConfig>
     });
     let client = server.client();
     let item = |i: usize| Arc::new(truth().items()[i].clone());
+    // Popped, then 10 ms for the worker to find its queue empty and wait:
+    // a request queued any sooner would be popped at once (one worker
+    // looks two batches ahead).
     let wait_until_popped = || {
         while server.pending() > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
+        std::thread::sleep(Duration::from_millis(10));
     };
     // The leader: the worker pops it and holds; its duplicate coalesces.
     assert!(client.submit(item(0)).is_accepted());

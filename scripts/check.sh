@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command gate for every PR: formatting, lints (clippy + a compile
-# check of bench/ + rustdoc intra-doc links + the queue-core purity grep +
-# the ams-lint workspace analyzer), the perf gate, and the tier-1 verify.
+# check of bench/ + rustdoc intra-doc links + the queue-core and pop-gate
+# purity grep + the ams-lint workspace analyzer), the perf gate, and the
+# tier-1 verify.
 # Three modes:
 #
 #   ./scripts/check.sh          # full: fmt + clippy + doc links + release
@@ -62,15 +63,18 @@ echo "==> cargo check (bench/, offline, locked)"
 echo "==> cargo doc (broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
 
-# The queue's decision core is pure (all modes): time is an argument, and
-# the lock, the condvars, the clock and the obs handle live in the shell
-# (`queue/mod.rs`). One word from that list in `core.rs` — code, comment or
-# doc — fails here.
-echo "==> queue/core.rs stays pure (no clock, lock, condvar, sleep or obs)"
-if grep -nE 'Instant::now|SystemTime|Mutex|Condvar|sleep|ServerObs' crates/ams-serve/src/queue/core.rs; then
-    echo "crates/ams-serve/src/queue/core.rs must stay a pure function of (state, now)" >&2
-    exit 1
-fi
+# The queue's decision core and the worker's pop gate are pure (all
+# modes): time is an argument, and the lock, the condvars, the clock, the
+# sleep and the obs handle live in the shells (`queue/mod.rs`,
+# `server/worker.rs`). One word from that list in `core.rs` or `gate.rs` —
+# code, comment or doc — fails here.
+for pure in crates/ams-serve/src/queue/core.rs crates/ams-serve/src/server/gate.rs; do
+    echo "==> $pure stays pure (no clock, lock, condvar, sleep or obs)"
+    if grep -nE 'Instant::now|SystemTime|Mutex|Condvar|sleep|ServerObs' "$pure"; then
+        echo "$pure must stay a pure function of its arguments" >&2
+        exit 1
+    fi
+done
 
 # Workspace-specific static analysis (all modes — it is fast): first prove
 # every rule can fire on its injected-violation fixtures, then require the
