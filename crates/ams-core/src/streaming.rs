@@ -7,6 +7,11 @@ use crate::framework::{AdaptiveModelScheduler, Budget, LabelingOutcome};
 use ams_data::ItemTruth;
 use serde::{Deserialize, Serialize};
 
+/// Items below this recall increment [`StreamStats::low_recall_items`] —
+/// one threshold for the serial [`StreamProcessor`] and every serving
+/// worker, so their statistics agree.
+pub const ALERT_RECALL: f64 = 0.5;
+
 /// Running statistics over a processed stream.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct StreamStats {
@@ -22,7 +27,7 @@ pub struct StreamStats {
     pub value_sum: f64,
     /// Executions per model (utilization profile).
     pub per_model_runs: Vec<u64>,
-    /// Items whose recall fell below the alert threshold.
+    /// Items whose recall fell below [`ALERT_RECALL`].
     pub low_recall_items: usize,
 }
 
@@ -47,7 +52,7 @@ impl StreamStats {
     }
 
     /// Fold one labeling outcome into the statistics.
-    pub fn absorb(&mut self, outcome: &LabelingOutcome, alert_recall: f64) {
+    pub fn absorb(&mut self, outcome: &LabelingOutcome) {
         self.items += 1;
         self.total_exec_ms += outcome.elapsed_ms;
         self.total_executions += outcome.executed.len();
@@ -56,7 +61,7 @@ impl StreamStats {
         for &m in &outcome.executed {
             self.per_model_runs[m.index()] += 1;
         }
-        if outcome.recall < alert_recall {
+        if outcome.recall < ALERT_RECALL {
             self.low_recall_items += 1;
         }
     }
@@ -86,8 +91,6 @@ pub struct StreamProcessor {
     scheduler: AdaptiveModelScheduler,
     budget: Budget,
     stats: StreamStats,
-    /// Items below this recall increment [`StreamStats::low_recall_items`].
-    pub alert_recall: f64,
     /// Deployment emulation: wall-clock milliseconds slept per *virtual*
     /// execution millisecond of each item (default 0 — pure simulation).
     /// In the paper's deployment the processor waits on real model
@@ -105,7 +108,6 @@ impl StreamProcessor {
             scheduler,
             budget,
             stats: StreamStats::with_models(n),
-            alert_recall: 0.5,
             exec_emulation_scale: 0.0,
         }
     }
@@ -124,7 +126,7 @@ impl StreamProcessor {
     pub fn process(&mut self, item: &ItemTruth) -> LabelingOutcome {
         let outcome = self.scheduler.label_item(item, self.budget);
         emulate_execution(&outcome, self.exec_emulation_scale);
-        self.stats.absorb(&outcome, self.alert_recall);
+        self.stats.absorb(&outcome);
         outcome
     }
 

@@ -18,9 +18,13 @@
 //!   backpressure (block / reject / shed-oldest); queued entries carry
 //!   their ticket's completion slot so eviction notifies its victims. `queue/core.rs` decides (admission,
 //!   eviction, EDF and batch assembly as pure functions of the queue's
-//!   state and a `now` it is handed); the [`ShardQueue`] shell in
-//!   `queue/mod.rs` locks, reads the clock once per lock hold, and settles
-//!   each decision's event and ledger entry under that lock.
+//!   state and a `now` it is handed) and prices a shard's wait: `Load`,
+//!   the service-time and pool signals the workers published, with the
+//!   drain hint, the spill router's queue wait, eviction's doom horizon
+//!   and SLO admission as its methods. The [`ShardQueue`] shell in
+//!   `queue/mod.rs` holds those signals, locks, reads the clock once per
+//!   lock hold, and settles each decision's event and ledger entry under
+//!   that lock.
 //! * [`router`] — request routing: scene-id hash, or *model-affinity*
 //!   routing that steers requests with matching predicted model sets onto
 //!   the same shard (bigger same-model batches) with a least-loaded spill

@@ -12,6 +12,92 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::VecDeque;
 use std::time::Instant;
 
+/// A shard's wait as its workers last published it, read once by the
+/// [`ShardQueue`](super::ShardQueue) shell at its `now`, and every price of
+/// that wait: the drain hint, the queue wait spill routing prices, the
+/// doom horizon of value-weighted eviction and SLO admission. A plain
+/// value — it holds what was published, so nothing here reads the signals
+/// themselves.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Load {
+    /// Amortized per-request service time, µs: an EWMA of each batch's
+    /// busy span ÷ its size. 0 until the shard starts its second batch —
+    /// no evidence, so every price below admits and dooms nothing.
+    pub(crate) amortized_us: u64,
+    /// EWMA of a whole batch's busy span, µs: what one more batch costs
+    /// end to end.
+    pub(crate) exec_span_us: u64,
+    /// The pool wait ahead of a request popped now, µs (0 without
+    /// emulation, where the pool has always drained).
+    pub(crate) pool_wait_us: u64,
+    /// Workers sharing the queue (≥ 1).
+    pub(crate) workers: usize,
+}
+
+impl Load {
+    /// The queue's per-request drain time, µs: the amortized service time
+    /// ÷ the workers sharing the queue, at least 1 once there is evidence
+    /// (0 = unknown).
+    pub(crate) fn hint_us(&self) -> u64 {
+        if self.amortized_us == 0 {
+            return 0;
+        }
+        (self.amortized_us / self.workers as u64).max(1)
+    }
+
+    /// The wait behind `depth` queued requests, µs: `depth × hint` — what
+    /// the spill router prices a shard with and the gauges export.
+    pub(crate) fn queue_wait_us(&self, depth: usize) -> u64 {
+        (depth as u64).saturating_mul(self.hint_us())
+    }
+
+    /// Value-weighted eviction's doom horizon on a queue `depth` deep, µs:
+    /// the typical wait still ahead of a queued request — the drain hint ×
+    /// half the depth, plus the pool wait once it is popped.
+    pub(super) fn doom_wait_us(&self, depth: usize) -> u64 {
+        self.hint_us()
+            .saturating_mul(depth as u64 / 2)
+            .saturating_add(self.pool_wait_us)
+    }
+
+    /// SLO admission pricing: the predicted wait, µs, when a request due
+    /// in `deadline_us` is doomed; `None` admits (always, without
+    /// service-time evidence). `(depth, ahead)` is the queue snapshot: the
+    /// live backlog, and the part of it the EDF dequeue serves first. An
+    /// urgent request overtakes lax work, so the raw depth would
+    /// overcharge it (and shed requests EDF would have served in time):
+    /// the wait prices `ahead`, and only the full-queue test reads
+    /// `depth`. The wait starts with the pool wait, the pool work a popped
+    /// request still waits behind.
+    ///
+    /// Two shedding criteria, deliberately asymmetric:
+    ///
+    /// * the predicted *wait alone* exceeds the deadline — the request
+    ///   provably cannot complete in time (it cannot even dequeue in
+    ///   budget), so queueing it only wastes a slot;
+    /// * the queue is *full* and wait + one batch execute span exceeds the
+    ///   deadline — here admitting means evicting a queued request that
+    ///   still has a chance, in favor of one predicted to finish late;
+    ///   refusing the doomed newcomer is the strictly better trade.
+    ///
+    /// A merely-probably-late request on a non-full queue is admitted: EDF
+    /// dequeue may still save it, and shedding at the margin would throw
+    /// away value on a coin flip.
+    pub(crate) fn doomed_at_admission(
+        &self,
+        (depth, ahead): (usize, usize),
+        capacity: usize,
+        deadline_us: u64,
+    ) -> Option<u64> {
+        let wait_us = self.pool_wait_us as f64
+            + ahead as f64 * self.amortized_us as f64 / self.workers as f64;
+        let (full, deadline) = (depth >= capacity, deadline_us as f64);
+        let doomed =
+            wait_us >= deadline || (full && wait_us + self.exec_span_us as f64 >= deadline);
+        (self.amortized_us > 0 && doomed).then_some(wait_us as u64)
+    }
+}
+
 /// What [`QueueCore::offer`] decided about the incoming request.
 #[derive(Debug)]
 pub(crate) enum Offer {
@@ -148,24 +234,15 @@ impl QueueCore {
     /// Index of the queued request to shed so `req` can take its slot on a
     /// full queue, or `None` when `req` itself is the shed. Blind shedding
     /// picks the oldest request; value-weighted shedding the smallest
-    /// [`victim_key`], the front-most among equals, on a doom horizon of
-    /// half the queue depth × the per-request drain time, plus the pool
-    /// wait still ahead of a request once it is popped.
+    /// [`victim_key`], the front-most among equals, on `load`'s doom
+    /// horizon.
     ///
     /// [`victim_key`]: QueueCore::victim_key
-    fn overflow_victim(
-        &self,
-        req: &Request,
-        now: Instant,
-        service_hint_us: u64,
-        pool_wait_us: u64,
-    ) -> Option<usize> {
+    fn overflow_victim(&self, req: &Request, now: Instant, load: Load) -> Option<usize> {
         if !self.value_weighted {
             return (!self.pending.is_empty()).then_some(0);
         }
-        let doom_wait_us = service_hint_us
-            .saturating_mul(self.pending.len() as u64 / 2)
-            .saturating_add(pool_wait_us);
+        let doom_wait_us = load.doom_wait_us(self.pending.len());
         let key = |r: &Request| Self::victim_key(r, now, doom_wait_us);
         let victim = (0..self.pending.len()).min_by(|&a, &b| {
             let (a, b) = (key(&self.pending[a]), key(&self.pending[b]));
@@ -185,17 +262,9 @@ impl QueueCore {
         (!incoming_is_shed).then_some(victim)
     }
 
-    /// Decide one submission at `now`, with `service_hint_us` the queue's
-    /// per-request drain time (0 = unknown) and `pool_wait_us` the pool
-    /// wait ahead of a request popped now, which together set
-    /// value-weighted eviction's doom horizon.
-    pub(crate) fn offer(
-        &mut self,
-        mut req: Request,
-        now: Instant,
-        service_hint_us: u64,
-        pool_wait_us: u64,
-    ) -> Offer {
+    /// Decide one submission at `now`, with `load` the shard's published
+    /// wait, which sets value-weighted eviction's doom horizon.
+    pub(crate) fn offer(&mut self, mut req: Request, now: Instant, load: Load) -> Offer {
         if self.closed {
             return Offer::Refused;
         }
@@ -211,8 +280,7 @@ impl QueueCore {
                 BackpressurePolicy::Reject => return Offer::Refused,
                 BackpressurePolicy::ShedOldest => {}
             }
-            let Some(victim) = self.overflow_victim(&req, now, service_hint_us, pool_wait_us)
-            else {
+            let Some(victim) = self.overflow_victim(&req, now, load) else {
                 return Offer::ShedIncoming(req);
             };
             let shed = self.pending.remove(victim).expect("victim index in range");

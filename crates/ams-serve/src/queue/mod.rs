@@ -19,6 +19,7 @@
 
 mod core;
 
+pub(crate) use self::core::Load;
 use self::core::{Offer, QueueCore};
 use crate::cache::PendingEntry;
 use crate::completion::{CompletionSlot, ShedReason};
@@ -317,10 +318,11 @@ pub struct ShardQueue {
     not_full: Condvar,
     /// The core's capacity, readable without the lock.
     capacity: usize,
-    /// Per-request drain time of this queue, µs (amortized service time ÷
-    /// workers), published by the shard's workers
-    /// ([`ShardQueue::set_service_hint_us`]; 0 = unknown).
-    service_hint_us: AtomicU64,
+    /// The shard's service-time EWMAs, µs ([`Load::amortized_us`],
+    /// [`Load::exec_span_us`]), published by its workers at each batch
+    /// start ([`ShardQueue::publish_batch`]; 0 = no evidence yet).
+    amortized_us: AtomicU64,
+    exec_span_us: AtomicU64,
     /// When each of the shard's workers' pool plans ends, µs after
     /// `epoch` ([`ShardQueue::set_pool_end`]; 0 = nothing planned). The
     /// shortest of them is the pool wait still ahead of a request popped
@@ -358,7 +360,8 @@ impl ShardQueue {
             state: Mutex::new(Locked { core, ledger }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            service_hint_us: AtomicU64::new(0),
+            amortized_us: AtomicU64::new(0),
+            exec_span_us: AtomicU64::new(0),
             pool_ends_us: Box::new([AtomicU64::new(0)]),
             epoch: Instant::now(),
             obs: None,
@@ -400,29 +403,26 @@ impl ShardQueue {
         row.bump(EventKind::ShedOverflow, req.value);
     }
 
-    /// Publish the queue's observed per-request *drain* time (µs): the
-    /// workers' amortized service time divided by how many workers share
-    /// this queue. Purely advisory: it sharpens the value-weighted
-    /// eviction's notion of a doomed request and feeds the router's
-    /// estimated-wait spill pricing; 0 (never published) degrades to pure
-    /// value-per-remaining-deadline / load-only behavior.
-    pub fn set_service_hint_us(&self, us: u64) {
-        self.service_hint_us.store(us, Ordering::Relaxed);
-    }
-
-    /// The currently published per-request drain hint (µs; 0 = unknown).
-    /// One of the two [`ShardQueue::estimated_wait_us`] inputs, exported
-    /// as a registry gauge so the wait the spill router prices is
-    /// observable rather than inferred.
-    pub fn service_hint_us(&self) -> u64 {
-        self.service_hint_us.load(Ordering::Relaxed)
+    /// A worker's batch started after `busy` of busy time on the previous
+    /// batch of `len` requests: fold that span and its amortized
+    /// per-request time into the published EWMAs (¾ old + ¼ new — smooth
+    /// enough that one outlier batch doesn't whipsaw admission, fresh
+    /// enough to track load shifts). Racy read-modify-write is fine: any
+    /// interleaving stores a plausible smoothed value.
+    pub(crate) fn publish_batch(&self, busy: Duration, len: usize) {
+        let ewma = |signal: &AtomicU64, obs: u64| {
+            let old = signal.load(Ordering::Relaxed);
+            let next = (if old == 0 { obs } else { (old * 3 + obs) / 4 }).max(1);
+            signal.store(next, Ordering::Relaxed);
+        };
+        let span = micros(busy);
+        ewma(&self.exec_span_us, span);
+        ewma(&self.amortized_us, span / len.max(1) as u64);
     }
 
     /// Publish when the pool of the queue's `worker`-th worker (of those
     /// sharing it) ends the work it has planned. Published at each
-    /// batch admission, like the service hint, and priced by both doom
-    /// tests — value-weighted eviction's horizon and SLO admission — as
-    /// [`ShardQueue::pool_wait_us`].
+    /// batch admission and priced as [`Load::pool_wait_us`].
     pub(crate) fn set_pool_end(&self, worker: usize, end: Instant) {
         if let Some(slot) = self.pool_ends_us.get(worker) {
             slot.store(
@@ -432,14 +432,20 @@ impl ShardQueue {
         }
     }
 
-    /// The pool wait ahead of a request popped at `now`, µs: the time left
-    /// until the *soonest* published pool end — the worker that frees
-    /// first takes the next batch. 0 when any pool has drained, or none
-    /// ever published (every pool at `exec_emulation_scale` 0).
-    pub(crate) fn pool_wait_us(&self, now: Instant) -> u64 {
+    /// The shard's wait at `now`, each published signal read once. The
+    /// pool wait is the time left until the *soonest* published pool end
+    /// — the worker that frees first takes the next batch: 0 when any
+    /// pool has drained, or none ever published (every pool at
+    /// `exec_emulation_scale` 0).
+    pub(crate) fn load(&self, now: Instant) -> Load {
         let now_us = micros(now.saturating_duration_since(self.epoch));
         let ends = self.pool_ends_us.iter().map(|e| e.load(Ordering::Relaxed));
-        ends.min().unwrap_or(0).saturating_sub(now_us)
+        Load {
+            amortized_us: self.amortized_us.load(Ordering::Relaxed),
+            exec_span_us: self.exec_span_us.load(Ordering::Relaxed),
+            pool_wait_us: ends.min().unwrap_or(0).saturating_sub(now_us),
+            workers: self.pool_ends_us.len(),
+        }
     }
 
     /// The configured capacity.
@@ -471,7 +477,7 @@ impl ShardQueue {
     /// deadline traffic away from a shard whose queue is full of
     /// already-cancelled tombstones.
     pub fn estimated_wait_us(&self) -> u64 {
-        (self.live_len() as u64).saturating_mul(self.service_hint_us())
+        self.load(Instant::now()).queue_wait_us(self.live_len())
     }
 
     /// The queue's ledger so far: what it enqueued and what it shed on
@@ -505,7 +511,7 @@ impl ShardQueue {
             // wait gives the lock up, so the next round reads it afresh.
             let now = Instant::now();
             let Locked { core, ledger } = &mut *st;
-            match core.offer(req, now, self.service_hint_us(), self.pool_wait_us(now)) {
+            match core.offer(req, now, self.load(now)) {
                 Offer::Enqueued { evicted } => {
                     if let Some(victim) = &evicted {
                         self.shed_overflow(ledger, victim);

@@ -3,7 +3,7 @@
 //! thread, no wait, no elapsed-time assert; the [`ShardQueue`] tests cover
 //! what only the shell does (outcomes, settlement, blocking, close).
 
-use super::core::{Offer, QueueCore};
+use super::core::{Load, Offer, QueueCore};
 use super::*;
 use crate::completion::{CancelLedger, Completion, CompletionQueue, Ticket};
 use ams_data::{Dataset, DatasetProfile, TruthTable};
@@ -27,11 +27,22 @@ fn timeline() -> impl Fn(u64) -> Instant {
     move |us| epoch + Duration::from_micros(us)
 }
 
+/// A one-worker shard's published wait: `hint_us` a request, and
+/// `pool_wait_us` of pool work ahead of a popped request.
+fn load(hint_us: u64, pool_wait_us: u64) -> Load {
+    Load {
+        amortized_us: hint_us,
+        exec_span_us: 0,
+        pool_wait_us,
+        workers: 1,
+    }
+}
+
 /// Offer `r` — created at `now`, so the offer prices its full budget —
 /// which must take a slot; the victim evicted for it, if any.
 fn admit(core: &mut QueueCore, mut r: Request, now: Instant, hint_us: u64) -> Option<Request> {
     r.enqueued_at = now;
-    match core.offer(r, now, hint_us, 0) {
+    match core.offer(r, now, load(hint_us, 0)) {
         Offer::Enqueued { evicted } => evicted,
         other => panic!("expected a slot, got {other:?}"),
     }
@@ -106,7 +117,7 @@ fn the_pool_wait_extends_the_doom_horizon() {
         admit(&mut core, slo(1.0, 1_000_000), at(0), 100);
         let mut newcomer = slo(1.0, 1_000_000);
         newcomer.enqueued_at = at(800);
-        match core.offer(newcomer, at(800), 100, pool_wait_us) {
+        match core.offer(newcomer, at(800), load(100, pool_wait_us)) {
             Offer::Enqueued { evicted } => evicted.expect("a full queue evicts").value,
             other => panic!("expected a slot, got {other:?}"),
         }
@@ -125,27 +136,50 @@ fn the_pool_wait_extends_the_doom_horizon() {
     assert_eq!(victim_at_pool_wait(150), 100.0);
 }
 
-/// The shell prices the soonest published pool end: the worker that frees
-/// first takes the next batch. Ends before `now` (a drained pool) and
-/// unpublished slots wait 0.
+/// The shell's published wait. The pool wait is the time left to the
+/// soonest pool end — the worker that frees first takes the next batch;
+/// ends before `now` (a drained pool) and unpublished slots wait 0. A
+/// batch's busy span folds into the service-time EWMAs: a 7 ms span for 4
+/// requests is 1 750 µs each, the next span at a quarter weight.
 #[test]
 fn pool_wait_is_the_time_left_to_the_soonest_pool_end() {
     let q = ShardQueue::new(4, Block).with_workers(2);
     let t0 = Instant::now();
     let ms = Duration::from_millis;
-    assert_eq!(q.pool_wait_us(t0), 0, "nothing published");
+    let pool_wait_us = |now| q.load(now).pool_wait_us;
+    assert_eq!(pool_wait_us(t0), 0, "nothing published");
     q.set_pool_end(0, t0 + ms(5));
-    assert_eq!(q.pool_wait_us(t0), 0, "worker 1 has published nothing");
+    assert_eq!(pool_wait_us(t0), 0, "worker 1 has published nothing");
     q.set_pool_end(1, t0 + ms(3));
-    assert_eq!(q.pool_wait_us(t0), 3_000);
-    assert_eq!(q.pool_wait_us(t0 + ms(1)), 2_000);
-    assert_eq!(q.pool_wait_us(t0 + ms(4)), 0, "worker 1 has drained");
+    assert_eq!(pool_wait_us(t0), 3_000);
+    assert_eq!(pool_wait_us(t0 + ms(1)), 2_000);
+    assert_eq!(pool_wait_us(t0 + ms(4)), 0, "worker 1 has drained");
     q.set_pool_end(1, t0 + ms(9));
-    assert_eq!(
-        q.pool_wait_us(t0 + ms(4)),
-        1_000,
-        "now worker 0 frees first"
-    );
+    assert_eq!(pool_wait_us(t0 + ms(4)), 1_000, "now worker 0 frees first");
+    q.publish_batch(ms(7), 4);
+    let load = q.load(t0);
+    assert_eq!((load.amortized_us, load.exec_span_us), (1_750, 7_000));
+    q.publish_batch(ms(6), 2);
+    let want = (1_750 * 3 + 3_000) / 4;
+    assert_eq!((q.load(t0).amortized_us, q.load(t0).workers), (want, 2));
+}
+
+/// Every wait price from one literal: 100 µs amortized per request over 2
+/// workers (a 50 µs drain hint), a 300 µs execute span, and a queue 4
+/// deep. Admission's price of the same literal is tested beside its
+/// caller, in `server::submit`.
+#[test]
+fn one_load_prices_every_wait() {
+    let at = |amortized_us, pool_wait_us| Load {
+        amortized_us,
+        exec_span_us: 300,
+        pool_wait_us,
+        workers: 2,
+    };
+    assert_eq!(at(100, 0).hint_us(), 50);
+    assert_eq!(at(100, 0).queue_wait_us(4), 200, "the spill router's price");
+    assert_eq!(at(100, 150).doom_wait_us(4), 250, "eviction's horizon");
+    assert_eq!(at(0, 150).queue_wait_us(4), 0, "no evidence, no wait");
 }
 
 #[test]
@@ -200,7 +234,7 @@ fn worthless_incoming_request_is_shed_instead_of_viable_queued_work() {
     // Expired on arrival: admitting it could only convert a viable queued
     // request into a shed.
     let mut core = queue();
-    match core.offer(slo(1, 9.0, 0), at(100), 0, 0) {
+    match core.offer(slo(1, 9.0, 0), at(100), load(0, 0)) {
         Offer::ShedIncoming(back) => assert_eq!((back.class, back.value), (1, 9.0)),
         other => panic!("the newcomer is the shed, got {other:?}"),
     }

@@ -377,6 +377,7 @@ mod tests {
     use ams_data::{Dataset, DatasetProfile, TruthTable};
     use ams_models::ModelZoo;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn scheduler() -> AdaptiveModelScheduler {
         let zoo = ModelZoo::standard();
@@ -563,7 +564,7 @@ mod tests {
         for _ in 0..3 {
             qs[home].push(crate::queue::Request::new(Arc::clone(&item), 0));
         }
-        qs[home].set_service_hint_us(500_000);
+        qs[home].publish_batch(Duration::from_micros(500_000), 1);
         // Deadline-less: still the affinity home (load is fine).
         assert_eq!(route_via(&r, &s, &item, &qs, None).shard, home);
         // A 100 ms deadline cannot survive a 1.5 s wait: spill to the
@@ -606,9 +607,9 @@ mod tests {
             qs[fast].push(crate::queue::Request::new(Arc::clone(&item), 0));
         }
         qs[slow].push(crate::queue::Request::new(Arc::clone(&item), 0));
-        qs[home].set_service_hint_us(500_000); // 2.0 s estimated
-        qs[fast].set_service_hint_us(10_000); //  30 ms estimated
-        qs[slow].set_service_hint_us(900_000); // 0.9 s estimated
+        qs[home].publish_batch(Duration::from_micros(500_000), 1); // 2.0 s estimated
+        qs[fast].publish_batch(Duration::from_micros(10_000), 1); //  30 ms estimated
+        qs[slow].publish_batch(Duration::from_micros(900_000), 1); // 0.9 s estimated
         let route = route_via(&r, &s, &item, &qs, Some(1_000));
         assert_eq!(
             route.shard, fast,

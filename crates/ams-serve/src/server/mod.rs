@@ -36,12 +36,10 @@
 //! This module keeps [`AmsServer`] start, shutdown and abort over the
 //! shared state; the rest is one small module per concern: `config` (the
 //! knobs and their normalisation), `submit` ([`Client`] and the admission
-//! path), `worker` (the shard hot loop, phase by phase), `control` (the
-//! per-shard service-time signals admission prices with) and `report`
-//! (the report types and the end-of-run fold).
+//! path), `worker` (the shard hot loop, phase by phase), `gate` (its pure
+//! pop decision) and `report` (the report types and the end-of-run fold).
 
 mod config;
-mod control;
 mod gate;
 mod report;
 mod submit;
@@ -65,17 +63,16 @@ use crate::router::{fib_shard, Router};
 use crate::telemetry::ratio;
 use ams_core::framework::{AdaptiveModelScheduler, Budget};
 use ams_data::ItemTruth;
-use control::ShardControl;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Instant;
 use worker::{worker_loop, WorkerLocal};
 
 /// Shared server state (queues + router + scheduler), behind one `Arc`.
 struct Shared {
     queues: Vec<ShardQueue>,
     router: Router,
-    controls: Vec<ShardControl>,
     scheduler: AdaptiveModelScheduler,
     budget: Budget,
     cfg: ServeConfig,
@@ -124,21 +121,21 @@ impl Shared {
         });
     }
 
-    /// One racy-but-consistent gauge sample per shard: the queue depth and
-    /// published drain hint — the very inputs
-    /// [`ShardQueue::estimated_wait_us`] prices admission and spill routing
-    /// with.
+    /// One racy-but-consistent gauge sample per shard: the live queue
+    /// depth, the published drain hint, and the queue wait
+    /// [`ShardQueue::estimated_wait_us`] prices spill routing with.
     fn shard_samples(&self) -> Vec<ShardSample> {
+        let now = Instant::now();
         self.queues
             .iter()
             .map(|q| {
-                // One read of each input and their product taken here, so a
-                // pop or a first published hint cannot split the sample.
-                let (depth, service_hint_us) = (q.live_len() as u64, q.service_hint_us());
+                // One read of each input, priced here, so a pop or a first
+                // published hint cannot split the sample.
+                let (depth, load) = (q.live_len(), q.load(now));
                 ShardSample {
-                    depth,
-                    service_hint_us,
-                    estimated_wait_us: depth.saturating_mul(service_hint_us),
+                    depth: depth as u64,
+                    service_hint_us: load.hint_us(),
+                    estimated_wait_us: load.queue_wait_us(depth),
                 }
             })
             .collect()
@@ -220,7 +217,6 @@ impl AmsServer {
                     .with_workers(cfg.workers_per_shard)
             })
             .collect();
-        let controls = (0..cfg.shards).map(|_| ShardControl::default()).collect();
         let submit_ledger = (0..cfg.shards).map(|_| Mutex::default()).collect();
         // Without SLO classes nothing consumes `Route::value`, so hash
         // routing skips the per-submission value scan.
@@ -238,7 +234,6 @@ impl AmsServer {
         let shared = Arc::new(Shared {
             router,
             queues,
-            controls,
             scheduler,
             budget,
             next_req: AtomicU64::new(0),

@@ -407,10 +407,9 @@ fn answer_from_cache(
     SubmitOutcome::Cached(ticket)
 }
 
-/// SLO admission control: [`doomed_at_admission`] on `shard`'s state — one
-/// consistent queue snapshot (a single lock acquisition), the service
-/// times its workers publish and the pool wait ahead of a request popped
-/// at `now`. `None` admits (always, without admission
+/// SLO admission control: the shard's published wait at `now` priced
+/// against one consistent queue snapshot (a single lock acquisition) —
+/// `Load::doomed_at_admission`. `None` admits (always, without admission
 /// control or a deadline).
 fn admission_wait(
     shared: &Shared,
@@ -422,58 +421,27 @@ fn admission_wait(
     if !slo.aware {
         return None;
     }
-    let (queue, control) = (&shared.queues[shard], &shared.controls[shard]);
-    doomed_at_admission(
-        queue.queued_ahead(now + Duration::from_micros(deadline)),
-        queue.capacity(),
-        queue.pool_wait_us(now),
-        control.amortized_us.load(Ordering::Relaxed),
-        control.exec_span_us.load(Ordering::Relaxed),
-        shared.cfg.workers_per_shard,
-        deadline,
-    )
-}
-
-/// Admission pricing as a pure function: the predicted wait, µs, when the
-/// request is doomed; `None` admits (always, without service-time evidence
-/// — `amortized_us == 0`). `(depth, ahead)` is the queue snapshot: the
-/// live backlog, and the part of it the EDF dequeue serves first. An
-/// urgent request overtakes lax work, so the raw depth would overcharge
-/// it (and shed requests EDF would have served in time): the wait prices
-/// `ahead`, and only the full-queue test reads `depth`. The wait starts
-/// with `pool_wait_us`, the pool work a popped request still waits behind.
-///
-/// Two shedding criteria, deliberately asymmetric:
-///
-/// * the predicted *wait alone* exceeds the deadline — the request
-///   provably cannot complete in time (it cannot even dequeue in budget),
-///   so queueing it only wastes a slot;
-/// * the queue is *full* and wait + one batch execute span (the measured
-///   EWMA) exceeds the deadline — here admitting means evicting a queued
-///   request that still has a chance, in favor of one predicted to finish
-///   late; refusing the doomed newcomer is the strictly better trade.
-///
-/// A merely-probably-late request on a non-full queue is admitted: EDF
-/// dequeue may still save it, and shedding at the margin would throw away
-/// value on a coin flip.
-fn doomed_at_admission(
-    (depth, ahead): (usize, usize),
-    capacity: usize,
-    pool_wait_us: u64,
-    amortized_us: u64,
-    exec_span_us: u64,
-    workers: usize,
-    deadline_us: u64,
-) -> Option<u64> {
-    let wait_us = pool_wait_us as f64 + ahead as f64 * amortized_us as f64 / workers as f64;
-    let (full, deadline) = (depth >= capacity, deadline_us as f64);
-    let doomed = wait_us >= deadline || (full && wait_us + exec_span_us as f64 >= deadline);
-    (amortized_us > 0 && doomed).then_some(wait_us as u64)
+    let queue = &shared.queues[shard];
+    let snapshot = queue.queued_ahead(now + Duration::from_micros(deadline));
+    queue
+        .load(now)
+        .doomed_at_admission(snapshot, queue.capacity(), deadline)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::doomed_at_admission;
+    use crate::queue::Load;
+
+    /// A two-worker shard's published wait: `amortized_us` a request, a
+    /// 300 µs execute span and `pool_wait_us` of pool work ahead.
+    fn load(amortized_us: u64, pool_wait_us: u64) -> Load {
+        Load {
+            amortized_us,
+            exec_span_us: 300,
+            pool_wait_us,
+            workers: 2,
+        }
+    }
 
     /// Admission pricing as a table of literal microseconds: 4 queued, 1
     /// of them ahead under EDF; 100 µs amortized per request over 2
@@ -481,7 +449,7 @@ mod tests {
     #[test]
     fn admission_prices_the_backlog_against_the_deadline() {
         let price = |capacity, amortized_us, deadline_us| {
-            doomed_at_admission((4, 1), capacity, 0, amortized_us, 300, 2, deadline_us)
+            load(amortized_us, 0).doomed_at_admission((4, 1), capacity, deadline_us)
         };
         let (full, roomy) = (4, 5);
         // The wait alone reaches the deadline: shed, full or not. Only the
@@ -502,7 +470,7 @@ mod tests {
     /// pool wait 0 and sheds once pool wait + queue wait reaches it.
     #[test]
     fn admission_prices_the_pool_wait_on_top_of_the_queue_wait() {
-        let price = |pool_wait_us| doomed_at_admission((4, 1), 5, pool_wait_us, 100, 300, 2, 100);
+        let price = |pool_wait_us| load(100, pool_wait_us).doomed_at_admission((4, 1), 5, 100);
         assert_eq!(price(0), None);
         assert_eq!(price(49), None);
         assert_eq!(price(50), Some(100));

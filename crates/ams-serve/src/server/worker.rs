@@ -4,7 +4,6 @@
 //! shard queue closes and drains. Also the accumulators a worker hands
 //! back at join.
 
-use super::control::{ServiceClock, ShardControl};
 use super::gate::{gate, Gate};
 use super::Shared;
 use crate::adapt::WorkerAdapt;
@@ -19,10 +18,35 @@ use ams_core::streaming::StreamStats;
 use ams_sim::{Job, PoolTimeline};
 use std::time::{Duration, Instant};
 
-/// Items below this recall increment [`StreamStats::low_recall_items`] —
-/// the serial [`StreamProcessor`](ams_core::streaming::StreamProcessor)'s
-/// default, which serve==serial equivalence is checked against.
-const ALERT_RECALL: f64 = 0.5;
+/// A worker's busy wall time per batch: the span between successive batch
+/// starts less the time it spent blocked on an empty queue. With batches
+/// streaming through the pool the members' execute spans overlap, so a
+/// batch's drain time is this span, not any member's.
+#[derive(Debug, Default)]
+struct ServiceClock {
+    /// The previous batch's start and size.
+    last: Option<(Instant, usize)>,
+    /// Time blocked on the queue since then.
+    blocked: Duration,
+}
+
+impl ServiceClock {
+    /// The worker spent `d` blocked waiting for work.
+    fn blocked(&mut self, d: Duration) {
+        self.blocked += d;
+    }
+
+    /// A batch of `len` starts at `at`: the previous batch's busy span and
+    /// size (`None` for the first batch).
+    fn batch_started(&mut self, at: Instant, len: usize) -> Option<(Duration, usize)> {
+        let blocked = std::mem::take(&mut self.blocked);
+        let (start, n) = self.last.replace((at, len))?;
+        Some((
+            at.saturating_duration_since(start).saturating_sub(blocked),
+            n,
+        ))
+    }
+}
 
 /// Per-worker accumulators, merged at shutdown.
 #[derive(Default)]
@@ -127,7 +151,6 @@ struct Worker<'a> {
     /// observability event ring.
     index: usize,
     queue: &'a ShardQueue,
-    control: &'a ShardControl,
     /// With adaptation on, the worker's experience tap and its pinned
     /// snapshot predictor; `None` labels through the scheduler's own
     /// frozen predictor, byte-identical to a server without adaptation.
@@ -166,10 +189,9 @@ pub(super) fn worker_loop(
         shared,
         shard,
         index,
-        // One bounds check each here instead of one per batch below: the
+        // One bounds check here instead of one per batch below: the
         // worker is pinned to `shard` for its whole life.
         queue: &shared.queues[shard], // ams-lint: allow(no-panic) shard < queues.len() — workers are spawned one per existing shard
-        control: &shared.controls[shard], // ams-lint: allow(no-panic) shard < controls.len() — controls is built with one entry per shard
         adapt,
         local: WorkerLocal::new(n, shared.cfg.classes()),
         runs_per_model: vec![0usize; n],
@@ -326,18 +348,14 @@ impl Worker<'_> {
         survivors
     }
 
-    /// A batch of `len` starts executing at `at`: publish the shard's
-    /// service-time signals from the busy span since the previous batch
-    /// start — the amortized per-request service time admission control
-    /// prices queue depth with, and the queue's drain rate (service time ÷
-    /// the workers sharing the queue), which value-weighted eviction
-    /// prices its doom horizon with. Same yardstick as admission, so the
-    /// two policies agree on what a queued request's wait looks like.
+    /// A batch of `len` starts executing at `at`: publish the busy span
+    /// since the previous batch start to the shard queue, whose service-time
+    /// EWMAs every wait price — admission, eviction's doom horizon, spill
+    /// routing — reads, so the policies agree on what a queued request's
+    /// wait looks like.
     fn batch_started(&mut self, at: Instant, len: usize) {
         let busy = self.service.batch_started(at, len).map(|(busy, n)| {
-            let amortized = self.control.publish_amortized(busy, n);
-            let workers = self.shared.cfg.workers_per_shard as u64;
-            self.queue.set_service_hint_us((amortized / workers).max(1));
+            self.queue.publish_batch(busy, n);
             micros(busy)
         });
         let shard = self.shard;
@@ -515,7 +533,7 @@ impl Worker<'_> {
         let labeled = req.event(EventKind::Labeled, shard);
         self.emit(labeled.detail(micros(total)).flag(!met));
         let local = &mut self.local;
-        local.stats.absorb(&outcome, ALERT_RECALL);
+        local.stats.absorb(&outcome);
         local.queue_wait.record(*wait);
         local.execute.record(exec);
         if let Some(class_total) = local.total.get_mut(req.class) {
@@ -551,12 +569,33 @@ impl Worker<'_> {
 #[cfg(test)]
 mod tests {
     use super::super::{AmsServer, ServeConfig};
+    use super::ServiceClock;
     use ams_core::framework::{AdaptiveModelScheduler, Budget};
     use ams_core::predictor::OraclePredictor;
     use ams_data::{Dataset, DatasetProfile, TruthTable};
     use ams_models::ModelZoo;
     use std::sync::Arc;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
+
+    /// The service hint is busy time between batch starts, blocked time
+    /// excluded: 10 ms from start to start with 3 ms blocked on an empty
+    /// queue is a 7 ms span for the 4-request batch.
+    #[test]
+    fn service_clock_publishes_busy_time_between_batch_starts() {
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
+        let mut clock = ServiceClock::default();
+        clock.blocked(ms(5));
+        assert_eq!(clock.batch_started(t0, 4), None, "nothing before it");
+        clock.blocked(ms(1));
+        clock.blocked(ms(2));
+        assert_eq!(clock.batch_started(t0 + ms(10), 2), Some((ms(7), 4)));
+        // A busy stretch with no blocking counts whole; blocking longer
+        // than the gap (clock skew) counts nothing.
+        assert_eq!(clock.batch_started(t0 + ms(16), 1), Some((ms(6), 2)));
+        clock.blocked(ms(9));
+        assert_eq!(clock.batch_started(t0 + ms(20), 1), Some((ms(0), 1)));
+    }
 
     /// The pool end one shard's worker published after labeling 16 items at
     /// `exec_emulation_scale`, µs after the queue's epoch.
@@ -581,7 +620,7 @@ mod tests {
         for _ in truth.items() {
             client.recv().expect("one completion per ticket");
         }
-        let end_us = server.shared().queues[0].pool_wait_us(before_epoch);
+        let end_us = server.shared().queues[0].load(before_epoch).pool_wait_us;
         server.shutdown();
         end_us
     }

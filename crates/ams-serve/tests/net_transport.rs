@@ -253,15 +253,18 @@ fn per_ticket_deadline_and_value_travel_the_wire() {
         max_batch: 1,
         queue_capacity: 64,
         policy: BackpressurePolicy::Block,
-        exec_emulation_scale: 5e-3,
+        exec_emulation_scale: 5e-2,
         obs: Some(ObsConfig::default()),
         ..ServeConfig::default()
     });
     let remote = NetClient::connect(net.local_addr()).expect("connect");
-    // Four deadline-free head requests keep the single worker busy for
-    // several real milliseconds (serial batches of 1 under slowed
-    // execution) — the doomed wave behind them is guaranteed to age past
-    // its 1 ms per-ticket budget while queued.
+    // Four deadline-free head requests keep the single worker busy (serial
+    // batches of 1 under slowed execution). The worker pops ahead while
+    // fewer than two popped heads wait to start, so the doomed wave is
+    // popped once the third head starts, tens of real milliseconds in:
+    // the whole wave is queued by then, and has aged past its 1 ms
+    // per-ticket budget. A request that reached the queue after the
+    // worker ran out of queued work would be popped fresh.
     let heads = 4u64;
     for item in table.items().iter().take(heads as usize) {
         remote.submit(Arc::new(item.clone())).expect("submit");

@@ -64,13 +64,14 @@ echo "==> cargo doc (broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
 
 # The queue's decision core and the worker's pop gate are pure (all
-# modes): time is an argument, and the lock, the condvars, the clock, the
-# sleep and the obs handle live in the shells (`queue/mod.rs`,
+# modes): time is an argument, a shard's published wait arrives as a
+# `Load` value, and the lock, the condvars, the clock, the sleep, the
+# atomics and the obs handle live in the shells (`queue/mod.rs`,
 # `server/worker.rs`). One word from that list in `core.rs` or `gate.rs` —
 # code, comment or doc — fails here.
 for pure in crates/ams-serve/src/queue/core.rs crates/ams-serve/src/server/gate.rs; do
-    echo "==> $pure stays pure (no clock, lock, condvar, sleep or obs)"
-    if grep -nE 'Instant::now|SystemTime|Mutex|Condvar|sleep|ServerObs' "$pure"; then
+    echo "==> $pure stays pure (no clock, lock, condvar, sleep, atomic or obs)"
+    if grep -nE 'Instant::now|SystemTime|Mutex|Condvar|sleep|Atomic|ServerObs' "$pure"; then
         echo "$pure must stay a pure function of its arguments" >&2
         exit 1
     fi
@@ -164,7 +165,8 @@ fi
 # measured the same way each time.
 workspace_loc=$(find crates tests examples -name '*.rs' | xargs cat | wc -l)
 sim_loc=$(find crates/ams-sim -name '*.rs' | xargs cat | wc -l)
+serve_loc=$(find crates/ams-serve -name '*.rs' | xargs cat | wc -l)
 examples_loc=$(find examples -name '*.rs' | xargs cat | wc -l)
-echo "==> Rust LoC: workspace $workspace_loc, ams-sim $sim_loc, examples $examples_loc"
+echo "==> Rust LoC: workspace $workspace_loc, ams-sim $sim_loc, ams-serve $serve_loc, examples $examples_loc"
 
 echo "All checks passed."
