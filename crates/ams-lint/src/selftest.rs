@@ -40,7 +40,7 @@ const FIXTURES: &[Fixture] = &[
         ],
     },
     Fixture {
-        path: "crates/ams-serve/src/server/worker.rs",
+        path: "crates/ams-serve/src/server/worker/mod.rs",
         src: include_str!("../fixtures/ledger_server.rs"),
         expect: &[
             ("ledger-event", 5),  // bump(Admitted) beside an Enqueued emit

@@ -32,10 +32,12 @@
 //! * [`server`] — the [`AmsServer`]: sharded queues, a worker pool per
 //!   shard over one shared
 //!   [`AdaptiveModelScheduler`](ams_core::framework::AdaptiveModelScheduler),
-//!   deadline-aware load shedding, batched admission into the `ams-sim`
-//!   virtual GPU pool, optional **SLO-aware admission and shedding** (per-request deadline + value classes, predicted-wait
-//!   admission control, value-weighted overflow eviction, EDF dequeue,
-//!   per-class ledgers), and graceful drain on shutdown.
+//!   deadline-aware load shedding, batched admission into each worker's
+//!   `ams-sim` virtual GPU pool (planned and paced in µs by the clock-free
+//!   `WorkerCore`; the worker shell reads the clock), optional **SLO-aware
+//!   admission and shedding** (per-request deadline + value classes,
+//!   predicted-wait admission control, value-weighted overflow eviction,
+//!   EDF dequeue, per-class ledgers), and graceful drain on shutdown.
 //! * [`net`] — the TCP front-end: a blocking `std::net` listener
 //!   speaking the ticket protocol over compact length-prefixed binary
 //!   frames ([`wire`] owns the frame types and their byte layout: a

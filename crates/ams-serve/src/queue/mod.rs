@@ -421,15 +421,19 @@ impl ShardQueue {
     }
 
     /// Publish when the pool of the queue's `worker`-th worker (of those
-    /// sharing it) ends the work it has planned. Published at each
-    /// batch admission and priced as [`Load::pool_wait_us`].
-    pub(crate) fn set_pool_end(&self, worker: usize, end: Instant) {
+    /// sharing it) ends the work it has planned, µs after the epoch (0:
+    /// nothing planned). Published at each batch admission and priced as
+    /// [`Load::pool_wait_us`].
+    pub(crate) fn set_pool_end(&self, worker: usize, end_us: u64) {
         if let Some(slot) = self.pool_ends_us.get(worker) {
-            slot.store(
-                micros(end.saturating_duration_since(self.epoch)),
-                Ordering::Relaxed,
-            );
+            slot.store(end_us, Ordering::Relaxed);
         }
+    }
+
+    /// `at` as µs after the queue's epoch: the one clock of pool ends and
+    /// of its workers' pool plans.
+    pub(crate) fn us_since_epoch(&self, at: Instant) -> u64 {
+        micros(at.saturating_duration_since(self.epoch))
     }
 
     /// The shard's wait at `now`, each published signal read once. The
@@ -438,7 +442,7 @@ impl ShardQueue {
     /// pool has drained, or none ever published (every pool at
     /// `exec_emulation_scale` 0).
     pub(crate) fn load(&self, now: Instant) -> Load {
-        let now_us = micros(now.saturating_duration_since(self.epoch));
+        let now_us = self.us_since_epoch(now);
         let ends = self.pool_ends_us.iter().map(|e| e.load(Ordering::Relaxed));
         Load {
             amortized_us: self.amortized_us.load(Ordering::Relaxed),
@@ -475,9 +479,10 @@ impl ShardQueue {
     /// evidence). The deadline-aware spill router prices shards with this
     /// instead of raw depth; pricing with the physical length would spill
     /// deadline traffic away from a shard whose queue is full of
-    /// already-cancelled tombstones.
+    /// already-cancelled tombstones. The price never reads the pool wait,
+    /// so the load is read at the epoch: no clock read.
     pub fn estimated_wait_us(&self) -> u64 {
-        self.load(Instant::now()).queue_wait_us(self.live_len())
+        self.load(self.epoch).queue_wait_us(self.live_len())
     }
 
     /// The queue's ledger so far: what it enqueued and what it shed on
@@ -558,34 +563,34 @@ impl ShardQueue {
     /// starves; a request can be overtaken only while batches ahead of it
     /// keep finding better-matching work.
     pub fn pop_batch(&self, max_batch: usize) -> Vec<Request> {
-        self.pop_batch_until(max_batch, None)
+        loop {
+            if let Some(batch) = self.pop_or_wait(max_batch, None) {
+                return batch;
+            }
+        }
     }
 
-    /// [`ShardQueue::pop_batch`], blocking on an open, empty queue only
-    /// until `until` (`None`: for as long as it takes). An empty batch
-    /// means the deadline passed, or the queue is closed and drained.
-    pub(crate) fn pop_batch_until(&self, max_batch: usize, until: Option<Instant>) -> Vec<Request> {
+    /// Pop up to `max` requests without waiting (none: the queue is closed
+    /// and drained). An open, empty queue is waited on instead, until work
+    /// arrives or `until_us` µs after the epoch (`None`: for as long as it
+    /// takes), and `None` comes back: the caller reads its clock again.
+    pub(crate) fn pop_or_wait(&self, max: usize, until_us: Option<u64>) -> Option<Vec<Request>> {
         let mut st = self.state.lock().expect("shard queue");
-        while st.core.is_idle() {
-            st = match until {
-                None => self.not_empty.wait(st).expect("shard queue"),
-                Some(until) => {
-                    let left = until.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Vec::new();
-                    }
-                    let (st, _) = self.not_empty.wait_timeout(st, left).expect("shard queue");
-                    st
-                }
-            };
+        if st.core.is_idle() {
+            // No deadline waits some 584 000 years: until work arrives.
+            let now_us = self.us_since_epoch(Instant::now());
+            let left =
+                Duration::from_micros(until_us.map_or(u64::MAX, |us| us.saturating_sub(now_us)));
+            drop(self.not_empty.wait_timeout(st, left).expect("shard queue"));
+            return None;
         }
-        let batch = st.core.take(max_batch);
+        let batch = st.core.take(max);
         drop(st);
         if !batch.is_empty() {
-            // Freed up to `max_batch` slots; wake blocked producers.
+            // Freed up to `max` slots; wake blocked producers.
             self.not_full.notify_all();
         }
-        batch
+        Some(batch)
     }
 
     /// Close the queue: subsequent pushes are rejected, blocked producers

@@ -144,17 +144,17 @@ fn the_pool_wait_extends_the_doom_horizon() {
 #[test]
 fn pool_wait_is_the_time_left_to_the_soonest_pool_end() {
     let q = ShardQueue::new(4, Block).with_workers(2);
-    let t0 = Instant::now();
+    let t0 = q.epoch;
     let ms = Duration::from_millis;
     let pool_wait_us = |now| q.load(now).pool_wait_us;
     assert_eq!(pool_wait_us(t0), 0, "nothing published");
-    q.set_pool_end(0, t0 + ms(5));
+    q.set_pool_end(0, 5_000);
     assert_eq!(pool_wait_us(t0), 0, "worker 1 has published nothing");
-    q.set_pool_end(1, t0 + ms(3));
+    q.set_pool_end(1, 3_000);
     assert_eq!(pool_wait_us(t0), 3_000);
     assert_eq!(pool_wait_us(t0 + ms(1)), 2_000);
     assert_eq!(pool_wait_us(t0 + ms(4)), 0, "worker 1 has drained");
-    q.set_pool_end(1, t0 + ms(9));
+    q.set_pool_end(1, 9_000);
     assert_eq!(pool_wait_us(t0 + ms(4)), 1_000, "now worker 0 frees first");
     q.publish_batch(ms(7), 4);
     let load = q.load(t0);

@@ -36,19 +36,19 @@
 //! This module keeps [`AmsServer`] start, shutdown and abort over the
 //! shared state; the rest is one small module per concern: `config` (the
 //! knobs and their normalisation), `submit` ([`Client`] and the admission
-//! path), `worker` (the shard hot loop, phase by phase), `gate` (its pure
-//! pop decision) and `report` (the report types and the end-of-run fold).
+//! path), `worker` (the shard hot loop, phase by phase, around the
+//! clock-free `WorkerCore` that owns its pool plan and pacing) and
+//! `report` (the report types and the end-of-run fold).
 
 mod config;
-mod gate;
 mod report;
 mod submit;
 mod worker;
 
 pub use config::{ServeConfig, SloClass, SloConfig};
-pub use gate::LOOK_AHEAD_BATCHES;
 pub use report::{ClassReport, ServeReport, SloReport};
 pub use submit::{Client, SubmitOptions};
+pub use worker::LOOK_AHEAD_BATCHES;
 
 use crate::adapt::{AdaptRuntime, AdaptShared, WorkerAdapt};
 use crate::cache::LabelCache;

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-command gate for every PR: formatting, lints (clippy + a compile
-# check of bench/ + rustdoc intra-doc links + the queue-core and pop-gate
-# purity grep + the ams-lint workspace analyzer), the perf gate, and the
-# tier-1 verify.
+# check of bench/ + rustdoc intra-doc links + the queue-core and
+# worker-core purity grep + the serving path's clock-read ratchet + the
+# ams-lint workspace analyzer), the perf gate, and the tier-1 verify.
 # Three modes:
 #
 #   ./scripts/check.sh          # full: fmt + clippy + doc links + release
@@ -63,19 +63,34 @@ echo "==> cargo check (bench/, offline, locked)"
 echo "==> cargo doc (broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
 
-# The queue's decision core and the worker's pop gate are pure (all
-# modes): time is an argument, a shard's published wait arrives as a
-# `Load` value, and the lock, the condvars, the clock, the sleep, the
-# atomics and the obs handle live in the shells (`queue/mod.rs`,
-# `server/worker.rs`). One word from that list in `core.rs` or `gate.rs` —
-# code, comment or doc — fails here.
-for pure in crates/ams-serve/src/queue/core.rs crates/ams-serve/src/server/gate.rs; do
+# The queue's decision core and the worker's core are pure (all modes):
+# time is an argument, a shard's published wait arrives as a `Load` value,
+# and the lock, the condvars, the clock, the sleep, the atomics and the obs
+# handle live in the shells (`queue/mod.rs`, `server/worker/mod.rs`). One
+# word from that list in either `core.rs` — code, comment or doc — fails
+# here.
+for pure in crates/ams-serve/src/queue/core.rs crates/ams-serve/src/server/worker/core.rs; do
     echo "==> $pure stays pure (no clock, lock, condvar, sleep, atomic or obs)"
     if grep -nE 'Instant::now|SystemTime|Mutex|Condvar|sleep|Atomic|ServerObs' "$pure"; then
         echo "$pure must stay a pure function of its arguments" >&2
         exit 1
     fi
 done
+
+# The serving path's clock reads are a ratchet (all modes): lines in
+# ams-serve/src (the queue's test file aside) that read the wall clock may
+# only go down. A rule over time belongs in a pure core, fed the shell's one
+# read; a PR that removes reads lowers the limit to the new count.
+clock_reads_max=12
+echo "==> ams-serve clock reads (at most $clock_reads_max lines)"
+clock_lines=$(grep -rnE 'Instant::now\(\)|\.elapsed\(\)' crates/ams-serve/src |
+    grep -v '^crates/ams-serve/src/queue/tests\.rs:' || true)
+clock_reads=$(grep -c . <<<"$clock_lines" || true)
+if [[ $clock_reads -gt $clock_reads_max ]]; then
+    echo "$clock_lines" >&2
+    echo "$clock_reads lines read the clock in ams-serve/src, above the ratchet's $clock_reads_max" >&2
+    exit 1
+fi
 
 # Workspace-specific static analysis (all modes — it is fast): first prove
 # every rule can fire on its injected-violation fixtures, then require the
