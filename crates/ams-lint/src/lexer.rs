@@ -43,7 +43,8 @@ pub struct Token {
     pub kind: TokKind,
     /// The token text. For `Str`/`Char` this is empty — string contents
     /// are irrelevant to every rule and dropping them keeps memory flat.
-    /// `Num` keeps its digits (the ledger rule matches `+= 1` exactly).
+    /// `Num` keeps its digits (no rule reads them; they keep a literal
+    /// printable).
     pub text: String,
     /// 1-indexed source line of the token's first character.
     pub line: u32,
@@ -271,8 +272,7 @@ pub fn lex(src: &str) -> Lexed {
                         _ => break,
                     }
                 }
-                // Numeric text is kept: the ledger rule must tell `+= 1`
-                // (a new ledger unit) from `+= n` (a merge/fold).
+                // Numeric text is kept, though no rule reads it.
                 tokens.push(Token {
                     kind: TokKind::Num,
                     text: std::str::from_utf8(&s.src[start..s.pos])

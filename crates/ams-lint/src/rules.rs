@@ -9,7 +9,6 @@ use crate::{is_keyword, Finding, SourceFile};
 pub fn run_all(f: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
     no_panic(f, &mut out);
-    ledger_event(f, &mut out);
     safety_comment(f, &mut out);
     atomic_order(f, &mut out);
     lock_nesting(f, &mut out);
@@ -104,65 +103,6 @@ fn no_panic(f: &SourceFile, out: &mut Vec<Finding>) {
             }
             _ => {}
         }
-    }
-}
-
-/// The `X` of an `EventKind::X` path starting at token `i`, if one does.
-fn event_kind_at(f: &SourceFile, i: usize) -> Option<&str> {
-    let text = |k: usize| f.tokens.get(i + k).map(|t| t.text.as_str());
-    let is_path = text(0) == Some("EventKind") && text(1) == Some(":") && text(2) == Some(":");
-    is_path.then(|| text(3)).flatten()
-}
-
-/// Whether token `i` is the `bump` of a `bump(` call (not its `fn bump`
-/// definition).
-fn is_bump_call(f: &SourceFile, i: usize) -> bool {
-    let t = &f.tokens[i];
-    t.kind == TokKind::Ident
-        && t.text == "bump"
-        && f.tokens.get(i + 1).is_some_and(|n| n.text == "(")
-        && !(i > 0 && f.tokens[i - 1].text == "fn")
-}
-
-/// rule `ledger-event` — in `server/*.rs`, `queue/*.rs`, `cache.rs` and
-/// `completion.rs` of ams-serve, every `bump(EventKind::X, …)` on a
-/// ledger row needs an emit naming `EventKind::X` somewhere in the same
-/// function (any other `EventKind::X` that is not itself a `bump`'s
-/// argument), keeping "events at the exact sites that mutate the ledger"
-/// machine-checked. A `bump(…)` that does not name its kind cannot be
-/// checked and is a finding too.
-///
-/// `merge` folds rows that already emitted their events when first
-/// bumped, so it carries no obligation.
-fn ledger_event(f: &SourceFile, out: &mut Vec<Finding>) {
-    let in_scope = f.path.contains("ams-serve/src/server/")
-        || f.path.contains("ams-serve/src/queue/")
-        || (f.path.contains("ams-serve") && matches!(f.basename(), "cache.rs" | "completion.rs"));
-    if !in_scope {
-        return;
-    }
-    for (i, t) in f.tokens.iter().enumerate() {
-        if !is_bump_call(f, i) || f.allowed("ledger-event", t.line) {
-            continue;
-        }
-        let func = f.enclosing_fn(i);
-        let emitted = |kind| {
-            func.is_some_and(|func| {
-                (func.start_tok..=func.end_tok.min(f.tokens.len() - 1)).any(|j| {
-                    event_kind_at(f, j) == Some(kind) && !(j >= 2 && is_bump_call(f, j - 2))
-                })
-            })
-        };
-        let message = match event_kind_at(f, i + 2) {
-            Some(kind) if emitted(kind) => continue,
-            Some(kind) => format!(
-                "`bump(EventKind::{kind}, …)` without an emit naming `EventKind::{kind}` in {} — ledger mutations must emit their event at the mutation site",
-                func.map_or("no fn".to_string(), |func| format!("fn {}", func.name)),
-            ),
-            None => "`bump(…)` does not name its `EventKind::…` — cannot verify event pairing"
-                .to_string(),
-        };
-        push(out, f, t.line, "ledger-event", message);
     }
 }
 

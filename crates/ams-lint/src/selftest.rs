@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 
 struct Fixture {
     /// Synthetic display path — chosen so path-scoped rules
-    /// (ledger-event, atomic-order, lock-nesting, forbid-unsafe) see
+    /// (atomic-order, lock-nesting, forbid-unsafe) see
     /// the basenames and crate layout they key on.
     path: &'static str,
     src: &'static str,
@@ -37,15 +37,6 @@ const FIXTURES: &[Fixture] = &[
             ("no-panic", 18), // unimplemented!
             ("no-panic", 19), // unreachable!
             ("no-panic", 22), // buf[i] indexing
-        ],
-    },
-    Fixture {
-        path: "crates/ams-serve/src/server/worker/mod.rs",
-        src: include_str!("../fixtures/ledger_server.rs"),
-        expect: &[
-            ("ledger-event", 5),  // bump(Admitted) beside an Enqueued emit
-            ("ledger-event", 6),  // a second bump is no evidence for the first
-            ("ledger-event", 25), // bump(kind): the kind is not named
         ],
     },
     Fixture {

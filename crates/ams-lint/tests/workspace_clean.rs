@@ -1,9 +1,8 @@
 //! The repo's own standing acceptance test: the full workspace must
 //! lint clean. Running this under `cargo test` (tier-1) means the
-//! panic-freedom zones, ledger↔event pairing, unsafe/atomics audits,
-//! and lock discipline are enforced even where `scripts/check.sh`
-//! isn't — a PR that reintroduces an unpaired counter bump or an
-//! unjustified ordering fails the test suite, not just the lint lane.
+//! panic-freedom zones, unsafe/atomics audits and lock discipline are
+//! enforced even where `scripts/check.sh` isn't — a PR that introduces
+//! an unjustified ordering fails the test suite, not just the lint lane.
 
 use std::path::Path;
 

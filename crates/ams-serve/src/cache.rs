@@ -259,11 +259,8 @@ impl PendingEntry {
                 deadline_met: met,
             });
             if delivered {
-                if let Some(obs) = &self.obs {
-                    obs.emit(f.event(EventKind::Coalesced).detail(waited_us).flag(!met));
-                }
-                let mut ledger = self.ledger.lock().expect("cache ledger");
-                ledger.row(f.class).bump(EventKind::Coalesced, f.value);
+                let ev = f.event(EventKind::Coalesced).detail(waited_us).flag(!met);
+                self.settle(ev, f.value);
             }
         }
     }
@@ -288,18 +285,21 @@ impl PendingEntry {
         };
         for f in followers {
             if f.slot.try_shed(reason) {
-                if let Some(obs) = &self.obs {
-                    obs.emit(f.event(EventKind::of_shed(reason)));
-                }
-                let mut ledger = self.ledger.lock().expect("cache ledger");
-                ledger
-                    .row(f.class)
-                    .bump(EventKind::of_shed(reason), f.value);
+                self.settle(f.event(EventKind::of_shed(reason)), f.value);
             }
         }
         if let Some(cache) = self.cache.upgrade() {
             cache.remove_dead(self.key, self);
         }
+    }
+
+    /// Settle one follower in the cache ledger.
+    fn settle(&self, ev: Event, value: f64) {
+        Ledger::settle_in(&self.ledger, ev, value, |ev| {
+            if let Some(obs) = &self.obs {
+                obs.emit(ev);
+            }
+        });
     }
 
     /// Dequeue-time decision for an *unclaimed* (cancelled) leader: with

@@ -366,19 +366,20 @@ impl CompletionSlot {
         {
             return false;
         }
-        ledger
-            .row(self.class)
-            .bump(EventKind::Cancelled, self.value);
-        // Emit the terminal event *inside* the ledger-lock region: a
-        // reader that takes this lock after us (shutdown folding the
-        // report before its final ring drain) is then guaranteed every
-        // ledgered cancellation already has its event in a ring, so the
-        // event stream can never under-count what the ledger shows.
-        if let Some((req_id, obs)) = &self.obs {
-            obs.ticket_resolved();
-            let ev = Event::new(EventKind::Cancelled, *req_id, self.id, NO_SHARD, self.class);
-            obs.emit(ev);
-        }
+        // Settle *inside* the ledger-lock region: a reader that takes this
+        // lock after us (shutdown folding the report before its final ring
+        // drain) is then guaranteed every ledgered cancellation already
+        // has its event in a ring, so the event stream can never
+        // under-count what the ledger shows.
+        self.obs_resolved();
+        // With obs off nothing emits the event: its request id is moot.
+        let req_id = self.obs.as_ref().map_or(0, |(req_id, _)| *req_id);
+        let ev = Event::new(EventKind::Cancelled, req_id, self.id, NO_SHARD, self.class);
+        ledger.settle(ev, self.value, |ev| {
+            if let Some((_, obs)) = &self.obs {
+                obs.emit(ev);
+            }
+        });
         drop(ledger);
         self.queue.deliver(Completion::Cancelled {
             ticket: self.id,

@@ -433,6 +433,10 @@ impl NetServer {
 /// model order, and every label id inside the label universe. The frame
 /// codec validates framing only, and a worker that panics on a hostile
 /// item strands its whole shard; in-process [`Client`] callers are trusted.
+///
+/// Each static value must also be one the model can have: a sum of its
+/// detections' confidences, each in `[0, 1]`, so a finite number in
+/// `[0, detections]`.
 fn item_fits(item: &ItemTruth, num_models: usize) -> bool {
     let known = |label: LabelId| label.index() < item.universe();
     item.outputs.len() == num_models
@@ -440,15 +444,23 @@ fn item_fits(item: &ItemTruth, num_models: usize) -> bool {
         && item
             .outputs
             .iter()
+            .zip(&item.model_value)
             .enumerate()
-            .all(|(m, out)| out.model.index() == m && out.detections.iter().all(|d| known(d.label)))
+            .all(|(m, (out, &v))| {
+                out.model.index() == m
+                    && out.detections.iter().all(|d| known(d.label))
+                    && (0.0..=out.detections.len() as f64).contains(&v)
+            })
         && item.valuable.iter().all(|&(label, _)| known(label))
 }
 
-/// Whether a request may be submitted: its item fits the zoo, and its
-/// per-ticket value may enter the ledgers — the codec carries any `f64` bit
-/// pattern, and one `NaN` summed into a class's tally poisons that class's
-/// value totals for the whole run.
+/// Whether a request may be submitted: its item fits the zoo, and every
+/// value it brings may enter the ledgers. The codec carries any `f64` bit
+/// pattern, and one `NaN` or infinity summed into a class's tally poisons
+/// that class's value totals for the whole run: the per-ticket value must
+/// be finite and non-negative, and the item's static model values (whose
+/// top-k sum, times the class weight, is the admission value under SLO
+/// classes) must each lie in `[0, detections]` (see `item_fits`).
 fn request_fits(req: &WireRequest, num_models: usize) -> bool {
     item_fits(&req.item, num_models) && req.value.is_none_or(|v| v.is_finite() && v >= 0.0)
 }

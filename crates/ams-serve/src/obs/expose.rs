@@ -84,7 +84,7 @@ impl ServerObs {
                     shed,
                     rejected: c.count(EventKind::Rejected),
                     cancelled: c.count(EventKind::Cancelled),
-                    deadline_met_rate: ratio(labeled - c.late.count, labeled),
+                    deadline_met_rate: ratio(labeled - c.late().count, labeled),
                     shed_rate: ratio(shed, c.sum(EventKind::is_terminal).count),
                 }
             })

@@ -91,20 +91,21 @@ struct Registry {
 }
 
 impl Registry {
+    /// Count `ev` by the ledger's own rule, its "emit" being the latency
+    /// histogram and the flight recorder.
     fn ingest(&mut self, ev: Event) {
-        let row = self.by_class.row(ev.class as usize);
-        row.bump(ev.kind, 0.0);
-        if ev.kind == EventKind::Labeled {
-            if ev.flag {
-                row.bump_late(0.0);
+        let (latency, recorder) = (&mut self.latency, &mut self.recorder);
+        self.by_class.settle(ev, 0.0, |ev| {
+            if ev.kind == EventKind::Labeled {
+                latency.record_us(ev.detail);
             }
-            self.latency.record_us(ev.detail);
-        }
-        // Swap events carry no request id — feeding their sentinel `req`
-        // to the recorder would open a trace that can never settle.
-        if ev.kind != EventKind::WeightsSwapped {
-            self.recorder.observe(ev);
-        }
+            // Swap events carry no request id — feeding their sentinel
+            // `req` to the recorder would open a trace that can never
+            // settle.
+            if ev.kind != EventKind::WeightsSwapped {
+                recorder.observe(ev);
+            }
+        });
     }
 }
 
@@ -371,6 +372,37 @@ mod tests {
             .find(|e| e.kind == "admitted")
             .expect("admitted family");
         assert_eq!(admitted.count + admitted.dropped, 50);
+    }
+
+    #[test]
+    fn a_registry_fed_a_ledgers_events_counts_what_the_ledger_counted() {
+        use EventKind::{Admitted, Coalesced, Labeled, ShedDeadline};
+        let settlements = [
+            (Admitted, 0, false),
+            (Labeled, 0, true),
+            (Admitted, 2, false),
+            (Coalesced, 2, true),
+            (Labeled, 2, false),
+            (ShedDeadline, 1, false),
+        ];
+        let (mut ledger, mut emitted) = (Ledger::default(), Vec::new());
+        for (req, (kind, class, flag)) in settlements.into_iter().enumerate() {
+            let ev = Event::new(kind, req as u64, NO_TICKET, NO_SHARD, class).flag(flag);
+            ledger.settle(ev, 1.5, |ev| emitted.push(ev));
+        }
+        let mut reg = Registry {
+            by_class: Ledger::default(),
+            latency: LatencyHistogram::default(),
+            recorder: FlightRecorder::sized(RECORDER_CAPACITY),
+        };
+        emitted.into_iter().for_each(|ev| reg.ingest(ev));
+        assert_eq!(reg.by_class.rows().len(), 3);
+        for (got, want) in reg.by_class.rows().iter().zip(ledger.rows()) {
+            for kind in EventKind::ALL {
+                assert_eq!(got.count(kind), want.count(kind), "{kind:?}");
+            }
+            assert_eq!(got.late().count, want.late().count);
+        }
     }
 
     #[test]

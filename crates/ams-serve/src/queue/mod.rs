@@ -24,7 +24,7 @@ use self::core::{Offer, QueueCore};
 use crate::cache::PendingEntry;
 use crate::completion::{CompletionSlot, ShedReason};
 use crate::ledger::Ledger;
-use crate::obs::{Event, EventKind, ServerObs, NO_TICKET};
+use crate::obs::{Event, EventKind, ServerObs, NO_SHARD, NO_TICKET};
 use crate::telemetry::micros;
 use ams_data::ItemTruth;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -381,26 +381,16 @@ impl ShardQueue {
         self
     }
 
-    fn emit(&self, kind: EventKind, req: &Request) {
-        if let Some((shard, obs)) = &self.obs {
-            obs.emit(req.event(kind, *shard));
-        }
-    }
-
-    /// Settle `req` as queued: its `Enqueued` event, then its ledger
-    /// entry, both under the queue lock `ledger` came from — so no worker
-    /// can stamp the request's `Batched` event first.
-    fn enqueued(&self, ledger: &mut Ledger, req: &Request) {
-        self.emit(EventKind::Enqueued, req);
-        ledger.row(req.class).bump(EventKind::Enqueued, req.value);
-    }
-
-    /// Settle `req` as an overflow shed: its terminal event, then its
-    /// ledger entry, both under the queue lock `ledger` came from.
-    fn shed_overflow(&self, ledger: &mut Ledger, req: &Request) {
-        self.emit(EventKind::ShedOverflow, req);
-        let row = ledger.row(req.class);
-        row.bump(EventKind::ShedOverflow, req.value);
+    /// Settle `req` as `kind` (`Enqueued` or `ShedOverflow`) under the
+    /// queue lock `ledger` came from — so no worker can stamp a queued
+    /// request's `Batched` event before its `Enqueued`.
+    fn settle(&self, ledger: &mut Ledger, kind: EventKind, req: &Request) {
+        let shard = self.obs.as_ref().map_or(NO_SHARD, |(shard, _)| *shard);
+        ledger.settle(req.event(kind, shard), req.value, |ev| {
+            if let Some((_, obs)) = &self.obs {
+                obs.emit(ev);
+            }
+        });
     }
 
     /// A worker's batch started after `busy` of busy time on the previous
@@ -519,9 +509,10 @@ impl ShardQueue {
             match core.offer(req, now, self.load(now)) {
                 Offer::Enqueued { evicted } => {
                     if let Some(victim) = &evicted {
-                        self.shed_overflow(ledger, victim);
+                        self.settle(ledger, EventKind::ShedOverflow, victim);
                     }
-                    self.enqueued(ledger, core.newest().expect("offer just queued it"));
+                    let queued = core.newest().expect("offer just queued it");
+                    self.settle(ledger, EventKind::Enqueued, queued);
                     drop(st);
                     self.not_empty.notify_one();
                     return match evicted {
@@ -530,7 +521,7 @@ impl ShardQueue {
                     };
                 }
                 Offer::ShedIncoming(req) => {
-                    self.shed_overflow(ledger, &req);
+                    self.settle(ledger, EventKind::ShedOverflow, &req);
                     // The incoming request may already lead a coalescing
                     // entry (the lookup ran before admission): shed its
                     // followers with it.

@@ -358,10 +358,10 @@ pub(super) fn fold(
     ledger.row(shared.cfg.classes() - 1);
     // The final observability fold. `report` drains the rings one last
     // time, and the order matters: every ledger above was read first,
-    // and every ledgered settlement pushed its event *before* its
-    // ledger mutation became visible — so the drain can only see a
-    // superset of the settlements the counters above counted, never
-    // miss one (`events_reconcile` depends on this).
+    // and `Ledger::settle` pushes each event *before* its ledger entry
+    // becomes visible — so the drain can only see a superset of the
+    // settlements the counters above counted, never miss one
+    // (`events_reconcile` depends on this).
     let obs_report = shared.obs.as_ref().map(|o| {
         o.report(
             &shared.shard_samples(),
@@ -384,7 +384,7 @@ pub(super) fn fold(
                 weight: c.weight,
                 offered: row.count(EventKind::Admitted),
                 completed: row.count(EventKind::Labeled),
-                deadline_met: row.count(EventKind::Labeled) - row.late.count,
+                deadline_met: row.count(EventKind::Labeled) - row.late().count,
                 rejected: row.count(EventKind::Rejected),
                 shed_admission: row.count(EventKind::ShedAdmission),
                 shed_oldest: row.count(EventKind::ShedOverflow),
@@ -396,7 +396,7 @@ pub(super) fn fold(
                 value_cancelled: row.value(EventKind::Cancelled),
                 value_offered: row.value(EventKind::Admitted),
                 value_completed: row.value(EventKind::Labeled),
-                value_late: row.late.value,
+                value_late: row.late().value,
                 value_shed: row.sum(|k| k.is_shed() || k == EventKind::Rejected).value,
                 total: total.summary(),
             })

@@ -8,7 +8,7 @@ use crate::cache::{CachedResult, Follower, LabelCache, Lookup};
 use crate::completion::{
     CancelLedger, Completion, CompletionQueue, CompletionSlot, LabelResult, ShedReason, Ticket,
 };
-use crate::ledger::Tally;
+use crate::ledger::Ledger;
 use crate::obs::{Event, EventKind, NO_SHARD};
 use crate::queue::{Request, SubmitOutcome};
 use ams_data::ItemTruth;
@@ -202,18 +202,18 @@ struct Submission {
 }
 
 impl Submission {
-    /// Emit a submit-side lifecycle event about this submission.
-    fn emit(&self, shared: &Shared, kind: EventKind, detail: u64) {
-        let ev = Event::new(kind, self.req_id, self.ticket_id, self.shard, self.class);
-        shared.emit(None, ev.detail(detail));
+    /// A submit-side lifecycle event about this submission.
+    fn event(&self, kind: EventKind) -> Event {
+        Event::new(kind, self.req_id, self.ticket_id, self.shard, self.class)
     }
 
-    /// Update this submission's row of the submit-path ledger (its class,
-    /// on its request id's stripe).
-    fn ledger(&self, shared: &Shared, update: impl FnOnce(&mut Tally)) {
+    /// Settle this submission as `kind`, its event carrying `detail`, in
+    /// the submit-path ledger (on its request id's stripe).
+    fn settle(&self, shared: &Shared, kind: EventKind, detail: u64) {
         let stripes = &shared.submit_ledger;
         let stripe = &stripes[self.req_id as usize % stripes.len()];
-        update(stripe.lock().expect("submit ledger").row(self.class));
+        let ev = self.event(kind).detail(detail);
+        Ledger::settle_in(stripe, ev, self.value, |ev| shared.emit(None, ev));
     }
 }
 
@@ -267,8 +267,7 @@ fn submit(
     let ticket = issue_ticket(shared, client, &sub);
     // Offered, once, whatever happens next: a cache hit, a follower and a
     // leader are all counted here, beside their `Admitted` event.
-    sub.emit(shared, EventKind::Admitted, 0);
-    sub.ledger(shared, |row| row.bump(EventKind::Admitted, value));
+    sub.settle(shared, EventKind::Admitted, 0);
     // Pre-admission cache protocol: an exact duplicate of a *resolved*
     // fingerprint is answered right here; a duplicate of a *queued or
     // in-flight* fingerprint coalesces onto that leader and completes at
@@ -298,7 +297,7 @@ fn submit(
         // Exactly the routes the router counted as `affinity_spills`
         // (hash routes are always "affine"), so the spill events
         // reconcile against the router's own counter.
-        sub.emit(shared, EventKind::Spilled, 0);
+        shared.emit(None, sub.event(EventKind::Spilled));
     }
     let mut req = Request::new(item, route.signature)
         .with_slo(class, value, deadline_us)
@@ -339,8 +338,7 @@ fn shed_at_admission(
     // No cancel race to lose: the ticket has not been returned to the
     // caller yet, so this shed always owns the slot — event and ledger
     // entry are unconditional.
-    sub.emit(shared, EventKind::ShedAdmission, wait_us);
-    sub.ledger(shared, |row| row.bump(EventKind::ShedAdmission, sub.value));
+    sub.settle(shared, EventKind::ShedAdmission, wait_us);
     // A shed leader takes its pending cache entry down with it — no
     // worker will ever resolve it, so followers that coalesced between
     // lookup and here shed too.
@@ -363,8 +361,7 @@ fn enqueue(
     let lead = req.cache_entry().cloned();
     let outcome = shared.queues[sub.shard as usize].push(req);
     if outcome.is_rejected() {
-        sub.emit(shared, EventKind::Rejected, 0);
-        sub.ledger(shared, |row| row.bump(EventKind::Rejected, sub.value));
+        sub.settle(shared, EventKind::Rejected, 0);
         // A rejection is synchronous: the caller sees it, no event is
         // owed, so the provisional ticket is withdrawn and its window
         // slot released. The leader's pending cache entry dies with it;
@@ -388,10 +385,8 @@ fn answer_from_cache(
     ticket: Ticket,
     result: CachedResult,
 ) -> SubmitOutcome<Ticket> {
-    sub.emit(shared, EventKind::CacheHit, 0);
-    let mut ledger = cache.ledger().lock().expect("cache ledger");
-    ledger.row(sub.class).bump(EventKind::CacheHit, sub.value);
-    drop(ledger); // before the delivery below takes the client's queue lock
+    let hit = sub.event(EventKind::CacheHit);
+    Ledger::settle_in(cache.ledger(), hit, sub.value, |ev| shared.emit(None, ev));
     ticket.slot().try_labeled(LabelResult {
         ticket: sub.ticket_id,
         class: sub.class,

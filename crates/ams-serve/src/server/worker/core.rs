@@ -6,7 +6,7 @@
 //! microseconds. The shell (`mod.rs`) owns the clock reads and the pause.
 
 use super::super::ServeConfig;
-use ams_sim::{Admitted, Job, PoolTimeline};
+use ams_sim::{Admitted, BatchLatencyModel, Job, PoolTimeline};
 
 /// Batches of pool look-ahead a worker that has its shard to itself keeps:
 /// it pops the next full batch while fewer than this many batches of
@@ -87,7 +87,11 @@ pub(super) struct WorkerCore<T> {
     /// Wall µs per virtual pool ms: 1000 × `exec_emulation_scale` (0: the
     /// pool is infinitely fast and every member is due at admission).
     us_per_ms: f64,
-    cfg: ServeConfig,
+    /// The pop gate's batch size and the shard's worker count.
+    max_batch: usize,
+    workers_per_shard: usize,
+    /// The pool's per-model batch latency.
+    batch_model: BatchLatencyModel,
     /// Every model's job, by model index, and the batch's runs of it: the
     /// pool skips a model with none.
     groups: Vec<(Job, usize)>,
@@ -108,7 +112,9 @@ impl<T> WorkerCore<T> {
     pub(super) fn new(cfg: &ServeConfig, jobs: impl IntoIterator<Item = Job>) -> Self {
         Self {
             us_per_ms: cfg.exec_emulation_scale * 1000.0,
-            cfg: cfg.clone(),
+            max_batch: cfg.max_batch,
+            workers_per_shard: cfg.workers_per_shard,
+            batch_model: cfg.batch_model,
             groups: jobs.into_iter().map(|job| (job, 0)).collect(),
             pool: PoolTimeline::new(cfg.pool_mb),
             pool_end_ms: 0,
@@ -137,7 +143,7 @@ impl<T> WorkerCore<T> {
             unstarted += 1;
             first_start = first_start.min(m.last_start_us);
         }
-        let (max, workers) = (self.cfg.max_batch, self.cfg.workers_per_shard);
+        let (max, workers) = (self.max_batch, self.workers_per_shard);
         match gate(self.in_flight.len(), unstarted, queued, max, workers) {
             Gate::Hold => (Gate::Hold, first_start),
             gate => (gate, due),
@@ -171,7 +177,7 @@ impl<T> WorkerCore<T> {
             self.pool_end_ms
         };
         self.pool.advance_to(now_ms);
-        let admitted = self.pool.admit(&self.groups, &self.cfg.batch_model);
+        let admitted = self.pool.admit(&self.groups, &self.batch_model);
         self.pool_end_ms = admitted.end_ms;
         let admit = admitted.index;
         self.in_flight

@@ -156,6 +156,13 @@ impl Worker<'_> {
         self.shared.emit(Some(self.index), ev);
     }
 
+    /// Settle one request: `ev` on this worker's ring, then its entry in
+    /// the worker's ledger.
+    fn settle(&mut self, ev: Event, value: f64) {
+        let ledger = &mut self.local.ledger;
+        ledger.settle(ev, value, |ev| self.shared.emit(Some(self.index), ev));
+    }
+
     /// The loop's one pacing call: read the clock, deliver every member
     /// that is due, then pause or pop as the core's [`Gate`] says, the
     /// clock read being the batch's pop. A pop that finds the queue empty
@@ -218,9 +225,7 @@ impl Worker<'_> {
                 req.fail_cache(ShedReason::Deadline);
                 if req.resolve_or_own(|slot| slot.try_shed(ShedReason::Deadline)) {
                     let shed = req.event(EventKind::ShedDeadline, self.shard as u32);
-                    self.emit(shed.detail(micros(wait)));
-                    let row = self.local.ledger.row(req.class);
-                    row.bump(EventKind::ShedDeadline, req.value);
+                    self.settle(shed.detail(micros(wait)), req.value);
                 }
             } else {
                 // A cancelled leader with waiters is promoted to ghost —
@@ -356,18 +361,13 @@ impl Worker<'_> {
         let shard = self.shard as u32;
         self.emit(req.event(EventKind::Executed, shard).detail(micros(exec)));
         let labeled = req.event(EventKind::Labeled, shard);
-        self.emit(labeled.detail(micros(total)).flag(!met));
+        self.settle(labeled.detail(micros(total)).flag(!met), req.value);
         let local = &mut self.local;
         local.stats.absorb(&outcome);
         local.queue_wait.record(wait);
         local.execute.record(exec);
         if let Some(class_total) = local.total.get_mut(req.class) {
             class_total.record(total);
-        }
-        let row = local.ledger.row(req.class);
-        row.bump(EventKind::Labeled, req.value);
-        if !met {
-            row.bump_late(req.value);
         }
         // Per-request delivery: the claimed slot receives the request's
         // *own* labels and latency split — the payload the aggregate-only

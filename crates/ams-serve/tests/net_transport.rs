@@ -598,9 +598,10 @@ fn a_frame_dribbled_bytewise_is_answered_once_and_a_bad_length_kills_only_its_co
 /// connection like any malformed frame, not handed to a shard worker it
 /// would kill. One shard, one worker: had any hostile item reached it, the
 /// healthy request sent afterwards on another connection would never be
-/// answered. So must a per-ticket value the ledgers cannot sum (`NaN`,
-/// negative): once submitted it would poison its class's value totals for
-/// the whole run.
+/// answered. So must a value the ledgers cannot sum — a per-ticket value
+/// that is `NaN` or negative, a static model value that is infinite or
+/// beyond what the model's detections can sum to: once submitted it would
+/// poison its class's value totals for the whole run.
 #[test]
 fn a_well_framed_item_the_zoo_cannot_index_kills_only_its_connection() {
     use ams_models::{LabelId, ModelId};
@@ -629,7 +630,7 @@ fn a_well_framed_item_the_zoo_cannot_index_kills_only_its_connection() {
     let m = (1..healthy.outputs.len())
         .max_by_key(|&m| healthy.outputs[m].detections.len())
         .expect("a zoo has models");
-    let hostile: [fn(&mut ams_data::ItemTruth, &mut SubmitOptions, usize); 7] = [
+    let hostile: [fn(&mut ams_data::ItemTruth, &mut SubmitOptions, usize); 9] = [
         |item, _, m| item.outputs[m].detections[0].label = LabelId(u16::MAX),
         |item, _, _| item.valuable.push((LabelId(u16::MAX), 0.9)),
         |item, _, _| item.outputs.truncate(3),
@@ -637,6 +638,8 @@ fn a_well_framed_item_the_zoo_cannot_index_kills_only_its_connection() {
         |item, _, m| item.outputs[m].model = ModelId(0),
         |_, opts, _| opts.value = Some(f64::NAN),
         |_, opts, _| opts.value = Some(-1e300),
+        |item, _, _| item.model_value[0] = f64::INFINITY,
+        |item, _, _| item.model_value.fill(f64::MAX),
     ];
     for (id, corrupt) in hostile.iter().enumerate() {
         let mut item = healthy.clone();

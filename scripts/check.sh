@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # One-command gate for every PR: formatting, lints (clippy + a compile
 # check of bench/ + rustdoc intra-doc links + the queue-core and
-# worker-core purity grep + the serving path's clock-read ratchet + the
-# ams-lint workspace analyzer), the perf gate, and the tier-1 verify.
+# worker-core purity grep + the serving path's clock-read and lock-site
+# ratchets + the ams-lint workspace analyzer), the perf gate, and the
+# tier-1 verify.
 # Three modes:
 #
 #   ./scripts/check.sh          # full: fmt + clippy + doc links + release
@@ -89,6 +90,21 @@ clock_reads=$(grep -c . <<<"$clock_lines" || true)
 if [[ $clock_reads -gt $clock_reads_max ]]; then
     echo "$clock_lines" >&2
     echo "$clock_reads lines read the clock in ams-serve/src, above the ratchet's $clock_reads_max" >&2
+    exit 1
+fi
+
+# The serving path's lock acquisitions are a ratchet too (all modes): lines
+# in ams-serve/src (the queue's test file aside) that call `.lock()` may only
+# go down — a simpler shape must not be bought with an extra lock hold. A PR
+# that removes some lowers the limit to the new count.
+lock_sites_max=56
+echo "==> ams-serve lock sites (at most $lock_sites_max lines)"
+lock_lines=$(grep -rnE '\.lock\(\)' crates/ams-serve/src |
+    grep -v '^crates/ams-serve/src/queue/tests\.rs:' || true)
+lock_sites=$(grep -c . <<<"$lock_lines" || true)
+if [[ $lock_sites -gt $lock_sites_max ]]; then
+    echo "$lock_lines" >&2
+    echo "$lock_sites lines take a lock in ams-serve/src, above the ratchet's $lock_sites_max" >&2
     exit 1
 fi
 
