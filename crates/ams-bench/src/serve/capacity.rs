@@ -34,7 +34,7 @@ const RECALL_SLACK: f64 = 0.02;
 const SAVING_SLACK: f64 = 0.10;
 /// The live observability layer may cost at most this fraction of the
 /// closed-loop capacity. Absolute, not baseline-relative: the budget is a
-/// design contract — one timestamp plus a lock-free ring push per event —
+/// design contract — one timestamp plus a non-blocking `try_send` per event —
 /// so a machine where it blows past 2% has a hot-path problem, not noise.
 const OBS_OVERHEAD_CEILING: f64 = 0.02;
 

@@ -131,8 +131,8 @@ fn safety_comment(f: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// Atomic fields whose orderings carry the ring / completion-slot /
-/// weight-swap protocols, and the methods that read or write them.
+/// Atomic fields whose orderings carry the completion-slot / weight-swap
+/// protocols, and the methods that read or write them.
 const ATOMIC_FIELDS: &[&str] = &["seq", "head", "tail", "state", "generation"];
 const ATOMIC_OPS: &[&str] = &[
     "load",
@@ -147,8 +147,9 @@ const ORDERING_WORDS: &[&str] = &[
     "Acquire", "Release", "AcqRel", "Relaxed", "SeqCst", "ordering", "Ordering",
 ];
 
-/// rule `atomic-order` — under `ams-serve/src/obs/` (event rings),
-/// in `completion.rs` (ticket slots), and in `adapt.rs` (the
+/// rule `atomic-order` — under `ams-serve/src/obs/` (no lock-free
+/// protocol is left there; the scope keeps any new one audited), in
+/// `completion.rs` (ticket slots), and in `adapt.rs` (the
 /// generation-counted weight-swap cell), every atomic op on
 /// `seq`/`head`/`tail`/`state`/`generation` needs an adjacent comment
 /// justifying its memory ordering (it must name the ordering or say
@@ -295,14 +296,14 @@ fn lock_nesting(f: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// rule `forbid-unsafe` — every crate root except ams-serve's (the one
-/// crate with audited unsafe) must carry `#![forbid(unsafe_code)]`, so
-/// "no unsafe outside ams-serve" is enforced by rustc, not by review.
+/// rule `forbid-unsafe` — every crate root must carry
+/// `#![forbid(unsafe_code)]`, so "no unsafe in any library crate" is
+/// enforced by rustc, not by review.
 fn forbid_unsafe(f: &SourceFile, out: &mut Vec<Finding>) {
     let parts: Vec<&str> = f.path.split('/').collect();
     let is_crate_root =
         parts.len() == 4 && parts[0] == "crates" && parts[2] == "src" && parts[3] == "lib.rs";
-    if !is_crate_root || parts[1] == "ams-serve" {
+    if !is_crate_root {
         return;
     }
     let has_forbid = f.tokens.windows(4).any(|w| {

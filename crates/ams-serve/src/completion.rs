@@ -367,9 +367,9 @@ impl CompletionSlot {
             return false;
         }
         // Settle *inside* the ledger-lock region: a reader that takes this
-        // lock after us (shutdown folding the report before its final ring
-        // drain) is then guaranteed every ledgered cancellation already
-        // has its event in a ring, so the event stream can never
+        // lock after us (shutdown folding the report before its final
+        // channel drain) is then guaranteed every ledgered cancellation
+        // already has its event in a channel, so the event stream can never
         // under-count what the ledger shows.
         self.obs_resolved();
         // With obs off nothing emits the event: its request id is moot.

@@ -10,8 +10,9 @@
 //! [`Ledger::settle`] is the only way to count (with
 //! [`settle_in`](Ledger::settle_in), its form for a ledger behind a mutex):
 //! it emits the lifecycle event, then counts it under the event's own class
-//! and kind (and a late `Labeled` in [`Tally::late`]), so an entry without
-//! its event cannot be written and every event is out before its entry is
+//! and kind (a late `Labeled` also in [`Tally::late`], and every `Labeled`
+//! event's total latency in [`Tally::latency`]), so an entry without its
+//! event cannot be written and every event is out before its entry is
 //! visible.
 //!
 //! Each serving layer keeps its own ledger under the synchronisation it
@@ -25,6 +26,7 @@
 //! the two.
 
 use crate::obs::{Event, EventKind, KIND_COUNT};
+use crate::telemetry::LatencyHistogram;
 use std::sync::Mutex;
 
 /// How many requests landed somewhere, and the summed (class-weighted,
@@ -42,11 +44,13 @@ impl Cell {
     }
 }
 
-/// One class's ledger row: a [`Cell`] per event kind, plus one sub-count.
+/// One class's ledger row: a [`Cell`] per event kind, plus one sub-count
+/// and the labeled requests' latency.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Tally {
     cells: [Cell; KIND_COUNT],
     late: Cell,
+    latency: LatencyHistogram,
 }
 
 impl Tally {
@@ -66,12 +70,19 @@ impl Tally {
         self.late
     }
 
+    /// The `Labeled` requests' total (queue wait + execute) latency, as
+    /// their events' `detail` carries it.
+    pub(crate) fn latency(&self) -> &LatencyHistogram {
+        &self.latency
+    }
+
     /// Add another layer's row for the same class into this one.
     pub(crate) fn merge(&mut self, from: &Tally) {
         for (into, from) in self.cells.iter_mut().zip(&from.cells) {
             into.add(from.count, from.value);
         }
         self.late.add(from.late.count, from.late.value);
+        self.latency.merge(&from.latency);
     }
 
     pub(crate) fn count(&self, kind: EventKind) -> u64 {
@@ -102,10 +113,11 @@ pub(crate) struct Ledger {
 
 impl Ledger {
     /// Settle one request of `value`: `emit` the event `ev` first, then
-    /// count it in row `ev.class` under `ev.kind` — and in the row's
-    /// `late` when `ev` is a `Labeled` flagged as delivered past its
-    /// deadline (a flagged `Coalesced` is not: `deadline_met` counts
-    /// labeled requests only).
+    /// count it in row `ev.class` under `ev.kind` — and, when `ev` is a
+    /// `Labeled`, its `detail` in the row's `latency`, and the request in
+    /// the row's `late` if flagged as delivered past its deadline (a
+    /// flagged `Coalesced` is not: `deadline_met` counts labeled requests
+    /// only).
     pub(crate) fn settle(&mut self, ev: Event, value: f64, emit: impl FnOnce(Event)) {
         emit(ev);
         self.count(ev, value);
@@ -126,8 +138,11 @@ impl Ledger {
     fn count(&mut self, ev: Event, value: f64) {
         let row = self.row(ev.class as usize);
         row.bump(ev.kind, value);
-        if ev.kind == EventKind::Labeled && ev.flag {
-            row.bump_late(value);
+        if ev.kind == EventKind::Labeled {
+            row.latency.record_us(ev.detail);
+            if ev.flag {
+                row.bump_late(value);
+            }
         }
     }
 
@@ -193,6 +208,9 @@ mod tests {
         let row = &a.rows()[1];
         assert_eq!((row.count(Labeled), row.value(Labeled)), (1, 2.0));
         assert_eq!((row.late().count, row.late().value), (1, 2.0));
+        // The `Labeled` records its `detail` as latency; the `Admitted`
+        // beside it records none.
+        assert_eq!((row.latency().count(), row.latency().max_us()), (1, 40));
         // A flagged `Coalesced` and an unflagged `Labeled` are on time.
         let mut on_time = Ledger::default();
         count(&mut on_time, ev(Coalesced, 0).flag(true), 1.0);
@@ -206,6 +224,8 @@ mod tests {
         b.merge(&a);
         assert_eq!(b.rows()[0].count(Labeled), 0);
         assert_eq!(b.rows()[1].count(Labeled), 2);
+        assert_eq!(b.rows()[1].latency().count(), 2);
+        assert_eq!(b.rows()[0].latency().count(), 0, "no `Labeled` in row 0");
         let (total, settled) = (b.total(), b.total().sum(EventKind::is_terminal));
         assert_eq!(total.count(Admitted), settled.count);
         assert_eq!(total.value(Admitted), settled.value);

@@ -50,9 +50,9 @@
 //!   and the [`net::NetClient`] mirrors the in-process [`Client`] API so
 //!   callers can swap transports without code changes.
 //! * [`obs`] — the live observability layer: a structured lifecycle
-//!   event stream (lock-free bounded MPMC rings, one per worker and one
-//!   per shard's submit side, drop-counted on overflow, drained by a
-//!   background aggregator), a cumulative metrics registry behind
+//!   event stream (bounded std channels, one per worker and one per
+//!   shard's submit side, sent to without blocking and drop-counted when
+//!   full, drained by a background aggregator), a cumulative metrics registry behind
 //!   [`AmsServer::metrics_snapshot`] / [`AmsServer::render_metrics`],
 //!   and a flight recorder that retains
 //!   the complete causal trace of the last N sheds, deadline misses, and
@@ -78,7 +78,7 @@
 //! it costs, never what it computes.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 pub mod adapt;

@@ -434,11 +434,15 @@ impl NetServer {
 /// codec validates framing only, and a worker that panics on a hostile
 /// item strands its whole shard; in-process [`Client`] callers are trusted.
 ///
-/// Each static value must also be one the model can have: a sum of its
-/// detections' confidences, each in `[0, 1]`, so a finite number in
-/// `[0, detections]`.
+/// Every float must also be one the item can carry, or it poisons what it
+/// is summed into (a labeling value, a trainer reward): each detection
+/// confidence and each valuable label's profit (a label's best
+/// confidence) in `[0, 1]`, each static model value (a sum of the model's
+/// confidences) in `[0, detections]`, and the total value (the sum of the
+/// profits) in `[0, valuable labels]`. `NaN` fails every range test.
 fn item_fits(item: &ItemTruth, num_models: usize) -> bool {
     let known = |label: LabelId| label.index() < item.universe();
+    let unit = |x: f32| (0.0..=1.0).contains(&x);
     item.outputs.len() == num_models
         && item.model_value.len() == num_models
         && item
@@ -448,19 +452,25 @@ fn item_fits(item: &ItemTruth, num_models: usize) -> bool {
             .enumerate()
             .all(|(m, (out, &v))| {
                 out.model.index() == m
-                    && out.detections.iter().all(|d| known(d.label))
+                    && out
+                        .detections
+                        .iter()
+                        .all(|d| known(d.label) && unit(d.confidence))
                     && (0.0..=out.detections.len() as f64).contains(&v)
             })
-        && item.valuable.iter().all(|&(label, _)| known(label))
+        && item.valuable.iter().all(|&(l, p)| known(l) && unit(p))
+        && (0.0..=item.valuable.len() as f64).contains(&item.total_value)
 }
 
 /// Whether a request may be submitted: its item fits the zoo, and every
 /// value it brings may enter the ledgers. The codec carries any `f64` bit
 /// pattern, and one `NaN` or infinity summed into a class's tally poisons
 /// that class's value totals for the whole run: the per-ticket value must
-/// be finite and non-negative, and the item's static model values (whose
+/// be finite and non-negative, the item's static model values (whose
 /// top-k sum, times the class weight, is the admission value under SLO
-/// classes) must each lie in `[0, detections]` (see `item_fits`).
+/// classes) must each lie in `[0, detections]`, and its confidences,
+/// profits and total value must be ones a zoo can produce (see
+/// `item_fits`).
 fn request_fits(req: &WireRequest, num_models: usize) -> bool {
     item_fits(&req.item, num_models) && req.value.is_none_or(|v| v.is_finite() && v >= 0.0)
 }

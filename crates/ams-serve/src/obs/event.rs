@@ -143,7 +143,7 @@ impl EventKind {
     }
 }
 
-/// One lifecycle event. `Copy` so ring slots can hold it inline.
+/// One lifecycle event. `Copy` so a channel slot holds it inline.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// Microseconds since server start.

@@ -100,7 +100,7 @@ impl ServerObs {
             classes,
             cache,
             adapt_generation,
-            latency: reg.latency.clone(),
+            latency: totals.latency().clone(),
         }
     }
 
@@ -121,15 +121,15 @@ impl ServerObs {
 }
 
 /// Per-kind event totals: `count` drained into the registry, `dropped`
-/// lost to ring overflow (counted at the producer). The reconciled total
+/// lost to a full channel (counted at the producer). The reconciled total
 /// for a kind is `count + dropped`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EventCount {
     /// Kind name (see [`EventKind::name`]).
     pub kind: String,
-    /// Events drained through a ring into the registry.
+    /// Events drained through a channel into the registry.
     pub count: u64,
-    /// Events dropped on ring overflow (never block a worker).
+    /// Events dropped on a full channel (never block a worker).
     pub dropped: u64,
 }
 
@@ -201,7 +201,7 @@ pub struct MetricsSnapshot {
     pub uptime_us: u64,
     /// Per-kind totals (drained + dropped), ordered as [`EventKind::ALL`].
     pub events: Vec<EventCount>,
-    /// Total events lost to ring overflow, all kinds.
+    /// Total events lost to a full channel, all kinds.
     pub dropped_total: u64,
     /// Admitted requests not yet settled by a terminal event.
     pub in_flight: u64,
@@ -294,7 +294,7 @@ fn families<T>(out: &mut String, items: &[T], labels: impl Fn(&T) -> String, row
 #[rustfmt::skip]
 const EVENT_ROWS: &[Family<EventCount>] = &[
     ("counter", "ams_events_total", "Lifecycle events drained into the registry, by kind.", |e| e.count as f64),
-    ("counter", "ams_events_dropped_total", "Lifecycle events dropped on ring overflow, by kind.", |e| e.dropped as f64),
+    ("counter", "ams_events_dropped_total", "Lifecycle events dropped on a full channel, by kind.", |e| e.dropped as f64),
 ];
 #[rustfmt::skip]
 const SERVER_ROWS: &[Family<MetricsSnapshot>] = &[

@@ -9,13 +9,13 @@
 //!   (admitted, cache-hit, coalesced, enqueued, spilled, batched,
 //!   executed, labeled, shed-with-reason, cancelled, ghost-executed)
 //!   stamped with a microsecond clock and correlation ids. Events are
-//!   recorded through bounded lock-free MPMC rings — one per worker plus
-//!   one per shard for the submit side — so the hot path never takes a
-//!   lock and never blocks: when a ring is full the event is *dropped and
-//!   counted* per kind, keeping totals honest.
+//!   recorded through bounded std channels (`sync_channel`) — one per
+//!   worker plus one per shard for the submit side — with a non-blocking
+//!   `try_send`, so the hot path never waits: when a channel is full the
+//!   event is *dropped and counted* per kind, keeping totals honest.
 //! * **Metrics registry** — a background aggregator thread drains the
-//!   rings into cumulative per-kind and per-class totals and a live
-//!   total-latency histogram. Snapshots are served live via
+//!   channels into cumulative per-kind and per-class totals, the
+//!   total-latency histogram among them. Snapshots are served live via
 //!   [`MetricsSnapshot`] (serde) and a Prometheus-style text exposition,
 //!   and the final snapshot is folded into the drain report as
 //!   [`ObsReport`].
@@ -32,18 +32,15 @@
 //!
 //! ## Layout
 //!
-//! `event` (the event and its kinds), `ring` (the lock-free ring — the
-//! crate's only `unsafe`), `recorder` (the flight recorder and its trace
-//! reports) and `expose` (the snapshot types, the fold that builds them,
-//! [`ObsReport`] and the Prometheus rendering); this file holds the
-//! config, the registry, the server-side handle and its hot path, and the
-//! aggregator thread.
+//! `event` (the event and its kinds), `recorder` (the flight recorder
+//! and its trace reports) and `expose` (the snapshot types, the fold that
+//! builds them, [`ObsReport`] and the Prometheus rendering); this file
+//! holds the config, the registry, the server-side handle and its hot
+//! path, and the aggregator thread.
 
 mod event;
 mod expose;
 mod recorder;
-#[allow(unsafe_code)]
-mod ring;
 
 pub use event::{Event, EventKind, KIND_COUNT, NO_SHARD, NO_TICKET};
 pub(crate) use expose::ShardSample;
@@ -51,23 +48,22 @@ pub use expose::{CacheGauges, ClassRates, EventCount, MetricsSnapshot, ObsReport
 pub use recorder::{EventRecord, TraceReport};
 
 use crate::ledger::Ledger;
-use crate::telemetry::LatencyHistogram;
 use recorder::{FlightRecorder, RECORDER_CAPACITY};
-use ring::EventRing;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Tuning for the observability pipeline. `ServeConfig::obs: None` (the
-/// default) disables the whole layer — no rings, no aggregator thread,
+/// default) disables the whole layer — no channels, no aggregator thread,
 /// and a branch-on-`None` as the only hot-path residue.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsConfig {
-    /// Slots per event ring (rounded up to a power of two, min 8). One
-    /// ring per worker plus one per shard for the submit side.
+    /// Slots per event channel, min 8. One channel per worker plus one
+    /// per shard for the submit side.
     pub ring_capacity: usize,
-    /// Aggregator wake period. Rings are also drained opportunistically
+    /// Aggregator wake period. Channels are also drained opportunistically
     /// whenever a snapshot is taken.
     pub drain_interval_ms: u64,
 }
@@ -81,35 +77,49 @@ impl Default for ObsConfig {
     }
 }
 
-/// The aggregator's state: everything drained out of the rings.
+/// The aggregator's state: the receiving end of every event channel and
+/// everything drained out of them.
 struct Registry {
-    /// Per-class event counts in the conservation ledger's own row shape
-    /// (values stay zero — events carry none), fed only by `ingest`.
+    /// `ServerObs::channels`' receivers, in the same order.
+    channels: Vec<Receiver<Event>>,
+    /// Per-class event counts and labeled latency in the conservation
+    /// ledger's own row shape (values stay zero — events carry none), fed
+    /// only by `drain`.
     by_class: Ledger,
-    latency: LatencyHistogram,
     recorder: FlightRecorder,
 }
 
 impl Registry {
-    /// Count `ev` by the ledger's own rule, its "emit" being the latency
-    /// histogram and the flight recorder.
-    fn ingest(&mut self, ev: Event) {
-        let (latency, recorder) = (&mut self.latency, &mut self.recorder);
-        self.by_class.settle(ev, 0.0, |ev| {
-            if ev.kind == EventKind::Labeled {
-                latency.record_us(ev.detail);
-            }
-            // Swap events carry no request id — feeding their sentinel
-            // `req` to the recorder would open a trace that can never
-            // settle.
-            if ev.kind != EventKind::WeightsSwapped {
-                recorder.observe(ev);
-            }
-        });
+    fn new(channels: Vec<Receiver<Event>>) -> Self {
+        Self {
+            channels,
+            by_class: Ledger::default(),
+            recorder: FlightRecorder::sized(RECORDER_CAPACITY),
+        }
+    }
+
+    /// Count every queued event by the ledger's own rule, its "emit"
+    /// being the flight recorder.
+    fn drain(&mut self) {
+        let Self {
+            channels,
+            by_class,
+            recorder,
+        } = self;
+        for ev in channels.iter().flat_map(Receiver::try_iter) {
+            by_class.settle(ev, 0.0, |ev| {
+                // Swap events carry no request id — feeding their sentinel
+                // `req` to the recorder would open a trace that can never
+                // settle.
+                if ev.kind != EventKind::WeightsSwapped {
+                    recorder.observe(ev);
+                }
+            });
+        }
     }
 }
 
-/// The live observability pipeline: rings, hot-path gauges, and the
+/// The live observability pipeline: event channels, hot-path gauges, and the
 /// aggregator-owned registry. One per server, shared by every worker,
 /// queue, cache, and completion slot via `Arc`.
 pub(crate) struct ServerObs {
@@ -117,7 +127,7 @@ pub(crate) struct ServerObs {
     start: Instant,
     shards: usize,
     workers_per_shard: usize,
-    rings: Vec<EventRing>,
+    channels: Vec<SyncSender<Event>>,
     dropped: Vec<AtomicU64>,
     executing: Vec<AtomicU64>,
     busy_us: Vec<AtomicU64>,
@@ -134,7 +144,7 @@ impl std::fmt::Debug for ServerObs {
         f.debug_struct("ServerObs")
             .field("shards", &self.shards)
             .field("workers_per_shard", &self.workers_per_shard)
-            .field("rings", &self.rings.len())
+            .field("channels", &self.channels.len())
             .finish_non_exhaustive()
     }
 }
@@ -143,21 +153,17 @@ impl ServerObs {
     pub(crate) fn new(cfg: ObsConfig, shards: usize, workers_per_shard: usize) -> Self {
         let shards = shards.max(1);
         let workers_per_shard = workers_per_shard.max(1);
-        let rings = (0..shards + shards * workers_per_shard)
-            .map(|_| EventRing::with_capacity(cfg.ring_capacity))
-            .collect();
+        let (channels, receivers) = (0..shards + shards * workers_per_shard)
+            .map(|_| sync_channel(cfg.ring_capacity.max(8)))
+            .unzip();
         let counters = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
         Self {
-            registry: Mutex::new(Registry {
-                by_class: Ledger::default(),
-                latency: LatencyHistogram::default(),
-                recorder: FlightRecorder::sized(RECORDER_CAPACITY),
-            }),
+            registry: Mutex::new(Registry::new(receivers)),
             drain_interval: Duration::from_millis(cfg.drain_interval_ms.max(1)),
             start: Instant::now(),
             shards,
             workers_per_shard,
-            rings,
+            channels,
             dropped: counters(KIND_COUNT),
             executing: counters(shards),
             busy_us: counters(shards),
@@ -177,24 +183,26 @@ impl ServerObs {
     // ams-lint: begin(no-panic) emit paths — called from every submit and
     // every worker iteration; an event must never be able to kill a worker
 
-    /// Stamp and record an event from a submit-side thread (ring keyed by
-    /// request id so concurrent clients spread across shard rings).
+    /// Stamp and record an event from a submit-side thread (channel keyed
+    /// by request id so concurrent clients spread across shard channels).
     pub(crate) fn emit(&self, ev: Event) {
-        self.record(&self.rings[(ev.req as usize) % self.shards], ev); // ams-lint: allow(no-panic) index is % shards and rings.len() >= shards
+        self.record(&self.channels[(ev.req as usize) % self.shards], ev); // ams-lint: allow(no-panic) index is % shards and channels.len() >= shards
     }
 
-    /// Stamp and record an event from worker `worker` (its private ring:
-    /// no cross-worker contention on the hot path).
+    /// Stamp and record an event from worker `worker` (its private
+    /// channel: no cross-worker contention on the hot path).
     pub(crate) fn emit_worker(&self, worker: usize, ev: Event) {
-        let ring = &self.rings[self.shards + worker % (self.shards * self.workers_per_shard)]; // ams-lint: allow(no-panic) rings.len() == shards + shards * workers_per_shard
-        self.record(ring, ev);
+        let tx = &self.channels[self.shards + worker % (self.shards * self.workers_per_shard)]; // ams-lint: allow(no-panic) channels.len() == shards + shards * workers_per_shard
+        self.record(tx, ev);
     }
 
-    /// Stamp `ev` with the server clock and push it, counting a drop when
-    /// the ring is full.
-    fn record(&self, ring: &EventRing, mut ev: Event) {
+    /// Stamp `ev` with the server clock and send it without blocking,
+    /// counting a drop when the channel is full. (`Disconnected` cannot
+    /// happen — the receivers live in `registry`, as long as the senders —
+    /// and would count as a drop too.)
+    fn record(&self, tx: &SyncSender<Event>, mut ev: Event) {
         ev.at_us = self.now_us();
-        if !ring.push(ev) {
+        if tx.try_send(ev).is_err() {
             self.dropped[ev.kind.index()].fetch_add(1, Ordering::Relaxed); // ams-lint: allow(no-panic) kind.index() < EventKind::ALL.len() == dropped.len()
         }
     }
@@ -223,15 +231,10 @@ impl ServerObs {
         self.executing[shard].fetch_sub(n as u64, Ordering::Relaxed);
     }
 
-    /// Drain every ring into the registry. Called by the aggregator on its
-    /// interval, by snapshot takers, and one final time at shutdown.
+    /// Drain every channel into the registry. Called by the aggregator on
+    /// its interval, by snapshot takers, and one final time at shutdown.
     pub(crate) fn drain(&self) {
-        let mut reg = self.registry.lock().expect("obs registry poisoned");
-        for ring in &self.rings {
-            while let Some(ev) = ring.pop() {
-                reg.ingest(ev);
-            }
-        }
+        self.registry.lock().expect("obs registry poisoned").drain();
     }
 
     /// Post-mortem dump for a settled interesting request, by ticket or
@@ -245,9 +248,9 @@ impl ServerObs {
 }
 
 /// The observability aggregator: a background thread that drains the
-/// event rings into the registry every `drain_interval_ms`. Workers never
-/// block on observability — they only push into their rings (dropping,
-/// with a count, when full); all folding happens here.
+/// event channels into the registry every `drain_interval_ms`. Workers
+/// never block on observability — they only `try_send` into their
+/// channels (dropping, with a count, when full); all folding happens here.
 pub(crate) struct Aggregator {
     obs: Arc<ServerObs>,
     handle: JoinHandle<()>,
@@ -287,59 +290,37 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_fifo_and_bounded() {
-        let r = EventRing::with_capacity(8);
-        for i in 0..8 {
-            assert!(r.push(ev(EventKind::Admitted, i)));
-        }
-        assert!(!r.push(ev(EventKind::Admitted, 99)), "ninth push must fail");
-        for i in 0..8 {
-            assert_eq!(r.pop().expect("event").req, i);
-        }
-        assert!(r.pop().is_none());
-        // Wrap-around keeps working.
-        for i in 100..104 {
-            assert!(r.push(ev(EventKind::Labeled, i)));
-        }
-        assert_eq!(r.pop().expect("event").req, 100);
-    }
-
-    #[test]
-    fn ring_survives_concurrent_producers() {
-        let r = Arc::new(EventRing::with_capacity(1024));
-        let producers: Vec<_> = (0..4)
+    fn concurrent_producers_are_counted_exactly_once() {
+        let cfg = ObsConfig {
+            ring_capacity: 1024,
+            ..ObsConfig::default()
+        };
+        let obs = Arc::new(ServerObs::new(cfg, 1, 2));
+        let producers: Vec<_> = (0..4u64)
             .map(|t| {
-                let r = Arc::clone(&r);
+                let obs = Arc::clone(&obs);
                 std::thread::spawn(move || {
-                    for i in 0..200u64 {
-                        while !r.push(ev(EventKind::Admitted, t * 1000 + i)) {
-                            std::thread::yield_now();
+                    for i in 0..200 {
+                        let e = ev(EventKind::Admitted, t * 1000 + i);
+                        match t {
+                            0 | 1 => obs.emit(e),
+                            _ => obs.emit_worker(t as usize - 2, e),
                         }
                     }
                 })
             })
             .collect();
-        let consumer = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || {
-                let mut seen = Vec::new();
-                while seen.len() < 800 {
-                    if let Some(e) = r.pop() {
-                        seen.push(e.req);
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                seen
-            })
-        };
         for p in producers {
             p.join().expect("producer");
         }
-        let mut seen = consumer.join().expect("consumer");
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), 800, "every pushed event seen exactly once");
+        let idle = ShardSample {
+            depth: 0,
+            service_hint_us: 0,
+            estimated_wait_us: 0,
+        };
+        let snap = obs.snapshot(&[idle], None, None);
+        assert_eq!(snap.total(EventKind::Admitted), 800);
+        assert_eq!(snap.dropped_total, 0, "every event fits its channel");
     }
 
     #[test]
@@ -385,24 +366,24 @@ mod tests {
             (Labeled, 2, false),
             (ShedDeadline, 1, false),
         ];
-        let (mut ledger, mut emitted) = (Ledger::default(), Vec::new());
+        let (mut ledger, (tx, rx)) = (Ledger::default(), sync_channel(settlements.len()));
         for (req, (kind, class, flag)) in settlements.into_iter().enumerate() {
-            let ev = Event::new(kind, req as u64, NO_TICKET, NO_SHARD, class).flag(flag);
-            ledger.settle(ev, 1.5, |ev| emitted.push(ev));
+            let ev = Event::new(kind, req as u64, NO_TICKET, NO_SHARD, class)
+                .detail(10 * req as u64)
+                .flag(flag);
+            ledger.settle(ev, 1.5, |ev| tx.try_send(ev).expect("room"));
         }
-        let mut reg = Registry {
-            by_class: Ledger::default(),
-            latency: LatencyHistogram::default(),
-            recorder: FlightRecorder::sized(RECORDER_CAPACITY),
-        };
-        emitted.into_iter().for_each(|ev| reg.ingest(ev));
+        let mut reg = Registry::new(vec![rx]);
+        reg.drain();
         assert_eq!(reg.by_class.rows().len(), 3);
         for (got, want) in reg.by_class.rows().iter().zip(ledger.rows()) {
             for kind in EventKind::ALL {
                 assert_eq!(got.count(kind), want.count(kind), "{kind:?}");
             }
             assert_eq!(got.late().count, want.late().count);
+            assert_eq!(got.latency(), want.latency());
         }
+        assert_eq!(reg.by_class.total().latency().count(), 2);
     }
 
     #[test]

@@ -140,7 +140,7 @@ pub struct ServeConfig {
     /// metrics registry behind
     /// [`AmsServer::metrics_snapshot`](super::AmsServer::metrics_snapshot), and the
     /// shed/deadline-miss flight recorder (see [`crate::obs`]). `None`
-    /// disables the whole layer — no rings, no aggregator thread, and a
+    /// disables the whole layer — no channels, no aggregator thread, and a
     /// branch-on-`None` as the only hot-path residue.
     pub obs: Option<ObsConfig>,
     /// Online adaptation (see [`crate::adapt`]): a background trainer

@@ -87,7 +87,7 @@ struct Shared {
     cancel_ledger: Arc<CancelLedger>,
     /// The submit path's ledgers (offered, enqueued, rejected,
     /// admission-shed), striped by request id like the submit-side event
-    /// rings — a cache hit or a follower is offered without ever taking a
+    /// channels — a cache hit or a follower is offered without ever taking a
     /// shard, and one global ledger lock would serialize every submitter.
     submit_ledger: Vec<Mutex<Ledger>>,
     /// The content-addressed label cache (present when
@@ -112,7 +112,7 @@ impl Shared {
         }
     }
 
-    /// Record one lifecycle event — on worker `worker`'s private ring, or
+    /// Record one lifecycle event — on worker `worker`'s private channel, or
     /// from a submit-side thread (`None`).
     fn emit(&self, worker: Option<usize>, ev: Event) {
         self.observe(|obs| match worker {
@@ -328,7 +328,7 @@ impl AmsServer {
     /// depth / wait estimate / busy fraction,
     /// per-class admission and deadline rates (lifetime ratios), cache
     /// occupancy, and the latency histogram since start — all without
-    /// stopping a single worker (the rings are drained opportunistically
+    /// stopping a single worker (the channels are drained opportunistically
     /// first so the numbers are current). `None` when [`ServeConfig::obs`]
     /// is off.
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
@@ -417,7 +417,7 @@ impl ServerInner {
             q.close();
         }
         let num_models = self.shared.scheduler.zoo().len();
-        let mut merged = WorkerLocal::new(num_models, self.shared.cfg.classes());
+        let mut merged = WorkerLocal::new(num_models);
         for handle in self.workers {
             merged.merge(&handle.join().expect("serve worker panicked"));
         }
@@ -425,10 +425,10 @@ impl ServerInner {
         // are gone, so dropping the runtime's own sender disconnects the
         // channel and the trainer drains out) but *before* the
         // observability stop below: the trainer's tail swap events must
-        // still land in the rings for the final drain to reconcile.
+        // still land in the channels for the final drain to reconcile.
         let adapt_report = self.adapt.map(AdaptRuntime::finish);
         // Stop the observability aggregator only after the workers joined:
-        // every worker-side event is in its ring by now, and the final
+        // every worker-side event is in its channel by now, and the final
         // drain (inside `report::fold`) folds the stragglers in.
         if let Some(aggregator) = self.aggregator {
             aggregator.stop().expect("obs aggregator panicked");

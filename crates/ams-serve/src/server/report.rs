@@ -6,7 +6,7 @@ use super::Shared;
 use crate::adapt::AdaptReport;
 use crate::cache::CacheReport;
 use crate::obs::{EventKind, ObsReport};
-use crate::telemetry::{ratio, LatencyHistogram, LatencySummary};
+use crate::telemetry::{ratio, LatencySummary};
 use ams_core::streaming::StreamStats;
 use serde::{Deserialize, Serialize};
 
@@ -305,7 +305,7 @@ impl ServeReport {
 
     /// The lifecycle event stream agrees with the conservation ledger
     /// bucket for bucket: each terminal kind's reconciled total (events
-    /// drained + events drop-counted at the rings) equals the matching
+    /// drained + events drop-counted at the channels) equals the matching
     /// `ServeReport` counter, and `spilled` matches the router's spill
     /// count. Vacuously true when observability was off. This is the
     /// cross-check that makes the event stream trustworthy — drops are
@@ -356,10 +356,10 @@ pub(super) fn fold(
     }
     // A class nothing was ever offered in still reports its (zero) row.
     ledger.row(shared.cfg.classes() - 1);
-    // The final observability fold. `report` drains the rings one last
+    // The final observability fold. `report` drains the channels one last
     // time, and the order matters: every ledger above was read first,
-    // and `Ledger::settle` pushes each event *before* its ledger entry
-    // becomes visible — so the drain can only see a superset of the
+    // and `Ledger::settle` pushes each event onto its channel *before* its
+    // ledger entry becomes visible — so the drain can only see a superset of the
     // settlements the counters above counted, never miss one
     // (`events_reconcile` depends on this).
     let obs_report = shared.obs.as_ref().map(|o| {
@@ -375,9 +375,8 @@ pub(super) fn fold(
             .classes
             .iter()
             .zip(ledger.rows())
-            .zip(&merged.total)
             .enumerate()
-            .map(|(i, ((c, row), total))| ClassReport {
+            .map(|(i, (c, row))| ClassReport {
                 class: i,
                 name: c.name.clone(),
                 deadline_ms: c.deadline_ms,
@@ -398,16 +397,12 @@ pub(super) fn fold(
                 value_completed: row.value(EventKind::Labeled),
                 value_late: row.late().value,
                 value_shed: row.sum(|k| k.is_shed() || k == EventKind::Rejected).value,
-                total: total.summary(),
+                total: row.latency().summary(),
             })
             .collect(),
     });
     // Top-level counters are the sum over classes.
     let all = ledger.total();
-    let mut total = LatencyHistogram::default();
-    for class_total in &merged.total {
-        total.merge(class_total);
-    }
     ServeReport {
         shards: shared.cfg.shards,
         workers: shared.cfg.shards * shared.cfg.workers_per_shard,
@@ -432,7 +427,7 @@ pub(super) fn fold(
         virtual_exec_ms: merged.virtual_exec_ms,
         queue_wait: merged.queue_wait.summary(),
         execute: merged.execute.summary(),
-        total: total.summary(),
+        total: all.latency().summary(),
         stats: merged.stats,
         slo,
         cache: shared.cache.as_ref().map(|c| c.report()),

@@ -37,19 +37,16 @@ pub(super) struct WorkerLocal {
     /// The worker's pool busy time: the union of its committed groups'
     /// intervals.
     pub(super) virtual_exec_ms: u64,
-    /// The worker's share of the conservation ledger: completions (and
-    /// the late ones among them) and deadline sheds, by class.
+    /// The worker's share of the conservation ledger: completions (the
+    /// late ones among them, and their total latency) and deadline sheds,
+    /// by class.
     pub(super) ledger: Ledger,
-    /// Total (queue wait + execute) latency of completed requests, by
-    /// class; the report's all-class `total` is their merge.
-    pub(super) total: Vec<LatencyHistogram>,
 }
 
 impl WorkerLocal {
-    pub(super) fn new(num_models: usize, num_classes: usize) -> Self {
+    pub(super) fn new(num_models: usize) -> Self {
         Self {
             stats: StreamStats::with_models(num_models),
-            total: vec![LatencyHistogram::default(); num_classes],
             ..Self::default()
         }
     }
@@ -65,9 +62,6 @@ impl WorkerLocal {
         self.virtual_work_ms += from.virtual_work_ms;
         self.virtual_exec_ms += from.virtual_exec_ms;
         self.ledger.merge(&from.ledger);
-        for (into, from) in self.total.iter_mut().zip(&from.total) {
-            into.merge(from);
-        }
     }
 }
 
@@ -90,7 +84,7 @@ struct Worker<'a> {
     shared: &'a Shared,
     shard: usize,
     /// Server-wide worker index — the key of this worker's private
-    /// observability event ring.
+    /// observability event channel.
     index: usize,
     queue: &'a ShardQueue,
     /// With adaptation on, the worker's experience tap and its pinned
@@ -128,7 +122,7 @@ pub(super) fn worker_loop(
         // worker is pinned to `shard` for its whole life.
         queue: &shared.queues[shard], // ams-lint: allow(no-panic) shard < queues.len() — workers are spawned one per existing shard
         adapt,
-        local: WorkerLocal::new(specs.len(), shared.cfg.classes()),
+        local: WorkerLocal::new(specs.len()),
         core: WorkerCore::new(&shared.cfg, jobs),
     };
     loop {
@@ -156,7 +150,7 @@ impl Worker<'_> {
         self.shared.emit(Some(self.index), ev);
     }
 
-    /// Settle one request: `ev` on this worker's ring, then its entry in
+    /// Settle one request: `ev` on this worker's channel, then its entry in
     /// the worker's ledger.
     fn settle(&mut self, ev: Event, value: f64) {
         let ledger = &mut self.local.ledger;
@@ -366,9 +360,6 @@ impl Worker<'_> {
         local.stats.absorb(&outcome);
         local.queue_wait.record(wait);
         local.execute.record(exec);
-        if let Some(class_total) = local.total.get_mut(req.class) {
-            class_total.record(total);
-        }
         // Per-request delivery: the claimed slot receives the request's
         // *own* labels and latency split — the payload the aggregate-only
         // path folds into `ServeReport::stats`.

@@ -4,9 +4,12 @@
 //! A serving front-end cares about the *tail*, not the mean, and about
 //! where time went: a request that waited 80 ms in a queue and executed in
 //! 5 ms needs more shards or workers, one that executed in 80 ms needs a
-//! bigger batch or a faster model. The server therefore keeps three
-//! histograms per worker — queue wait, execute, and total — and merges
-//! them at drain, exactly like [`StreamStats`] shards.
+//! bigger batch or a faster model. The server therefore keeps two
+//! histograms per worker — queue wait and execute — and merges them at
+//! drain, exactly like [`StreamStats`] shards. The total (wait + execute)
+//! rides each `Labeled` event and is recorded per class in the
+//! conservation ledger, so the drain report and the live snapshot read
+//! the same histogram.
 //!
 //! [`StreamStats`]: ams_core::streaming::StreamStats
 

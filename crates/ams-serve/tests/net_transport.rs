@@ -601,7 +601,9 @@ fn a_frame_dribbled_bytewise_is_answered_once_and_a_bad_length_kills_only_its_co
 /// answered. So must a value the ledgers cannot sum — a per-ticket value
 /// that is `NaN` or negative, a static model value that is infinite or
 /// beyond what the model's detections can sum to: once submitted it would
-/// poison its class's value totals for the whole run.
+/// poison its class's value totals for the whole run. And so must a
+/// profit or a detection confidence outside `[0, 1]` — infinite or `NaN`
+/// — which would poison the labeling value and the trainer's rewards.
 #[test]
 fn a_well_framed_item_the_zoo_cannot_index_kills_only_its_connection() {
     use ams_models::{LabelId, ModelId};
@@ -630,7 +632,7 @@ fn a_well_framed_item_the_zoo_cannot_index_kills_only_its_connection() {
     let m = (1..healthy.outputs.len())
         .max_by_key(|&m| healthy.outputs[m].detections.len())
         .expect("a zoo has models");
-    let hostile: [fn(&mut ams_data::ItemTruth, &mut SubmitOptions, usize); 9] = [
+    let hostile: [fn(&mut ams_data::ItemTruth, &mut SubmitOptions, usize); 12] = [
         |item, _, m| item.outputs[m].detections[0].label = LabelId(u16::MAX),
         |item, _, _| item.valuable.push((LabelId(u16::MAX), 0.9)),
         |item, _, _| item.outputs.truncate(3),
@@ -640,6 +642,9 @@ fn a_well_framed_item_the_zoo_cannot_index_kills_only_its_connection() {
         |_, opts, _| opts.value = Some(-1e300),
         |item, _, _| item.model_value[0] = f64::INFINITY,
         |item, _, _| item.model_value.fill(f64::MAX),
+        |item, _, _| item.valuable[0].1 = f32::INFINITY,
+        |item, _, _| item.valuable[0].1 = f32::NAN,
+        |item, _, m| item.outputs[m].detections[0].confidence = f32::INFINITY,
     ];
     for (id, corrupt) in hostile.iter().enumerate() {
         let mut item = healthy.clone();
