@@ -151,6 +151,27 @@ impl QNetGrads {
         }
     }
 
+    /// Zero all accumulators, given that of the first trunk layer's
+    /// weight gradient only `rows` (input indices; they may repeat) can be
+    /// non-zero — the rows a sparse-input backward pass wrote. Zeroes
+    /// everything when there is no trunk.
+    pub fn zero_rows(&mut self, rows: &[u32]) {
+        let Some((first, rest)) = self.trunk.split_first_mut() else {
+            return self.zero();
+        };
+        for &r in rows {
+            first.w.row_mut(r as usize).fill(0.0);
+        }
+        first.b.fill(0.0);
+        for g in rest {
+            g.zero();
+        }
+        self.head_a.zero();
+        if let Some(g) = &mut self.head_b {
+            g.zero();
+        }
+    }
+
     /// Scale all accumulators (e.g. by `1/batch`).
     pub fn scale(&mut self, s: f32) {
         for g in &mut self.trunk {

@@ -299,7 +299,9 @@ impl AdaptRuntime {
         let handle = {
             let shared = Arc::clone(&shared);
             let cfg = cfg.clone();
-            std::thread::spawn(move || trainer_loop(&cfg, &shared, rx, obs.as_deref()))
+            crate::spawn_named("ams-trainer", move || {
+                trainer_loop(&cfg, &shared, rx, obs.as_deref())
+            })
         };
         Self { shared, tx, handle }
     }

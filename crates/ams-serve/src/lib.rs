@@ -108,3 +108,20 @@ pub use server::{
     SubmitOptions,
 };
 pub use telemetry::{LatencyHistogram, LatencySummary};
+
+/// Spawn one of the server's threads under `name` (at most 15 bytes, all
+/// Linux keeps of it in `comm`), so `/proc/<pid>/task/*/comm`, profilers
+/// and panic messages tell the threads apart. Panics when the thread
+/// cannot be created, as `std::thread::spawn` does.
+pub(crate) fn spawn_named<F, T>(name: impl Into<String>, f: F) -> std::thread::JoinHandle<T>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    let name = name.into();
+    debug_assert!(name.len() <= 15, "thread name `{name}` is truncated");
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(f)
+        .expect("failed to spawn thread")
+}

@@ -372,7 +372,7 @@ impl NetServer {
             let server = Arc::clone(&server);
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
-            std::thread::spawn(move || {
+            crate::spawn_named("ams-accept", move || {
                 for stream in listener.incoming() {
                     if stop.load(Ordering::Acquire) {
                         break;
@@ -380,8 +380,9 @@ impl NetServer {
                     let Ok(stream) = stream else { continue };
                     let server = Arc::clone(&server);
                     let conn_stop = Arc::clone(&stop);
-                    let handle =
-                        std::thread::spawn(move || handle_connection(server, stream, conn_stop));
+                    let handle = crate::spawn_named("ams-conn-rd", move || {
+                        handle_connection(server, stream, conn_stop)
+                    });
                     conns.lock().expect("conn registry").push(handle);
                 }
             })
@@ -514,7 +515,7 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
         let maps = Arc::clone(&maps);
         let reader_done = Arc::clone(&reader_done);
         let out = Arc::clone(&out);
-        std::thread::spawn(move || loop {
+        crate::spawn_named("ams-conn-wr", move || loop {
             match client.recv_timeout(POLL) {
                 Some(first) => {
                     // Whatever else has completed by now leaves in the

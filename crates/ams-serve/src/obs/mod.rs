@@ -260,7 +260,7 @@ impl Aggregator {
     pub(crate) fn spawn(obs: Arc<ServerObs>) -> Self {
         let handle = {
             let obs = Arc::clone(&obs);
-            thread::spawn(move || loop {
+            crate::spawn_named("ams-obs", move || loop {
                 // `stop` unparks the thread, so a long interval never
                 // holds shutdown hostage.
                 thread::park_timeout(obs.drain_interval);

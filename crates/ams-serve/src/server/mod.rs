@@ -253,7 +253,9 @@ impl AmsServer {
                 // when the workers join, the tap clones drop and the
                 // trainer's channel disconnects.
                 let tap = adapt.as_ref().map(|r| WorkerAdapt::new(r.tap()));
-                std::thread::spawn(move || worker_loop(&shared, shard, w, tap))
+                crate::spawn_named(format!("ams-worker-{shard}"), move || {
+                    worker_loop(&shared, shard, w, tap)
+                })
             })
             .collect();
         let aggregator = shared

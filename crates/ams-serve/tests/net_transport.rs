@@ -674,3 +674,36 @@ fn a_well_framed_item_the_zoo_cannot_index_kills_only_its_connection() {
     assert!(report.is_conserved());
     assert!(report.events_reconcile());
 }
+
+/// Every thread the server spawns carries its name instead of the
+/// process's: the workers (`ams-worker-{shard}`), the obs aggregator, the
+/// listener's accept loop and a connection's reader and writer all show
+/// in `/proc/self/task/*/comm`.
+#[cfg(target_os = "linux")]
+#[test]
+fn server_threads_are_named() {
+    let net = serve(lossless_config());
+    let remote = NetClient::connect(net.local_addr()).expect("connect");
+    // One round trip: the connection's reader and writer are both up.
+    remote
+        .submit(Arc::new(truth().item(0).clone()))
+        .expect("submit");
+    assert!(remote.recv().expect("recv").is_some());
+    let names: HashSet<String> = std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .collect();
+    for want in [
+        "ams-worker-0",
+        "ams-worker-2",
+        "ams-obs",
+        "ams-accept",
+        "ams-conn-rd",
+        "ams-conn-wr",
+    ] {
+        assert!(names.contains(want), "no thread `{want}` among {names:?}");
+    }
+    remote.goodbye().expect("goodbye");
+    net.shutdown();
+}
