@@ -48,6 +48,18 @@ struct Record {
     /// batching alone (both sides use the vectorized Adam, which Amdahl
     /// makes the common floor).
     learn_speedup_vs_hoisted_scalar: f64,
+    /// One whole offline `train()` at `bench/`'s set-up shape
+    /// ([`ams_bench::hotpath::bench_training`]): 300 episodes, ~2 200
+    /// learn steps, target syncs and Adam's subnormal phase included.
+    train_300_ms: f64,
+    /// `train_300_ms` ÷ its learn steps, in ns: the realistic learn step
+    /// (episode stepping and ε-greedy acting included) that the fixed-
+    /// target `learn_batched_ns` fixture does not see.
+    learn_step_train_ns: f64,
+    /// `learn_seed_ns` ÷ `learn_step_train_ns`: the realistic step against
+    /// the frozen seed step timed in the same run, which the gate reads
+    /// so the machine's speed cancels.
+    train_step_speedup: f64,
     /// Max |Q_batched − Q_scalar| over a replay minibatch (must be < 1e-5).
     q_equivalence_max_abs_diff: f64,
     /// One `QNet::forward` (the training forward) on the stream fixture's
@@ -202,6 +214,18 @@ fn main() {
         ns_per_iter: batched_ns,
     });
 
+    // ---- a whole offline training at bench/'s set-up shape --------------
+    let (world, train_cfg) = ams_bench::hotpath::bench_training();
+    let t0 = Instant::now();
+    let (_, train_stats) = train(world.items(), 30, &train_cfg);
+    let train_ns = t0.elapsed().as_nanos() as f64;
+    let learn_step_train_ns = train_ns / train_stats.learn_steps as f64;
+    trajectory.push(Measurement {
+        name: "train_300_episodes_per_learn_step".into(),
+        iters: train_stats.learn_steps as u64,
+        ns_per_iter: learn_step_train_ns,
+    });
+
     // ---- batched-Q equivalence over a replay minibatch ------------------
     let states: Vec<&[u32]> = (0..32).map(|i| &*replay.get(i).state).collect();
     let mut bcache = BatchFwdCache::default();
@@ -326,6 +350,9 @@ fn main() {
         learn_batched_ns: batched_ns,
         learn_speedup: seed_ns / batched_ns,
         learn_speedup_vs_hoisted_scalar: scalar_ns / batched_ns,
+        train_300_ms: train_ns / 1e6,
+        learn_step_train_ns,
+        train_step_speedup: seed_ns / learn_step_train_ns,
         q_equivalence_max_abs_diff: max_diff,
         q_forward_ns,
         q_infer_ns,
@@ -351,9 +378,10 @@ fn main() {
     std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("{json}");
     eprintln!(
-        "learn_step speedup: {:.2}x | Q forward {:.0} ns -> kernel {:.0} ns | serial stream on {} \
-         core(s): {:.0} items/s compute-only",
+        "learn_step speedup: {:.2}x | 300-episode training {:.0} ms | Q forward {:.0} ns -> kernel \
+         {:.0} ns | serial stream on {} core(s): {:.0} items/s compute-only",
         record.learn_speedup,
+        record.train_300_ms,
         record.q_forward_ns,
         record.q_infer_ns,
         cores,

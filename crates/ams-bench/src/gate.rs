@@ -440,6 +440,7 @@ mod tests {
         serde_json::parse_value(
             r#"{
                 "learn_speedup": 4.0,
+                "train_step_speedup": 8.0,
                 "q_equivalence_max_abs_diff": 1e-7,
                 "q_forward_ns": 220.0,
                 "q_infer_ns": 90.0,

@@ -373,6 +373,44 @@ mod tests {
         );
     }
 
+    /// The empty state's row is computed once per snapshot, not per item;
+    /// the copy is the training forward's row bit for bit, for both heads
+    /// and across a swap.
+    #[test]
+    fn empty_state_row_is_the_forward_of_the_empty_state() {
+        use ams_rl::{train, Algo, TrainConfig};
+        let t = fixture();
+        let item = t.item(0);
+        let empty = LabelSet::new(item.universe());
+        let bits = |q: &[f32]| q.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for algo in [Algo::Dqn, Algo::DuelingDqn] {
+            let agents: Vec<TrainedAgent> = [1, 2]
+                .map(|seed| {
+                    let cfg = TrainConfig {
+                        episodes: 8,
+                        seed,
+                        ..TrainConfig::fast_test(algo)
+                    };
+                    train(t.items(), 30, &cfg).0
+                })
+                .into();
+            assert_eq!(agents[0].net.config().dueling, algo == Algo::DuelingDqn);
+            let mut snap =
+                SnapshotPredictor::new(Arc::new(AgentSnapshot::initial(agents[0].clone())));
+            for (generation, agent) in agents.iter().enumerate() {
+                if generation > 0 {
+                    snap.set_snapshot(Arc::new(AgentSnapshot::new(agent.clone(), 1)));
+                }
+                let want = agent.net.q_values(ams_nn::Input::Sparse(&[]));
+                assert_eq!(
+                    bits(&snap.predict(&empty, item)),
+                    bits(&want[..30]),
+                    "{algo}, generation {generation}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn uniform_predictor_scores_equal() {
         let t = fixture();

@@ -1,6 +1,7 @@
 //! A fully-connected layer with input-major weights and a sparse-binary
 //! input fast path.
 
+use crate::infer::affine;
 use crate::init::he_normal;
 use crate::matrix::{axpy, dot, Mat};
 use rand::rngs::StdRng;
@@ -94,21 +95,33 @@ impl Dense {
 
     /// Forward pass into `out` (`out.len() == fan_out`).
     pub fn forward(&self, input: Input<'_>, out: &mut [f32]) {
+        self.forward_act::<false>(input, out);
+    }
+
+    /// [`Dense::forward`], then ReLU (`< 0` becomes `0`) when `RELU`.
+    ///
+    /// A sparse input runs the inference kernel's register-tiled
+    /// [`affine`]: per output element `b[c]`, then `+= w[i][c]` for each
+    /// active `i` in the order given — the ops of `+= 1.0 · w[i][c]`,
+    /// since multiplying by one is exact — so one kernel serves serving,
+    /// acting and learning.
+    pub(crate) fn forward_act<const RELU: bool>(&self, input: Input<'_>, out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.fan_out());
-        out.copy_from_slice(&self.b);
         match input {
             Input::Dense(x) => {
                 debug_assert_eq!(x.len(), self.fan_in());
+                out.copy_from_slice(&self.b);
                 for (i, &xi) in x.iter().enumerate() {
                     if xi != 0.0 {
                         axpy(out, self.w.row(i), xi);
                     }
                 }
+                if RELU {
+                    relu(out);
+                }
             }
             Input::Sparse(idx) => {
-                for &i in idx {
-                    axpy(out, self.w.row(i as usize), 1.0);
-                }
+                affine::<true, RELU>(self.w.as_slice(), self.fan_out(), &self.b, idx, &[], out);
             }
         }
     }
@@ -161,16 +174,22 @@ impl Dense {
     /// Per output element the accumulation order over `i` matches the
     /// scalar [`Dense::forward`], so this kernel's results are bitwise
     /// identical (callers that route through transposed head kernels get
-    /// float-rounding equality instead; see `QNet::forward_batch`).
+    /// float-rounding equality instead; see `QNet::forward_batch`). A
+    /// sparse batch runs [`Dense::forward`]'s tiled kernel row by row.
     pub fn forward_batch(&self, input: BatchInput<'_>, out: &mut Mat) {
+        self.forward_batch_act::<false>(input, out);
+    }
+
+    /// [`Dense::forward_batch`], then ReLU when `RELU`.
+    pub(crate) fn forward_batch_act<const RELU: bool>(&self, input: BatchInput<'_>, out: &mut Mat) {
         let batch = input.batch();
         out.resize_zeroed(batch, self.fan_out());
-        for s in 0..batch {
-            out.row_mut(s).copy_from_slice(&self.b);
-        }
         match input {
             BatchInput::Dense(x) => {
                 debug_assert_eq!(x.cols(), self.fan_in());
+                for s in 0..batch {
+                    out.row_mut(s).copy_from_slice(&self.b);
+                }
                 for i in 0..self.fan_in() {
                     let w_row = self.w.row(i);
                     for s in 0..batch {
@@ -180,13 +199,13 @@ impl Dense {
                         }
                     }
                 }
+                if RELU {
+                    relu(out.as_mut_slice());
+                }
             }
             BatchInput::Sparse(rows) => {
                 for (s, idx) in rows.iter().enumerate() {
-                    let out_row = out.row_mut(s);
-                    for &i in *idx {
-                        axpy(out_row, self.w.row(i as usize), 1.0);
-                    }
+                    self.forward_act::<RELU>(Input::Sparse(idx), out.row_mut(s));
                 }
             }
         }
@@ -262,6 +281,15 @@ impl Dense {
         DenseGrad {
             w: Mat::zeros(self.w.rows(), self.w.cols()),
             b: vec![0.0; self.b.len()],
+        }
+    }
+}
+
+/// ReLU in place: `< 0` becomes `0` (NaN and `-0.0` pass through).
+pub(crate) fn relu(x: &mut [f32]) {
+    for a in x {
+        if *a < 0.0 {
+            *a = 0.0;
         }
     }
 }

@@ -1,15 +1,15 @@
 //! Inference-only Q kernel: a frozen view of a [`QNet`] whose forward is
 //! bit-identical to [`QNet::forward`] and allocation-free.
 //!
-//! [`QNet::forward`] is a *training* forward: it keeps a backward cache,
-//! read-modify-writes the whole hidden vector through memory once per
-//! active input row, and walks 31-float head rows behind a data-dependent
-//! `x != 0` branch. Serving needs none of that. [`QInfer`] re-lays the
-//! head once (input-major, the dueling value column appended to the
-//! advantage columns, rows zero-padded to whole 8-float lanes: 31 → 32)
-//! and runs every layer through one tiled kernel that holds a block of
-//! output columns in registers while it streams the contributing weight
-//! rows, applying ReLU as it stores.
+//! [`QNet::forward`] is a *training* forward: it keeps a backward cache
+//! and walks 31-float head rows behind a data-dependent `x != 0` branch
+//! (its sparse first layer already runs this module's kernel). Serving
+//! needs neither. [`QInfer`] re-lays the head once (input-major, the
+//! dueling value column appended to the advantage columns, rows
+//! zero-padded to whole 8-float lanes: 31 → 32) and runs every layer
+//! through one tiled kernel that holds a block of output columns in
+//! registers while it streams the contributing weight rows, applying ReLU
+//! as it stores.
 //!
 //! **Why bit-identical.** Per output element, `Dense::forward` computes
 //! `b[c]`, then `+= x_i · w[i][c]` for the non-zero `x_i` in ascending
@@ -165,8 +165,9 @@ fn nonzero(x: &[f32], nz: &mut Vec<u32>) {
 /// is ReLU when `RELU`. With `BINARY` every `x[i]` is 1 and `x` is unread.
 /// Columns are tiled widest-first so a tile's accumulators stay in
 /// registers across all rows; narrow tiles mop up widths that are not a
-/// multiple of 64.
-fn affine<const BINARY: bool, const RELU: bool>(
+/// multiple of 64. The sparse first layer of `QNet::forward` and
+/// `QNet::forward_batch` runs it too (`Dense::forward`).
+pub(crate) fn affine<const BINARY: bool, const RELU: bool>(
     w: &[f32],
     stride: usize,
     b: &[f32],

@@ -6,7 +6,8 @@ use crate::dense::{BatchInput, Dense, DenseGrad, Input};
 use crate::matrix::{axpy, dot, Mat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Network head: plain linear Q output, or dueling value/advantage streams
 /// combined as `Q(s,a) = V(s) + A(s,a) − mean_a A(s,a)` (Wang et al.).
@@ -93,10 +94,13 @@ pub struct BatchFwdCache {
     pub value: Vec<f32>,
     /// Final Q values, `batch x actions`.
     pub q: Mat,
-    /// Output-major transpose of the linear/advantage head weights, built
-    /// per forward call; contiguous rows make the head GEMM and its
-    /// backward run on full-width dots/axpys.
+    /// Output-major transpose of the linear/advantage head weights;
+    /// contiguous rows make the head GEMM and its backward run on
+    /// full-width dots/axpys.
     wt_head: Mat,
+    /// The [`QNet::stamp`] of the weights `wt_head` was built from: a
+    /// forward of the same weights (a target net between syncs) reuses it.
+    wt_stamp: Option<u64>,
 }
 
 impl Default for BatchFwdCache {
@@ -107,6 +111,7 @@ impl Default for BatchFwdCache {
             value: Vec::new(),
             q: Mat::zeros(0, 0),
             wt_head: Mat::zeros(0, 0),
+            wt_stamp: None,
         }
     }
 }
@@ -201,11 +206,56 @@ impl QNetGrads {
 }
 
 /// The Q network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QNet {
     trunk: Vec<Dense>,
     head: Head,
     config: QNetConfig,
+    /// See [`QNet::stamp`]. Process-local, so never serialized.
+    stamp: u64,
+}
+
+/// A stamp no network has carried before in this process (the atomic add
+/// alone makes it unique; it publishes nothing, hence `Relaxed`).
+fn fresh_stamp() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The parameters, as the field list they always serialized to.
+#[derive(Serialize, Deserialize)]
+struct QNetParams {
+    trunk: Vec<Dense>,
+    head: Head,
+    config: QNetConfig,
+}
+
+impl Serialize for QNet {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("trunk".into(), self.trunk.to_value()),
+            ("head".into(), self.head.to_value()),
+            ("config".into(), self.config.to_value()),
+        ])
+    }
+}
+
+/// A deserialized network takes a fresh stamp: a stamp means nothing
+/// outside the process that issued it.
+impl Deserialize for QNet {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let QNetParams {
+            trunk,
+            head,
+            config,
+        } = QNetParams::from_value(v)?;
+        Ok(Self {
+            trunk,
+            head,
+            config,
+            stamp: fresh_stamp(),
+        })
+    }
 }
 
 impl QNet {
@@ -231,7 +281,18 @@ impl QNet {
             trunk,
             head,
             config,
+            stamp: fresh_stamp(),
         }
+    }
+
+    /// A stamp of the current weights: two networks that show the same
+    /// stamp hold bit-identical parameters. A network takes a stamp no
+    /// other has carried when it is built or deserialized and whenever its
+    /// parameters may change ([`QNet::tensors_mut`], [`QNet::copy_from`]);
+    /// a clone keeps its original's. Caches of a network's outputs key on
+    /// it.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// The architecture this network was built with.
@@ -280,16 +341,11 @@ impl QNet {
             let (before, rest) = cache.acts.split_at_mut(li);
             let act = &mut rest[0];
             act.resize(layer.fan_out(), 0.0);
-            if li == 0 {
-                layer.forward(input, act);
-            } else {
-                layer.forward(Input::Dense(&before[li - 1]), act);
-            }
-            for a in act.iter_mut() {
-                if *a < 0.0 {
-                    *a = 0.0; // ReLU
-                }
-            }
+            let x = match li {
+                0 => input,
+                _ => Input::Dense(&before[li - 1]),
+            };
+            layer.forward_act::<true>(x, act);
         }
         if self.trunk.is_empty() {
             // materialize the input as acts[0] so backward has a feature view
@@ -425,6 +481,10 @@ impl QNet {
     /// the scalar path's per-element accumulation order exactly, while the
     /// transposed head kernels use a multi-lane `dot` whose reassociated
     /// summation can differ from the scalar head in the last ULPs.
+    ///
+    /// A sample's row depends on that sample alone: every kernel computes
+    /// row by row, so the row is bit-identical in any batch that holds the
+    /// sample. Learn steps memoize target-net rows on that.
     pub fn forward_batch<'c>(
         &self,
         input: BatchInput<'_>,
@@ -438,17 +498,11 @@ impl QNet {
         for li in 0..self.trunk.len() {
             // split so we can read acts[li-1] while writing acts[li]
             let (before, rest) = cache.acts.split_at_mut(li);
-            let act = &mut rest[0];
-            if li == 0 {
-                self.trunk[0].forward_batch(input, act);
-            } else {
-                self.trunk[li].forward_batch(BatchInput::Dense(&before[li - 1]), act);
-            }
-            for a in act.as_mut_slice() {
-                if *a < 0.0 {
-                    *a = 0.0; // ReLU
-                }
-            }
+            let x = match li {
+                0 => input,
+                _ => BatchInput::Dense(&before[li - 1]),
+            };
+            self.trunk[li].forward_batch_act::<true>(x, &mut rest[0]);
         }
         if self.trunk.is_empty() {
             // materialize the input as acts[0] so backward has a feature view
@@ -468,9 +522,14 @@ impl QNet {
         }
         // Disjoint field borrows: read acts, write q/adv/value.
         let feat: &Mat = cache.acts.last().expect("feature activations");
+        if cache.wt_stamp != Some(self.stamp) {
+            let (Head::Linear(l) | Head::Dueling { advantage: l, .. }) = &self.head;
+            transpose_head(l, &mut cache.wt_head);
+            cache.wt_stamp = Some(self.stamp);
+        }
         match &self.head {
             Head::Linear(l) => {
-                head_forward_t(l, feat, &mut cache.wt_head, &mut cache.q);
+                head_forward_t(l, feat, &cache.wt_head, &mut cache.q);
             }
             Head::Dueling { value, advantage } => {
                 // Value stream: fan_out = 1, so its weight matrix is already
@@ -479,7 +538,7 @@ impl QNet {
                 for s in 0..batch {
                     cache.value[s] = value.b[0] + dot(value.w.as_slice(), feat.row(s));
                 }
-                head_forward_t(advantage, feat, &mut cache.wt_head, &mut cache.adv);
+                head_forward_t(advantage, feat, &cache.wt_head, &mut cache.adv);
                 cache.q.resize_zeroed(batch, advantage.fan_out());
                 for s in 0..batch {
                     let adv = cache.adv.row(s);
@@ -574,8 +633,9 @@ impl QNet {
     }
 
     /// Mutable parameter tensors in canonical order (matches
-    /// [`QNetGrads::tensors`]).
+    /// [`QNetGrads::tensors`]). Takes a fresh [`QNet::stamp`].
     pub fn tensors_mut(&mut self) -> Vec<&mut [f32]> {
+        self.stamp = fresh_stamp();
         let mut v = Vec::new();
         for l in &mut self.trunk {
             v.push(l.w.as_mut_slice());
@@ -630,20 +690,25 @@ impl QNet {
     }
 }
 
-/// Batched forward of a small-fan-out head layer through an output-major
-/// weight transpose: `out[s][o] = b[o] + dot(wt[o], feat[s])`, with both
-/// operands contiguous and full-width. The straightforward input-major
-/// kernel would stream `fan_out`-wide (e.g. 31-float) rows, which
-/// vectorizes poorly. The reassociated dot reduction means head outputs
-/// agree with the scalar path to float rounding, not bitwise.
-fn head_forward_t(l: &Dense, feat: &Mat, wt: &mut Mat, out: &mut Mat) {
-    let (fan_in, fan_out) = (l.fan_in(), l.fan_out());
-    wt.resize_zeroed(fan_out, fan_in);
-    for i in 0..fan_in {
+/// The output-major transpose `wt` of a head layer's weights.
+fn transpose_head(l: &Dense, wt: &mut Mat) {
+    wt.resize_zeroed(l.fan_out(), l.fan_in());
+    for i in 0..l.fan_in() {
         for (o, &v) in l.w.row(i).iter().enumerate() {
             *wt.get_mut(o, i) = v;
         }
     }
+}
+
+/// Batched forward of a small-fan-out head layer through its output-major
+/// weight transpose `wt` ([`transpose_head`]): `out[s][o] = b[o] +
+/// dot(wt[o], feat[s])`, with both operands contiguous and full-width.
+/// The straightforward input-major kernel would stream `fan_out`-wide
+/// (e.g. 31-float) rows, which vectorizes poorly. The reassociated dot
+/// reduction means head outputs agree with the scalar path to float
+/// rounding, not bitwise.
+fn head_forward_t(l: &Dense, feat: &Mat, wt: &Mat, out: &mut Mat) {
+    let fan_out = l.fan_out();
     let batch = feat.rows();
     out.resize_zeroed(batch, fan_out);
     for s in 0..batch {
@@ -872,6 +937,31 @@ mod tests {
         for (x, y) in a.q_values(input).iter().zip(b.q_values(input)) {
             assert!((x - y).abs() < 1e-7);
         }
+    }
+
+    /// Equal stamps mean equal weights: a clone keeps its original's
+    /// stamp; building, deserializing and every way to change weights
+    /// draw a fresh one. The serialized form holds no stamp.
+    #[test]
+    fn stamp_changes_with_the_weights() {
+        let mut a = small(true);
+        let b = a.clone();
+        assert_eq!(a.stamp(), b.stamp());
+        assert_ne!(small(true).stamp(), a.stamp(), "built");
+        let v = a.to_value();
+        let Value::Object(fields) = &v else {
+            panic!("a network serializes to an object")
+        };
+        let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, ["trunk", "head", "config"]);
+        let back = QNet::from_value(&v).expect("round trip");
+        assert_ne!(back.stamp(), a.stamp(), "deserialized");
+        assert_eq!(back.tensors(), a.tensors());
+        a.tensors_mut();
+        assert_ne!(a.stamp(), b.stamp(), "tensors_mut");
+        let before = a.stamp();
+        a.copy_from(&b);
+        assert_ne!(a.stamp(), before, "copy_from");
     }
 
     #[test]

@@ -46,17 +46,23 @@ use std::sync::Arc;
 pub struct AgentSnapshot {
     agent: TrainedAgent,
     infer: QInfer,
+    /// Q values of the empty state, every item's first decision.
+    empty_q: Vec<f32>,
     /// Publisher-assigned generation counter.
     pub generation: u64,
 }
 
 impl AgentSnapshot {
-    /// Freeze `agent` as generation `generation`, building its view.
+    /// Freeze `agent` as generation `generation`, building its view and
+    /// the Q row of the empty state.
     pub fn new(agent: TrainedAgent, generation: u64) -> Self {
         let infer = QInfer::new(&agent.net);
+        let mut empty_q = vec![0.0; agent.net.actions()];
+        infer.q_into(&agent.net, &[], &mut InferScratch::default(), &mut empty_q);
         Self {
             agent,
             infer,
+            empty_q,
             generation,
         }
     }
@@ -74,11 +80,16 @@ impl AgentSnapshot {
     /// Q values over *models only* (END dropped) for a sparse labeling
     /// state, through the inference kernel: bit-identical to
     /// `agent().net.forward`, allocation-free given a reused `scratch`.
-    /// `out.len()` must be the agent's `num_models`.
+    /// The empty state's row was computed once, at construction, and is
+    /// copied. `out.len()` must be the agent's `num_models`.
     pub fn model_q_into(&self, state_sparse: &[u32], scratch: &mut InferScratch, out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.agent.num_models);
-        self.infer
-            .q_into(&self.agent.net, state_sparse, scratch, out);
+        if state_sparse.is_empty() {
+            out.copy_from_slice(&self.empty_q[..out.len()]);
+        } else {
+            self.infer
+                .q_into(&self.agent.net, state_sparse, scratch, out);
+        }
     }
 }
 

@@ -2,6 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One stored transition `(s, a, r, s', …)`.
@@ -34,6 +35,8 @@ pub struct Transition {
 #[derive(Debug, Clone)]
 pub struct ReplayBuffer {
     buf: Vec<Transition>,
+    /// Per slot, the stamp of the push that stored it ([`ReplayBuffer::stamp`]).
+    stamps: Vec<u64>,
     cap: usize,
     pos: usize,
 }
@@ -47,6 +50,7 @@ impl ReplayBuffer {
         assert!(cap > 0, "replay capacity must be positive");
         Self {
             buf: Vec::with_capacity(cap.min(4096)),
+            stamps: Vec::with_capacity(cap.min(4096)),
             cap,
             pos: 0,
         }
@@ -54,10 +58,15 @@ impl ReplayBuffer {
 
     /// Insert a transition, evicting the oldest when full.
     pub fn push(&mut self, t: Transition) {
+        // Unique by the atomic add alone; it publishes nothing.
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let stamp = NEXT.fetch_add(1, Ordering::Relaxed);
         if self.buf.len() < self.cap {
             self.buf.push(t);
+            self.stamps.push(stamp);
         } else {
             self.buf[self.pos] = t;
+            self.stamps[self.pos] = stamp;
         }
         self.pos = (self.pos + 1) % self.cap;
     }
@@ -65,6 +74,11 @@ impl ReplayBuffer {
     /// Number of stored transitions.
     pub fn len(&self) -> usize {
         self.buf.len()
+    }
+
+    /// The most transitions the buffer holds.
+    pub fn capacity(&self) -> usize {
+        self.cap
     }
 
     /// Whether the buffer is empty.
@@ -75,6 +89,14 @@ impl ReplayBuffer {
     /// A stored transition.
     pub fn get(&self, i: usize) -> &Transition {
         &self.buf[i]
+    }
+
+    /// The stamp of the push that stored slot `i`: no other push in this
+    /// process, into any buffer, drew the same one, so two slots that show
+    /// the same stamp hold the same transition (a clone keeps its
+    /// original's stamps). Caches of per-transition results key on it.
+    pub fn stamp(&self, i: usize) -> u64 {
+        self.stamps[i]
     }
 
     /// Uniformly sample `batch` indices (with replacement).
@@ -115,6 +137,29 @@ mod tests {
         let mut sorted = actions.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn every_push_draws_a_fresh_stamp() {
+        let mut rb = ReplayBuffer::new(2);
+        let mut other = ReplayBuffer::new(2);
+        let mut seen = Vec::new();
+        for a in 0..5u8 {
+            rb.push(t(a));
+            other.push(t(a));
+            seen.extend([
+                rb.stamp(usize::from(a) % 2),
+                other.stamp(usize::from(a) % 2),
+            ]);
+        }
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(
+            seen.len(),
+            10,
+            "a wrapped slot or another buffer reused a stamp"
+        );
+        assert_eq!(rb.clone().stamp(1), rb.stamp(1));
     }
 
     #[test]

@@ -283,7 +283,8 @@ impl Learner {
     }
 }
 
-/// Reusable buffers for [`learn_step_batched`].
+/// Reusable buffers for [`learn_step_batched`], and its memo of target-net
+/// Q rows.
 pub struct BatchScratch {
     grads: QNetGrads,
     q_cache: BatchFwdCache,
@@ -293,9 +294,29 @@ pub struct BatchScratch {
     gq: Mat,
     y: Vec<f32>,
     a_star: Vec<usize>,
-    /// The minibatch's active input indices, sorted and deduplicated: the
+    target_rows: TargetRows,
+    /// The minibatch's active input indices, ascending and distinct: the
     /// only rows of the first layer's weight gradient the step writes.
     rows: Vec<u32>,
+    /// One bit per input index, set while `rows` is collected and clear
+    /// between steps.
+    row_bits: Vec<u64>,
+}
+
+/// The target net's Q row of each replay slot's next state, kept across
+/// learn steps. A row is valid for the target weights
+/// ([`QNet::stamp`]) and the push into that slot
+/// ([`ReplayBuffer::stamp`]) it was computed for, and for nothing else:
+/// the target changes only at a sync and a slot only when the ring wraps
+/// over it, so between those every sample of the slot reuses one row.
+struct TargetRows {
+    /// Per slot, the `(target stamp, push stamp)` its row holds.
+    keys: Vec<Option<(u64, u64)>>,
+    /// The rows, `width` (the action count) floats per slot.
+    q: Vec<f32>,
+    width: usize,
+    /// This step's slots whose row must be computed.
+    missing: Vec<usize>,
 }
 
 impl BatchScratch {
@@ -310,8 +331,63 @@ impl BatchScratch {
             gq: Mat::zeros(0, 0),
             y: Vec::new(),
             a_star: Vec::new(),
+            target_rows: TargetRows {
+                keys: Vec::new(),
+                q: Vec::new(),
+                width: net.actions(),
+                missing: Vec::new(),
+            },
             rows: Vec::new(),
+            row_bits: vec![0; net.config().input_dim.div_ceil(64)],
         }
+    }
+}
+
+impl TargetRows {
+    /// Make the target's row valid for every non-terminal slot in `idx`,
+    /// running one batched forward over the distinct slots that lack one.
+    fn fill(
+        &mut self,
+        target: &QNet,
+        replay: &ReplayBuffer,
+        idx: &[usize],
+        cache: &mut BatchFwdCache,
+    ) {
+        if self.keys.len() < replay.len() {
+            // Reserved for the whole ring at once, so growing never copies
+            // the rows; a page is touched only when its slots fill.
+            let slots = replay.capacity();
+            self.keys.reserve_exact(slots - self.keys.len());
+            self.q.reserve_exact(slots * self.width - self.q.len());
+            self.keys.resize(replay.len(), None);
+            self.q.resize(replay.len() * self.width, 0.0);
+        }
+        self.missing.clear();
+        for &i in idx {
+            let key = Some((target.stamp(), replay.stamp(i)));
+            if !replay.get(i).done && self.keys[i] != key {
+                self.keys[i] = key;
+                self.missing.push(i);
+            }
+        }
+        if self.missing.is_empty() {
+            return;
+        }
+        let next: Vec<&[u32]> = self
+            .missing
+            .iter()
+            .map(|&i| &*replay.get(i).next_state)
+            .collect();
+        let qt = target.forward_batch(BatchInput::Sparse(&next), cache);
+        let w = self.width;
+        for (r, &i) in self.missing.iter().enumerate() {
+            self.q[i * w..(i + 1) * w].copy_from_slice(qt.row(r));
+        }
+    }
+
+    /// Slot `i`'s row, valid after a [`TargetRows::fill`] that covered it.
+    fn row(&self, i: usize) -> &[f32] {
+        &self.q[i * self.width..(i + 1) * self.width]
     }
 }
 
@@ -319,7 +395,7 @@ impl BatchScratch {
 /// loss.
 ///
 /// The sampled transitions are gathered into batch matrices and each
-/// network runs exactly once per role — one batched forward of the target
+/// network runs at most once per role — one batched forward of the target
 /// net (plus one of the online net for DoubleDQN's argmax), one batched
 /// forward of the online net on the current states, and one batched
 /// backward — instead of the ~`2 x batch` scalar passes of
@@ -329,8 +405,14 @@ impl BatchScratch {
 /// is folded into the output gradient instead of a post-hoc rescale), so
 /// training trajectories match the scalar implementation up to last-ULP
 /// noise — asserted by that module's test over identical RNG streams.
-/// Adam steps only the first-layer rows the minibatch's states touch
-/// ([`Adam::step_rows`]), bitwise the dense step.
+///
+/// The target forward covers only the sampled non-terminal slots whose
+/// row `scratch` does not hold yet for these target weights: a sample's
+/// [`QNet::forward_batch`] row does not depend on the rest of its batch,
+/// so a memoized row is the row a full pass would compute, bit for bit,
+/// whoever calls with whatever target and replay. Adam steps only the
+/// first-layer rows the minibatch's states touch ([`Adam::step_rows`]),
+/// bitwise the dense step.
 #[allow(clippy::too_many_arguments)] // net/target/opt/replay are distinct roles
 pub fn learn_step_batched(
     net: &mut QNet,
@@ -348,11 +430,12 @@ pub fn learn_step_batched(
 
     // Gather the minibatch as per-sample sparse rows (no copies).
     let states: Vec<&[u32]> = idx.iter().map(|&i| &*replay.get(i).state).collect();
-    let next_states: Vec<&[u32]> = idx.iter().map(|&i| &*replay.get(i).next_state).collect();
 
-    // TD targets from one batched pass over the next states.
+    // TD targets: the online net's argmax for DoubleDQN, then the target
+    // net's rows.
     scratch.y.resize(batch, 0.0);
     if cfg.algo == Algo::DoubleDqn {
+        let next_states: Vec<&[u32]> = idx.iter().map(|&i| &*replay.get(i).next_state).collect();
         scratch.a_star.resize(batch, 0);
         let qo = net.forward_batch(
             BatchInput::Sparse(&next_states),
@@ -365,13 +448,14 @@ pub fn learn_step_batched(
             }
         }
     }
-    let qt = target.forward_batch(BatchInput::Sparse(&next_states), &mut scratch.tgt_cache);
+    let qt = &mut scratch.target_rows;
+    qt.fill(target, replay, &idx, &mut scratch.tgt_cache);
     for (s, &i) in idx.iter().enumerate() {
         let tr = replay.get(i);
         scratch.y[s] = if tr.done {
             tr.reward
         } else {
-            let row = qt.row(s);
+            let row = qt.row(i);
             let bootstrap = match cfg.algo {
                 Algo::Dqn | Algo::DuelingDqn => row[masked_argmax(row, tr.next_avail)],
                 Algo::DoubleDqn => row[scratch.a_star[s]],
@@ -407,10 +491,7 @@ pub fn learn_step_batched(
         &mut scratch.grads,
         &mut scratch.bwd,
     );
-    scratch.rows.clear();
-    scratch.rows.extend(states.iter().flat_map(|s| s.iter()));
-    scratch.rows.sort_unstable();
-    scratch.rows.dedup();
+    collect_rows(&states, &mut scratch.row_bits, &mut scratch.rows);
     let row_len = net.trunk().first().map(Dense::fan_out);
     let g = scratch.grads.tensors();
     let mut p = net.tensors_mut();
@@ -420,6 +501,22 @@ pub fn learn_step_batched(
     }
     scratch.grads.zero_rows(&scratch.rows);
     total_loss / cfg.batch as f32
+}
+
+/// The distinct indices active in any of `states`, ascending, into `rows`,
+/// through the all-clear bitmap `bits` (left all-clear).
+fn collect_rows(states: &[&[u32]], bits: &mut [u64], rows: &mut Vec<u32>) {
+    for &i in states.iter().flat_map(|s| s.iter()) {
+        bits[i as usize / 64] |= 1 << (i % 64);
+    }
+    rows.clear();
+    for (w, word) in bits.iter_mut().enumerate() {
+        let mut b = std::mem::take(word);
+        while b != 0 {
+            rows.push(w as u32 * 64 + b.trailing_zeros());
+            b &= b - 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -526,6 +623,78 @@ mod tests {
         };
         let (_, stats) = train(table.items(), 30, &cfg);
         assert!(stats.learn_steps > 0, "learning must start");
+    }
+
+    /// The memo of target rows is invisible. A `BatchScratch` kept across
+    /// steps, which reuses rows, and a fresh one per step, which computes
+    /// every row, give bit-identical losses and weights through a replay
+    /// ring that wraps (48 slots, 2 to 8 pushes per step) and a target
+    /// synced every 5 steps, so rows go stale both ways.
+    #[test]
+    fn target_row_memo_matches_fresh_scratch() {
+        use crate::online::outcome_transitions;
+        use ams_models::ModelId;
+        let table = fixture();
+        for algo in [Algo::Dqn, Algo::DoubleDqn, Algo::DeepSarsa] {
+            let cfg = TrainConfig::fast_test(algo);
+            let run = |fresh: bool| {
+                let mut net = QNet::new(
+                    QNetConfig {
+                        input_dim: table.items()[0].universe(),
+                        hidden: cfg.hidden.clone(),
+                        actions: 31,
+                        dueling: false,
+                    },
+                    3,
+                );
+                let mut target = net.clone();
+                let mut opt = Adam::new(cfg.lr);
+                let mut replay = ReplayBuffer::new(48);
+                let mut rng = StdRng::seed_from_u64(1);
+                let mut scratch = BatchScratch::new(&net);
+                let (mut losses, mut computed, mut pushes) = (Vec::new(), 0, 0);
+                let mut buf = Vec::new();
+                for step in 0..60 {
+                    let item = &table.items()[step % table.len()];
+                    let executed: Vec<ModelId> = (0..1 + step % 7)
+                        .map(|k| ModelId(((step * 5 + k * 13) % 30) as u8))
+                        .collect();
+                    buf.clear();
+                    pushes += outcome_transitions(item, &executed, &cfg.reward, 30, true, &mut buf);
+                    buf.drain(..).for_each(|t| replay.push(t));
+                    if fresh {
+                        scratch = BatchScratch::new(&net);
+                    }
+                    losses.push(learn_step_batched(
+                        &mut net,
+                        &target,
+                        &mut opt,
+                        &replay,
+                        &cfg,
+                        &Huber::default(),
+                        &mut rng,
+                        &mut scratch,
+                    ));
+                    computed += scratch.target_rows.missing.len();
+                    if step % 5 == 4 {
+                        target.copy_from(&net);
+                    }
+                }
+                let weights: Vec<u32> =
+                    net.tensors().concat().iter().map(|w| w.to_bits()).collect();
+                let losses: Vec<u32> = losses.iter().map(|l| l.to_bits()).collect();
+                (losses, weights, computed, pushes)
+            };
+            let (memo_losses, memo_weights, memo_computed, pushes) = run(false);
+            let (fresh_losses, fresh_weights, fresh_computed, _) = run(true);
+            assert!(pushes > 3 * 48, "the ring must wrap: {pushes} pushes");
+            assert!(
+                memo_computed < fresh_computed,
+                "{algo}: the memo was never hit ({memo_computed} rows computed)"
+            );
+            assert_eq!(memo_losses, fresh_losses, "{algo}: losses");
+            assert_eq!(memo_weights, fresh_weights, "{algo}: weights");
+        }
     }
 
     /// FNV-1a step over the bits of `xs`.
