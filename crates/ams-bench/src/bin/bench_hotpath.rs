@@ -88,6 +88,10 @@ struct Record {
     /// across batches saves. Virtual time only, so it repeats exactly.
     merge_gain: f64,
     stream_items: usize,
+    /// Heap bytes of the 240-item training world's ground truth
+    /// ([`ams_bench::hotpath::truth_heap_bytes`]): an exact count, the
+    /// same in smoke and full runs.
+    truth_heap_bytes: usize,
     /// Compute-only serial-engine throughput (virtual execution elided).
     compute_serial_items_per_s: f64,
     /// Deployment-shaped throughput: each item additionally waits
@@ -361,6 +365,7 @@ fn main() {
         stream_gain: ams_bench::hotpath::stream_gain(&setup),
         merge_gain: ams_bench::hotpath::merge_gain(&setup),
         stream_items: items.len(),
+        truth_heap_bytes: ams_bench::hotpath::truth_heap_bytes(world.items()),
         compute_serial_items_per_s: compute_serial_ips,
         exec_emulation_scale: emu_scale,
         serial_items_per_s: serial_ips,

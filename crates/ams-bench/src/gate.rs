@@ -447,7 +447,8 @@ mod tests {
                 "q_infer_max_abs_diff": 0.0,
                 "pack_gain": 1.15,
                 "stream_gain": 1.05,
-                "merge_gain": 1.1
+                "merge_gain": 1.1,
+                "truth_heap_bytes": 390408
             }"#,
         )
         .expect("fixture parses")

@@ -90,6 +90,13 @@ pub const CHECKS: &[Check] = &[
         rule: Rule::Same("merge_gain"),
         breaks: Break::Set("merge_gain", 0.0),
     },
+    Check {
+        name: "truth_heap_bytes equals the baseline's",
+        // An exact count over the training world's ground truth, no clock:
+        // a candidate that moves it changed the item layout or the labels.
+        rule: Rule::Same("truth_heap_bytes"),
+        breaks: Break::Scale("truth_heap_bytes", 2.0),
+    },
 ];
 
 /// `merge_gain`'s floor, under the smoke (1.200) and full (1.222)
@@ -611,6 +618,24 @@ pub fn bench_training() -> (TruthTable, TrainConfig) {
         ..TrainConfig::new(Algo::Dqn)
     };
     (truth, cfg)
+}
+
+/// Heap bytes the items' ground truth holds: capacity × element size
+/// over every buffer of every item. Each `ItemTruth` owns four exact-size
+/// buffers, so this is their lengths times their element sizes. A count,
+/// not a residency: allocator overhead and the items' own headers are not
+/// in it.
+pub fn truth_heap_bytes(items: &[ItemTruth]) -> usize {
+    use std::mem::size_of_val;
+    items
+        .iter()
+        .map(|it| {
+            size_of_val(&*it.runs)
+                + size_of_val(&*it.detections)
+                + size_of_val(&*it.valuable)
+                + size_of_val(&*it.model_value)
+        })
+        .sum()
 }
 
 #[cfg(test)]

@@ -66,10 +66,10 @@ pub fn content_hash(item: &ItemTruth) -> u64 {
         (h ^ x).wrapping_mul(PRIME)
     }
     let mut h = mix(OFFSET, item.scene_id);
-    for out in &item.outputs {
+    for out in item.outputs() {
         h = mix(h, u64::from(out.model.0));
         h = mix(h, out.detections.len() as u64);
-        for d in &out.detections {
+        for d in out.detections {
             h = mix(h, u64::from(d.label.0));
             h = mix(h, u64::from(d.confidence.to_bits()));
         }
@@ -516,6 +516,19 @@ mod tests {
         let mut tweaked = base.clone();
         tweaked.scene_id ^= 1;
         assert_ne!(content_hash(base), content_hash(&tweaked));
+    }
+
+    /// The label cache keys and stripes on `content_hash`, so it mixes
+    /// exactly what it mixed when each model's output was its own vector:
+    /// these are that layout's values.
+    #[test]
+    fn content_hash_is_pinned() {
+        let s = scheduler();
+        let scenes = Dataset::generate(DatasetProfile::Coco2017, 24, 64).scenes;
+        let hash =
+            |i: usize| content_hash(&ItemTruth::build(s.zoo(), s.catalog(), &scenes[i], 64, 0.5));
+        assert_eq!(hash(0), 0x3267_1615_1619_55ed);
+        assert_eq!(hash(3), 0x82d7_9754_f776_04f0);
     }
 
     #[test]

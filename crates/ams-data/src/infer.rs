@@ -25,6 +25,7 @@
 use crate::rng::exec_seed;
 use crate::scene::Scene;
 use crate::templates::{DOG_OBJECT, PERSON_OBJECT};
+use ams_models::output::normalize_run;
 use ams_models::{Detection, LabelCatalog, ModelOutput, ModelSpec, QualityProfile, Task};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -85,10 +86,28 @@ pub fn infer(
     catalog: &LabelCatalog,
     world_seed: u64,
 ) -> ModelOutput {
+    let mut detections = Vec::new();
+    infer_into(scene, spec, catalog, world_seed, &mut detections);
+    ModelOutput {
+        model: spec.id,
+        detections,
+    }
+}
+
+/// [`infer`], appending the output to `dets` as one sorted, deduplicated
+/// run instead of returning it — how an item's ground truth fills its
+/// flat detection buffer model after model.
+pub(crate) fn infer_into(
+    scene: &Scene,
+    spec: &ModelSpec,
+    catalog: &LabelCatalog,
+    world_seed: u64,
+    dets: &mut Vec<Detection>,
+) {
     let mut r = ExecRng::new(scene, spec, world_seed);
     let q = &spec.quality;
     let task = spec.task;
-    let mut dets: Vec<Detection> = Vec::new();
+    let start = dets.len();
     let push = |dets: &mut Vec<Detection>, idx: u16, conf: f32| {
         dets.push(Detection::new(catalog.label(task, idx as usize), conf));
     };
@@ -100,28 +119,28 @@ pub fn infer(
                 let size = size_factor(scene.max_person_scale());
                 if r.detect(q, PERSON_OBJECT as usize, size) {
                     let c = tp_confidence(&mut r.noise, q);
-                    push(&mut dets, PERSON_OBJECT, c);
+                    push(dets, PERSON_OBJECT, c);
                 } else if r.noise.gen_bool(0.4) {
                     // hard miss still often yields a low-confidence person box
-                    push(&mut dets, PERSON_OBJECT, fp_confidence(&mut r.noise));
+                    push(dets, PERSON_OBJECT, fp_confidence(&mut r.noise));
                 }
             }
             if !scene.dogs.is_empty() {
                 let size = size_factor(scene.max_dog_scale());
                 if r.detect(q, DOG_OBJECT as usize, size) {
                     let c = tp_confidence(&mut r.noise, q);
-                    push(&mut dets, DOG_OBJECT, c);
+                    push(dets, DOG_OBJECT, c);
                 }
             }
             for &obj in &scene.objects {
                 if r.detect(q, obj as usize, 0.92) {
                     let c = tp_confidence(&mut r.noise, q);
-                    push(&mut dets, obj, c);
+                    push(dets, obj, c);
                 }
             }
             if r.noise.gen_bool(q.tier.false_positive_rate()) {
                 let idx = r.noise.gen_range(0..task.label_count()) as u16;
-                push(&mut dets, idx, fp_confidence(&mut r.noise));
+                push(dets, idx, fp_confidence(&mut r.noise));
             }
         }
         Task::PlaceClassification => {
@@ -129,17 +148,17 @@ pub fn infer(
             // a random place at low confidence on failure
             let idx = scene.place.index;
             if r.detect(q, idx as usize, 1.0) {
-                push(&mut dets, idx, tp_confidence(&mut r.noise, q));
+                push(dets, idx, tp_confidence(&mut r.noise, q));
                 // runner-up class, like "beer hall 0.198" next to "pub 0.727"
                 if r.noise.gen_bool(0.3) {
                     let other = r.noise.gen_range(0..task.label_count()) as u16;
                     if other != idx {
-                        push(&mut dets, other, fp_confidence(&mut r.noise));
+                        push(dets, other, fp_confidence(&mut r.noise));
                     }
                 }
             } else {
                 let other = r.noise.gen_range(0..task.label_count()) as u16;
-                push(&mut dets, other, fp_confidence(&mut r.noise));
+                push(dets, other, fp_confidence(&mut r.noise));
             }
         }
         Task::FaceDetection => {
@@ -151,10 +170,10 @@ pub fn infer(
                     .map(|p| p.scale)
                     .fold(0.0f32, f32::max);
                 if r.detect(q, 0, size_factor(best)) {
-                    push(&mut dets, 0, tp_confidence(&mut r.noise, q));
+                    push(dets, 0, tp_confidence(&mut r.noise, q));
                 }
             } else if r.noise.gen_bool(q.tier.false_positive_rate()) {
-                push(&mut dets, 0, fp_confidence(&mut r.noise));
+                push(dets, 0, fp_confidence(&mut r.noise));
             }
         }
         Task::FaceLandmark => {
@@ -168,7 +187,7 @@ pub fn infer(
                 let size = size_factor(best);
                 for kp in 0..task.label_count() {
                     if r.detect(q, kp, size * 0.92) {
-                        push(&mut dets, kp as u16, tp_confidence(&mut r.noise, q));
+                        push(dets, kp as u16, tp_confidence(&mut r.noise, q));
                     }
                 }
             }
@@ -184,30 +203,26 @@ pub fn infer(
                 let size = size_factor(best);
                 for kp in 0..task.label_count() {
                     if r.detect(q, kp, size * 0.9) {
-                        push(&mut dets, kp as u16, tp_confidence(&mut r.noise, q));
+                        push(dets, kp as u16, tp_confidence(&mut r.noise, q));
                     }
                 }
             } else if r.noise.gen_bool(q.tier.false_positive_rate()) {
                 let kp = r.noise.gen_range(0..task.label_count()) as u16;
-                push(&mut dets, kp, fp_confidence(&mut r.noise));
+                push(dets, kp, fp_confidence(&mut r.noise));
             }
         }
         Task::EmotionClassification => {
             let mut any = false;
             for p in scene.persons.iter().filter(|p| p.face_visible) {
                 if r.detect(q, p.emotion as usize, size_factor(p.scale)) {
-                    push(
-                        &mut dets,
-                        u16::from(p.emotion),
-                        tp_confidence(&mut r.noise, q),
-                    );
+                    push(dets, u16::from(p.emotion), tp_confidence(&mut r.noise, q));
                     any = true;
                 }
             }
             if !any && scene.any_face() {
                 // misclassification: wrong emotion at low confidence
                 let e = r.noise.gen_range(0..task.label_count()) as u16;
-                push(&mut dets, e, fp_confidence(&mut r.noise));
+                push(dets, e, fp_confidence(&mut r.noise));
             }
         }
         Task::GenderClassification => {
@@ -215,11 +230,7 @@ pub fn infer(
                 // one shared draw per person regardless of visibility gate
                 let hit = r.detect(q, p.gender as usize, size_factor(p.scale));
                 if (p.face_visible || p.body_visible) && hit {
-                    push(
-                        &mut dets,
-                        u16::from(p.gender),
-                        tp_confidence(&mut r.noise, q),
-                    );
+                    push(dets, u16::from(p.gender), tp_confidence(&mut r.noise, q));
                 }
             }
         }
@@ -229,14 +240,14 @@ pub fn infer(
                 if let Some(a) = p.action {
                     let hit = r.detect(q, a as usize, size_factor(p.scale));
                     if p.body_visible && hit {
-                        push(&mut dets, a, tp_confidence(&mut r.noise, q));
+                        push(dets, a, tp_confidence(&mut r.noise, q));
                         any = true;
                     }
                 }
             }
             if !any && r.noise.gen_bool(q.tier.false_positive_rate()) {
                 let a = r.noise.gen_range(0..task.label_count()) as u16;
-                push(&mut dets, a, fp_confidence(&mut r.noise));
+                push(dets, a, fp_confidence(&mut r.noise));
             }
         }
         Task::HandLandmark => {
@@ -250,7 +261,7 @@ pub fn infer(
                 let size = size_factor(best);
                 for kp in 0..task.label_count() {
                     if r.detect(q, kp, size * 0.8) {
-                        push(&mut dets, kp as u16, tp_confidence(&mut r.noise, q));
+                        push(dets, kp as u16, tp_confidence(&mut r.noise, q));
                     }
                 }
             }
@@ -259,19 +270,19 @@ pub fn infer(
             let mut any = false;
             for d in &scene.dogs {
                 if r.detect(q, d.breed as usize, size_factor(d.scale)) {
-                    push(&mut dets, d.breed, tp_confidence(&mut r.noise, q));
+                    push(dets, d.breed, tp_confidence(&mut r.noise, q));
                     any = true;
                 }
             }
             if !any && !scene.dogs.is_empty() {
                 // wrong breed at low confidence
                 let b = r.noise.gen_range(0..task.label_count()) as u16;
-                push(&mut dets, b, fp_confidence(&mut r.noise));
+                push(dets, b, fp_confidence(&mut r.noise));
             }
         }
     }
 
-    ModelOutput::new(spec.id, dets)
+    normalize_run(dets, start);
 }
 
 /// Convenience: run every model of a zoo on a scene ("no policy").

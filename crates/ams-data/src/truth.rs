@@ -14,28 +14,37 @@
 //! * The **recall rate** of `S` is `f(S, d) / f(M, d)`.
 
 use crate::dataset::Dataset;
-use crate::infer::infer;
-use ams_models::{LabelCatalog, LabelId, LabelSet, ModelId, ModelOutput, ModelZoo};
+use crate::infer::infer_into;
+use ams_models::{Detection, LabelCatalog, LabelId, LabelSet, ModelId, ModelZoo, OutputView};
 use serde::{Deserialize, Serialize};
 
 /// Default "valuable label" confidence threshold.
 pub const DEFAULT_VALUE_THRESHOLD: f32 = 0.5;
 
 /// Per-item ground truth: every model's output plus precomputed value data.
+///
+/// Four exact-size heap buffers. Every model's detections sit in one
+/// buffer, run after run, each run sorted by label and deduplicated; the
+/// run table beside it holds `(model, end)` per run, so run `i` is
+/// `detections[end of run i - 1 .. end of run i]` (the first starts at 0)
+/// and the last end is the buffer's length. An item [`ItemTruth::build`]
+/// makes has one run per zoo model, in `ModelId` order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ItemTruth {
     /// Scene id this truth belongs to.
     pub scene_id: u64,
-    /// Output of each model, indexed by `ModelId`.
-    pub outputs: Vec<ModelOutput>,
+    /// `(model, end)` of each run of [`ItemTruth::detections`].
+    pub runs: Box<[(ModelId, u32)]>,
+    /// Every model's detections, run after run.
+    pub detections: Box<[Detection]>,
     /// Valuable labels with their profits, sorted by label.
-    pub valuable: Vec<(LabelId, f32)>,
+    pub valuable: Box<[(LabelId, f32)]>,
     /// `f(M, d)`: total value of the full execution.
     pub total_value: f64,
     /// Static per-model value: `Σ conf` over the model's own valuable
     /// detections (used by the paper's "optimal" baseline, which sorts
     /// models by true output value).
-    pub model_value: Vec<f64>,
+    pub model_value: Box<[f64]>,
 }
 
 impl ItemTruth {
@@ -50,15 +59,28 @@ impl ItemTruth {
         world_seed: u64,
         threshold: f32,
     ) -> Self {
-        let outputs: Vec<ModelOutput> = zoo
+        // About four detections a model: most items fill it without growing.
+        let mut detections = Vec::with_capacity(4 * zoo.len());
+        let runs: Vec<(ModelId, u32)> = zoo
             .specs()
             .iter()
-            .map(|spec| infer(scene, spec, catalog, world_seed))
+            .map(|spec| {
+                infer_into(scene, spec, catalog, world_seed, &mut detections);
+                (spec.id, detections.len() as u32)
+            })
             .collect();
+        let mut item = ItemTruth {
+            scene_id: scene.id,
+            runs: runs.into(),
+            detections: detections.into(),
+            valuable: Box::default(),
+            total_value: 0.0,
+            model_value: Box::default(),
+        };
 
         // profit of each label = max confidence across models, if ≥ threshold
         let mut best: Vec<(LabelId, f32)> = Vec::new();
-        for out in &outputs {
+        for out in item.outputs() {
             for d in out.valuable(threshold) {
                 match best.binary_search_by_key(&d.label, |&(l, _)| l) {
                     Ok(i) => best[i].1 = best[i].1.max(d.confidence),
@@ -66,20 +88,54 @@ impl ItemTruth {
                 }
             }
         }
-        let total_value = best.iter().map(|&(_, c)| f64::from(c)).sum();
-        let model_value = outputs.iter().map(|o| o.value(threshold)).collect();
-        ItemTruth {
-            scene_id: scene.id,
-            outputs,
-            valuable: best,
-            total_value,
-            model_value,
-        }
+        item.total_value = Self::profit_sum(&best);
+        item.valuable = best.into();
+        item.model_value = item.outputs().map(|o| o.value(threshold)).collect();
+        item
     }
 
+    /// `f(M, d)` of a valuable-label profile: its profits summed in label
+    /// order, the one expression [`ItemTruth::total_value`] is built by.
+    pub fn profit_sum(valuable: &[(LabelId, f32)]) -> f64 {
+        valuable.iter().map(|&(_, c)| f64::from(c)).sum()
+    }
+
+    // ams-lint: begin(no-panic) run-table check — the server runs it on
+    // every item a peer sends, before anything slices by the table
+
+    /// Whether the run table indexes the detection buffer: no end below
+    /// the one before it, and the last end is the number of detections (0
+    /// without runs). [`ItemTruth::output`] slices by it; every item
+    /// [`ItemTruth::build`] makes passes, and so does every item the wire
+    /// decodes, whose ends are the running sum of the counts it carries.
+    pub fn runs_consistent(&self) -> bool {
+        let mut start = 0;
+        self.runs.iter().all(|&(_, end)| {
+            let rising = start <= end;
+            start = end;
+            rising
+        }) && start as usize == self.detections.len()
+    }
+
+    // ams-lint: end(no-panic)
+
     /// Output of one model.
-    pub fn output(&self, m: ModelId) -> &ModelOutput {
-        &self.outputs[m.index()]
+    pub fn output(&self, m: ModelId) -> OutputView<'_> {
+        self.run(m.index())
+    }
+
+    /// Every run's output, in run-table order.
+    pub fn outputs(&self) -> impl ExactSizeIterator<Item = OutputView<'_>> + '_ {
+        (0..self.runs.len()).map(|i| self.run(i))
+    }
+
+    fn run(&self, i: usize) -> OutputView<'_> {
+        let start = i.checked_sub(1).map_or(0, |p| self.runs[p].1);
+        let (model, end) = self.runs[i];
+        OutputView {
+            model,
+            detections: &self.detections[start as usize..end as usize],
+        }
     }
 
     /// Profit of a label on this item (0 when not valuable).
@@ -150,7 +206,7 @@ impl ItemTruth {
 
     /// Models whose execution yields at least one valuable label.
     pub fn valuable_models(&self, threshold: f32) -> Vec<ModelId> {
-        (0..self.outputs.len())
+        (0..self.runs.len())
             .map(|i| ModelId(i as u8))
             .filter(|&m| {
                 self.model_value[m.index()] > 0.0
@@ -238,7 +294,7 @@ mod tests {
         let (zoo, table) = small_table();
         assert_eq!(table.len(), 40);
         for it in table.items() {
-            assert_eq!(it.outputs.len(), zoo.len());
+            assert_eq!(it.runs.len(), zoo.len());
         }
     }
 
@@ -290,10 +346,9 @@ mod tests {
     fn profits_are_max_confidences() {
         let (_, table) = small_table();
         for it in table.items().iter().take(10) {
-            for &(l, p) in &it.valuable {
+            for &(l, p) in it.valuable.iter() {
                 let max_conf = it
-                    .outputs
-                    .iter()
+                    .outputs()
                     .filter_map(|o| o.confidence_of(l))
                     .fold(0.0f32, f32::max);
                 assert!((p - max_conf).abs() < 1e-6);
@@ -337,6 +392,27 @@ mod tests {
             nonempty >= 38,
             "{nonempty}/40 items should have valuable models"
         );
+    }
+
+    /// A run table whose ends fall, or that does not end at the buffer's
+    /// length, is inconsistent; a built item's own table is not.
+    #[test]
+    fn runs_consistent_refuses_tables_that_do_not_index_the_buffer() {
+        let (_, table) = small_table();
+        let it = table.item(0);
+        assert!(it.runs_consistent());
+        let with_runs = |runs: &[(ModelId, u32)]| ItemTruth {
+            runs: runs.into(),
+            ..it.clone()
+        };
+        let n = it.detections.len() as u32;
+        let (m0, m1) = (ModelId(0), ModelId(1));
+        let consistent = |runs: &[(ModelId, u32)]| with_runs(runs).runs_consistent();
+        assert!(!consistent(&[(m0, n), (m1, n - 1)]), "falling end");
+        assert!(!consistent(&[(m0, 1), (m1, n + 1)]), "past the buffer");
+        assert!(!consistent(&[(m0, 1), (m1, n - 1)]), "short of the buffer");
+        assert!(!consistent(&[]), "detections without runs");
+        assert!(consistent(&[(m0, 0), (m1, n)]));
     }
 
     #[test]

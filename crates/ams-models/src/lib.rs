@@ -31,7 +31,7 @@ pub mod zoo;
 
 pub use label::{LabelCatalog, LabelId};
 pub use labelset::LabelSet;
-pub use output::{Detection, ModelOutput};
+pub use output::{Detection, ModelOutput, OutputView};
 pub use spec::{ModelId, ModelSpec, QualityProfile, SkillTier};
 pub use task::Task;
 pub use zoo::ModelZoo;

@@ -27,6 +27,8 @@ impl Detection {
 ///
 /// Detections are sorted by label id and deduplicated (keeping the highest
 /// confidence) at construction time, so downstream set algebra is cheap.
+/// Every query reads through [`OutputView`], the borrowed form an item's
+/// ground truth hands out for each of its models.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ModelOutput {
     /// The model that produced this output.
@@ -39,29 +41,68 @@ impl ModelOutput {
     /// Build an output from raw detections: sorts by label and keeps the
     /// maximum confidence per label.
     pub fn new(model: ModelId, mut detections: Vec<Detection>) -> Self {
-        detections.sort_by(|a, b| {
-            a.label.cmp(&b.label).then(
-                b.confidence
-                    .partial_cmp(&a.confidence)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
-        });
-        detections.dedup_by_key(|d| d.label);
+        normalize_run(&mut detections, 0);
         Self { model, detections }
+    }
+
+    /// This output as a borrowed view.
+    pub fn view(&self) -> OutputView<'_> {
+        OutputView {
+            model: self.model,
+            detections: &self.detections,
+        }
     }
 
     /// Whether the model produced nothing at all (white boxes of Fig. 1).
     pub fn is_empty(&self) -> bool {
-        self.detections.is_empty()
+        self.view().is_empty()
     }
 
     /// Number of detections.
     pub fn len(&self) -> usize {
-        self.detections.len()
+        self.view().len()
     }
 
     /// Confidence for `label`, if the model output it.
     pub fn confidence_of(&self, label: LabelId) -> Option<f32> {
+        self.view().confidence_of(label)
+    }
+
+    /// Detections at or above a confidence threshold ("valuable" outputs).
+    pub fn valuable(&self, threshold: f32) -> impl Iterator<Item = &Detection> + '_ {
+        self.view().valuable(threshold)
+    }
+
+    /// Sum of confidences of detections at or above `threshold`.
+    pub fn value(&self, threshold: f32) -> f64 {
+        self.view().value(threshold)
+    }
+}
+
+/// One model's output, borrowed: what `ItemTruth::output` hands out from
+/// an item's flat detection buffer, and what a [`ModelOutput`] reads
+/// through. Detections are sorted by label and unique.
+#[derive(Debug, Clone, Copy)]
+pub struct OutputView<'a> {
+    /// The model that produced this output.
+    pub model: ModelId,
+    /// Sorted-by-label, deduplicated detections.
+    pub detections: &'a [Detection],
+}
+
+impl<'a> OutputView<'a> {
+    /// Whether the model produced nothing at all (white boxes of Fig. 1).
+    pub fn is_empty(self) -> bool {
+        self.detections.is_empty()
+    }
+
+    /// Number of detections.
+    pub fn len(self) -> usize {
+        self.detections.len()
+    }
+
+    /// Confidence for `label`, if the model output it.
+    pub fn confidence_of(self, label: LabelId) -> Option<f32> {
         self.detections
             .binary_search_by_key(&label, |d| d.label)
             .ok()
@@ -69,18 +110,39 @@ impl ModelOutput {
     }
 
     /// Detections at or above a confidence threshold ("valuable" outputs).
-    pub fn valuable(&self, threshold: f32) -> impl Iterator<Item = &Detection> + '_ {
+    pub fn valuable(self, threshold: f32) -> impl Iterator<Item = &'a Detection> + 'a {
         self.detections
             .iter()
             .filter(move |d| d.confidence >= threshold)
     }
 
     /// Sum of confidences of detections at or above `threshold`.
-    pub fn value(&self, threshold: f32) -> f64 {
+    pub fn value(self, threshold: f32) -> f64 {
         self.valuable(threshold)
             .map(|d| f64::from(d.confidence))
             .sum()
     }
+}
+
+/// Sort the run `detections[start..]` by label and keep the highest
+/// confidence per label — what [`ModelOutput::new`] does to its whole
+/// vector, done in place to the last run of a flat buffer.
+pub fn normalize_run(detections: &mut Vec<Detection>, start: usize) {
+    detections[start..].sort_by(|a, b| {
+        a.label.cmp(&b.label).then(
+            b.confidence
+                .partial_cmp(&a.confidence)
+                .unwrap_or(std::cmp::Ordering::Equal),
+        )
+    });
+    let mut kept = start;
+    for i in start..detections.len() {
+        if kept == start || detections[kept - 1].label != detections[i].label {
+            detections[kept] = detections[i];
+            kept += 1;
+        }
+    }
+    detections.truncate(kept);
 }
 
 #[cfg(test)]

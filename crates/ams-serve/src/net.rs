@@ -429,27 +429,34 @@ impl NetServer {
     }
 }
 
+// ams-lint: begin(no-panic) item validation — runs on every decoded item
+// before anything indexes into it, so a hostile run table must fail here
+
 /// Whether a decoded item has the shape the labeling path indexes into
-/// without checking: one output and one static value per zoo model, in
-/// model order, and every label id inside the label universe. The frame
-/// codec validates framing only, and a worker that panics on a hostile
-/// item strands its whole shard; in-process [`Client`] callers are trusted.
+/// without checking: a consistent run table, one run and one static value
+/// per zoo model, in model order, and every label id inside the label
+/// universe. The frame codec validates framing only, and a worker that
+/// panics on a hostile item strands its whole shard; in-process
+/// [`Client`] callers are trusted.
 ///
 /// Every float must also be one the item can carry, or it poisons what it
-/// is summed into (a labeling value, a trainer reward): each detection
-/// confidence and each valuable label's profit (a label's best
+/// is summed into (a labeling value, a recall, a trainer reward): each
+/// detection confidence and each valuable label's profit (a label's best
 /// confidence) in `[0, 1]`, each static model value (a sum of the model's
-/// confidences) in `[0, detections]`, and the total value (the sum of the
-/// profits) in `[0, valuable labels]`. `NaN` fails every range test.
+/// confidences) in `[0, detections]`, and the total value exactly the sum
+/// of the profits that `ItemTruth::build` computes — a recall divides by
+/// it. `NaN` fails every range test. Each run's labels and the valuable
+/// labels must be strictly ascending: the profit and confidence lookups
+/// binary-search them.
 fn item_fits(item: &ItemTruth, num_models: usize) -> bool {
     let known = |label: LabelId| label.index() < item.universe();
     let unit = |x: f32| (0.0..=1.0).contains(&x);
-    item.outputs.len() == num_models
+    item.runs_consistent()
+        && item.runs.len() == num_models
         && item.model_value.len() == num_models
         && item
-            .outputs
-            .iter()
-            .zip(&item.model_value)
+            .outputs()
+            .zip(item.model_value.iter())
             .enumerate()
             .all(|(m, (out, &v))| {
                 out.model.index() == m
@@ -457,11 +464,15 @@ fn item_fits(item: &ItemTruth, num_models: usize) -> bool {
                         .detections
                         .iter()
                         .all(|d| known(d.label) && unit(d.confidence))
-                    && (0.0..=out.detections.len() as f64).contains(&v)
+                    && out.detections.is_sorted_by(|a, b| a.label < b.label)
+                    && (0.0..=out.len() as f64).contains(&v)
             })
         && item.valuable.iter().all(|&(l, p)| known(l) && unit(p))
-        && (0.0..=item.valuable.len() as f64).contains(&item.total_value)
+        && item.valuable.is_sorted_by(|a, b| a.0 < b.0)
+        && item.total_value.to_bits() == ItemTruth::profit_sum(&item.valuable).to_bits()
 }
+
+// ams-lint: end(no-panic)
 
 /// Whether a request may be submitted: its item fits the zoo, and every
 /// value it brings may enter the ledgers. The codec carries any `f64` bit

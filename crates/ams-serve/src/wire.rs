@@ -24,8 +24,9 @@
 //! | `0x13` | `Completion::Cancelled`| `ticket`, `class`                                  |
 //! | `0x14` | `ServerFrame::Rejected`| `id`                                               |
 //!
-//! *item* is an [`ItemTruth`]: `scene_id`, `outputs` (each a model byte
-//! and its detections as (label, `f32`) pairs), `valuable` as (label,
+//! *item* is an [`ItemTruth`]: `scene_id`, the runs (each a model byte
+//! and its run of detections as (label, `f32`) pairs; a run's end in the
+//! run table is the running sum of these counts), `valuable` as (label,
 //! `f32`) pairs, `total_value`, `model_value`.
 //!
 //! Floats travel as their bits, so labels received over TCP are
@@ -46,7 +47,7 @@
 use crate::completion::{Completion, LabelResult, ShedReason};
 use crate::server::SubmitOptions;
 use ams_data::ItemTruth;
-use ams_models::{Detection, LabelId, ModelId, ModelOutput};
+use ams_models::{Detection, LabelId, ModelId};
 use serde::{Deserialize, Serialize, Value};
 use std::io::ErrorKind;
 
@@ -265,21 +266,21 @@ fn put_scored(out: &mut Vec<u8>, label: LabelId, score: f32) {
 
 fn put_item(out: &mut Vec<u8>, item: &ItemTruth) {
     put_varint(out, item.scene_id);
-    put_varint(out, item.outputs.len() as u64);
-    for output in &item.outputs {
+    put_varint(out, item.runs.len() as u64);
+    for output in item.outputs() {
         out.push(output.model.0);
         put_varint(out, output.detections.len() as u64);
-        for d in &output.detections {
+        for d in output.detections {
             put_scored(out, d.label, d.confidence);
         }
     }
     put_varint(out, item.valuable.len() as u64);
-    for &(label, profit) in &item.valuable {
+    for &(label, profit) in item.valuable.iter() {
         put_scored(out, label, profit);
     }
     put_f64(out, item.total_value);
     put_varint(out, item.model_value.len() as u64);
-    for &v in &item.model_value {
+    for &v in item.model_value.iter() {
         put_f64(out, v);
     }
 }
@@ -385,6 +386,7 @@ fn malformed(what: impl Into<String>) -> WireError {
     WireError::Malformed(what.into())
 }
 
+#[derive(Clone)]
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -497,23 +499,52 @@ impl<'a> Cursor<'a> {
         self.seq(5, |c| Ok((c.label()?, c.f32()?)))
     }
 
+    /// An item, decoded straight into its four exact-size buffers: a first
+    /// pass over a copy of the cursor skips through the runs and counts
+    /// their detections, so each buffer is allocated once. The skip is
+    /// lenient (the decoding pass checks every field), and on a frame that
+    /// decodes it walks the same bytes, so its count is exact.
     fn item(&mut self) -> Result<ItemTruth, WireError> {
+        let scene_id = self.varint()?;
+        let mut scan = self.clone();
+        let mut total = 0usize;
+        for _ in 0..scan.count(2)? {
+            scan.byte()?;
+            let k = scan.count(5)?;
+            for _ in 0..k {
+                // Skip a (label, `f32`) pair: the varint's bytes, then four.
+                while scan.byte()? & 0x80 != 0 {}
+                scan.slice(4)?;
+            }
+            total += k;
+        }
+        let n = self.count(2)?;
+        let mut runs = Vec::with_capacity(n);
+        let mut detections = Vec::with_capacity(total);
+        for _ in 0..n {
+            let model = ModelId(self.byte()?);
+            for _ in 0..self.count(5)? {
+                detections.push(Detection {
+                    label: self.label()?,
+                    confidence: self.f32()?,
+                });
+            }
+            let end = u32::try_from(detections.len())
+                .map_err(|_| malformed("more detections than a run table can index"))?;
+            runs.push((model, end));
+        }
+        let valuable = self.scored()?;
+        let total_value = self.f64()?;
+        let model_value = self.seq(8, Self::f64)?;
+        // Each end is the running sum of the counts, so the run table is
+        // consistent; every capacity is exact, so `into` does not reallocate.
         Ok(ItemTruth {
-            scene_id: self.varint()?,
-            outputs: self.seq(2, |c| {
-                Ok(ModelOutput {
-                    model: ModelId(c.byte()?),
-                    detections: c.seq(5, |c| {
-                        Ok(Detection {
-                            label: c.label()?,
-                            confidence: c.f32()?,
-                        })
-                    })?,
-                })
-            })?,
-            valuable: self.scored()?,
-            total_value: self.f64()?,
-            model_value: self.seq(8, Self::f64)?,
+            scene_id,
+            runs: runs.into(),
+            detections: detections.into(),
+            valuable: valuable.into(),
+            total_value,
+            model_value: model_value.into(),
         })
     }
 

@@ -456,7 +456,7 @@ fn oversized_request_is_refused_before_the_wire_and_frees_its_slot() {
     let remote = NetClient::connect_with_window(net.local_addr(), 1).expect("connect");
 
     let mut huge = table.item(0).clone();
-    huge.model_value = vec![0.0; MAX_FRAME as usize / 8 + 1];
+    huge.model_value = vec![0.0; MAX_FRAME as usize / 8 + 1].into();
     let res = remote.submit(Arc::new(huge));
     assert!(matches!(res, Err(WireError::FrameTooLarge(_))), "{res:?}");
     assert_eq!(remote.outstanding(), 0, "the refused request holds no slot");
@@ -603,7 +603,11 @@ fn a_frame_dribbled_bytewise_is_answered_once_and_a_bad_length_kills_only_its_co
 /// beyond what the model's detections can sum to: once submitted it would
 /// poison its class's value totals for the whole run. And so must a
 /// profit or a detection confidence outside `[0, 1]` — infinite or `NaN`
-/// — which would poison the labeling value and the trainer's rewards.
+/// — which would poison the labeling value and the trainer's rewards; a
+/// total value other than the exact sum of the profits, which every
+/// recall divides by; and labels out of order or repeated, in the
+/// valuable profile or within one model's run, which the profit and
+/// confidence lookups binary-search.
 #[test]
 fn a_well_framed_item_the_zoo_cannot_index_kills_only_its_connection() {
     use ams_models::{LabelId, ModelId};
@@ -628,23 +632,53 @@ fn a_well_framed_item_the_zoo_cannot_index_kills_only_its_connection() {
 
     let healthy = truth().item(0);
     // A model other than model 0 (so refiling it under `ModelId(0)` is
-    // wrong) with at least one detection to corrupt.
-    let m = (1..healthy.outputs.len())
-        .max_by_key(|&m| healthy.outputs[m].detections.len())
+    // wrong) with at least two detections to corrupt or reorder.
+    let m = (1..healthy.runs.len())
+        .max_by_key(|&m| healthy.output(ModelId(m as u8)).len())
         .expect("a zoo has models");
-    let hostile: [fn(&mut ams_data::ItemTruth, &mut SubmitOptions, usize); 12] = [
-        |item, _, m| item.outputs[m].detections[0].label = LabelId(u16::MAX),
-        |item, _, _| item.valuable.push((LabelId(u16::MAX), 0.9)),
-        |item, _, _| item.outputs.truncate(3),
-        |item, _, _| item.model_value.truncate(3),
-        |item, _, m| item.outputs[m].model = ModelId(0),
+    assert!(healthy.output(ModelId(m as u8)).len() >= 2 && healthy.valuable.len() >= 2);
+    // Index of run `m`'s first detection in the flat buffer (`m >= 1`).
+    fn first(item: &ams_data::ItemTruth, m: usize) -> usize {
+        item.runs[m - 1].1 as usize
+    }
+    // Shapes 14–17 keep the total the exact sum of the reordered profits,
+    // so the order alone is what is refused.
+    fn resum(item: &mut ams_data::ItemTruth) {
+        item.total_value = ams_data::ItemTruth::profit_sum(&item.valuable);
+    }
+    let hostile: [fn(&mut ams_data::ItemTruth, &mut SubmitOptions, usize); 18] = [
+        |item, _, m| item.detections[first(item, m)].label = LabelId(u16::MAX),
+        |item, _, _| {
+            item.valuable = [&item.valuable[..], &[(LabelId(u16::MAX), 0.9)]]
+                .concat()
+                .into()
+        },
+        |item, _, _| item.runs = item.runs[..3].into(),
+        |item, _, _| item.model_value = item.model_value[..3].into(),
+        |item, _, m| item.runs[m].0 = ModelId(0),
         |_, opts, _| opts.value = Some(f64::NAN),
         |_, opts, _| opts.value = Some(-1e300),
         |item, _, _| item.model_value[0] = f64::INFINITY,
         |item, _, _| item.model_value.fill(f64::MAX),
         |item, _, _| item.valuable[0].1 = f32::INFINITY,
         |item, _, _| item.valuable[0].1 = f32::NAN,
-        |item, _, m| item.outputs[m].detections[0].confidence = f32::INFINITY,
+        |item, _, m| item.detections[first(item, m)].confidence = f32::INFINITY,
+        // A total that is not the sum of the profits: a recall divides by
+        // it, so 1e-300 would label a request with recall ~1e300.
+        |item, _, _| item.total_value = 1e-300,
+        |item, _, _| item.total_value = f64::from_bits(item.total_value.to_bits() + 1),
+        |item, _, _| {
+            item.valuable.swap(0, 1);
+            resum(item);
+        },
+        |item, _, _| {
+            item.valuable[1].0 = item.valuable[0].0;
+            resum(item);
+        },
+        |item, _, m| item.detections.swap(first(item, m), first(item, m) + 1),
+        |item, _, m| {
+            item.detections[first(item, m) + 1].label = item.detections[first(item, m)].label
+        },
     ];
     for (id, corrupt) in hostile.iter().enumerate() {
         let mut item = healthy.clone();

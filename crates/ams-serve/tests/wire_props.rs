@@ -11,15 +11,16 @@
 use ams_core::framework::{AdaptiveModelScheduler, Budget};
 use ams_core::predictor::OraclePredictor;
 use ams_data::{Dataset, DatasetProfile, ItemTruth, TruthTable};
-use ams_models::{Detection, LabelId, ModelId, ModelOutput, ModelZoo};
+use ams_models::{Detection, LabelId, ModelId, ModelZoo};
 use ams_serve::net::{NetClient, NetServer};
 use ams_serve::wire::{
-    decode_client_frame, decode_server_frame, decode_value, encode_client_frame,
+    decode_client_frame, decode_server_frame, decode_value, encode_client_frame, encode_request,
     encode_server_frame, encode_value, frame_append, ClientFrame, ServerFrame, WireError,
     WireRequest, PROTOCOL_VERSION,
 };
 use ams_serve::{
     AmsServer, BackpressurePolicy, Completion, LabelResult, ObsConfig, ServeConfig, ShedReason,
+    SubmitOptions,
 };
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -33,10 +34,12 @@ use std::time::Duration;
 thread_local! {
     /// Bytes the current thread has requested from the allocator.
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    /// Allocations (reallocations included) the current thread has made.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The system allocator plus a per-thread tally of bytes requested, so
-/// the mutation fuzz can bound what one decode call allocates.
+/// The system allocator plus a per-thread tally of bytes and allocations
+/// requested, so the tests can bound what one decode call allocates.
 struct CountingAlloc;
 
 // SAFETY: every operation is forwarded unchanged to `System`, which
@@ -46,6 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: the caller's `GlobalAlloc::alloc` obligations pass through.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATED.try_with(|n| n.set(n.get() + layout.size()));
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -66,6 +70,14 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOCATED.with(Cell::get);
     let out = f();
     (out, ALLOCATED.with(Cell::get) - before)
+}
+
+/// Run `f` and report how many allocations it made (a reallocation,
+/// which `System` serves through `alloc`, counts as one more).
+fn allocations_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
 fn scheduler() -> AdaptiveModelScheduler {
@@ -196,24 +208,25 @@ fn wild_item() -> impl Strategy<Value = ItemTruth> {
         wild_f64(),
         prop::collection::vec(wild_f64(), 0..6),
     )
-        .prop_map(
-            |(scene_id, outputs, valuable, total_value, model_value)| ItemTruth {
+        .prop_map(|(scene_id, outputs, valuable, total_value, model_value)| {
+            let mut runs = Vec::new();
+            let mut detections = Vec::new();
+            for (model, dets) in outputs {
+                detections.extend(
+                    dets.into_iter()
+                        .map(|(label, confidence)| Detection { label, confidence }),
+                );
+                runs.push((ModelId(model), detections.len() as u32));
+            }
+            ItemTruth {
                 scene_id,
-                outputs: outputs
-                    .into_iter()
-                    .map(|(model, dets)| ModelOutput {
-                        model: ModelId(model),
-                        detections: dets
-                            .into_iter()
-                            .map(|(label, confidence)| Detection { label, confidence })
-                            .collect(),
-                    })
-                    .collect(),
-                valuable,
+                runs: runs.into(),
+                detections: detections.into(),
+                valuable: valuable.into(),
                 total_value,
-                model_value,
-            },
-        )
+                model_value: model_value.into(),
+            }
+        })
 }
 
 fn wild_label_result() -> impl Strategy<Value = LabelResult> {
@@ -312,16 +325,19 @@ fn via_value_tree<T: Serialize + Deserialize>(v: &T) -> T {
 
 /// What a mutated frame may do: decode to *some* frame, or fail as
 /// `Malformed` — and either way ask the allocator for no more than a
-/// fixed multiple of the bytes present (the widest element, a
-/// `ModelOutput`, is 32 bytes in memory for 2 on the wire; the constant
-/// covers the error message).
+/// fixed multiple of the bytes present. The widest element is a run
+/// table entry, 8 bytes in memory for at least 2 on the wire (a model
+/// byte and a count); a detection or a scored label is 8 for at least 5,
+/// a static value 8 for 8, an executed model 1 for 1. Each buffer is
+/// allocated once, after its count is bounded, so 4x holds; the constant
+/// covers the error message.
 fn decode_is_contained<T>(
     bytes: &[u8],
     decode: impl FnOnce(&[u8]) -> Result<T, WireError>,
 ) -> Result<bool, TestCaseError> {
     let (res, allocated) = allocated_by(|| decode(bytes));
     prop_assert!(
-        allocated <= 32 * bytes.len() + 1024,
+        allocated <= 4 * bytes.len() + 1024,
         "decoding {} bytes allocated {allocated}",
         bytes.len()
     );
@@ -495,6 +511,54 @@ fn hostile_count_claims_do_not_allocate() {
     let (res, allocated) = allocated_by(|| decode_server_frame(&labeled));
     assert!(matches!(res, Err(WireError::Malformed(_))), "{res:?}");
     assert!(allocated < 256, "label count claim allocated {allocated}");
+}
+
+/// One `Request` frame per fixture item, with the per-ticket options
+/// varied by position.
+fn fixture_requests() -> Vec<Vec<u8>> {
+    truth()
+        .items()
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            let opts = SubmitOptions {
+                class: i % 3,
+                deadline_us: (i % 2 == 0).then_some(1000 + i as u64),
+                value: (i % 3 == 0).then_some(i as f64 * 0.25),
+            };
+            let mut buf = Vec::new();
+            encode_request(&mut buf, i as u64, item, &opts);
+            buf
+        })
+        .collect()
+}
+
+/// The wire is unchanged: the FNV-1a digest of every fixture request's
+/// bytes, as the per-model layout encoded them before items became flat
+/// buffers.
+#[test]
+fn request_bytes_are_pinned() {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in fixture_requests().iter().flatten() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    assert_eq!(h, 0x6ef5_7248_6d32_923f);
+}
+
+/// Decoding a paper-shape request allocates each of the item's four
+/// buffers once, exactly sized, whatever its detection count (8 to 29
+/// allocations per frame under the per-model layout).
+#[test]
+fn decoding_a_request_allocates_once_per_item_buffer() {
+    for bytes in fixture_requests() {
+        let (frame, allocations) = allocations_by(|| decode_client_frame(&bytes));
+        let Ok(ClientFrame::Request(req)) = frame else {
+            panic!("a fixture request decodes");
+        };
+        assert_eq!(allocations, 4, "item {}", req.item.scene_id);
+        let item = &req.item;
+        assert!(!item.valuable.is_empty() && !item.detections.is_empty());
+    }
 }
 
 fn lossless_server() -> AmsServer {
