@@ -327,7 +327,7 @@ impl ScalarScratch {
 /// This is the pre-batching reference implementation: ~`2 x batch` scalar
 /// network passes per step, with [`learn_step_seed`]'s allocations hoisted
 /// and the shared vectorized Adam.
-/// [`learn_step_batched`](ams::rl::learn_step_batched) computes the same
+/// [`learn_step_batched`] computes the same
 /// update with one batched pass per network; this version lives beside the
 /// hot-path benchmark as the baseline it compares against (and the
 /// equivalence test below holds the batched step to it).
@@ -472,7 +472,7 @@ fn groups(batch: &Members) -> Vec<(Job, usize)> {
 
 /// What choosing the pool's admission order buys on the fixture's stream:
 /// Σ [`list_makespan`] in model-id order ÷ Σ [`batched_makespan`] over
-/// [`fixture_streams`]' batches, on the default pool and latency split.
+/// `fixture_streams`' batches, on the default pool and latency split.
 pub fn pack_gain(setup: &StreamSetup) -> f64 {
     let cfg = ServeConfig::default();
     let (mut id_order_ms, mut packed_ms) = (0u64, 0u64);

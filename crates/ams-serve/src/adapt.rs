@@ -12,26 +12,26 @@
 //!    └────────(SnapshotCell: generation-counted Arc)◀────┘ publish(gen+1)
 //! ```
 //!
-//! * **Taps** — each worker holds an [`AdaptTap`]: a clone of the bounded
-//!   experience channel's sender plus the shared [`SnapshotCell`]. After a
+//! * **Taps** — each worker holds an `AdaptTap`: a clone of the bounded
+//!   experience channel's sender plus the shared `SnapshotCell`. After a
 //!   batch executes, the worker offers each outcome (item + executed model
 //!   sequence) with a non-blocking `try_send`; a full channel *drops* the
 //!   sample and counts it — the serving hot path never waits on learning.
 //! * **Trainer** — one background thread owns an
-//!   [`OnlineTrainer`](ams_rl::OnlineTrainer): it replays each outcome into
+//!   [`ams_rl::OnlineTrainer`]: it replays each outcome into
 //!   transitions, steps the learner, and every
 //!   [`AdaptConfig::swap_every`] learn steps exports the weights as a new
 //!   generation. All randomness flows from [`OnlineConfig::seed`], so a
 //!   paced replay of the same stream reproduces the same weight
 //!   trajectory. Channel disconnect (every worker joined and the server's
 //!   own sender dropped) is the trainer's stop signal.
-//! * **Swap** — [`SnapshotCell::publish`] installs the new
+//! * **Swap** — `SnapshotCell::publish` installs the new
 //!   `Arc<AgentSnapshot>` under a mutex and *then* stores the generation
 //!   counter with `Release`. Workers poll with one `Acquire` load per
-//!   batch ([`SnapshotCell::generation`]) and take the slot lock only on
+//!   batch (`SnapshotCell::generation`) and take the slot lock only on
 //!   a generation change — the steady-state read path is a single atomic
 //!   load, no lock. A pinned
-//!   [`SnapshotPredictor`](ams_core::SnapshotPredictor) keeps every
+//!   [`ams_core::SnapshotPredictor`] keeps every
 //!   predict inside one batch on one coherent weight set; a swap can never
 //!   tear a forward pass.
 //!

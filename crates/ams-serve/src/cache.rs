@@ -13,7 +13,7 @@
 //!   cached labels and a zero virtual-GPU bill. It never routes, never
 //!   queues, never executes.
 //! * **Coalescing** — a submission matching an already *queued or
-//!   in-flight* fingerprint attaches to that request's [`PendingEntry`]
+//!   in-flight* fingerprint attaches to that request's `PendingEntry`
 //!   as a *follower*: one leader executes, and when it resolves the
 //!   result fans out to every follower's completion slot. Exactly-once
 //!   per ticket still holds — each follower's slot resolves through the
@@ -566,7 +566,7 @@ impl LabelCache {
 pub(crate) type CacheLedger = Mutex<Ledger>;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::completion::{CancelLedger, CompletionQueue, Ticket};
 
@@ -600,7 +600,7 @@ mod tests {
     }
 
     /// Look `key` up as its first sighting: the caller leads the entry.
-    fn lead(cache: &Arc<LabelCache>, key: u64) -> Arc<PendingEntry> {
+    pub(crate) fn lead(cache: &Arc<LabelCache>, key: u64) -> Arc<PendingEntry> {
         match cache.lookup(key, follower()) {
             Lookup::Miss(entry) => entry,
             _ => panic!("first sighting must be a miss"),
@@ -608,7 +608,12 @@ mod tests {
     }
 
     /// Look `key` up again as ticket `id` on `cq`: it coalesces onto the leader.
-    fn coalesce(cache: &Arc<LabelCache>, key: u64, cq: &Arc<CompletionQueue>, id: u64) -> Ticket {
+    pub(crate) fn coalesce(
+        cache: &Arc<LabelCache>,
+        key: u64,
+        cq: &Arc<CompletionQueue>,
+        id: u64,
+    ) -> Ticket {
         let (slot, ticket) = slotted(cq, id);
         let follower = Follower { slot, ..follower() };
         assert!(matches!(cache.lookup(key, follower), Lookup::Coalesced));

@@ -16,15 +16,13 @@
 //!   (value-per-byte × recency) under a bounded byte budget.
 //! * [`queue`] — bounded per-shard admission queues with selectable
 //!   backpressure (block / reject / shed-oldest); queued entries carry
-//!   their ticket's completion slot so eviction notifies its victims. `queue/core.rs` decides (admission,
-//!   eviction, EDF and batch assembly as pure functions of the queue's
-//!   state and a `now` it is handed) and prices a shard's wait: `Load`,
-//!   the service-time and pool signals the workers published, with the
-//!   drain hint, the spill router's queue wait, eviction's doom horizon
-//!   and SLO admission as its methods. The [`ShardQueue`] shell in
-//!   `queue/mod.rs` holds those signals, locks, reads the clock once per
-//!   lock hold, and settles each decision's event and ledger entry under
-//!   that lock.
+//!   their ticket's completion slot so eviction notifies its victims.
+//!   `ams_sim::shard::QueueCore` decides (admission, eviction, EDF and
+//!   batch assembly as pure functions of the queue's state and a `now_us`
+//!   it is handed) and `ams_sim::shard::Load` prices a shard's wait. The
+//!   [`ShardQueue`] shell holds the published signals, locks, reads the
+//!   clock once per lock hold, sheds an evicted victim, and settles each
+//!   decision's event and ledger entry under that lock.
 //! * [`router`] — request routing: scene-id hash, or *model-affinity*
 //!   routing that steers requests with matching predicted model sets onto
 //!   the same shard (bigger same-model batches) with a least-loaded spill
@@ -34,7 +32,7 @@
 //!   [`AdaptiveModelScheduler`](ams_core::framework::AdaptiveModelScheduler),
 //!   deadline-aware load shedding, batched admission into each worker's
 //!   `ams-sim` virtual GPU pool (planned and paced in µs by the clock-free
-//!   `WorkerCore`; the worker shell reads the clock), optional **SLO-aware
+//!   `ams_sim::shard::WorkerCore`; the worker shell reads the clock), optional **SLO-aware
 //!   admission and shedding** (per-request deadline + value classes,
 //!   predicted-wait admission control, value-weighted overflow eviction,
 //!   EDF dequeue, per-class ledgers), and graceful drain on shutdown.

@@ -25,7 +25,7 @@
 //!   [`Completion`]'s ticket field is rewritten to the request id), so
 //!   responses arrive in completion order, not submission order.
 //! * **Flow control** — the connection's `Hello { window }` sizes a
-//!   server-side per-connection [`Client`](crate::Client) completion
+//!   server-side per-connection [`crate::Client`] completion
 //!   window. When the window is full the connection's reader thread
 //!   blocks in `submit_with` and **stops reading the socket**; TCP
 //!   backpressure propagates the stall to the remote client, exactly

@@ -1,14 +1,15 @@
 //! Bounded per-shard admission queues with selectable backpressure.
 //!
 //! Each shard owns one [`ShardQueue`]: a mutex around the queue's pure
-//! decision core (`core.rs` — admission, eviction and batch assembly as
-//! functions of *(state, now)*) plus two condvars (producers wait on
-//! `not_full` under the [`BackpressurePolicy::Block`] policy, workers wait
-//! on `not_empty`). The shell takes the lock, reads the clock
-//! once per lock hold, asks the core, and settles what it decided (event,
-//! then ledger entry) before letting the lock go. The queue is the *only*
-//! synchronization point between producers and a shard's workers, and it
-//! is held only for push/pop bookkeeping — never across labeling work.
+//! decision core (`ams_sim::shard::QueueCore` — admission, eviction and
+//! batch assembly as functions of *(state, now_us)*) plus two condvars
+//! (producers wait on `not_full` under the [`BackpressurePolicy::Block`]
+//! policy, workers wait on `not_empty`). The shell takes the lock, reads
+//! the clock once per lock hold, asks the core, and settles what it
+//! decided (event, then ledger entry) before letting the lock go. The
+//! queue is the *only* synchronization point between producers and a
+//! shard's workers, and it is held only for push/pop bookkeeping — never
+//! across labeling work.
 //!
 //! Queued requests carry their ticket's [`CompletionSlot`], so every
 //! in-queue loss path — overflow eviction, the incoming-doomed shed, and
@@ -17,46 +18,18 @@
 //! *tombstone* (its slot already resolved); tombstones are purged for free
 //! when the queue needs a slot and skipped by the workers otherwise.
 
-mod core;
-
-pub(crate) use self::core::Load;
-use self::core::{Offer, QueueCore};
 use crate::cache::PendingEntry;
 use crate::completion::{CompletionSlot, ShedReason};
 use crate::ledger::Ledger;
 use crate::obs::{Event, EventKind, ServerObs, NO_SHARD, NO_TICKET};
 use crate::telemetry::micros;
 use ams_data::ItemTruth;
+pub use ams_sim::shard::BackpressurePolicy;
+pub(crate) use ams_sim::shard::Load;
+use ams_sim::shard::{Header, Offer, QueueCore, Queued};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// What a full queue does to the *next* submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackpressurePolicy {
-    /// Block the producer until a worker frees a slot (lossless; pushes
-    /// the queueing upstream — the paper's batch-ingestion shape).
-    #[default]
-    Block,
-    /// Refuse the new request immediately (lossy at the edge; the caller
-    /// sees the rejection and can retry elsewhere).
-    Reject,
-    /// Admit the new request and shed the *oldest* queued one (lossy in
-    /// the queue; freshest-first, the surveillance-feed shape where a
-    /// stale frame is worth less than a current one).
-    ShedOldest,
-}
-
-impl BackpressurePolicy {
-    /// Stable lowercase name for reports and JSON records.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BackpressurePolicy::Block => "block",
-            BackpressurePolicy::Reject => "reject",
-            BackpressurePolicy::ShedOldest => "shed-oldest",
-        }
-    }
-}
 
 /// Outcome of one submission, carrying the issued [`Ticket`](crate::Ticket)
 /// when submitted through a [`Client`](crate::Client) (`T = Ticket`), or
@@ -172,12 +145,13 @@ pub struct Request {
     /// classes). Value-weighted shedding evicts the worst
     /// value-per-remaining-deadline first.
     pub value: f64,
-    /// Relative deadline budget from `enqueued_at`, µs (`None` =
+    /// Relative deadline budget from `enqueued_us`, µs (`None` =
     /// unbounded). A request whose queue age reaches this is shed at
     /// dequeue instead of executed.
     pub deadline_us: Option<u64>,
-    /// When the request entered the queue (queue-wait clock starts here).
-    pub enqueued_at: Instant,
+    /// When the request took its queue slot, µs after its shard queue's
+    /// epoch (0 until then): the queue-wait clock starts here.
+    pub enqueued_us: u64,
     /// The submitting client's completion slot (always set by the server;
     /// `None` only for a ticketless request pushed into a bare queue).
     completion: Option<Arc<CompletionSlot>>,
@@ -201,7 +175,7 @@ impl Request {
             class: 0,
             value: 1.0,
             deadline_us: None,
-            enqueued_at: Instant::now(),
+            enqueued_us: 0,
             completion: None,
             cache: None,
             req_id: u64::MAX,
@@ -271,31 +245,38 @@ impl Request {
         }
     }
 
-    /// Whether the request was cancelled (or otherwise resolved) while
-    /// still queued — a dead entry the queue can drop for free. A
-    /// cancelled request still *leading* a coalescing entry is **not** a
-    /// tombstone: followers wait on it, so it must reach a worker (which
-    /// either executes it for them or abandons the entry).
+    /// Remaining deadline budget at `now_us` µs after the queue's epoch
+    /// (`None` = unbounded; `Some(0)` = already expired).
+    pub fn remaining_us(&self, now_us: u64) -> Option<u64> {
+        self.header().remaining_us(now_us)
+    }
+
+    /// Whether the deadline budget is exhausted at `now_us`.
+    pub fn expired(&self, now_us: u64) -> bool {
+        self.remaining_us(now_us) == Some(0)
+    }
+}
+
+impl Queued for Request {
+    fn header(&self) -> Header {
+        Header {
+            signature: self.signature,
+            value: self.value,
+            deadline_us: self.deadline_us,
+            enqueued_us: self.enqueued_us,
+        }
+    }
+
+    fn stamp(&mut self, enqueued_us: u64) {
+        self.enqueued_us = enqueued_us;
+    }
+
+    /// Cancelled (or otherwise resolved) while still queued. A cancelled
+    /// request still *leading* a coalescing entry is **not** a tombstone:
+    /// followers wait on it, so it must reach a worker (which either
+    /// executes it for them or abandons the entry).
     fn is_tombstone(&self) -> bool {
         self.completion.as_ref().is_some_and(|s| s.is_resolved()) && self.cache.is_none()
-    }
-
-    /// Remaining deadline budget at `now`, µs (`None` = unbounded;
-    /// `Some(0)` = already expired).
-    pub fn remaining_us(&self, now: Instant) -> Option<u64> {
-        self.deadline_us
-            .map(|d| d.saturating_sub(micros(now.saturating_duration_since(self.enqueued_at))))
-    }
-
-    /// Whether the deadline budget is exhausted at `now`.
-    pub fn expired(&self, now: Instant) -> bool {
-        self.remaining_us(now) == Some(0)
-    }
-
-    /// Absolute deadline instant (`None` = unbounded), the EDF sort key.
-    fn deadline_at(&self) -> Option<Instant> {
-        self.deadline_us
-            .map(|d| self.enqueued_at + Duration::from_micros(d))
     }
 }
 
@@ -305,12 +286,13 @@ impl Request {
 /// entry lands under the lock hold that decided it.
 #[derive(Debug)]
 struct Locked {
-    core: QueueCore,
+    core: QueueCore<Request>,
     ledger: Ledger,
 }
 
 /// A bounded MPMC queue for one shard: the lock, the two condvars and the
-/// clock around the decision core (`queue/core.rs`).
+/// clock around the decision core (`ams_sim::shard::QueueCore`), whose
+/// µs run from this queue's epoch.
 #[derive(Debug)]
 pub struct ShardQueue {
     state: Mutex<Locked>,
@@ -328,7 +310,8 @@ pub struct ShardQueue {
     /// shortest of them is the pool wait still ahead of a request popped
     /// now.
     pool_ends_us: Box<[AtomicU64]>,
-    /// The instant the pool ends are measured from.
+    /// The instant every µs of the queue and its workers counts from:
+    /// stamps, deadlines, pool ends.
     epoch: Instant,
     /// Observability sink (`shard index`, pipeline handle): the queue
     /// emits a settlement's lifecycle event at the exact point its ledger
@@ -393,21 +376,20 @@ impl ShardQueue {
         });
     }
 
-    /// A worker's batch started after `busy` of busy time on the previous
-    /// batch of `len` requests: fold that span and its amortized
+    /// A worker's batch started after `busy_us` of busy time on the
+    /// previous batch of `len` requests: fold that span and its amortized
     /// per-request time into the published EWMAs (¾ old + ¼ new — smooth
     /// enough that one outlier batch doesn't whipsaw admission, fresh
     /// enough to track load shifts). Racy read-modify-write is fine: any
     /// interleaving stores a plausible smoothed value.
-    pub(crate) fn publish_batch(&self, busy: Duration, len: usize) {
+    pub(crate) fn publish_batch(&self, busy_us: u64, len: usize) {
         let ewma = |signal: &AtomicU64, obs: u64| {
             let old = signal.load(Ordering::Relaxed);
             let next = (if old == 0 { obs } else { (old * 3 + obs) / 4 }).max(1);
             signal.store(next, Ordering::Relaxed);
         };
-        let span = micros(busy);
-        ewma(&self.exec_span_us, span);
-        ewma(&self.amortized_us, span / len.max(1) as u64);
+        ewma(&self.exec_span_us, busy_us);
+        ewma(&self.amortized_us, busy_us / len.max(1) as u64);
     }
 
     /// Publish when the pool of the queue's `worker`-th worker (of those
@@ -420,19 +402,18 @@ impl ShardQueue {
         }
     }
 
-    /// `at` as µs after the queue's epoch: the one clock of pool ends and
-    /// of its workers' pool plans.
+    /// `at` as µs after the queue's epoch: the one clock of the queue's
+    /// decisions and of its workers.
     pub(crate) fn us_since_epoch(&self, at: Instant) -> u64 {
         micros(at.saturating_duration_since(self.epoch))
     }
 
-    /// The shard's wait at `now`, each published signal read once. The
+    /// The shard's wait at `now_us`, each published signal read once. The
     /// pool wait is the time left until the *soonest* published pool end
     /// — the worker that frees first takes the next batch: 0 when any
     /// pool has drained, or none ever published (every pool at
     /// `exec_emulation_scale` 0).
-    pub(crate) fn load(&self, now: Instant) -> Load {
-        let now_us = self.us_since_epoch(now);
+    pub(crate) fn load(&self, now_us: u64) -> Load {
         let ends = self.pool_ends_us.iter().map(|e| e.load(Ordering::Relaxed));
         Load {
             amortized_us: self.amortized_us.load(Ordering::Relaxed),
@@ -472,7 +453,7 @@ impl ShardQueue {
     /// already-cancelled tombstones. The price never reads the pool wait,
     /// so the load is read at the epoch: no clock read.
     pub fn estimated_wait_us(&self) -> u64 {
-        self.load(self.epoch).queue_wait_us(self.live_len())
+        self.load(0).queue_wait_us(self.live_len())
     }
 
     /// The queue's ledger so far: what it enqueued and what it shed on
@@ -484,30 +465,40 @@ impl ShardQueue {
     /// One consistent admission snapshot — `(depth, ahead)` — under a
     /// single lock acquisition: the queued requests that still want
     /// service, and the subset an EDF dequeue would serve *ahead of* a
-    /// request due at `deadline_at`. Tombstones count toward neither —
+    /// request due `due_us` after the queue's epoch. Tombstones count toward neither —
     /// pricing them would shed fresh requests against dead backlog.
     /// Admission control prices an EDF queue with `ahead` (an urgent
     /// request doesn't wait behind lax work it will overtake) and checks
     /// fullness against `depth` from the *same* snapshot.
-    pub fn queued_ahead(&self, deadline_at: Instant) -> (usize, usize) {
+    pub fn queued_ahead(&self, due_us: u64) -> (usize, usize) {
         let st = self.state.lock().expect("shard queue");
-        st.core.snapshot(deadline_at)
+        st.core.snapshot(due_us)
     }
 
     /// Submit one request under the queue's backpressure policy. The
-    /// request's `enqueued_at` is stamped when it actually takes a slot
+    /// request's `enqueued_us` is stamped when it actually takes a slot
     /// (after any [`BackpressurePolicy::Block`] wait), so the queue-wait
     /// clock never charges producer-side blocking.
     pub fn push(&self, mut req: Request) -> SubmitOutcome {
         let mut st = self.state.lock().expect("shard queue");
         loop {
             // The one clock read of this lock hold: every decision below
-            // and the `enqueued_at` stamp see the same instant. A `Block`
+            // and the `enqueued_us` stamp see the same instant. A `Block`
             // wait gives the lock up, so the next round reads it afresh.
-            let now = Instant::now();
+            let now_us = self.us_since_epoch(Instant::now());
             let Locked { core, ledger } = &mut *st;
-            match core.offer(req, now, self.load(now)) {
+            match core.offer(req, now_us, self.load(now_us)) {
                 Offer::Enqueued { evicted } => {
+                    // An evicted coalescing leader takes its followers with
+                    // it, each shed through its own slot CAS. This runs for
+                    // an already-cancelled victim too: eviction removes the
+                    // entry's only path to a worker, so its followers must
+                    // not wait forever. A victim whose own CAS is lost to a
+                    // cancellation already had its event: a free purge.
+                    let evicted = evicted.filter(|victim| {
+                        victim.fail_cache(ShedReason::Overflow);
+                        victim.resolve_or_own(|slot| slot.try_shed(ShedReason::Overflow))
+                    });
                     if let Some(victim) = &evicted {
                         self.settle(ledger, EventKind::ShedOverflow, victim);
                     }

@@ -183,7 +183,7 @@ impl Router {
     /// pricing, and (when `with_content` is set) the content-addressed
     /// result cache all key off this single top-k scan. The scan width
     /// follows the routing mode (`top_k` under affinity, the fixed
-    /// [`VALUE_SCAN_TOP_K`] under hash), and a hash-mode router that opted
+    /// `VALUE_SCAN_TOP_K` under hash), and a hash-mode router that opted
     /// out of the value scan skips it entirely — the no-SLO, no-cache
     /// submission path pays exactly what it paid before. The content hash
     /// is only computed when a cache will consume it.
@@ -377,7 +377,6 @@ mod tests {
     use ams_data::{Dataset, DatasetProfile, TruthTable};
     use ams_models::ModelZoo;
     use std::sync::Arc;
-    use std::time::Duration;
 
     fn scheduler() -> AdaptiveModelScheduler {
         let zoo = ModelZoo::standard();
@@ -564,7 +563,7 @@ mod tests {
         for _ in 0..3 {
             qs[home].push(crate::queue::Request::new(Arc::clone(&item), 0));
         }
-        qs[home].publish_batch(Duration::from_micros(500_000), 1);
+        qs[home].publish_batch(500_000, 1);
         // Deadline-less: still the affinity home (load is fine).
         assert_eq!(route_via(&r, &s, &item, &qs, None).shard, home);
         // A 100 ms deadline cannot survive a 1.5 s wait: spill to the
@@ -607,9 +606,9 @@ mod tests {
             qs[fast].push(crate::queue::Request::new(Arc::clone(&item), 0));
         }
         qs[slow].push(crate::queue::Request::new(Arc::clone(&item), 0));
-        qs[home].publish_batch(Duration::from_micros(500_000), 1); // 2.0 s estimated
-        qs[fast].publish_batch(Duration::from_micros(10_000), 1); //  30 ms estimated
-        qs[slow].publish_batch(Duration::from_micros(900_000), 1); // 0.9 s estimated
+        qs[home].publish_batch(500_000, 1); // 2.0 s estimated
+        qs[fast].publish_batch(10_000, 1); //  30 ms estimated
+        qs[slow].publish_batch(900_000, 1); // 0.9 s estimated
         let route = route_via(&r, &s, &item, &qs, Some(1_000));
         assert_eq!(
             route.shard, fast,

@@ -66,7 +66,6 @@ use ams_data::ItemTruth;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 use worker::{worker_loop, WorkerLocal};
 
 /// Shared server state (queues + router + scheduler), behind one `Arc`.
@@ -124,14 +123,15 @@ impl Shared {
     /// One racy-but-consistent gauge sample per shard: the live queue
     /// depth, the published drain hint, and the queue wait
     /// [`ShardQueue::estimated_wait_us`] prices spill routing with.
+    /// Neither price reads the pool wait, so each load is read at the
+    /// epoch: no clock read.
     fn shard_samples(&self) -> Vec<ShardSample> {
-        let now = Instant::now();
         self.queues
             .iter()
             .map(|q| {
                 // One read of each input, priced here, so a pop or a first
                 // published hint cannot split the sample.
-                let (depth, load) = (q.live_len(), q.load(now));
+                let (depth, load) = (q.live_len(), q.load(0));
                 ShardSample {
                     depth: depth as u64,
                     service_hint_us: load.hint_us(),

@@ -417,9 +417,10 @@ fn admission_wait(
         return None;
     }
     let queue = &shared.queues[shard];
-    let snapshot = queue.queued_ahead(now + Duration::from_micros(deadline));
+    let now_us = queue.us_since_epoch(now);
+    let snapshot = queue.queued_ahead(now_us.saturating_add(deadline));
     queue
-        .load(now)
+        .load(now_us)
         .doomed_at_admission(snapshot, queue.capacity(), deadline)
 }
 

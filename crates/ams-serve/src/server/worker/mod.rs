@@ -3,12 +3,11 @@
 //! earlier members are delivered as their own models finish, until the
 //! shard queue closes and drains. Also the accumulators a worker hands
 //! back at join. This shell reads the clock and does the side effects;
-//! every rule over time or the pool plan is the clock-free [`WorkerCore`].
+//! every rule over time or the pool plan is the clock-free [`WorkerCore`],
+//! in µs after the shard queue's epoch.
 
 mod core;
 
-pub use self::core::LOOK_AHEAD_BATCHES;
-use self::core::{Gate, WorkerCore};
 use super::Shared;
 use crate::adapt::WorkerAdapt;
 use crate::cache::CachedResult;
@@ -16,9 +15,11 @@ use crate::completion::{LabelResult, ShedReason};
 use crate::ledger::Ledger;
 use crate::obs::{Event, EventKind};
 use crate::queue::{Request, ShardQueue};
-use crate::telemetry::{micros, LatencyHistogram};
+use crate::telemetry::LatencyHistogram;
 use ams_core::framework::LabelingOutcome;
 use ams_core::streaming::StreamStats;
+pub use ams_sim::shard::LOOK_AHEAD_BATCHES;
+use ams_sim::shard::{Gate, WorkerCore};
 use ams_sim::Job;
 use std::time::{Duration, Instant};
 
@@ -65,11 +66,12 @@ impl WorkerLocal {
     }
 }
 
-/// A batch member that reached execution, and when its batch was popped:
-/// its queue wait ends and its execute span starts there.
+/// A batch member that reached execution, and when its batch was popped
+/// (µs after the queue's epoch): its queue wait ends and its execute span
+/// starts there.
 struct Survivor {
     req: Request,
-    popped: Instant,
+    popped_us: u64,
     /// A leader whose own ticket already resolved (cancelled) but whose
     /// pending cache entry still has live followers. The ghost is labeled
     /// and billed like any survivor — the followers' completions need the
@@ -108,7 +110,7 @@ pub(super) fn worker_loop(
     index: usize,
     adapt: Option<WorkerAdapt>,
 ) -> WorkerLocal {
-    let specs = shared.scheduler.zoo().specs();
+    let (cfg, specs) = (&shared.cfg, shared.scheduler.zoo().specs());
     let jobs = specs.iter().enumerate().map(|(id, spec)| Job {
         id,
         time_ms: spec.time_ms,
@@ -123,23 +125,30 @@ pub(super) fn worker_loop(
         queue: &shared.queues[shard], // ams-lint: allow(no-panic) shard < queues.len() — workers are spawned one per existing shard
         adapt,
         local: WorkerLocal::new(specs.len()),
-        core: WorkerCore::new(&shared.cfg, jobs),
+        core: WorkerCore::new(
+            cfg.exec_emulation_scale,
+            cfg.max_batch,
+            cfg.workers_per_shard,
+            cfg.batch_model,
+            cfg.pool_mb,
+            jobs,
+        ),
     };
     loop {
-        let Some((batch, popped)) = w.pace() else {
+        let Some((batch, popped_us)) = w.pace() else {
             // Commit what has not started yet: the busy time is the union
             // of committed groups.
             w.local.virtual_exec_ms = w.core.finish();
             return w.local;
         };
         // Every member's queue wait and expiry is judged at the pop.
-        let survivors = w.claim(batch, popped);
+        let survivors = w.claim(batch, popped_us);
         if survivors.is_empty() {
             // The whole round was shed: no batch executed, nothing to
             // observe or charge.
             continue;
         }
-        w.batch_started(popped, survivors.len());
+        w.batch_started(popped_us, survivors.len());
         let outcomes = w.label(&survivors);
         w.batch_admit(survivors, outcomes);
     }
@@ -164,15 +173,14 @@ impl Worker<'_> {
     /// read is blocked (not busy) time. Delivery work is neither, so the
     /// clock is read again after it. `None` once the queue is closed and
     /// drained and nothing is in flight.
-    fn pace(&mut self) -> Option<(Vec<Request>, Instant)> {
+    fn pace(&mut self) -> Option<(Vec<Request>, u64)> {
         let mut waited_from = None;
         loop {
-            let now = Instant::now();
-            let now_us = self.queue.us_since_epoch(now);
+            let now_us = self.queue.us_since_epoch(Instant::now());
             if let Some(from) = waited_from.take() {
                 self.core.blocked(now_us.saturating_sub(from));
             }
-            if self.deliver_due(now, now_us) {
+            if self.deliver_due(now_us) {
                 continue;
             }
             let (gate, until_us) = self.core.pace(now_us, self.queue.live_len());
@@ -185,7 +193,7 @@ impl Worker<'_> {
                 Gate::PopAny => None,
             };
             match self.queue.pop_or_wait(self.shared.cfg.max_batch, until_us) {
-                Some(batch) if !batch.is_empty() => return Some((batch, now)),
+                Some(batch) if !batch.is_empty() => return Some((batch, now_us)),
                 // Closed and drained, with nothing in flight.
                 Some(_) if gate == Gate::PopAny => return None,
                 Some(_) => {}
@@ -209,17 +217,17 @@ impl Worker<'_> {
     /// enqueue and this point is skipped without ledgering anything — the
     /// cancellation already delivered its terminal event and recorded
     /// itself.
-    fn claim(&mut self, batch: Vec<Request>, popped: Instant) -> Vec<Survivor> {
+    fn claim(&mut self, batch: Vec<Request>, popped_us: u64) -> Vec<Survivor> {
         let mut survivors = Vec::with_capacity(batch.len());
         for req in batch {
-            if req.expired(popped) {
-                let wait = popped.saturating_duration_since(req.enqueued_at);
+            if req.expired(popped_us) {
+                let wait_us = popped_us.saturating_sub(req.enqueued_us);
                 // An expired leader takes its coalesced followers down
                 // with it, whoever owns the leader's own shed event.
                 req.fail_cache(ShedReason::Deadline);
                 if req.resolve_or_own(|slot| slot.try_shed(ShedReason::Deadline)) {
                     let shed = req.event(EventKind::ShedDeadline, self.shard as u32);
-                    self.settle(shed.detail(micros(wait)), req.value);
+                    self.settle(shed.detail(wait_us), req.value);
                 }
             } else {
                 // A cancelled leader with waiters is promoted to ghost —
@@ -228,22 +236,25 @@ impl Worker<'_> {
                 // submission of the same content.
                 let ghost = !req.resolve_or_own(|slot| slot.try_claim());
                 if !ghost || req.cache_entry().is_some_and(|e| e.wanted_or_abandon()) {
-                    survivors.push(Survivor { req, popped, ghost });
+                    survivors.push(Survivor {
+                        req,
+                        popped_us,
+                        ghost,
+                    });
                 }
             }
         }
         survivors
     }
 
-    /// A batch of `len` starts executing at `at`: publish the busy span
+    /// A batch of `len` starts executing at `at_us`: publish the busy span
     /// since the previous batch start to the shard queue, whose service-time
     /// EWMAs every wait price — admission, eviction's doom horizon, spill
     /// routing — reads, so the policies agree on what a queued request's
     /// wait looks like.
-    fn batch_started(&mut self, at: Instant, len: usize) {
-        let at_us = self.queue.us_since_epoch(at);
+    fn batch_started(&mut self, at_us: u64, len: usize) {
         let busy = self.core.batch_started(at_us, len).map(|(busy_us, n)| {
-            self.queue.publish_batch(Duration::from_micros(busy_us), n);
+            self.queue.publish_batch(busy_us, n);
             busy_us
         });
         let shard = self.shard;
@@ -293,11 +304,11 @@ impl Worker<'_> {
         self.queue.set_pool_end(worker, self.core.end_us());
     }
 
-    /// Deliver every staged member due at `now`: resolve each one (cache
+    /// Deliver every staged member due at `now_us`: resolve each one (cache
     /// fan-out, ledgers, events, the ticket's own `Labeled` completion),
-    /// charged its own execute span — its batch's pop to `now` — on top of
-    /// its queue wait. Returns whether any was delivered.
-    fn deliver_due(&mut self, now: Instant, now_us: u64) -> bool {
+    /// charged its own execute span — its batch's pop to `now_us` — on top
+    /// of its queue wait. Returns whether any was delivered.
+    fn deliver_due(&mut self, now_us: u64) -> bool {
         let due = self.core.take_due(now_us);
         if due.is_empty() {
             return false;
@@ -305,15 +316,15 @@ impl Worker<'_> {
         let shard = self.shard;
         self.shared.observe(|obs| obs.delivered(shard, due.len()));
         for (s, outcome) in due {
-            let exec = now.saturating_duration_since(s.popped);
-            self.deliver(s, outcome, exec);
+            let exec_us = now_us.saturating_sub(s.popped_us);
+            self.deliver(s, outcome, exec_us);
         }
         true
     }
 
     /// Resolve one member: the trainer's tap, the cache fan-out, then its
     /// own completion (a ghost has none).
-    fn deliver(&mut self, s: Survivor, outcome: LabelingOutcome, exec: Duration) {
+    fn deliver(&mut self, s: Survivor, outcome: LabelingOutcome, exec_us: u64) {
         let shared = self.shared;
         // Feed the trainer (non-blocking; a full channel drops and
         // counts). Ghosts included — their executions were real.
@@ -340,26 +351,26 @@ impl Worker<'_> {
             // the batch's), but its own ticket already resolved as
             // cancelled — nothing to complete, record, or deliver.
             let ghost = s.req.event(EventKind::GhostExecuted, self.shard as u32);
-            self.emit(ghost.detail(micros(exec)));
+            self.emit(ghost.detail(exec_us));
             return;
         }
-        self.complete(&s, outcome, exec);
+        self.complete(&s, outcome, exec_us);
     }
 
     /// Ledger, announce and deliver one labeled request.
-    fn complete(&mut self, s: &Survivor, outcome: LabelingOutcome, exec: Duration) {
+    fn complete(&mut self, s: &Survivor, outcome: LabelingOutcome, exec_us: u64) {
         let req = &s.req;
-        let wait = s.popped.saturating_duration_since(req.enqueued_at);
-        let total = wait + exec;
-        let met = req.deadline_us.is_none_or(|d| micros(total) <= d);
+        let wait_us = s.popped_us.saturating_sub(req.enqueued_us);
+        let total_us = wait_us.saturating_add(exec_us);
+        let met = req.deadline_us.is_none_or(|d| total_us <= d);
         let shard = self.shard as u32;
-        self.emit(req.event(EventKind::Executed, shard).detail(micros(exec)));
+        self.emit(req.event(EventKind::Executed, shard).detail(exec_us));
         let labeled = req.event(EventKind::Labeled, shard);
-        self.settle(labeled.detail(micros(total)).flag(!met), req.value);
+        self.settle(labeled.detail(total_us).flag(!met), req.value);
         let local = &mut self.local;
         local.stats.absorb(&outcome);
-        local.queue_wait.record(wait);
-        local.execute.record(exec);
+        local.queue_wait.record_us(wait_us);
+        local.execute.record_us(exec_us);
         // Per-request delivery: the claimed slot receives the request's
         // *own* labels and latency split — the payload the aggregate-only
         // path folds into `ServeReport::stats`.
@@ -372,8 +383,8 @@ impl Worker<'_> {
                 label_value: outcome.value,
                 banked_value: req.value,
                 recall: outcome.recall,
-                queue_wait_us: micros(wait),
-                execute_us: micros(exec),
+                queue_wait_us: wait_us,
+                execute_us: exec_us,
                 deadline_met: met,
             });
         }

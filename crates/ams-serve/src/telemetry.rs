@@ -117,11 +117,6 @@ impl LatencyHistogram {
         self.max_us = self.max_us.max(us);
     }
 
-    /// Record a [`std::time::Duration`].
-    pub fn record(&mut self, d: std::time::Duration) {
-        self.record_us(micros(d));
-    }
-
     /// Number of recorded latencies.
     pub fn count(&self) -> u64 {
         self.count

@@ -19,9 +19,14 @@
 //!   pool ([`PoolTimeline`]), where a later batch joins a model's
 //!   invocation that has not started yet.
 //! * [`trace`] — execution traces and their invariants.
+//! * [`shard`] — a serving shard's time rules: its queue's admission,
+//!   eviction and dequeue decisions and its worker's pool pacing, in µs
+//!   after the shard queue's epoch.
 //!
 //! The crate is deliberately generic: a job is just `(id, time, memory)`.
-//! `ams-core` maps models onto jobs.
+//! `ams-core` maps models onto jobs. It is pure: time is always an
+//! argument, and `clippy.toml` bans every clock, lock, condvar, atomic,
+//! channel, spawn and sleep, so `clippy -D warnings` enforces it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +35,7 @@
 pub mod batch;
 pub mod parallel;
 pub mod serial;
+pub mod shard;
 pub mod trace;
 
 pub use batch::{

@@ -1,44 +1,83 @@
 //! The queue's decisions as a plain value: what is pending, whether a
 //! request may take a slot, who is evicted for whom, and which requests
-//! form the next batch. Nothing here locks, waits, reads a clock or reports to the
-//! observability pipeline — time is the `now` a call receives — so every
-//! timing rule is tested with literal microseconds. The
-//! [`ShardQueue`](super::ShardQueue) shell owns the lock and the clock and
-//! settles (event + ledger entry) what the core decided.
+//! form the next batch. Time is the `now_us` a call receives, so every
+//! timing rule is tested with literal microseconds. The serving layer's
+//! shard queue owns the lock and the clock and settles what the core
+//! decided: it resolves an evicted request's completion and cache entry,
+//! then emits its event and ledger entry.
 
-use super::{BackpressurePolicy, Request};
-use crate::completion::ShedReason;
+use super::BackpressurePolicy;
 use std::cmp::{Ordering, Reverse};
 use std::collections::VecDeque;
-use std::time::Instant;
+
+/// What the queue's rules read of a queued request.
+#[derive(Debug, Clone, Copy)]
+pub struct Header {
+    /// Affinity signature (0 under hash routing): batch assembly groups
+    /// equal ones first.
+    pub signature: u64,
+    /// Class-weighted predicted value, which value-weighted eviction
+    /// weighs against the remaining deadline.
+    pub value: f64,
+    /// Relative deadline budget from `enqueued_us`, µs (`None` =
+    /// unbounded).
+    pub deadline_us: Option<u64>,
+    /// When the request took its slot, µs after the epoch.
+    pub enqueued_us: u64,
+}
+
+impl Header {
+    /// Remaining deadline budget at `now_us`, µs (`None` = unbounded;
+    /// `Some(0)` = already expired).
+    pub fn remaining_us(&self, now_us: u64) -> Option<u64> {
+        let age_us = now_us.saturating_sub(self.enqueued_us);
+        self.deadline_us.map(|d| d.saturating_sub(age_us))
+    }
+
+    /// Absolute deadline, µs after the epoch (`None` = unbounded): the
+    /// EDF sort key.
+    pub fn due_us(&self) -> Option<u64> {
+        self.deadline_us.map(|d| self.enqueued_us.saturating_add(d))
+    }
+}
+
+/// A request as the queue sees it: its [`Header`] and whether it is a
+/// tombstone.
+pub trait Queued {
+    /// The request's header as it stands.
+    fn header(&self) -> Header;
+    /// Set [`Header::enqueued_us`]. Only [`QueueCore::offer`] calls it.
+    fn stamp(&mut self, enqueued_us: u64);
+    /// Whether the request was resolved while queued and wants no
+    /// service: a dead entry the queue drops for free.
+    fn is_tombstone(&self) -> bool;
+}
 
 /// A shard's wait as its workers last published it, read once by the
-/// [`ShardQueue`](super::ShardQueue) shell at its `now`, and every price of
-/// that wait: the drain hint, the queue wait spill routing prices, the
-/// doom horizon of value-weighted eviction and SLO admission. A plain
-/// value — it holds what was published, so nothing here reads the signals
-/// themselves.
+/// shard queue at its `now_us`, and every price of that wait: the drain
+/// hint, the queue wait spill routing prices, the doom horizon of
+/// value-weighted eviction and SLO admission.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Load {
+pub struct Load {
     /// Amortized per-request service time, µs: an EWMA of each batch's
     /// busy span ÷ its size. 0 until the shard starts its second batch —
     /// no evidence, so every price below admits and dooms nothing.
-    pub(crate) amortized_us: u64,
+    pub amortized_us: u64,
     /// EWMA of a whole batch's busy span, µs: what one more batch costs
     /// end to end.
-    pub(crate) exec_span_us: u64,
+    pub exec_span_us: u64,
     /// The pool wait ahead of a request popped now, µs (0 without
     /// emulation, where the pool has always drained).
-    pub(crate) pool_wait_us: u64,
+    pub pool_wait_us: u64,
     /// Workers sharing the queue (≥ 1).
-    pub(crate) workers: usize,
+    pub workers: usize,
 }
 
 impl Load {
     /// The queue's per-request drain time, µs: the amortized service time
     /// ÷ the workers sharing the queue, at least 1 once there is evidence
     /// (0 = unknown).
-    pub(crate) fn hint_us(&self) -> u64 {
+    pub fn hint_us(&self) -> u64 {
         if self.amortized_us == 0 {
             return 0;
         }
@@ -47,14 +86,14 @@ impl Load {
 
     /// The wait behind `depth` queued requests, µs: `depth × hint` — what
     /// the spill router prices a shard with and the gauges export.
-    pub(crate) fn queue_wait_us(&self, depth: usize) -> u64 {
+    pub fn queue_wait_us(&self, depth: usize) -> u64 {
         (depth as u64).saturating_mul(self.hint_us())
     }
 
     /// Value-weighted eviction's doom horizon on a queue `depth` deep, µs:
     /// the typical wait still ahead of a queued request — the drain hint ×
     /// half the depth, plus the pool wait once it is popped.
-    pub(super) fn doom_wait_us(&self, depth: usize) -> u64 {
+    pub fn doom_wait_us(&self, depth: usize) -> u64 {
         self.hint_us()
             .saturating_mul(depth as u64 / 2)
             .saturating_add(self.pool_wait_us)
@@ -83,7 +122,7 @@ impl Load {
     /// A merely-probably-late request on a non-full queue is admitted: EDF
     /// dequeue may still save it, and shedding at the margin would throw
     /// away value on a coin flip.
-    pub(crate) fn doomed_at_admission(
+    pub fn doomed_at_admission(
         &self,
         (depth, ahead): (usize, usize),
         capacity: usize,
@@ -100,29 +139,30 @@ impl Load {
 
 /// What [`QueueCore::offer`] decided about the incoming request.
 #[derive(Debug)]
-pub(crate) enum Offer {
-    /// It took a slot, its `enqueued_at` stamped with the offer's `now`.
-    /// `evicted` is the queued request shed to make room — its slot
-    /// already resolved `Shed(Overflow)`, its coalesced followers failed;
-    /// the caller owes it its event and ledger entry. `None` when there
-    /// was room, or the victim turned out to be a cancellation tombstone
-    /// (a free purge).
-    Enqueued { evicted: Option<Request> },
+pub enum Offer<T> {
+    /// It took a slot, stamped with the offer's `now_us`. `evicted` is the
+    /// queued request removed to make room, which the caller still has to
+    /// shed: a victim a cancellation already resolved is a free purge.
+    /// `None` when there was room.
+    Enqueued {
+        /// The request removed to make room.
+        evicted: Option<T>,
+    },
     /// Not queued: the incoming request is itself the overflow shed. It
-    /// comes back untouched; the caller resolves and ledgers it.
-    ShedIncoming(Request),
+    /// comes back to be resolved and ledgered.
+    ShedIncoming(T),
     /// Not queued: no free slot under `Block`. The caller may wait for
     /// one and offer the request again.
-    Full(Request),
+    Full(T),
     /// Not queued, and dropped: the queue is closed, or full under
     /// `Reject`.
     Refused,
 }
 
 /// One shard queue's pending requests and the rules over them.
-#[derive(Debug, Default)]
-pub(crate) struct QueueCore {
-    pending: VecDeque<Request>,
+#[derive(Debug)]
+pub struct QueueCore<T> {
+    pending: VecDeque<T>,
     closed: bool,
     capacity: usize,
     policy: BackpressurePolicy,
@@ -134,53 +174,59 @@ pub(crate) struct QueueCore {
     edf: bool,
 }
 
-impl QueueCore {
+impl<T: Queued> QueueCore<T> {
     /// A core holding at most `capacity` (≥ 1) pending requests.
-    pub(crate) fn new(
+    pub fn new(
         capacity: usize,
         policy: BackpressurePolicy,
         value_weighted: bool,
         edf: bool,
     ) -> Self {
         Self {
+            pending: VecDeque::new(),
+            closed: false,
             capacity,
             policy,
             value_weighted,
             edf,
-            ..Self::default()
         }
     }
 
     /// Requests physically queued, cancellation tombstones included.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.pending.len()
     }
 
+    /// Whether nothing is queued, tombstones included.
+    pub fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+
     /// Open and empty: nothing to take yet, and more may come.
-    pub(crate) fn is_idle(&self) -> bool {
+    pub fn is_idle(&self) -> bool {
         self.pending.is_empty() && !self.closed
     }
 
     /// The most recently queued request.
-    pub(crate) fn newest(&self) -> Option<&Request> {
+    pub fn newest(&self) -> Option<&T> {
         self.pending.back()
     }
 
     /// Queued requests that still want service (tombstones excluded).
-    pub(crate) fn live_len(&self) -> usize {
+    pub fn live_len(&self) -> usize {
         self.pending.iter().filter(|r| !r.is_tombstone()).count()
     }
 
     /// `(depth, ahead)`: the queued requests that still want service, and
-    /// the subset whose absolute deadline falls before `deadline_at`.
+    /// the subset whose absolute deadline falls before `due_us`.
     /// Deadline-less requests sort last under EDF and are never `ahead`;
     /// tombstones count toward neither number.
-    pub(crate) fn snapshot(&self, deadline_at: Instant) -> (usize, usize) {
+    pub fn snapshot(&self, due_us: u64) -> (usize, usize) {
         let mut depth = 0usize;
         let mut ahead = 0usize;
         for r in self.pending.iter().filter(|r| !r.is_tombstone()) {
             depth += 1;
-            if r.deadline_at().is_some_and(|d| d < deadline_at) {
+            if r.header().due_us().is_some_and(|d| d < due_us) {
                 ahead += 1;
             }
         }
@@ -188,12 +234,12 @@ impl QueueCore {
     }
 
     /// Refuse every later offer; what is queued stays to be drained.
-    pub(crate) fn close(&mut self) {
+    pub fn close(&mut self) {
         self.closed = true;
     }
 
     /// Close and hand back the whole backlog.
-    pub(crate) fn abort(&mut self) -> Vec<Request> {
+    pub fn abort(&mut self) -> Vec<T> {
         self.closed = true;
         self.pending.drain(..).collect()
     }
@@ -223,11 +269,12 @@ impl QueueCore {
     /// A request without a deadline competes as infinitely lax: it is
     /// never doomed, but any similarly valued request actually racing a
     /// clock outranks it.
-    fn victim_key(r: &Request, now: Instant, doom_wait_us: u64) -> (u8, f64) {
-        match r.remaining_us(now) {
-            Some(remaining) if remaining <= doom_wait_us => (0, r.value),
-            Some(remaining) => (1, r.value / remaining.max(1) as f64),
-            None => (1, r.value / u64::MAX as f64),
+    fn victim_key(r: &T, now_us: u64, doom_wait_us: u64) -> (u8, f64) {
+        let h = r.header();
+        match h.remaining_us(now_us) {
+            Some(remaining) if remaining <= doom_wait_us => (0, h.value),
+            Some(remaining) => (1, h.value / remaining.max(1) as f64),
+            None => (1, h.value / u64::MAX as f64),
         }
     }
 
@@ -238,12 +285,12 @@ impl QueueCore {
     /// horizon.
     ///
     /// [`victim_key`]: QueueCore::victim_key
-    fn overflow_victim(&self, req: &Request, now: Instant, load: Load) -> Option<usize> {
+    fn overflow_victim(&self, req: &T, now_us: u64, load: Load) -> Option<usize> {
         if !self.value_weighted {
             return (!self.pending.is_empty()).then_some(0);
         }
         let doom_wait_us = load.doom_wait_us(self.pending.len());
-        let key = |r: &Request| Self::victim_key(r, now, doom_wait_us);
+        let key = |r: &T| Self::victim_key(r, now_us, doom_wait_us);
         let victim = (0..self.pending.len()).min_by(|&a, &b| {
             let (a, b) = (key(&self.pending[a]), key(&self.pending[b]));
             a.partial_cmp(&b).unwrap_or(Ordering::Equal)
@@ -262,44 +309,34 @@ impl QueueCore {
         (!incoming_is_shed).then_some(victim)
     }
 
-    /// Decide one submission at `now`, with `load` the shard's published
-    /// wait, which sets value-weighted eviction's doom horizon.
-    pub(crate) fn offer(&mut self, mut req: Request, now: Instant, load: Load) -> Offer {
+    /// Decide one submission at `now_us`, with `load` the shard's
+    /// published wait, which sets value-weighted eviction's doom horizon.
+    /// The request is stamped with `now_us` first, so it is priced on its
+    /// full budget.
+    pub fn offer(&mut self, mut req: T, now_us: u64, load: Load) -> Offer<T> {
         if self.closed {
             return Offer::Refused;
         }
-        let mut evicted = None;
+        req.stamp(now_us);
         // Cancellation tombstones are free slots; drop them before any
         // backpressure applies.
         if !self.admittable() {
             self.purge_tombstones();
         }
+        let mut evicted = None;
         if !self.admittable() {
             match self.policy {
                 BackpressurePolicy::Block => return Offer::Full(req),
                 BackpressurePolicy::Reject => return Offer::Refused,
                 BackpressurePolicy::ShedOldest => {}
             }
-            let Some(victim) = self.overflow_victim(&req, now, load) else {
+            let Some(victim) = self.overflow_victim(&req, now_us, load) else {
                 return Offer::ShedIncoming(req);
             };
-            let shed = self.pending.remove(victim).expect("victim index in range");
-            // An evicted coalescing leader takes its followers with it:
-            // each is shed with `Overflow` through its own slot CAS. This
-            // runs for the already-cancelled victim too — eviction removes
-            // the entry's only path to a worker, so its followers must not
-            // wait forever.
-            shed.fail_cache(ShedReason::Overflow);
-            // Lost only to a cancellation between selection and here: its
-            // event was already delivered, so that is a free purge, not a
-            // shed.
-            if shed.resolve_or_own(|slot| slot.try_shed(ShedReason::Overflow)) {
-                evicted = Some(shed);
-            }
+            evicted = self.pending.remove(victim);
         }
         // One eviction always makes room.
         debug_assert!(self.admittable());
-        req.enqueued_at = now;
         self.pending.push_back(req);
         Offer::Enqueued { evicted }
     }
@@ -323,21 +360,25 @@ impl QueueCore {
     /// clock-racing members go first. Deadline-less requests rank strictly
     /// last (a leading bool, not a far-future sentinel that a long enough
     /// real deadline could overtake); ties fall back to queue order. No
-    /// `now` is needed: the order is over absolute deadlines.
-    pub(crate) fn take(&mut self, max_batch: usize) -> Vec<Request> {
+    /// `now_us` is needed: the order is over absolute deadlines.
+    pub fn take(&mut self, max_batch: usize) -> Vec<T> {
         let (pending, edf) = (&self.pending, self.edf);
         let rank = |i: usize| {
-            let deadline = if edf { pending[i].deadline_at() } else { None };
-            (edf && deadline.is_none(), deadline, i)
+            let due = if edf {
+                pending[i].header().due_us()
+            } else {
+                None
+            };
+            (edf && due.is_none(), due, i)
         };
         let Some(head) = (0..pending.len()).min_by_key(|&i| rank(i)) else {
             return Vec::new();
         };
-        let head_sig = pending[head].signature;
+        let signature = |i: usize| pending[i].header().signature;
+        let head_sig = signature(head);
         let max_batch = max_batch.max(1);
-        let of_sig = |same: bool| {
-            (0..pending.len()).filter(move |&i| (pending[i].signature == head_sig) == same)
-        };
+        let of_sig =
+            |same: bool| (0..pending.len()).filter(move |&i| (signature(i) == head_sig) == same);
         let mut order: Vec<usize> = of_sig(true).collect();
         if edf {
             order.sort_by_key(|&i| rank(i));
@@ -346,7 +387,7 @@ impl QueueCore {
         // A full batch stops here: the rest is ranked only to top one up.
         if order.len() < max_batch {
             let mut rest: Vec<usize> = of_sig(false).collect();
-            let shared_bits = |i: usize| (pending[i].signature & head_sig).count_ones();
+            let shared_bits = |i: usize| (signature(i) & head_sig).count_ones();
             rest.sort_by_cached_key(|&i| (Reverse(shared_bits(i)), rank(i)));
             rest.truncate(max_batch - order.len());
             order.append(&mut rest);
