@@ -1,6 +1,7 @@
 //! Hot-path benchmark: scalar vs batched `learn_step`, the serve-time Q
-//! inference kernel against the training forward it replaces, and the
-//! serial stream engine's throughput. Writes the measured trajectory to
+//! inference kernel (held bit for bit to the training forward), the
+//! predictions Algorithms 1 and 2 make per item, and the serial stream
+//! engine's throughput. Writes the measured trajectory to
 //! `BENCH_hotpath.json` (methodology in `PERF.md`).
 //!
 //! `--smoke` runs a shortened pass (fewer timed iterations, smaller stream
@@ -62,11 +63,8 @@ struct Record {
     train_step_speedup: f64,
     /// Max |Q_batched − Q_scalar| over a replay minibatch (must be < 1e-5).
     q_equivalence_max_abs_diff: f64,
-    /// One `QNet::forward` (the training forward) on the stream fixture's
-    /// trained agent, mean over replay states.
-    q_forward_ns: f64,
-    /// One `QInfer::q_into` (the serve-time kernel) on the same agent and
-    /// states.
+    /// One `QInfer::q_into` (the serve-time kernel) on the stream
+    /// fixture's trained agent, mean over replay states.
     q_infer_ns: f64,
     /// Max |Q_infer − Q_forward| over those states; the kernel is
     /// bit-identical, so this must be exactly 0.
@@ -88,6 +86,14 @@ struct Record {
     /// across batches saves. Virtual time only, so it repeats exactly.
     merge_gain: f64,
     stream_items: usize,
+    /// Predictor calls per item of the stream fixture under Algorithm 1
+    /// (`Deadline { ms: 1000 }`,
+    /// [`ams_bench::hotpath::q_evals_per_item`]): an exact count, so it
+    /// repeats run to run.
+    q_evals_per_item_alg1: f64,
+    /// The same under Algorithm 2 (`DeadlineMemory { ms: 1000, mem_mb:
+    /// 8192 }`).
+    q_evals_per_item_alg2: f64,
     /// Heap bytes of the 240-item training world's ground truth
     /// ([`ams_bench::hotpath::truth_heap_bytes`]): an exact count, the
     /// same in smoke and full runs.
@@ -254,7 +260,7 @@ fn main() {
         ams_bench::hotpath::StreamSetup::paper(240, 120)
     };
 
-    // ---- serve-time Q kernel vs the training forward --------------------
+    // ---- serve-time Q kernel, held to the training forward --------------
     // Same trained agent the stream section serves, over replay states
     // (realistic density: a handful to tens of active labels).
     let agent_net = &setup.agent.net;
@@ -282,15 +288,6 @@ fn main() {
         "inference kernel diverged from QNet::forward: {q_infer_max_diff:e}"
     );
     let per_state = |(ns, iters): (f64, u64)| (ns / probe.len() as f64, iters);
-    let (q_forward_ns, q_forward_iters) = per_state(time_ns(
-        || {
-            for st in &probe {
-                std::hint::black_box(agent_net.forward(Input::Sparse(st), &mut cache));
-            }
-        },
-        warmup,
-        iters,
-    ));
     let (q_infer_ns, q_infer_iters) = per_state(time_ns(
         || {
             for st in &probe {
@@ -301,11 +298,6 @@ fn main() {
         warmup,
         iters,
     ));
-    trajectory.push(Measurement {
-        name: "q_forward_training_path".into(),
-        iters: q_forward_iters * probe.len() as u64,
-        ns_per_iter: q_forward_ns,
-    });
     trajectory.push(Measurement {
         name: "q_infer_kernel".into(),
         iters: q_infer_iters * probe.len() as u64,
@@ -358,13 +350,20 @@ fn main() {
         learn_step_train_ns,
         train_step_speedup: seed_ns / learn_step_train_ns,
         q_equivalence_max_abs_diff: max_diff,
-        q_forward_ns,
         q_infer_ns,
         q_infer_max_abs_diff: q_infer_max_diff,
         pack_gain: ams_bench::hotpath::pack_gain(&setup),
         stream_gain: ams_bench::hotpath::stream_gain(&setup),
         merge_gain: ams_bench::hotpath::merge_gain(&setup),
         stream_items: items.len(),
+        q_evals_per_item_alg1: ams_bench::hotpath::q_evals_per_item(&setup, budget),
+        q_evals_per_item_alg2: ams_bench::hotpath::q_evals_per_item(
+            &setup,
+            Budget::DeadlineMemory {
+                ms: 1000,
+                mem_mb: 8192,
+            },
+        ),
         truth_heap_bytes: ams_bench::hotpath::truth_heap_bytes(world.items()),
         compute_serial_items_per_s: compute_serial_ips,
         exec_emulation_scale: emu_scale,
@@ -383,12 +382,13 @@ fn main() {
     std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("{json}");
     eprintln!(
-        "learn_step speedup: {:.2}x | 300-episode training {:.0} ms | Q forward {:.0} ns -> kernel \
-         {:.0} ns | serial stream on {} core(s): {:.0} items/s compute-only",
+        "learn_step speedup: {:.2}x | 300-episode training {:.0} ms | Q kernel {:.0} ns | Q evals \
+         per item {:.2} / {:.2} | serial stream on {} core(s): {:.0} items/s compute-only",
         record.learn_speedup,
         record.train_300_ms,
-        record.q_forward_ns,
         record.q_infer_ns,
+        record.q_evals_per_item_alg1,
+        record.q_evals_per_item_alg2,
         cores,
         record.compute_serial_items_per_s
     );

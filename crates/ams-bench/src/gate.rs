@@ -442,12 +442,13 @@ mod tests {
                 "learn_speedup": 4.0,
                 "train_step_speedup": 8.0,
                 "q_equivalence_max_abs_diff": 1e-7,
-                "q_forward_ns": 220.0,
                 "q_infer_ns": 90.0,
                 "q_infer_max_abs_diff": 0.0,
                 "pack_gain": 1.15,
                 "stream_gain": 1.05,
                 "merge_gain": 1.1,
+                "q_evals_per_item_alg1": 4.5,
+                "q_evals_per_item_alg2": 6.5,
                 "truth_heap_bytes": 390408
             }"#,
         )

@@ -12,12 +12,13 @@ use ams::serve::server::LOOK_AHEAD_BATCHES;
 use ams::sim::{list_makespan, PoolTimeline};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The rows gating `BENCH_hotpath.json`. The serve-time kernel replaces
 /// the training forward on the predict path, so it must reproduce it
-/// exactly (labels stay byte-identical) and be the cheaper of the two (or
-/// it has no reason to exist).
+/// exactly (labels stay byte-identical). Both now run the same tiled
+/// kernel, so their timings no longer make a gate.
 pub const CHECKS: &[Check] = &[
     Check {
         name: "learn-step speedup holds half the baseline's",
@@ -46,11 +47,6 @@ pub const CHECKS: &[Check] = &[
         rule: Rule::Within("q_infer_max_abs_diff", 0.0, 0.0),
         // One ULP at Q-value scale.
         breaks: Break::Set("q_infer_max_abs_diff", 1.2e-7),
-    },
-    Check {
-        name: "inference kernel is cheaper than the training forward",
-        rule: Rule::Less("q_infer_ns", "q_forward_ns"),
-        breaks: Break::Scale("q_infer_ns", 100.0),
     },
     Check {
         name: "pool packing beats model-id order",
@@ -89,6 +85,19 @@ pub const CHECKS: &[Check] = &[
         name: "merge_gain equals the baseline's",
         rule: Rule::Same("merge_gain"),
         breaks: Break::Set("merge_gain", 0.0),
+    },
+    // Exact counts of predictor calls, no clock: a candidate that moves
+    // one predicts again where the labeling state did not change (or
+    // changed the labels).
+    Check {
+        name: "q_evals_per_item_alg1 equals the baseline's",
+        rule: Rule::Same("q_evals_per_item_alg1"),
+        breaks: Break::Scale("q_evals_per_item_alg1", 2.0),
+    },
+    Check {
+        name: "q_evals_per_item_alg2 equals the baseline's",
+        rule: Rule::Same("q_evals_per_item_alg2"),
+        breaks: Break::Scale("q_evals_per_item_alg2", 2.0),
     },
     Check {
         name: "truth_heap_bytes equals the baseline's",
@@ -558,6 +567,42 @@ pub fn merge_gain(setup: &StreamSetup) -> f64 {
         merged_ms += open_group_end(&stream, &cfg, LOOK_AHEAD_BATCHES * chunk);
     }
     streamed_ms as f64 / merged_ms as f64
+}
+
+/// A predictor that counts its calls.
+struct Counting<'a> {
+    inner: &'a dyn ValuePredictor,
+    calls: AtomicU64,
+}
+
+impl ValuePredictor for Counting<'_> {
+    fn num_models(&self) -> usize {
+        self.inner.num_models()
+    }
+    fn predict_into(&self, state: &LabelSet, item: &ItemTruth, out: &mut [f32]) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.predict_into(state, item, out);
+    }
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+/// Predictor calls per item when the fixture's agent labels the stream
+/// fixture under `budget`: an exact count (`Deadline { ms: 1000 }` is
+/// Algorithm 1's, `DeadlineMemory { ms: 1000, mem_mb: 8192 }` Algorithm
+/// 2's).
+pub fn q_evals_per_item(setup: &StreamSetup, budget: Budget) -> f64 {
+    let scheduler = setup.scheduler();
+    let counting = Counting {
+        inner: scheduler.predictor(),
+        calls: AtomicU64::new(0),
+    };
+    let items = setup.truth.items();
+    for item in items {
+        scheduler.label_item_with(&counting, item, budget);
+    }
+    counting.calls.into_inner() as f64 / items.len() as f64
 }
 
 /// Everything a learn-step benchmark needs, at the paper architecture.

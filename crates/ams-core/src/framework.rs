@@ -8,10 +8,11 @@
 //! simulated-inference substrate (`ams-data::infer`), which plays the same
 //! role at zero cost — the scheduling logic is identical.
 
-use crate::policies::run_serial;
+use crate::policies::serial_run;
 use crate::predictor::ValuePredictor;
-use crate::scheduler::deadline::schedule_deadline;
-use crate::scheduler::deadline_memory::schedule_deadline_memory;
+use crate::scheduler::deadline::deadline_run;
+use crate::scheduler::deadline_memory::deadline_memory_run;
+use crate::scheduler::{recall, ItemRun, QRow};
 use ams_data::{ItemTruth, Scene};
 use ams_models::{LabelCatalog, LabelId, ModelId, ModelZoo};
 
@@ -253,42 +254,32 @@ impl AdaptiveModelScheduler {
         item: &ItemTruth,
         budget: Budget,
     ) -> LabelingOutcome {
-        match budget {
-            Budget::Unconstrained => self.label_unconstrained(predictor, item),
-            Budget::Deadline { ms } => {
-                let r = schedule_deadline(predictor, &self.zoo, item, ms, self.value_threshold);
-                self.outcome(item, r.executed, r.value, r.recall, r.elapsed_ms)
-            }
+        let threshold = self.value_threshold;
+        let run = match budget {
+            Budget::Unconstrained => self.greedy_run(predictor, item),
+            Budget::Deadline { ms } => deadline_run(predictor, &self.zoo, item, ms, threshold),
             Budget::DeadlineMemory { ms, mem_mb } => {
-                let r = schedule_deadline_memory(
-                    predictor,
-                    &self.zoo,
-                    item,
-                    ms,
-                    mem_mb,
-                    self.value_threshold,
-                );
-                let elapsed = r.trace.makespan_ms().min(ms);
-                self.outcome(item, r.completed, r.value, r.recall, elapsed)
+                deadline_memory_run(predictor, &self.zoo, item, ms, mem_mb, threshold)
             }
-        }
+        };
+        self.outcome(item, run)
     }
 
     /// Greedy by predicted value until no unexecuted model has positive
     /// predicted value (the "no resource constraint" mode of §V).
-    fn label_unconstrained(
-        &self,
-        predictor: &dyn ValuePredictor,
-        item: &ItemTruth,
-    ) -> LabelingOutcome {
-        let mut q = vec![0.0f32; self.zoo.len()];
-        let r = run_serial(
+    fn greedy_run(&self, predictor: &dyn ValuePredictor, item: &ItemTruth) -> ItemRun {
+        let n = self.zoo.len();
+        let mut row = QRow::new(n);
+        serial_run(
             item,
             &self.zoo,
             u64::MAX,
             self.value_threshold,
             |state, mask, _, _| {
-                predictor.predict_into(state, item, &mut q);
+                if mask.count_ones() as usize == n {
+                    return None; // every model has run
+                }
+                let q = row.at(predictor, state, item);
                 let mut best: Option<(usize, f32)> = None;
                 for (m, &v) in q.iter().enumerate() {
                     if mask >> m & 1 == 0 && best.map(|(_, bv)| v > bv).unwrap_or(true) {
@@ -301,34 +292,27 @@ impl AdaptiveModelScheduler {
                 }
                 Some(ModelId(m as u8))
             },
-        );
-        self.outcome(item, r.executed, r.value, r.recall, r.elapsed_ms)
+        )
     }
 
-    fn outcome(
-        &self,
-        item: &ItemTruth,
-        executed: Vec<ModelId>,
-        value: f64,
-        recall: f64,
-        elapsed_ms: u64,
-    ) -> LabelingOutcome {
-        // Collect the labels the executed set produced (max conf per label).
-        let mut labels: Vec<(LabelId, f32)> = Vec::new();
-        for &m in &executed {
+    /// The outcome of `run`: its labels are its final state's, each at the
+    /// highest confidence an executed model reported for it.
+    fn outcome(&self, item: &ItemTruth, run: ItemRun) -> LabelingOutcome {
+        let mut labels = Vec::with_capacity(run.state.count());
+        labels.extend(run.state.iter().map(|l| (l, f32::NEG_INFINITY)));
+        for &m in &run.executed {
             for d in item.output(m).valuable(self.value_threshold) {
-                match labels.binary_search_by_key(&d.label, |&(l, _)| l) {
-                    Ok(i) => labels[i].1 = labels[i].1.max(d.confidence),
-                    Err(i) => labels.insert(i, (d.label, d.confidence)),
+                if let Ok(i) = labels.binary_search_by_key(&d.label, |&(l, _)| l) {
+                    labels[i].1 = labels[i].1.max(d.confidence);
                 }
             }
         }
         LabelingOutcome {
             labels,
-            executed,
-            value,
-            recall,
-            elapsed_ms,
+            recall: recall(item, run.value),
+            value: run.value,
+            elapsed_ms: run.elapsed_ms,
+            executed: run.executed,
         }
     }
 }

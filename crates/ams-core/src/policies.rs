@@ -2,10 +2,11 @@
 //! run-to-recall execution policies (§VI-B protocol) built over it.
 //!
 //! [`run_serial`] is the loop of Fig. 3: a picker chooses a model, the
-//! model runs on a [`SerialExecutor`] under the time budget, its labels
-//! are credited to the state, and the picker chooses again until it
-//! returns `None`. Algorithm 1, the unconstrained greedy, the Table II
-//! rules and the Fig. 10 baselines are pickers over it.
+//! model runs under the time budget, its labels are credited to the
+//! state, and the picker chooses again until it returns `None`; the
+//! [`SerialExecutor`] trace is replayed from the picks. Algorithm 1, the
+//! unconstrained greedy, the Table II rules and the Fig. 10 baselines are
+//! pickers over it.
 //!
 //! The run-to-recall policies answer: "in what order do we execute models
 //! until the recalled value reaches a target?" They power Figs. 2, 4, 5,
@@ -20,6 +21,7 @@
 
 use crate::predictor::ValuePredictor;
 use crate::scheduler::deadline::DeadlineResult;
+use crate::scheduler::{recall, ItemRun, QRow};
 use ams_data::ItemTruth;
 use ams_models::{LabelSet, ModelId, ModelZoo};
 use ams_sim::{Job, Pool, SerialExecutor};
@@ -50,37 +52,59 @@ pub fn run_serial(
     zoo: &ModelZoo,
     budget_ms: u64,
     threshold: f32,
-    mut pick: impl FnMut(&LabelSet, u64, u64, f64) -> Option<ModelId>,
+    pick: impl FnMut(&LabelSet, u64, u64, f64) -> Option<ModelId>,
 ) -> DeadlineResult {
+    let run = serial_run(item, zoo, budget_ms, threshold, pick);
+    // The runs were back to back from 0, so the trace is a replay.
     let mut ex = SerialExecutor::new(budget_ms);
-    let mut state = LabelSet::new(item.universe());
-    let mut executed = Vec::new();
-    let mut mask = 0u64;
-    let mut value = 0.0f64;
-    while let Some(m) = pick(&state, mask, ex.remaining_ms(), value) {
-        assert_eq!(mask >> m.index() & 1, 0, "policy picked executed model {m}");
+    for &m in &run.executed {
         let spec = zoo.spec(m);
-        let ran = ex.run(Job {
+        ex.run(Job {
             id: m.index(),
             time_ms: spec.time_ms,
             mem_mb: spec.mem_mb,
         });
-        assert!(ran, "policy picked model {m} past the budget");
+    }
+    DeadlineResult {
+        recall: recall(item, run.value),
+        value: run.value,
+        elapsed_ms: run.elapsed_ms,
+        executed: run.executed,
+        trace: ex.into_trace(),
+    }
+}
+
+/// [`run_serial`]'s loop without the trace, keeping the final state: the
+/// labeling path's form.
+pub(crate) fn serial_run(
+    item: &ItemTruth,
+    zoo: &ModelZoo,
+    budget_ms: u64,
+    threshold: f32,
+    mut pick: impl FnMut(&LabelSet, u64, u64, f64) -> Option<ModelId>,
+) -> ItemRun {
+    let mut state = LabelSet::new(item.universe());
+    let mut executed = Vec::with_capacity(zoo.len());
+    let mut mask = 0u64;
+    let mut value = 0.0f64;
+    let mut elapsed_ms = 0u64;
+    while let Some(m) = pick(&state, mask, budget_ms - elapsed_ms, value) {
+        assert_eq!(mask >> m.index() & 1, 0, "policy picked executed model {m}");
+        let time_ms = u64::from(zoo.spec(m).time_ms);
+        assert!(
+            time_ms <= budget_ms - elapsed_ms,
+            "policy picked model {m} past the budget"
+        );
+        elapsed_ms += time_ms;
         mask |= 1 << m.index();
         executed.push(m);
         value += item.apply(&mut state, m, threshold);
     }
-    let recall = if item.total_value > 0.0 {
-        value / item.total_value
-    } else {
-        1.0
-    };
-    DeadlineResult {
+    ItemRun {
         executed,
         value,
-        recall,
-        elapsed_ms: ex.elapsed_ms(),
-        trace: ex.into_trace(),
+        elapsed_ms,
+        state,
     }
 }
 
@@ -167,11 +191,7 @@ pub fn random_packing_recall(
             value += item.apply(&mut state, ModelId(id as u8), threshold);
         }
     }
-    if item.total_value > 0.0 {
-        value / item.total_value
-    } else {
-        1.0
-    }
+    recall(item, value)
 }
 
 /// Optimal policy (§VI-B): executes models in descending order of their
@@ -205,9 +225,9 @@ pub fn predictor_greedy_rollout(
     recall_target: f64,
     threshold: f32,
 ) -> Rollout {
-    let mut q = vec![0.0f32; predictor.num_models()];
+    let mut row = QRow::new(predictor.num_models());
     run_to_recall(item, zoo, recall_target, threshold, move |state, mask| {
-        predictor.predict_into(state, item, &mut q);
+        let q = row.at(predictor, state, item);
         let mut best = usize::MAX;
         let mut best_q = f32::NEG_INFINITY;
         for (a, &v) in q.iter().enumerate() {

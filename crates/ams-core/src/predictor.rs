@@ -5,7 +5,8 @@ use ams_data::ItemTruth;
 use ams_models::LabelSet;
 use ams_nn::InferScratch;
 use ams_rl::{AgentSnapshot, TrainedAgent};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Predicts the value of executing each model given the current labeling
 /// state (Fig. 3's "model value prediction" component).
@@ -21,9 +22,15 @@ pub trait ValuePredictor: Send + Sync {
     /// (`out.len() == num_models`). Scores for already-executed models are
     /// ignored by schedulers.
     ///
-    /// This is the scheduling hot path: it runs once per decision step per
-    /// item, so implementations keep it allocation-free and schedulers
-    /// reuse one `out` buffer across the whole item.
+    /// A pure function of `(state, item)`: the same state and item must
+    /// give the same values, bit for bit. The schedulers rely on it — they
+    /// ask again only when the labeling state has grown since the last
+    /// call for the item, and reuse the previous prediction while it is
+    /// unchanged (a model that recalled no new label leaves it so).
+    ///
+    /// This is the scheduling hot path, so implementations keep it
+    /// allocation-free and schedulers reuse one `out` buffer across the
+    /// whole item.
     fn predict_into(&self, state: &LabelSet, item: &ItemTruth, out: &mut [f32]);
 
     /// Predicted value per model as a fresh vector (convenience wrapper
@@ -38,7 +45,7 @@ pub trait ValuePredictor: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// Per-call scratch of the agent predictors: the sparse state encoding
+/// Per-thread scratch of the agent predictors: the sparse state encoding
 /// and the inference kernel's buffers, both reused across predictions.
 #[derive(Default)]
 struct AgentScratch {
@@ -46,36 +53,32 @@ struct AgentScratch {
     infer: InferScratch,
 }
 
+thread_local! {
+    static SCRATCH: RefCell<AgentScratch> = RefCell::default();
+}
+
 /// The one agent forward pass behind [`AgentPredictor`] and
-/// [`SnapshotPredictor`]: check a scratch out of `pool`, encode `state`,
-/// run the snapshot's inference kernel (bit-identical to the training
-/// path's `QNet::forward`, which is not called at serve time) straight
-/// into `out`, and return the scratch. The lock is held only for the
-/// pop/push, not for the network forward, so concurrent callers rarely
-/// contend.
-fn pooled_q_values(
-    pool: &Mutex<Vec<AgentScratch>>,
-    snapshot: &AgentSnapshot,
-    state: &LabelSet,
-    out: &mut [f32],
-) {
-    let mut scratch = pool.lock().expect("scratch pool").pop().unwrap_or_default();
-    state.write_sparse(&mut scratch.sparse);
-    snapshot.model_q_into(&scratch.sparse, &mut scratch.infer, out);
-    pool.lock().expect("scratch pool").push(scratch);
+/// [`SnapshotPredictor`]: encode `state` into the calling thread's
+/// scratch and run the snapshot's inference kernel (bit-identical to the
+/// training path's `QNet::forward`, which is not called at serve time)
+/// straight into `out`. Each thread owns its scratch, so concurrent
+/// callers share nothing and take no lock.
+fn agent_q_values(snapshot: &AgentSnapshot, state: &LabelSet, out: &mut [f32]) {
+    SCRATCH.with_borrow_mut(|scratch| {
+        state.write_sparse(&mut scratch.sparse);
+        snapshot.model_q_into(&scratch.sparse, &mut scratch.infer, out);
+    });
 }
 
 /// The deployable predictor: a trained DRL agent's Q values.
 ///
 /// The agent is frozen into an [`AgentSnapshot`] at construction (its
-/// inference view is built once, there). Forward passes run against a
-/// small pool of reusable scratch buffers, so prediction allocates
-/// nothing in steady state and concurrent callers (the serving workers of
-/// `ams-serve`, which share one scheduler) each check out their own
-/// scratch instead of serializing on a shared one.
+/// inference view is built once, there). Forward passes run on the
+/// calling thread's scratch buffers, so prediction allocates nothing in
+/// steady state and concurrent callers (the serving workers of
+/// `ams-serve`, which share one scheduler) never contend.
 pub struct AgentPredictor {
     snapshot: AgentSnapshot,
-    scratch_pool: Mutex<Vec<AgentScratch>>,
 }
 
 impl AgentPredictor {
@@ -83,7 +86,6 @@ impl AgentPredictor {
     pub fn new(agent: TrainedAgent) -> Self {
         Self {
             snapshot: AgentSnapshot::initial(agent),
-            scratch_pool: Mutex::new(Vec::new()),
         }
     }
 
@@ -99,7 +101,7 @@ impl ValuePredictor for AgentPredictor {
     }
 
     fn predict_into(&self, state: &LabelSet, _item: &ItemTruth, out: &mut [f32]) {
-        pooled_q_values(&self.scratch_pool, &self.snapshot, state, out);
+        agent_q_values(&self.snapshot, state, out);
     }
 
     fn name(&self) -> &'static str {
@@ -117,21 +119,18 @@ impl ValuePredictor for AgentPredictor {
 /// predict in progress holds `&self`, so the borrow checker — not a lock —
 /// guarantees a forward pass can never observe half-old, half-new weights.
 /// Workers pin one snapshot per batch (one generation check, then every
-/// predict in the batch sees the same coherent weights) and keep their
-/// scratch buffers across swaps; the snapshot arrives with its inference
-/// view already built by the publisher, so repointing is a pointer store.
+/// predict in the batch sees the same coherent weights); the scratch
+/// buffers belong to the calling thread and outlive swaps. The snapshot
+/// arrives with its inference view already built by the publisher, so
+/// repointing is a pointer store.
 pub struct SnapshotPredictor {
     snapshot: Arc<AgentSnapshot>,
-    scratch_pool: Mutex<Vec<AgentScratch>>,
 }
 
 impl SnapshotPredictor {
     /// A predictor pinned to `snapshot`.
     pub fn new(snapshot: Arc<AgentSnapshot>) -> Self {
-        Self {
-            snapshot,
-            scratch_pool: Mutex::new(Vec::new()),
-        }
+        Self { snapshot }
     }
 
     /// Generation of the pinned snapshot.
@@ -144,8 +143,8 @@ impl SnapshotPredictor {
         &self.snapshot
     }
 
-    /// Repoint at a newer snapshot, keeping the scratch buffers. Takes
-    /// `&mut self` so no concurrent predict can straddle the swap.
+    /// Repoint at a newer snapshot. Takes `&mut self` so no concurrent
+    /// predict can straddle the swap.
     pub fn set_snapshot(&mut self, snapshot: Arc<AgentSnapshot>) {
         self.snapshot = snapshot;
     }
@@ -157,7 +156,7 @@ impl ValuePredictor for SnapshotPredictor {
     }
 
     fn predict_into(&self, state: &LabelSet, _item: &ItemTruth, out: &mut [f32]) {
-        pooled_q_values(&self.scratch_pool, &self.snapshot, state, out);
+        agent_q_values(&self.snapshot, state, out);
     }
 
     fn name(&self) -> &'static str {

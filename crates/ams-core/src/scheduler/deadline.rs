@@ -5,13 +5,13 @@
 //! unexecuted model maximizing `Q(m,d) / m.time` — the cost-profit greedy
 //! heuristic with the DRL agent's Q value standing in for the unknown
 //! profit. The labeling state is updated with the model's actual output and
-//! the next iteration re-predicts.
+//! the next iteration re-predicts if that output added a label.
 
-use super::GreedyScore;
-use crate::policies::run_serial;
+use super::{GreedyScore, ItemRun, QRow};
+use crate::policies::{run_serial, serial_run};
 use crate::predictor::ValuePredictor;
 use ams_data::ItemTruth;
-use ams_models::{ModelId, ModelZoo};
+use ams_models::{LabelSet, ModelId, ModelZoo};
 
 /// Outcome of scheduling one item under a deadline.
 #[derive(Debug, Clone)]
@@ -36,31 +36,65 @@ pub fn schedule_deadline(
     budget_ms: u64,
     threshold: f32,
 ) -> DeadlineResult {
-    debug_assert_eq!(predictor.num_models(), zoo.len());
-    let mut q = vec![0.0f32; zoo.len()];
     run_serial(
         item,
         zoo,
         budget_ms,
         threshold,
-        |state, mask, remaining, _| {
-            predictor.predict_into(state, item, &mut q);
-            let mut best: Option<(usize, GreedyScore)> = None;
-            for (m, &v) in q.iter().enumerate() {
-                let time_ms = zoo.spec(ModelId(m as u8)).time_ms;
-                // Line 3: filter models that don't fit the remaining budget.
-                if mask >> m & 1 == 1 || u64::from(time_ms) > remaining {
-                    continue;
-                }
-                // Line 4: argmax Q(m,d) / m.time.
-                let score = GreedyScore::new(v, f64::from(time_ms) / 1000.0);
-                if best.map(|(_, s)| score.better_than(&s)).unwrap_or(true) {
-                    best = Some((m, score));
-                }
-            }
-            best.map(|(m, _)| ModelId(m as u8))
-        },
+        picker(predictor, zoo, item),
     )
+}
+
+/// [`schedule_deadline`] without the trace: the labeling path's form.
+pub(crate) fn deadline_run(
+    predictor: &dyn ValuePredictor,
+    zoo: &ModelZoo,
+    item: &ItemTruth,
+    budget_ms: u64,
+    threshold: f32,
+) -> ItemRun {
+    serial_run(
+        item,
+        zoo,
+        budget_ms,
+        threshold,
+        picker(predictor, zoo, item),
+    )
+}
+
+/// Algorithm 1 as a [`run_serial`] picker for one item: the next model,
+/// `None` when no unexecuted model fits the remaining budget.
+fn picker<'a>(
+    predictor: &'a dyn ValuePredictor,
+    zoo: &'a ModelZoo,
+    item: &'a ItemTruth,
+) -> impl FnMut(&LabelSet, u64, u64, f64) -> Option<ModelId> + 'a {
+    debug_assert_eq!(predictor.num_models(), zoo.len());
+    let mut row = QRow::new(zoo.len());
+    move |state, mask, remaining, _| {
+        // Line 3: filter models that don't fit the remaining budget —
+        // before predicting, so the last call of an item predicts nothing.
+        let mut fits = 0u64;
+        for (m, spec) in zoo.specs().iter().enumerate() {
+            if mask >> m & 1 == 0 && u64::from(spec.time_ms) <= remaining {
+                fits |= 1 << m;
+            }
+        }
+        if fits == 0 {
+            return None;
+        }
+        // Line 4: argmax Q(m,d) / m.time, ties to the lower index.
+        let q = row.at(predictor, state, item);
+        let mut best: Option<(usize, GreedyScore)> = None;
+        for m in (0..zoo.len()).filter(|&m| fits >> m & 1 == 1) {
+            let time_ms = zoo.spec(ModelId(m as u8)).time_ms;
+            let score = GreedyScore::new(q[m], f64::from(time_ms) / 1000.0);
+            if best.map(|(_, s)| score.better_than(&s)).unwrap_or(true) {
+                best = Some((m, score));
+            }
+        }
+        best.map(|(m, _)| ModelId(m as u8))
+    }
 }
 
 #[cfg(test)]

@@ -8,13 +8,13 @@
 //!    remaining memory with models maximizing `Q / mem` that would finish
 //!    within it,
 //! 3. waits until one running model completes, releases its memory, folds
-//!    its output into the labeling state, and re-plans with fresh
-//!    predictions.
+//!    its output into the labeling state, and re-plans — with fresh
+//!    predictions if that output added a label.
 //!
 //! Models still running at the overall deadline do not contribute value
 //! (their execution did not complete in time).
 
-use super::GreedyScore;
+use super::{recall, GreedyScore, ItemRun, QRow};
 use crate::predictor::ValuePredictor;
 use ams_data::ItemTruth;
 use ams_models::{LabelSet, ModelId, ModelZoo};
@@ -48,10 +48,73 @@ pub fn schedule_deadline_memory(
     mem_budget_mb: u32,
     threshold: f32,
 ) -> DeadlineMemoryResult {
+    let mut trace = ExecTrace::default();
+    let mut cut_off = Vec::new();
+    let run = plan(
+        predictor,
+        zoo,
+        item,
+        budget_ms,
+        mem_budget_mb,
+        threshold,
+        |span, cut| {
+            trace.push(span);
+            if cut {
+                cut_off.push(ModelId(span.job as u8));
+            }
+        },
+    );
+    let peak_mem_mb = trace.peak_mem_mb();
+    DeadlineMemoryResult {
+        completed: run.executed,
+        cut_off,
+        value: run.value,
+        recall: recall(item, run.value),
+        trace,
+        peak_mem_mb,
+    }
+}
+
+/// [`schedule_deadline_memory`] without the trace: the labeling path's
+/// form. `elapsed_ms` is the trace's makespan, capped at the deadline.
+pub(crate) fn deadline_memory_run(
+    predictor: &dyn ValuePredictor,
+    zoo: &ModelZoo,
+    item: &ItemTruth,
+    budget_ms: u64,
+    mem_budget_mb: u32,
+    threshold: f32,
+) -> ItemRun {
+    let mut run = plan(
+        predictor,
+        zoo,
+        item,
+        budget_ms,
+        mem_budget_mb,
+        threshold,
+        |_, _| {},
+    );
+    run.elapsed_ms = run.elapsed_ms.min(budget_ms);
+    run
+}
+
+/// Algorithm 2's loop. Every admitted model's span goes to `on_span` in
+/// completion order, with whether it was still running when the loop
+/// ended (cut off). The returned run's `executed` are the models that
+/// completed within the deadline and its `elapsed_ms` the last finish of
+/// any admitted model (0 when nothing ran).
+fn plan(
+    predictor: &dyn ValuePredictor,
+    zoo: &ModelZoo,
+    item: &ItemTruth,
+    budget_ms: u64,
+    mem_budget_mb: u32,
+    threshold: f32,
+    mut on_span: impl FnMut(Span, bool),
+) -> ItemRun {
     let n = zoo.len();
     debug_assert_eq!(predictor.num_models(), n);
     let mut pool = Pool::new(mem_budget_mb);
-    let mut trace = ExecTrace::default();
     // A completion `(finish_ms, id, mem_mb)` as its span in the trace.
     let span = |(end_ms, id, mem_mb): (u64, usize, u32)| Span {
         job: id,
@@ -61,34 +124,38 @@ pub fn schedule_deadline_memory(
     };
     let mut state = LabelSet::new(item.universe());
     let mut scheduled = 0u64; // admitted (running or done)
-    let mut completed = Vec::new();
+    let mut completed = Vec::with_capacity(n);
     let mut value = 0.0f64;
-    let mut q = vec![0.0f32; n];
+    let mut row = QRow::new(n);
 
     while pool.now_ms() < budget_ms {
         let now = pool.now_ms();
-        predictor.predict_into(&state, item, &mut q);
 
         // Step 1: seed by value per resource area among models that fit the
-        // free memory and can finish before the overall deadline.
-        let mut seed: Option<(usize, GreedyScore)> = None;
-        #[allow(clippy::needless_range_loop)] // index pairs with the bitmask
-        for m in 0..n {
-            if scheduled >> m & 1 == 1 {
-                continue;
-            }
-            let spec = zoo.spec(ModelId(m as u8));
-            if !pool.fits(spec.mem_mb) || now + u64::from(spec.time_ms) > budget_ms {
-                continue;
-            }
-            let area = f64::from(spec.time_ms) / 1000.0 * f64::from(spec.mem_mb) / 1024.0;
-            let score = GreedyScore::new(q[m], area);
-            if seed.map(|(_, s)| score.better_than(&s)).unwrap_or(true) {
-                seed = Some((m, score));
+        // free memory and can finish before the overall deadline. The
+        // prediction is needed only when some model does.
+        let mut fits = 0u64;
+        for (m, spec) in zoo.specs().iter().enumerate() {
+            if scheduled >> m & 1 == 0
+                && pool.fits(spec.mem_mb)
+                && now + u64::from(spec.time_ms) <= budget_ms
+            {
+                fits |= 1 << m;
             }
         }
 
-        if let Some((s, _)) = seed {
+        if fits != 0 {
+            let q = row.at(predictor, &state, item);
+            let mut seed: Option<(usize, GreedyScore)> = None;
+            for m in (0..n).filter(|&m| fits >> m & 1 == 1) {
+                let spec = zoo.spec(ModelId(m as u8));
+                let area = f64::from(spec.time_ms) / 1000.0 * f64::from(spec.mem_mb) / 1024.0;
+                let score = GreedyScore::new(q[m], area);
+                if seed.map(|(_, s)| score.better_than(&s)).unwrap_or(true) {
+                    seed = Some((m, score));
+                }
+            }
+            let (s, _) = seed.expect("a model fits");
             let spec = zoo.spec(ModelId(s as u8));
             let temp_deadline = now + u64::from(spec.time_ms);
             pool.admit(Job {
@@ -132,7 +199,7 @@ pub fn schedule_deadline_memory(
 
         // Step 3: wait for one completion and fold in its output.
         let Some(done) = pool.wait_next() else { break };
-        trace.push(span(done));
+        on_span(span(done), false);
         if pool.now_ms() <= budget_ms {
             let m = ModelId(done.1 as u8);
             completed.push(m);
@@ -141,25 +208,14 @@ pub fn schedule_deadline_memory(
     }
 
     // Anything still in flight at the deadline produced no value.
-    let mut cut_off = Vec::new();
     while let Some(done) = pool.wait_next() {
-        trace.push(span(done));
-        cut_off.push(ModelId(done.1 as u8));
+        on_span(span(done), true);
     }
-    let peak_mem_mb = trace.peak_mem_mb();
-
-    let recall = if item.total_value > 0.0 {
-        value / item.total_value
-    } else {
-        1.0
-    };
-    DeadlineMemoryResult {
-        completed,
-        cut_off,
+    ItemRun {
+        executed: completed,
         value,
-        recall,
-        trace,
-        peak_mem_mb,
+        elapsed_ms: pool.now_ms(),
+        state,
     }
 }
 

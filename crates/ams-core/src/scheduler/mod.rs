@@ -11,6 +11,76 @@
 pub mod deadline;
 pub mod deadline_memory;
 pub mod optimal_star;
+#[cfg(test)]
+mod reference;
+
+use crate::predictor::ValuePredictor;
+use ams_data::ItemTruth;
+use ams_models::{LabelSet, ModelId};
+
+/// One item's Q row and the labeling-state size it was computed at: the
+/// one place that decides when a scheduler must ask the predictor again.
+///
+/// Within one item the state only grows (a model's run adds labels, never
+/// removes one), so an unchanged [`LabelSet::count`] means an unchanged
+/// state, and [`ValuePredictor::predict_into`] is a pure function of the
+/// state and the item. A model that recalls no new label therefore leaves
+/// the row as it was, and the next pick reuses it.
+pub(crate) struct QRow {
+    q: Vec<f32>,
+    /// `count()` of the state `q` was predicted at; `None` before the
+    /// first prediction.
+    at: Option<usize>,
+}
+
+impl QRow {
+    /// An empty row for `num_models` models, for one item.
+    pub(crate) fn new(num_models: usize) -> Self {
+        Self {
+            q: vec![0.0; num_models],
+            at: None,
+        }
+    }
+
+    /// The Q row at `state`, predicted only if the state grew since the
+    /// last call.
+    pub(crate) fn at(
+        &mut self,
+        predictor: &dyn ValuePredictor,
+        state: &LabelSet,
+        item: &ItemTruth,
+    ) -> &[f32] {
+        let count = state.count();
+        if self.at != Some(count) {
+            predictor.predict_into(state, item, &mut self.q);
+            self.at = Some(count);
+        }
+        &self.q
+    }
+}
+
+/// What labeling one item leaves, without an execution trace: the form
+/// the labeling path consumes.
+pub(crate) struct ItemRun {
+    /// Models that contributed, in execution (completion) order.
+    pub executed: Vec<ModelId>,
+    /// Value recalled, `f(S, d)`.
+    pub value: f64,
+    /// Virtual time consumed, ms.
+    pub elapsed_ms: u64,
+    /// The labeling state at the end: the union of the valuable labels of
+    /// `executed`.
+    pub state: LabelSet,
+}
+
+/// Recall rate of `value` on `item` (1 for an item with nothing to find).
+pub(crate) fn recall(item: &ItemTruth, value: f64) -> f64 {
+    if item.total_value > 0.0 {
+        value / item.total_value
+    } else {
+        1.0
+    }
+}
 
 /// Ranking score used by the greedy selections: predicted values are
 /// clamped at zero (a model predicted to yield nothing should not look

@@ -126,6 +126,17 @@ impl Dense {
         }
     }
 
+    /// [`Dense::forward_act`] on the dense input `x` whose non-zero
+    /// entries are `nz` (ascending, as `infer::nonzero` collects them),
+    /// through the tiled [`affine`]: per output element `b[c]`, then
+    /// `+= x[i] · w[i][c]` over `nz` — the dense arm's ops in its order,
+    /// without its per-entry branch.
+    pub(crate) fn forward_nz<const RELU: bool>(&self, x: &[f32], nz: &[u32], out: &mut [f32]) {
+        debug_assert_eq!(x.len(), self.fan_in());
+        debug_assert_eq!(out.len(), self.fan_out());
+        affine::<false, RELU>(self.w.as_slice(), self.fan_out(), &self.b, nz, x, out);
+    }
+
     /// Backward pass: accumulate weight/bias gradients into `grad` and
     /// optionally produce the gradient w.r.t. the input.
     ///
@@ -335,6 +346,30 @@ mod tests {
         l.forward(Input::Sparse(&sparse), &mut b);
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-6);
+        }
+    }
+
+    /// The kernel path of a dense input is the branchy reference arm bit
+    /// for bit, with and without ReLU: signed zeros are skipped, NaN is
+    /// not.
+    #[test]
+    fn forward_nz_is_the_dense_arm() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let l = Dense::new(7, 13, &mut rng);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for x in [
+            [0.0, -0.0, 1.5, -2.25, 0.0, 0.0, 3.0],
+            [0.0, 1.0, 0.0, f32::NAN, -0.0, 0.5, 0.0],
+        ] {
+            let mut nz = Vec::new();
+            crate::infer::nonzero(&x, &mut nz);
+            let (mut want, mut got) = (vec![0.0; 13], vec![0.0; 13]);
+            l.forward_act::<false>(Input::Dense(&x), &mut want);
+            l.forward_nz::<false>(&x, &nz, &mut got);
+            assert_eq!(bits(&got), bits(&want));
+            l.forward_act::<true>(Input::Dense(&x), &mut want);
+            l.forward_nz::<true>(&x, &nz, &mut got);
+            assert_eq!(bits(&got), bits(&want));
         }
     }
 

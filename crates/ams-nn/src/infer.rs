@@ -149,7 +149,7 @@ impl QInfer {
 /// every index is stored and the length advances only past the keepers,
 /// because post-ReLU activations are zero about half the time and a
 /// branch on them mispredicts.
-fn nonzero(x: &[f32], nz: &mut Vec<u32>) {
+pub(crate) fn nonzero(x: &[f32], nz: &mut Vec<u32>) {
     nz.clear();
     nz.resize(x.len(), 0);
     let mut n = 0;
@@ -164,9 +164,11 @@ fn nonzero(x: &[f32], nz: &mut Vec<u32>) {
 /// rows `i` in `rows`, in the order given, for `c in 0..out.len()`; `act`
 /// is ReLU when `RELU`. With `BINARY` every `x[i]` is 1 and `x` is unread.
 /// Columns are tiled widest-first so a tile's accumulators stay in
-/// registers across all rows; narrow tiles mop up widths that are not a
-/// multiple of 64. The sparse first layer of `QNet::forward` and
-/// `QNet::forward_batch` runs it too (`Dense::forward`).
+/// registers across all rows. Fewer than 32 columns left take at most two
+/// more passes — their whole 8-float lanes, then the rest — because a
+/// pass per lane or per column would be that many serial add chains (a
+/// 31-wide head took ten). Every scalar `QNet::forward` layer and the
+/// sparse first layer of `QNet::forward_batch` run it too.
 pub(crate) fn affine<const BINARY: bool, const RELU: bool>(
     w: &[f32],
     stride: usize,
@@ -178,8 +180,22 @@ pub(crate) fn affine<const BINARY: bool, const RELU: bool>(
     let mut col = 0;
     col = tiles::<64, BINARY, RELU>(w, stride, b, rows, x, out, col);
     col = tiles::<32, BINARY, RELU>(w, stride, b, rows, x, out, col);
-    col = tiles::<8, BINARY, RELU>(w, stride, b, rows, x, out, col);
-    tiles::<1, BINARY, RELU>(w, stride, b, rows, x, out, col);
+    col = match (out.len() - col) / 8 {
+        3 => tiles::<24, BINARY, RELU>(w, stride, b, rows, x, out, col),
+        2 => tiles::<16, BINARY, RELU>(w, stride, b, rows, x, out, col),
+        1 => tiles::<8, BINARY, RELU>(w, stride, b, rows, x, out, col),
+        _ => col,
+    };
+    match out.len() - col {
+        7 => tiles::<7, BINARY, RELU>(w, stride, b, rows, x, out, col),
+        6 => tiles::<6, BINARY, RELU>(w, stride, b, rows, x, out, col),
+        5 => tiles::<5, BINARY, RELU>(w, stride, b, rows, x, out, col),
+        4 => tiles::<4, BINARY, RELU>(w, stride, b, rows, x, out, col),
+        3 => tiles::<3, BINARY, RELU>(w, stride, b, rows, x, out, col),
+        2 => tiles::<2, BINARY, RELU>(w, stride, b, rows, x, out, col),
+        1 => tiles::<1, BINARY, RELU>(w, stride, b, rows, x, out, col),
+        _ => col,
+    };
 }
 
 /// Compute as many whole `W`-column tiles as fit from column `col` on;

@@ -3,6 +3,7 @@
 //! (1104 → 256 ReLU → 31, §IV-B).
 
 use crate::dense::{BatchInput, Dense, DenseGrad, Input};
+use crate::infer::nonzero;
 use crate::matrix::{axpy, dot, Mat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,6 +71,8 @@ pub struct FwdCache {
     pub value: f32,
     /// Final Q values.
     pub q: Vec<f32>,
+    /// Indices of the non-zero entries of the dense activation being read.
+    nz: Vec<u32>,
 }
 
 /// Backward-pass scratch: every intermediate gradient buffer the scalar
@@ -329,7 +332,12 @@ impl QNet {
     /// Forward pass; fills `cache` and returns a reference to the Q values.
     ///
     /// Reusing one `cache` across calls avoids all per-call allocations —
-    /// the training loop calls this hundreds of thousands of times.
+    /// the training loop calls this hundreds of thousands of times. Every
+    /// layer runs the inference kernel's tiled affine: a sparse input
+    /// directly, a dense one over its non-zero entries (collected once
+    /// per activation), so the result is [`QInfer`]'s bit for bit.
+    ///
+    /// [`QInfer`]: crate::QInfer
     pub fn forward<'c>(&self, input: Input<'_>, cache: &'c mut FwdCache) -> &'c [f32] {
         let slots = self.trunk.len().max(1);
         if cache.acts.len() != slots {
@@ -345,7 +353,13 @@ impl QNet {
                 0 => input,
                 _ => Input::Dense(&before[li - 1]),
             };
-            layer.forward_act::<true>(x, act);
+            match x {
+                Input::Sparse(_) => layer.forward_act::<true>(x, act),
+                Input::Dense(x) => {
+                    nonzero(x, &mut cache.nz);
+                    layer.forward_nz::<true>(x, &cache.nz, act);
+                }
+            }
         }
         if self.trunk.is_empty() {
             // materialize the input as acts[0] so backward has a feature view
@@ -361,18 +375,20 @@ impl QNet {
                 }
             }
         }
-        // Disjoint field borrows: read acts, write q/adv/value.
+        // Disjoint field borrows: read acts, write nz/q/adv/value.
         let feat: &[f32] = cache.acts.last().expect("feature activation");
+        nonzero(feat, &mut cache.nz);
+        let nz = &cache.nz;
         match &self.head {
             Head::Linear(l) => {
                 cache.q.resize(l.fan_out(), 0.0);
-                l.forward(Input::Dense(feat), &mut cache.q);
+                l.forward_nz::<false>(feat, nz, &mut cache.q);
             }
             Head::Dueling { value, advantage } => {
                 let mut v = [0.0f32];
-                value.forward(Input::Dense(feat), &mut v);
+                value.forward_nz::<false>(feat, nz, &mut v);
                 cache.adv.resize(advantage.fan_out(), 0.0);
-                advantage.forward(Input::Dense(feat), &mut cache.adv);
+                advantage.forward_nz::<false>(feat, nz, &mut cache.adv);
                 cache.value = v[0];
                 let mean = cache.adv.iter().sum::<f32>() / cache.adv.len() as f32;
                 cache.q.resize(cache.adv.len(), 0.0);

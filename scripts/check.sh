@@ -119,6 +119,20 @@ if [[ $lock_sites -gt $lock_sites_max ]]; then
     exit 1
 fi
 
+# The labeling crates take no lock at all (all modes): an agent predictor's
+# scratch belongs to the calling thread, so ams-core, ams-nn and ams-rl
+# share nothing behind a mutex. Lines naming `.lock()`, `Mutex` or `RwLock`
+# there are a ratchet at 0, so a scratch pool cannot come back.
+labeling_lock_sites_max=0
+echo "==> ams-core/nn/rl lock sites (at most $labeling_lock_sites_max lines)"
+labeling_lock_lines=$(grep -rnE '\.lock\(\)|Mutex|RwLock' crates/ams-core/src crates/ams-nn/src crates/ams-rl/src || true)
+labeling_lock_sites=$(grep -c . <<<"$labeling_lock_lines" || true)
+if [[ $labeling_lock_sites -gt $labeling_lock_sites_max ]]; then
+    echo "$labeling_lock_lines" >&2
+    echo "$labeling_lock_sites lines name a lock in ams-core/nn/rl, above the ratchet's $labeling_lock_sites_max" >&2
+    exit 1
+fi
+
 # Workspace-specific static analysis (all modes — it is fast): first prove
 # every rule can fire on its injected-violation fixtures, then require the
 # tree itself to be clean. Rules and allow-list syntax: LINTS.md.
