@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release -p ams-bench --bin bench_serve [-- --smoke]`
 
 use ams_bench::gate::{run_gate, GateKind};
-use ams_bench::serve::{capacity, drift, routing, slo, zipf, Ctx, Record};
+use ams_bench::serve::{capacity, drift, held, routing, slo, zipf, Ctx, Record};
 use serde::Serialize;
 use std::process::ExitCode;
 
@@ -22,6 +22,7 @@ fn main() -> ExitCode {
     let slo_sweep = slo::run(&ctx);
     let zipf_sweep = zipf::run(&ctx);
     let drift_sweep = drift::run(&ctx);
+    let held_burst_admissions = held::run(&ctx);
 
     let record = Record {
         description: "AMS serving benchmark: sharded front-end (bounded queues, per-shard \
@@ -30,7 +31,8 @@ fn main() -> ExitCode {
                       routing compared at 0.8x/1.6x burst load; blind vs SLO-aware shedding at \
                       1.6x burst overload; the content-addressed label cache swept \
                       over Zipf repeat rates, cache-on vs cache-off; online adaptation \
-                      (ams-serve::adapt) under a mid-stream mixture shift, frozen vs adaptive. \
+                      (ams-serve::adapt) under a mid-stream mixture shift, frozen vs adaptive; \
+                      a burst queued while the one worker labels, joining its open batch. \
                       DRL-agent predictor, 1s per-item deadline. See PERF.md for methodology."
             .into(),
         cores_available: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -55,6 +57,7 @@ fn main() -> ExitCode {
         slo_sweep,
         zipf_sweep,
         drift_sweep,
+        held_burst_admissions,
     };
     let json = serde_json::to_string_pretty(&record).expect("record serializes");
     // Smoke runs are a CI gate, not a measurement: don't clobber the

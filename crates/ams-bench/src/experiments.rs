@@ -12,7 +12,7 @@ use ams::core::policies::{
     aggregate_rollouts, no_policy_time_ms, optimal_rollout, predictor_greedy_rollout,
     random_packing_recall, random_rollout, run_serial,
 };
-use ams::core::scheduler::optimal_star;
+use ams::core::scheduler::{optimal_star, QRow};
 use ams::prelude::*;
 use std::fmt::Write as _;
 use std::io;
@@ -809,14 +809,14 @@ fn q_greedy_deadline_recall(
     budget_ms: u64,
     threshold: f32,
 ) -> f64 {
-    let mut q = vec![0.0f32; zoo.len()];
+    let mut row = QRow::new(zoo.len());
     run_serial(
         item,
         zoo,
         budget_ms,
         threshold,
         |state, mask, remaining, _| {
-            predictor.predict_into(state, item, &mut q);
+            let q = row.at(predictor, state, item);
             let mut best: Option<(usize, f32)> = None;
             for (m, &v) in q.iter().enumerate() {
                 let fits = u64::from(zoo.spec(ModelId(m as u8)).time_ms) <= remaining;

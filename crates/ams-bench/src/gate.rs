@@ -15,7 +15,7 @@
 //! slowdowns like an accidentally serialized worker pool, not 10%
 //! scheduler noise). Each tolerance sits on its row with its reason.
 
-use crate::serve::{capacity, drift, routing, slo, zipf};
+use crate::serve::{capacity, drift, held, routing, slo, zipf};
 use serde::Value;
 use std::fmt::Write as _;
 
@@ -97,6 +97,7 @@ impl GateKind {
                 slo::CHECKS,
                 zipf::CHECKS,
                 drift::CHECKS,
+                held::CHECKS,
             ],
             GateKind::Hotpath => &[crate::hotpath::CHECKS],
         };
@@ -430,7 +431,8 @@ mod tests {
                     "adaptive": { "phase2_value": 604.0, "swaps": 12,
                       "experiences": 224, "experiences_dropped": 0,
                       "conserved": true, "events_reconciled": true }
-                }
+                },
+                "held_burst_admissions": 1
             }"#,
         )
         .expect("fixture parses")

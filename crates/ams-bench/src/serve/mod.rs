@@ -20,6 +20,7 @@
 
 pub mod capacity;
 pub mod drift;
+pub mod held;
 pub mod routing;
 pub mod slo;
 pub mod zipf;
@@ -308,4 +309,8 @@ pub struct Record {
     pub zipf_sweep: Vec<zipf::ZipfPoint>,
     /// Online adaptation under a mid-stream mixture shift.
     pub drift_sweep: drift::DriftSweep,
+    /// Pool admissions of a `max_batch` burst queued while the one worker
+    /// was labeling its first request ([`held`]): 1 when the burst joins
+    /// the open batch.
+    pub held_burst_admissions: u64,
 }

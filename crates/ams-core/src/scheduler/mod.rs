@@ -26,7 +26,7 @@ use ams_models::{LabelSet, ModelId};
 /// state, and [`ValuePredictor::predict_into`] is a pure function of the
 /// state and the item. A model that recalls no new label therefore leaves
 /// the row as it was, and the next pick reuses it.
-pub(crate) struct QRow {
+pub struct QRow {
     q: Vec<f32>,
     /// `count()` of the state `q` was predicted at; `None` before the
     /// first prediction.
@@ -35,7 +35,7 @@ pub(crate) struct QRow {
 
 impl QRow {
     /// An empty row for `num_models` models, for one item.
-    pub(crate) fn new(num_models: usize) -> Self {
+    pub fn new(num_models: usize) -> Self {
         Self {
             q: vec![0.0; num_models],
             at: None,
@@ -44,7 +44,7 @@ impl QRow {
 
     /// The Q row at `state`, predicted only if the state grew since the
     /// last call.
-    pub(crate) fn at(
+    pub fn at(
         &mut self,
         predictor: &dyn ValuePredictor,
         state: &LabelSet,

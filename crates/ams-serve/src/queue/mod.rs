@@ -555,15 +555,18 @@ impl ShardQueue {
     /// Pop up to `max` requests without waiting (none: the queue is closed
     /// and drained). An open, empty queue is waited on instead, until work
     /// arrives or `until_us` µs after the epoch (`None`: for as long as it
-    /// takes), and `None` comes back: the caller reads its clock again.
+    /// takes; an instant already past: not at all), and `None` comes back:
+    /// the caller reads its clock again.
     pub(crate) fn pop_or_wait(&self, max: usize, until_us: Option<u64>) -> Option<Vec<Request>> {
         let mut st = self.state.lock().expect("shard queue");
         if st.core.is_idle() {
             // No deadline waits some 584 000 years: until work arrives.
             let now_us = self.us_since_epoch(Instant::now());
-            let left =
-                Duration::from_micros(until_us.map_or(u64::MAX, |us| us.saturating_sub(now_us)));
-            drop(self.not_empty.wait_timeout(st, left).expect("shard queue"));
+            let left = until_us.map_or(u64::MAX, |us| us.saturating_sub(now_us));
+            if left > 0 {
+                let left = Duration::from_micros(left);
+                drop(self.not_empty.wait_timeout(st, left).expect("shard queue"));
+            }
             return None;
         }
         let batch = st.core.take(max);

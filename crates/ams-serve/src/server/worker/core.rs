@@ -1,10 +1,11 @@
 //! The shard worker's clock-free core, `ams_sim::shard::WorkerCore`: its
-//! rules — the pop gate, the pool plan, each member's due and the busy
-//! span — tested with literal microseconds after the shard queue's epoch.
+//! rules — the pop gate, who may join an open batch, the pool plan, each
+//! member's due and the busy span — tested with literal microseconds after
+//! the shard queue's epoch.
 
 #[cfg(test)]
 mod tests {
-    use ams_sim::shard::{gate, Gate, WorkerCore};
+    use ams_sim::shard::{gate, join_room, Gate, WorkerCore};
     use ams_sim::{BatchLatencyModel, Job};
 
     /// `gate` at a batch limit of 8 with a full batch queued.
@@ -39,6 +40,29 @@ mod tests {
         assert_eq!(gate(0, 0, 0, 8, 1), Gate::PopAny);
         assert_eq!(gate(0, 0, 3, 8, 1), Gate::PopAny);
         assert_eq!(gate(0, 0, 3, 8, 2), Gate::PopAny);
+    }
+
+    /// A worker with its shard to itself tops its batch up to the limit
+    /// with what queued while it was labeled.
+    #[test]
+    fn one_worker_tops_its_batch_up() {
+        assert_eq!(join_room(1, 8, 1), 7);
+        assert_eq!(join_room(5, 8, 1), 3);
+    }
+
+    /// With siblings on the shard a batch closes at its pop: a join would
+    /// bind the request to this pool while a sibling may be free.
+    #[test]
+    fn several_workers_join_nothing() {
+        assert_eq!(join_room(1, 8, 2), 0);
+        assert_eq!(join_room(1, 8, 4), 0);
+    }
+
+    #[test]
+    fn a_full_batch_has_no_room() {
+        assert_eq!(join_room(8, 8, 1), 0);
+        assert_eq!(join_room(9, 8, 1), 0, "never negative");
+        assert_eq!(join_room(8, 8, 2), 0);
     }
 
     /// The service hint is busy time between batch starts, blocked time

@@ -1,10 +1,11 @@
 //! The shard worker: pop a batch, then four phases — shed stale / claim,
 //! label, batch-admit into the worker's virtual GPU pool, stage — while
 //! earlier members are delivered as their own models finish, until the
-//! shard queue closes and drains. Also the accumulators a worker hands
-//! back at join. This shell reads the clock and does the side effects;
-//! every rule over time or the pool plan is the clock-free [`WorkerCore`],
-//! in µs after the shard queue's epoch.
+//! shard queue closes and drains. A batch stays open from its pop to its
+//! admission: what queued while it was being labeled joins it. Also the
+//! accumulators a worker hands back at join. This shell reads the clock
+//! and does the side effects; every rule over time or the pool plan is
+//! the clock-free [`WorkerCore`], in µs after the shard queue's epoch.
 
 mod core;
 
@@ -19,7 +20,7 @@ use crate::telemetry::LatencyHistogram;
 use ams_core::framework::LabelingOutcome;
 use ams_core::streaming::StreamStats;
 pub use ams_sim::shard::LOOK_AHEAD_BATCHES;
-use ams_sim::shard::{Gate, WorkerCore};
+use ams_sim::shard::{join_room, Gate, WorkerCore};
 use ams_sim::Job;
 use std::time::{Duration, Instant};
 
@@ -66,8 +67,8 @@ impl WorkerLocal {
     }
 }
 
-/// A batch member that reached execution, and when its batch was popped
-/// (µs after the queue's epoch): its queue wait ends and its execute span
+/// A batch member that reached execution, and when it was popped (µs
+/// after the queue's epoch): its queue wait ends and its execute span
 /// starts there.
 struct Survivor {
     req: Request,
@@ -80,6 +81,9 @@ struct Survivor {
     /// break ticket/event exactly-once.
     ghost: bool,
 }
+
+/// A labeled batch member: what the pool stages and delivers.
+type Member = (Survivor, LabelingOutcome);
 
 /// One worker's view of the server plus its private state.
 struct Worker<'a> {
@@ -95,15 +99,15 @@ struct Worker<'a> {
     adapt: Option<WorkerAdapt>,
     local: WorkerLocal,
     /// The worker's pool, the members staged on it, and its service clock.
-    core: WorkerCore<(Survivor, LabelingOutcome)>,
+    core: WorkerCore<Member>,
 }
 
 // ams-lint: begin(no-panic) worker hot loop — a panicking worker strands
 // its shard queue and every in-flight ticket on it
 
 /// One worker: pace (deliver what is due, pop) → shed stale / claim →
-/// label → batch-admit and stage, until the shard queue closes and drains
-/// and the last member is delivered.
+/// label, joined by what queued meanwhile → batch-admit and stage, until
+/// the shard queue closes and drains and the last member is delivered.
 pub(super) fn worker_loop(
     shared: &Shared,
     shard: usize,
@@ -141,16 +145,13 @@ pub(super) fn worker_loop(
             w.local.virtual_exec_ms = w.core.finish();
             return w.local;
         };
-        // Every member's queue wait and expiry is judged at the pop.
-        let survivors = w.claim(batch, popped_us);
-        if survivors.is_empty() {
-            // The whole round was shed: no batch executed, nothing to
-            // observe or charge.
+        let Some((members, admit_us)) = w.fill(batch, popped_us) else {
+            // The whole batch was shed: none executed, nothing to observe
+            // or charge.
             continue;
-        }
-        w.batch_started(popped_us, survivors.len());
-        let outcomes = w.label(&survivors);
-        w.batch_admit(survivors, outcomes);
+        };
+        w.batch_started(popped_us, members.len());
+        w.batch_admit(members, admit_us);
     }
 }
 
@@ -166,6 +167,11 @@ impl Worker<'_> {
         ledger.settle(ev, value, |ev| self.shared.emit(Some(self.index), ev));
     }
 
+    /// The clock, µs after the shard queue's epoch.
+    fn now_us(&self) -> u64 {
+        self.queue.us_since_epoch(Instant::now())
+    }
+
     /// The loop's one pacing call: read the clock, deliver every member
     /// that is due, then pause or pop as the core's [`Gate`] says, the
     /// clock read being the batch's pop. A pop that finds the queue empty
@@ -176,7 +182,7 @@ impl Worker<'_> {
     fn pace(&mut self) -> Option<(Vec<Request>, u64)> {
         let mut waited_from = None;
         loop {
-            let now_us = self.queue.us_since_epoch(Instant::now());
+            let now_us = self.now_us();
             if let Some(from) = waited_from.take() {
                 self.core.blocked(now_us.saturating_sub(from));
             }
@@ -198,6 +204,45 @@ impl Worker<'_> {
                 Some(_) if gate == Gate::PopAny => return None,
                 Some(_) => {}
                 None => waited_from = Some(now_us),
+            }
+        }
+    }
+
+    /// Phases 1 and 2 over a popped batch, kept open until its admission:
+    /// claim and label it, then pop — without waiting — what queued in the
+    /// meantime, claim and label that, and so on while [`join_room`]
+    /// leaves room and the queue has work. Every member is judged at its
+    /// own pop. Returns the labeled members and the last clock read, the
+    /// pool's admission clock; `None` when every member was shed.
+    fn fill(&mut self, batch: Vec<Request>, popped_us: u64) -> Option<(Vec<Member>, u64)> {
+        let survivors = self.claim(batch, popped_us);
+        if survivors.is_empty() {
+            return None;
+        }
+        // With adaptation on, repin the snapshot predictor first — one
+        // atomic generation check per batch, so every member is labeled
+        // against one coherent weight set even while the trainer publishes
+        // mid-batch.
+        if let Some(a) = self.adapt.as_mut() {
+            a.refresh();
+        }
+        let mut members: Vec<_> = survivors.into_iter().map(|s| self.label(s)).collect();
+        let (max_batch, workers) = (self.shared.cfg.max_batch, self.shared.cfg.workers_per_shard);
+        loop {
+            let now_us = self.now_us();
+            let room = join_room(members.len(), max_batch, workers);
+            let joined = if room > 0 {
+                self.queue.pop_or_wait(room, Some(0))
+            } else {
+                None
+            };
+            match joined {
+                Some(joined) if !joined.is_empty() => {
+                    for s in self.claim(joined, now_us) {
+                        members.push(self.label(s));
+                    }
+                }
+                _ => return Some((members, now_us)),
             }
         }
     }
@@ -247,7 +292,8 @@ impl Worker<'_> {
         survivors
     }
 
-    /// A batch of `len` starts executing at `at_us`: publish the busy span
+    /// The batch popped at `at_us` starts executing with `len` members, the
+    /// joined ones included: publish the busy span
     /// since the previous batch start to the shard queue, whose service-time
     /// EWMAs every wait price — admission, eviction's doom horizon, spill
     /// routing — reads, so the policies agree on what a queued request's
@@ -262,40 +308,38 @@ impl Worker<'_> {
             .observe(|obs| obs.batch_started(shard, len, busy.unwrap_or(0)));
     }
 
-    /// Phase 2 — label each survivor.
-    fn label(&mut self, survivors: &[Survivor]) -> Vec<LabelingOutcome> {
+    /// Phase 2 — label one survivor.
+    fn label(&self, s: Survivor) -> Member {
         let shared = self.shared;
-        self.local.batches += 1;
-        self.local.max_batch_observed = self.local.max_batch_observed.max(survivors.len());
-        for s in survivors {
-            let batched = s.req.event(EventKind::Batched, self.shard as u32);
-            self.emit(batched.detail(survivors.len() as u64));
-        }
-        // With adaptation on, repin the snapshot predictor first — one
-        // atomic generation check per batch, so every predict in this
-        // batch runs against one coherent weight set even while the
-        // trainer publishes mid-batch.
-        if let Some(a) = self.adapt.as_mut() {
-            a.refresh();
-        }
-        let label = |s: &Survivor| match &self.adapt {
+        let outcome = match &self.adapt {
             Some(a) => shared
                 .scheduler
                 .label_item_with(&a.predictor, &s.req.item, shared.budget),
             None => shared.scheduler.label_item(&s.req.item, shared.budget),
         };
-        survivors.iter().map(label).collect()
+        (s, outcome)
     }
 
     /// Phases 3 and 4 — batched admission and staging
-    /// ([`WorkerCore::admit`]) on the pool's clock, read after labeling.
-    /// The bill and the groups opened are charged, and the plan's end is
-    /// published to the shard queue: the pool wait both doom tests price.
-    fn batch_admit(&mut self, survivors: Vec<Survivor>, outcomes: Vec<LabelingOutcome>) {
-        let now_us = self.queue.us_since_epoch(Instant::now());
-        let batch = survivors.into_iter().zip(outcomes).map(|(s, outcome)| {
-            let models = outcome.executed.iter().map(|m| m.index()).collect();
-            ((s, outcome), models)
+    /// ([`WorkerCore::admit`]) of the whole batch at `now_us`, the clock
+    /// read after its last labeling. The bill and the groups opened are
+    /// charged, and the plan's end is published to the shard queue: the
+    /// pool wait both doom tests price.
+    fn batch_admit(&mut self, members: Vec<Member>, now_us: u64) {
+        let len = members.len();
+        self.local.batches += 1;
+        self.local.max_batch_observed = self.local.max_batch_observed.max(len);
+        for (s, _) in &members {
+            let batched = s.req.event(EventKind::Batched, self.shard as u32);
+            self.emit(batched.detail(len as u64));
+        }
+        let batch = members.into_iter().map(|(s, outcome)| {
+            // The models it ran, as a mask: the pickers' zoo has at most 64.
+            let mask = outcome
+                .executed
+                .iter()
+                .fold(0u64, |mask, m| mask | 1 << m.index());
+            ((s, outcome), (0..64).filter(move |m| mask >> m & 1 == 1))
         });
         let admitted = self.core.admit(batch.collect(), now_us);
         self.local.virtual_work_ms += admitted.bill_ms;
@@ -306,8 +350,8 @@ impl Worker<'_> {
 
     /// Deliver every staged member due at `now_us`: resolve each one (cache
     /// fan-out, ledgers, events, the ticket's own `Labeled` completion),
-    /// charged its own execute span — its batch's pop to `now_us` — on top
-    /// of its queue wait. Returns whether any was delivered.
+    /// charged its own execute span — its pop to `now_us` — on top of its
+    /// queue wait. Returns whether any was delivered.
     fn deliver_due(&mut self, now_us: u64) -> bool {
         let due = self.core.take_due(now_us);
         if due.is_empty() {

@@ -5,15 +5,19 @@
 
 mod common;
 
-use ams_core::framework::Budget;
+use ams_core::framework::{AdaptiveModelScheduler, Budget};
+use ams_core::predictor::{OraclePredictor, ValuePredictor};
 use ams_core::streaming::{StreamProcessor, StreamStats};
 use ams_data::{ItemTruth, TruthTable};
+use ams_models::{LabelSet, ModelZoo};
 use ams_serve::{
-    AffinityConfig, AmsServer, BackpressurePolicy, Client, Router, RoutingMode, ServeConfig,
-    ServeReport, ShardQueue, SloClass, SloConfig, SubmitOptions, SubmitOutcome, Ticket,
+    AffinityConfig, AmsServer, BackpressurePolicy, Client, Completion, ObsConfig, Router,
+    RoutingMode, ServeConfig, ServeReport, ShardQueue, SloClass, SloConfig, SubmitOptions,
+    SubmitOutcome, Ticket,
 };
 use common::{assert_stats_match, scheduler, truth_of as truth};
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{mpsc, Arc, Mutex};
 
 fn serial_stats(budget: Budget, table: &TruthTable) -> StreamStats {
     let mut serial = StreamProcessor::new(scheduler(), budget);
@@ -548,4 +552,111 @@ fn shutdown_drains_backlog_and_latency_split_is_recorded() {
     let back: ams_serve::ServeReport = serde_json::from_str(&json).expect("parses");
     assert_eq!(back.completed, 32);
     assert_eq!(back.policy, "block");
+}
+
+/// An oracle whose first prediction tells the test it has begun and then
+/// blocks until the test lets it go: the one worker is then held inside
+/// the label of the first request it popped.
+struct HeldOracle {
+    oracle: OraclePredictor,
+    held: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+impl ValuePredictor for HeldOracle {
+    fn num_models(&self) -> usize {
+        self.oracle.num_models()
+    }
+
+    fn predict_into(&self, state: &LabelSet, item: &ItemTruth, out: &mut [f32]) {
+        let held = self.held.lock().expect("held oracle").take();
+        if let Some((begun, release)) = held {
+            begun.send(()).expect("the test waits for the hold");
+            release.recv().expect("the test releases the hold");
+        }
+        self.oracle.predict_into(state, item, out);
+    }
+
+    fn name(&self) -> &'static str {
+        "held-oracle"
+    }
+}
+
+/// One worker, no emulation: submit one request, queue `k` more while the
+/// worker is held labeling it, release it, and collect every completion.
+/// Returns the report, the completions and the `executing` gauge once all
+/// `k + 1` are in.
+fn held_burst(k: usize, max_batch: usize, budget: Budget) -> (ServeReport, Vec<Completion>, u64) {
+    let zoo = ModelZoo::standard();
+    let (begun_tx, begun) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let predictor = HeldOracle {
+        oracle: OraclePredictor::new(zoo.len(), 0.5),
+        held: Mutex::new(Some((begun_tx, release_rx))),
+    };
+    let sched = AdaptiveModelScheduler::new(zoo, Box::new(predictor), 0.5, 64);
+    let cfg = ServeConfig {
+        shards: 1,
+        workers_per_shard: 1,
+        max_batch,
+        queue_capacity: k + 1,
+        obs: Some(ObsConfig::default()),
+        ..ServeConfig::default()
+    };
+    let server = AmsServer::start(sched, budget, cfg);
+    let client = server.client_with_capacity(k + 1);
+    let table = truth(k + 1);
+    let submit = |item: &ItemTruth| assert!(client.submit(Arc::new(item.clone())).is_accepted());
+    submit(&table.items()[0]);
+    begun.recv().expect("the worker labels the first request");
+    table.items()[1..].iter().for_each(submit);
+    release.send(()).expect("the worker is held");
+    let events: Vec<Completion> = (0..=k).filter_map(|_| client.recv()).collect();
+    let snapshot = server.metrics_snapshot().expect("obs is on");
+    let executing = snapshot.shards.iter().map(|s| s.executing).sum();
+    (server.shutdown(), events, executing)
+}
+
+/// Requests that queue while an idle pool's batch is being labeled join
+/// that batch: `k + 1 <= max_batch` is one admission, one setup per
+/// distinct model, labels as the serial engine's, and the `executing`
+/// gauge back at 0 (the batch started with every member counted).
+#[test]
+fn requests_queued_during_labeling_join_the_open_batch() {
+    let budget = Budget::Deadline { ms: 900 };
+    let (k, max_batch) = (3, 4);
+    let (report, events, executing) = held_burst(k, max_batch, budget);
+    assert_eq!(report.batches, 1, "one admission for the whole burst");
+    assert_eq!(report.max_batch_observed, k + 1);
+    assert_eq!(executing, 0);
+    let table = truth(k + 1);
+    let serial: Vec<_> = table
+        .items()
+        .iter()
+        .map(|item| scheduler().label_item(item, budget))
+        .collect();
+    let models: HashSet<_> = serial
+        .iter()
+        .flat_map(|o| o.executed.iter().copied())
+        .collect();
+    assert_eq!(report.model_invocations, models.len() as u64);
+    let mut got: Vec<_> = events
+        .iter()
+        .map(|e| e.labeled().expect("lossless").labels.clone())
+        .collect();
+    let mut want: Vec<_> = serial.into_iter().map(|o| o.labels).collect();
+    got.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    want.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    assert_eq!(got, want, "labels equal the serial engine's");
+}
+
+/// A burst one larger than the room left tops the open batch up to the
+/// limit; the rest is the next admission.
+#[test]
+fn a_burst_past_the_batch_limit_is_two_admissions() {
+    let max_batch = 4;
+    let (report, events, executing) =
+        held_burst(max_batch, max_batch, Budget::Deadline { ms: 900 });
+    assert_eq!(events.len(), max_batch + 1);
+    assert_eq!((report.batches, report.max_batch_observed), (2, max_batch));
+    assert_eq!(executing, 0);
 }

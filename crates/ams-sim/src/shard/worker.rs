@@ -64,14 +64,33 @@ pub fn gate(
     }
 }
 
-/// A member on the pool: the payload, the models it ran, the admit that
-/// took those runs, and when its own last group starts and finishes.
+/// How many more requests may join a batch of `len` before its admission
+/// to the pool: what queued while it was being labeled, up to a full
+/// batch. With one worker per shard the batch stays open until then. With
+/// several it closes at the pop, as `gate` gives them no look-ahead: a
+/// pop binds a request to this worker's pool while a sibling may be free.
+pub fn join_room(len: usize, max_batch: usize, workers_per_shard: usize) -> usize {
+    if workers_per_shard == 1 {
+        max_batch.saturating_sub(len)
+    } else {
+        0
+    }
+}
+
+/// A member on the pool: the payload, the mask of the models it ran (a
+/// zoo has at most 64), the admit that took those runs, and when its own
+/// last group starts and finishes.
 struct Staged<T> {
     member: T,
-    models: Vec<usize>,
+    models: u64,
     admit: u64,
     due_us: u64,
     last_start_us: u64,
+}
+
+/// The models of `mask`, in index order.
+fn models_of(mask: u64) -> impl Iterator<Item = usize> {
+    (0..64).filter(move |m| mask >> m & 1 == 1)
 }
 
 /// Virtual pool ms `v_ms` as µs after the epoch, at `us_per_ms`.
@@ -168,13 +187,31 @@ impl<T> WorkerCore<T> {
     /// pool behind what has started, each run joining its model's open
     /// group when there is one. Members in flight are re-dued to the
     /// re-planned groups and the batch is staged, each member due at the
-    /// latest finish among the groups its runs joined.
-    pub fn admit(&mut self, batch: Vec<(T, Vec<usize>)>, now_us: u64) -> Admitted {
+    /// latest finish among the groups its runs joined. A model index past
+    /// 63 or the zoo's last runs nothing.
+    pub fn admit<M>(&mut self, batch: Vec<(T, M)>, now_us: u64) -> Admitted
+    where
+        M: IntoIterator<Item = usize>,
+    {
         self.groups.iter_mut().for_each(|(_, runs)| *runs = 0);
-        for &m in batch.iter().flat_map(|(_, models)| models) {
-            if let Some((_, runs)) = self.groups.get_mut(m) {
-                *runs += 1;
+        let staged = self.in_flight.len();
+        for (member, models) in batch {
+            let models = models
+                .into_iter()
+                .filter(|&m| m < 64)
+                .fold(0u64, |mask, m| mask | 1 << m);
+            for m in models_of(models) {
+                if let Some((_, runs)) = self.groups.get_mut(m) {
+                    *runs += 1;
+                }
             }
+            self.in_flight.push(Staged {
+                member,
+                models,
+                admit: 0,
+                due_us: 0,
+                last_start_us: 0,
+            });
         }
         // Without emulation the pool is infinitely fast next to the wall
         // clock: it has always drained.
@@ -186,15 +223,9 @@ impl<T> WorkerCore<T> {
         self.pool.advance_to(now_ms);
         let admitted = self.pool.admit(&self.groups, &self.batch_model);
         self.pool_end_ms = admitted.end_ms;
-        let admit = admitted.index;
-        self.in_flight
-            .extend(batch.into_iter().map(|(member, models)| Staged {
-                member,
-                models,
-                admit,
-                due_us: 0,
-                last_start_us: 0,
-            }));
+        for m in self.in_flight.iter_mut().skip(staged) {
+            m.admit = admitted.index;
+        }
         // Re-due every member from where the pool now has its runs: a
         // group finished by the clock no longer counts, and a re-plan
         // moves only groups that start after it, so no member is delivered
@@ -202,7 +233,7 @@ impl<T> WorkerCore<T> {
         // the earlier admit stays first.
         let (pool, us_per_ms) = (&self.pool, self.us_per_ms);
         for m in &mut self.in_flight {
-            let groups = m.models.iter().filter_map(|&id| pool.group_of(m.admit, id));
+            let groups = models_of(m.models).filter_map(|id| pool.group_of(m.admit, id));
             let (start, finish) =
                 groups.fold((0, 0), |(s, f), g| (s.max(g.start_ms), f.max(g.finish_ms)));
             (m.last_start_us, m.due_us) = (to_us(start, us_per_ms), to_us(finish, us_per_ms));

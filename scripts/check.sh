@@ -95,7 +95,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # ams-serve/src that read the wall clock may only go down. A rule over time
 # belongs in ams-sim, fed the shell's one read; a PR that removes reads
 # lowers the limit to the new count.
-clock_reads_max=10
+clock_reads_max=9
 echo "==> ams-serve clock reads (at most $clock_reads_max lines)"
 clock_lines=$(grep -rnE 'Instant::now\(\)|\.elapsed\(\)' crates/ams-serve/src || true)
 clock_reads=$(grep -c . <<<"$clock_lines" || true)
@@ -130,6 +130,21 @@ labeling_lock_sites=$(grep -c . <<<"$labeling_lock_lines" || true)
 if [[ $labeling_lock_sites -gt $labeling_lock_sites_max ]]; then
     echo "$labeling_lock_lines" >&2
     echo "$labeling_lock_sites lines name a lock in ams-core/nn/rl, above the ratchet's $labeling_lock_sites_max" >&2
+    exit 1
+fi
+
+# The serving tests' sleeps are a ratchet too (all modes): a test that
+# needs a worker held or time to pass drives it deterministically (a
+# blocking predictor, literal µs into the pure cores), so lines in
+# ams-serve/tests that call `thread::sleep` may only go down. A PR that
+# removes some lowers the limit to the new count.
+test_sleeps_max=10
+echo "==> ams-serve test sleeps (at most $test_sleeps_max lines)"
+sleep_lines=$(grep -rnE 'thread::sleep' crates/ams-serve/tests || true)
+test_sleeps=$(grep -c . <<<"$sleep_lines" || true)
+if [[ $test_sleeps -gt $test_sleeps_max ]]; then
+    echo "$sleep_lines" >&2
+    echo "$test_sleeps lines sleep in ams-serve/tests, above the ratchet's $test_sleeps_max" >&2
     exit 1
 fi
 
