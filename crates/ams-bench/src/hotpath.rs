@@ -267,7 +267,10 @@ fn td_target(
 /// sample, a post-hoc `1/batch` gradient rescale sweep, and [`SeedAdam`].
 /// This is the baseline `learn_speedup` in `BENCH_hotpath.json` is
 /// measured against.
-#[allow(clippy::too_many_arguments)] // mirrors the seed learn step's signature
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the seed learn step's signature"
+)]
 pub fn learn_step_seed(
     net: &mut ams::nn::QNet,
     target: &ams::nn::QNet,
@@ -340,7 +343,10 @@ impl ScalarScratch {
 /// update with one batched pass per network; this version lives beside the
 /// hot-path benchmark as the baseline it compares against (and the
 /// equivalence test below holds the batched step to it).
-#[allow(clippy::too_many_arguments)] // mirrors learn_step_batched's signature
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors learn_step_batched's signature"
+)]
 pub fn learn_step_scalar(
     net: &mut QNet,
     target: &QNet,

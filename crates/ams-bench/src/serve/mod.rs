@@ -179,7 +179,10 @@ impl Ctx {
     /// items/s, request `i` in class `class_of(i)`, and drain. Invariants
     /// asserted on every run: the ledger conserves, and tickets issued ==
     /// terminal events delivered, bucket-for-bucket against the ledger.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the run's name, engine, config, stream, rate, burst and class map are distinct inputs"
+    )]
     pub fn run_paced(
         &self,
         what: &str,

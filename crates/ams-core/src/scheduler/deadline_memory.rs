@@ -169,7 +169,7 @@ fn plan(
             // finish within the temporary deadline.
             loop {
                 let mut fill: Option<(usize, GreedyScore)> = None;
-                #[allow(clippy::needless_range_loop)] // index pairs with the bitmask
+                #[expect(clippy::needless_range_loop, reason = "index pairs with the bitmask")]
                 for m in 0..n {
                     if scheduled >> m & 1 == 1 {
                         continue;

@@ -26,7 +26,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod dataset;
 pub mod generator;

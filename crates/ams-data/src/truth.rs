@@ -100,14 +100,23 @@ impl ItemTruth {
         valuable.iter().map(|&(_, c)| f64::from(c)).sum()
     }
 
-    // ams-lint: begin(no-panic) run-table check — the server runs it on
-    // every item a peer sends, before anything slices by the table
-
     /// Whether the run table indexes the detection buffer: no end below
     /// the one before it, and the last end is the number of detections (0
     /// without runs). [`ItemTruth::output`] slices by it; every item
     /// [`ItemTruth::build`] makes passes, and so does every item the wire
     /// decodes, whose ends are the running sum of the counts it carries.
+    // No-panic zone (LINTS.md): the server runs it on every item a peer
+    // sends, before anything slices by the table.
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )]
     pub fn runs_consistent(&self) -> bool {
         let mut start = 0;
         self.runs.iter().all(|&(_, end)| {
@@ -116,8 +125,6 @@ impl ItemTruth {
             rising
         }) && start as usize == self.detections.len()
     }
-
-    // ams-lint: end(no-panic)
 
     /// Output of one model.
     pub fn output(&self, m: ModelId) -> OutputView<'_> {

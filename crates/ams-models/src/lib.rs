@@ -20,7 +20,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod label;
 pub mod labelset;

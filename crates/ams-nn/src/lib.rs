@@ -19,7 +19,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod dense;
 pub mod infer;

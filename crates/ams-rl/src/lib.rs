@@ -21,7 +21,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod algo;
 pub mod env;

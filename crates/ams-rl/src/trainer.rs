@@ -413,7 +413,10 @@ impl TargetRows {
 /// whoever calls with whatever target and replay. Adam steps only the
 /// first-layer rows the minibatch's states touch ([`Adam::step_rows`]),
 /// bitwise the dense step.
-#[allow(clippy::too_many_arguments)] // net/target/opt/replay are distinct roles
+#[expect(
+    clippy::too_many_arguments,
+    reason = "net/target/opt/replay are distinct roles"
+)]
 pub fn learn_step_batched(
     net: &mut QNet,
     target: &QNet,

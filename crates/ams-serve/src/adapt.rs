@@ -132,8 +132,9 @@ pub(crate) struct ExperienceSample {
     pub(crate) executed: Vec<ModelId>,
 }
 
-// ams-lint: begin(no-panic) weight swap + snapshot read path — a panic
-// here poisons the slot every worker and the trainer share
+// No-panic zone (LINTS.md), the four impls down to `WorkerAdapt`'s: a
+// panic on the weight swap or snapshot read path poisons the slot every
+// worker and the trainer share.
 
 /// Double-buffered, generation-counted snapshot slot.
 ///
@@ -153,6 +154,16 @@ pub(crate) struct SnapshotCell {
     slot: Mutex<Arc<AgentSnapshot>>,
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 impl SnapshotCell {
     /// A cell holding `snapshot` as the current generation.
     pub(crate) fn new(snapshot: Arc<AgentSnapshot>) -> Self {
@@ -205,6 +216,16 @@ pub(crate) struct AdaptShared {
     stop: AtomicBool,
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 impl AdaptShared {
     /// Current published weight generation (the `ams_adapt_generation`
     /// gauge).
@@ -220,6 +241,16 @@ pub(crate) struct AdaptTap {
     shared: Arc<AdaptShared>,
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 impl AdaptTap {
     /// Offer one served outcome to the trainer without blocking. A full
     /// channel (or a trainer that already exited) drops the sample and
@@ -246,6 +277,16 @@ pub(crate) struct WorkerAdapt {
     generation: u64,
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 impl WorkerAdapt {
     /// Pin the worker to the cell's current snapshot.
     pub(crate) fn new(tap: AdaptTap) -> Self {
@@ -275,8 +316,6 @@ impl WorkerAdapt {
         self.tap.offer(item, executed);
     }
 }
-
-// ams-lint: end(no-panic)
 
 /// The live adaptation runtime: the shared cell, the server-held sender,
 /// and the joinable trainer thread.

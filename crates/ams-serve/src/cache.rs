@@ -74,7 +74,7 @@ use ams_models::{LabelId, ModelId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::Instant;
 
 /// Label-cache switch ([`ServeConfig::cache`](crate::ServeConfig);
@@ -403,10 +403,14 @@ impl LabelCache {
         &self.ledger
     }
 
-    fn stripe(&self, key: u64) -> &Mutex<Stripe> {
+    /// The stripe that holds `key`, locked: every keyed acquisition goes
+    /// through here. Stripe locks are leaf locks — nothing takes another
+    /// while this guard lives (the one-stripe unit tests hold that).
+    fn stripe(&self, key: u64) -> MutexGuard<'_, Stripe> {
         // Stripe by the high bits: the low bits pick hash-map buckets, so
         // reusing them would correlate stripe and bucket occupancy.
-        &self.stripes[(key >> 32) as usize % self.stripes.len()]
+        let stripe = &self.stripes[(key >> 32) as usize % self.stripes.len()];
+        stripe.lock().expect("cache stripe")
     }
 
     /// The pre-admission protocol: hit, coalesce, or become the leader.
@@ -415,7 +419,7 @@ impl LabelCache {
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
         loop {
             let entry = {
-                let mut stripe = self.stripe(key).lock().expect("cache stripe");
+                let mut stripe = self.stripe(key);
                 match stripe.map.get_mut(&key) {
                     Some(Slot::Resolved(slot)) => {
                         slot.last_tick = now;
@@ -436,7 +440,7 @@ impl LabelCache {
                     follower = f;
                     // Replace the dead entry (unless someone beat us to
                     // it, in which case the fresh slot is re-examined).
-                    let mut stripe = self.stripe(key).lock().expect("cache stripe");
+                    let mut stripe = self.stripe(key);
                     match stripe.map.get(&key) {
                         Some(Slot::Pending(current)) if Arc::ptr_eq(current, &entry) => {
                             let fresh = self.fresh_entry(key);
@@ -469,7 +473,7 @@ impl LabelCache {
         let bytes = result.approx_bytes();
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
         self.insertions.fetch_add(1, Ordering::Relaxed);
-        let mut stripe = self.stripe(entry.key).lock().expect("cache stripe");
+        let mut stripe = self.stripe(entry.key);
         if let Some(Slot::Resolved(old)) = stripe.map.insert(
             entry.key,
             Slot::Resolved(ResolvedSlot {
@@ -528,7 +532,7 @@ impl LabelCache {
     /// Drop a failed entry's map slot (if it still owns it) so the next
     /// lookup of the key starts a fresh leader immediately.
     fn remove_dead(&self, key: u64, entry: &PendingEntry) {
-        let mut stripe = self.stripe(key).lock().expect("cache stripe");
+        let mut stripe = self.stripe(key);
         if let Some(Slot::Pending(current)) = stripe.map.get(&key) {
             if std::ptr::eq(Arc::as_ptr(current), entry) {
                 stripe.map.remove(&key);
@@ -569,6 +573,29 @@ pub(crate) type CacheLedger = Mutex<Ledger>;
 pub(crate) mod tests {
     use super::*;
     use crate::completion::{CancelLedger, CompletionQueue, Ticket};
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::time::Duration;
+
+    /// Run `test` on a one-stripe cache of `capacity_bytes` under a
+    /// watchdog. Stripe locks are leaf locks: on one stripe every
+    /// acquisition is the same mutex, and std's `Mutex::lock` does not
+    /// return when its thread already holds it, so a nested acquisition,
+    /// inline or through a helper, fails the test here instead of hanging
+    /// the suite.
+    fn one_stripe(capacity_bytes: usize, test: impl FnOnce(Arc<LabelCache>) + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let body = std::thread::spawn(move || {
+            test(LabelCache::sized(1, capacity_bytes, None));
+            let _ = done.send(());
+        });
+        if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(10)) {
+            panic!("no return within 10 s: a stripe lock was taken under another");
+        }
+        // Returned, or panicked (the sender dropped): join re-raises a panic.
+        if let Err(panic) = body.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
 
     fn result(labels: usize) -> CachedResult {
         CachedResult {
@@ -634,92 +661,116 @@ pub(crate) mod tests {
 
     #[test]
     fn miss_then_resolve_then_hit() {
-        let cache = LabelCache::new(None);
-        let entry = lead(&cache, 42);
-        cache.resolve(&entry, result(4), 1.0);
-        match cache.lookup(42, follower()) {
-            Lookup::Hit(r) => assert_eq!(r.labels.len(), 4),
-            _ => panic!("resolved key must hit"),
-        }
-        let report = cache.report();
-        assert_eq!(report.entries, 1);
-        assert_eq!(report.insertions, 1);
-        assert!(report.bytes > 0);
+        one_stripe(CAPACITY_BYTES, move |cache| {
+            let entry = lead(&cache, 42);
+            cache.resolve(&entry, result(4), 1.0);
+            match cache.lookup(42, follower()) {
+                Lookup::Hit(r) => assert_eq!(r.labels.len(), 4),
+                _ => panic!("resolved key must hit"),
+            }
+            let report = cache.report();
+            assert_eq!(report.entries, 1);
+            assert_eq!(report.insertions, 1);
+            assert!(report.bytes > 0);
+        });
     }
 
     #[test]
     fn second_lookup_coalesces_and_fan_out_delivers_labeled() {
-        let cache = LabelCache::new(None);
-        let entry = lead(&cache, 7);
-        let cq = Arc::new(CompletionQueue::new(4));
-        let _ticket = coalesce(&cache, 7, &cq, 99);
-        cache.resolve(&entry, result(2), 1.0);
-        let event = cq.try_recv().expect("fan-out delivered");
-        let labeled = event.labeled().expect("labeled completion");
-        assert_eq!(labeled.ticket, 99);
-        assert_eq!(labeled.labels.len(), 2);
-        assert_eq!(labeled.execute_us, 0, "zero bill for a coalesced result");
-        assert_eq!(count(&cache, EventKind::Coalesced), 1);
-        assert_eq!(
-            count(&cache, EventKind::Admitted),
-            0,
-            "offered is the submit path's to count"
-        );
+        one_stripe(CAPACITY_BYTES, move |cache| {
+            let entry = lead(&cache, 7);
+            let cq = Arc::new(CompletionQueue::new(4));
+            let _ticket = coalesce(&cache, 7, &cq, 99);
+            cache.resolve(&entry, result(2), 1.0);
+            let event = cq.try_recv().expect("fan-out delivered");
+            let labeled = event.labeled().expect("labeled completion");
+            assert_eq!(labeled.ticket, 99);
+            assert_eq!(labeled.labels.len(), 2);
+            assert_eq!(labeled.execute_us, 0, "zero bill for a coalesced result");
+            assert_eq!(count(&cache, EventKind::Coalesced), 1);
+            assert_eq!(
+                count(&cache, EventKind::Admitted),
+                0,
+                "offered is the submit path's to count"
+            );
+        });
     }
 
     #[test]
     fn failed_leader_sheds_followers_and_the_next_lookup_leads_fresh() {
-        let cache = LabelCache::new(None);
-        let entry = lead(&cache, 11);
-        let cq = Arc::new(CompletionQueue::new(4));
-        let _ticket = coalesce(&cache, 11, &cq, 5);
-        entry.fail(ShedReason::Deadline);
-        match cq.try_recv().expect("shed delivered") {
-            crate::Completion::Shed { ticket, reason, .. } => {
-                assert_eq!(ticket, 5);
-                assert_eq!(reason, ShedReason::Deadline);
+        one_stripe(CAPACITY_BYTES, move |cache| {
+            let entry = lead(&cache, 11);
+            let cq = Arc::new(CompletionQueue::new(4));
+            let _ticket = coalesce(&cache, 11, &cq, 5);
+            entry.fail(ShedReason::Deadline);
+            match cq.try_recv().expect("shed delivered") {
+                crate::Completion::Shed { ticket, reason, .. } => {
+                    assert_eq!(ticket, 5);
+                    assert_eq!(reason, ShedReason::Deadline);
+                }
+                other => panic!("expected shed, got {other:?}"),
             }
-            other => panic!("expected shed, got {other:?}"),
-        }
-        assert_eq!(count(&cache, EventKind::ShedDeadline), 1);
-        // The dead slot was removed: the key restarts as a fresh leader.
-        assert!(matches!(cache.lookup(11, follower()), Lookup::Miss(_)));
+            assert_eq!(count(&cache, EventKind::ShedDeadline), 1);
+            // The dead slot was removed: the key restarts as a fresh leader.
+            assert!(matches!(cache.lookup(11, follower()), Lookup::Miss(_)));
+        });
+    }
+
+    /// A failed leader whose map slot outlived its removal (the window
+    /// between `fail` marking the entry and `remove_dead`): the next
+    /// lookup replaces it with a fresh leader.
+    #[test]
+    fn a_dead_pending_entry_is_replaced_by_a_fresh_leader() {
+        one_stripe(CAPACITY_BYTES, |cache| {
+            let dead = lead(&cache, 17);
+            dead.fail(ShedReason::Deadline);
+            cache
+                .stripe(17)
+                .map
+                .insert(17, Slot::Pending(Arc::clone(&dead)));
+            match cache.lookup(17, follower()) {
+                Lookup::Miss(fresh) => assert!(!Arc::ptr_eq(&fresh, &dead)),
+                _ => panic!("a dead entry must be replaced by a fresh leader"),
+            }
+        });
     }
 
     #[test]
     fn cancelled_follower_is_skipped_by_the_fan_out() {
-        let cache = LabelCache::new(None);
-        let entry = lead(&cache, 13);
-        let cq = Arc::new(CompletionQueue::new(4));
-        let ticket = coalesce(&cache, 13, &cq, 8);
-        assert!(ticket.cancel());
-        cache.resolve(&entry, result(1), 1.0);
-        let event = cq.try_recv().expect("the cancellation event");
-        assert!(event.is_cancelled(), "cancellation owns the terminal event");
-        assert!(cq.try_recv().is_none(), "fan-out delivered nothing extra");
-        assert_eq!(
-            count(&cache, EventKind::Coalesced),
-            0,
-            "a cancelled follower never coalesces"
-        );
+        one_stripe(CAPACITY_BYTES, move |cache| {
+            let entry = lead(&cache, 13);
+            let cq = Arc::new(CompletionQueue::new(4));
+            let ticket = coalesce(&cache, 13, &cq, 8);
+            assert!(ticket.cancel());
+            cache.resolve(&entry, result(1), 1.0);
+            let event = cq.try_recv().expect("the cancellation event");
+            assert!(event.is_cancelled(), "cancellation owns the terminal event");
+            assert!(cq.try_recv().is_none(), "fan-out delivered nothing extra");
+            assert_eq!(
+                count(&cache, EventKind::Coalesced),
+                0,
+                "a cancelled follower never coalesces"
+            );
+        });
     }
 
     #[test]
     fn abandon_without_waiters_but_execute_with() {
-        let cache = LabelCache::new(None);
-        let entry = lead(&cache, 21);
-        let wanted = match cache.lookup(21, follower()) {
-            Lookup::Coalesced => entry.wanted_or_abandon(),
-            _ => panic!("coalesce expected"),
-        };
-        assert!(wanted, "a waiter makes the ghost execution worthwhile");
+        one_stripe(CAPACITY_BYTES, move |cache| {
+            let entry = lead(&cache, 21);
+            let wanted = match cache.lookup(21, follower()) {
+                Lookup::Coalesced => entry.wanted_or_abandon(),
+                _ => panic!("coalesce expected"),
+            };
+            assert!(wanted, "a waiter makes the ghost execution worthwhile");
 
-        let lone = lead(&cache, 22);
-        assert!(!lone.wanted_or_abandon(), "no waiters: abandon");
-        assert!(
-            matches!(cache.lookup(22, follower()), Lookup::Miss(_)),
-            "abandoned key restarts fresh"
-        );
+            let lone = lead(&cache, 22);
+            assert!(!lone.wanted_or_abandon(), "no waiters: abandon");
+            assert!(
+                matches!(cache.lookup(22, follower()), Lookup::Miss(_)),
+                "abandoned key restarts fresh"
+            );
+        });
     }
 
     #[test]
@@ -728,22 +779,23 @@ pub(crate) mod tests {
         // one stripe by configuring a single stripe. Payloads are sized
         // so two of them clear the 1 KiB config floor.
         let one = result(90).approx_bytes();
-        let cache = LabelCache::sized(1, one * 2 + 1, None);
-        // Same bytes, different values: the low-value entry must go.
-        for (key, value) in [(1u64, 5.0), (2, 0.1), (3, 4.0)] {
-            let entry = lead(&cache, key);
-            cache.resolve(&entry, result(90), value);
-        }
-        let report = cache.report();
-        assert_eq!(report.evictions, 1);
-        assert_eq!(report.entries, 2);
-        assert!(report.bytes <= report.capacity_bytes);
-        assert!(matches!(cache.lookup(1, follower()), Lookup::Hit(_)));
-        assert!(
-            matches!(cache.lookup(2, follower()), Lookup::Miss(_)),
-            "the value-0.1 entry was the victim"
-        );
-        assert!(matches!(cache.lookup(3, follower()), Lookup::Hit(_)));
+        one_stripe(one * 2 + 1, move |cache| {
+            // Same bytes, different values: the low-value entry must go.
+            for (key, value) in [(1u64, 5.0), (2, 0.1), (3, 4.0)] {
+                let entry = lead(&cache, key);
+                cache.resolve(&entry, result(90), value);
+            }
+            let report = cache.report();
+            assert_eq!(report.evictions, 1);
+            assert_eq!(report.entries, 2);
+            assert!(report.bytes <= report.capacity_bytes);
+            assert!(matches!(cache.lookup(1, follower()), Lookup::Hit(_)));
+            assert!(
+                matches!(cache.lookup(2, follower()), Lookup::Miss(_)),
+                "the value-0.1 entry was the victim"
+            );
+            assert!(matches!(cache.lookup(3, follower()), Lookup::Hit(_)));
+        });
     }
 
     #[test]
@@ -752,64 +804,66 @@ pub(crate) mod tests {
         // eviction scan removes a batch, never one of the entries whose
         // value dwarfs the churn's, and never leaves the stripe over.
         let one = result(90).approx_bytes();
-        let cache = LabelCache::sized(1, one * 64, None);
-        let insert = |key: u64, value: f64| {
-            let entry = lead(&cache, key);
-            cache.resolve(&entry, result(90), value);
-        };
-        let keepers = [1u64, 2, 3, 4];
-        for key in keepers {
-            insert(key, 1.0e9);
-        }
-        for key in 0..4000u64 {
-            insert(1000 + key, 1.0);
+        one_stripe(one * 64, move |cache| {
+            let insert = |key: u64, value: f64| {
+                let entry = lead(&cache, key);
+                cache.resolve(&entry, result(90), value);
+            };
+            let keepers = [1u64, 2, 3, 4];
+            for key in keepers {
+                insert(key, 1.0e9);
+            }
+            for key in 0..4000u64 {
+                insert(1000 + key, 1.0);
+                let report = cache.report();
+                assert!(
+                    report.bytes <= report.capacity_bytes,
+                    "over budget after insert {key}: {} > {}",
+                    report.bytes,
+                    report.capacity_bytes
+                );
+            }
             let report = cache.report();
             assert!(
-                report.bytes <= report.capacity_bytes,
-                "over budget after insert {key}: {} > {}",
-                report.bytes,
-                report.capacity_bytes
+                report.entries >= 64 * 7 / 8,
+                "a batch is an eighth of the stripe, not more: {} resident",
+                report.entries
             );
-        }
-        let report = cache.report();
-        assert!(
-            report.entries >= 64 * 7 / 8,
-            "a batch is an eighth of the stripe, not more: {} resident",
-            report.entries
-        );
-        assert!(
-            report.evictions < 4000 && report.evictions + report.entries == 4004,
-            "every insert is resident or evicted: {report:?}"
-        );
-        for key in keepers {
             assert!(
-                matches!(cache.lookup(key, follower()), Lookup::Hit(_)),
-                "top-score entry {key} was evicted"
+                report.evictions < 4000 && report.evictions + report.entries == 4004,
+                "every insert is resident or evicted: {report:?}"
             );
-        }
+            for key in keepers {
+                assert!(
+                    matches!(cache.lookup(key, follower()), Lookup::Hit(_)),
+                    "top-score entry {key} was evicted"
+                );
+            }
+        });
     }
 
     #[test]
     fn recency_decays_the_eviction_score() {
         let one = result(90).approx_bytes();
-        let cache = LabelCache::sized(1, one * 2 + 1, None);
-        for key in [1u64, 2] {
-            let entry = lead(&cache, key);
+        one_stripe(one * 2 + 1, move |cache| {
+            for key in [1u64, 2] {
+                let entry = lead(&cache, key);
+                cache.resolve(&entry, result(90), 1.0);
+            }
+            // Touch key 1 repeatedly: key 2's equal value decays with age.
+            for _ in 0..8 {
+                assert!(matches!(cache.lookup(1, follower()), Lookup::Hit(_)));
+            }
+            let entry = lead(&cache, 3);
             cache.resolve(&entry, result(90), 1.0);
-        }
-        // Touch key 1 repeatedly: key 2's equal value decays with age.
-        for _ in 0..8 {
-            assert!(matches!(cache.lookup(1, follower()), Lookup::Hit(_)));
-        }
-        let entry = lead(&cache, 3);
-        cache.resolve(&entry, result(90), 1.0);
-        assert!(
-            matches!(cache.lookup(1, follower()), Lookup::Hit(_)),
-            "the recently touched entry survived"
-        );
-        assert!(
-            matches!(cache.lookup(2, follower()), Lookup::Miss(_)),
-            "the stale equal-value entry was the victim"
-        );
+            assert!(
+                matches!(cache.lookup(1, follower()), Lookup::Hit(_)),
+                "the recently touched entry survived"
+            );
+            assert!(
+                matches!(cache.lookup(2, follower()), Lookup::Miss(_)),
+                "the stale equal-value entry was the victim"
+            );
+        });
     }
 }

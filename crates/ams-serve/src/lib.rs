@@ -77,7 +77,6 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-#![warn(clippy::all)]
 
 pub mod adapt;
 pub mod cache;

@@ -166,8 +166,9 @@ impl FrameWriter {
     }
 }
 
-// ams-lint: begin(no-panic) frame read path — feeds raw socket bytes to
-// the decoder; connection handlers must fail with WireError, not die
+// No-panic zone (LINTS.md), `FrameReader`: the frame read path feeds raw
+// socket bytes to the decoder; connection handlers must fail with
+// WireError, not die.
 
 /// Initial size of a connection's read buffer: one `read` fills as much
 /// of it as the socket holds, so back-to-back frames cost one syscall
@@ -188,6 +189,16 @@ struct FrameReader {
     end: usize,
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 impl FrameReader {
     fn new(stream: TcpStream) -> Self {
         Self {
@@ -205,7 +216,10 @@ impl FrameReader {
     /// notices shutdown while blocked) and keep every partial byte.
     fn next(&mut self, stop: &AtomicBool) -> Result<&[u8], WireError> {
         loop {
-            // ams-lint: allow(no-panic) start <= end <= buf.len() is this struct's invariant
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "start <= end <= buf.len() is this struct's invariant"
+            )]
             let pending = &self.buf[self.start..self.end];
             let need = match pending.split_first_chunk::<{ wire::PREFIX }>() {
                 Some((prefix, rest)) => {
@@ -213,7 +227,10 @@ impl FrameReader {
                     if rest.len() >= len {
                         let at = self.start + wire::PREFIX;
                         self.start = at + len;
-                        // ams-lint: allow(no-panic) at + len <= end: `rest` was measured inside start..end
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "at + len <= end: `rest` was measured inside start..end"
+                        )]
                         return Ok(&self.buf[at..at + len]);
                     }
                     wire::PREFIX + len
@@ -230,7 +247,10 @@ impl FrameReader {
                     self.buf.resize(need, 0);
                 }
             }
-            // ams-lint: allow(no-panic) end < start + need <= buf.len(), so the target is in range and non-empty
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "end < start + need <= buf.len(), so the target is in range and non-empty"
+            )]
             match self.stream.read(&mut self.buf[self.end..]) {
                 Ok(0) => return Err(WireError::Closed),
                 Ok(n) => self.end += n,
@@ -245,8 +265,6 @@ impl FrameReader {
         }
     }
 }
-
-// ams-lint: end(no-panic)
 
 // ---------------------------------------------------------------------------
 // Server
@@ -429,8 +447,9 @@ impl NetServer {
     }
 }
 
-// ams-lint: begin(no-panic) item validation — runs on every decoded item
-// before anything indexes into it, so a hostile run table must fail here
+// No-panic zone (LINTS.md), `item_fits`: item validation runs on every
+// decoded item before anything indexes into it, so a hostile run table
+// must fail here.
 
 /// Whether a decoded item has the shape the labeling path indexes into
 /// without checking: a consistent run table, one run and one static value
@@ -448,6 +467,16 @@ impl NetServer {
 /// it. `NaN` fails every range test. Each run's labels and the valuable
 /// labels must be strictly ascending: the profit and confidence lookups
 /// binary-search them.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 fn item_fits(item: &ItemTruth, num_models: usize) -> bool {
     let known = |label: LabelId| label.index() < item.universe();
     let unit = |x: f32| (0.0..=1.0).contains(&x);
@@ -471,8 +500,6 @@ fn item_fits(item: &ItemTruth, num_models: usize) -> bool {
         && item.valuable.is_sorted_by(|a, b| a.0 < b.0)
         && item.total_value.to_bits() == ItemTruth::profit_sum(&item.valuable).to_bits()
 }
-
-// ams-lint: end(no-panic)
 
 /// Whether a request may be submitted: its item fits the zoo, and every
 /// value it brings may enter the ledgers. The codec carries any `f64` bit

@@ -180,19 +180,48 @@ impl ServerObs {
         self.start.elapsed().as_micros() as u64
     }
 
-    // ams-lint: begin(no-panic) emit paths — called from every submit and
-    // every worker iteration; an event must never be able to kill a worker
+    // No-panic zone (LINTS.md), `emit`, `emit_worker` and `record`: the
+    // emit paths are called from every submit and every worker iteration;
+    // an event must never be able to kill a worker.
 
     /// Stamp and record an event from a submit-side thread (channel keyed
     /// by request id so concurrent clients spread across shard channels).
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )]
     pub(crate) fn emit(&self, ev: Event) {
-        self.record(&self.channels[(ev.req as usize) % self.shards], ev); // ams-lint: allow(no-panic) index is % shards and channels.len() >= shards
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "index is % shards and channels.len() >= shards"
+        )]
+        self.record(&self.channels[(ev.req as usize) % self.shards], ev);
     }
 
     /// Stamp and record an event from worker `worker` (its private
     /// channel: no cross-worker contention on the hot path).
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )]
     pub(crate) fn emit_worker(&self, worker: usize, ev: Event) {
-        let tx = &self.channels[self.shards + worker % (self.shards * self.workers_per_shard)]; // ams-lint: allow(no-panic) channels.len() == shards + shards * workers_per_shard
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "channels.len() == shards + shards * workers_per_shard"
+        )]
+        let tx = &self.channels[self.shards + worker % (self.shards * self.workers_per_shard)];
         self.record(tx, ev);
     }
 
@@ -200,14 +229,26 @@ impl ServerObs {
     /// counting a drop when the channel is full. (`Disconnected` cannot
     /// happen — the receivers live in `registry`, as long as the senders —
     /// and would count as a drop too.)
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )]
     fn record(&self, tx: &SyncSender<Event>, mut ev: Event) {
         ev.at_us = self.now_us();
         if tx.try_send(ev).is_err() {
-            self.dropped[ev.kind.index()].fetch_add(1, Ordering::Relaxed); // ams-lint: allow(no-panic) kind.index() < EventKind::ALL.len() == dropped.len()
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "kind.index() < EventKind::ALL.len() == dropped.len()"
+            )]
+            self.dropped[ev.kind.index()].fetch_add(1, Ordering::Relaxed);
         }
     }
-
-    // ams-lint: end(no-panic)
 
     pub(crate) fn ticket_issued(&self) {
         self.tickets_issued.fetch_add(1, Ordering::Relaxed);

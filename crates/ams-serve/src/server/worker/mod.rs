@@ -7,8 +7,6 @@
 //! and does the side effects; every rule over time or the pool plan is
 //! the clock-free [`WorkerCore`], in µs after the shard queue's epoch.
 
-mod core;
-
 use super::Shared;
 use crate::adapt::WorkerAdapt;
 use crate::cache::CachedResult;
@@ -102,12 +100,22 @@ struct Worker<'a> {
     core: WorkerCore<Member>,
 }
 
-// ams-lint: begin(no-panic) worker hot loop — a panicking worker strands
-// its shard queue and every in-flight ticket on it
+// No-panic zone (LINTS.md), `worker_loop` and `Worker`'s phases: a
+// panicking worker strands its shard queue and every in-flight ticket on it.
 
 /// One worker: pace (deliver what is due, pop) → shed stale / claim →
 /// label, joined by what queued meanwhile → batch-admit and stage, until
 /// the shard queue closes and drains and the last member is delivered.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 pub(super) fn worker_loop(
     shared: &Shared,
     shard: usize,
@@ -120,13 +128,17 @@ pub(super) fn worker_loop(
         time_ms: spec.time_ms,
         mem_mb: spec.mem_mb,
     });
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "shard < queues.len() — workers are spawned one per existing shard"
+    )]
     let mut w = Worker {
         shared,
         shard,
         index,
         // One bounds check here instead of one per batch below: the
         // worker is pinned to `shard` for its whole life.
-        queue: &shared.queues[shard], // ams-lint: allow(no-panic) shard < queues.len() — workers are spawned one per existing shard
+        queue: &shared.queues[shard],
         adapt,
         local: WorkerLocal::new(specs.len()),
         core: WorkerCore::new(
@@ -155,6 +167,16 @@ pub(super) fn worker_loop(
     }
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 impl Worker<'_> {
     fn emit(&self, ev: Event) {
         self.shared.emit(Some(self.index), ev);
@@ -434,5 +456,3 @@ impl Worker<'_> {
         }
     }
 }
-
-// ams-lint: end(no-panic)

@@ -379,9 +379,20 @@ pub fn encode_server_frame(frame: &ServerFrame, out: &mut Vec<u8>) {
 // Decoding
 // ---------------------------------------------------------------------------
 
-// ams-lint: begin(no-panic) wire decode path — parses hostile bytes; a
-// malformed frame must produce WireError::Malformed, never a panic
+// No-panic zone (LINTS.md) from here to `decode_value`: the decode path
+// parses hostile bytes, so a malformed frame must produce
+// WireError::Malformed, never a panic.
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 fn malformed(what: impl Into<String>) -> WireError {
     WireError::Malformed(what.into())
 }
@@ -392,6 +403,16 @@ struct Cursor<'a> {
     pos: usize,
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 impl<'a> Cursor<'a> {
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -637,6 +658,16 @@ impl<'a> Cursor<'a> {
 
 /// Decode one client → server frame payload. Total and strict: see the
 /// module docs.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 pub fn decode_client_frame(payload: &[u8]) -> Result<ClientFrame, WireError> {
     let mut cur = Cursor {
         buf: payload,
@@ -664,6 +695,16 @@ pub fn decode_client_frame(payload: &[u8]) -> Result<ClientFrame, WireError> {
 
 /// Decode one server → client frame payload. Total and strict: see the
 /// module docs.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 pub fn decode_server_frame(payload: &[u8]) -> Result<ServerFrame, WireError> {
     let mut cur = Cursor {
         buf: payload,
@@ -688,13 +729,21 @@ pub fn decode_server_frame(payload: &[u8]) -> Result<ServerFrame, WireError> {
 
 /// Decode one value tree from the compact binary form. Strict: trailing
 /// bytes after the root value are an error, and no input panics.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 pub fn decode_value(buf: &[u8]) -> Result<Value, WireError> {
     let mut cur = Cursor { buf, pos: 0 };
     let v = cur.value(0)?;
     cur.finish(v)
 }
-
-// ams-lint: end(no-panic)
 
 // ---------------------------------------------------------------------------
 // Value-tree interchange encoding (files, not connections)

@@ -1,7 +1,9 @@
 //! Fixtures shared by the `ams-serve` integration tests: the oracle
 //! scheduler, a seeded truth table, and the two comparisons several
 //! suites make.
-#![allow(dead_code)] // each test binary uses its own subset
+// `allow`, not `expect`: a test binary that uses all of `common` would
+// leave an expectation unfulfilled.
+#![allow(dead_code, reason = "each test binary uses its own subset")]
 
 use ams_core::framework::AdaptiveModelScheduler;
 use ams_core::predictor::OraclePredictor;

@@ -7,6 +7,10 @@
 //! prefixes, oversized frame claims, garbage payloads, foreign protocol
 //! versions and unknown tags must error the connection cleanly: no
 //! panic, no leaked ticket, and the server keeps serving.
+#![expect(
+    unsafe_code,
+    reason = "a counting global allocator pins what one decode allocates; each unsafe site carries its SAFETY argument"
+)]
 
 use ams_core::framework::{AdaptiveModelScheduler, Budget};
 use ams_core::predictor::OraclePredictor;

@@ -30,7 +30,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod batch;
 pub mod parallel;

@@ -3,6 +3,19 @@
 //! and the busy span the service hint is published from. Time is the
 //! `now_us` a call receives, µs after the shard queue's epoch. The serving
 //! layer's worker owns the clock reads and the pause.
+//!
+//! The whole file is a no-panic zone (LINTS.md): a panicking worker
+//! strands its shard queue and every in-flight ticket on it.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 
 use crate::{Admitted, BatchLatencyModel, Job, PoolTimeline};
 
@@ -12,9 +25,6 @@ use crate::{Admitted, BatchLatencyModel, Job, PoolTimeline};
 /// a group that has not started. Those runs may join the open groups of
 /// their models, so a deeper look-ahead shares more setups.
 pub const LOOK_AHEAD_BATCHES: usize = 2;
-
-// ams-lint: begin(no-panic) worker hot loop — a panicking worker strands
-// its shard queue and every in-flight ticket on it
 
 /// What the worker does next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,5 +275,3 @@ impl<T> WorkerCore<T> {
         self.pool.busy_ms()
     }
 }
-
-// ams-lint: end(no-panic)

@@ -51,7 +51,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub use ams_core as core;
 pub use ams_data as data;
