@@ -8,7 +8,7 @@ use ams::nn::{QNet, QNetConfig};
 use ams::prelude::*;
 use ams::rl::trainer::GAMMA;
 use ams::rl::{ReplayBuffer, Transition};
-use ams::serve::server::LOOK_AHEAD_BATCHES;
+use ams::sim::shard::LOOK_AHEAD_BATCHES;
 use ams::sim::{list_makespan, PoolTimeline};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

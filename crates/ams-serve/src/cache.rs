@@ -69,13 +69,11 @@
 use crate::completion::{CompletionSlot, LabelResult, ShedReason};
 use crate::ledger::Ledger;
 use crate::obs::{Event, EventKind, ServerObs, NO_SHARD};
-use crate::telemetry::micros;
 use ams_models::{LabelId, ModelId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
-use std::time::Instant;
 
 /// Label-cache switch ([`ServeConfig::cache`](crate::ServeConfig);
 /// `None` disables the cache entirely — the no-cache serving path is
@@ -152,8 +150,9 @@ pub(crate) struct Follower {
     pub(crate) value: f64,
     /// The follower's deadline budget from submission, µs.
     pub(crate) deadline_us: Option<u64>,
-    /// When the follower attached — the start of its latency clock.
-    pub(crate) submitted_at: Instant,
+    /// When the follower attached, µs after the epoch every shard queue
+    /// of its server shares — the start of its latency clock.
+    pub(crate) attached_us: u64,
     /// Observability correlation id (`u64::MAX` outside a server).
     pub(crate) req_id: u64,
 }
@@ -228,7 +227,9 @@ impl PendingEntry {
     /// `Completion::Labeled` (zero execute time — the labels were already
     /// paid for) and is counted `coalesced`; followers that lost their
     /// slot race (cancelled) are skipped — their event already happened.
-    pub(crate) fn resolve(&self, result: &CachedResult) {
+    /// Each follower waited from its attach to `now_us`, the delivering
+    /// worker's clock.
+    pub(crate) fn resolve(&self, result: &CachedResult, now_us: u64) {
         let followers = {
             let mut st = self.state.lock().expect("cache entry");
             match std::mem::replace(&mut *st, EntryState::Done(result.clone())) {
@@ -242,9 +243,8 @@ impl PendingEntry {
                 }
             }
         };
-        let now = Instant::now();
         for f in followers {
-            let waited_us = micros(now.saturating_duration_since(f.submitted_at));
+            let waited_us = now_us.saturating_sub(f.attached_us);
             let met = f.deadline_us.is_none_or(|d| waited_us <= d);
             let delivered = f.slot.try_labeled(LabelResult {
                 ticket: f.slot.id(),
@@ -467,9 +467,16 @@ impl LabelCache {
     /// Resolve a leader: fan the result out to the entry's followers,
     /// then publish it as a resolved slot (evicting within the stripe's
     /// byte budget). `value` is the leader's class-weighted predicted
-    /// value — the eviction score's numerator.
-    pub(crate) fn resolve(&self, entry: &Arc<PendingEntry>, result: CachedResult, value: f64) {
-        entry.resolve(&result);
+    /// value — the eviction score's numerator. `now_us` is the delivering
+    /// worker's clock, the end of every follower's wait.
+    pub(crate) fn resolve(
+        &self,
+        entry: &Arc<PendingEntry>,
+        result: CachedResult,
+        value: f64,
+        now_us: u64,
+    ) {
+        entry.resolve(&result, now_us);
         let bytes = result.approx_bytes();
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
         self.insertions.fetch_add(1, Ordering::Relaxed);
@@ -615,7 +622,7 @@ pub(crate) mod tests {
             class: 0,
             value: 1.0,
             deadline_us: None,
-            submitted_at: Instant::now(),
+            attached_us: 0,
             req_id: u64::MAX,
         }
     }
@@ -663,7 +670,7 @@ pub(crate) mod tests {
     fn miss_then_resolve_then_hit() {
         one_stripe(CAPACITY_BYTES, move |cache| {
             let entry = lead(&cache, 42);
-            cache.resolve(&entry, result(4), 1.0);
+            cache.resolve(&entry, result(4), 1.0, 0);
             match cache.lookup(42, follower()) {
                 Lookup::Hit(r) => assert_eq!(r.labels.len(), 4),
                 _ => panic!("resolved key must hit"),
@@ -681,7 +688,7 @@ pub(crate) mod tests {
             let entry = lead(&cache, 7);
             let cq = Arc::new(CompletionQueue::new(4));
             let _ticket = coalesce(&cache, 7, &cq, 99);
-            cache.resolve(&entry, result(2), 1.0);
+            cache.resolve(&entry, result(2), 1.0, 0);
             let event = cq.try_recv().expect("fan-out delivered");
             let labeled = event.labeled().expect("labeled completion");
             assert_eq!(labeled.ticket, 99);
@@ -694,6 +701,32 @@ pub(crate) mod tests {
                 "offered is the submit path's to count"
             );
         });
+    }
+
+    /// A follower's wait runs on the shard's µs clock, from its attach to
+    /// the delivering worker's `now_us`: attached at 1 000 µs and resolved
+    /// at 5 000 µs it waited 4 000 µs, which a 3 000 µs deadline misses
+    /// and a 4 000 µs one meets.
+    #[test]
+    fn a_followers_wait_runs_from_its_attach_to_the_resolve() {
+        for (deadline_us, met) in [(3_000, false), (4_000, true)] {
+            one_stripe(CAPACITY_BYTES, move |cache| {
+                let entry = lead(&cache, 7);
+                let cq = Arc::new(CompletionQueue::new(1));
+                let (slot, _ticket) = slotted(&cq, 99);
+                let follower = Follower {
+                    slot,
+                    deadline_us: Some(deadline_us),
+                    attached_us: 1_000,
+                    ..follower()
+                };
+                assert!(matches!(cache.lookup(7, follower), Lookup::Coalesced));
+                cache.resolve(&entry, result(2), 1.0, 5_000);
+                let event = cq.try_recv().expect("fan-out delivered");
+                let labeled = event.labeled().expect("labeled completion");
+                assert_eq!((labeled.queue_wait_us, labeled.deadline_met), (4_000, met));
+            });
+        }
     }
 
     #[test]
@@ -742,7 +775,7 @@ pub(crate) mod tests {
             let cq = Arc::new(CompletionQueue::new(4));
             let ticket = coalesce(&cache, 13, &cq, 8);
             assert!(ticket.cancel());
-            cache.resolve(&entry, result(1), 1.0);
+            cache.resolve(&entry, result(1), 1.0, 0);
             let event = cq.try_recv().expect("the cancellation event");
             assert!(event.is_cancelled(), "cancellation owns the terminal event");
             assert!(cq.try_recv().is_none(), "fan-out delivered nothing extra");
@@ -783,7 +816,7 @@ pub(crate) mod tests {
             // Same bytes, different values: the low-value entry must go.
             for (key, value) in [(1u64, 5.0), (2, 0.1), (3, 4.0)] {
                 let entry = lead(&cache, key);
-                cache.resolve(&entry, result(90), value);
+                cache.resolve(&entry, result(90), value, 0);
             }
             let report = cache.report();
             assert_eq!(report.evictions, 1);
@@ -807,7 +840,7 @@ pub(crate) mod tests {
         one_stripe(one * 64, move |cache| {
             let insert = |key: u64, value: f64| {
                 let entry = lead(&cache, key);
-                cache.resolve(&entry, result(90), value);
+                cache.resolve(&entry, result(90), value, 0);
             };
             let keepers = [1u64, 2, 3, 4];
             for key in keepers {
@@ -848,14 +881,14 @@ pub(crate) mod tests {
         one_stripe(one * 2 + 1, move |cache| {
             for key in [1u64, 2] {
                 let entry = lead(&cache, key);
-                cache.resolve(&entry, result(90), 1.0);
+                cache.resolve(&entry, result(90), 1.0, 0);
             }
             // Touch key 1 repeatedly: key 2's equal value decays with age.
             for _ in 0..8 {
                 assert!(matches!(cache.lookup(1, follower()), Lookup::Hit(_)));
             }
             let entry = lead(&cache, 3);
-            cache.resolve(&entry, result(90), 1.0);
+            cache.resolve(&entry, result(90), 1.0, 0);
             assert!(
                 matches!(cache.lookup(1, follower()), Lookup::Hit(_)),
                 "the recently touched entry survived"

@@ -358,6 +358,12 @@ impl ShardQueue {
         self
     }
 
+    /// Count from `epoch` instead: the server gives every shard queue one.
+    pub(crate) fn with_epoch(mut self, epoch: Instant) -> Self {
+        self.epoch = epoch;
+        self
+    }
+
     /// One pool-end slot per worker sharing the queue (min 1).
     pub(crate) fn with_workers(mut self, workers: usize) -> Self {
         self.pool_ends_us = (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect();

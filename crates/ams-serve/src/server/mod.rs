@@ -36,8 +36,8 @@
 //! This module keeps [`AmsServer`] start, shutdown and abort over the
 //! shared state; the rest is one small module per concern: `config` (the
 //! knobs and their normalisation), `submit` ([`Client`] and the admission
-//! path), `worker` (the shard hot loop, phase by phase, around the
-//! clock-free `WorkerCore` that owns its pool plan and pacing) and
+//! path), `worker` (the shard hot loop, doing the steps of the clock-free
+//! `WorkerCore` that owns its order of phases, pool plan and pacing) and
 //! `report` (the report types and the end-of-run fold).
 
 mod config;
@@ -48,7 +48,6 @@ mod worker;
 pub use config::{ServeConfig, SloClass, SloConfig};
 pub use report::{ClassReport, ServeReport, SloReport};
 pub use submit::{Client, SubmitOptions};
-pub use worker::LOOK_AHEAD_BATCHES;
 
 use crate::adapt::{AdaptRuntime, AdaptShared, WorkerAdapt};
 use crate::cache::LabelCache;
@@ -66,10 +65,13 @@ use ams_data::ItemTruth;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Instant;
 use worker::{worker_loop, WorkerLocal};
 
 /// Shared server state (queues + router + scheduler), behind one `Arc`.
 struct Shared {
+    /// The instant every shard queue's µs count from.
+    epoch: Instant,
     queues: Vec<ShardQueue>,
     router: Router,
     scheduler: AdaptiveModelScheduler,
@@ -210,9 +212,13 @@ impl AmsServer {
             .obs
             .clone()
             .map(|o| Arc::new(ServerObs::new(o, cfg.shards, cfg.workers_per_shard)));
+        // One epoch for every shard: a follower's wait starts on the
+        // submitter's clock and ends on its leader's worker's.
+        let epoch = Instant::now();
         let queues: Vec<ShardQueue> = (0..cfg.shards)
             .map(|shard| {
                 ShardQueue::with_slo(cfg.queue_capacity, cfg.policy, aware, aware)
+                    .with_epoch(epoch)
                     .with_obs(shard as u32, obs.clone())
                     .with_workers(cfg.workers_per_shard)
             })
@@ -232,6 +238,7 @@ impl AmsServer {
             .as_ref()
             .map(|a| AdaptRuntime::start(a, obs.clone()));
         let shared = Arc::new(Shared {
+            epoch,
             router,
             queues,
             scheduler,

@@ -11,6 +11,7 @@ use crate::completion::{
 use crate::ledger::Ledger;
 use crate::obs::{Event, EventKind, NO_SHARD};
 use crate::queue::{Request, SubmitOutcome};
+use crate::telemetry::micros;
 use ams_data::ItemTruth;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
@@ -274,15 +275,15 @@ fn submit(
     // its fan-out. Only a first sighting (the leader) proceeds to routing
     // and admission, carrying the pending entry.
     let mut lead = None;
-    // The submission's one clock read.
-    let now = Instant::now();
+    // The submission's one clock read, µs after every shard's epoch.
+    let now_us = micros(Instant::now().saturating_duration_since(shared.epoch));
     if let Some(cache) = &shared.cache {
         let follower = Follower {
             slot: Arc::clone(ticket.slot()),
             class,
             value,
             deadline_us,
-            submitted_at: now,
+            attached_us: now_us,
             req_id,
         };
         match cache.lookup(fp.content, follower) {
@@ -306,7 +307,7 @@ fn submit(
     if let Some(entry) = lead {
         req = req.with_cache(entry);
     }
-    if let Some(wait_us) = admission_wait(shared, route.shard, deadline_us, now) {
+    if let Some(wait_us) = admission_wait(shared, route.shard, deadline_us, now_us) {
         return shed_at_admission(shared, &sub, wait_us, &req, ticket);
     }
     enqueue(shared, &sub, req, ticket)
@@ -402,7 +403,7 @@ fn answer_from_cache(
     SubmitOutcome::Cached(ticket)
 }
 
-/// SLO admission control: the shard's published wait at `now` priced
+/// SLO admission control: the shard's published wait at `now_us` priced
 /// against one consistent queue snapshot (a single lock acquisition) —
 /// `Load::doomed_at_admission`. `None` admits (always, without admission
 /// control or a deadline).
@@ -410,14 +411,13 @@ fn admission_wait(
     shared: &Shared,
     shard: usize,
     deadline_us: Option<u64>,
-    now: Instant,
+    now_us: u64,
 ) -> Option<u64> {
     let (slo, deadline) = (shared.cfg.slo.as_ref()?, deadline_us?);
     if !slo.aware {
         return None;
     }
     let queue = &shared.queues[shard];
-    let now_us = queue.us_since_epoch(now);
     let snapshot = queue.queued_ahead(now_us.saturating_add(deadline));
     queue
         .load(now_us)

@@ -1,11 +1,12 @@
-//! The shard worker: pop a batch, then four phases — shed stale / claim,
-//! label, batch-admit into the worker's virtual GPU pool, stage — while
-//! earlier members are delivered as their own models finish, until the
-//! shard queue closes and drains. A batch stays open from its pop to its
-//! admission: what queued while it was being labeled joins it. Also the
-//! accumulators a worker hands back at join. This shell reads the clock
-//! and does the side effects; every rule over time or the pool plan is
-//! the clock-free [`WorkerCore`], in µs after the shard queue's epoch.
+//! The shard worker: an interpreter of the clock-free [`WorkerCore`]'s
+//! steps, in µs after the shard queue's epoch. Each turn reads the clock
+//! once, asks the core for the step and does it — deliver what is due,
+//! pause, pop (then shed stale / claim and label into the open batch),
+//! batch-admit the open batch into the worker's virtual GPU pool — until
+//! the shard queue closes and drains. Also the accumulators a worker hands
+//! back at join. The order of the phases and every rule over time or the
+//! pool plan are the core's; the clock, the pause and the side effects
+//! are this shell's.
 
 use super::Shared;
 use crate::adapt::WorkerAdapt;
@@ -17,8 +18,7 @@ use crate::queue::{Request, ShardQueue};
 use crate::telemetry::LatencyHistogram;
 use ams_core::framework::LabelingOutcome;
 use ams_core::streaming::StreamStats;
-pub use ams_sim::shard::LOOK_AHEAD_BATCHES;
-use ams_sim::shard::{join_room, Gate, WorkerCore};
+use ams_sim::shard::{Step, WorkerCore};
 use ams_sim::Job;
 use std::time::{Duration, Instant};
 
@@ -100,12 +100,12 @@ struct Worker<'a> {
     core: WorkerCore<Member>,
 }
 
-// No-panic zone (LINTS.md), `worker_loop` and `Worker`'s phases: a
-// panicking worker strands its shard queue and every in-flight ticket on it.
+// No-panic zone (LINTS.md), `worker_loop` — the loop that does the core's
+// steps — and `Worker`'s phases: a panicking worker strands its shard queue
+// and every in-flight ticket on it.
 
-/// One worker: pace (deliver what is due, pop) → shed stale / claim →
-/// label, joined by what queued meanwhile → batch-admit and stage, until
-/// the shard queue closes and drains and the last member is delivered.
+/// One worker: read the clock, ask the core for the step, do it, until the
+/// shard queue closes and drains and the last member is delivered.
 #[deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -150,20 +150,43 @@ pub(super) fn worker_loop(
             jobs,
         ),
     };
+    // The batch between its first pop and its admission.
+    let mut open = Vec::new();
     loop {
-        let Some((batch, popped_us)) = w.pace() else {
-            // Commit what has not started yet: the busy time is the union
-            // of committed groups.
-            w.local.virtual_exec_ms = w.core.finish();
-            return w.local;
-        };
-        let Some((members, admit_us)) = w.fill(batch, popped_us) else {
-            // The whole batch was shed: none executed, nothing to observe
-            // or charge.
-            continue;
-        };
-        w.batch_started(popped_us, members.len());
-        w.batch_admit(members, admit_us);
+        let now_us = w.now_us();
+        match w.core.next(now_us, || w.queue.live_len()) {
+            Step::Deliver(due) => {
+                w.shared.observe(|obs| obs.delivered(shard, due.len()));
+                for (s, outcome) in due {
+                    w.deliver(s, outcome, now_us);
+                }
+            }
+            Step::Sleep(until_us) => {
+                std::thread::sleep(Duration::from_micros(until_us.saturating_sub(now_us)));
+            }
+            Step::Pop { room, until_us } => {
+                let popped = w.queue.pop_or_wait(room, until_us);
+                let found = popped.as_ref().map(Vec::len);
+                for s in w.claim(popped.unwrap_or_default(), now_us) {
+                    // With adaptation on, repin the snapshot predictor
+                    // before a batch's first label — one atomic generation
+                    // check per batch, so every member is labeled against
+                    // one weight set even while the trainer publishes.
+                    if let Some(a) = w.adapt.as_mut().filter(|_| open.is_empty()) {
+                        a.refresh();
+                    }
+                    open.push(w.label(s));
+                }
+                w.core.popped(now_us, found, open.len());
+            }
+            Step::Admit { busy, .. } => w.batch_admit(std::mem::take(&mut open), busy, now_us),
+            Step::Done => {
+                // Commit what has not started yet: the busy time is the
+                // union of committed groups.
+                w.local.virtual_exec_ms = w.core.finish();
+                return w.local;
+            }
+        }
     }
 }
 
@@ -192,81 +215,6 @@ impl Worker<'_> {
     /// The clock, µs after the shard queue's epoch.
     fn now_us(&self) -> u64 {
         self.queue.us_since_epoch(Instant::now())
-    }
-
-    /// The loop's one pacing call: read the clock, deliver every member
-    /// that is due, then pause or pop as the core's [`Gate`] says, the
-    /// clock read being the batch's pop. A pop that finds the queue empty
-    /// waits for work and comes back without a batch; the time to the next
-    /// read is blocked (not busy) time. Delivery work is neither, so the
-    /// clock is read again after it. `None` once the queue is closed and
-    /// drained and nothing is in flight.
-    fn pace(&mut self) -> Option<(Vec<Request>, u64)> {
-        let mut waited_from = None;
-        loop {
-            let now_us = self.now_us();
-            if let Some(from) = waited_from.take() {
-                self.core.blocked(now_us.saturating_sub(from));
-            }
-            if self.deliver_due(now_us) {
-                continue;
-            }
-            let (gate, until_us) = self.core.pace(now_us, self.queue.live_len());
-            let until_us = match gate {
-                Gate::Hold | Gate::WaitDue => {
-                    std::thread::sleep(Duration::from_micros(until_us.saturating_sub(now_us)));
-                    continue;
-                }
-                Gate::PopFull => Some(until_us),
-                Gate::PopAny => None,
-            };
-            match self.queue.pop_or_wait(self.shared.cfg.max_batch, until_us) {
-                Some(batch) if !batch.is_empty() => return Some((batch, now_us)),
-                // Closed and drained, with nothing in flight.
-                Some(_) if gate == Gate::PopAny => return None,
-                Some(_) => {}
-                None => waited_from = Some(now_us),
-            }
-        }
-    }
-
-    /// Phases 1 and 2 over a popped batch, kept open until its admission:
-    /// claim and label it, then pop — without waiting — what queued in the
-    /// meantime, claim and label that, and so on while [`join_room`]
-    /// leaves room and the queue has work. Every member is judged at its
-    /// own pop. Returns the labeled members and the last clock read, the
-    /// pool's admission clock; `None` when every member was shed.
-    fn fill(&mut self, batch: Vec<Request>, popped_us: u64) -> Option<(Vec<Member>, u64)> {
-        let survivors = self.claim(batch, popped_us);
-        if survivors.is_empty() {
-            return None;
-        }
-        // With adaptation on, repin the snapshot predictor first — one
-        // atomic generation check per batch, so every member is labeled
-        // against one coherent weight set even while the trainer publishes
-        // mid-batch.
-        if let Some(a) = self.adapt.as_mut() {
-            a.refresh();
-        }
-        let mut members: Vec<_> = survivors.into_iter().map(|s| self.label(s)).collect();
-        let (max_batch, workers) = (self.shared.cfg.max_batch, self.shared.cfg.workers_per_shard);
-        loop {
-            let now_us = self.now_us();
-            let room = join_room(members.len(), max_batch, workers);
-            let joined = if room > 0 {
-                self.queue.pop_or_wait(room, Some(0))
-            } else {
-                None
-            };
-            match joined {
-                Some(joined) if !joined.is_empty() => {
-                    for s in self.claim(joined, now_us) {
-                        members.push(self.label(s));
-                    }
-                }
-                _ => return Some((members, now_us)),
-            }
-        }
     }
 
     /// Phase 1 — shed stale, claim the rest.
@@ -314,22 +262,6 @@ impl Worker<'_> {
         survivors
     }
 
-    /// The batch popped at `at_us` starts executing with `len` members, the
-    /// joined ones included: publish the busy span
-    /// since the previous batch start to the shard queue, whose service-time
-    /// EWMAs every wait price — admission, eviction's doom horizon, spill
-    /// routing — reads, so the policies agree on what a queued request's
-    /// wait looks like.
-    fn batch_started(&mut self, at_us: u64, len: usize) {
-        let busy = self.core.batch_started(at_us, len).map(|(busy_us, n)| {
-            self.queue.publish_batch(busy_us, n);
-            busy_us
-        });
-        let shard = self.shard;
-        self.shared
-            .observe(|obs| obs.batch_started(shard, len, busy.unwrap_or(0)));
-    }
-
     /// Phase 2 — label one survivor.
     fn label(&self, s: Survivor) -> Member {
         let shared = self.shared;
@@ -343,12 +275,19 @@ impl Worker<'_> {
     }
 
     /// Phases 3 and 4 — batched admission and staging
-    /// ([`WorkerCore::admit`]) of the whole batch at `now_us`, the clock
-    /// read after its last labeling. The bill and the groups opened are
-    /// charged, and the plan's end is published to the shard queue: the
-    /// pool wait both doom tests price.
-    fn batch_admit(&mut self, members: Vec<Member>, now_us: u64) {
-        let len = members.len();
+    /// ([`WorkerCore::admit`]) of the open batch at `now_us`. First the
+    /// previous batch's `busy` span and size go to the shard queue, whose
+    /// service-time EWMAs every wait price reads. The bill and the groups
+    /// opened are charged, and the plan's end is published to the shard
+    /// queue: the pool wait both doom tests price.
+    fn batch_admit(&mut self, members: Vec<Member>, busy: Option<(u64, usize)>, now_us: u64) {
+        if let Some((busy_us, n)) = busy {
+            self.queue.publish_batch(busy_us, n);
+        }
+        let (shard, len) = (self.shard, members.len());
+        let busy_us = busy.map_or(0, |(us, _)| us);
+        self.shared
+            .observe(|obs| obs.batch_started(shard, len, busy_us));
         self.local.batches += 1;
         self.local.max_batch_observed = self.local.max_batch_observed.max(len);
         for (s, _) in &members {
@@ -370,28 +309,11 @@ impl Worker<'_> {
         self.queue.set_pool_end(worker, self.core.end_us());
     }
 
-    /// Deliver every staged member due at `now_us`: resolve each one (cache
-    /// fan-out, ledgers, events, the ticket's own `Labeled` completion),
-    /// charged its own execute span — its pop to `now_us` — on top of its
-    /// queue wait. Returns whether any was delivered.
-    fn deliver_due(&mut self, now_us: u64) -> bool {
-        let due = self.core.take_due(now_us);
-        if due.is_empty() {
-            return false;
-        }
-        let shard = self.shard;
-        self.shared.observe(|obs| obs.delivered(shard, due.len()));
-        for (s, outcome) in due {
-            let exec_us = now_us.saturating_sub(s.popped_us);
-            self.deliver(s, outcome, exec_us);
-        }
-        true
-    }
-
-    /// Resolve one member: the trainer's tap, the cache fan-out, then its
-    /// own completion (a ghost has none).
-    fn deliver(&mut self, s: Survivor, outcome: LabelingOutcome, exec_us: u64) {
-        let shared = self.shared;
+    /// Resolve one member due at `now_us`: the trainer's tap, the cache
+    /// fan-out, then its own completion (a ghost has none), charged its own
+    /// execute span — its pop to `now_us` — on top of its queue wait.
+    fn deliver(&mut self, s: Survivor, outcome: LabelingOutcome, now_us: u64) {
+        let (shared, exec_us) = (self.shared, now_us.saturating_sub(s.popped_us));
         // Feed the trainer (non-blocking; a full channel drops and
         // counts). Ghosts included — their executions were real.
         if let Some(a) = &self.adapt {
@@ -410,6 +332,7 @@ impl Worker<'_> {
                     recall: outcome.recall,
                 },
                 s.req.value,
+                now_us,
             );
         }
         if s.ghost {

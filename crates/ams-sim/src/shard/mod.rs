@@ -12,7 +12,7 @@ mod queue;
 mod worker;
 
 pub use queue::{Header, Load, Offer, QueueCore, Queued};
-pub use worker::{gate, join_room, Gate, WorkerCore, LOOK_AHEAD_BATCHES};
+pub use worker::{join_room, Step, WorkerCore, LOOK_AHEAD_BATCHES};
 
 /// What a full queue does to the *next* submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

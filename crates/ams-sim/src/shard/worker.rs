@@ -1,8 +1,11 @@
-//! The worker's time rules as a plain value: its virtual GPU pool and plan,
-//! when each staged member is due, whether the next batch may be popped,
-//! and the busy span the service hint is published from. Time is the
-//! `now_us` a call receives, µs after the shard queue's epoch. The serving
-//! layer's worker owns the clock reads and the pause.
+//! The worker's time rules and their order as a plain value: one step at a
+//! time ([`WorkerCore::next`]) it says whether to deliver what is due,
+//! pause, pop, close the open batch or stop, and the serving layer's
+//! worker does it and reports what a pop found ([`WorkerCore::popped`]).
+//! Under the steps sit its virtual GPU pool and plan, each staged member's
+//! due and the busy span the service hint is published from. Time is the
+//! `now_us` a call receives, µs after the shard queue's epoch. The shell
+//! owns the clock reads, the pause and the side effects.
 //!
 //! The whole file is a no-panic zone (LINTS.md): a panicking worker
 //! strands its shard queue and every in-flight ticket on it.
@@ -26,59 +29,42 @@ use crate::{Admitted, BatchLatencyModel, Job, PoolTimeline};
 /// their models, so a deeper look-ahead shares more setups.
 pub const LOOK_AHEAD_BATCHES: usize = 2;
 
-/// What the worker does next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gate {
-    /// Enough staged members wait on unstarted groups: pause until the
-    /// first of those groups starts.
-    Hold,
-    /// Pop a full batch, waiting for work only until the next member is
-    /// due.
-    PopFull,
-    /// Nothing is in flight: pop whatever is queued, waiting for work for
-    /// as long as it takes.
-    PopAny,
-    /// Too little is queued for a full batch: pause until the next member
-    /// is due, so a partial batch waits for the pool to drain.
-    WaitDue,
-}
-
-/// The pop decision. `in_flight` members are staged on the pool, of which
-/// `unstarted` still have a run in a group that has not started; `queued`
-/// is the live queue depth.
-///
-/// With one worker per shard the look-ahead is [`LOOK_AHEAD_BATCHES`]
-/// full batches. With several there is none — the full batch waits until
-/// every group here has started — since a pop binds it to this worker's
-/// pool while a sibling may free sooner.
-pub fn gate(
-    in_flight: usize,
-    unstarted: usize,
-    queued: usize,
-    max_batch: usize,
-    workers_per_shard: usize,
-) -> Gate {
-    let look_ahead = if workers_per_shard == 1 {
-        LOOK_AHEAD_BATCHES * max_batch
-    } else {
-        1
-    };
-    if in_flight == 0 {
-        Gate::PopAny
-    } else if unstarted >= look_ahead {
-        Gate::Hold
-    } else if queued >= max_batch {
-        Gate::PopFull
-    } else {
-        Gate::WaitDue
-    }
+/// What the worker does next, at the `now_us` it was asked at.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Step<T> {
+    /// Deliver these members, due by now, in due order.
+    Deliver(Vec<T>),
+    /// Pause until this instant.
+    Sleep(u64),
+    /// Pop requests, claim them and label what survives into the open
+    /// batch, then report back ([`WorkerCore::popped`]).
+    Pop {
+        /// At most this many.
+        room: usize,
+        /// Wait for work until this instant (`None`: for as long as it
+        /// takes; an instant already past: not at all).
+        until_us: Option<u64>,
+    },
+    /// Close the open batch: admit it to the pool now.
+    Admit {
+        /// Its members.
+        len: usize,
+        /// The previous batch's busy span, µs — the time between the two
+        /// batches' first pops less the time blocked on an empty queue —
+        /// and size (`None` for the first batch). With batches streaming
+        /// through the pool the members' execute spans overlap, so a
+        /// batch's drain time is this span, not any member's.
+        busy: Option<(u64, usize)>,
+    },
+    /// The queue is closed and drained, and nothing is in flight.
+    Done,
 }
 
 /// How many more requests may join a batch of `len` before its admission
 /// to the pool: what queued while it was being labeled, up to a full
 /// batch. With one worker per shard the batch stays open until then. With
-/// several it closes at the pop, as `gate` gives them no look-ahead: a
-/// pop binds a request to this worker's pool while a sibling may be free.
+/// several it closes at the pop, as the pop gate gives them no look-ahead:
+/// a pop binds a request to this worker's pool while a sibling may be free.
 pub fn join_room(len: usize, max_batch: usize, workers_per_shard: usize) -> usize {
     if workers_per_shard == 1 {
         max_batch.saturating_sub(len)
@@ -101,6 +87,16 @@ struct Staged<T> {
 /// The models of `mask`, in index order.
 fn models_of(mask: u64) -> impl Iterator<Item = usize> {
     (0..64).filter(move |m| mask >> m & 1 == 1)
+}
+
+/// A batch between its first pop and its admission: that pop's instant
+/// (the batch's start), its members so far, and whether its last pop found
+/// work.
+#[derive(Clone, Copy)]
+struct Open {
+    start_us: u64,
+    len: usize,
+    found: bool,
 }
 
 /// Virtual pool ms `v_ms` as µs after the epoch, at `us_per_ms`.
@@ -127,10 +123,16 @@ pub struct WorkerCore<T> {
     pool_end_ms: u64,
     /// Admitted members not yet delivered, in due order.
     in_flight: Vec<Staged<T>>,
+    /// The batch being popped and labeled, not yet admitted.
+    open: Option<Open>,
     /// The previous batch's start, µs, and size.
     last_batch: Option<(u64, usize)>,
-    /// µs blocked on the queue since then.
+    /// µs blocked on the queue since then, and since when it has been
+    /// blocked if a pop just found it empty.
     blocked_us: u64,
+    waited_from: Option<u64>,
+    /// A pop found the queue closed and drained.
+    drained: bool,
 }
 
 impl<T> WorkerCore<T> {
@@ -155,8 +157,11 @@ impl<T> WorkerCore<T> {
             pool: PoolTimeline::new(pool_mb),
             pool_end_ms: 0,
             in_flight: Vec::new(),
+            open: None,
             last_batch: None,
             blocked_us: 0,
+            waited_from: None,
+            drained: false,
         }
     }
 
@@ -166,30 +171,94 @@ impl<T> WorkerCore<T> {
         to_us(self.pool_end_ms, self.us_per_ms)
     }
 
-    /// The pacing decision at `now_us`, once every member due by then is
-    /// taken, with `queued` live requests on the shard queue, and the
-    /// instant it runs to: when the first unstarted group starts for
-    /// [`Gate::Hold`], else when the next member is due — a pop with
-    /// members in flight waits for work only until then, so none is
-    /// stranded behind an empty queue.
-    pub fn pace(&self, now_us: u64, queued: usize) -> (Gate, u64) {
-        let due = self.in_flight.first().map_or(now_us, |m| m.due_us);
-        let (mut unstarted, mut first_start) = (0, due);
-        for m in self.in_flight.iter().filter(|m| m.last_start_us > now_us) {
-            unstarted += 1;
-            first_start = first_start.min(m.last_start_us);
+    /// The step at `now_us`, in the worker's order of phases. An open batch
+    /// pops again, without waiting, while its last pop found work and
+    /// [`join_room`] leaves room; then it is admitted. Only then is what is
+    /// due delivered. Once a pop found the queue closed and drained, the
+    /// worker is done when nothing is in flight. Otherwise the pop gate:
+    /// an idle pool pops any batch, waiting as long as it takes; a pool
+    /// with a look-ahead of staged members on unstarted groups pauses until
+    /// the first of them starts; a full batch queued (`queued`, the live
+    /// depth, read only here) is popped, waiting only until the next due;
+    /// else the worker pauses until then, so a partial batch waits for the
+    /// drain. The look-ahead is [`LOOK_AHEAD_BATCHES`] full batches with
+    /// one worker per shard, none with several: a pop binds its batch to
+    /// this pool while a sibling may free sooner.
+    pub fn next(&mut self, now_us: u64, queued: impl FnOnce() -> usize) -> Step<T> {
+        if let Some(from) = self.waited_from.take() {
+            self.blocked_us = self.blocked_us.saturating_add(now_us.saturating_sub(from));
         }
-        let (max, workers) = (self.max_batch, self.workers_per_shard);
-        match gate(self.in_flight.len(), unstarted, queued, max, workers) {
-            Gate::Hold => (Gate::Hold, first_start),
-            gate => (gate, due),
+        let (max_batch, workers) = (self.max_batch, self.workers_per_shard);
+        if let Some(open) = self.open {
+            let (len, until_us) = (open.len, Some(0));
+            let room = join_room(len, max_batch, workers);
+            if open.found && room > 0 {
+                return Step::Pop { room, until_us };
+            }
+            self.open = None;
+            let blocked = std::mem::take(&mut self.blocked_us);
+            let busy = self
+                .last_batch
+                .replace((open.start_us, len))
+                .map(|(start, n)| {
+                    let span = open.start_us.saturating_sub(start);
+                    (span.saturating_sub(blocked), n)
+                });
+            return Step::Admit { len, busy };
+        }
+        let due = self.in_flight.partition_point(|m| m.due_us <= now_us);
+        if due > 0 {
+            return Step::Deliver(self.in_flight.drain(..due).map(|m| m.member).collect());
+        }
+        let room = max_batch;
+        let Some(due_us) = self.in_flight.first().map(|m| m.due_us) else {
+            let until_us = None;
+            return if self.drained {
+                Step::Done
+            } else {
+                Step::Pop { room, until_us }
+            };
+        };
+        let look_ahead = if workers == 1 {
+            LOOK_AHEAD_BATCHES * max_batch
+        } else {
+            1
+        };
+        let unstarted = self.in_flight.iter().filter(|m| m.last_start_us > now_us);
+        let (unstarted, first_start) = unstarted.fold((0, due_us), |(n, first), m| {
+            (n + 1, first.min(m.last_start_us))
+        });
+        let until_us = Some(due_us);
+        if unstarted >= look_ahead {
+            Step::Sleep(first_start)
+        } else if queued() >= max_batch {
+            Step::Pop { room, until_us }
+        } else {
+            Step::Sleep(due_us)
         }
     }
 
-    /// Take every member due at `now_us`, in due order.
-    pub fn take_due(&mut self, now_us: u64) -> Vec<T> {
-        let due = self.in_flight.partition_point(|m| m.due_us <= now_us);
-        self.in_flight.drain(..due).map(|m| m.member).collect()
+    /// What the [`Step::Pop`] asked at `now_us` found: `None` when the
+    /// queue was open and empty, else how many requests it took (0: the
+    /// queue is closed and drained). `open_len` is the open batch's size
+    /// once they are claimed and labeled; a first pop whose every request
+    /// was shed opens no batch. From a gate pop that found nothing to the
+    /// next step the worker is blocked, not busy.
+    pub fn popped(&mut self, now_us: u64, popped: Option<usize>, open_len: usize) {
+        self.drained |= popped == Some(0);
+        let found = popped.is_some_and(|n| n > 0);
+        match &mut self.open {
+            Some(open) => (open.len, open.found) = (open_len, found),
+            None if popped.is_none() => self.waited_from = Some(now_us),
+            None if open_len > 0 => {
+                self.open = Some(Open {
+                    start_us: now_us,
+                    len: open_len,
+                    found,
+                });
+            }
+            None => {}
+        }
     }
 
     /// Batched admission at `now_us`: one invocation per model over the
@@ -250,22 +319,6 @@ impl<T> WorkerCore<T> {
         }
         self.in_flight.sort_by_key(|m| m.due_us);
         admitted
-    }
-
-    /// The worker spent `us` blocked waiting for work: not busy time.
-    pub fn blocked(&mut self, us: u64) {
-        self.blocked_us = self.blocked_us.saturating_add(us);
-    }
-
-    /// A batch of `len` starts at `at_us`: the previous batch's busy span,
-    /// µs — the time between their starts less the time blocked on an
-    /// empty queue — and size (`None` for the first batch). With batches
-    /// streaming through the pool the members' execute spans overlap, so
-    /// a batch's drain time is this span, not any member's.
-    pub fn batch_started(&mut self, at_us: u64, len: usize) -> Option<(u64, usize)> {
-        let blocked = std::mem::take(&mut self.blocked_us);
-        let (start, n) = self.last_batch.replace((at_us, len))?;
-        Some((at_us.saturating_sub(start).saturating_sub(blocked), n))
     }
 
     /// Commit what has not started yet and return the pool's busy time,

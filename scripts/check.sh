@@ -144,7 +144,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # ams-serve/src that read the wall clock may only go down. A rule over time
 # belongs in ams-sim, fed the shell's one read; a PR that removes reads
 # lowers the limit to the new count.
-clock_reads_max=9
+clock_reads_max=8
 echo "==> ams-serve clock reads (at most $clock_reads_max lines)"
 clock_lines=$(grep -rnE 'Instant::now\(\)|\.elapsed\(\)' crates/ams-serve/src || true)
 clock_reads=$(grep -c . <<<"$clock_lines" || true)
@@ -202,7 +202,7 @@ fi
 # directories, fixtures and the two out-of-line test modules, may only go
 # down. Tests stay free. A PR that removes library lines lowers the limit
 # to the new count.
-lib_loc_max=22154
+lib_loc_max=22150
 echo "==> library lines (at most $lib_loc_max)"
 lib_loc=$(find crates examples -name '*.rs' -not -path '*/tests/*' -not -path '*/fixtures/*' \
     -not -path crates/ams-serve/src/queue/tests.rs -not -path crates/ams-core/src/scheduler/reference.rs -print0 |
